@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 CHAOS_SEED ?= 2026
 
-.PHONY: check fmt vet build test race lint lint-baseline fuzz chaos chaos-short chaos-wipe chaos-wipe-short chaos-brownout chaos-brownout-short bench bench-all benchdiff soak soak-short soak-baseline clean
+.PHONY: check fmt vet build test race lint lint-baseline fuzz chaos chaos-short chaos-wipe chaos-wipe-short chaos-brownout chaos-brownout-short bench bench-all bench-e2e bench-e2e-compare benchdiff soak soak-short soak-baseline clean
 
 ## check: the tier-1 gate — formatting, vet, build, race-enabled tests,
 ## plus the repo's own invariant linter, a short fuzz pass over every
@@ -165,6 +165,22 @@ benchdiff-admission:
 bench-all:
 	$(GO) test -bench=. -benchtime=1x ./...
 
+## bench-e2e: the repository's benchmark (BENCHMARK.json, benchmark/README.md)
+## — every workload ten times on consecutive seeds; median, quartiles
+## and spread per end-to-end metric go to OUT. For a parent/change table
+## run it on each commit, alternating if the box is shared, then
+## bench-e2e-compare.
+OUT ?= benchmark/out/e2e.json
+bench-e2e:
+	mkdir -p $(dir $(OUT))
+	bash benchmark/run.sh -repeat 10 -out $(OUT)
+
+## bench-e2e-compare: `make bench-e2e-compare A=parent.json B=change.json`
+## prints, per workload and metric, both medians, how much worse B is,
+## the bound, and within bound / worse / unresolved.
+bench-e2e-compare:
+	bash benchmark/run.sh -compare $(A) $(B)
+
 ## soak: the sustained-load gate — thousands of zipfian tenants,
 ## concurrent writers and readers against a replicated cluster, with
 ## exactly-once accounting verified at the end; writes BENCH_soak.json
@@ -192,3 +208,4 @@ soak-baseline:
 
 clean:
 	$(GO) clean ./...
+	rm -rf .bench_build benchmark/out

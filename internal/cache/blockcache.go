@@ -100,6 +100,16 @@ func (bc *BlockCache) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// Contains reports whether Get would find key in either level, without
+// counting a hit or a miss or changing recency: the prefetcher asks it
+// which blocks of a wave are still to be fetched.
+func (bc *BlockCache) Contains(key string) bool {
+	if bc.mem.Contains(key) {
+		return true
+	}
+	return bc.disk != nil && bc.disk.idx.Contains(key)
+}
+
 // Put inserts a block into the memory level.
 func (bc *BlockCache) Put(key string, data []byte) {
 	bc.mem.Put(key, data, int64(len(data)))

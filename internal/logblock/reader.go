@@ -184,6 +184,16 @@ func (r *Reader) HasIndex(col int) bool {
 	return ok
 }
 
+// IndexLoaded reports whether column col's parsed index is already
+// memoized on the reader, i.e. whether using it costs no fetch.
+func (r *Reader) IndexLoaded(col int) bool {
+	r.shared.mu.Lock()
+	defer r.shared.mu.Unlock()
+	_, inv := r.shared.invCache[col]
+	_, bkd := r.shared.bkdCache[col]
+	return inv || bkd
+}
+
 // InvertedIndex loads and opens column col's inverted index, memoizing
 // the parsed segment for the reader's lifetime.
 func (r *Reader) InvertedIndex(col int) (*inverted.Index, error) {

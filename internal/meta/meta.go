@@ -11,6 +11,7 @@ package meta
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -28,9 +29,16 @@ type BlockInfo struct {
 }
 
 // Manager is the metadata manager. Safe for concurrent use.
+//
+// A path is an object-storage key, so it names one object of one
+// tenant: the catalog holds at most one entry per path. byPath indexes
+// every entry of blocks, which makes the duplicate check, Has and the
+// size lookup O(1) and locates an entry in its tenant's sorted list by
+// binary search.
 type Manager struct {
 	mu        sync.RWMutex
-	blocks    map[int64][]BlockInfo // per tenant, sorted by MinTS
+	blocks    map[int64][]BlockInfo // per tenant, sorted by (MinTS, Path)
+	byPath    map[string]BlockInfo  // every entry of blocks, by Path
 	retention map[int64]time.Duration
 }
 
@@ -38,41 +46,79 @@ type Manager struct {
 func NewManager() *Manager {
 	return &Manager{
 		blocks:    make(map[int64][]BlockInfo),
+		byPath:    make(map[string]BlockInfo),
 		retention: make(map[int64]time.Duration),
 	}
 }
 
-// Register adds (or replaces, by path) a LogBlock entry.
-func (m *Manager) Register(info BlockInfo) error {
+func (info BlockInfo) validate() error {
 	if info.Path == "" {
 		return fmt.Errorf("meta: empty block path")
 	}
 	if info.MinTS > info.MaxTS {
 		return fmt.Errorf("meta: block %s has inverted time range [%d, %d]", info.Path, info.MinTS, info.MaxTS)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	list := m.blocks[info.Tenant]
-	for i := range list {
-		if list[i].Path == info.Path {
-			list[i] = info
-			m.sortLocked(info.Tenant)
-			return nil
-		}
-	}
-	m.blocks[info.Tenant] = append(list, info)
-	m.sortLocked(info.Tenant)
 	return nil
 }
 
-func (m *Manager) sortLocked(tenant int64) {
+// before is the catalog order of a tenant's list.
+func before(a, b BlockInfo) bool {
+	if a.MinTS != b.MinTS {
+		return a.MinTS < b.MinTS
+	}
+	return a.Path < b.Path
+}
+
+// position returns where info sits (or would be inserted) in list.
+func position(list []BlockInfo, info BlockInfo) int {
+	return sort.Search(len(list), func(i int) bool { return !before(list[i], info) })
+}
+
+// ownedElsewhereLocked reports an entry under info's path that belongs
+// to another tenant: one object cannot be two tenants' LogBlock.
+func (m *Manager) ownedElsewhereLocked(info BlockInfo) error {
+	if old, ok := m.byPath[info.Path]; ok && old.Tenant != info.Tenant {
+		return fmt.Errorf("meta: block %s of tenant %d is already registered to tenant %d", info.Path, info.Tenant, old.Tenant)
+	}
+	return nil
+}
+
+// putLocked inserts info, replacing the entry under the same path.
+func (m *Manager) putLocked(info BlockInfo) {
+	m.removeLocked(info.Tenant, info.Path)
+	list := m.blocks[info.Tenant]
+	m.blocks[info.Tenant] = slices.Insert(list, position(list, info), info)
+	m.byPath[info.Path] = info
+}
+
+// removeLocked drops the tenant's entry under path, if it has one.
+func (m *Manager) removeLocked(tenant int64, path string) {
+	old, ok := m.byPath[path]
+	if !ok || old.Tenant != tenant {
+		return
+	}
 	list := m.blocks[tenant]
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].MinTS != list[j].MinTS {
-			return list[i].MinTS < list[j].MinTS
-		}
-		return list[i].Path < list[j].Path
-	})
+	i := position(list, old)
+	if list = slices.Delete(list, i, i+1); len(list) == 0 {
+		delete(m.blocks, tenant)
+	} else {
+		m.blocks[tenant] = list
+	}
+	delete(m.byPath, path)
+}
+
+// Register adds (or replaces, by path) a LogBlock entry.
+func (m *Manager) Register(info BlockInfo) error {
+	if err := info.validate(); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.ownedElsewhereLocked(info); err != nil {
+		return err
+	}
+	m.putLocked(info)
+	return nil
 }
 
 // Has reports whether the tenant already has a block registered under
@@ -80,12 +126,18 @@ func (m *Manager) sortLocked(tenant int64) {
 func (m *Manager) Has(tenant int64, path string) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for _, b := range m.blocks[tenant] {
-		if b.Path == path {
-			return true
-		}
-	}
-	return false
+	b, ok := m.byPath[path]
+	return ok && b.Tenant == tenant
+}
+
+// Lookup returns the catalog entry of the object stored under path.
+// The read path takes the object's size from it (BlockInfo.Bytes)
+// instead of probing object storage.
+func (m *Manager) Lookup(path string) (BlockInfo, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	b, ok := m.byPath[path]
+	return b, ok
 }
 
 // Replace atomically swaps a set of a tenant's block entries: every
@@ -95,45 +147,27 @@ func (m *Manager) Has(tenant int64, path string) bool {
 // merged replacement (no double counting) nor neither (no lost rows).
 func (m *Manager) Replace(tenant int64, removePaths []string, add []BlockInfo) error {
 	for _, info := range add {
-		if info.Path == "" {
-			return fmt.Errorf("meta: empty block path")
-		}
-		if info.MinTS > info.MaxTS {
-			return fmt.Errorf("meta: block %s has inverted time range [%d, %d]", info.Path, info.MinTS, info.MaxTS)
+		if err := info.validate(); err != nil {
+			return err
 		}
 		if info.Tenant != tenant {
 			return fmt.Errorf("meta: block %s tenant %d in replace for tenant %d", info.Path, info.Tenant, tenant)
 		}
 	}
-	remove := make(map[string]bool, len(removePaths))
-	for _, p := range removePaths {
-		remove[p] = true
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	list := m.blocks[tenant][:0]
-	for _, b := range m.blocks[tenant] {
-		if !remove[b.Path] && !hasPath(add, b.Path) {
-			list = append(list, b)
+	for _, info := range add {
+		if err := m.ownedElsewhereLocked(info); err != nil {
+			return err
 		}
 	}
-	list = append(list, add...)
-	if len(list) == 0 {
-		delete(m.blocks, tenant)
-		return nil
+	for _, p := range removePaths {
+		m.removeLocked(tenant, p)
 	}
-	m.blocks[tenant] = list
-	m.sortLocked(tenant)
+	for _, info := range add {
+		m.putLocked(info)
+	}
 	return nil
-}
-
-func hasPath(list []BlockInfo, path string) bool {
-	for _, b := range list {
-		if b.Path == path {
-			return true
-		}
-	}
-	return false
 }
 
 // Remove deletes a block entry by tenant and path; unknown paths are
@@ -141,16 +175,7 @@ func hasPath(list []BlockInfo, path string) bool {
 func (m *Manager) Remove(tenant int64, path string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	list := m.blocks[tenant]
-	for i := range list {
-		if list[i].Path == path {
-			m.blocks[tenant] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(m.blocks[tenant]) == 0 {
-		delete(m.blocks, tenant)
-	}
+	m.removeLocked(tenant, path)
 }
 
 // Blocks returns all catalog entries of a tenant, time-ordered.
@@ -265,25 +290,42 @@ func (m *Manager) Marshal() ([]byte, error) {
 	return json.Marshal(&s)
 }
 
-// Unmarshal replaces the catalog with a serialized snapshot.
+// Unmarshal replaces the catalog with a serialized snapshot. A snapshot
+// Marshal did not write — an entry filed under another tenant's list,
+// or one path twice — is rejected and leaves the catalog as it was.
 func (m *Manager) Unmarshal(data []byte) error {
 	var s snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
 		return fmt.Errorf("meta: decode snapshot: %w", err)
 	}
+	blocks := make(map[int64][]BlockInfo, len(s.Blocks))
+	byPath := make(map[string]BlockInfo)
+	for tenant, list := range s.Blocks {
+		if len(list) == 0 {
+			continue
+		}
+		for _, b := range list {
+			if err := b.validate(); err != nil {
+				return fmt.Errorf("meta: decode snapshot: %w", err)
+			}
+			if b.Tenant != tenant {
+				return fmt.Errorf("meta: decode snapshot: block %s of tenant %d listed under tenant %d", b.Path, b.Tenant, tenant)
+			}
+			if _, dup := byPath[b.Path]; dup {
+				return fmt.Errorf("meta: decode snapshot: block %s listed twice", b.Path)
+			}
+			byPath[b.Path] = b
+		}
+		sort.Slice(list, func(i, j int) bool { return before(list[i], list[j]) })
+		blocks[tenant] = list
+	}
+	retention := make(map[int64]time.Duration, len(s.RetentionMS))
+	for t, ms := range s.RetentionMS {
+		retention[t] = time.Duration(ms) * time.Millisecond
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.blocks = s.Blocks
-	if m.blocks == nil {
-		m.blocks = make(map[int64][]BlockInfo)
-	}
-	m.retention = make(map[int64]time.Duration, len(s.RetentionMS))
-	for t, ms := range s.RetentionMS {
-		m.retention[t] = time.Duration(ms) * time.Millisecond
-	}
-	for t := range m.blocks {
-		m.sortLocked(t)
-	}
+	m.blocks, m.byPath, m.retention = blocks, byPath, retention
 	return nil
 }
 

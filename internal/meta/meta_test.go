@@ -1,6 +1,9 @@
 package meta
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -233,4 +236,142 @@ func TestManagerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// checkIndex asserts the catalog's two invariants: byPath holds exactly
+// the entries of the tenant lists, and every list is in (MinTS, Path)
+// order with no tenant left holding an empty one.
+func checkIndex(t *testing.T, m *Manager, step string) {
+	t.Helper()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := 0
+	for tenant, list := range m.blocks {
+		if len(list) == 0 {
+			t.Fatalf("%s: tenant %d keeps an empty list", step, tenant)
+		}
+		for i, b := range list {
+			n++
+			if got, ok := m.byPath[b.Path]; !ok || got != b {
+				t.Fatalf("%s: index has %+v (%v) for listed %+v", step, got, ok, b)
+			}
+			if b.Tenant != tenant {
+				t.Fatalf("%s: %+v listed under tenant %d", step, b, tenant)
+			}
+			if i > 0 && !before(list[i-1], b) {
+				t.Fatalf("%s: tenant %d out of order at %d: %+v then %+v", step, tenant, i, list[i-1], b)
+			}
+		}
+	}
+	if n != len(m.byPath) {
+		t.Fatalf("%s: %d listed entries, %d indexed", step, n, len(m.byPath))
+	}
+}
+
+// TestIndexMatchesListsUnderRandomOps drives Register, Replace, Remove
+// and a Marshal/Unmarshal round trip at random over a small path space
+// (so replacements, cross-tenant collisions and removals of absent
+// paths all happen) and checks the index against a scan after each.
+func TestIndexMatchesListsUnderRandomOps(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewManager()
+		randInfo := func(tenant int64) BlockInfo {
+			minTS := rng.Int63n(50)
+			return BlockInfo{
+				Tenant: tenant, Path: fmt.Sprintf("p%d", rng.Intn(40)),
+				MinTS: minTS, MaxTS: minTS + rng.Int63n(10), Bytes: 1 + rng.Int63n(1000),
+			}
+		}
+		for step := 0; step < 400; step++ {
+			tenant := rng.Int63n(4)
+			var op string
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				info := randInfo(tenant)
+				owner, taken := m.Lookup(info.Path)
+				err := m.Register(info)
+				if wantErr := taken && owner.Tenant != tenant; (err != nil) != wantErr {
+					t.Fatalf("seed %d step %d: Register(%+v) over %+v = %v", seed, step, info, owner, err)
+				}
+				if got, _ := m.Lookup(info.Path); err == nil && got != info {
+					t.Fatalf("seed %d step %d: Lookup = %+v after Register(%+v)", seed, step, got, info)
+				}
+				op = "Register"
+			case 3, 4:
+				var remove []string
+				for i := rng.Intn(4); i > 0; i-- {
+					remove = append(remove, fmt.Sprintf("p%d", rng.Intn(40)))
+				}
+				var add []BlockInfo
+				for i := rng.Intn(3); i > 0; i-- {
+					add = append(add, randInfo(tenant))
+				}
+				prev := m.Blocks(tenant)
+				if err := m.Replace(tenant, remove, add); err != nil {
+					if !slices.Equal(prev, m.Blocks(tenant)) {
+						t.Fatalf("seed %d step %d: failed Replace changed the catalog", seed, step)
+					}
+				} else {
+					for _, a := range add {
+						if !m.Has(tenant, a.Path) {
+							t.Fatalf("seed %d step %d: Replace lost %s", seed, step, a.Path)
+						}
+					}
+				}
+				op = "Replace"
+			case 5, 6:
+				path := fmt.Sprintf("p%d", rng.Intn(40))
+				m.Remove(tenant, path)
+				if m.Has(tenant, path) {
+					t.Fatalf("seed %d step %d: %s still registered after Remove", seed, step, path)
+				}
+				op = "Remove"
+			default:
+				raw, err := m.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				restored := NewManager()
+				if err := restored.Unmarshal(raw); err != nil {
+					t.Fatalf("seed %d step %d: Unmarshal of own snapshot: %v", seed, step, err)
+				}
+				for _, tn := range m.Tenants() {
+					if !slices.Equal(m.Blocks(tn), restored.Blocks(tn)) {
+						t.Fatalf("seed %d step %d: tenant %d differs after round trip", seed, step, tn)
+					}
+				}
+				m = restored
+				op = "Unmarshal"
+			}
+			checkIndex(t, m, fmt.Sprintf("seed %d step %d %s", seed, step, op))
+		}
+	}
+}
+
+// TestUnmarshalRejectsInconsistentSnapshot: a snapshot the index cannot
+// represent exactly is refused and the catalog keeps its old content.
+func TestUnmarshalRejectsInconsistentSnapshot(t *testing.T) {
+	m := NewManager()
+	if err := m.Register(info(1, "keep", 0, 9)); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string]string{
+		"path twice":   `{"blocks":{"1":[{"tenant":1,"path":"a","min_ts":0,"max_ts":1},{"tenant":1,"path":"a","min_ts":2,"max_ts":3}]}}`,
+		"two tenants":  `{"blocks":{"1":[{"tenant":1,"path":"a","min_ts":0,"max_ts":1}],"2":[{"tenant":2,"path":"a","min_ts":0,"max_ts":1}]}}`,
+		"wrong list":   `{"blocks":{"1":[{"tenant":2,"path":"a","min_ts":0,"max_ts":1}]}}`,
+		"empty path":   `{"blocks":{"1":[{"tenant":1,"path":"","min_ts":0,"max_ts":1}]}}`,
+		"inverted":     `{"blocks":{"1":[{"tenant":1,"path":"a","min_ts":5,"max_ts":1}]}}`,
+		"not json":     `{"blocks":`,
+		"wrong shape":  `{"blocks":[1,2]}`,
+		"tenant isn't": `{"blocks":{"x":[]}}`,
+	} {
+		if err := m.Unmarshal([]byte(raw)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !m.Has(1, "keep") || len(m.Blocks(1)) != 1 {
+			t.Fatalf("%s: a refused snapshot changed the catalog", name)
+		}
+		checkIndex(t, m, name)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"logstore/internal/cache"
@@ -27,6 +28,11 @@ type CachedFetcher struct {
 	Cache     *cache.BlockCache // nil disables caching
 	BlockSize int64             // 0 = DefaultBlockSize
 	Pool      *Service          // nil = serial block loading
+	// Size is the object's size when the caller knows it — the catalog
+	// records it for every LogBlock, and keys are content-addressed, so
+	// it cannot go stale. 0 = unknown: the first block that misses the
+	// cache asks the store, once.
+	Size int64
 
 	szMu   sync.Mutex
 	size   int64
@@ -42,19 +48,27 @@ type call struct {
 	err  error
 }
 
-// objectSize resolves the object's total size, memoizing only success:
-// a canceled or failed probe must not poison the fetcher for every
-// later query (the size is a property of the object, the failure a
-// property of one call). Concurrent first probes may race and issue
-// duplicate Heads; both store the same answer.
-func (f *CachedFetcher) objectSize(ctx context.Context) (int64, error) {
+// knownSize returns the object's size if it was given or already
+// resolved, without touching the store.
+func (f *CachedFetcher) knownSize() (int64, bool) {
+	if f.Size > 0 {
+		return f.Size, true
+	}
 	f.szMu.Lock()
-	if f.sizeOk {
-		sz := f.size
-		f.szMu.Unlock()
+	defer f.szMu.Unlock()
+	return f.size, f.sizeOk
+}
+
+// objectSize returns the object's total size. Only a fetcher built
+// without Size asks the store — the one Head left on the read path —
+// memoizing only success: a canceled or failed probe must not poison
+// the fetcher for every later query (the size is a property of the
+// object, the failure a property of one call). Concurrent first probes
+// may race and issue duplicate Heads; both store the same answer.
+func (f *CachedFetcher) objectSize(ctx context.Context) (int64, error) {
+	if sz, ok := f.knownSize(); ok {
 		return sz, nil
 	}
-	f.szMu.Unlock()
 	info, err := oss.HeadContext(ctx, f.Store, f.Key)
 	if err != nil {
 		return 0, err
@@ -147,7 +161,137 @@ func (f *CachedFetcher) fetchBlock(ctx context.Context, bi int64) ([]byte, error
 	if off+size > total {
 		size = total - off
 	}
-	return oss.GetRangeContext(ctx, f.Store, f.Key, off, size)
+	data, err := oss.GetRangeContext(ctx, f.Store, f.Key, off, size)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) != size {
+		// A store that clamps a range at the object's end (HTTP does)
+		// would otherwise turn a too-large Size into a short block.
+		return nil, fmt.Errorf("prefetch: block %d of %s: got %d bytes, want %d", bi, f.Key, len(data), size)
+	}
+	return data, nil
+}
+
+func (f *CachedFetcher) cached(bi int64) bool {
+	return f.Cache != nil && f.Cache.Contains(f.blockKey(bi))
+}
+
+// span checks the range [off, off+size) against the object and returns
+// the cache blocks it covers (none for an empty range). A fetcher that
+// has to ask the store for the size asks only if some block of the
+// range is going to be fetched anyway: a fully cached range costs no
+// Head. That scan ends at the first uncached block, and no block past
+// the object's end is ever cached, so a corrupt extent cannot run it
+// far.
+func (f *CachedFetcher) span(ctx context.Context, off, size int64) (first, last int64, err error) {
+	if off < 0 || size < 0 || off+size < off {
+		return 0, 0, fmt.Errorf("prefetch: negative range [%d, %d)", off, off+size)
+	}
+	bs := f.blockSize()
+	first = off / bs
+	if size == 0 {
+		return first, first - 1, nil
+	}
+	total, ok := f.knownSize()
+	if !ok {
+		bi := first
+		for bi*bs < off+size && f.cached(bi) {
+			bi++
+		}
+		if bi*bs >= off+size {
+			return first, bi - 1, nil
+		}
+		if total, err = f.objectSize(ctx); err != nil {
+			return 0, 0, err
+		}
+	}
+	if off > total || size > total-off {
+		return 0, 0, fmt.Errorf("prefetch: range [%d, %d) beyond object %s (%d bytes)",
+			off, off+size, f.Key, total)
+	}
+	return first, (off + size - 1) / bs, nil
+}
+
+// loadBlocks returns cache blocks bis in order: one after another
+// without a pool, as one concurrent wave through it otherwise, so a
+// set of blocks costs one storage round trip instead of one each.
+func (f *CachedFetcher) loadBlocks(ctx context.Context, bis []int64) ([][]byte, error) {
+	blocks := make([][]byte, len(bis))
+	if f.Pool == nil || len(bis) == 1 {
+		for i, bi := range bis {
+			data, err := f.loadBlock(ctx, bi)
+			if err != nil {
+				return nil, err
+			}
+			blocks[i] = data
+		}
+		return blocks, nil
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(bis))
+	for i, bi := range bis {
+		if ctx.Err() != nil {
+			break // a dead query queues no more work behind the pool
+		}
+		i, bi := i, bi
+		wg.Add(1)
+		task := func() {
+			defer wg.Done()
+			blocks[i], errs[i] = f.loadBlock(ctx, bi)
+		}
+		if err := f.Pool.Submit(task); err != nil {
+			// Pool closed: fall back to loading inline.
+			task()
+		}
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, e := range errs {
+		if e != nil {
+			return nil, e
+		}
+	}
+	return blocks, nil
+}
+
+// Range is a byte extent of the object.
+type Range struct {
+	Off, Size int64
+}
+
+// Warm loads every cache block the ranges touch that is not cached
+// yet, as one concurrent wave through the pool: the reads of those
+// ranges that follow are cache hits, and a set of members costs one
+// dependent storage round trip instead of one per member. Ranges that
+// share a block load it once.
+func (f *CachedFetcher) Warm(ctx context.Context, ranges []Range) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if f.Cache == nil {
+		return nil // nowhere to keep what a wave would load
+	}
+	var bis []int64
+	for _, r := range ranges {
+		first, last, err := f.span(ctx, r.Off, r.Size)
+		if err != nil {
+			return err
+		}
+		for bi := first; bi <= last; bi++ {
+			bis = append(bis, bi)
+		}
+	}
+	slices.Sort(bis)
+	bis = slices.Compact(bis)
+	bis = slices.DeleteFunc(bis, f.cached)
+	if len(bis) == 0 {
+		return nil
+	}
+	_, err := f.loadBlocks(ctx, bis)
+	return err
 }
 
 // Fetch implements logblock.Fetcher: it returns size bytes at off,
@@ -163,56 +307,20 @@ func (f *CachedFetcher) FetchCtx(ctx context.Context, off, size int64) ([]byte, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if off < 0 || size < 0 {
-		return nil, fmt.Errorf("prefetch: negative range [%d, %d)", off, off+size)
-	}
-	if size == 0 {
-		return []byte{}, nil
-	}
-	total, err := f.objectSize(ctx)
+	first, last, err := f.span(ctx, off, size)
 	if err != nil {
 		return nil, err
 	}
-	if off+size > total {
-		return nil, fmt.Errorf("prefetch: range [%d, %d) beyond object %s (%d bytes)",
-			off, off+size, f.Key, total)
+	bis := make([]int64, last-first+1)
+	for i := range bis {
+		bis[i] = first + int64(i)
 	}
+	blocks, err := f.loadBlocks(ctx, bis)
+	if err != nil {
+		return nil, err
+	}
+
 	bs := f.blockSize()
-	first := off / bs
-	last := (off + size - 1) / bs
-
-	blocks := make([][]byte, last-first+1)
-	if f.Pool == nil || last == first {
-		for bi := first; bi <= last; bi++ {
-			data, err := f.loadBlock(ctx, bi)
-			if err != nil {
-				return nil, err
-			}
-			blocks[bi-first] = data
-		}
-	} else {
-		var wg sync.WaitGroup
-		errs := make([]error, len(blocks))
-		for bi := first; bi <= last; bi++ {
-			bi := bi
-			wg.Add(1)
-			task := func() {
-				defer wg.Done()
-				blocks[bi-first], errs[bi-first] = f.loadBlock(ctx, bi)
-			}
-			if err := f.Pool.Submit(task); err != nil {
-				// Pool closed: fall back to loading inline.
-				task()
-			}
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
-		}
-	}
-
 	out := make([]byte, 0, size)
 	for i, block := range blocks {
 		bi := first + int64(i)

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"logstore/internal/bitutil"
 	"logstore/internal/index/sma"
@@ -59,19 +60,14 @@ func MatchBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecStats
 
 	// Step 2: whole-LogBlock pruning via column SMAs.
 	if opts.DataSkipping {
-		for _, p := range q.Preds {
-			if p.Match {
-				continue
-			}
-			ci := sch.ColumnIndex(p.Col)
-			if ci < 0 {
-				return nil, fmt.Errorf("query: column %q not in LogBlock schema", p.Col)
-			}
-			if !m.Columns[ci].SMA.MayMatch(p.Op, p.Val) {
-				stats.BlocksSkippedBySMA++
-				acc.ClearAll()
-				return acc, nil
-			}
+		refuted, err := refutedBySMA(m, q)
+		if err != nil {
+			return nil, err
+		}
+		if refuted {
+			stats.BlocksSkippedBySMA++
+			acc.ClearAll()
+			return acc, nil
 		}
 	}
 
@@ -119,6 +115,56 @@ func MatchBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecStats
 	return acc, nil
 }
 
+// refutedBySMA reports whether some column SMA rules out every row of
+// the LogBlock for one of q's predicates.
+func refutedBySMA(m *logblock.Meta, q *Query) (bool, error) {
+	for _, p := range q.Preds {
+		if p.Match {
+			continue
+		}
+		ci := m.Schema.ColumnIndex(p.Col)
+		if ci < 0 {
+			return false, fmt.Errorf("query: column %q not in LogBlock schema", p.Col)
+		}
+		if !m.Columns[ci].SMA.MayMatch(p.Op, p.Val) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// probesIndex reports whether p resolves through column ci's index.
+func probesIndex(m *logblock.Meta, ci int, p Pred) bool {
+	switch m.Columns[ci].Index {
+	case schema.IndexInverted:
+		return p.Match || (p.Op == sma.EQ && p.Val.Kind == schema.String)
+	case schema.IndexBKD:
+		return !p.Match && p.Val.Kind == schema.Int64 && p.Op != sma.NE // NE: index cannot help
+	}
+	return false
+}
+
+// IndexColumns returns the columns whose index MatchBlock reads for q
+// in this LogBlock, so that a caller can fetch those members together
+// instead of one dependent read per predicate. It is empty when the
+// LogBlock is skipped before any index is read.
+func IndexColumns(m *logblock.Meta, q *Query, opts ExecOptions) []int {
+	if !opts.DataSkipping {
+		return nil
+	}
+	if refuted, err := refutedBySMA(m, q); refuted || err != nil {
+		return nil
+	}
+	var cols []int
+	for _, p := range q.Preds {
+		ci := m.Schema.ColumnIndex(p.Col)
+		if ci >= 0 && probesIndex(m, ci, p) && !slices.Contains(cols, ci) {
+			cols = append(cols, ci)
+		}
+	}
+	return cols
+}
+
 // needVerify reports whether an index hit set for p is a superset that
 // must be re-checked row by row.
 func needVerify(sch *schema.Schema, p Pred) bool {
@@ -137,43 +183,36 @@ func indexLookup(r *logblock.Reader, p Pred, stats *ExecStats) (*bitutil.Bitset,
 	if ci < 0 {
 		return nil, false, fmt.Errorf("query: column %q not in LogBlock schema", p.Col)
 	}
+	if !probesIndex(m, ci, p) {
+		return nil, false, nil
+	}
 	switch m.Columns[ci].Index {
 	case schema.IndexInverted:
-		if p.Match {
-			ix, err := r.InvertedIndex(ci)
-			if err != nil {
-				return nil, false, err
-			}
-			stats.IndexLookups++
-			bs, err := ix.LookupAll(p.Terms, m.RowCount)
-			if err != nil {
-				return nil, false, err
-			}
-			for _, prefix := range p.Prefixes {
-				if !bs.Any() {
-					break
-				}
-				pbs, err := ix.LookupPrefix(prefix, m.RowCount)
-				if err != nil {
-					return nil, false, err
-				}
-				bs.And(pbs)
-			}
-			return bs, true, nil
+		ix, err := r.InvertedIndex(ci)
+		if err != nil {
+			return nil, false, err
 		}
-		if p.Op == sma.EQ && p.Val.Kind == schema.String {
-			ix, err := r.InvertedIndex(ci)
-			if err != nil {
-				return nil, false, err
-			}
-			stats.IndexLookups++
+		stats.IndexLookups++
+		if !p.Match {
 			bs, err := ix.LookupBitset(p.Val.S, m.RowCount)
 			return bs, true, err
 		}
-	case schema.IndexBKD:
-		if p.Match || p.Val.Kind != schema.Int64 {
-			return nil, false, nil
+		bs, err := ix.LookupAll(p.Terms, m.RowCount)
+		if err != nil {
+			return nil, false, err
 		}
+		for _, prefix := range p.Prefixes {
+			if !bs.Any() {
+				break
+			}
+			pbs, err := ix.LookupPrefix(prefix, m.RowCount)
+			if err != nil {
+				return nil, false, err
+			}
+			bs.And(pbs)
+		}
+		return bs, true, nil
+	case schema.IndexBKD:
 		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 		switch p.Op {
 		case sma.EQ:
@@ -192,8 +231,6 @@ func indexLookup(r *logblock.Reader, p Pred, stats *ExecStats) (*bitutil.Bitset,
 				return bitutil.NewBitset(m.RowCount), true, nil
 			}
 			hi = p.Val.I - 1
-		default:
-			return nil, false, nil // NE: index cannot help
 		}
 		tree, err := r.BKDIndex(ci)
 		if err != nil {

@@ -1090,14 +1090,20 @@ func (w *Worker) QueryRealtimeCtx(ctx context.Context, shardID flow.ShardID, q *
 	return res, nil
 }
 
-// fetcherFor builds the cached, prefetching fetcher for one object.
+// fetcherFor builds the cached, prefetching fetcher for one object,
+// sized from the catalog so that reading a registered LogBlock never
+// asks the store how big it is. A path the catalog does not hold (or
+// an entry recorded without a size) leaves Size 0, and the fetcher
+// falls back to one Head.
 func (w *Worker) fetcherFor(path string) *prefetch.CachedFetcher {
+	info, _ := w.catalog.Lookup(path)
 	return &prefetch.CachedFetcher{
 		Store:     w.store,
 		Key:       path,
 		Cache:     w.blockCache,
 		BlockSize: w.cfg.BlockSize,
 		Pool:      w.pool,
+		Size:      info.Bytes,
 	}
 }
 
@@ -1127,6 +1133,17 @@ func bindCtx(ctx context.Context, r *logblock.Reader) *logblock.Reader {
 		return r.WithFetcher(ctxFetcher{ctx: ctx, base: base})
 	}
 	return r
+}
+
+// baseFetcher returns the cached fetcher under r, bound to ctx or not.
+func baseFetcher(r *logblock.Reader) *prefetch.CachedFetcher {
+	switch f := r.Fetcher().(type) {
+	case *prefetch.CachedFetcher:
+		return f
+	case ctxFetcher:
+		return f.base
+	}
+	return nil
 }
 
 // openReader opens a LogBlock reader, consulting the object cache for
@@ -1167,10 +1184,10 @@ func (w *Worker) openReaderCtx(ctx context.Context, path string) (*logblock.Read
 
 // QueryBlocks executes a query over a set of archived LogBlocks,
 // returning the merged partial result. With a prefetch pool attached,
-// LogBlocks are processed concurrently and the members a block's
-// materialization needs are warmed through the pool first (the paper's
-// Figure 10 pipeline); without one, loading is fully serial — the
-// "without parallel prefetch" baseline.
+// LogBlocks are processed concurrently and each fetches what it needs
+// in one parallel wave per dependency level — open, indexes, data (the
+// paper's Figure 10 pipeline); without one, loading is fully serial —
+// the "without parallel prefetch" baseline.
 func (w *Worker) QueryBlocks(paths []string, q *query.Query, opts query.ExecOptions) (*query.Result, error) {
 	return w.QueryBlocksCtx(context.Background(), paths, q, opts)
 }
@@ -1193,7 +1210,7 @@ func (w *Worker) QueryBlocksCtx(ctx context.Context, paths []string, q *query.Qu
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if err := w.queryOneBlock(ctx, path, q, opts, res, nil); err != nil {
+			if err := w.queryOneBlock(ctx, path, q, opts, res); err != nil {
 				return nil, err
 			}
 		}
@@ -1221,7 +1238,7 @@ func (w *Worker) QueryBlocksCtx(ctx context.Context, paths []string, q *query.Qu
 		go func() {
 			defer func() { <-sem; wg.Done() }()
 			part := query.NewResult(q, w.sch)
-			err := w.queryOneBlock(ctx, path, q, opts, part, w.pool)
+			err := w.queryOneBlock(ctx, path, q, opts, part)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -1241,17 +1258,31 @@ func (w *Worker) QueryBlocksCtx(ctx context.Context, paths []string, q *query.Qu
 	return res, nil
 }
 
-func (w *Worker) queryOneBlock(ctx context.Context, path string, q *query.Query, opts query.ExecOptions, res *query.Result, pool *prefetch.Service) error {
+// queryOneBlock runs q over one LogBlock. With a prefetch pool its
+// dependent storage round trips are one per level, however many members
+// a level needs: opening the reader (manifest and meta), then the
+// indexes the predicates probe, then the data blocks of the matched
+// rows' projected columns. Each level's members are known only once the
+// level before it has been read. Without a pool every read loads its
+// own cache blocks, one by one.
+func (w *Worker) queryOneBlock(ctx context.Context, path string, q *query.Query, opts query.ExecOptions, res *query.Result) error {
 	r, err := w.openReaderCtx(ctx, path)
 	if err != nil {
 		return fmt.Errorf("worker %d: open %s: %w", w.cfg.ID, path, err)
+	}
+	if w.pool != nil {
+		if err := prefetchMembers(ctx, r, indexMembers(r, q, opts)); err != nil {
+			return fmt.Errorf("worker %d: prefetch indexes of %s: %w", w.cfg.ID, path, err)
+		}
 	}
 	matched, err := query.MatchBlock(r, q, opts, &res.Stats)
 	if err != nil {
 		return fmt.Errorf("worker %d: match %s: %w", w.cfg.ID, path, err)
 	}
-	if pool != nil && matched.Any() {
-		w.warmMembers(r, matched, q, pool)
+	if w.pool != nil {
+		if err := prefetchMembers(ctx, r, dataMembers(r, matched, q)); err != nil {
+			return fmt.Errorf("worker %d: prefetch data of %s: %w", w.cfg.ID, path, err)
+		}
 	}
 	if err := w.foldMatches(r, matched, q, res); err != nil {
 		return fmt.Errorf("worker %d: materialize %s: %w", w.cfg.ID, path, err)
@@ -1259,33 +1290,52 @@ func (w *Worker) queryOneBlock(ctx context.Context, path string, q *query.Query,
 	return nil
 }
 
-// warmMembers preloads (in parallel, via the prefetch pool) every data
-// member materialization will touch, so the subsequent column reads are
-// cache hits. Duplicate in-flight loads are merged by the fetcher.
-func (w *Worker) warmMembers(r *logblock.Reader, matched *bitutil.Bitset, q *query.Query, pool *prefetch.Service) {
+// indexMembers names the index members matching q will read and the
+// reader has not parsed yet.
+func indexMembers(r *logblock.Reader, q *query.Query, opts query.ExecOptions) []string {
+	var names []string
+	for _, ci := range query.IndexColumns(r.Meta, q, opts) {
+		if !r.IndexLoaded(ci) {
+			names = append(names, logblock.IndexMember(ci))
+		}
+	}
+	return names
+}
+
+// dataMembers names the data members materializing q's projection of
+// the matched rows will read.
+func dataMembers(r *logblock.Reader, matched *bitutil.Bitset, q *query.Query) []string {
 	cols := query.EffectiveColumns(q, r.Meta.Schema)
 	if len(cols) == 0 {
-		return
+		return nil
 	}
-	var wg sync.WaitGroup
+	var names []string
 	for bi := 0; bi < r.Meta.NumBlocks; bi++ {
 		start, end := r.Meta.BlockRowRange(bi)
 		if !matched.AnyInRange(start, end) {
 			continue
 		}
 		for _, ci := range cols {
-			ci, bi := ci, bi
-			wg.Add(1)
-			task := func() {
-				defer wg.Done()
-				_, _ = r.ReadMember(logblock.DataMember(ci, bi))
-			}
-			if err := pool.Submit(task); err != nil {
-				task()
-			}
+			names = append(names, logblock.DataMember(ci, bi))
 		}
 	}
-	wg.Wait()
+	return names
+}
+
+// prefetchMembers brings the cache blocks under the named members of r
+// into the block cache in one parallel wave.
+func prefetchMembers(ctx context.Context, r *logblock.Reader, names []string) error {
+	f := baseFetcher(r)
+	if f == nil || len(names) == 0 {
+		return nil
+	}
+	ranges := make([]prefetch.Range, 0, len(names))
+	for _, name := range names {
+		if ext, ok := r.Manifest.Lookup(name); ok {
+			ranges = append(ranges, prefetch.Range{Off: ext.Offset, Size: ext.Size})
+		}
+	}
+	return f.Warm(ctx, ranges)
 }
 
 func (w *Worker) foldMatches(r *logblock.Reader, matched *bitutil.Bitset, q *query.Query, res *query.Result) error {

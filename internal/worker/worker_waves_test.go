@@ -1,0 +1,338 @@
+package worker
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"logstore/internal/builder"
+	"logstore/internal/flow"
+	"logstore/internal/logblock"
+	"logstore/internal/meta"
+	"logstore/internal/oss"
+	"logstore/internal/query"
+	"logstore/internal/schema"
+	"logstore/internal/workload"
+)
+
+// waveStore is an object store whose reads can be held at a gate: while
+// it is closed every Head and ranged get announces itself and waits, so
+// a test can see which requests the reader issues together (one wave:
+// none of them needed another's answer) and let them through at once.
+type waveStore struct {
+	oss.Store
+	stats oss.Stats
+
+	mu      sync.Mutex
+	gate    chan struct{} // nil: open
+	arrived chan struct{}
+}
+
+func newWaveStore() *waveStore {
+	return &waveStore{Store: oss.NewMemStore(), arrived: make(chan struct{})}
+}
+
+func (s *waveStore) closeGate() {
+	s.mu.Lock()
+	s.gate = make(chan struct{})
+	s.mu.Unlock()
+}
+
+func (s *waveStore) wait() {
+	s.mu.Lock()
+	gate := s.gate
+	s.mu.Unlock()
+	if gate != nil {
+		s.arrived <- struct{}{}
+		<-gate
+	}
+}
+
+// wave waits until exactly n requests are held at the gate and releases
+// them together. The query finishing first, or the n-th request never
+// coming (it depends on an answer still held back), fails the test.
+func (s *waveStore) wave(t *testing.T, name string, n int, done <-chan error) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-s.arrived:
+		case err := <-done:
+			t.Fatalf("%s wave: query returned (%v) after %d of %d requests", name, err, i, n)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s wave: %d of %d requests arrived; the rest wait on these", name, i, n)
+		}
+	}
+	s.mu.Lock()
+	held := s.gate
+	s.gate = make(chan struct{})
+	s.mu.Unlock()
+	close(held)
+}
+
+func (s *waveStore) Head(key string) (oss.ObjectInfo, error) {
+	return s.HeadContext(context.Background(), key)
+}
+
+func (s *waveStore) GetRange(key string, off, size int64) ([]byte, error) {
+	return s.GetRangeContext(context.Background(), key, off, size)
+}
+
+func (s *waveStore) GetContext(ctx context.Context, key string) ([]byte, error) {
+	return s.Store.Get(key)
+}
+
+func (s *waveStore) HeadContext(ctx context.Context, key string) (oss.ObjectInfo, error) {
+	s.stats.Heads.Inc()
+	s.wait()
+	return s.Store.Head(key)
+}
+
+func (s *waveStore) GetRangeContext(ctx context.Context, key string, off, size int64) ([]byte, error) {
+	s.stats.RangeGets.Inc()
+	s.wait()
+	return s.Store.GetRange(key, off, size)
+}
+
+const waveBlockSize = 16 << 10
+
+// archiveTenant ingests n rows of one tenant through w and archives
+// them, returning the catalog entries in time order.
+func archiveTenant(t *testing.T, w *Worker, catalog *meta.Manager, n int, seed int64) []meta.BlockInfo {
+	t.Helper()
+	if err := w.AddShard(0); err != nil {
+		t.Fatal(err)
+	}
+	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Theta: 0, Seed: seed, StartMS: 1_000_000})
+	if err := w.Append(0, g.Batch(n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.FlushShard(0); err != nil {
+		t.Fatal(err)
+	}
+	blocks := catalog.Blocks(0)
+	if len(blocks) == 0 {
+		t.Fatal("nothing archived")
+	}
+	return blocks
+}
+
+// cacheBlocks returns the distinct cache blocks under the named members.
+func cacheBlocks(t *testing.T, r *logblock.Reader, names []string) []int64 {
+	t.Helper()
+	var out []int64
+	for _, name := range names {
+		ext, ok := r.Manifest.Lookup(name)
+		if !ok {
+			t.Fatalf("no member %s", name)
+		}
+		for bi := ext.Offset / waveBlockSize; bi <= (ext.Offset+ext.Size-1)/waveBlockSize; bi++ {
+			out = append(out, bi)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// minus returns the blocks of want not in have.
+func minus(want []int64, have ...[]int64) []int64 {
+	var out []int64
+	for _, bi := range want {
+		if !slices.ContainsFunc(have, func(h []int64) bool { return slices.Contains(h, bi) }) {
+			out = append(out, bi)
+		}
+	}
+	return out
+}
+
+// TestColdQueryRoundTripDepth: a cold query over a registered LogBlock
+// that spans many cache blocks never asks the store for the object's
+// size and needs three dependent round trips — open, indexes, data —
+// each wave carrying every block its level needs. A path missing from
+// the catalog is still answered, through the one-Head fallback.
+func TestColdQueryRoundTripDepth(t *testing.T) {
+	store := newWaveStore()
+	catalog := meta.NewManager()
+	w, err := New(Config{
+		ID: 7, Replicas: 1, ArchiveInterval: time.Hour,
+		BlockSize:       waveBlockSize,
+		PrefetchThreads: 64, // a wave wider than the pool would take two trips
+		Builder:         builder.Config{Table: "request_log"},
+	}, schema.RequestLogSchema(), store, catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	blocks := archiveTenant(t, w, catalog, 6000, 31)
+	if len(blocks) != 1 {
+		t.Fatalf("fixture: %d LogBlocks, want 1", len(blocks))
+	}
+	path := blocks[0].Path
+	q, err := query.Parse(fmt.Sprintf(
+		"SELECT log FROM request_log WHERE tenant_id = 0 AND ts >= %d AND ts <= %d AND latency >= 100",
+		blocks[0].MinTS, blocks[0].MaxTS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := query.ExecOptions{DataSkipping: true}
+
+	// What each level has to read, from the object itself.
+	raw, err := store.Store.Get(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := logblock.OpenReader(logblock.BytesFetcher(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext, _ := r.Manifest.Lookup(logblock.MemberMeta); ext.Offset+ext.Size > waveBlockSize {
+		t.Fatalf("fixture: manifest and meta end at %d, beyond the first cache block", ext.Offset+ext.Size)
+	}
+	open := []int64{0}
+	var idxMembers, dataMembers []string
+	for _, ci := range query.IndexColumns(r.Meta, q, opts) {
+		idxMembers = append(idxMembers, logblock.IndexMember(ci))
+	}
+	var stats query.ExecStats
+	matched, err := query.MatchBlock(r, q, opts, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logCol := r.Meta.Schema.ColumnIndex("log")
+	for bi := 0; bi < r.Meta.NumBlocks; bi++ {
+		if start, end := r.Meta.BlockRowRange(bi); matched.AnyInRange(start, end) {
+			dataMembers = append(dataMembers, logblock.DataMember(logCol, bi))
+		}
+	}
+	indexes := minus(cacheBlocks(t, r, idxMembers), open)
+	data := minus(cacheBlocks(t, r, dataMembers), open, indexes)
+	if len(idxMembers) < 3 || len(indexes) < 2 || len(data) < 2 {
+		t.Fatalf("fixture too small to tell a wave from a chain: %d index members on %d blocks, %d data blocks",
+			len(idxMembers), len(indexes), len(data))
+	}
+
+	t.Logf("%d-byte LogBlock: open %v, %d index members on blocks %v, data blocks %v",
+		len(raw), open, len(idxMembers), indexes, data)
+
+	want, err := w.QueryBlocks([]string{path}, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 || len(want.Rows) != matched.Count() {
+		t.Fatalf("ungated query returned %d rows, matcher says %d", len(want.Rows), matched.Count())
+	}
+
+	w.PurgeCaches()
+	store.stats = oss.Stats{}
+	store.closeGate()
+	done := make(chan error, 1)
+	var got *query.Result
+	go func() {
+		var err error
+		got, err = w.QueryBlocksCtx(context.Background(), []string{path}, q, opts)
+		done <- err
+	}()
+	store.wave(t, "open", len(open), done)
+	store.wave(t, "index", len(indexes), done)
+	store.wave(t, "data", len(data), done)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-store.arrived:
+		t.Fatal("a fourth dependent round trip")
+	}
+	if h, g := store.stats.Heads.Value(), store.stats.RangeGets.Value(); h != 0 || g != int64(len(open)+len(indexes)+len(data)) {
+		t.Errorf("cold query: %d heads, %d range gets; want 0 and %d", h, g, len(open)+len(indexes)+len(data))
+	}
+	if len(got.Rows) != len(want.Rows) || got.Stats != want.Stats {
+		t.Errorf("gated cold query: %d rows, stats %+v; want %d, %+v", len(got.Rows), got.Stats, len(want.Rows), want.Stats)
+	}
+
+	// Not in the catalog: the size comes from one Head, then as before.
+	catalog.Remove(0, path)
+	w.PurgeCaches()
+	store.stats = oss.Stats{}
+	store.mu.Lock()
+	store.gate = nil
+	store.mu.Unlock()
+	res, err := w.QueryBlocks([]string{path}, q, opts)
+	if err != nil {
+		t.Fatalf("unregistered path: %v", err)
+	}
+	if h := store.stats.Heads.Value(); h != 1 || len(res.Rows) != len(want.Rows) {
+		t.Errorf("unregistered path: %d heads, %d rows; want 1 head, %d rows", h, len(res.Rows), len(want.Rows))
+	}
+}
+
+func rowStrings(rows []schema.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint(r)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestPrefetchedEqualsSerial: for every query shape of the workload,
+// over several LogBlocks, cold and warm, the wave-prefetching worker
+// returns the rows and the ExecStats of the serial (no pool) one.
+func TestPrefetchedEqualsSerial(t *testing.T) {
+	store := oss.NewMemStore()
+	catalog := meta.NewManager()
+	newW := func(id int, serial bool) *Worker {
+		w, err := New(Config{
+			ID: flow.WorkerID(id), Replicas: 1, ArchiveInterval: time.Hour,
+			BlockSize:        waveBlockSize,
+			PrefetchDisabled: serial,
+			Builder:          builder.Config{Table: "request_log", MaxRowsPerBlock: 2500},
+		}, schema.RequestLogSchema(), store, catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		return w
+	}
+	pooled, serial := newW(8, false), newW(9, true)
+	blocks := archiveTenant(t, pooled, catalog, 6000, 32)
+	if len(blocks) < 3 {
+		t.Fatalf("fixture: %d LogBlocks, want several", len(blocks))
+	}
+	specs := workload.GenerateQueries(workload.QuerySetConfig{
+		Tenants: 1, PerTenant: 12, Seed: 5,
+		HistoryStartMS: blocks[0].MinTS, HistoryEndMS: blocks[len(blocks)-1].MaxTS,
+	})
+	opts := query.ExecOptions{DataSkipping: true}
+	for _, spec := range specs {
+		q, err := query.Parse(spec.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, b := range catalog.Prune(spec.Tenant, spec.StartMS, spec.EndMS) {
+			paths = append(paths, b.Path)
+		}
+		for _, temp := range []string{"cold", "warm"} {
+			if temp == "cold" {
+				pooled.PurgeCaches()
+				serial.PurgeCaches()
+			}
+			got, err := pooled.QueryBlocks(paths, q, opts)
+			if err != nil {
+				t.Fatalf("%s (%s, pooled): %v", spec.SQL, temp, err)
+			}
+			want, err := serial.QueryBlocks(paths, q, opts)
+			if err != nil {
+				t.Fatalf("%s (%s, serial): %v", spec.SQL, temp, err)
+			}
+			if got.Stats != want.Stats || !slices.Equal(rowStrings(got.Rows), rowStrings(want.Rows)) {
+				t.Errorf("%s (%s): pooled %d rows %+v, serial %d rows %+v",
+					spec.SQL, temp, len(got.Rows), got.Stats, len(want.Rows), want.Stats)
+			}
+		}
+	}
+}

@@ -332,10 +332,25 @@ func Open(cfg Config) (*Cluster, error) {
 		// the same shard (recovery overlap) fence each other through it.
 		c.shipGens = ship.NewRegistry(c.store)
 	}
+	if cfg.AdmitTenantRowsPerSec > 0 || cfg.AdmitTenantBytesPerSec > 0 || cfg.AdmitGlobalBytes > 0 {
+		// One admission layer shared by both brokers: the budgets are
+		// per tenant and per cluster, not per broker, so round-robin
+		// dispatch must not double them. SlowFraction couples it to the
+		// gray-failure detector: the more of the fleet is slow, the less
+		// the cluster admits.
+		c.admission = backpressure.NewAdmission(backpressure.AdmissionConfig{
+			TenantRowsPerSec:  cfg.AdmitTenantRowsPerSec,
+			TenantBytesPerSec: cfg.AdmitTenantBytesPerSec,
+			GlobalBytes:       cfg.AdmitGlobalBytes,
+			BurstSeconds:      cfg.AdmitBurstSeconds,
+			SlowFraction:      c.health.SlowFraction,
+		})
+	}
 	// Started before any fallible step: Close waits on the loop, and
 	// Open's error paths all go through Close. The loop reads c.workers
 	// under c.mu from its first tick, so the provisioning below must
-	// hold the write lock.
+	// hold the write lock; c.admission it reads unlocked, so that is
+	// assigned above, before the loop exists.
 	go c.heartbeatLoop()
 	c.mu.Lock()
 	for i := 0; i < cfg.Workers; i++ {
@@ -376,20 +391,6 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	if cfg.SlowWorkerThreshold > 0 {
 		c.health.SetSlowThreshold(cfg.SlowWorkerThreshold)
-	}
-	if cfg.AdmitTenantRowsPerSec > 0 || cfg.AdmitTenantBytesPerSec > 0 || cfg.AdmitGlobalBytes > 0 {
-		// One admission layer shared by both brokers: the budgets are
-		// per tenant and per cluster, not per broker, so round-robin
-		// dispatch must not double them. SlowFraction couples it to the
-		// gray-failure detector: the more of the fleet is slow, the less
-		// the cluster admits.
-		c.admission = backpressure.NewAdmission(backpressure.AdmissionConfig{
-			TenantRowsPerSec:  cfg.AdmitTenantRowsPerSec,
-			TenantBytesPerSec: cfg.AdmitTenantBytesPerSec,
-			GlobalBytes:       cfg.AdmitGlobalBytes,
-			BurstSeconds:      cfg.AdmitBurstSeconds,
-			SlowFraction:      c.health.SlowFraction,
-		})
 	}
 	// Two brokers behind the round-robin "SLB".
 	for i := 0; i < 2; i++ {
