@@ -45,6 +45,8 @@ lint-baseline:
 ## fuzz: run every fuzz target for FUZZTIME each, starting from the
 ## checked-in seed corpora (regenerate those with `go run ./cmd/fuzzseed`).
 ## Go allows one -fuzz target per invocation, hence the list.
+## (FuzzForEachSub caps minimization: the default 60s per interesting
+## input stalls both fuzz workers for longer than FUZZTIME.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzSMADecode$$' -fuzztime $(FUZZTIME) ./internal/index/sma/
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenReader$$' -fuzztime $(FUZZTIME) ./internal/logblock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlockData$$' -fuzztime $(FUZZTIME) ./internal/logblock/
+	$(GO) test -run '^$$' -fuzz '^FuzzForEachSub$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/worker/
 
 ## chaos: the node-failure and OSS-fault chaos gates at full size, with
 ## per-run recovery stats in the -v output. The fault schedule is fixed

@@ -24,6 +24,7 @@ import (
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
 	"logstore/internal/schema"
+	"logstore/internal/worker"
 )
 
 func main() {
@@ -173,6 +174,29 @@ func run(root string) error {
 	for _, ci := range []int{0, 2} { // one int column, one string column
 		raw := built.Members[logblock.DataMember(ci, 0)]
 		if err := writeSeed(decodeDir, fmt.Sprintf("seed-col%d", ci), ci, 0, raw); err != nil {
+			return err
+		}
+	}
+	// internal/worker: group proposals as the state machine reads them
+	// back from a raft WAL or a shipped chunk — empty, one sub, a
+	// nine-tenant unit — and the ways the framing can lie.
+	var subs [][]byte
+	for i := 0; i < 9; i++ {
+		subs = append(subs, worker.AppendSubProposal(nil, seedRows(1+i%2)))
+	}
+	nine := worker.EncodeGroupProposal(subs)
+	subDir := filepath.Join(root, "internal/worker/testdata/fuzz/FuzzForEachSub")
+	for name, data := range map[string][]byte{
+		"seed-empty":     worker.EncodeGroupProposal(nil),
+		"seed-one":       worker.EncodeGroupProposal(subs[:1]),
+		"seed-nine":      nine,
+		"seed-truncated": nine[:len(nine)-5],
+		"seed-short-sub": {1, 7, 1, 2, 3, 4, 5, 6, 7},                                                            // a sub too short for its batch id
+		"seed-many-subs": binary.AppendUvarint(nil, 1<<20+1),                                                     // nsubs above maxGroupSubs
+		"seed-long-sub":  {1, 0xff, 0xff, 0xff, 0xff, 0x0f},                                                      // sub length far beyond the input
+		"seed-many-rows": worker.EncodeGroupProposal([][]byte{{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x07}}), // 16M rows in 0 bytes
+	} {
+		if err := writeSeed(subDir, name, data); err != nil {
 			return err
 		}
 	}

@@ -8,6 +8,7 @@
 package broker
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -99,37 +100,98 @@ func New(cfg Config, sch *schema.Schema, router *flow.Router,
 	return &Broker{cfg: cfg, sch: sch, router: router, collector: collector, catalog: catalog, pool: pool}, nil
 }
 
-// appendScratch is the reusable grouping state for one Append call: the
-// per-tenant row buckets and the ordered tenant list. The map and the
-// bucket slices keep their capacity across calls; only the row
-// references are cleared before the scratch returns to the pool.
+// tenantSub is one tenant's rows of a client batch, in arrival order:
+// the unit of routing, of admission and of exactly-once dedup (the
+// worker encodes each as its own sub-proposal).
+type tenantSub struct {
+	tenant int64
+	shard  flow.ShardID // where the current round routed it
+	rows   []schema.Row // a run of appendScratch.rows
+	num    int32        // groupByTenant's: order of first appearance in the batch
+}
+
+// shardUnit is one round's bucket of tenant subs bound for one shard,
+// subs[lo:hi], and what became of it: err (set without enqueueing: the
+// shard has no live owner) or else pending.
+type shardUnit struct {
+	lo, hi  int
+	wid     flow.WorkerID
+	pending worker.PendingAppend
+	err     error
+	retry   bool // err is a dead or missing owner: re-route
+}
+
+// appendScratch is the reusable grouping state of one AppendContext
+// call. The slices and the map keep their capacity across calls, but no
+// entry outlives its call (release empties the map and drops the row
+// references), so a pooled scratch is as large as the largest batch it
+// has served, not the tenant population.
 type appendScratch struct {
-	byTenant map[int64][]schema.Row
-	tenants  []int64
-	charges  []backpressure.TenantCharge
+	subOf   map[int64]int32 // tenant → index in subs while rows are counted
+	rowSub  []int32         // rowSub[i]: the sub, as first numbered, of row i
+	cursor  []int32         // by that number: the sub's row count, then where its next row goes in rows
+	rows    []schema.Row    // the call's rows ordered by (tenant, arrival)
+	subs    []tenantSub
+	units   []shardUnit
+	batches [][]schema.Row // one unit's EnqueueAppend argument
+	charges []backpressure.TenantCharge
 }
 
 var appendScratchPool = sync.Pool{New: func() any {
-	return &appendScratch{byTenant: make(map[int64][]schema.Row)}
+	return &appendScratch{subOf: make(map[int64]int32)}
 }}
 
 func (s *appendScratch) release() {
-	for _, t := range s.tenants {
-		bucket := s.byTenant[t]
-		for i := range bucket {
-			bucket[i] = nil
-		}
-		s.byTenant[t] = bucket[:0]
-	}
-	s.tenants = s.tenants[:0]
-	s.charges = s.charges[:0]
+	clear(s.subOf)
+	clear(s.rows)
+	clear(s.subs)
+	clear(s.units)
+	clear(s.batches)
 	appendScratchPool.Put(s)
 }
 
-// Append routes and writes a batch of rows. Rows may span tenants; the
-// broker groups them, routes each tenant's sub-batch by the routing
-// table, and records traffic for the hotspot monitor. The first error
-// (including backpressure) aborts the remainder.
+// groupByTenant checks rows against the schema and splits them into one
+// tenantSub per tenant, ascending, by a counting sort: number and count
+// the tenants, order them, then deal each row to its tenant's run of
+// s.rows. A tenant's rows keep their arrival order, so its sub-proposal
+// bytes — and with them its batch id — depend only on the rows the
+// client sent for it.
+func (s *appendScratch) groupByTenant(sch *schema.Schema, rows []schema.Row) error {
+	tenantIdx := sch.TenantIdx()
+	subs, rowSub, cursor := s.subs[:0], s.rowSub[:0], s.cursor[:0]
+	for i, r := range rows {
+		if err := r.Conforms(sch); err != nil {
+			return fmt.Errorf("broker: row %d: %w", i, err)
+		}
+		t := r[tenantIdx].I
+		j, ok := s.subOf[t]
+		if !ok {
+			j = int32(len(subs))
+			s.subOf[t] = j
+			subs = append(subs, tenantSub{tenant: t, num: j})
+			cursor = append(cursor, 0)
+		}
+		cursor[j]++
+		rowSub = append(rowSub, j)
+	}
+	slices.SortFunc(subs, func(x, y tenantSub) int { return cmp.Compare(x.tenant, y.tenant) })
+	s.rows = slices.Grow(s.rows[:0], len(rows))[:len(rows)]
+	off := int32(0)
+	for i := range subs {
+		c := &cursor[subs[i].num]
+		subs[i].rows = s.rows[off : off+*c]
+		off, *c = off+*c, off
+	}
+	for i, r := range rows {
+		c := &cursor[rowSub[i]]
+		s.rows[*c] = r
+		*c++
+	}
+	s.subs, s.rowSub, s.cursor = subs, rowSub, cursor
+	return nil
+}
+
+// Append is AppendContext without a deadline.
 func (b *Broker) Append(rows []schema.Row) error {
 	return b.AppendContext(context.Background(), rows)
 }
@@ -146,11 +208,30 @@ func (b *Broker) countCtxErr(err error) error {
 	return err
 }
 
-// AppendContext is Append bounded by ctx and gated by admission
-// control. Per tenant sub-batch: admission runs first (a shed batch
-// costs no routing, raft, or clock work and returns a typed
-// *backpressure.ErrOverloaded carrying a retry hint), then the routed
-// write, which stops re-routing the moment ctx dies.
+// AppendContext routes and writes a batch of rows, which may span
+// tenants, at the cost of one raft proposal per shard the batch
+// touches: the rows are grouped into per-tenant subs, admission charges
+// them, every admitted sub is routed by the routing table, the subs are
+// bucketed by shard, every bucket is enqueued on its worker as one unit
+// before any is waited for, and then all outcomes are collected.
+//
+// Admission runs up front in one locked pass over every tenant sub
+// (clock, degradation probe and lock amortized across the call) and
+// admits a prefix in tenant order: a shed tenant stops the charging
+// scan at no routing, raft or clock cost, the admitted prefix is still
+// written, and the typed *backpressure.ErrOverloaded (with its retry
+// hint) surfaces after, unless the write itself failed.
+//
+// Failure: ctx is checked before each unit is enqueued and between
+// rounds; once enqueued a unit is always waited for, because an
+// abandoned commit would have an ambiguous outcome. Every unit of a
+// round therefore resolves — other shards' units commit whatever one
+// shard's does — and the error returned is the first in shard order. A
+// unit whose owner is down is not an error yet: see appendSubs. After
+// any error the client may resend the same batch unchanged: each
+// tenant's sub carries a batch id derived from its rows alone, so the
+// subs that did commit are suppressed on the shard and the rest land,
+// exactly once.
 func (b *Broker) AppendContext(ctx context.Context, rows []schema.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -158,125 +239,155 @@ func (b *Broker) AppendContext(ctx context.Context, rows []schema.Row) error {
 	if err := ctx.Err(); err != nil {
 		return b.countCtxErr(err)
 	}
-	tenantIdx := b.sch.TenantIdx()
 	scratch := appendScratchPool.Get().(*appendScratch)
 	defer scratch.release()
-	for i, r := range rows {
-		if err := r.Conforms(b.sch); err != nil {
-			return fmt.Errorf("broker: row %d: %w", i, err)
-		}
-		t := r[tenantIdx].I
-		bucket := scratch.byTenant[t]
-		if len(bucket) == 0 {
-			// First row for t this call (a pooled scratch keeps empty
-			// buckets for tenants from earlier calls).
-			scratch.tenants = append(scratch.tenants, t)
-		}
-		scratch.byTenant[t] = append(bucket, r)
+	if err := scratch.groupByTenant(b.sch, rows); err != nil {
+		return err
 	}
-	tenants := scratch.tenants
-	slices.Sort(tenants) // deterministic write order, no reflection
-	if b.cfg.Admission == nil {
-		for _, tenant := range tenants {
-			if err := b.appendTenant(ctx, tenant, scratch.byTenant[tenant]); err != nil {
-				return err
+	subs := scratch.subs
+	var admErr error
+	if adm := b.cfg.Admission; adm != nil {
+		// Byte sizing is skipped when no budget is denominated in bytes.
+		needBytes := adm.NeedsBytes()
+		charges := scratch.charges[:0]
+		for _, sub := range subs {
+			var bytes int64
+			if needBytes {
+				for _, r := range sub.rows {
+					bytes += int64(r.Size())
+				}
 			}
+			charges = append(charges, backpressure.TenantCharge{Tenant: sub.tenant, Rows: len(sub.rows), Bytes: bytes})
 		}
-		return nil
-	}
-
-	// Admission runs up front in one locked pass over every tenant
-	// sub-batch (clock, degradation probe, and lock amortized across
-	// the call), admitting a prefix: a shed tenant stops the charging
-	// scan, the admitted prefix is still written — the same outcome the
-	// per-tenant interleaving produced — and the shed error surfaces
-	// after. Byte sizing is skipped when no budget is denominated in
-	// bytes.
-	needBytes := b.cfg.Admission.NeedsBytes()
-	charges := scratch.charges[:0]
-	for _, tenant := range tenants {
-		batch := scratch.byTenant[tenant]
-		var bytes int64
-		if needBytes {
-			for _, r := range batch {
-				bytes += int64(r.Size())
-			}
+		scratch.charges = charges
+		n, charged, err := adm.AdmitBatch(charges)
+		defer adm.Release(charged)
+		if err != nil {
+			b.shed.Inc()
+			admErr = err
 		}
-		charges = append(charges, backpressure.TenantCharge{Tenant: tenant, Rows: len(batch), Bytes: bytes})
+		subs = subs[:n]
 	}
-	scratch.charges = charges
-	n, charged, admErr := b.cfg.Admission.AdmitBatch(charges)
-	defer b.cfg.Admission.Release(charged)
-	if admErr != nil {
-		b.shed.Inc()
-	}
-	for _, tenant := range tenants[:n] {
-		if err := b.appendTenant(ctx, tenant, scratch.byTenant[tenant]); err != nil {
-			return err
-		}
+	if err := b.appendSubs(ctx, scratch, subs); err != nil {
+		return err
 	}
 	return admErr
 }
 
-// appendTenant routes one tenant's sub-batch and writes it, re-routing
-// around worker death: if the owning worker is down (health says dead,
-// or the write fails with ErrWorkerDown), the broker re-resolves the
-// route and retries until the cluster swaps in the recovered worker —
-// whose shard raft group elects its own leader — or the retry window
-// closes. Raft leadership moves inside the worker are handled below the
-// broker (worker.Append retries across elections itself).
-func (b *Broker) appendTenant(ctx context.Context, tenant int64, batch []schema.Row) error {
-	window := b.cfg.AppendRetryWindow
-	if window <= 0 {
-		window = 5 * time.Second
-	}
+// appendSubs writes tenant subs in rounds of route → bucket by shard →
+// enqueue every bucket → wait for every bucket. One round is the whole
+// of a healthy append. A bucket whose owning worker is down (health
+// says dead, the pool no longer has it, or the write came back
+// ErrWorkerDown) is re-routed in the next round, its tenants only, a
+// beat later, until the cluster swaps in the recovered worker — whose
+// shard raft group elects its own leader — or the retry window closes;
+// reroutes counts those extra rounds. Raft leadership moves inside a
+// worker are handled below the broker (the worker's propose retries
+// across elections itself). Any other error ends the call after its
+// round.
+func (b *Broker) appendSubs(ctx context.Context, s *appendScratch, subs []tenantSub) error {
 	// The deadline is read lazily so the success path (every append,
 	// under load) never touches the clock.
 	var deadline time.Time
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+	for len(subs) > 0 {
 		if err := ctx.Err(); err != nil {
 			return b.countCtxErr(err)
 		}
-		shard := b.router.Route(flow.TenantID(tenant))
-		wid, ok := b.pool.ShardOwner(shard)
-		if !ok {
-			return fmt.Errorf("broker: shard %d has no owner", shard)
+		for i := range subs {
+			subs[i].shard = b.router.Route(flow.TenantID(subs[i].tenant))
 		}
-		w, ok := b.pool.Worker(wid)
-		switch {
-		case !ok:
-			lastErr = fmt.Errorf("broker: worker %d not found", wid)
-		case b.cfg.Health != nil && b.cfg.Health.State(wid) == flow.WorkerDead:
-			// Known-dead: don't burn the window inside a 5s worker-side
-			// leader wait; re-check after a beat.
-			lastErr = fmt.Errorf("broker: worker %d is down", wid)
-		default:
-			// Rows were conformance-checked in Append (and the row store
-			// re-checks on insert), so skip the worker's middle pass.
-			err := w.AppendTrustedCtx(ctx, shard, batch)
+		slices.SortFunc(subs, func(x, y tenantSub) int {
+			if c := cmp.Compare(x.shard, y.shard); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.tenant, y.tenant) // deterministic write order
+		})
+		units := s.units[:0]
+		for lo := 0; lo < len(subs); {
+			hi := lo + 1
+			for hi < len(subs) && subs[hi].shard == subs[lo].shard {
+				hi++
+			}
+			units = append(units, b.enqueueUnit(ctx, s, subs, lo, hi))
+			lo = hi
+		}
+		s.units = units
+
+		var firstErr, downErr error
+		down := 0 // subs[:down] go round again
+		for _, u := range units {
+			err := u.err
 			if err == nil {
-				b.collector.Record(flow.TenantID(tenant), shard, wid, int64(len(batch)))
-				return nil
+				err = u.pending.Wait()
 			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return b.countCtxErr(err)
+			unit := subs[u.lo:u.hi]
+			switch {
+			case err == nil:
+				for _, sub := range unit {
+					b.collector.Record(flow.TenantID(sub.tenant), sub.shard, u.wid, int64(len(sub.rows)))
+				}
+			case u.retry || errors.Is(err, worker.ErrWorkerDown):
+				downErr = err
+				down += copy(subs[down:], unit)
+			case firstErr != nil:
+				// Resolved like every unit; only the first error is reported.
+			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+				firstErr = b.countCtxErr(err)
+			default:
+				firstErr = fmt.Errorf("broker: append %d tenants to shard %d: %w", len(unit), unit[0].shard, err)
 			}
-			if !errors.Is(err, worker.ErrWorkerDown) {
-				return fmt.Errorf("broker: append tenant %d to shard %d: %w", tenant, shard, err)
-			}
-			lastErr = err
+		}
+		if firstErr != nil {
+			return firstErr
+		}
+		if subs = subs[:down]; down == 0 {
+			break
 		}
 		if deadline.IsZero() {
+			window := b.cfg.AppendRetryWindow
+			if window <= 0 {
+				window = 5 * time.Second
+			}
 			deadline = timeNow().Add(window)
 		} else if timeNow().After(deadline) {
-			return fmt.Errorf("broker: append tenant %d: no live route: %w", tenant, lastErr)
+			return fmt.Errorf("broker: append tenant %d: no live route: %w", subs[0].tenant, downErr)
 		}
 		b.reroutes.Inc()
 		if err := sleepInterruptible(ctx, 5*time.Millisecond); err != nil {
 			return b.countCtxErr(err)
 		}
 	}
+	return nil
+}
+
+// enqueueUnit hands subs[lo:hi], all routed to one shard, to the
+// shard's owner as one unit and returns without waiting for it.
+func (b *Broker) enqueueUnit(ctx context.Context, s *appendScratch, subs []tenantSub, lo, hi int) shardUnit {
+	u := shardUnit{lo: lo, hi: hi}
+	shard := subs[lo].shard
+	wid, ok := b.pool.ShardOwner(shard)
+	if !ok {
+		u.err = fmt.Errorf("broker: shard %d has no owner", shard)
+		return u
+	}
+	u.wid = wid
+	w, ok := b.pool.Worker(wid)
+	switch {
+	case !ok:
+		u.err, u.retry = fmt.Errorf("broker: worker %d not found", wid), true
+	case b.cfg.Health != nil && b.cfg.Health.State(wid) == flow.WorkerDead:
+		// Known-dead: don't burn the window inside a 5s worker-side
+		// leader wait; re-check after a beat.
+		u.err, u.retry = fmt.Errorf("broker: worker %d is down", wid), true
+	default:
+		batches := s.batches[:0]
+		for _, sub := range subs[lo:hi] {
+			batches = append(batches, sub.rows)
+		}
+		s.batches = batches
+		u.pending = w.EnqueueAppend(ctx, shard, batches)
+	}
+	return u
 }
 
 // sleepInterruptible pauses for d or until ctx dies, whichever comes

@@ -15,6 +15,11 @@ import (
 // while a propose is in flight accumulate into the next group. A
 // configurable linger can trade latency for larger groups; size caps
 // bound how much one proposal carries.
+//
+// The queue holds units: the subs one append call handed over together
+// (the broker's tenant sub-batches of one client batch for this shard).
+// A unit is never split across proposals, so its caller waits on
+// exactly one raft outcome.
 type coalescer struct {
 	w  *Worker
 	sh *Shard
@@ -25,26 +30,28 @@ type coalescer struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	pending []pendingSub
+	pending []pendingUnit
 	closed  bool
 	done    chan struct{}
 
-	// take / subs are flusher-private scratch (single goroutine), reused
+	// take / chunks are flusher-private scratch (single goroutine), reused
 	// across groups so a flush allocates only the group frame raft keeps.
-	take []pendingSub
-	subs [][]byte
+	take   []pendingUnit
+	chunks [][]byte
 
-	// groups / batches feed CoalesceStats: batches/groups is the
-	// coalescing factor sustained-load runs report.
+	// groups / batches feed CoalesceStats: batches counts subs, so
+	// batches/groups is the coalescing factor sustained-load runs report.
 	groups  atomic.Int64
 	batches atomic.Int64
 }
 
-// pendingSub is one queued append: its encoded sub-proposal plus the
-// channel its caller blocks on until the group's raft outcome is known.
-type pendingSub struct {
-	data []byte
-	done chan error
+// pendingUnit is one queued append: its nsubs framed sub-proposals
+// (appendFramedSub output, back to back) plus the channel its caller
+// waits on for the group's raft outcome.
+type pendingUnit struct {
+	framed []byte
+	nsubs  int
+	done   chan error
 }
 
 func newCoalescer(w *Worker, sh *Shard) *coalescer {
@@ -61,20 +68,20 @@ func newCoalescer(w *Worker, sh *Shard) *coalescer {
 	return c
 }
 
-// append queues one encoded sub-proposal and blocks until its group
-// commits (or fails). Raft errors surface verbatim so the broker's
-// backpressure handling is unchanged. The caller owns both sub and done
-// again once append returns.
-func (c *coalescer) append(sub []byte, done chan error) error {
+// enqueue queues one unit without waiting for it. On nil the group's
+// raft outcome — errors verbatim, so the broker's backpressure handling
+// is unchanged — arrives on u.done, and the caller owns u.framed and
+// u.done again once it has received it. On error nothing was queued.
+func (c *coalescer) enqueue(u pendingUnit) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrWorkerDown
 	}
-	c.pending = append(c.pending, pendingSub{data: sub, done: done})
+	c.pending = append(c.pending, u)
 	c.mu.Unlock()
 	c.cond.Signal()
-	return <-done
+	return nil
 }
 
 // close drains the queue and stops the flusher. Queued appends are
@@ -109,57 +116,59 @@ func (c *coalescer) run() {
 			timeSleep(c.linger)
 		}
 		group := c.takeGroup()
-		err := c.w.proposeGroup(c.sh, c.encodeGroup(group))
+		data, nsubs := c.encodeGroup(group)
+		err := c.w.proposeGroup(c.sh, data)
 		c.groups.Add(1)
-		c.batches.Add(int64(len(group)))
+		c.batches.Add(int64(nsubs))
 		for i := range group {
 			group[i].done <- err
-			group[i] = pendingSub{}
+			group[i] = pendingUnit{}
 		}
 	}
 }
 
-// takeGroup pops the next group off the queue: up to maxSubs batches
-// and (once at least one is taken) at most maxBytes of encoded payload.
-// What doesn't fit stays queued for the next flush.
-func (c *coalescer) takeGroup() []pendingSub {
+// takeGroup pops the next group off the queue: the first unit always,
+// then whole units while the group stays within maxSubs subs and
+// maxBytes of encoded payload. A unit over either cap therefore ships
+// whole and alone; what doesn't fit stays queued for the next flush.
+func (c *coalescer) takeGroup() []pendingUnit {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, sz := 0, int64(0)
+	n, subs, sz := 0, 0, int64(0)
 	for n < len(c.pending) {
-		if c.maxSubs > 0 && n >= c.maxSubs {
+		u := c.pending[n]
+		if n > 0 && (c.maxSubs > 0 && subs+u.nsubs > c.maxSubs ||
+			c.maxBytes > 0 && sz+int64(len(u.framed)) > c.maxBytes) {
 			break
 		}
-		sz += int64(len(c.pending[n].data))
+		subs += u.nsubs
+		sz += int64(len(u.framed))
 		n++
-		if c.maxBytes > 0 && sz >= c.maxBytes {
-			break
-		}
 	}
 	group := append(c.take[:0], c.pending[:n]...)
 	c.take = group
 	rest := copy(c.pending, c.pending[n:])
 	for i := rest; i < len(c.pending); i++ {
-		c.pending[i] = pendingSub{} // release sub buffers back to callers
+		c.pending[i] = pendingUnit{} // release sub buffers back to callers
 	}
 	c.pending = c.pending[:rest]
 	return group
 }
 
-// encodeGroup frames the group's subs into one proposal buffer. Only
-// that buffer is freshly allocated (raft retains it); the sub slice is
+// encodeGroup frames the group's units into one proposal buffer and
+// returns it with the number of subs it carries. Only that buffer is
+// freshly allocated (raft retains it); the chunk slice is
 // flusher-private scratch.
-func (c *coalescer) encodeGroup(group []pendingSub) []byte {
-	subs := c.subs[:0]
-	for _, p := range group {
-		subs = append(subs, p.data)
+func (c *coalescer) encodeGroup(group []pendingUnit) ([]byte, int) {
+	chunks, nsubs := c.chunks[:0], 0
+	for _, u := range group {
+		chunks = append(chunks, u.framed)
+		nsubs += u.nsubs
 	}
-	out := EncodeGroupProposal(subs)
-	for i := range subs {
-		subs[i] = nil
-	}
-	c.subs = subs[:0]
-	return out
+	out := encodeFramedGroup(nsubs, chunks...)
+	clear(chunks)
+	c.chunks = chunks[:0]
+	return out, nsubs
 }
 
 // stats returns proposals issued and client batches carried since start.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"logstore/internal/bitutil"
@@ -66,18 +67,45 @@ func EncodeBatch(rows []schema.Row) []byte {
 // dst, growing it at most once. The id is computed over the batch bytes
 // just written, so the hole is backfilled after encoding.
 func AppendSubProposal(dst []byte, rows []schema.Row) []byte {
-	need := 8 + batchSize(rows)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	return appendSub(dst, rows, batchSize(rows))
+}
+
+// appendSub is AppendSubProposal with the batch's encoded size (its
+// batchSize) already known.
+func appendSub(dst []byte, rows []schema.Row, size int) []byte {
+	dst = slices.Grow(dst, 8+size)
 	off := len(dst)
 	var idHole [8]byte
 	dst = append(dst, idHole[:]...)
 	dst = appendBatch(dst, rows)
 	binary.BigEndian.PutUint64(dst[off:off+8], BatchID(dst[off+8:]))
 	return dst
+}
+
+// appendFramedSub appends one sub-proposal already in its group framing,
+// uvarint(len(sub)) ++ sub, so that a unit of several subs is one buffer
+// the flusher copies into the group proposal in one piece.
+func appendFramedSub(dst []byte, rows []schema.Row) []byte {
+	size := batchSize(rows)
+	dst = bitutil.AppendUvarint(dst, uint64(8+size))
+	return appendSub(dst, rows, size)
+}
+
+// encodeFramedGroup builds a group proposal from chunks of framed subs
+// (appendFramedSub output) holding nsubs subs between them; the bytes
+// equal EncodeGroupProposal over the same subs. Like it, the returned
+// buffer is retained by raft and never pooled.
+func encodeFramedGroup(nsubs int, chunks ...[]byte) []byte {
+	n := bitutil.UvarintLen(uint64(nsubs))
+	for _, c := range chunks {
+		n += len(c)
+	}
+	out := make([]byte, 0, n)
+	out = bitutil.AppendUvarint(out, uint64(nsubs))
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // EncodeGroupProposal frames encoded subs into one raft proposal. The
@@ -137,8 +165,8 @@ func decodeBatchInto(rows []schema.Row, data []byte) ([]schema.Row, error) {
 	if err != nil {
 		return rows, fmt.Errorf("worker: batch count: %w", err)
 	}
-	if n > 1<<24 {
-		return rows, fmt.Errorf("worker: implausible batch size %d", n)
+	if n > uint64(len(data)-off) { // a row is at least one byte
+		return rows, fmt.Errorf("worker: batch claims %d rows in %d bytes", n, len(data)-off)
 	}
 	if rows == nil {
 		rows = make([]schema.Row, 0, n)

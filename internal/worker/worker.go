@@ -764,51 +764,114 @@ func (w *Worker) shard(id flow.ShardID) (*Shard, error) {
 	return sh, nil
 }
 
-// Append writes a batch of rows into a shard (phase one of the
-// two-phase write). With replication the batch commits through Raft —
-// the client is acked only after quorum persistence; backpressure from
-// the Raft queues surfaces as raft.ErrBackpressure.
+// Append writes one batch of rows into a shard (phase one of the
+// two-phase write) and waits for the outcome. With replication the
+// batch commits through Raft — the client is acked only after quorum
+// persistence; backpressure from the Raft queues surfaces as
+// raft.ErrBackpressure. Rows are checked against the schema first;
+// callers that have already done so use AppendTrustedCtx.
 func (w *Worker) Append(shardID flow.ShardID, rows []schema.Row) error {
-	if w.down.Load() {
-		return ErrWorkerDown
-	}
-	sh, err := w.shard(shardID)
-	if err != nil {
-		return err
-	}
 	for i, r := range rows {
 		if err := r.Conforms(w.sch); err != nil {
 			return fmt.Errorf("worker %d shard %d: row %d: %w", w.cfg.ID, shardID, i, err)
 		}
 	}
-	return w.appendValidated(sh, rows)
+	return w.AppendTrustedCtx(context.Background(), shardID, rows)
 }
 
-// AppendTrusted is Append without the per-row conformance pass: the
-// broker validates rows against the same schema before routing, and the
-// row store re-checks on insert, so the middle check is pure overhead on
-// the hot path. Callers that bypass the broker must use Append.
-func (w *Worker) AppendTrusted(shardID flow.ShardID, rows []schema.Row) error {
+// AppendTrustedCtx is EnqueueAppend of a single batch, waited for.
+func (w *Worker) AppendTrustedCtx(ctx context.Context, shardID flow.ShardID, rows []schema.Row) error {
+	one := [1][]schema.Row{rows}
+	return w.EnqueueAppend(ctx, shardID, one[:]).Wait()
+}
+
+// PendingAppend is the outcome of one EnqueueAppend call. Wait must be
+// called exactly once: it is what hands the unit's pooled buffers back.
+type PendingAppend struct {
+	done chan error // nil: the outcome is already known and is err
+	err  error
+	bufp *[]byte // the unit's pooled sub buffer, back to subBufPool in Wait
+}
+
+// Wait blocks until the unit's group proposal has committed or failed
+// and returns that outcome. It takes no context: an in-flight proposal
+// is not abandoned mid-commit — a commit outcome must stay unambiguous —
+// and proposeGroup's own deadline bounds how long that can take.
+func (p PendingAppend) Wait() error {
+	if p.done == nil {
+		return p.err
+	}
+	err := <-p.done
+	// Only after the receive is the channel empty and the flusher done
+	// copying the subs, so only now may either be reused.
+	doneChanPool.Put(p.done)
+	subBufPool.Put(p.bufp)
+	return err
+}
+
+// EnqueueAppend is the worker's one write entry: it hands the shard a
+// unit of batches — each encoded as its own sub-proposal with its own
+// content-derived batch id, so a batch retried after an ambiguous
+// outcome (leader death between commit and ack) is suppressed however
+// it is regrouped — and returns without waiting for the commit, so a
+// broker can enqueue every shard of a client batch before it waits on
+// any. The unit rides in one group proposal (one raft outcome for all
+// of it). It fails fast, before any raft work, on a dead ctx or a down
+// worker. Rows are not checked against the schema here: the broker has
+// done that, and the row store checks again on insert.
+//
+// Without a coalescer the work is done before returning and Wait only
+// reports it: an unreplicated shard inserts into its row store, and
+// CoalesceDisabled proposes each batch on its own, in order, stopping at
+// the first error.
+func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batches [][]schema.Row) PendingAppend {
+	if err := ctx.Err(); err != nil {
+		return PendingAppend{err: err}
+	}
 	if w.down.Load() {
-		return ErrWorkerDown
+		return PendingAppend{err: ErrWorkerDown}
 	}
 	sh, err := w.shard(shardID)
 	if err != nil {
-		return err
+		return PendingAppend{err: err}
 	}
-	return w.appendValidated(sh, rows)
-}
-
-// AppendTrustedCtx is AppendTrusted with a fail-fast context check: a
-// batch whose deadline already expired is refused before it enters the
-// coalescer. An in-flight proposal is not aborted mid-commit — commit
-// outcomes must stay unambiguous — but the internal propose deadline
-// bounds how long that can take.
-func (w *Worker) AppendTrustedCtx(ctx context.Context, shardID flow.ShardID, rows []schema.Row) error {
-	if err := ctx.Err(); err != nil {
-		return err
+	if sh.group == nil {
+		for _, rows := range batches {
+			if err := sh.rs.Append(rows...); err != nil {
+				return PendingAppend{err: err}
+			}
+		}
+		return PendingAppend{}
 	}
-	return w.AppendTrusted(shardID, rows)
+	if sh.shipper != nil && !w.cfg.WALShip.Sync && sh.shipper.Overloaded() {
+		// Async shipping bounds acked-but-unshipped exposure: once the
+		// backlog exceeds MaxBacklog (OSS down, breaker open), refuse
+		// new appends instead of growing local-only acked state.
+		return PendingAppend{err: raft.ErrBackpressure}
+	}
+	bufp := subBufPool.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	if sh.co != nil {
+		for _, rows := range batches {
+			buf = appendFramedSub(buf, rows)
+		}
+		*bufp = buf[:0] // keep what the encode grew
+		done := doneChanPool.Get().(chan error)
+		if err = sh.co.enqueue(pendingUnit{framed: buf, nsubs: len(batches), done: done}); err == nil {
+			return PendingAppend{done: done, bufp: bufp}
+		}
+		doneChanPool.Put(done)
+	} else {
+		for _, rows := range batches {
+			buf = appendFramedSub(buf[:0], rows)
+			if err = w.proposeGroup(sh, encodeFramedGroup(1, buf)); err != nil {
+				break
+			}
+		}
+		*bufp = buf[:0]
+	}
+	subBufPool.Put(bufp)
+	return PendingAppend{err: err}
 }
 
 // SlowShardApply injects (or clears, d = 0) a delay before every
@@ -853,34 +916,6 @@ func (w *Worker) MemoryFootprint() int64 {
 	total += w.blockCache.MemoryUsed()
 	total += w.objectCache.Used()
 	return total
-}
-
-func (w *Worker) appendValidated(sh *Shard, rows []schema.Row) error {
-	if sh.group == nil {
-		return sh.rs.Append(rows...)
-	}
-	if sh.shipper != nil && !w.cfg.WALShip.Sync && sh.shipper.Overloaded() {
-		// Async shipping bounds acked-but-unshipped exposure: once the
-		// backlog exceeds MaxBacklog (OSS down, breaker open), refuse
-		// new appends instead of growing local-only acked state.
-		return raft.ErrBackpressure
-	}
-	// Each sub-proposal carries a content-derived batch id so the state
-	// machine can suppress the same batch committing twice (a retry
-	// after an ambiguous leader death) even when coalescing regroups it.
-	bufp := subBufPool.Get().(*[]byte)
-	sub := AppendSubProposal((*bufp)[:0], rows)
-	var err error
-	if sh.co != nil {
-		done := doneChanPool.Get().(chan error)
-		err = sh.co.append(sub, done)
-		doneChanPool.Put(done)
-	} else {
-		err = w.proposeGroup(sh, EncodeGroupProposal([][]byte{sub}))
-	}
-	*bufp = sub[:0]
-	subBufPool.Put(bufp)
-	return err
 }
 
 // proposeGroup drives one group proposal through the shard's raft

@@ -616,15 +616,25 @@ func (c *Cluster) broker() *broker.Broker {
 // Append writes log rows; they are immediately visible to queries
 // (real-time reads) and archived to object storage in the background.
 // Under extreme load it returns a backpressure error; callers should
-// slow down and retry.
+// slow down and retry. See AppendContext for what an error leaves
+// behind.
 func (c *Cluster) Append(rows ...Row) error {
 	return c.AppendContext(context.Background(), rows...)
 }
 
-// AppendContext is Append bounded by ctx (deadline or cancellation
-// stops routing and re-route retries) and subject to admission control
-// when configured: a shed batch returns *ErrOverloaded with a
-// RetryAfter hint and costs no raft work.
+// AppendContext is Append bounded by ctx and subject to admission
+// control when configured: a shed tenant returns *ErrOverloaded with a
+// RetryAfter hint at no raft cost (tenants ordered before it in the
+// batch are still written).
+//
+// The batch may span tenants and costs one raft proposal per shard it
+// touches, all in flight together. ctx stops the call before anything
+// is sent and between re-route retries around a down worker; once sent,
+// every shard's proposal is waited for, so the outcome is never
+// ambiguous. On error some shards' rows may already be committed:
+// resend the same rows unchanged and each tenant's part that did commit
+// is recognised by its content and skipped, so the batch lands exactly
+// once.
 func (c *Cluster) AppendContext(ctx context.Context, rows ...Row) error {
 	if c.closed.Load() {
 		return fmt.Errorf("logstore: cluster closed")
