@@ -195,8 +195,8 @@ soak:
 ## soak-short: the reduced soak folded into `make check`, gated
 ## against the committed short baseline so throughput regressions fail
 ## the tier-1 gate. The 50% tolerance absorbs 2s-run noise; real
-## regressions (a lost coalescer, serialized appends) cut throughput
-## by integer factors, not halves.
+## regressions (a proposal per tenant again, serialized appends) cut
+## throughput by integer factors, not halves.
 soak-short:
 	$(GO) run ./cmd/logstore-soak -tenants 200 -duration 2s \
 		-writers 4 -readers 1 -out /tmp/bench_soak_short.json

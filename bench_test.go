@@ -222,8 +222,8 @@ func BenchmarkEncodeBatch(b *testing.B) {
 // BenchmarkAppendGroupCommit drives the replicated durable write path
 // from concurrent writers, the regime group commit exists for: while
 // one group's WAL fsync and quorum round are in flight, newly arriving
-// appends coalesce into the next proposal, so the dominant per-commit
-// costs amortize across batches. Each writer's batches are distinct (a
+// appends queue up for the next drain of the raft sync_queue, so the
+// dominant per-commit costs amortize across batches. Each writer's batches are distinct (a
 // shared batch would be suppressed by content-address dedup).
 func BenchmarkAppendGroupCommit(b *testing.B) {
 	c, err := Open(Config{

@@ -93,13 +93,13 @@ func TestChaosNodeFailures(t *testing.T) {
 	if stats.Wipes < int64(ccfg.WipeCycles) || stats.Hydrations == 0 {
 		t.Fatalf("recovery stats = %+v, want >=%d wipes and >0 OSS hydrations", stats, ccfg.WipeCycles)
 	}
-	// Group commit is on by default, so every surviving worker routed
-	// its ingest through the coalescer — the exactly-once verification
-	// above therefore also covers coalesced groups under crashes,
-	// leader kills, and partitions.
+	// Every surviving worker's ingest went through raft as multi-sub
+	// group proposals — the exactly-once verification above therefore
+	// also covers group commit under crashes, leader kills, and
+	// partitions.
 	groups, batches := c.CoalesceStats()
 	if batches == 0 || groups == 0 {
-		t.Fatalf("coalescer saw no traffic (groups=%d batches=%d); chaos must run with coalescing enabled", groups, batches)
+		t.Fatalf("append path saw no traffic (groups=%d batches=%d); chaos must ingest through raft", groups, batches)
 	}
 	t.Logf("chaos stats: %+v; acked=%d batches=%d retries=%d queries=%d coalesce=%d/%d",
 		stats, rep.AckedTotal, rep.Batches, rep.AppendRetries, rep.Queries, groups, batches)

@@ -7,7 +7,7 @@
 //
 // Unlike the micro-benchmarks (one caller, tight loop), the soak
 // exercises the ingest path the way the paper's production deployment
-// does: many concurrent writers per worker, coalescing under real
+// does: many concurrent writers per worker, group commit under real
 // contention, archive cycles running mid-stream, and readers competing
 // for the same shards. It exits non-zero on any append error, any
 // query error, or an accounting mismatch, so `make soak-short` can sit
@@ -242,7 +242,7 @@ func main() {
 		}
 	}
 	if batches == 0 {
-		fatal("coalescer saw no traffic; soak must exercise group commit")
+		fatal("append path saw no raft proposals; soak must exercise group commit")
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -1,12 +1,9 @@
 package logstore
 
 import (
-	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"logstore/internal/backpressure"
 	"logstore/internal/oss"
 	"logstore/internal/workload"
 )
@@ -35,42 +32,6 @@ func TestDurableRaftLogOnDisk(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("durable-mode writes never visible")
-}
-
-func TestBackpressureSurfacesToClient(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Replicas = 3
-	cfg.Workers = 1
-	cfg.ShardsPerWorker = 1
-	cfg.RaftQueueItems = 2 // minuscule BFC queues
-	cfg.ArchiveInterval = time.Hour
-	c := openCluster(t, cfg)
-
-	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Theta: 0, Seed: 10, StartMS: 1})
-	// Hammer from several goroutines: with 2-item sync/apply queues the
-	// pipeline must reject some batches with ErrBackpressure.
-	var rejected atomic.Int64
-	done := make(chan struct{})
-	rows := g.Batch(50)
-	for i := 0; i < 8; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < 40; j++ {
-				if err := c.Append(rows...); err != nil {
-					if errors.Is(err, backpressure.ErrBackpressure) {
-						rejected.Add(1)
-						return
-					}
-				}
-			}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	if rejected.Load() == 0 {
-		t.Skip("backpressure not triggered on this machine's timing; queues drained too fast")
-	}
 }
 
 func TestClusterRestartRecoversData(t *testing.T) {

@@ -191,11 +191,6 @@ func (s *appendScratch) groupByTenant(sch *schema.Schema, rows []schema.Row) err
 	return nil
 }
 
-// Append is AppendContext without a deadline.
-func (b *Broker) Append(rows []schema.Row) error {
-	return b.AppendContext(context.Background(), rows)
-}
-
 // countCtxErr attributes a context failure to the right degradation
 // counter and returns err unchanged.
 func (b *Broker) countCtxErr(err error) error {
@@ -407,24 +402,15 @@ func sleepInterruptible(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Query parses, plans, scatters, and merges one SQL query.
-func (b *Broker) Query(sql string) (*query.Result, error) {
-	return b.QueryContext(context.Background(), sql)
-}
-
-// QueryContext is Query bounded by ctx: a dead context returns before
-// planning, and cancellation mid-scatter stops the sub-queries.
+// QueryContext parses, plans, scatters, and merges one SQL query. A
+// dead context returns before planning, and cancellation mid-scatter
+// stops the sub-queries.
 func (b *Broker) QueryContext(ctx context.Context, sql string) (*query.Result, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	return b.ExecuteContext(ctx, q)
-}
-
-// Execute runs a parsed query.
-func (b *Broker) Execute(q *query.Query) (*query.Result, error) {
-	return b.ExecuteContext(context.Background(), q)
 }
 
 // ExecuteContext runs a parsed query under ctx. The context flows into

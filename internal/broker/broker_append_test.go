@@ -41,14 +41,13 @@ func (p *countingPool) count(id flow.WorkerID) int {
 }
 
 // newReplicatedWorker builds a worker whose shards commit through raft
-// (and so through the coalescer and the dedup set), hosting shards.
-func newReplicatedWorker(t *testing.T, id flow.WorkerID, linger time.Duration, shards ...flow.ShardID) *worker.Worker {
+// (and so through the dedup set), hosting shards.
+func newReplicatedWorker(t *testing.T, id flow.WorkerID, shards ...flow.ShardID) *worker.Worker {
 	t.Helper()
 	sch := schema.RequestLogSchema()
 	w, err := worker.New(worker.Config{
 		ID: id, Replicas: 3, ArchiveInterval: time.Hour, RaftTick: 2 * time.Millisecond,
-		CoalesceLinger: linger,
-		Builder:        builder.Config{Table: sch.Name},
+		Builder: builder.Config{Table: sch.Name},
 	}, sch, oss.NewMemStore(), meta.NewManager())
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func newReplicatedWorker(t *testing.T, id flow.WorkerID, linger time.Duration, s
 
 // setupReplicated is two replicated workers of two shards each behind a
 // counting pool: worker w owns shards 2w and 2w+1.
-func setupReplicated(t *testing.T, cfg Config, linger time.Duration) (*Broker, *countingPool) {
+func setupReplicated(t *testing.T, cfg Config) (*Broker, *countingPool) {
 	t.Helper()
 	pool := &countingPool{
 		lockedPool: lockedPool{
@@ -76,7 +75,7 @@ func setupReplicated(t *testing.T, cfg Config, linger time.Duration) (*Broker, *
 	var shardIDs []flow.ShardID
 	for wid := flow.WorkerID(0); wid < 2; wid++ {
 		a, b := flow.ShardID(2*wid), flow.ShardID(2*wid+1)
-		pool.workers[wid] = newReplicatedWorker(t, wid, linger, a, b)
+		pool.workers[wid] = newReplicatedWorker(t, wid, a, b)
 		pool.owner[a], pool.owner[b] = wid, wid
 		shardIDs = append(shardIDs, a, b)
 	}
@@ -116,7 +115,7 @@ func waitApplied(t *testing.T, rows, skips int64, ws ...*worker.Worker) {
 // shard's tenant subs, and a resend of the same batch is suppressed sub
 // by sub.
 func TestAppendOneUnitPerShard(t *testing.T) {
-	b, pool := setupReplicated(t, Config{}, 0)
+	b, pool := setupReplicated(t, Config{})
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 21, StartMS: 100})
 	rows := g.Batch(400)
 	sch := schema.RequestLogSchema()
@@ -130,7 +129,7 @@ func TestAppendOneUnitPerShard(t *testing.T) {
 		t.Fatalf("batch touches %d of 4 shards; pick another seed", len(shards))
 	}
 
-	if err := b.Append(rows); err != nil {
+	if err := b.AppendContext(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	w0, _ := pool.lockedPool.Worker(0)
@@ -152,7 +151,7 @@ func TestAppendOneUnitPerShard(t *testing.T) {
 	}
 
 	// The client resends the whole batch: every sub is a duplicate.
-	if err := b.Append(rows); err != nil {
+	if err := b.AppendContext(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	waitApplied(t, int64(len(rows)), int64(len(tenants)), w0, w1)
@@ -164,7 +163,7 @@ func TestAppendOneUnitPerShard(t *testing.T) {
 // worker's tenants go round again until recovery swaps a new worker in,
 // and then land; a full client resend adds dedup skips and no rows.
 func TestAppendSpansShardsWithWorkerDown(t *testing.T) {
-	b, pool := setupReplicated(t, Config{AppendRetryWindow: 10 * time.Second}, 0)
+	b, pool := setupReplicated(t, Config{AppendRetryWindow: 10 * time.Second})
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 22, StartMS: 100})
 	rows := g.Batch(400)
 	sch := schema.RequestLogSchema()
@@ -184,7 +183,7 @@ func TestAppendSpansShardsWithWorkerDown(t *testing.T) {
 	dead.Crash()
 	// Recovery lands mid-append, once the live worker's share is applied
 	// and the broker is visibly re-routing the rest.
-	w2 := newReplicatedWorker(t, 1, 0, 2, 3)
+	w2 := newReplicatedWorker(t, 1, 2, 3)
 	swapped := make(chan struct{})
 	go func() {
 		defer close(swapped)
@@ -193,7 +192,7 @@ func TestAppendSpansShardsWithWorkerDown(t *testing.T) {
 		}
 		pool.replace(1, w2)
 	}()
-	if err := b.Append(rows); err != nil {
+	if err := b.AppendContext(context.Background(), rows); err != nil {
 		t.Fatalf("append across recovery: %v", err)
 	}
 	<-swapped
@@ -222,7 +221,7 @@ func TestAppendSpansShardsWithWorkerDown(t *testing.T) {
 	}
 
 	// Full client resend: acked, every sub suppressed, not a row added.
-	if err := b.Append(rows); err != nil {
+	if err := b.AppendContext(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(tenantsOn[0]) + len(tenantsOn[1]))
@@ -235,7 +234,7 @@ func TestAppendSpansShardsWithWorkerDown(t *testing.T) {
 // shard's, and once the fault is gone a resend of the same batch lands
 // the missing tenants and nothing twice.
 func TestAppendFirstErrorInShardOrder(t *testing.T) {
-	b, pool := setupReplicated(t, Config{}, 0)
+	b, pool := setupReplicated(t, Config{})
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 23, StartMS: 100})
 	rows := g.Batch(400)
 	sch := schema.RequestLogSchema()
@@ -250,7 +249,7 @@ func TestAppendFirstErrorInShardOrder(t *testing.T) {
 	pool.mu.Lock()
 	pool.owner[1], pool.owner[2] = 1, 0
 	pool.mu.Unlock()
-	err := b.Append(rows)
+	err := b.AppendContext(context.Background(), rows)
 	if err == nil || !strings.Contains(err.Error(), "to shard 1:") {
 		t.Fatalf("err = %v, want shard 1's (the first in shard order)", err)
 	}
@@ -264,7 +263,7 @@ func TestAppendFirstErrorInShardOrder(t *testing.T) {
 	pool.mu.Lock()
 	pool.owner[1], pool.owner[2] = 0, 1
 	pool.mu.Unlock()
-	if err := b.Append(rows); err != nil {
+	if err := b.AppendContext(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(tenantsOn[0]) + len(tenantsOn[3]))
@@ -276,7 +275,7 @@ func TestAppendFirstErrorInShardOrder(t *testing.T) {
 // the wait short — the commit's outcome is what the caller gets, the
 // rows land, nothing is left running and later appends are unharmed.
 func TestAppendContext(t *testing.T) {
-	b, pool := setupReplicated(t, Config{}, 30*time.Millisecond)
+	b, pool := setupReplicated(t, Config{})
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 24, StartMS: 100})
 	w0, _ := pool.lockedPool.Worker(0)
 	w1, _ := pool.lockedPool.Worker(1)
@@ -303,7 +302,7 @@ func TestAppendContext(t *testing.T) {
 		}
 	}
 
-	// Cancel while every shard's flusher lingers over its queued unit.
+	// Cancel with every shard's unit in its raft group's hands.
 	before := runtime.NumGoroutine()
 	rows := g.Batch(200)
 	live, cancel3 := context.WithCancel(context.Background())
@@ -312,7 +311,6 @@ func TestAppendContext(t *testing.T) {
 	for pool.count(0)+pool.count(1) < 4 { // the fourth unit is being enqueued
 		time.Sleep(100 * time.Microsecond)
 	}
-	time.Sleep(time.Millisecond)
 	cancel3()
 	if err := <-done; err != nil {
 		// The cancel beat the last enqueue after all: that unit was
@@ -321,13 +319,13 @@ func TestAppendContext(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("append cancelled mid-flight: %v", err)
 		}
-		if err := b.Append(rows); err != nil {
+		if err := b.AppendContext(context.Background(), rows); err != nil {
 			t.Fatal(err)
 		}
 	}
 	total := int64(len(rows))
 	for i := 0; i < 20; i++ {
-		if err := b.Append(g.Batch(50)); err != nil {
+		if err := b.AppendContext(context.Background(), g.Batch(50)); err != nil {
 			t.Fatalf("append %d after the cancelled one: %v", i, err)
 		}
 		total += 50
@@ -346,7 +344,7 @@ func TestAppendAdmitsPrefix(t *testing.T) {
 	adm := backpressure.NewAdmission(backpressure.AdmissionConfig{
 		TenantRowsPerSec: 10, Now: func() time.Time { return now },
 	})
-	b, pool := setupReplicated(t, Config{Admission: adm}, 0)
+	b, pool := setupReplicated(t, Config{Admission: adm})
 	row := func(tenant, ts int64) schema.Row {
 		return schema.Row{schema.IntValue(tenant), schema.IntValue(ts), schema.StringValue("1.1.1.1"),
 			schema.StringValue("/x"), schema.IntValue(1), schema.StringValue("false"), schema.StringValue("m")}
@@ -359,7 +357,7 @@ func TestAppendAdmitsPrefix(t *testing.T) {
 			rows = append(rows, row(3, i), row(1, i))
 		}
 	}
-	err := b.Append(rows)
+	err := b.AppendContext(context.Background(), rows)
 	var over *backpressure.ErrOverloaded
 	if !errors.As(err, &over) || over.Tenant != 2 {
 		t.Fatalf("err = %v, want tenant 2 overloaded", err)

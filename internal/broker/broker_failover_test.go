@@ -116,7 +116,7 @@ func setupFailover(t *testing.T, cfg Config) (*Broker, *lockedPool, *meta.Manage
 func archiveTenant0(t *testing.T, b *Broker, pool *lockedPool, n int) (int64, flow.WorkerID) {
 	t.Helper()
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Theta: 0, Seed: 5, StartMS: 100})
-	if err := b.Append(g.Batch(n)); err != nil {
+	if err := b.AppendContext(context.Background(), g.Batch(n)); err != nil {
 		t.Fatal(err)
 	}
 	shard := b.router.Route(0)
@@ -237,7 +237,7 @@ func TestExecuteSteersAroundDeadWorker(t *testing.T) {
 	}
 	// Every block set routes to the survivor up front: no errors, no
 	// runtime failovers needed.
-	res, err := b.Query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 0 AND ts >= 0")
+	res, err := b.QueryContext(context.Background(), "SELECT COUNT(*) FROM request_log WHERE tenant_id = 0 AND ts >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestAppendReroutesToRecoveredWorker(t *testing.T) {
 		pool.replace(owner, w2)
 	}()
 
-	if err := b.Append(g.Batch(50)); err != nil {
+	if err := b.AppendContext(context.Background(), g.Batch(50)); err != nil {
 		t.Fatalf("append across recovery: %v", err)
 	}
 	_, _, reroutes := b.Stats()
@@ -298,7 +298,7 @@ func TestAppendReroutesToRecoveredWorker(t *testing.T) {
 	owner2, _ := pool2.ShardOwner(shard2)
 	dead, _ := pool2.Worker(owner2)
 	dead.Crash()
-	if err := b2.Append(g.Batch(10)); !errors.Is(err, worker.ErrWorkerDown) {
+	if err := b2.AppendContext(context.Background(), g.Batch(10)); !errors.Is(err, worker.ErrWorkerDown) {
 		t.Fatalf("append with no recovery = %v, want ErrWorkerDown", err)
 	}
 }

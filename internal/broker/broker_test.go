@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -106,7 +107,7 @@ func TestNewValidation(t *testing.T) {
 func TestAppendRoutesByTenant(t *testing.T) {
 	b, pool, _, _ := setup(t)
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 8, Theta: 0, Seed: 1, StartMS: 100})
-	if err := b.Append(g.Batch(400)); err != nil {
+	if err := b.AppendContext(context.Background(), g.Batch(400)); err != nil {
 		t.Fatal(err)
 	}
 	var resident int64
@@ -117,11 +118,11 @@ func TestAppendRoutesByTenant(t *testing.T) {
 		t.Fatalf("resident rows = %d, want 400", resident)
 	}
 	// Empty append is a no-op.
-	if err := b.Append(nil); err != nil {
+	if err := b.AppendContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid rows abort before any routing.
-	if err := b.Append([]schema.Row{{schema.IntValue(1)}}); err == nil {
+	if err := b.AppendContext(context.Background(), []schema.Row{{schema.IntValue(1)}}); err == nil {
 		t.Error("malformed row accepted")
 	}
 }
@@ -130,7 +131,7 @@ func TestQueryScatterGather(t *testing.T) {
 	b, pool, _, _ := setup(t)
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 4, Theta: 0, Seed: 2, StartMS: 1000})
 	rows := g.Batch(800)
-	if err := b.Append(rows); err != nil {
+	if err := b.AppendContext(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	// Archive half the data so the query spans realtime + blocks.
@@ -141,7 +142,7 @@ func TestQueryScatterGather(t *testing.T) {
 			}
 		}
 	}
-	if err := b.Append(g.Batch(200)); err != nil {
+	if err := b.AppendContext(context.Background(), g.Batch(200)); err != nil {
 		t.Fatal(err)
 	}
 	sch := schema.RequestLogSchema()
@@ -151,7 +152,7 @@ func TestQueryScatterGather(t *testing.T) {
 			want++
 		}
 	}
-	res, err := b.Query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 2 AND ts >= 0 AND ts <= 99999999")
+	res, err := b.QueryContext(context.Background(), "SELECT COUNT(*) FROM request_log WHERE tenant_id = 2 AND ts >= 0 AND ts <= 99999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestQueryScatterGather(t *testing.T) {
 
 func TestQueryRejectsMissingTenant(t *testing.T) {
 	b, _, _, _ := setup(t)
-	_, err := b.Query("SELECT log FROM request_log WHERE latency > 5")
+	_, err := b.QueryContext(context.Background(), "SELECT log FROM request_log WHERE latency > 5")
 	if err == nil || !strings.Contains(err.Error(), "tenant") {
 		t.Fatalf("err = %v", err)
 	}
@@ -170,10 +171,10 @@ func TestQueryRejectsMissingTenant(t *testing.T) {
 
 func TestQueryParseAndValidationErrors(t *testing.T) {
 	b, _, _, _ := setup(t)
-	if _, err := b.Query("NOT SQL"); err == nil {
+	if _, err := b.QueryContext(context.Background(), "NOT SQL"); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := b.Query("SELECT ghost FROM request_log WHERE tenant_id = 1"); err == nil {
+	if _, err := b.QueryContext(context.Background(), "SELECT ghost FROM request_log WHERE tenant_id = 1"); err == nil {
 		t.Error("unknown column accepted")
 	}
 }
@@ -184,7 +185,7 @@ func TestQueryBlockAffinity(t *testing.T) {
 	// cache warmed per path set.
 	b, pool, catalog, _ := setup(t)
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Theta: 0, Seed: 3, StartMS: 10})
-	if err := b.Append(g.Batch(500)); err != nil {
+	if err := b.AppendContext(context.Background(), g.Batch(500)); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range pool.workers {
@@ -198,11 +199,11 @@ func TestQueryBlockAffinity(t *testing.T) {
 		t.Fatal("nothing archived")
 	}
 	sql := "SELECT COUNT(*) FROM request_log WHERE tenant_id = 0 AND ts >= 0 AND ts <= 9999999"
-	r1, err := b.Query(sql)
+	r1, err := b.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := b.Query(sql)
+	r2, err := b.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

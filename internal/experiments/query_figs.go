@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -164,7 +165,7 @@ func (ds *queryDataset) runQuery(w *worker.Worker, spec workload.QuerySpec, opts
 		paths[i] = b.Path
 	}
 	elapsed := stopwatch()
-	if _, err := w.QueryBlocks(paths, q, opts); err != nil {
+	if _, err := w.QueryBlocksCtx(context.Background(), paths, q, opts); err != nil {
 		return 0, err
 	}
 	return elapsed(), nil

@@ -8,8 +8,8 @@ import (
 
 // GoLeakAnalyzer enforces the stop-path rule for goroutines: every
 // `go` statement's body must be able to terminate. The leak shape that
-// matters in this tree is the forever-loop worker (heartbeat,
-// coalescer, archiver, soak writers) spun up without a way out — it
+// matters in this tree is the forever-loop worker (heartbeat, raft run
+// loop, archiver, soak writers) spun up without a way out — it
 // pins its captures, its ticker, and a stack for the life of the
 // process, and in tests it outlives the harness and races teardown.
 //

@@ -12,13 +12,11 @@ import (
 // deterministic elections instead of tuning sleeps. The wallclock
 // analyzer enforces that no other file in the package reads the clock.
 
-// Clock supplies the node's timing sources: the run loop's tick stream
-// and one-shot deadlines for ProposeWithTimeout.
+// Clock supplies the node's one timing source: the run loop's tick
+// stream.
 type Clock interface {
 	// NewTicker returns a stream firing roughly every d.
 	NewTicker(d time.Duration) Ticker
-	// NewTimer returns a one-shot deadline firing once after d.
-	NewTimer(d time.Duration) Timer
 }
 
 // Ticker is a repeating tick source.
@@ -27,30 +25,16 @@ type Ticker interface {
 	Stop()
 }
 
-// Timer is a one-shot deadline.
-type Timer interface {
-	Chan() <-chan time.Time
-	Stop()
-}
-
-// WallClock is the production Clock: real time.Ticker / time.Timer.
+// WallClock is the production Clock: a real time.Ticker.
 type WallClock struct{}
 
 // NewTicker implements Clock.
 func (WallClock) NewTicker(d time.Duration) Ticker { return wallTicker{time.NewTicker(d)} }
 
-// NewTimer implements Clock.
-func (WallClock) NewTimer(d time.Duration) Timer { return wallTimer{time.NewTimer(d)} }
-
 type wallTicker struct{ t *time.Ticker }
 
 func (w wallTicker) Chan() <-chan time.Time { return w.t.C }
 func (w wallTicker) Stop()                  { w.t.Stop() }
-
-type wallTimer struct{ t *time.Timer }
-
-func (w wallTimer) Chan() <-chan time.Time { return w.t.C }
-func (w wallTimer) Stop()                  { w.t.Stop() }
 
 // ManualClock is a deterministic Clock driven by Advance. Logical time
 // only moves when the test says so, making election timing a function
@@ -62,7 +46,7 @@ type ManualClock struct {
 	mu      sync.Mutex
 	step    time.Duration
 	elapsed time.Duration
-	timers  []*manualTimer
+	tickers []*manualTicker
 }
 
 // NewManualClock returns a clock whose Advance moves logical time in
@@ -75,62 +59,50 @@ func NewManualClock(step time.Duration) *ManualClock {
 	return &ManualClock{step: step}
 }
 
-type manualTimer struct {
+type manualTicker struct {
 	clock    *ManualClock
 	c        chan time.Time
-	deadline time.Duration // logical fire time
-	period   time.Duration // 0 = one-shot
+	deadline time.Duration // next logical fire time
+	period   time.Duration
 	stopped  bool
 }
 
 // NewTicker implements Clock.
-func (c *ManualClock) NewTicker(d time.Duration) Ticker { return c.register(d, d) }
-
-// NewTimer implements Clock.
-func (c *ManualClock) NewTimer(d time.Duration) Timer { return c.register(d, 0) }
-
-func (c *ManualClock) register(d, period time.Duration) *manualTimer {
+func (c *ManualClock) NewTicker(d time.Duration) Ticker {
 	if d <= 0 {
 		d = c.step
 	}
-	if period < 0 {
-		period = 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &manualTimer{
+	t := &manualTicker{
 		clock:    c,
 		c:        make(chan time.Time, 1),
 		deadline: c.elapsed + d,
-		period:   period,
+		period:   d,
 	}
-	c.timers = append(c.timers, t)
+	c.tickers = append(c.tickers, t)
 	return t
 }
 
 // Advance moves logical time forward by n steps, firing every due
-// ticker and timer. It never blocks: delivery into a full waiter
+// ticker. It never blocks: delivery into a full waiter
 // channel is dropped, like a real time.Ticker.
 func (c *ManualClock) Advance(n int) {
 	for i := 0; i < n; i++ {
 		c.mu.Lock()
 		c.elapsed += c.step
 		var fire []chan time.Time
-		live := c.timers[:0]
-		for _, t := range c.timers {
+		live := c.tickers[:0]
+		for _, t := range c.tickers {
 			for !t.stopped && t.deadline <= c.elapsed {
 				fire = append(fire, t.c)
-				if t.period <= 0 {
-					t.stopped = true
-				} else {
-					t.deadline += t.period
-				}
+				t.deadline += t.period
 			}
 			if !t.stopped {
 				live = append(live, t)
 			}
 		}
-		c.timers = append([]*manualTimer(nil), live...)
+		c.tickers = append([]*manualTicker(nil), live...)
 		c.mu.Unlock()
 		for _, ch := range fire {
 			select {
@@ -141,9 +113,9 @@ func (c *ManualClock) Advance(n int) {
 	}
 }
 
-func (t *manualTimer) Chan() <-chan time.Time { return t.c }
+func (t *manualTicker) Chan() <-chan time.Time { return t.c }
 
-func (t *manualTimer) Stop() {
+func (t *manualTicker) Stop() {
 	t.clock.mu.Lock()
 	t.stopped = true
 	t.clock.mu.Unlock()

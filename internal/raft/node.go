@@ -18,10 +18,6 @@ var (
 	ErrNotLeader = errors.New("raft: not the leader")
 	// ErrStopped is returned when the node shuts down mid-proposal.
 	ErrStopped = errors.New("raft: node stopped")
-	// ErrProposalTimeout is returned by ProposeWithTimeout when the
-	// deadline passes before commit. The proposal may still commit
-	// later (the outcome is ambiguous, as in any distributed write).
-	ErrProposalTimeout = errors.New("raft: proposal timed out")
 	// ErrBackpressure re-exports the BFC rejection for convenience.
 	ErrBackpressure = backpressure.ErrBackpressure
 )
@@ -247,49 +243,51 @@ func (n *Node) Step(msg Message) {
 	}
 }
 
-// Propose replicates data, blocking until commit, rejection, or
-// shutdown. The BFC sync_queue rejects immediately with
-// ErrBackpressure when full — that rejection is the paper's signal to
-// the client to slow down.
-func (n *Node) Propose(data []byte) error {
-	p := &proposal{data: data, done: make(chan error, 1)}
-	if err := n.syncQ.Push(p, int64(len(data))); err != nil {
-		return err
-	}
-	select {
-	case n.propNtf <- struct{}{}:
-	default:
-	}
+// Pending is a proposal the sync_queue has accepted: Wait reports what
+// became of it.
+type Pending struct {
+	done  <-chan error
+	stopc <-chan struct{}
+}
+
+// Wait blocks until the proposal commits (nil), is rejected because the
+// node is not, or no longer, the leader (ErrNotLeader), or the node
+// shuts down (ErrStopped). After either error the proposal may still
+// have committed — the outcome is ambiguous, as in any distributed
+// write.
+func (p Pending) Wait() error {
 	select {
 	case err := <-p.done:
 		return err
-	case <-n.stopc:
+	case <-p.stopc:
 		return ErrStopped
 	}
 }
 
-// ProposeWithTimeout is Propose with a commit-wait deadline. On
-// ErrProposalTimeout the write's outcome is ambiguous: it may still
-// commit after the deadline.
-func (n *Node) ProposeWithTimeout(data []byte, d time.Duration) error {
+// ProposeAsync queues data for replication and returns without waiting
+// for the commit. The BFC sync_queue rejects immediately with
+// ErrBackpressure when full — that rejection is the paper's signal to
+// the client to slow down. Everything queued when the run loop next
+// drains is group-committed: one entry run, one Sync, one fan-out.
+func (n *Node) ProposeAsync(data []byte) (Pending, error) {
 	p := &proposal{data: data, done: make(chan error, 1)}
 	if err := n.syncQ.Push(p, int64(len(data))); err != nil {
-		return err
+		return Pending{}, err
 	}
 	select {
 	case n.propNtf <- struct{}{}:
 	default:
 	}
-	timer := n.cfg.Clock.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case err := <-p.done:
+	return Pending{done: p.done, stopc: n.stopc}, nil
+}
+
+// Propose is ProposeAsync followed by Wait.
+func (n *Node) Propose(data []byte) error {
+	p, err := n.ProposeAsync(data)
+	if err != nil {
 		return err
-	case <-timer.Chan():
-		return ErrProposalTimeout
-	case <-n.stopc:
-		return ErrStopped
 	}
+	return p.Wait()
 }
 
 // Status returns the latest snapshot.

@@ -27,15 +27,16 @@ func advanceUntil(t *testing.T, clk *ManualClock, what string, maxSteps int, con
 	return 0
 }
 
-// TestDeterministicLeaderKillFailover is the bounded-failover guarantee:
-// under a manual clock, killing the leader elects a successor within a
-// fixed number of logical ticks (a function of the seeded election
-// timeouts only) and Propose succeeds again with no manual intervention.
-func TestDeterministicLeaderKillFailover(t *testing.T) {
-	clk := NewManualClock(time.Millisecond)
-	net := NewLocalNetwork(99)
+// newManualGroup starts three nodes on one ManualClock and a
+// LocalNetwork seeded with netSeed, stopped when the test ends. Time is
+// frozen until the clock is advanced. findLeader returns a node that
+// believes it leads, other than skip (None skips nobody), or nil.
+func newManualGroup(t *testing.T, netSeed int64) (clk *ManualClock, net *LocalNetwork, sms map[NodeID]*recordingSM, findLeader func(skip NodeID) *Node) {
+	t.Helper()
+	clk = NewManualClock(time.Millisecond)
+	net = NewLocalNetwork(netSeed)
 	peers := []NodeID{0, 1, 2}
-	sms := make(map[NodeID]*recordingSM)
+	sms = make(map[NodeID]*recordingSM)
 	nodes := make(map[NodeID]*Node)
 	for _, id := range peers {
 		sms[id] = &recordingSM{}
@@ -51,13 +52,12 @@ func TestDeterministicLeaderKillFailover(t *testing.T) {
 		nodes[id] = n
 		net.Register(n)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		for _, n := range nodes {
 			n.Stop()
 		}
-	}()
-
-	findLeader := func(skip NodeID) *Node {
+	})
+	findLeader = func(skip NodeID) *Node {
 		for id, n := range nodes {
 			if id != skip && n.IsLeader() {
 				return n
@@ -65,6 +65,15 @@ func TestDeterministicLeaderKillFailover(t *testing.T) {
 		}
 		return nil
 	}
+	return clk, net, sms, findLeader
+}
+
+// TestDeterministicLeaderKillFailover is the bounded-failover guarantee:
+// under a manual clock, killing the leader elects a successor within a
+// fixed number of logical ticks (a function of the seeded election
+// timeouts only) and Propose succeeds again with no manual intervention.
+func TestDeterministicLeaderKillFailover(t *testing.T) {
+	clk, _, sms, findLeader := newManualGroup(t, 99)
 	// Time is frozen until Advance: the first election needs
 	// ElectionTicks..2*ElectionTicks steps for the fastest timeout plus
 	// round trips; 10x that is a comfortable deterministic bound.
@@ -438,6 +447,91 @@ func TestLaggingFollowerFastForwardsPastCompaction(t *testing.T) {
 	for _, e := range sms[victim].entries() {
 		if e.Index <= mark {
 			t.Fatalf("follower re-applied compacted entry %d (mark %d)", e.Index, mark)
+		}
+	}
+}
+
+// TestPendingProposalsFailOnceAtStepDown pins what ProposeAsync promises
+// a caller that holds several proposals at once: each resolves exactly
+// once. Under a manual clock, proposals acked before a partition stay
+// acked; proposals the cut-off leader still holds when check-quorum
+// steps it down fail with ErrNotLeader, once each; none of them is ever
+// applied anywhere; and a proposal sent to the deposed node afterwards
+// is refused the same way.
+func TestPendingProposalsFailOnceAtStepDown(t *testing.T) {
+	clk, net, sms, findLeader := newManualGroup(t, 7)
+	advanceUntil(t, clk, "initial election", 20*10, func() bool { return findLeader(None) != nil })
+	old := findLeader(None)
+
+	const acked, doomed = 5, 7
+	var pend []Pending
+	propose := func(n *Node, tag string, count int) {
+		for i := 0; i < count; i++ {
+			p, err := n.ProposeAsync([]byte(fmt.Sprintf("%s-%d", tag, i)))
+			if err != nil {
+				t.Fatalf("propose %s-%d: %v", tag, i, err)
+			}
+			pend = append(pend, p)
+		}
+	}
+	// Replication needs no ticks, so these commit with the clock frozen.
+	propose(old, "acked", acked)
+	for i, p := range pend {
+		if err := p.Wait(); err != nil {
+			t.Fatalf("acked-%d: %v", i, err)
+		}
+	}
+
+	net.Disconnect(old.cfg.ID)
+	propose(old, "doomed", doomed)
+	// The cut-off leader appends them and waits for a quorum that cannot
+	// answer; check-quorum deposes it after two election timeouts.
+	advanceUntil(t, clk, "old leader steps down", 20*10, func() bool { return !old.IsLeader() })
+	for i, p := range pend[acked:] {
+		if err := p.Wait(); !errors.Is(err, ErrNotLeader) {
+			t.Fatalf("doomed-%d: err = %v, want ErrNotLeader", i, err)
+		}
+	}
+	late, err := old.ProposeAsync([]byte("late"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Wait(); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("proposal to the deposed node: err = %v, want ErrNotLeader", err)
+	}
+
+	// The majority side elects a successor; healed, the old leader's
+	// uncommitted tail is truncated and everyone converges on the acked
+	// entries plus one more.
+	advanceUntil(t, clk, "successor elected", 20*10, func() bool { return findLeader(old.cfg.ID) != nil })
+	net.Reconnect(old.cfg.ID)
+	if err := findLeader(old.cfg.ID).Propose([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	advanceUntil(t, clk, "all apply the acked entries and the new one", 20*10, func() bool {
+		for _, sm := range sms {
+			if sm.count() < acked+1 {
+				return false
+			}
+		}
+		return true
+	})
+	clk.Advance(5 * 10) // nothing further may surface
+	time.Sleep(5 * time.Millisecond)
+	for id, sm := range sms {
+		for _, e := range sm.entries() {
+			if len(e.Data) >= 6 && string(e.Data[:6]) == "doomed" {
+				t.Fatalf("node %d applied %q, which its proposer was told failed", id, e.Data)
+			}
+		}
+		if sm.count() != acked+1 {
+			t.Fatalf("node %d applied %d entries, want %d", id, sm.count(), acked+1)
+		}
+	}
+	// Exactly once: every ack channel was written once and read once.
+	for i, p := range append(pend, late) {
+		if len(p.done) != 0 {
+			t.Fatalf("proposal %d resolved twice", i)
 		}
 	}
 }

@@ -382,26 +382,18 @@ func TestSyncQueueBackpressure(t *testing.T) {
 	waitFor(t, "self-election", func() bool { return node.IsLeader() })
 
 	// Saturate: with apply blocked, committed entries jam the apply
-	// queue, the run loop stops draining the sync queue, and pushes
-	// start bouncing with ErrBackpressure.
-	var rejections atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			deadline := time.Now().Add(2 * time.Second)
-			for time.Now().Before(deadline) {
-				err := node.ProposeWithTimeout([]byte(fmt.Sprintf("flood-%d", i)), 50*time.Millisecond)
-				if errors.Is(err, ErrBackpressure) {
-					rejections.Add(1)
-					return
-				}
-			}
-		}(i)
+	// queue, the run loop stops draining the sync queue, and once its
+	// four slots are taken a push bounces with ErrBackpressure — before
+	// anything is replicated, and without the proposer waiting.
+	rejected := false
+	for i := 0; i < 100 && !rejected; i++ {
+		_, err := node.ProposeAsync([]byte(fmt.Sprintf("flood-%d", i)))
+		rejected = errors.Is(err, ErrBackpressure)
+		if err != nil && !rejected {
+			t.Fatalf("propose %d: %v", i, err)
+		}
 	}
-	wg.Wait()
-	if rejections.Load() == 0 {
+	if !rejected {
 		t.Fatal("BFC never rejected under a stalled apply path")
 	}
 	if node.Status().SyncQueue.Rejected == 0 {

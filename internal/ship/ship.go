@@ -50,7 +50,9 @@ type Options struct {
 	Registry *Registry
 	// Sync makes every append barrier on shipping: the ack implies the
 	// rows are in OSS, closing the exposure window entirely at the cost
-	// of one OSS round-trip per commit group.
+	// of one OSS round-trip per commit group. The shipper then uploads
+	// each commit as it is offered instead of waiting for linger, size
+	// or the first Barrier.
 	Sync bool
 	// Linger bounds how long an acked-but-unshipped row may wait
 	// before a flush (async mode's exposure window).
@@ -98,6 +100,7 @@ type Shipper struct {
 	shard  int64
 	source Source
 
+	sync       bool
 	linger     time.Duration
 	maxBytes   int64
 	maxBacklog int64
@@ -159,6 +162,7 @@ func New(opts Options, shard int64, next uint64, source Source) *Shipper {
 		reg:        opts.Registry,
 		shard:      shard,
 		source:     source,
+		sync:       opts.Sync,
 		linger:     opts.Linger,
 		maxBytes:   opts.MaxBytes,
 		maxBacklog: opts.MaxBacklog,
@@ -211,7 +215,10 @@ func (s *Shipper) Offer(entries []raft.Entry) {
 				s.pendingBytes += int64(len(e.Data)) + entryOverhead
 				s.next++
 			}
-			signal = s.gapped || s.pendingBytes >= s.maxBytes
+			// Sync mode ships at the commit, not at the first Barrier:
+			// a client batch spanning shards waits for its shards one
+			// after another, and their uploads must already overlap.
+			signal = s.gapped || s.sync || s.pendingBytes >= s.maxBytes
 		}
 	}
 	s.mu.Unlock()

@@ -466,3 +466,32 @@ func TestShipperGapRolls(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncShipsAtCommit: in sync mode the upload starts when the commit
+// is offered, not when a caller reaches Barrier — a client batch
+// spanning shards waits on its shards one after another, so their
+// uploads have to be in flight already. Async mode still waits for
+// linger, size or a barrier.
+func TestSyncShipsAtCommit(t *testing.T) {
+	for _, sync := range []bool{true, false} {
+		store := oss.NewMemStore()
+		src := &fakeSource{}
+		src.set(State{Term: 1})
+		s := New(Options{Store: store, Registry: NewRegistry(store), Sync: sync, Linger: time.Hour}, 1, 1, src.source)
+		s.Offer(testEntries(1, 5))
+		deadline := time.Now().Add(5 * time.Second)
+		if !sync {
+			deadline = time.Now().Add(50 * time.Millisecond)
+		}
+		for s.Stats().UnshippedEntries > 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if shipped := s.Stats().UnshippedEntries == 0; shipped != sync {
+			t.Errorf("sync=%v: shipped without a barrier = %v", sync, shipped)
+		}
+		if err := s.Barrier(); err != nil {
+			t.Errorf("sync=%v: barrier: %v", sync, err)
+		}
+		s.Stop(false)
+	}
+}

@@ -3,9 +3,8 @@ package worker
 import "time"
 
 // This file is the package's clock seam — the single place the worker
-// touches the wall clock. The append path's leader-retry loop, the
-// coalescer's optional linger, and the archive/standby tickers all
-// route through these indirections, so tests can pin time and the
+// touches the wall clock. The append path's leader-retry loop and the
+// archive/standby tickers all route through these indirections, so tests can pin time and the
 // wallclock analyzer can enforce that no other file in the package
 // reads the clock.
 

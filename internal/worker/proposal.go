@@ -18,15 +18,15 @@ import (
 //	sub   := 8-byte big-endian batch id ++ batch
 //	batch := uvarint(nrows) row*
 //
-// Every proposal is a group — an uncoalesced append is a group of one —
+// Every proposal is a group — a single-batch append is a group of one —
 // so the state machine has a single decode path. Each sub keeps its own
-// content-derived batch id: coalescing changes which raft entry a batch
-// rides in, never its dedup identity, so a batch retried after an
-// ambiguous outcome (leader died between commit and ack) is suppressed
-// whether it recommits grouped with different neighbors or alone.
+// content-derived batch id: which raft entry a batch rides in never
+// changes its dedup identity, so a batch retried after an ambiguous
+// outcome (leader died between commit and ack) is suppressed whether it
+// recommits grouped with different neighbors or alone.
 
-// maxGroupSubs bounds group framing against corrupt input; real groups
-// are capped far lower by Config.CoalesceMaxBatches.
+// maxGroupSubs bounds group framing against corrupt input; a real group
+// is one client batch's tenants on one shard.
 const maxGroupSubs = 1 << 20
 
 // BatchID derives the content-addressed identity of an encoded batch:
@@ -82,28 +82,24 @@ func appendSub(dst []byte, rows []schema.Row, size int) []byte {
 	return dst
 }
 
-// appendFramedSub appends one sub-proposal already in its group framing,
-// uvarint(len(sub)) ++ sub, so that a unit of several subs is one buffer
-// the flusher copies into the group proposal in one piece.
-func appendFramedSub(dst []byte, rows []schema.Row) []byte {
-	size := batchSize(rows)
-	dst = bitutil.AppendUvarint(dst, uint64(8+size))
-	return appendSub(dst, rows, size)
-}
-
-// encodeFramedGroup builds a group proposal from chunks of framed subs
-// (appendFramedSub output) holding nsubs subs between them; the bytes
-// equal EncodeGroupProposal over the same subs. Like it, the returned
-// buffer is retained by raft and never pooled.
-func encodeFramedGroup(nsubs int, chunks ...[]byte) []byte {
-	n := bitutil.UvarintLen(uint64(nsubs))
-	for _, c := range chunks {
-		n += len(c)
+// encodeUnit frames one sub-proposal per batch straight into a group
+// proposal — the bytes EncodeGroupProposal gives for the same subs — in
+// one buffer of exactly that size. Raft retains the buffer, so it is
+// never pooled; the rows are copied once, here.
+func encodeUnit(batches [][]schema.Row) []byte {
+	var stack [32]int // batch sizes; a unit is rarely more tenants than this
+	sizes := stack[:0]
+	n := bitutil.UvarintLen(uint64(len(batches)))
+	for _, rows := range batches {
+		size := batchSize(rows)
+		sizes = append(sizes, size)
+		n += bitutil.UvarintLen(uint64(8+size)) + 8 + size
 	}
 	out := make([]byte, 0, n)
-	out = bitutil.AppendUvarint(out, uint64(nsubs))
-	for _, c := range chunks {
-		out = append(out, c...)
+	out = bitutil.AppendUvarint(out, uint64(len(batches)))
+	for i, rows := range batches {
+		out = bitutil.AppendUvarint(out, uint64(8+sizes[i]))
+		out = appendSub(out, rows, sizes[i])
 	}
 	return out
 }
@@ -181,14 +177,6 @@ func decodeBatchInto(rows []schema.Row, data []byte) ([]schema.Row, error) {
 	}
 	return rows, nil
 }
-
-// subBufPool recycles sub-proposal encode buffers. A sub is copied into
-// the group frame before propose, so the buffer returns to the pool as
-// soon as the append that owns it is acked.
-var subBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
 
 // rowScratchPool recycles the outer row slice used to decode a sub on
 // apply. Callers must nil the Row entries before putting the slice back

@@ -17,13 +17,13 @@ import (
 func FuzzForEachSub(f *testing.F) {
 	// The seed corpus is testdata/fuzz/FuzzForEachSub (cmd/fuzzseed).
 	// This one needs the unexported unit encoder: a nine-tenant unit as
-	// the coalescer frames it.
+	// EnqueueAppend frames it.
 	gen := workload.NewGenerator(workload.GeneratorConfig{Tenants: 9, Theta: 0, Seed: 5, StartMS: 1000})
-	var nine []byte
-	for i := 0; i < 9; i++ {
-		nine = appendFramedSub(nine, gen.Batch(1+i%2))
+	nine := make([][]schema.Row, 9)
+	for i := range nine {
+		nine[i] = gen.Batch(1 + i%2)
 	}
-	f.Add(encodeFramedGroup(9, nine))
+	f.Add(encodeUnit(nine))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var subs [][]byte

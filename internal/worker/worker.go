@@ -77,18 +77,6 @@ type Config struct {
 	// RaftApplyQueueItems / RaftApplyQueueBytes bound the apply_queue.
 	RaftApplyQueueItems int
 	RaftApplyQueueBytes int64
-	// CoalesceMaxBatches / CoalesceMaxBytes cap how many client batches
-	// and how much encoded payload one group proposal carries (0 selects
-	// 64 batches / 1 MiB).
-	CoalesceMaxBatches int
-	CoalesceMaxBytes   int64
-	// CoalesceLinger optionally holds a group open to accumulate more
-	// batches before proposing. Zero means natural batching only: a
-	// group is whatever arrived while the previous propose was in
-	// flight, so a lone append pays no added latency.
-	CoalesceLinger time.Duration
-	// CoalesceDisabled reverts to one raft proposal per append.
-	CoalesceDisabled bool
 	// WALShip, when set, streams every shard's committed raft log into
 	// OSS (continuous WAL shipping) and hydrates shards whose data
 	// directory was wiped from the shipped generation. Requires
@@ -122,9 +110,10 @@ type Shard struct {
 	// outcome (leader died between commit and ack) applies once even if
 	// it commits at two raft indexes (or inside two different groups).
 	seen *dedupSet
-	// co merges concurrent appends into group proposals; nil when the
-	// shard is unreplicated or coalescing is disabled.
-	co *coalescer
+	// units / subs feed CoalesceStats: raft proposals the append path
+	// issued for this shard and the sub-proposals they carried.
+	units atomic.Int64
+	subs  atomic.Int64
 	// shipper streams this shard's committed raft log into OSS; nil
 	// when WAL shipping is off.
 	shipper *ship.Shipper
@@ -366,12 +355,6 @@ func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager)
 	if cfg.ArchiveInterval <= 0 {
 		cfg.ArchiveInterval = time.Second
 	}
-	if cfg.CoalesceMaxBatches <= 0 {
-		cfg.CoalesceMaxBatches = 64
-	}
-	if cfg.CoalesceMaxBytes <= 0 {
-		cfg.CoalesceMaxBytes = 1 << 20
-	}
 	bc, err := cache.NewBlockCache(cache.BlockCacheConfig{
 		MemoryBytes: cfg.MemoryCacheBytes,
 		DiskBytes:   cfg.DiskCacheBytes,
@@ -522,9 +505,6 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 			}
 		}
 		sh.group = g
-		if !w.cfg.CoalesceDisabled {
-			sh.co = newCoalescer(w, sh)
-		}
 	}
 	if hydrated {
 		w.hydrations.Add(1)
@@ -785,28 +765,52 @@ func (w *Worker) AppendTrustedCtx(ctx context.Context, shardID flow.ShardID, row
 	return w.EnqueueAppend(ctx, shardID, one[:]).Wait()
 }
 
-// PendingAppend is the outcome of one EnqueueAppend call. Wait must be
-// called exactly once: it is what hands the unit's pooled buffers back.
+// PendingAppend is the outcome of one EnqueueAppend call; Wait collects
+// it.
 type PendingAppend struct {
-	done chan error // nil: the outcome is already known and is err
-	err  error
-	bufp *[]byte // the unit's pooled sub buffer, back to subBufPool in Wait
+	err error // the outcome, when sh is nil
+
+	// Otherwise the unit is data, one group proposal bound for sh's raft
+	// group: in flight at the leader as prop, or, when proposed is false,
+	// not sent yet because the shard had no leader at enqueue.
+	w        *Worker
+	sh       *Shard
+	data     []byte
+	prop     raft.Pending
+	proposed bool
 }
 
-// Wait blocks until the unit's group proposal has committed or failed
-// and returns that outcome. It takes no context: an in-flight proposal
-// is not abandoned mid-commit — a commit outcome must stay unambiguous —
-// and proposeGroup's own deadline bounds how long that can take.
+// Wait blocks until the unit has committed or failed and returns that
+// outcome. If the leader it was sent to steps down or is killed first —
+// or there was none yet — Wait re-proposes the same bytes to whoever
+// leads next (proposeGroup; a re-commit of an entry that did land is
+// suppressed sub by sub on apply). It takes no context: an in-flight
+// proposal is not abandoned mid-commit — a commit outcome must stay
+// unambiguous — and proposeGroup's deadline bounds how long that takes.
 func (p PendingAppend) Wait() error {
-	if p.done == nil {
+	if p.sh == nil {
 		return p.err
 	}
-	err := <-p.done
-	// Only after the receive is the channel empty and the flusher done
-	// copying the subs, so only now may either be reused.
-	doneChanPool.Put(p.done)
-	subBufPool.Put(p.bufp)
-	return err
+	err := raft.ErrNotLeader // nothing sent yet: as if its leader had stepped down
+	if p.proposed {
+		err = p.prop.Wait()
+	}
+	if errors.Is(err, raft.ErrNotLeader) || errors.Is(err, raft.ErrStopped) {
+		err = p.w.proposeGroup(p.sh, p.data)
+	}
+	if err != nil {
+		return err
+	}
+	if p.sh.shipper != nil && p.w.cfg.WALShip.Sync {
+		// Sync shipping: the ack must imply the rows are in OSS. The
+		// commit hook offered this unit's entry before the proposal was
+		// acked, so the barrier covers it. On error the caller retries
+		// and the re-commit dedups.
+		if err := p.sh.shipper.Barrier(); err != nil {
+			return fmt.Errorf("worker %d shard %d: ship barrier: %w", p.w.cfg.ID, p.sh.ID, err)
+		}
+	}
+	return nil
 }
 
 // EnqueueAppend is the worker's one write entry: it hands the shard a
@@ -815,15 +819,19 @@ func (p PendingAppend) Wait() error {
 // outcome (leader death between commit and ack) is suppressed however
 // it is regrouped — and returns without waiting for the commit, so a
 // broker can enqueue every shard of a client batch before it waits on
-// any. The unit rides in one group proposal (one raft outcome for all
-// of it). It fails fast, before any raft work, on a dead ctx or a down
-// worker. Rows are not checked against the schema here: the broker has
-// done that, and the row store checks again on insert.
+// any. The unit is one raft proposal, framed once into the buffer raft
+// retains and pushed onto the shard leader's sync_queue, where it meets
+// other callers' units: the leader group-commits whatever is queued (one
+// WAL sync, one replication fan-out). Rows are not checked against the
+// schema here: the broker has done that, and the row store checks again
+// on insert.
 //
-// Without a coalescer the work is done before returning and Wait only
-// reports it: an unreplicated shard inserts into its row store, and
-// CoalesceDisabled proposes each batch on its own, in order, stopping at
-// the first error.
+// It never blocks and fails fast, before any raft work, on a dead ctx,
+// a down worker, an overloaded shipper — and a full sync_queue: that
+// refusal, raft.ErrBackpressure, is the paper's BFC reaching the client,
+// and nothing of the unit is retained. A shard with no leader at this
+// instant is not an error; Wait proposes the unit once one is elected.
+// An unreplicated shard inserts into its row store before returning.
 func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batches [][]schema.Row) PendingAppend {
 	if err := ctx.Err(); err != nil {
 		return PendingAppend{err: err}
@@ -849,29 +857,17 @@ func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batche
 		// new appends instead of growing local-only acked state.
 		return PendingAppend{err: raft.ErrBackpressure}
 	}
-	bufp := subBufPool.Get().(*[]byte)
-	buf := (*bufp)[:0]
-	if sh.co != nil {
-		for _, rows := range batches {
-			buf = appendFramedSub(buf, rows)
+	p := PendingAppend{w: w, sh: sh, data: encodeUnit(batches)}
+	if leader := sh.group.leader(); leader != nil {
+		p.prop, err = leader.ProposeAsync(p.data)
+		if err != nil {
+			return PendingAppend{err: err}
 		}
-		*bufp = buf[:0] // keep what the encode grew
-		done := doneChanPool.Get().(chan error)
-		if err = sh.co.enqueue(pendingUnit{framed: buf, nsubs: len(batches), done: done}); err == nil {
-			return PendingAppend{done: done, bufp: bufp}
-		}
-		doneChanPool.Put(done)
-	} else {
-		for _, rows := range batches {
-			buf = appendFramedSub(buf[:0], rows)
-			if err = w.proposeGroup(sh, encodeFramedGroup(1, buf)); err != nil {
-				break
-			}
-		}
-		*bufp = buf[:0]
+		p.proposed = true
 	}
-	subBufPool.Put(bufp)
-	return PendingAppend{err: err}
+	sh.units.Add(1)
+	sh.subs.Add(int64(len(batches)))
+	return p
 }
 
 // SlowShardApply injects (or clears, d = 0) a delay before every
@@ -928,21 +924,7 @@ func (w *Worker) proposeGroup(sh *Shard, data []byte) error {
 		}
 		if leader := sh.group.leader(); leader != nil {
 			err := leader.Propose(data)
-			if err == nil {
-				if sh.shipper != nil && w.cfg.WALShip.Sync {
-					// Sync shipping: the ack must imply the rows are in
-					// OSS. The commit hook offered this group's entries
-					// before Propose returned, so the barrier covers
-					// them; the coalescer issues one propose per group,
-					// so the whole group shares one barrier wait. On
-					// error the caller retries and the re-commit dedups.
-					if berr := sh.shipper.Barrier(); berr != nil {
-						return fmt.Errorf("worker %d shard %d: ship barrier: %w", w.cfg.ID, sh.ID, berr)
-					}
-				}
-				return nil
-			}
-			if errors.Is(err, raft.ErrBackpressure) {
+			if err == nil || errors.Is(err, raft.ErrBackpressure) {
 				return err
 			}
 			// ErrNotLeader: leadership moved mid-propose.
@@ -1007,18 +989,16 @@ func (w *Worker) ApplyStats() ApplyCounters {
 	return out
 }
 
-// CoalesceStats sums, across shards, how many raft proposals the
-// coalescers issued and how many client batches those carried; the
-// ratio is the shard-level group-commit factor.
+// CoalesceStats sums, across shards, how many raft proposals the append
+// path issued — one per unit EnqueueAppend accepted, re-proposals across
+// elections not counted — and how many sub-proposals (tenant batches)
+// those carried; the ratio is how many batches share a raft entry.
 func (w *Worker) CoalesceStats() (groups, batches int64) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	for _, sh := range w.shards {
-		if sh.co != nil {
-			g, b := sh.co.stats()
-			groups += g
-			batches += b
-		}
+		groups += sh.units.Load()
+		batches += sh.subs.Load()
 	}
 	return groups, batches
 }
@@ -1070,13 +1050,8 @@ func (w *Worker) ShipStats() ShipSummary {
 // shipped OSS log (disk-loss recovery).
 func (w *Worker) Hydrations() int64 { return w.hydrations.Load() }
 
-// QueryRealtime executes a query over one shard's row store (the
-// not-yet-archived data), returning a partial result.
-func (w *Worker) QueryRealtime(shardID flow.ShardID, q *query.Query) (*query.Result, error) {
-	return w.QueryRealtimeCtx(context.Background(), shardID, q)
-}
-
-// QueryRealtimeCtx is QueryRealtime bounded by ctx. The scan is pure
+// QueryRealtimeCtx executes a query over one shard's row store (the
+// not-yet-archived data), returning a partial result. The scan is pure
 // memory work, so the context is checked at entry and every scanBatch
 // rows rather than per row.
 func (w *Worker) QueryRealtimeCtx(ctx context.Context, shardID flow.ShardID, q *query.Query) (*query.Result, error) {
@@ -1181,19 +1156,15 @@ func baseFetcher(r *logblock.Reader) *prefetch.CachedFetcher {
 	return nil
 }
 
-// openReader opens a LogBlock reader, consulting the object cache for
+// openReaderCtx opens a LogBlock reader, consulting the object cache for
 // the parsed manifest+meta. Cached readers are charged their actual
 // retained bytes — and re-charged on every hit, since memoized index
 // segments grow a reader after insertion. Each reader shares the object
 // cache as its decoded-vector level, so match and materialize passes
-// (and repeated queries) decode each column block once.
-func (w *Worker) openReader(path string) (*logblock.Reader, error) {
-	return w.openReaderCtx(context.Background(), path)
-}
-
-// openReaderCtx is openReader returning a ctx-bound view: the cached
-// reader (shared decoded state, base fetcher) stays context-free in
-// the object cache; the returned view reads bytes under ctx.
+// (and repeated queries) decode each column block once. It returns a
+// ctx-bound view: the cached reader (shared decoded state, base fetcher)
+// stays context-free in the object cache; the returned view reads bytes
+// under ctx.
 func (w *Worker) openReaderCtx(ctx context.Context, path string) (*logblock.Reader, error) {
 	key := "reader:" + path
 	if v, ok := w.objectCache.Get(key); ok {
@@ -1217,17 +1188,12 @@ func (w *Worker) openReaderCtx(ctx context.Context, path string) (*logblock.Read
 	return r, nil
 }
 
-// QueryBlocks executes a query over a set of archived LogBlocks,
+// QueryBlocksCtx executes a query over a set of archived LogBlocks,
 // returning the merged partial result. With a prefetch pool attached,
 // LogBlocks are processed concurrently and each fetches what it needs
 // in one parallel wave per dependency level — open, indexes, data (the
 // paper's Figure 10 pipeline); without one, loading is fully serial —
-// the "without parallel prefetch" baseline.
-func (w *Worker) QueryBlocks(paths []string, q *query.Query, opts query.ExecOptions) (*query.Result, error) {
-	return w.QueryBlocksCtx(context.Background(), paths, q, opts)
-}
-
-// QueryBlocksCtx is QueryBlocks bounded by ctx: an expired context
+// the "without parallel prefetch" baseline. An expired context
 // returns before any storage read, cancellation mid-scan stops issuing
 // new block scans and aborts the in-flight OSS reads (through the
 // ctx-bound fetchers), and every concurrency slot is released on the
@@ -1572,11 +1538,6 @@ func (w *Worker) shutdown(graceful bool) {
 		<-w.archiveDone
 		w.mu.Lock()
 		for _, sh := range w.shards {
-			if sh.co != nil {
-				// Drain queued appends first: their proposes fail fast
-				// now that down is set, unblocking every waiting caller.
-				sh.co.close()
-			}
 			if sh.shipper != nil {
 				// Graceful close flushes the remaining backlog to OSS;
 				// a crash abandons it (the exposure window a recovery
@@ -1585,6 +1546,9 @@ func (w *Worker) shutdown(graceful bool) {
 				sh.shipper.Stop(graceful)
 			}
 			if sh.group != nil {
+				// Stopping the nodes fails what is still in flight with
+				// ErrStopped; callers in PendingAppend.Wait then find the
+				// worker down and return ErrWorkerDown.
 				sh.group.stop()
 			}
 			sh.rs.Close()

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -42,7 +43,7 @@ func countTenant(t *testing.T, w *Worker, catalog *meta.Manager, tenant int64) i
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.QueryRealtime(0, q)
+	res, err := w.QueryRealtimeCtx(context.Background(), 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestRetriedBatchAppliesOnce(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var count int64
 	for time.Now().Before(deadline) {
-		res, err := w.QueryRealtime(0, q)
+		res, err := w.QueryRealtimeCtx(context.Background(), 0, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestRetriedBatchAppliesOnce(t *testing.T) {
 	}
 	// Give any duplicate apply a window to land, then check exact-once.
 	time.Sleep(100 * time.Millisecond)
-	res, err := w.QueryRealtime(0, q)
+	res, err := w.QueryRealtimeCtx(context.Background(), 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := w.Append(0, nil); !errors.Is(err, ErrWorkerDown) {
 		t.Errorf("append after close = %v, want ErrWorkerDown", err)
 	}
-	if _, err := w.QueryBlocks(nil, nil, query.ExecOptions{}); !errors.Is(err, ErrWorkerDown) {
+	if _, err := w.QueryBlocksCtx(context.Background(), nil, nil, query.ExecOptions{}); !errors.Is(err, ErrWorkerDown) {
 		t.Errorf("query after close = %v, want ErrWorkerDown", err)
 	}
 }
@@ -283,7 +284,7 @@ func TestWorkerLeaderKillFailover(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		res, err := w.QueryRealtime(0, q)
+		res, err := w.QueryRealtimeCtx(context.Background(), 0, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,6 +293,6 @@ func TestWorkerLeaderKillFailover(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	res, _ := w.QueryRealtime(0, q)
+	res, _ := w.QueryRealtimeCtx(context.Background(), 0, q)
 	t.Fatalf("after 2 leader kills: %d rows visible, want %d", res.Count, want)
 }

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestAppendAndRealtimeQueryUnreplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.QueryRealtime(0, q)
+	res, err := w.QueryRealtimeCtx(context.Background(), 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestAppendReplicatedCommitsThroughRaft(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		res, err := w.QueryRealtime(0, q)
+		res, err := w.QueryRealtimeCtx(context.Background(), 0, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestBackgroundArchiveAndBlockQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.QueryBlocks(paths, q, query.ExecOptions{DataSkipping: true})
+	res, err := w.QueryBlocksCtx(context.Background(), paths, q, query.ExecOptions{DataSkipping: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestQueryRequiresTenantPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.QueryRealtime(0, q); err == nil {
+	if _, err := w.QueryRealtimeCtx(context.Background(), 0, q); err == nil {
 		t.Error("tenant-free query accepted")
 	}
 }
@@ -256,11 +257,11 @@ func TestWarmCacheFewerFetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.QueryBlocks(paths, q, query.ExecOptions{DataSkipping: true}); err != nil {
+	if _, err := w.QueryBlocksCtx(context.Background(), paths, q, query.ExecOptions{DataSkipping: true}); err != nil {
 		t.Fatal(err)
 	}
 	cold := counting.Stats().RangeGets.Value()
-	if _, err := w.QueryBlocks(paths, q, query.ExecOptions{DataSkipping: true}); err != nil {
+	if _, err := w.QueryBlocksCtx(context.Background(), paths, q, query.ExecOptions{DataSkipping: true}); err != nil {
 		t.Fatal(err)
 	}
 	if warm := counting.Stats().RangeGets.Value() - cold; warm != 0 {
@@ -269,7 +270,7 @@ func TestWarmCacheFewerFetches(t *testing.T) {
 	memHits, _, _, _ := w.CacheStats()
 	_ = memHits // reader cache may absorb everything; range-read count is the assertion
 	w.PurgeCaches()
-	if _, err := w.QueryBlocks(paths, q, query.ExecOptions{DataSkipping: true}); err != nil {
+	if _, err := w.QueryBlocksCtx(context.Background(), paths, q, query.ExecOptions{DataSkipping: true}); err != nil {
 		t.Fatal(err)
 	}
 	if afterPurge := counting.Stats().RangeGets.Value(); afterPurge == cold {
@@ -314,7 +315,7 @@ func TestQueryBlocksParallelWithWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.QueryBlocks(paths, q, query.ExecOptions{DataSkipping: true})
+	res, err := w.QueryBlocksCtx(context.Background(), paths, q, query.ExecOptions{DataSkipping: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestQueryBlocksParallelWithWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := w.QueryBlocks(paths, q2, query.ExecOptions{DataSkipping: true})
+	res2, err := w.QueryBlocksCtx(context.Background(), paths, q2, query.ExecOptions{DataSkipping: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestQueryBlocksParallelWithWarmup(t *testing.T) {
 		t.Fatal("no groups")
 	}
 	// Errors propagate from the parallel path.
-	if _, err := w.QueryBlocks([]string{"missing/object"}, q, query.ExecOptions{}); err == nil {
+	if _, err := w.QueryBlocksCtx(context.Background(), []string{"missing/object"}, q, query.ExecOptions{}); err == nil {
 		t.Error("missing object accepted")
 	}
 }

@@ -217,7 +217,7 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 	t.Logf("%d-byte LogBlock: open %v, %d index members on blocks %v, data blocks %v",
 		len(raw), open, len(idxMembers), indexes, data)
 
-	want, err := w.QueryBlocks([]string{path}, q, opts)
+	want, err := w.QueryBlocksCtx(context.Background(), []string{path}, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 	store.mu.Lock()
 	store.gate = nil
 	store.mu.Unlock()
-	res, err := w.QueryBlocks([]string{path}, q, opts)
+	res, err := w.QueryBlocksCtx(context.Background(), []string{path}, q, opts)
 	if err != nil {
 		t.Fatalf("unregistered path: %v", err)
 	}
@@ -321,11 +321,11 @@ func TestPrefetchedEqualsSerial(t *testing.T) {
 				pooled.PurgeCaches()
 				serial.PurgeCaches()
 			}
-			got, err := pooled.QueryBlocks(paths, q, opts)
+			got, err := pooled.QueryBlocksCtx(context.Background(), paths, q, opts)
 			if err != nil {
 				t.Fatalf("%s (%s, pooled): %v", spec.SQL, temp, err)
 			}
-			want, err := serial.QueryBlocks(paths, q, opts)
+			want, err := serial.QueryBlocksCtx(context.Background(), paths, q, opts)
 			if err != nil {
 				t.Fatalf("%s (%s, serial): %v", spec.SQL, temp, err)
 			}

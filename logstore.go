@@ -164,7 +164,7 @@ type Config struct {
 	// entirely from the shipped state on recovery. Requires DataDir and
 	// Replicas > 1.
 	ShipWAL bool
-	// ShipSync blocks each append group until its entries are archived
+	// ShipSync blocks each append until its entries are archived
 	// in OSS (zero acked-but-unshipped exposure, higher ack latency).
 	// When false shipping is asynchronous: acked entries ride the next
 	// chunk upload, bounded by ShipLinger / ShipMaxBytes.
@@ -182,14 +182,6 @@ type Config struct {
 	// RaftQueueItems bounds each shard's Raft sync/apply queues (BFC);
 	// 0 keeps raft defaults. Small values trip backpressure earlier.
 	RaftQueueItems int
-	// CoalesceMaxBatches / CoalesceMaxBytes / CoalesceLinger tune each
-	// shard's group-commit coalescer (0 = worker defaults: 64 batches,
-	// 1 MiB, no linger). CoalesceDisabled reverts to one raft proposal
-	// per append.
-	CoalesceMaxBatches int
-	CoalesceMaxBytes   int64
-	CoalesceLinger     time.Duration
-	CoalesceDisabled   bool
 	// HeartbeatInterval is the worker health-check cadence: each beat
 	// marks live workers up and advances the miss counter of silent
 	// ones (0 disables the loop — health stays optimistic).
@@ -525,10 +517,6 @@ func (c *Cluster) newWorkerLocked(id flow.WorkerID) (*worker.Worker, error) {
 		DataDir:             dataDir,
 		RaftSyncQueueItems:  c.cfg.RaftQueueItems,
 		RaftApplyQueueItems: c.cfg.RaftQueueItems,
-		CoalesceMaxBatches:  c.cfg.CoalesceMaxBatches,
-		CoalesceMaxBytes:    c.cfg.CoalesceMaxBytes,
-		CoalesceLinger:      c.cfg.CoalesceLinger,
-		CoalesceDisabled:    c.cfg.CoalesceDisabled,
 		WALShip:             walShip,
 	}, c.sch, wstore, c.catalog)
 	if err != nil {
@@ -803,8 +791,9 @@ func (c *Cluster) ApplyStats() worker.ApplyCounters {
 }
 
 // CoalesceStats sums, across live workers, how many raft proposals the
-// shard coalescers issued and how many client batches those carried;
-// batches/groups is the cluster-wide group-commit factor.
+// append path issued (one per shard a client batch touches) and how many
+// tenant sub-batches those carried; batches/groups is how many share a
+// raft entry.
 func (c *Cluster) CoalesceStats() (groups, batches int64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
