@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSMADecode$$' -fuzztime $(FUZZTIME) ./internal/index/sma/
 	$(GO) test -run '^$$' -fuzz '^FuzzBKDOpen$$' -fuzztime $(FUZZTIME) ./internal/index/bkd/
 	$(GO) test -run '^$$' -fuzz '^FuzzInvertedOpen$$' -fuzztime $(FUZZTIME) ./internal/index/inverted/
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzerEquivalence$$' -fuzztime $(FUZZTIME) ./internal/index/inverted/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenReader$$' -fuzztime $(FUZZTIME) ./internal/logblock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlockData$$' -fuzztime $(FUZZTIME) ./internal/logblock/
@@ -98,7 +99,8 @@ chaos-brownout-short:
 		-run 'TestChaosBrownout' -timeout 120s .
 
 ## bench: the micro-benchmarks tracked across perf PRs; writes
-## BENCH_scan.json (query path) and BENCH_ingest.json (write path) with
+## BENCH_scan.json (query path) and BENCH_ingest.json (write path: the
+## append benchmarks plus the archive rung, BuildPack and DrainStore) with
 ## ns/op, B/op, allocs/op per bench. Commit the refreshed JSON when a
 ## perf PR intentionally moves the numbers — benchdiff gates against it.
 bench:
@@ -107,6 +109,8 @@ bench:
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/bench_ingest.txt
+	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$' \
+		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ >> /tmp/bench_ingest.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_ingest.txt > BENCH_ingest.json
 
 ## benchdiff: re-measure the tracked benchmarks and fail on a >25%
@@ -123,6 +127,8 @@ benchdiff-micro:
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/benchdiff_ingest.txt
+	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$' \
+		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ >> /tmp/benchdiff_ingest.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_ingest.txt > /tmp/benchdiff_ingest.json
 	$(GO) run ./cmd/benchdiff -base BENCH_ingest.json -new /tmp/benchdiff_ingest.json
 

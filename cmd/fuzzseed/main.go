@@ -163,16 +163,21 @@ func run(root string) error {
 	if err != nil {
 		return err
 	}
+	// seed-packed and seed-truncated in this directory hold the same
+	// rows in the layout before the four-member one (a tar member per
+	// part). No code writes that layout any more, so they are kept as
+	// checked in — readers must go on opening such objects — and the
+	// current layout gets seeds of its own.
 	openDir := filepath.Join(root, "internal/logblock/testdata/fuzz/FuzzOpenReader")
-	if err := writeSeed(openDir, "seed-packed", packed); err != nil {
+	if err := writeSeed(openDir, "seed-packed-four-members", packed); err != nil {
 		return err
 	}
-	if err := writeSeed(openDir, "seed-truncated", packed[:len(packed)/3]); err != nil {
+	if err := writeSeed(openDir, "seed-truncated-four-members", packed[:len(packed)/3]); err != nil {
 		return err
 	}
 	decodeDir := filepath.Join(root, "internal/logblock/testdata/fuzz/FuzzDecodeBlockData")
 	for _, ci := range []int{0, 2} { // one int column, one string column
-		raw := built.Members[logblock.DataMember(ci, 0)]
+		raw := built.DataPart(ci, 0)
 		if err := writeSeed(decodeDir, fmt.Sprintf("seed-col%d", ci), ci, 0, raw); err != nil {
 			return err
 		}

@@ -29,9 +29,10 @@
 package builder
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -167,34 +168,61 @@ func (b *Builder) DrainSegments(rs *rowstore.Store, segs []*rowstore.Segment) (i
 func (b *Builder) archiveSegment(seg *rowstore.Segment) (int, error) {
 	tenantIdx := b.sch.TenantIdx()
 	timeIdx := b.sch.TimeIdx()
-	byTenant := make(map[int64][]schema.Row)
-	var order []int64
-	for _, r := range seg.Rows {
-		t := r[tenantIdx].I
-		if _, ok := byTenant[t]; !ok {
-			order = append(order, t)
-		}
-		byTenant[t] = append(byTenant[t], r)
-	}
-	// Deterministic tenant order keeps re-drains byte-identical.
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 
+	// Counting sort by tenant into one slice: a tenant's rows become
+	// one run, in arrival order. Runs lie in ascending tenant order,
+	// which keeps re-drains byte-identical.
+	ordinal := make(map[int64]int32)
+	rowOrdinal := make([]int32, len(seg.Rows))
+	var tenants []int64
+	var counts []int
+	for i, r := range seg.Rows {
+		t := r[tenantIdx].I
+		o, ok := ordinal[t]
+		if !ok {
+			o = int32(len(tenants))
+			ordinal[t] = o
+			tenants = append(tenants, t)
+			counts = append(counts, 0)
+		}
+		rowOrdinal[i] = o
+		counts[o]++
+	}
+	slices.Sort(tenants)
+	next := make([]int, len(tenants)) // by ordinal: where the tenant's next row goes
+	end := 0
+	for _, t := range tenants {
+		o := ordinal[t]
+		next[o] = end
+		end += counts[o]
+	}
+	grouped := make([]schema.Row, len(seg.Rows))
+	for i, r := range seg.Rows {
+		o := rowOrdinal[i]
+		grouped[next[o]] = r
+		next[o]++
+	}
+
+	byTime := func(a, b schema.Row) int { return cmp.Compare(a[timeIdx].I, b[timeIdx].I) }
 	committed := 0
-	for _, tenant := range order {
-		rows := byTenant[tenant]
+	start := 0
+	for _, tenant := range tenants {
+		n := counts[ordinal[tenant]]
+		rows := grouped[start : start+n]
+		start += n
 		// Sort by time before chunking so every chunk covers a
 		// contiguous time range (LogBlocks are stored in chronological
 		// order per tenant, paper §3.1) and chunk contents are
-		// deterministic.
-		sort.SliceStable(rows, func(i, j int) bool {
-			return rows[i][timeIdx].I < rows[j][timeIdx].I
-		})
-		for start := 0; start < len(rows); start += b.cfg.MaxRowsPerBlock {
-			end := start + b.cfg.MaxRowsPerBlock
-			if end > len(rows) {
-				end = len(rows)
-			}
-			fresh, err := b.commitChunk(tenant, rows[start:end])
+		// deterministic. One client's appends arrive in time order, so
+		// the sort is usually skipped, and logblock.Build then takes the
+		// chunk as it is.
+		if !slices.IsSortedFunc(rows, byTime) {
+			slices.SortStableFunc(rows, byTime)
+		}
+		for len(rows) > 0 {
+			chunk := rows[:min(len(rows), b.cfg.MaxRowsPerBlock)]
+			rows = rows[len(chunk):]
+			fresh, err := b.commitChunk(tenant, chunk)
 			if err != nil {
 				return committed, fmt.Errorf("tenant %d: %w", tenant, err)
 			}

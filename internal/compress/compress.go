@@ -85,6 +85,15 @@ var flateWriterPool = sync.Pool{
 	},
 }
 
+// appendSink is the io.Writer a compressor drains into: the caller's
+// destination slice, grown by append.
+type appendSink struct{ b []byte }
+
+func (s *appendSink) Write(p []byte) (int, error) {
+	s.b = append(s.b, p...)
+	return len(p), nil
+}
+
 // flateReader bundles a recyclable DEFLATE decompressor with the
 // bytes.Reader it drains, so a pooled decode allocates neither.
 type flateReader struct {
@@ -96,17 +105,23 @@ var flateReaderPool = sync.Pool{New: func() any { return new(flateReader) }}
 
 // Compress compresses src with the given codec and returns a fresh buffer.
 func Compress(c Codec, src []byte) ([]byte, error) {
+	return AppendCompress(nil, c, src)
+}
+
+// AppendCompress compresses src and appends the output to dst,
+// returning the extended slice. The LogBlock builder passes the member
+// buffer it is filling, so a column block is compressed in place
+// instead of into a buffer of its own and copied.
+func AppendCompress(dst []byte, c Codec, src []byte) ([]byte, error) {
 	switch c {
 	case None:
-		out := make([]byte, len(src))
-		copy(out, src)
-		return out, nil
+		return append(dst, src...), nil
 	case LZ4:
-		return lzCompress(src), nil
+		return lzCompressAppend(dst, src), nil
 	case Zstd:
-		var buf bytes.Buffer
+		sink := &appendSink{b: dst}
 		w := flateWriterPool.Get().(*flate.Writer)
-		w.Reset(&buf)
+		w.Reset(sink)
 		_, werr := w.Write(src)
 		cerr := w.Close()
 		flateWriterPool.Put(w)
@@ -116,7 +131,7 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 		if cerr != nil {
 			return nil, fmt.Errorf("compress: flate close: %w", cerr)
 		}
-		return buf.Bytes(), nil
+		return sink.b, nil
 	default:
 		return nil, fmt.Errorf("compress: unknown codec %d", c)
 	}

@@ -199,7 +199,7 @@ func TestCodecString(t *testing.T) {
 func TestLZOverlappingMatch(t *testing.T) {
 	// RLE-style data forces overlapping matches (offset < matchLen).
 	in := bytes.Repeat([]byte{0xAB}, 1000)
-	comp := lzCompress(in)
+	comp := lzCompressAppend(nil, in)
 	if len(comp) > 50 {
 		t.Errorf("RLE data compressed to %d bytes, expected tiny output", len(comp))
 	}
@@ -296,6 +296,33 @@ func TestAppendDecompress(t *testing.T) {
 		}
 		if string(out2) != string(payload) {
 			t.Fatalf("%v: recycled payload mismatch", c)
+		}
+	}
+}
+
+// TestAppendCompress verifies the appending encode path: the stream
+// lands after existing dst content, is byte-identical to Compress's
+// (archived parts are content-addressed), and a buffer with spare
+// capacity is extended in place.
+func TestAppendCompress(t *testing.T) {
+	payload := []byte(strings.Repeat("GET /api/v1/query?tenant=42 latency=13ms status=200\n", 40))
+	for _, c := range allCodecs {
+		want, err := Compress(c, payload)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		prefix := []byte("PREFIX")
+		for _, dst := range [][]byte{bytes.Clone(prefix), append(make([]byte, 0, 1<<16), prefix...)} {
+			out, err := AppendCompress(dst, c, payload)
+			if err != nil {
+				t.Fatalf("%v: %v", c, err)
+			}
+			if !bytes.HasPrefix(out, prefix) || !bytes.Equal(out[len(prefix):], want) {
+				t.Fatalf("%v: appended stream differs from Compress's (%d vs %d bytes)", c, len(out)-len(prefix), len(want))
+			}
+			if cap(dst) >= len(out) && &out[0] != &dst[0] {
+				t.Fatalf("%v: reallocated a buffer with room for the stream", c)
+			}
 		}
 	}
 }

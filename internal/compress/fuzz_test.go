@@ -18,12 +18,12 @@ func FuzzLZRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("abcd"), 300))
 	f.Add(bytes.Repeat([]byte{0}, 1024))
 	// A valid compressed stream, so mutations explore the decode format.
-	f.Add(lzCompress([]byte("the quick brown fox jumps over the lazy dog")))
+	f.Add(lzCompressAppend(nil, []byte("the quick brown fox jumps over the lazy dog")))
 	// A size header far beyond the input: the classic allocation bomb.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		comp := lzCompress(data)
+		comp := lzCompressAppend(nil, data)
 		got, err := lzDecompress(comp)
 		if err != nil {
 			t.Fatalf("decompress of own output failed: %v", err)

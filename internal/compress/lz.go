@@ -54,18 +54,18 @@ func lengthNibble(v int) byte {
 	return byte(v)
 }
 
-// lzCompress compresses src. It never fails; incompressible data degrades
-// to a literal-only stream slightly larger than the input.
-func lzCompress(src []byte) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(src)))
+// lzCompressAppend compresses src, appending the stream to dst. It
+// never fails; incompressible data degrades to a literal-only stream
+// slightly larger than the input.
+func lzCompressAppend(dst, src []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return dst
 	}
 
+	// table maps a 4-byte hash to the last position it was seen at,
+	// plus one, so the zero value means "never".
 	var table [1 << lzHashBits]int32
-	for i := range table {
-		table[i] = -1
-	}
 
 	var (
 		pos      int // current scan position
@@ -92,8 +92,8 @@ func lzCompress(src []byte) []byte {
 	for pos <= limit {
 		v := binary.LittleEndian.Uint32(src[pos:])
 		h := lzHash(v)
-		cand := table[h]
-		table[h] = int32(pos)
+		cand := table[h] - 1
+		table[h] = int32(pos) + 1
 		if cand >= 0 && pos-int(cand) < lzWindowSize &&
 			binary.LittleEndian.Uint32(src[cand:]) == v {
 			// Extend the match forward.
@@ -114,12 +114,12 @@ func lzCompress(src []byte) []byte {
 	return dst
 }
 
-// lzDecompress reverses lzCompress.
+// lzDecompress reverses lzCompressAppend.
 func lzDecompress(src []byte) ([]byte, error) {
 	return lzDecompressAppend(nil, src)
 }
 
-// lzDecompressAppend reverses lzCompress, appending the decompressed
+// lzDecompressAppend reverses lzCompressAppend, appending the decompressed
 // bytes to dst. Match offsets are relative to the current output
 // position, so decoding is position-independent of any prior content.
 func lzDecompressAppend(dst, src []byte) ([]byte, error) {

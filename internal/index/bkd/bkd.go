@@ -12,7 +12,9 @@
 package bkd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"logstore/internal/bitutil"
@@ -23,96 +25,101 @@ import (
 // index itself.
 const DefaultLeafSize = 512
 
-// Builder accumulates (value, rowID) pairs for one numeric column.
+// Builder accumulates (value, rowID) pairs for one numeric column. It
+// is reusable: Reset empties it and keeps its memory.
 type Builder struct {
-	vals     []int64
-	rows     []uint32
+	entries  []entry
 	leafSize int
+
+	// AppendTo scratch: the leaves region and its routing level.
+	leaves []byte
+	metas  []leafMeta
+}
+
+type entry struct {
+	val int64
+	row uint32
+}
+
+type leafMeta struct {
+	min, max int64
+	off      uint64
 }
 
 // NewBuilder returns a builder with the given leaf size (0 selects
 // DefaultLeafSize).
 func NewBuilder(leafSize int) *Builder {
+	b := &Builder{}
+	b.Reset(leafSize)
+	return b
+}
+
+// Reset empties the builder for another column, keeping its buffers.
+func (b *Builder) Reset(leafSize int) {
 	if leafSize <= 0 {
 		leafSize = DefaultLeafSize
 	}
-	return &Builder{leafSize: leafSize}
+	b.leafSize = leafSize
+	b.entries = b.entries[:0]
 }
 
 // Add records the value of one row.
 func (b *Builder) Add(rowID uint32, v int64) {
-	b.vals = append(b.vals, v)
-	b.rows = append(b.rows, rowID)
+	b.entries = append(b.entries, entry{v, rowID})
 }
 
 // Len returns the number of entries added.
-func (b *Builder) Len() int { return len(b.vals) }
+func (b *Builder) Len() int { return len(b.entries) }
 
-// Build serializes the tree:
+// Build serializes the tree into a fresh buffer.
+func (b *Builder) Build() []byte { return b.AppendTo(nil) }
+
+// AppendTo serializes the tree, appending it to dst:
 //
 //	uvarint leafSize, uvarint entryCount, uvarint leafCount
 //	routing level: per leaf — varint minVal, varint maxVal, uvarint byteOffset
 //	leaves region: per leaf — uvarint n, delta-varint values, uvarint rowIDs
-func (b *Builder) Build() []byte {
-	n := len(b.vals)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		vi, vj := b.vals[idx[i]], b.vals[idx[j]]
-		if vi != vj {
-			return vi < vj
+func (b *Builder) AppendTo(dst []byte) []byte {
+	// (value, rowID) is a total order, so an unstable sort gives one
+	// result; on a time-sorted or constant column it is a single pass.
+	slices.SortFunc(b.entries, func(x, y entry) int {
+		if c := cmp.Compare(x.val, y.val); c != 0 {
+			return c
 		}
-		return b.rows[idx[i]] < b.rows[idx[j]]
+		return cmp.Compare(x.row, y.row)
 	})
-
+	n := len(b.entries)
 	nLeaves := (n + b.leafSize - 1) / b.leafSize
 
-	var leaves []byte
-	type leafMeta struct {
-		min, max int64
-		off      uint64
-	}
-	metas := make([]leafMeta, 0, nLeaves)
-	for l := 0; l < nLeaves; l++ {
-		start := l * b.leafSize
-		end := start + b.leafSize
-		if end > n {
-			end = n
-		}
-		m := leafMeta{
-			min: b.vals[idx[start]],
-			max: b.vals[idx[end-1]],
+	leaves, metas := b.leaves[:0], b.metas[:0]
+	for start := 0; start < n; start += b.leafSize {
+		leaf := b.entries[start:min(start+b.leafSize, n)]
+		metas = append(metas, leafMeta{
+			min: leaf[0].val,
+			max: leaf[len(leaf)-1].val,
 			off: uint64(len(leaves)),
-		}
-		metas = append(metas, m)
-		leaves = bitutil.AppendUvarint(leaves, uint64(end-start))
+		})
+		leaves = bitutil.AppendUvarint(leaves, uint64(len(leaf)))
 		prev := int64(0)
-		for i := start; i < end; i++ {
-			v := b.vals[idx[i]]
-			if i == start {
-				leaves = bitutil.AppendVarint(leaves, v)
-			} else {
-				leaves = bitutil.AppendVarint(leaves, v-prev)
-			}
-			prev = v
+		for _, e := range leaf {
+			leaves = bitutil.AppendVarint(leaves, e.val-prev)
+			prev = e.val
 		}
-		for i := start; i < end; i++ {
-			leaves = bitutil.AppendUvarint(leaves, uint64(b.rows[idx[i]]))
+		for _, e := range leaf {
+			leaves = bitutil.AppendUvarint(leaves, uint64(e.row))
 		}
 	}
+	b.leaves, b.metas = leaves, metas
 
-	var out []byte
-	out = bitutil.AppendUvarint(out, uint64(b.leafSize))
-	out = bitutil.AppendUvarint(out, uint64(n))
-	out = bitutil.AppendUvarint(out, uint64(nLeaves))
+	dst = bitutil.AppendUvarint(dst, uint64(b.leafSize))
+	dst = bitutil.AppendUvarint(dst, uint64(n))
+	dst = bitutil.AppendUvarint(dst, uint64(nLeaves))
 	for _, m := range metas {
-		out = bitutil.AppendVarint(out, m.min)
-		out = bitutil.AppendVarint(out, m.max)
-		out = bitutil.AppendUvarint(out, m.off)
+		dst = bitutil.AppendVarint(dst, m.min)
+		dst = bitutil.AppendVarint(dst, m.max)
+		dst = bitutil.AppendUvarint(dst, m.off)
 	}
-	return append(out, leaves...)
+	return append(dst, leaves...)
 }
 
 // Tree provides range lookups over a serialized BKD index.

@@ -13,9 +13,10 @@ package inverted
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"logstore/internal/bitutil"
 )
@@ -34,79 +35,177 @@ func Tokenize(text string) []string {
 }
 
 // Builder accumulates term → row-id postings while a LogBlock column is
-// being built.
+// being built. Postings are kept as one (term ordinal, row id) list in
+// Add order and grouped by term only when the index is serialized, so
+// adding a row allocates nothing unless it brings a term not seen
+// before. A Builder is reusable: Reset empties it and keeps its memory.
 type Builder struct {
-	postings map[string][]uint32
-	rows     int
+	ids    map[string]uint32 // term → ordinal, by first sight
+	terms  []string          // ordinal → term
+	counts []uint32          // ordinal → number of postings
+	last   []uint32          // ordinal → row id of the newest posting
+	pairs  []uint64          // ordinal<<32 | row id, in Add order
+
+	// lower holds the value being analyzed, lower-cased; the terms of
+	// one Add call are sub-slices of it.
+	lower []byte
+
+	// AppendTo scratch: term ordinals in dictionary order, each term's
+	// end in flat, and the row ids grouped by term.
+	order []uint32
+	ends  []uint32
+	flat  []uint32
 }
 
 // NewBuilder returns an empty index builder.
 func NewBuilder() *Builder {
-	return &Builder{postings: make(map[string][]uint32)}
+	return &Builder{ids: make(map[string]uint32)}
+}
+
+// maxReusedTerms bounds the dictionary a Reset keeps: clearing a map
+// costs its capacity, not its size, so after one large column a reused
+// map would charge every small one that follows.
+const maxReusedTerms = 1024
+
+// Reset empties the builder for another column, keeping its buffers.
+func (b *Builder) Reset() {
+	if len(b.ids) > maxReusedTerms {
+		b.ids = make(map[string]uint32)
+	} else {
+		clear(b.ids)
+	}
+	b.terms = b.terms[:0]
+	b.counts = b.counts[:0]
+	b.last = b.last[:0]
+	b.pairs = b.pairs[:0]
 }
 
 // Add indexes one row's value: the raw value as a keyword term plus its
-// analyzed tokens. Rows must be added in ascending row-id order.
+// analyzed tokens — exactly ToLower(value) and Tokenize(value), which
+// is what the query side looks up. Rows must be added in ascending
+// row-id order.
 func (b *Builder) Add(rowID uint32, value string) {
-	b.rows++
-	b.addTerm(strings.ToLower(value), rowID)
-	for _, tok := range Tokenize(value) {
-		if tok != strings.ToLower(value) {
-			b.addTerm(tok, rowID)
+	low := b.lower[:0]
+	for i := 0; i < len(value); i++ {
+		c := value[i]
+		if c >= utf8.RuneSelf {
+			b.lower = low
+			b.addUnicode(rowID, value)
+			return
 		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		low = append(low, c)
+	}
+	b.lower = low
+	// ASCII: lower-casing is bytewise and keeps every separator a
+	// separator, so the tokens are the letter/digit runs of low.
+	b.addTerm(low, rowID)
+	for i := 0; i < len(low); {
+		if !asciiAlnum(low[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(low) && asciiAlnum(low[j]) {
+			j++
+		}
+		b.addTerm(low[i:j], rowID)
+		i = j
 	}
 }
 
-func (b *Builder) addTerm(term string, rowID uint32) {
-	if term == "" {
+func asciiAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || '0' <= c && c <= '9'
+}
+
+// addUnicode is Add for values with non-ASCII bytes, where case mapping
+// and letter classes need the unicode tables (and invalid UTF-8 needs
+// strings.ToLower's replacement rule): it defers to the analyzer
+// functions themselves.
+func (b *Builder) addUnicode(rowID uint32, value string) {
+	b.lower = append(b.lower[:0], strings.ToLower(value)...)
+	b.addTerm(b.lower, rowID)
+	for _, tok := range Tokenize(value) {
+		b.lower = append(b.lower[:0], tok...)
+		b.addTerm(b.lower, rowID)
+	}
+}
+
+func (b *Builder) addTerm(term []byte, rowID uint32) {
+	if len(term) == 0 {
 		return
 	}
-	p := b.postings[term]
-	if len(p) > 0 && p[len(p)-1] == rowID {
+	id, ok := b.ids[string(term)] // no allocation: map lookup by converted key
+	if !ok {
+		id = uint32(len(b.terms))
+		t := string(term)
+		b.ids[t] = id
+		b.terms = append(b.terms, t)
+		b.counts = append(b.counts, 0)
+		b.last = append(b.last, 0)
+	}
+	if b.counts[id] > 0 && b.last[id] == rowID {
 		return // duplicate within the same row
 	}
-	b.postings[term] = append(p, rowID)
+	b.counts[id]++
+	b.last[id] = rowID
+	b.pairs = append(b.pairs, uint64(id)<<32|uint64(rowID))
 }
 
 // Terms returns the number of distinct terms accumulated.
-func (b *Builder) Terms() int { return len(b.postings) }
+func (b *Builder) Terms() int { return len(b.terms) }
 
-// Build serializes the index:
+// Build serializes the index into a fresh buffer.
+func (b *Builder) Build() []byte { return b.AppendTo(nil) }
+
+// AppendTo serializes the index, appending it to dst:
 //
 //	u32 termCount
 //	u32 × termCount entry offsets (into the entries region)
 //	entries: len-prefixed term, uvarint postingCount, delta-uvarint ids
-func (b *Builder) Build() []byte {
-	terms := make([]string, 0, len(b.postings))
-	for t := range b.postings {
-		terms = append(terms, t)
+func (b *Builder) AppendTo(dst []byte) []byte {
+	n := len(b.terms)
+	b.order = b.order[:0]
+	for id := range b.terms {
+		b.order = append(b.order, uint32(id))
 	}
-	sort.Strings(terms)
+	slices.SortFunc(b.order, func(x, y uint32) int {
+		return strings.Compare(b.terms[x], b.terms[y])
+	})
 
-	var entries []byte
-	offsets := make([]uint32, len(terms))
-	for i, t := range terms {
-		offsets[i] = uint32(len(entries))
-		entries = bitutil.AppendLenString(entries, t)
-		ids := b.postings[t]
-		entries = bitutil.AppendUvarint(entries, uint64(len(ids)))
+	// Group the row ids by term: each term's run ends at ends[id], and
+	// filling the runs in Add order leaves each one ascending.
+	b.ends = append(b.ends[:0], b.counts...)
+	sum := uint32(0)
+	for id, c := range b.ends {
+		b.ends[id] = sum
+		sum += c
+	}
+	b.flat = slices.Grow(b.flat[:0], len(b.pairs))[:len(b.pairs)]
+	for _, p := range b.pairs {
+		id := p >> 32
+		b.flat[b.ends[id]] = uint32(p)
+		b.ends[id]++
+	}
+
+	base := len(dst)
+	dst = slices.Grow(dst, 4+4*n)[:base+4+4*n]
+	bitutil.PutUint32(dst[base:], uint32(n))
+	entries := len(dst)
+	for i, id := range b.order {
+		bitutil.PutUint32(dst[base+4+4*i:], uint32(len(dst)-entries))
+		dst = bitutil.AppendLenString(dst, b.terms[id])
+		ids := b.flat[b.ends[id]-b.counts[id] : b.ends[id]]
+		dst = bitutil.AppendUvarint(dst, uint64(len(ids)))
 		prev := uint32(0)
-		for j, id := range ids {
-			if j == 0 {
-				entries = bitutil.AppendUvarint(entries, uint64(id))
-			} else {
-				entries = bitutil.AppendUvarint(entries, uint64(id-prev))
-			}
-			prev = id
+		for _, rowID := range ids {
+			dst = bitutil.AppendUvarint(dst, uint64(rowID-prev))
+			prev = rowID
 		}
 	}
-
-	out := make([]byte, 4+4*len(terms), 4+4*len(terms)+len(entries))
-	bitutil.PutUint32(out[0:4], uint32(len(terms)))
-	for i, off := range offsets {
-		bitutil.PutUint32(out[4+4*i:], off)
-	}
-	return append(out, entries...)
+	return dst
 }
 
 // Index provides lookups over a serialized inverted index without

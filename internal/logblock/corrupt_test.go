@@ -143,7 +143,7 @@ func TestDecodeBlockVectorCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := built.Meta
-	raw := built.Members[DataMember(0, 0)]
+	raw := built.DataPart(0, 0)
 	cases := []struct {
 		name string
 		data []byte

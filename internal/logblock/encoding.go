@@ -24,40 +24,37 @@ const (
 const maxDictEntries = 4096
 
 // encodeStringBlock chooses the smaller of plain and dictionary
-// encoding for one string column block.
-func encodeStringBlock(rows []schema.Row, ci int) (byte, []byte) {
-	var plain []byte
-	dict := make(map[string]int)
-	var order []string
+// encoding for one string column block. The returned payload is scratch
+// memory, valid until the next call.
+func (s *buildScratch) encodeStringBlock(rows []schema.Row, ci int) (byte, []byte) {
+	plain, entries, codes := s.plain[:0], s.entries[:0], s.codes[:0]
+	clear(s.dict)
 	dictable := true
 	for _, r := range rows {
-		s := r[ci].S
-		plain = bitutil.AppendLenString(plain, s)
+		v := r[ci].S
+		plain = bitutil.AppendLenString(plain, v)
 		if !dictable {
 			continue
 		}
-		if _, ok := dict[s]; !ok {
-			if len(order) >= maxDictEntries {
+		code, ok := s.dict[v]
+		if !ok {
+			if len(s.dict) >= maxDictEntries {
 				dictable = false
 				continue
 			}
-			dict[s] = len(order)
-			order = append(order, s)
+			code = len(s.dict)
+			s.dict[v] = code
+			entries = bitutil.AppendLenString(entries, v)
 		}
+		codes = bitutil.AppendUvarint(codes, uint64(code))
 	}
-	if !dictable {
+	s.plain, s.entries, s.codes = plain, entries, codes
+	count := uint64(len(s.dict))
+	if !dictable || bitutil.UvarintLen(count)+len(entries)+len(codes) >= len(plain) {
 		return encodingPlain, plain
 	}
-	var dictPayload []byte
-	dictPayload = bitutil.AppendUvarint(dictPayload, uint64(len(order)))
-	for _, s := range order {
-		dictPayload = bitutil.AppendLenString(dictPayload, s)
-	}
-	for _, r := range rows {
-		dictPayload = bitutil.AppendUvarint(dictPayload, uint64(dict[r[ci].S]))
-	}
-	if len(dictPayload) < len(plain) {
-		return encodingDict, dictPayload
-	}
-	return encodingPlain, plain
+	// The dictionary payload — entry count, entries in order of first
+	// use, one code per row — is assembled over the plain one it beat.
+	s.plain = append(append(bitutil.AppendUvarint(plain[:0], count), entries...), codes...)
+	return encodingDict, s.plain
 }

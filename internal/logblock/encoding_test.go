@@ -24,13 +24,15 @@ func TestDictEncodingChosenForLowCardinality(t *testing.T) {
 		}
 	}
 	sch := schema.RequestLogSchema()
-	enc, _ := encodeStringBlock(rows, sch.ColumnIndex("fail"))
+	scratch := buildScratchPool.Get().(*buildScratch)
+	defer buildScratchPool.Put(scratch)
+	enc, _ := scratch.encodeStringBlock(rows, sch.ColumnIndex("fail"))
 	if enc != encodingDict {
 		t.Error("low-cardinality column should dictionary-encode")
 	}
 	// High-entropy unique strings: plain wins (dict adds the dictionary
 	// on top of unique values plus indices).
-	enc, _ = encodeStringBlock(rows, sch.ColumnIndex("log"))
+	enc, _ = scratch.encodeStringBlock(rows, sch.ColumnIndex("log"))
 	if enc != encodingPlain {
 		t.Error("unique-value column should stay plain")
 	}
@@ -91,7 +93,9 @@ func TestDictEncodingShrinksLowCardinalityColumns(t *testing.T) {
 	}
 	sch := schema.RequestLogSchema()
 	ipCol := sch.ColumnIndex("ip")
-	enc, payload := encodeStringBlock(rows, ipCol)
+	scratch := buildScratchPool.Get().(*buildScratch)
+	defer buildScratchPool.Put(scratch)
+	enc, payload := scratch.encodeStringBlock(rows, ipCol)
 	if enc != encodingDict {
 		t.Fatal("ip column with 8 distinct values should dict-encode")
 	}
@@ -110,7 +114,7 @@ func TestDecodeRejectsCorruptEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	member := built.Members[DataMember(2, 0)] // ip column, string
+	member := built.DataPart(2, 0) // ip column, string
 	// Find the encoding byte: after the len-prefixed bitset.
 	_, n, err := splitMember(member)
 	if err != nil {

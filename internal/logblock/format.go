@@ -10,22 +10,37 @@
 //  5. column blocks — validity bitset + compressed values
 //
 // Following the paper's production experience, all parts are packaged
-// into a single tar file whose first member is a manifest mapping member
+// into a single tar file whose first member is a manifest mapping part
 // names to byte extents, so any part can be ranged out of object storage
 // without listing or downloading the whole object ("The header of the
 // tar file contains a manifest, allowing subsequent read operations to
 // seek and read any part of the tar file").
 //
-// Member names inside the tar:
+// The tar has at most four members, so a block pays for four headers
+// however many columns and column blocks it has:
 //
-//	manifest          extent table (first member)
-//	meta              parts 1, 2 and 4 of the structure above
+//	manifest  extent table (first member)
+//	meta      parts 1, 2 and 4 of the structure above
+//	index     every column's serialized index, back to back
+//	          (absent when no column is indexed)
+//	data      every column block, back to back, column-major
+//
+// The manifest has one entry per part, and its extents are the only
+// addressing readers use — they never parse a member header past the
+// manifest's own:
+//
+//	meta              the meta member
 //	index/<col>       serialized index of column ordinal <col>
 //	data/<col>/<blk>  column block <blk> of column ordinal <col>
+//
+// Objects written before the four-member layout gave every part a tar
+// member of its own; their manifests carry the same names, so they open
+// and read unchanged.
 package logblock
 
 import (
 	"fmt"
+	"strconv"
 
 	"logstore/internal/bitutil"
 )
@@ -37,17 +52,34 @@ const Magic = "LGBK1"
 // blocks skip more precisely but cost more per-block overhead.
 const DefaultBlockRows = 4096
 
-// MemberManifest and MemberMeta are the fixed member names.
+// The tar member names. MemberMeta is also the meta part's manifest name.
 const (
 	MemberManifest = "manifest"
 	MemberMeta     = "meta"
+	memberIndex    = "index"
+	memberData     = "data"
 )
 
-// IndexMember returns the tar member name of column col's index.
-func IndexMember(col int) string { return fmt.Sprintf("index/%d", col) }
+// IndexMember returns the manifest name of column col's index.
+func IndexMember(col int) string {
+	var buf [32]byte
+	return string(appendIndexName(buf[:0], col))
+}
 
-// DataMember returns the tar member name of column col's block blk.
-func DataMember(col, blk int) string { return fmt.Sprintf("data/%d/%d", col, blk) }
+// DataMember returns the manifest name of column col's block blk.
+func DataMember(col, blk int) string {
+	var buf [48]byte
+	return string(appendDataName(buf[:0], col, blk))
+}
+
+func appendIndexName(dst []byte, col int) []byte {
+	return strconv.AppendInt(append(dst, "index/"...), int64(col), 10)
+}
+
+func appendDataName(dst []byte, col, blk int) []byte {
+	dst = strconv.AppendInt(append(dst, "data/"...), int64(col), 10)
+	return strconv.AppendInt(append(dst, '/'), int64(blk), 10)
+}
 
 // Extent locates a member inside the packed tar object.
 type Extent struct {
@@ -55,7 +87,7 @@ type Extent struct {
 	Size   int64
 }
 
-// Manifest maps member names to extents. Serialized with fixed-width
+// Manifest maps part names to extents. Serialized with fixed-width
 // offset/size fields so its encoded size is independent of the values,
 // letting the packer compute extents before writing.
 type Manifest struct {
@@ -89,28 +121,29 @@ func (m *Manifest) Lookup(name string) (Extent, bool) {
 	return e, ok
 }
 
-// EncodedSize returns the exact byte size Encode will produce for the
-// current member set (independent of offset/size values).
-func (m *Manifest) EncodedSize() int {
-	n := 4
-	for _, name := range m.order {
-		n += len(bitutil.AppendUvarint(nil, uint64(len(name)))) + len(name) + 16
-	}
-	return n
+// manifestEntrySize is the encoded size of an entry whose name has
+// nameLen bytes.
+func manifestEntrySize(nameLen int) int {
+	return bitutil.UvarintLen(uint64(nameLen)) + nameLen + 16
 }
 
-// Encode serializes the manifest: u32 count, then per member a
-// len-prefixed name, u64 offset, u64 size.
+// appendManifestEntry encodes one entry: a len-prefixed name, u64
+// offset, u64 size.
+func appendManifestEntry(dst, name []byte, ext Extent) []byte {
+	dst = bitutil.AppendLenBytes(dst, name)
+	var fixed [16]byte
+	bitutil.PutUint64(fixed[0:8], uint64(ext.Offset))
+	bitutil.PutUint64(fixed[8:16], uint64(ext.Size))
+	return append(dst, fixed[:]...)
+}
+
+// Encode serializes the manifest: u32 count, then one entry per member
+// in insertion order.
 func (m *Manifest) Encode() []byte {
-	out := make([]byte, 4, m.EncodedSize())
+	out := make([]byte, 4)
 	bitutil.PutUint32(out, uint32(len(m.order)))
 	for _, name := range m.order {
-		out = bitutil.AppendLenString(out, name)
-		var fixed [16]byte
-		ext := m.Members[name]
-		bitutil.PutUint64(fixed[0:8], uint64(ext.Offset))
-		bitutil.PutUint64(fixed[8:16], uint64(ext.Size))
-		out = append(out, fixed[:]...)
+		out = appendManifestEntry(out, []byte(name), m.Members[name])
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package logblock
 
 import (
+	"os"
 	"testing"
 
 	"logstore/internal/schema"
@@ -28,6 +29,13 @@ func FuzzOpenReader(f *testing.F) {
 	packed := fuzzPacked(f)
 	f.Add(packed)
 	f.Add(packed[:tarBlock+8]) // manifest header + truncated manifest
+	// An object of the one-member-per-part layout; the checked-in
+	// seed-packed and seed-truncated corpus entries are that layout too.
+	old, err := os.ReadFile("testdata/parent_layout.tar")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -84,9 +92,9 @@ func FuzzDecodeBlockData(f *testing.F) {
 	}
 	meta := built.Meta
 	for ci := range meta.Schema.Columns {
-		f.Add(ci, 0, built.Members[DataMember(ci, 0)])
+		f.Add(ci, 0, built.DataPart(ci, 0))
 	}
-	f.Add(0, 1, built.Members[DataMember(0, 1)])
+	f.Add(0, 1, built.DataPart(0, 1))
 	f.Add(0, 0, []byte{})
 	f.Fuzz(func(t *testing.T, col, bi int, raw []byte) {
 		if col < 0 || col >= len(meta.Schema.Columns) || bi < 0 || bi >= meta.NumBlocks {

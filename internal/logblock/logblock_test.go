@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"logstore/internal/compress"
 	"logstore/internal/schema"
+	"logstore/internal/workload"
 )
 
 func makeRows(t testing.TB, tenant int64, n int, seed int64) []schema.Row {
@@ -230,9 +234,9 @@ func TestNoIndexesOption(t *testing.T) {
 		if built.Meta.Columns[ci].Index != schema.IndexNone {
 			t.Errorf("column %d still has index kind %d", ci, built.Meta.Columns[ci].Index)
 		}
-		if _, ok := built.Members[IndexMember(ci)]; ok {
-			t.Errorf("column %d has an index member despite NoIndexes", ci)
-		}
+	}
+	if len(built.index) != 0 {
+		t.Errorf("%d index bytes despite NoIndexes", len(built.index))
 	}
 	// SMAs are still present for skipping.
 	if built.Meta.Columns[0].SMA.Count != 100 {
@@ -240,59 +244,146 @@ func TestNoIndexesOption(t *testing.T) {
 	}
 }
 
+// TestPackIsValidTarWithCorrectExtents checks the packer's contract:
+// the object is a tar archive/tar reads, with exactly the members
+// manifest, meta, index, data (no index member without indexes); every
+// manifest extent lies inside the payload of the member its name
+// belongs to; a member's extents tile it in order with no gap or
+// overlap; and the object has exactly the size computed before packing.
 func TestPackIsValidTarWithCorrectExtents(t *testing.T) {
-	rows := makeRows(t, 3, 300, 8)
-	built, err := Build(schema.RequestLogSchema(), rows, BuildOptions{BlockRows: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := built.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Walk the tar with the stdlib reader and confirm every manifest
-	// extent matches the actual member position and content.
-	tr := tar.NewReader(bytes.NewReader(packed))
-	var man *Manifest
-	seen := map[string]bool{}
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := io.ReadAll(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hdr.Name == MemberManifest {
-			man, err = DecodeManifest(data)
+	for _, tc := range []struct {
+		name    string
+		opts    BuildOptions
+		members []string
+	}{
+		{"indexed", BuildOptions{BlockRows: 128}, []string{MemberManifest, MemberMeta, memberIndex, memberData}},
+		{"one block", BuildOptions{}, []string{MemberManifest, MemberMeta, memberIndex, memberData}},
+		{"no indexes", BuildOptions{BlockRows: 128, NoIndexes: true}, []string{MemberManifest, MemberMeta, memberData}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			built, err := Build(schema.RequestLogSchema(), makeRows(t, 3, 300, 8), tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		seen[hdr.Name] = true
-		if man == nil {
-			t.Fatal("manifest must be the first member")
-		}
-		ext, ok := man.Lookup(hdr.Name)
-		if !ok {
-			t.Fatalf("member %s missing from manifest", hdr.Name)
-		}
-		if ext.Size != int64(len(data)) {
-			t.Fatalf("member %s size %d, manifest says %d", hdr.Name, len(data), ext.Size)
-		}
-		if !bytes.Equal(packed[ext.Offset:ext.Offset+ext.Size], data) {
-			t.Fatalf("member %s extent does not match tar content", hdr.Name)
-		}
+			packed, err := built.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, _, total := built.layout(); len(packed) != total {
+				t.Errorf("packed %d bytes, the layout computed beforehand said %d", len(packed), total)
+			}
+
+			// Walk the tar with the stdlib reader, recording where each
+			// member's payload lies in the object.
+			type span struct{ off, end int64 }
+			payload := map[string]span{}
+			var names []string
+			var man *Manifest
+			rd := bytes.NewReader(packed)
+			tr := tar.NewReader(rd)
+			for {
+				hdr, err := tr.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				off := int64(len(packed)) - int64(rd.Len())
+				data, err := io.ReadAll(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hdr.Typeflag != tar.TypeReg || hdr.Size != int64(len(data)) {
+					t.Errorf("member %s: type %q, size %d, read %d bytes", hdr.Name, hdr.Typeflag, hdr.Size, len(data))
+				}
+				names = append(names, hdr.Name)
+				payload[hdr.Name] = span{off, off + hdr.Size}
+				if hdr.Name == MemberManifest {
+					if man, err = DecodeManifest(data); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !slices.Equal(names, tc.members) {
+				t.Fatalf("tar members %v, want %v", names, tc.members)
+			}
+
+			// Every extent inside its member; each member tiled exactly.
+			next := map[string]int64{}
+			for name, sp := range payload {
+				next[name] = sp.off
+			}
+			sch := schema.RequestLogSchema()
+			wantParts := 1 + len(sch.Columns)*built.Meta.NumBlocks
+			if !tc.opts.NoIndexes {
+				wantParts += len(sch.Columns) // RequestLogSchema indexes every column
+			}
+			if got := len(man.Names()); got != wantParts {
+				t.Errorf("manifest has %d parts, want %d", got, wantParts)
+			}
+			for _, name := range man.Names() {
+				member := name
+				if i := strings.IndexByte(name, '/'); i >= 0 {
+					member = name[:i]
+				}
+				sp, ok := payload[member]
+				if !ok {
+					t.Fatalf("part %s belongs to member %s, which the tar lacks", name, member)
+				}
+				ext, _ := man.Lookup(name)
+				if ext.Offset != next[member] {
+					t.Errorf("part %s at %d, previous part of %s ended at %d", name, ext.Offset, member, next[member])
+				}
+				if ext.Size < 0 || ext.Offset < sp.off || ext.Offset+ext.Size > sp.end {
+					t.Errorf("part %s [%d, %d) outside member %s [%d, %d)", name, ext.Offset, ext.Offset+ext.Size, member, sp.off, sp.end)
+				}
+				next[member] = ext.Offset + ext.Size
+			}
+			for name, sp := range payload {
+				if name != MemberManifest && next[name] != sp.end {
+					t.Errorf("parts of member %s end at %d, its payload at %d", name, next[name], sp.end)
+				}
+			}
+
+			// The reader sees through the extents what the builder made.
+			r, err := OpenReader(BytesFetcher(packed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci := range sch.Columns {
+				for bi := 0; bi < built.Meta.NumBlocks; bi++ {
+					raw, err := r.ReadMember(DataMember(ci, bi))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(raw, built.DataPart(ci, bi)) {
+						t.Errorf("data/%d/%d read through the manifest differs from the built part", ci, bi)
+					}
+				}
+			}
+		})
 	}
-	for _, name := range man.Names() {
-		if !seen[name] {
-			t.Errorf("manifest lists %s but tar does not contain it", name)
+}
+
+// TestTarHeaderMatchesArchiveTar pins the hand-written header to the
+// bytes archive/tar's writer emits for the same member.
+func TestTarHeaderMatchesArchiveTar(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size int
+	}{{MemberManifest, 0}, {MemberMeta, 322}, {memberIndex, 1 << 20}, {memberData, maxTarMember}} {
+		var buf bytes.Buffer
+		tw := tar.NewWriter(&buf)
+		if err := tw.WriteHeader(&tar.Header{
+			Name: tc.name, Mode: 0o644, Size: int64(tc.size), ModTime: time.Unix(0, 0), Format: tar.FormatUSTAR,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, tarBlock)
+		putTarHeader(got, tc.name, tc.size)
+		if want := buf.Bytes()[:tarBlock]; !bytes.Equal(got, want) {
+			t.Errorf("%s/%d:\n got %q\nwant %q", tc.name, tc.size, got, want)
 		}
 	}
 }
@@ -303,8 +394,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	m.Add("data/0/0", Extent{Offset: 1024, Size: 4096})
 	m.Add("meta", Extent{Offset: 512, Size: 100}) // overwrite keeps order
 	raw := m.Encode()
-	if len(raw) != m.EncodedSize() {
-		t.Errorf("EncodedSize = %d, actual %d", m.EncodedSize(), len(raw))
+	if want := 4 + manifestEntrySize(len("meta")) + manifestEntrySize(len("data/0/0")); len(raw) != want {
+		t.Errorf("encoded %d bytes, entry sizes add up to %d", len(raw), want)
 	}
 	got, err := DecodeManifest(raw)
 	if err != nil {
@@ -427,28 +518,39 @@ func TestCompressionReducesSize(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildLogBlock(b *testing.B) {
-	rows := makeRows(b, 1, 10000, 1)
+// BenchmarkBuildPack is the rows → packed object step of the archive
+// loop at the three block sizes the benchmark workloads produce: 40
+// rows (a paced tenant's 1 s archive tick), 400 and 4000 (hot tenants,
+// compaction). Rows come from the workload generator so value shapes
+// match the end-to-end benchmark.
+func BenchmarkBuildPack(b *testing.B) {
 	sch := schema.RequestLogSchema()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(sch, rows, BuildOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPackLogBlock(b *testing.B) {
-	rows := makeRows(b, 1, 10000, 1)
-	built, err := Build(schema.RequestLogSchema(), rows, BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := built.Pack(); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{40, 400, 4000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Seed: int64(n), StepMS: 25})
+			rows := make([]schema.Row, n)
+			var userBytes int
+			for i := range rows {
+				rows[i] = g.RowForTenant(7)
+				userBytes += rows[i].Size()
+			}
+			var packedBytes int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				built, err := Build(sch, rows, BuildOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				packed, err := built.Pack()
+				if err != nil {
+					b.Fatal(err)
+				}
+				packedBytes = len(packed)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			b.ReportMetric(float64(packedBytes)/float64(userBytes), "packedB/userB")
+		})
 	}
 }
 
@@ -462,4 +564,28 @@ func BenchmarkOpenReader(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestMemberNames pins the manifest names — old objects carry them
+// spelled by fmt — and their cost: every manifest lookup on the query
+// path builds one, so a name is one allocation, the string itself.
+func TestMemberNames(t *testing.T) {
+	for _, col := range []int{0, 7, 10, 123456} {
+		if got, want := IndexMember(col), fmt.Sprintf("index/%d", col); got != want {
+			t.Errorf("IndexMember(%d) = %q, want %q", col, got, want)
+		}
+		for _, blk := range []int{0, 9, 10, 4095} {
+			if got, want := DataMember(col, blk), fmt.Sprintf("data/%d/%d", col, blk); got != want {
+				t.Errorf("DataMember(%d, %d) = %q, want %q", col, blk, got, want)
+			}
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = IndexMember(6) }); n > 1 {
+		t.Errorf("IndexMember allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = DataMember(6, 12) }); n > 1 {
+		t.Errorf("DataMember allocates %.0f times", n)
+	}
+	_ = sink
 }

@@ -1,11 +1,10 @@
 package logblock
 
 import (
-	"archive/tar"
-	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
+	"sync"
 
 	"logstore/internal/bitutil"
 	"logstore/internal/compress"
@@ -36,16 +35,83 @@ type BuildOptions struct {
 }
 
 // Built is an in-memory LogBlock ready to pack: the decoded meta plus
-// every member's raw bytes.
+// the payloads of the meta, index and data members. parts lists the
+// manifest-addressed pieces of index and data in member order (every
+// column's index, then every column's blocks), which is also the order
+// they lie in.
 type Built struct {
-	Meta    *Meta
-	Members map[string][]byte
+	Meta  *Meta
+	meta  []byte
+	index []byte
+	data  []byte
+	parts []part
 }
 
+// part is one index (blk < 0) or column block inside its member.
+type part struct {
+	col, blk int
+	size     int
+}
+
+func (p part) appendName(dst []byte) []byte {
+	if p.blk < 0 {
+		return appendIndexName(dst, p.col)
+	}
+	return appendDataName(dst, p.col, p.blk)
+}
+
+// DataPart returns the encoded column block blk of column col (the
+// bytes a reader gets for DataMember(col, blk)), or nil if there is no
+// such block.
+func (b *Built) DataPart(col, blk int) []byte {
+	off := 0
+	for _, p := range b.parts {
+		if p.blk < 0 {
+			continue
+		}
+		if p.col == col && p.blk == blk {
+			return b.data[off : off+p.size]
+		}
+		off += p.size
+	}
+	return nil
+}
+
+// buildScratch is the working memory of one Build call, recycled
+// across calls: the index builders and the encode buffers every column
+// block passes through. Nothing in a Built points into it.
+type buildScratch struct {
+	inv *inverted.Builder
+	bkd *bkd.Builder
+
+	// index and data accumulate the two members; Build copies them out
+	// at their final size.
+	index []byte
+	data  []byte
+
+	// One column block before compression: the plain encoding, and for
+	// strings the dictionary alternative (entries, then per-row codes).
+	plain   []byte
+	entries []byte
+	codes   []byte
+	dict    map[string]int
+}
+
+var buildScratchPool = sync.Pool{New: func() any {
+	return &buildScratch{
+		inv:  inverted.NewBuilder(),
+		bkd:  bkd.NewBuilder(0),
+		dict: make(map[string]int),
+	}
+}}
+
 // Build converts rows (one tenant's slice of the row store) into a
-// LogBlock. Rows are sorted by the schema's time column; they must all
-// carry the same tenant id, since a LogBlock belongs to exactly one
-// tenant (paper §3.1).
+// LogBlock. Rows are sorted by the schema's time column (stably, and
+// not at all when they already are in time order); they must all carry
+// the same tenant id, since a LogBlock belongs to exactly one tenant
+// (paper §3.1). Build is deterministic — the same rows and options
+// give the same bytes — which the builder's content-addressed object
+// keys rely on.
 func Build(sch *schema.Schema, rows []schema.Row, opts BuildOptions) (*Built, error) {
 	if err := sch.Validate(); err != nil {
 		return nil, err
@@ -77,12 +143,14 @@ func Build(sch *schema.Schema, rows []schema.Row, opts BuildOptions) (*Built, er
 				i, r[tenantIdx].I, tenant)
 		}
 	}
-	sorted := make([]schema.Row, len(rows))
-	copy(sorted, rows)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i][timeIdx].I < sorted[j][timeIdx].I
-	})
+	byTime := func(a, b schema.Row) int { return cmp.Compare(a[timeIdx].I, b[timeIdx].I) }
+	sorted := rows
+	if !slices.IsSortedFunc(rows, byTime) {
+		sorted = slices.Clone(rows)
+		slices.SortStableFunc(sorted, byTime)
+	}
 
+	ncols := len(sch.Columns)
 	numBlocks := (len(sorted) + opts.BlockRows - 1) / opts.BlockRows
 	m := &Meta{
 		Schema:    sch,
@@ -90,175 +158,230 @@ func Build(sch *schema.Schema, rows []schema.Row, opts BuildOptions) (*Built, er
 		Codec:     opts.Codec,
 		BlockRows: opts.BlockRows,
 		NumBlocks: numBlocks,
-		Columns:   make([]ColumnMeta, len(sch.Columns)),
+		Columns:   make([]ColumnMeta, ncols),
 		Tenant:    tenant,
 		MinTS:     sorted[0][timeIdx].I,
 		MaxTS:     sorted[len(sorted)-1][timeIdx].I,
 	}
-	members := make(map[string][]byte)
+	// One allocation each for every SMA and block header of the block.
+	smas := make([]sma.SMA, ncols*(1+numBlocks))
+	headers := make([]BlockHeader, ncols*numBlocks)
+	nIndexes := 0
+	if !opts.NoIndexes {
+		for _, col := range sch.Columns {
+			if col.Index != schema.IndexNone {
+				nIndexes++
+			}
+		}
+	}
+	// Index parts first, then the data parts column by column.
+	parts := make([]part, nIndexes+ncols*numBlocks)
+	indexParts, dataParts := parts[:0], parts[nIndexes:nIndexes]
 
+	// Every row is valid, so a block's validity prefix depends only on
+	// its row count: one for full blocks, one for the last.
+	lastValid := validityPrefix(len(sorted) - (numBlocks-1)*opts.BlockRows)
+	fullValid := lastValid
+	if numBlocks > 1 {
+		fullValid = validityPrefix(opts.BlockRows)
+	}
+
+	s := buildScratchPool.Get().(*buildScratch)
+	defer buildScratchPool.Put(s)
+	s.index, s.data = s.index[:0], s.data[:0]
 	for ci, col := range sch.Columns {
+		colSMAs := smas[ci*(1+numBlocks) : (ci+1)*(1+numBlocks)]
+		for i := range colSMAs {
+			colSMAs[i].Kind = col.Type
+		}
 		cm := ColumnMeta{
-			SMA:    sma.New(col.Type),
+			SMA:    &colSMAs[numBlocks],
 			Index:  col.Index,
-			Blocks: make([]BlockHeader, numBlocks),
+			Blocks: headers[ci*numBlocks : (ci+1)*numBlocks],
 		}
 		if opts.NoIndexes {
 			cm.Index = schema.IndexNone
 		}
-
-		var invB *inverted.Builder
-		var bkdB *bkd.Builder
 		switch cm.Index {
 		case schema.IndexInverted:
-			invB = inverted.NewBuilder()
+			s.inv.Reset()
 		case schema.IndexBKD:
-			bkdB = bkd.NewBuilder(opts.BKDLeafSize)
+			s.bkd.Reset(opts.BKDLeafSize)
 		}
 
 		for bi := 0; bi < numBlocks; bi++ {
-			start, end := bi*opts.BlockRows, (bi+1)*opts.BlockRows
-			if end > len(sorted) {
-				end = len(sorted)
-			}
-			bh := BlockHeader{RowCount: end - start, SMA: sma.New(col.Type)}
-			valid := bitutil.NewBitset(end - start)
-			valid.SetAll()
+			start := bi * opts.BlockRows
+			end := min(start+opts.BlockRows, len(sorted))
+			bh := BlockHeader{RowCount: end - start, SMA: &colSMAs[bi]}
 
 			var payload []byte
-			encoding := encodingPlain
+			encoding, codec := encodingPlain, opts.Codec
 			if col.Type == schema.Int64 {
+				codec = opts.IntCodec
+				payload = s.plain[:0]
 				for i := start; i < end; i++ {
-					v := sorted[i][ci]
-					bh.SMA.Add(v)
-					payload = bitutil.AppendVarint(payload, v.I)
-					if bkdB != nil {
-						bkdB.Add(uint32(i), v.I)
+					v := sorted[i][ci].I
+					bh.SMA.AddInt(v)
+					payload = bitutil.AppendVarint(payload, v)
+					if cm.Index == schema.IndexBKD {
+						s.bkd.Add(uint32(i), v)
 					}
 				}
+				s.plain = payload
 			} else {
 				for i := start; i < end; i++ {
-					v := sorted[i][ci]
-					bh.SMA.Add(v)
-					if invB != nil {
-						invB.Add(uint32(i), v.S)
+					v := sorted[i][ci].S
+					bh.SMA.AddString(v)
+					if cm.Index == schema.IndexInverted {
+						s.inv.Add(uint32(i), v)
 					}
 				}
-				encoding, payload = encodeStringBlock(sorted[start:end], ci)
+				encoding, payload = s.encodeStringBlock(sorted[start:end], ci)
 			}
 			cm.SMA.Merge(bh.SMA)
 			cm.Blocks[bi] = bh
 
-			codec := opts.Codec
-			if col.Type == schema.Int64 {
-				codec = opts.IntCodec
+			partStart := len(s.data)
+			if bi == numBlocks-1 {
+				s.data = append(s.data, lastValid...)
+			} else {
+				s.data = append(s.data, fullValid...)
 			}
-			comp, err := compress.Compress(codec, payload)
+			s.data = append(s.data, encoding, byte(codec))
+			comp, err := compress.AppendCompress(s.data, codec, payload)
 			if err != nil {
 				return nil, fmt.Errorf("logblock: column %d block %d: %w", ci, bi, err)
 			}
-			member := bitutil.AppendLenBytes(nil, valid.Bytes())
-			member = append(member, encoding, byte(codec))
-			member = append(member, comp...)
-			members[DataMember(ci, bi)] = member
+			s.data = comp
+			dataParts = append(dataParts, part{col: ci, blk: bi, size: len(s.data) - partStart})
 		}
 
-		switch {
-		case invB != nil:
-			members[IndexMember(ci)] = invB.Build()
-		case bkdB != nil:
-			members[IndexMember(ci)] = bkdB.Build()
+		partStart := len(s.index)
+		switch cm.Index {
+		case schema.IndexInverted:
+			s.index = s.inv.AppendTo(s.index)
+		case schema.IndexBKD:
+			s.index = s.bkd.AppendTo(s.index)
+		}
+		if cm.Index != schema.IndexNone {
+			indexParts = append(indexParts, part{col: ci, blk: -1, size: len(s.index) - partStart})
 		}
 		m.Columns[ci] = cm
 	}
-	members[MemberMeta] = m.Encode()
-	return &Built{Meta: m, Members: members}, nil
+	return &Built{
+		Meta:  m,
+		meta:  m.Encode(),
+		index: append([]byte(nil), s.index...),
+		data:  append([]byte(nil), s.data...),
+		parts: parts,
+	}, nil
 }
 
-// memberOrder returns the members in their canonical tar order:
-// meta, indexes, then data blocks (the read path touches them in that
-// order, so sequential readers stream well).
-func (b *Built) memberOrder() []string {
-	names := []string{MemberMeta}
-	for ci := range b.Meta.Columns {
-		if _, ok := b.Members[IndexMember(ci)]; ok {
-			names = append(names, IndexMember(ci))
-		}
-	}
-	for ci := range b.Meta.Columns {
-		for bi := 0; bi < b.Meta.NumBlocks; bi++ {
-			names = append(names, DataMember(ci, bi))
-		}
-	}
-	return names
+// validityPrefix is the head of a data part whose n rows are all
+// valid: the length-prefixed serialized bitset.
+func validityPrefix(n int) []byte {
+	valid := bitutil.NewBitset(n)
+	valid.SetAll()
+	return bitutil.AppendLenBytes(nil, valid.Bytes())
 }
 
 const tarBlock = 512
 
-func pad512(n int64) int64 {
-	if rem := n % tarBlock; rem != 0 {
-		return n + tarBlock - rem
+func pad512(n int) int { return (n + tarBlock - 1) / tarBlock * tarBlock }
+
+// maxTarMember is the largest payload a USTAR header's 11-digit octal
+// size field can state.
+const maxTarMember = 1<<33 - 1
+
+// putTarHeader writes into h, 512 zero bytes, the USTAR header
+// archive/tar writes for a regular file with mode 0644, no owner and
+// the epoch as its modification time.
+func putTarHeader(h []byte, name string, size int) {
+	octal := func(field []byte, v int) { // zero-padded, NUL-terminated
+		for i := len(field) - 2; i >= 0; i-- {
+			field[i] = '0' + byte(v&7)
+			v >>= 3
+		}
 	}
-	return n
+	copy(h[0:100], name)
+	octal(h[100:108], 0o644)
+	octal(h[108:116], 0) // uid
+	octal(h[116:124], 0) // gid
+	octal(h[124:136], size)
+	octal(h[136:148], 0) // mtime
+	h[156] = '0'         // regular file
+	copy(h[257:265], "ustar\x0000")
+	octal(h[329:337], 0) // devmajor
+	octal(h[337:345], 0) // devminor
+	// The checksum is the byte sum of the header with its own field
+	// read as spaces, stored as six octal digits, NUL, space.
+	sum := 8 * int(' ')
+	for _, c := range h[:tarBlock] {
+		sum += int(c)
+	}
+	octal(h[148:155], sum)
+	h[155] = ' '
 }
 
-// Pack assembles the tar object: the manifest first, then every member.
-// Member extents in the manifest are absolute byte ranges into the
-// returned buffer, enabling ranged reads from object storage.
+// layout returns the manifest's encoded size and the offset each
+// member's payload starts at; total is the size of the packed object.
+// A block without indexes has no index member (indexOff is then the
+// data member's offset, with nothing in between).
+func (b *Built) layout() (manSize, metaOff, indexOff, dataOff, total int) {
+	var name [48]byte
+	manSize = 4 + manifestEntrySize(len(MemberMeta))
+	for _, p := range b.parts {
+		manSize += manifestEntrySize(len(p.appendName(name[:0])))
+	}
+	metaOff = tarBlock + pad512(manSize) + tarBlock
+	indexOff = metaOff + pad512(len(b.meta)) + tarBlock
+	dataOff = indexOff
+	if len(b.index) > 0 {
+		dataOff += pad512(len(b.index)) + tarBlock
+	}
+	// A tar ends with two zero blocks.
+	total = dataOff + pad512(len(b.data)) + 2*tarBlock
+	return
+}
+
+// Pack assembles the tar object in one exactly-sized buffer: the
+// manifest, then the meta, index and data members. The manifest's
+// extents are absolute byte ranges into the returned buffer, one per
+// part, enabling ranged reads from object storage.
 func (b *Built) Pack() ([]byte, error) {
-	order := b.memberOrder()
+	manSize, metaOff, indexOff, dataOff, total := b.layout()
+	if max(manSize, len(b.meta), len(b.index), len(b.data)) > maxTarMember {
+		return nil, fmt.Errorf("logblock: member too large for a tar header")
+	}
+	out := make([]byte, total)
 
-	// First pass: compute extents. The manifest has a fixed encoded size
-	// once its member set is known, so offsets can be computed up front.
-	man := NewManifest()
-	for _, name := range order {
-		man.Add(name, Extent{})
+	putTarHeader(out, MemberManifest, manSize)
+	man := out[tarBlock : tarBlock : tarBlock+manSize]
+	man = append(man, 0, 0, 0, 0)
+	bitutil.PutUint32(man, uint32(1+len(b.parts)))
+	man = appendManifestEntry(man, []byte(MemberMeta), Extent{Offset: int64(metaOff), Size: int64(len(b.meta))})
+	var name [48]byte
+	indexEnd, dataEnd := indexOff, dataOff
+	for _, p := range b.parts {
+		end := &dataEnd
+		if p.blk < 0 {
+			end = &indexEnd
+		}
+		man = appendManifestEntry(man, p.appendName(name[:0]), Extent{Offset: int64(*end), Size: int64(p.size)})
+		*end += p.size
 	}
-	manSize := int64(man.EncodedSize())
-	off := int64(tarBlock) + pad512(manSize) // manifest header + payload
-	for _, name := range order {
-		size := int64(len(b.Members[name]))
-		man.Add(name, Extent{Offset: off + tarBlock, Size: size})
-		off += tarBlock + pad512(size)
+	if len(man) != manSize || indexEnd != indexOff+len(b.index) || dataEnd != dataOff+len(b.data) {
+		return nil, fmt.Errorf("logblock: internal error: parts do not add up to their members (manifest %d of %d bytes, index %d of %d, data %d of %d)",
+			len(man), manSize, indexEnd-indexOff, len(b.index), dataEnd-dataOff, len(b.data))
 	}
 
-	var buf bytes.Buffer
-	tw := tar.NewWriter(&buf)
-	write := func(name string, data []byte) error {
-		hdr := &tar.Header{
-			Name:    name,
-			Mode:    0o644,
-			Size:    int64(len(data)),
-			ModTime: time.Unix(0, 0),
-			Format:  tar.FormatUSTAR,
-		}
-		if err := tw.WriteHeader(hdr); err != nil {
-			return fmt.Errorf("logblock: tar header %s: %w", name, err)
-		}
-		if _, err := tw.Write(data); err != nil {
-			return fmt.Errorf("logblock: tar write %s: %w", name, err)
-		}
-		return nil
+	putTarHeader(out[metaOff-tarBlock:], MemberMeta, len(b.meta))
+	copy(out[metaOff:], b.meta)
+	if len(b.index) > 0 {
+		putTarHeader(out[indexOff-tarBlock:], memberIndex, len(b.index))
+		copy(out[indexOff:], b.index)
 	}
-	if err := write(MemberManifest, man.Encode()); err != nil {
-		return nil, err
-	}
-	for _, name := range order {
-		// Flush before checking offsets so buf.Len() reflects padding.
-		if err := tw.Flush(); err != nil {
-			return nil, fmt.Errorf("logblock: tar flush: %w", err)
-		}
-		want := man.Members[name].Offset - tarBlock
-		if int64(buf.Len()) != want {
-			return nil, fmt.Errorf("logblock: internal error: member %s at %d, manifest says %d",
-				name, buf.Len(), want)
-		}
-		if err := write(name, b.Members[name]); err != nil {
-			return nil, err
-		}
-	}
-	if err := tw.Close(); err != nil {
-		return nil, fmt.Errorf("logblock: tar close: %w", err)
-	}
-	return buf.Bytes(), nil
+	putTarHeader(out[dataOff-tarBlock:], memberData, len(b.data))
+	copy(out[dataOff:], b.data)
+	return out, nil
 }
