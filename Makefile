@@ -104,7 +104,7 @@ chaos-brownout-short:
 ## ns/op, B/op, allocs/op per bench. Commit the refreshed JSON when a
 ## perf PR intentionally moves the numbers — benchdiff gates against it.
 bench:
-	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkCountStar' \
+	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/bench_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
@@ -121,7 +121,7 @@ benchdiff: benchdiff-micro benchdiff-soak benchdiff-ship benchdiff-admission
 
 .PHONY: benchdiff-micro benchdiff-soak benchdiff-ship benchdiff-admission
 benchdiff-micro:
-	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkCountStar' \
+	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/benchdiff_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_scan.txt > /tmp/benchdiff_scan.json
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json

@@ -47,6 +47,8 @@ func writeSeed(dir, name string, args ...any) error {
 			body += fmt.Sprintf("[]byte(%q)\n", v)
 		case int:
 			body += fmt.Sprintf("int(%d)\n", v)
+		case int64:
+			body += fmt.Sprintf("int64(%d)\n", v)
 		default:
 			return fmt.Errorf("unsupported corpus arg type %T", a)
 		}
@@ -102,17 +104,18 @@ func run(root string) error {
 		}
 	}
 
-	// internal/index/bkd: a multi-leaf tree and a truncated copy.
+	// internal/index/bkd: a multi-leaf tree and a truncated copy, each
+	// with range bounds that cut through the leaves.
 	bb := bkd.NewBuilder(8)
 	for i := 0; i < 64; i++ {
 		bb.Add(uint32(i), int64(i%13)-6)
 	}
 	tree := bb.Build()
 	bkdDir := filepath.Join(root, "internal/index/bkd/testdata/fuzz/FuzzBKDOpen")
-	if err := writeSeed(bkdDir, "seed-tree", tree); err != nil {
+	if err := writeSeed(bkdDir, "seed-tree", tree, int64(-2), int64(3)); err != nil {
 		return err
 	}
-	if err := writeSeed(bkdDir, "seed-truncated", tree[:len(tree)/2]); err != nil {
+	if err := writeSeed(bkdDir, "seed-truncated", tree[:len(tree)/2], int64(-6), int64(6)); err != nil {
 		return err
 	}
 

@@ -192,6 +192,23 @@ func (b *Bitset) ClearRange(start, end int) {
 	}
 }
 
+// KeepFirst clears every set bit after the n lowest ones.
+func (b *Bitset) KeepFirst(n int) {
+	for wi, w := range b.words {
+		c := bits.OnesCount64(w)
+		if c <= n {
+			n -= c
+			continue
+		}
+		for ; c > n; c-- {
+			w &^= 1 << uint(63-bits.LeadingZeros64(w))
+		}
+		b.words[wi] = w
+		clear(b.words[wi+1:])
+		return
+	}
+}
+
 // NextSet returns the index of the first set bit at or after i, or -1
 // when no further bit is set.
 func (b *Bitset) NextSet(i int) int {

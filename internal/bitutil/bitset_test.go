@@ -2,6 +2,7 @@ package bitutil
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -246,4 +247,23 @@ func BenchmarkBitsetForEach(b *testing.B) {
 		x.ForEach(func(j int) bool { sum += j; return true })
 	}
 	_ = sum
+}
+
+func TestBitsetKeepFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		b := NewBitset(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				b.Set(i)
+			}
+		}
+		all := b.Slice()
+		keep := rng.Intn(len(all) + 3)
+		b.KeepFirst(keep)
+		if want := all[:min(keep, len(all))]; !slices.Equal(b.Slice(), want) {
+			t.Fatalf("KeepFirst(%d) of %v = %v", keep, all, b.Slice())
+		}
+	}
 }

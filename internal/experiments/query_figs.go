@@ -153,11 +153,13 @@ func (ds *queryDataset) newReadWorker(p storageProfile, prefetchOn bool, seed in
 	}, ds.sch, ds.store(p, seed), ds.catalog)
 }
 
-// runQuery executes one generated query and returns its wall time.
-func (ds *queryDataset) runQuery(w *worker.Worker, spec workload.QuerySpec, opts query.ExecOptions) (time.Duration, error) {
+// runQuery executes one generated query and returns its wall time and
+// the executor's account of it.
+func (ds *queryDataset) runQuery(w *worker.Worker, spec workload.QuerySpec, opts query.ExecOptions) (time.Duration, query.ExecStats, error) {
+	var none query.ExecStats
 	q, err := query.Parse(spec.SQL)
 	if err != nil {
-		return 0, err
+		return 0, none, err
 	}
 	blocks := ds.catalog.Prune(spec.Tenant, spec.StartMS, spec.EndMS)
 	paths := make([]string, len(blocks))
@@ -165,10 +167,11 @@ func (ds *queryDataset) runQuery(w *worker.Worker, spec workload.QuerySpec, opts
 		paths[i] = b.Path
 	}
 	elapsed := stopwatch()
-	if _, err := w.QueryBlocksCtx(context.Background(), paths, q, opts); err != nil {
-		return 0, err
+	res, err := w.QueryBlocksCtx(context.Background(), paths, q, opts)
+	if err != nil {
+		return 0, none, err
 	}
-	return elapsed(), nil
+	return elapsed(), res.Stats, nil
 }
 
 // queriesFor returns the query set of one tenant.
@@ -203,29 +206,36 @@ func Fig15(s Scale) (*Table, error) {
 	t := &Table{
 		Name: "fig15-data-skipping",
 		Comment: "Figure 15: mean query latency (ms) per top tenant,\n" +
-			"with vs without the data-skipping strategy (rank 1 = largest tenant).",
-		Header: []string{"tenant_rank", "rows", "with_skipping_ms", "without_skipping_ms", "speedup"},
+			"with vs without the data-skipping strategy (rank 1 = largest tenant),\n" +
+			"and what the skipping levels did per query: comparisons the column\n" +
+			"SMAs implied, index probes and the BKD leaves they read, column\n" +
+			"blocks decoded with skipping on and off.",
+		Header: []string{"tenant_rank", "rows", "with_skipping_ms", "without_skipping_ms", "speedup",
+			"preds_implied", "index_lookups", "index_leaves", "colblocks_scanned", "colblocks_scanned_without"},
 	}
 	for rank := 0; rank < s.QueryTenants && rank < len(ds.topOrder); rank++ {
 		tenant := ds.topOrder[rank]
 		var withMS, withoutMS float64
+		var with, without query.ExecStats
 		qs := ds.queriesFor(tenant)
 		for _, spec := range qs {
 			// Cold caches per query: the paper's Figure 15 measures a
 			// dataset far larger than worker memory, where full scans
 			// cannot live off cached decoded vectors.
 			withW.PurgeCaches()
-			d, err := ds.runQuery(withW, spec, query.ExecOptions{DataSkipping: true})
+			d, st, err := ds.runQuery(withW, spec, query.ExecOptions{DataSkipping: true})
 			if err != nil {
 				return nil, fmt.Errorf("fig15 with-skipping tenant %d: %w", tenant, err)
 			}
 			withMS += float64(d.Microseconds()) / 1000
+			with.Add(st)
 			withoutW.PurgeCaches()
-			d, err = ds.runQuery(withoutW, spec, query.ExecOptions{DataSkipping: false})
+			d, st, err = ds.runQuery(withoutW, spec, query.ExecOptions{DataSkipping: false})
 			if err != nil {
 				return nil, fmt.Errorf("fig15 without-skipping tenant %d: %w", tenant, err)
 			}
 			withoutMS += float64(d.Microseconds()) / 1000
+			without.Add(st)
 		}
 		n := float64(len(qs))
 		speedup := 0.0
@@ -235,6 +245,8 @@ func Fig15(s Scale) (*Table, error) {
 		t.Rows = append(t.Rows, []float64{
 			float64(rank + 1), float64(ds.rowCount[tenant]),
 			withMS / n, withoutMS / n, speedup,
+			float64(with.PredsImpliedBySMA) / n, float64(with.IndexLookups) / n, float64(with.IndexLeavesScanned) / n,
+			float64(with.ColumnBlocksScanned) / n, float64(without.ColumnBlocksScanned) / n,
 		})
 	}
 	return t, nil
@@ -274,7 +286,7 @@ func Fig16(s Scale) (*Table, error) {
 		if purge {
 			w.PurgeCaches()
 		}
-		d, err := ds.runQuery(w, spec, query.ExecOptions{DataSkipping: true})
+		d, _, err := ds.runQuery(w, spec, query.ExecOptions{DataSkipping: true})
 		return float64(d.Microseconds()) / 1000, err
 	}
 	for rank := 0; rank < s.QueryTenants && rank < len(ds.topOrder); rank++ {
@@ -341,12 +353,12 @@ func Fig17(s Scale) (*Table, error) {
 		tenant := ds.topOrder[rank]
 		for _, spec := range ds.queriesFor(tenant) {
 			before.PurgeCaches() // before-opt has no cache layer
-			d, err := ds.runQuery(before, spec, query.ExecOptions{DataSkipping: false})
+			d, _, err := ds.runQuery(before, spec, query.ExecOptions{DataSkipping: false})
 			if err != nil {
 				return nil, err
 			}
 			hBefore.Observe(float64(d.Microseconds()) / 1000)
-			d, err = ds.runQuery(after, spec, query.ExecOptions{DataSkipping: true})
+			d, _, err = ds.runQuery(after, spec, query.ExecOptions{DataSkipping: true})
 			if err != nil {
 				return nil, err
 			}

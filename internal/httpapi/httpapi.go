@@ -52,6 +52,10 @@ type QueryResponse struct {
 	Count   int64               `json:"count,omitempty"`
 	Groups  []map[string]string `json:"groups,omitempty"`
 	TookMS  float64             `json:"took_ms"`
+	// Stats says why the query cost what it did: LogBlocks examined and
+	// skipped, comparisons the SMAs implied, index probes and leaves,
+	// column blocks decoded and skipped.
+	Stats logstore.ExecStats `json:"stats"`
 }
 
 // Handler returns the API's http.Handler over the cluster.
@@ -142,6 +146,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Columns: res.Columns,
 		Count:   res.Count,
 		TookMS:  float64(timeSince(start).Microseconds()) / 1000,
+		Stats:   res.Stats,
 	}
 	for _, row := range res.Rows {
 		out := make([]string, len(row))

@@ -72,6 +72,11 @@ func TestAppendAndQueryOverHTTP(t *testing.T) {
 	if qr.TookMS <= 0 {
 		t.Error("took_ms missing")
 	}
+	for _, counter := range []string{`"stats":{`, `"index_lookups":`, `"preds_implied_by_sma":`, `"index_leaves_scanned":`} {
+		if !strings.Contains(body, counter) {
+			t.Errorf("query response lacks %s: %s", counter, body)
+		}
+	}
 }
 
 func TestQueryGroupsOverHTTP(t *testing.T) {

@@ -207,62 +207,102 @@ func (t *Tree) Len() int { return t.entryCount }
 func (t *Tree) Leaves() int { return len(t.offs) }
 
 // Range collects the row ids of entries with lo <= value <= hi into a
-// bitset of size rowCount. The bounds are inclusive; use math.MinInt64 /
-// math.MaxInt64 for open ends.
-func (t *Tree) Range(lo, hi int64, rowCount int) (*bitutil.Bitset, error) {
+// bitset of size rowCount, and reports how many leaves it read. The
+// bounds are inclusive; use math.MinInt64 / math.MaxInt64 for open ends.
+//
+// A leaf the routing level places wholly inside [lo, hi] (an interior
+// leaf) contributes every row id without its values being decoded; a
+// boundary leaf is decoded up to the first value above hi. A row id
+// outside [0, rowCount) is an error, not a dropped match.
+func (t *Tree) Range(lo, hi int64, rowCount int) (*bitutil.Bitset, int, error) {
 	bs := bitutil.NewBitset(rowCount)
-	if lo > hi || len(t.offs) == 0 {
-		return bs, nil
+	if lo > hi {
+		return bs, 0, nil
 	}
 	// Leaves are sorted by min value; find the first leaf whose max >= lo.
 	first := sort.Search(len(t.offs), func(i int) bool { return t.maxs[i] >= lo })
-	for li := first; li < len(t.offs); li++ {
-		if t.mins[li] > hi {
-			break // all later leaves start beyond the range
-		}
+	leaves := 0
+	// Every leaf from the first one starting beyond hi on is out of range.
+	for li := first; li < len(t.offs) && t.mins[li] <= hi; li++ {
+		leaves++
 		if err := t.scanLeaf(li, lo, hi, bs); err != nil {
-			return nil, err
+			return nil, leaves, err
 		}
 	}
-	return bs, nil
+	return bs, leaves, nil
 }
 
 func (t *Tree) scanLeaf(li int, lo, hi int64, bs *bitutil.Bitset) error {
 	data := t.leaves[t.offs[li]:]
-	cnt, n, err := bitutil.Uvarint(data)
+	cnt64, off, err := bitutil.Uvarint(data)
 	if err != nil {
 		return fmt.Errorf("bkd: leaf %d count: %w", li, err)
 	}
-	off := n
-	// Each entry is at least two bytes (value varint + row-id uvarint);
-	// bound the allocation by the bytes actually present.
-	if cnt > uint64(len(data)-off)/2 {
-		return fmt.Errorf("bkd: leaf %d count %d exceeds %d remaining bytes", li, cnt, len(data)-off)
+	// Each entry is at least two bytes (value varint + row-id uvarint).
+	if cnt64 > uint64(len(data)-off)/2 {
+		return fmt.Errorf("bkd: leaf %d count %d exceeds %d remaining bytes", li, cnt64, len(data)-off)
 	}
-	vals := make([]int64, cnt)
-	cur := int64(0)
-	for i := uint64(0); i < cnt; i++ {
-		d, n, err := bitutil.Varint(data[off:])
-		if err != nil {
-			return fmt.Errorf("bkd: leaf %d value %d: %w", li, i, err)
-		}
-		off += n
-		if i == 0 {
-			cur = d
-		} else {
+	cnt := int(cnt64)
+
+	// A leaf is value-sorted, so its entries inside [lo, hi] are one run
+	// [from, to). An interior leaf's run is the whole leaf; a boundary
+	// leaf's is found by decoding values until the first one above hi.
+	from, to, undecoded := 0, cnt, cnt
+	if t.mins[li] < lo || t.maxs[li] > hi {
+		cur := int64(0)
+		for i := 0; i < cnt; i++ {
+			d, n, err := bitutil.Varint(data[off:])
+			if err != nil {
+				return fmt.Errorf("bkd: leaf %d value %d: %w", li, i, err)
+			}
+			off += n
+			undecoded--
+			// Deltas wrap (the builder subtracts in int64), so order is
+			// checked on the sums. The early stop and the single run
+			// both rely on it.
+			if i > 0 && cur+d < cur {
+				return fmt.Errorf("bkd: leaf %d value %d breaks the sort order", li, i)
+			}
 			cur += d
+			if cur > hi {
+				to = i
+				break
+			}
+			if cur < lo {
+				from = i + 1
+			}
 		}
-		vals[i] = cur
 	}
-	for i := uint64(0); i < cnt; i++ {
+	if off, err = skipVarints(data, off, undecoded+from); err != nil {
+		return fmt.Errorf("bkd: leaf %d: %w", li, err)
+	}
+	for i := from; i < to; i++ {
 		r, n, err := bitutil.Uvarint(data[off:])
 		if err != nil {
 			return fmt.Errorf("bkd: leaf %d row %d: %w", li, i, err)
 		}
 		off += n
-		if vals[i] >= lo && vals[i] <= hi {
-			bs.Set(int(r))
+		if r >= uint64(bs.Len()) {
+			return fmt.Errorf("bkd: leaf %d row id %d outside the %d-row LogBlock", li, r, bs.Len())
 		}
+		bs.Set(int(r))
 	}
 	return nil
+}
+
+// skipVarints advances off past n varints without decoding them: a
+// varint ends at its first byte with the continuation bit clear.
+func skipVarints(data []byte, off, n int) (int, error) {
+	for ; n > 0; n-- {
+		for {
+			if off >= len(data) {
+				return 0, fmt.Errorf("truncated: %d entries short", n)
+			}
+			off++
+			if data[off-1] < 0x80 {
+				break
+			}
+		}
+	}
+	return off, nil
 }

@@ -32,7 +32,7 @@ func bruteRange(vals []int64, lo, hi int64) map[int]bool {
 
 func checkRange(t *testing.T, tree *Tree, vals []int64, lo, hi int64) {
 	t.Helper()
-	bs, err := tree.Range(lo, hi, len(vals))
+	bs, _, err := tree.Range(lo, hi, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func TestRangeBasic(t *testing.T) {
 
 func TestRangeEmptyAndInverted(t *testing.T) {
 	tree := buildTree(t, nil, 4)
-	bs, err := tree.Range(0, 10, 0)
+	bs, _, err := tree.Range(0, 10, 0)
 	if err != nil || bs.Any() {
 		t.Errorf("empty tree range = %v, %v", bs.Slice(), err)
 	}
 	vals := []int64{1, 2, 3}
 	tree = buildTree(t, vals, 4)
-	bs, err = tree.Range(5, 2, len(vals)) // inverted bounds
+	bs, _, err = tree.Range(5, 2, len(vals)) // inverted bounds
 	if err != nil || bs.Any() {
 		t.Errorf("inverted range should be empty: %v, %v", bs.Slice(), err)
 	}
@@ -80,7 +80,7 @@ func TestDuplicateValues(t *testing.T) {
 	}
 	tree := buildTree(t, vals, 8)
 	for v := int64(0); v < 5; v++ {
-		bs, err := tree.Range(v, v, len(vals))
+		bs, _, err := tree.Range(v, v, len(vals))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bs, err := tree.Range(lo, hi, len(vals))
+		bs, _, err := tree.Range(lo, hi, len(vals))
 		if err != nil {
 			return false
 		}
@@ -200,7 +200,7 @@ func TestTruncatedLeafRegionErrorsOnScan(t *testing.T) {
 		// Acceptable: Open caught it via offset validation.
 		return
 	}
-	if _, err := tree.Range(0, 100, 64); err == nil {
+	if _, _, err := tree.Range(0, 100, 64); err == nil {
 		t.Error("scan over truncated leaf should error")
 	}
 }
@@ -247,7 +247,7 @@ func BenchmarkRange(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tree.Range(1000, 2000, len(vals)); err != nil {
+		if _, _, err := tree.Range(1000, 2000, len(vals)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,25 +55,85 @@ func TestOpenCorrupt(t *testing.T) {
 	}
 }
 
-// TestScanLeafCorrupt opens a structurally valid routing level whose
-// leaf region lies: the per-leaf entry count exceeds the bytes present,
-// so the allocation bound must reject it at query time.
+// TestScanLeafCorrupt opens structurally valid routing levels whose leaf
+// regions lie. Every case must fail the range query with an error: a
+// damaged index that answered quietly would drop matches.
 func TestScanLeafCorrupt(t *testing.T) {
-	out := bitutil.AppendUvarint(nil, 4) // leaf size
-	out = bitutil.AppendUvarint(out, 2)  // entries
-	out = bitutil.AppendUvarint(out, 1)  // one leaf
-	out = bitutil.AppendVarint(out, 0)   // min
-	out = bitutil.AppendVarint(out, 9)   // max
-	out = bitutil.AppendUvarint(out, 0)  // offset
-	// Leaf region: claims 200 entries, holds 2 bytes.
-	out = bitutil.AppendUvarint(out, 200)
-	out = append(out, 0x02, 0x04)
-
-	tr, err := Open(out)
-	if err != nil {
-		t.Fatalf("routing level should parse: %v", err)
+	// tree serializes one leaf with routing keys [min, max] over the
+	// given leaf bytes.
+	tree := func(min, max int64, leaf []byte) []byte {
+		out := bitutil.AppendUvarint(nil, 4) // leaf size
+		out = bitutil.AppendUvarint(out, 4)  // entries
+		out = bitutil.AppendUvarint(out, 1)  // one leaf
+		out = bitutil.AppendVarint(out, min)
+		out = bitutil.AppendVarint(out, max)
+		out = bitutil.AppendUvarint(out, 0) // offset
+		return append(out, leaf...)
 	}
-	if _, err := tr.Range(math.MinInt64, math.MaxInt64, 64); err == nil {
-		t.Fatal("Range accepted a leaf whose count exceeds its bytes")
+	// leaf serializes n, the values as deltas, then the row ids.
+	leaf := func(vals []int64, rows []uint64) []byte {
+		out := bitutil.AppendUvarint(nil, uint64(len(vals)))
+		prev := int64(0)
+		for _, v := range vals {
+			out = bitutil.AppendVarint(out, v-prev)
+			prev = v
+		}
+		for _, r := range rows {
+			out = bitutil.AppendUvarint(out, r)
+		}
+		return out
+	}
+	// Two-byte values, so that a cut inside the row ids still leaves the
+	// two bytes per entry the count bound asks for.
+	good := leaf([]int64{1000, 3000, 5000, 7000}, []uint64{0, 1, 2, 3})
+	cases := []struct {
+		name   string
+		data   []byte
+		lo, hi int64
+		want   string
+	}{
+		// Claims 200 entries, holds 2 bytes: the count bound rejects it.
+		{"count beyond bytes", tree(0, 9, append(bitutil.AppendUvarint(nil, 200), 0x02, 0x04)),
+			math.MinInt64, math.MaxInt64, "exceeds"},
+		// Bitset.Set ignores an id past its length; the scan must not.
+		{"row id beyond the LogBlock, values decoded", tree(1, 7, leaf([]int64{1, 3, 5, 7}, []uint64{0, 1, 64, 3})),
+			2, 6, "row id 64 outside"},
+		{"row id beyond the LogBlock, values skipped", tree(1, 7, leaf([]int64{1, 3, 5, 7}, []uint64{0, 1, 2, 1 << 40})),
+			0, 9, "outside"},
+		// The early stop at the first value above hi relies on order.
+		{"values not sorted", tree(1, 7, leaf([]int64{1, 5, 3, 7}, []uint64{0, 1, 2, 3})),
+			2, 6, "sort order"},
+		// An interior leaf's values are skipped, not decoded: a leaf cut
+		// short inside its row ids must still be noticed.
+		{"row ids truncated, values skipped", tree(1000, 7000, good[:len(good)-2]),
+			0, 9000, "row 2"},
+		{"row ids truncated, values decoded", tree(1000, 7000, good[:len(good)-1]),
+			2000, 9000, "row 3"},
+		// Continuation bits to the end: the value run never finishes.
+		{"values run off the end, values skipped", tree(1, 7, append(bitutil.AppendUvarint(nil, 4), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80)),
+			0, 9, "truncated"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := Open(tc.data)
+			if err != nil {
+				t.Fatalf("routing level should parse: %v", err)
+			}
+			_, _, err = tr.Range(tc.lo, tc.hi, 64)
+			if err == nil {
+				t.Fatal("Range answered from a corrupt leaf")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+	// The same leaf, intact, answers.
+	tr, err := Open(tree(1000, 7000, good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs, leaves, err := tr.Range(2000, 6000, 64); err != nil || leaves != 1 || bs.Count() != 2 || !bs.Test(1) || !bs.Test(2) {
+		t.Fatalf("intact leaf: %v rows in %d leaves, err %v", bs.Slice(), leaves, err)
 	}
 }

@@ -168,6 +168,22 @@ func (s *SMA) MayMatch(op Op, v schema.Value) bool {
 	}
 }
 
+// MayMatchRange reports whether any summarized row of an int64 column
+// could satisfy lo <= col <= hi. An empty interval (lo > hi) and an
+// empty SMA never match.
+func (s *SMA) MayMatchRange(lo, hi int64) bool {
+	return s.Count > 0 && lo <= hi && lo <= s.MaxI && s.MinI <= hi
+}
+
+// AllMatchRange reports whether every one of rows rows of an int64
+// column satisfies lo <= col <= hi: the SMA answers the predicate the
+// other way, and the column (block) need not be read to keep its rows.
+// It holds only when the SMA summarizes all of them — a row missing
+// from the aggregates (Count < rows) could lie anywhere.
+func (s *SMA) AllMatchRange(lo, hi int64, rows int) bool {
+	return s.Count > 0 && s.Count == int64(rows) && lo <= s.MinI && s.MaxI <= hi
+}
+
 func compareInt(a, b int64) int {
 	switch {
 	case a < b:

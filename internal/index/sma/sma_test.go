@@ -1,6 +1,7 @@
 package sma
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -266,5 +267,40 @@ func TestNoFalseSkips(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestRangeAnswersBothWays(t *testing.T) {
+	s := New(schema.Int64)
+	for _, v := range []int64{10, 20, 30} {
+		s.AddInt(v)
+	}
+	for _, tc := range []struct {
+		lo, hi    int64
+		may, all3 bool
+	}{
+		{0, 100, true, true},
+		{10, 30, true, true},
+		{11, 30, true, false},
+		{10, 29, true, false},
+		{31, 40, false, false},
+		{0, 9, false, false},
+		{25, 15, false, false}, // empty interval
+		{math.MinInt64, math.MaxInt64, true, true},
+	} {
+		if got := s.MayMatchRange(tc.lo, tc.hi); got != tc.may {
+			t.Errorf("MayMatchRange(%d, %d) = %v", tc.lo, tc.hi, got)
+		}
+		if got := s.AllMatchRange(tc.lo, tc.hi, 3); got != tc.all3 {
+			t.Errorf("AllMatchRange(%d, %d, 3) = %v", tc.lo, tc.hi, got)
+		}
+		// One row the SMA never saw could hold anything.
+		if s.AllMatchRange(tc.lo, tc.hi, 4) {
+			t.Errorf("AllMatchRange(%d, %d) held for 4 rows from a 3-row SMA", tc.lo, tc.hi)
+		}
+	}
+	empty := New(schema.Int64)
+	if empty.MayMatchRange(0, 10) || empty.AllMatchRange(0, 10, 0) {
+		t.Error("an empty SMA matched")
 	}
 }

@@ -201,7 +201,7 @@ func TestIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tree.Range(100, 200, r.Meta.RowCount)
+	got, _, err := tree.Range(100, 200, r.Meta.RowCount)
 	if err != nil {
 		t.Fatal(err)
 	}

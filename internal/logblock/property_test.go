@@ -134,7 +134,7 @@ func TestPropertyIndexConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bs, err := tree.Range(0, 500, r.Meta.RowCount)
+		bs, _, err := tree.Range(0, 500, r.Meta.RowCount)
 		if err != nil {
 			return false
 		}

@@ -147,6 +147,17 @@ func (q *Query) String() string {
 	return sb.String()
 }
 
+// RowCap returns how many matched rows of any one LogBlock the result
+// can use, or 0 for all of them. A plain LIMIT n keeps the first n rows
+// of the merged result, so no part contributes more than its first n;
+// ORDER BY and the aggregates need every matched row.
+func (q *Query) RowCap() int {
+	if q.CountStar || q.GroupBy != "" || q.OrderBy != "" {
+		return 0
+	}
+	return q.Limit
+}
+
 // Validate type-checks the query against a schema.
 func (q *Query) Validate(sch *schema.Schema) error {
 	if q.Table != sch.Name {

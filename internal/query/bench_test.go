@@ -111,6 +111,79 @@ func BenchmarkScanConjunction(b *testing.B) {
 	}
 }
 
+// benchIndexedReader builds a 16k-row, fully indexed request_log
+// LogBlock: 32 BKD leaves per numeric column, one row every 10 s.
+func benchIndexedReader(tb testing.TB) *logblock.Reader {
+	tb.Helper()
+	rows := make([]schema.Row, 16*1024)
+	for i := range rows {
+		rows[i] = schema.Row{
+			schema.IntValue(7),
+			schema.IntValue(int64(1_000_000 + i*10_000)),
+			schema.StringValue(fmt.Sprintf("10.0.%d.%d", i/251%251, i%251)),
+			schema.StringValue("/v1/get"),
+			schema.IntValue(int64(i * 37 % 1000)),
+			schema.StringValue("false"),
+			schema.StringValue(fmt.Sprintf("request %d served", i)),
+		}
+	}
+	built, err := logblock.Build(schema.RequestLogSchema(), rows, logblock.BuildOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	packed, err := built.Pack()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := logblock.OpenReader(logblock.BytesFetcher(packed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+func benchMatch(b *testing.B, r *logblock.Reader, q *Query, wantRows, wantLookups int) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var stats ExecStats
+		matched, err := MatchBlock(r, q, ExecOptions{DataSkipping: true}, &stats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if matched.Count() != wantRows || stats.IndexLookups != wantLookups {
+			b.Fatalf("%d rows by %d index lookups, want %d by %d", matched.Count(), stats.IndexLookups, wantRows, wantLookups)
+		}
+	}
+}
+
+// BenchmarkMatchTimeSlice measures the retrieval template's window: one
+// tenant, one hour out of 45, resolved by one probe of the ts index
+// that decodes two boundary leaves out of 32.
+func BenchmarkMatchTimeSlice(b *testing.B) {
+	r := benchIndexedReader(b)
+	from := int64(1_000_000 + 5000*10_000)
+	benchMatch(b, r, benchQuery(
+		Pred{Col: "tenant_id", Op: sma.EQ, Val: schema.IntValue(7)},
+		Pred{Col: "ts", Op: sma.GE, Val: schema.IntValue(from)},
+		Pred{Col: "ts", Op: sma.LE, Val: schema.IntValue(from + 3_600_000)},
+	), 361, 1)
+}
+
+// BenchmarkMatchFullHistory measures a window the column SMA implies:
+// the tenant and both ts comparisons cost nothing, and the one probe
+// left is the latency threshold.
+func BenchmarkMatchFullHistory(b *testing.B) {
+	r := benchIndexedReader(b)
+	benchMatch(b, r, benchQuery(
+		Pred{Col: "tenant_id", Op: sma.EQ, Val: schema.IntValue(7)},
+		Pred{Col: "ts", Op: sma.GE, Val: schema.IntValue(0)},
+		Pred{Col: "ts", Op: sma.LE, Val: schema.IntValue(r.Meta.MaxTS)},
+		Pred{Col: "latency", Op: sma.GE, Val: schema.IntValue(900)},
+	), 1642, 1)
+}
+
 // benchMatched returns a match set selecting every stride-th row.
 func benchMatched(n, stride int) *bitutil.Bitset {
 	bs := bitutil.NewBitset(n)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"logstore/internal/bitutil"
 	"logstore/internal/index/sma"
@@ -15,19 +16,26 @@ import (
 // experiment harness sums these to show what data skipping saves.
 type ExecStats struct {
 	// BlocksExamined counts LogBlocks the executor opened.
-	BlocksExamined int
+	BlocksExamined int `json:"blocks_examined"`
 	// BlocksSkippedBySMA counts LogBlocks skipped entirely because a
 	// column SMA refuted a predicate (Figure 8, step 2).
-	BlocksSkippedBySMA int
-	// IndexLookups counts index probes (Figure 8, step 3).
-	IndexLookups int
-	// ColumnBlocksSkipped counts column blocks pruned by block-level
-	// SMAs or by the accumulated row-id set (Figure 8, step 4).
-	ColumnBlocksSkipped int
+	BlocksSkippedBySMA int `json:"blocks_skipped_by_sma"`
+	// IndexLookups counts index probes actually made (Figure 8, step 3).
+	IndexLookups int `json:"index_lookups"`
+	// ColumnBlocksSkipped counts column blocks not decoded because the
+	// block-level SMA answered for them (refuted or implied) or the
+	// accumulated row-id set had no candidate in them (Figure 8, step 4).
+	ColumnBlocksSkipped int `json:"column_blocks_skipped"`
 	// ColumnBlocksScanned counts column blocks decompressed and scanned.
-	ColumnBlocksScanned int
+	ColumnBlocksScanned int `json:"column_blocks_scanned"`
 	// RowsMatched counts rows surviving all predicates.
-	RowsMatched int
+	RowsMatched int `json:"rows_matched"`
+	// PredsImpliedBySMA counts comparisons dropped because a column SMA
+	// proved them true for every row of a LogBlock: neither the column's
+	// index nor its data was read on their account.
+	PredsImpliedBySMA int `json:"preds_implied_by_sma"`
+	// IndexLeavesScanned counts BKD leaves the index probes read.
+	IndexLeavesScanned int `json:"index_leaves_scanned"`
 }
 
 // Add folds another stats value into s.
@@ -38,6 +46,8 @@ func (s *ExecStats) Add(o ExecStats) {
 	s.ColumnBlocksSkipped += o.ColumnBlocksSkipped
 	s.ColumnBlocksScanned += o.ColumnBlocksScanned
 	s.RowsMatched += o.RowsMatched
+	s.PredsImpliedBySMA += o.PredsImpliedBySMA
+	s.IndexLeavesScanned += o.IndexLeavesScanned
 }
 
 // ExecOptions toggles optimizations for ablation experiments.
@@ -48,63 +58,174 @@ type ExecOptions struct {
 	DataSkipping bool
 }
 
+// filter is one conjunct as MatchBlock applies it: a predicate as
+// written, or the closed interval [lo, hi] that the conjunction's int64
+// comparisons on one column fold into (pred == nil).
+type filter struct {
+	col    int
+	pred   *Pred
+	lo, hi int64
+	folded int // comparisons folded into the interval
+}
+
+// refutedBy reports whether s rules out every row it summarizes.
+func (f *filter) refutedBy(s *sma.SMA) bool {
+	if f.pred == nil {
+		return !s.MayMatchRange(f.lo, f.hi)
+	}
+	return !f.pred.Match && !s.MayMatch(f.pred.Op, f.pred.Val)
+}
+
+// impliedBy reports whether s proves the filter true for all of the
+// rows rows it summarizes. Only intervals are ever implied.
+func (f *filter) impliedBy(s *sma.SMA, rows int) bool {
+	return f.pred == nil && s.AllMatchRange(f.lo, f.hi, rows)
+}
+
+// probesIndex reports whether f resolves through its column's index.
+func (f *filter) probesIndex(m *logblock.Meta) bool {
+	switch m.Columns[f.col].Index {
+	case schema.IndexInverted:
+		return f.pred != nil && (f.pred.Match || (f.pred.Op == sma.EQ && f.pred.Val.Kind == schema.String))
+	case schema.IndexBKD:
+		return f.pred == nil
+	}
+	return false
+}
+
+// eval narrows acc over one decoded column block starting at row start.
+func (f *filter) eval(vec *logblock.Vector, acc *bitutil.Bitset, start int) {
+	if f.pred != nil {
+		EvalVector(*f.pred, vec, acc, start)
+		return
+	}
+	EvalInt64Range(f.lo, f.hi, vec.Ints.Vals, acc, start)
+}
+
+// planBlock is what MatchBlock does with q in one LogBlock, made from
+// the meta member alone. Without DataSkipping that is every predicate
+// as written. With it, the int64 comparisons on a column (=, >=, >, <=,
+// <; a != or a constant of the wrong type stays as written) fold into
+// one interval at the position of the first, and the column SMAs then
+// answer both ways: refuted says one of them rules the LogBlock out
+// (an empty interval always does), and an interval that contains a
+// fully summarized column's [min, max] holds for every row and is
+// dropped, its comparisons counted in implied. What is left is one
+// index probe or scan per filter.
+func planBlock(m *logblock.Meta, q *Query, opts ExecOptions) (filters []filter, refuted bool, implied int, err error) {
+	filters = make([]filter, 0, len(q.Preds))
+	for i := range q.Preds {
+		ci := m.Schema.ColumnIndex(q.Preds[i].Col)
+		if ci < 0 {
+			return nil, false, 0, fmt.Errorf("query: column %q not in LogBlock schema", q.Preds[i].Col)
+		}
+		filters = append(filters, filter{col: ci, pred: &q.Preds[i]})
+	}
+	if !opts.DataSkipping {
+		return filters, false, 0, nil
+	}
+	kept := filters[:0]
+	for _, f := range filters {
+		p := f.pred
+		if p.Match || p.Op == sma.NE || p.Val.Kind != schema.Int64 || m.Schema.Columns[f.col].Type != schema.Int64 {
+			kept = append(kept, f)
+			continue
+		}
+		var iv *filter
+		for i := range kept {
+			if kept[i].pred == nil && kept[i].col == f.col {
+				iv = &kept[i]
+				break
+			}
+		}
+		if iv == nil {
+			kept = append(kept, filter{col: f.col, lo: math.MinInt64, hi: math.MaxInt64})
+			iv = &kept[len(kept)-1]
+		}
+		iv.folded++
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		switch x := p.Val.I; p.Op {
+		case sma.EQ:
+			lo, hi = x, x
+		case sma.GE:
+			lo = x
+		case sma.GT:
+			if lo = x + 1; x == math.MaxInt64 {
+				lo, hi = math.MaxInt64, math.MinInt64 // nothing is greater
+			}
+		case sma.LE:
+			hi = x
+		case sma.LT:
+			if hi = x - 1; x == math.MinInt64 {
+				lo, hi = math.MaxInt64, math.MinInt64 // nothing is smaller
+			}
+		}
+		iv.lo, iv.hi = max(iv.lo, lo), min(iv.hi, hi)
+	}
+	filters, kept = kept, kept[:0]
+	for _, f := range filters {
+		cs := m.Columns[f.col].SMA
+		if f.refutedBy(cs) {
+			return nil, true, 0, nil
+		}
+		if f.impliedBy(cs, m.RowCount) {
+			implied += f.folded
+			continue
+		}
+		kept = append(kept, f)
+	}
+	return kept, false, implied, nil
+}
+
 // MatchBlock computes the row ids within one LogBlock satisfying all of
 // the query's predicates, using the multi-level skipping strategy.
+// Without DataSkipping every predicate is scanned as written: the
+// oracle the skipping plan is tested against.
 func MatchBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecStats) (*bitutil.Bitset, error) {
 	m := r.Meta
-	sch := m.Schema
 	stats.BlocksExamined++
 
 	acc := bitutil.NewBitset(m.RowCount)
+	// Step 2: whole-LogBlock answers from the column SMAs.
+	filters, refuted, implied, err := planBlock(m, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	if refuted {
+		stats.BlocksSkippedBySMA++
+		return acc, nil
+	}
+	stats.PredsImpliedBySMA += implied
 	acc.SetAll()
 
-	// Step 2: whole-LogBlock pruning via column SMAs.
-	if opts.DataSkipping {
-		refuted, err := refutedBySMA(m, q)
+	// Cheapest strategies first: indexes, then residual scans narrowed
+	// by the accumulated set.
+	scan := filters[:0]
+	for i := range filters {
+		f := &filters[i]
+		if !opts.DataSkipping || !f.probesIndex(m) {
+			scan = append(scan, *f)
+			continue
+		}
+		bs, err := indexLookup(r, f, stats)
 		if err != nil {
 			return nil, err
 		}
-		if refuted {
-			stats.BlocksSkippedBySMA++
-			acc.ClearAll()
+		acc.And(bs)
+		// String equality via the inverted index is a candidate set (the
+		// index analyzes case-insensitively); verify exact equality
+		// against the stored values.
+		if acc.Any() && f.pred != nil && !f.pred.Match {
+			if err := verifyScan(r, f, acc, opts, stats); err != nil {
+				return nil, err
+			}
+		}
+		if !acc.Any() {
 			return acc, nil
 		}
 	}
-
-	// Per-predicate row sets, cheapest strategies first: indexes, then
-	// residual scans narrowed by the accumulated set.
-	var scanPreds []Pred
-	for _, p := range q.Preds {
-		if !opts.DataSkipping {
-			scanPreds = append(scanPreds, p)
-			continue
-		}
-		bs, used, err := indexLookup(r, p, stats)
-		if err != nil {
-			return nil, err
-		}
-		if used {
-			acc.And(bs)
-			if !acc.Any() {
-				return acc, nil
-			}
-			// String equality via the inverted index is a candidate
-			// set (the index analyzes case-insensitively); verify
-			// exact equality against the stored values.
-			if needVerify(sch, p) {
-				if err := verifyScan(r, p, acc, opts, stats); err != nil {
-					return nil, err
-				}
-				if !acc.Any() {
-					return acc, nil
-				}
-			}
-			continue
-		}
-		scanPreds = append(scanPreds, p)
-	}
-	for _, p := range scanPreds {
-		if err := verifyScan(r, p, acc, opts, stats); err != nil {
+	for i := range scan {
+		if err := verifyScan(r, &scan[i], acc, opts, stats); err != nil {
 			return nil, err
 		}
 		if !acc.Any() {
@@ -115,148 +236,77 @@ func MatchBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecStats
 	return acc, nil
 }
 
-// refutedBySMA reports whether some column SMA rules out every row of
-// the LogBlock for one of q's predicates.
-func refutedBySMA(m *logblock.Meta, q *Query) (bool, error) {
-	for _, p := range q.Preds {
-		if p.Match {
-			continue
-		}
-		ci := m.Schema.ColumnIndex(p.Col)
-		if ci < 0 {
-			return false, fmt.Errorf("query: column %q not in LogBlock schema", p.Col)
-		}
-		if !m.Columns[ci].SMA.MayMatch(p.Op, p.Val) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// probesIndex reports whether p resolves through column ci's index.
-func probesIndex(m *logblock.Meta, ci int, p Pred) bool {
-	switch m.Columns[ci].Index {
-	case schema.IndexInverted:
-		return p.Match || (p.Op == sma.EQ && p.Val.Kind == schema.String)
-	case schema.IndexBKD:
-		return !p.Match && p.Val.Kind == schema.Int64 && p.Op != sma.NE // NE: index cannot help
-	}
-	return false
-}
-
 // IndexColumns returns the columns whose index MatchBlock reads for q
 // in this LogBlock, so that a caller can fetch those members together
 // instead of one dependent read per predicate. It is empty when the
-// LogBlock is skipped before any index is read.
+// LogBlock is skipped before any index is read, and never names a
+// column whose comparisons the SMA already implies.
 func IndexColumns(m *logblock.Meta, q *Query, opts ExecOptions) []int {
 	if !opts.DataSkipping {
 		return nil
 	}
-	if refuted, err := refutedBySMA(m, q); refuted || err != nil {
-		return nil
-	}
+	filters, _, _, _ := planBlock(m, q, opts) // refuted or failed: no filters
 	var cols []int
-	for _, p := range q.Preds {
-		ci := m.Schema.ColumnIndex(p.Col)
-		if ci >= 0 && probesIndex(m, ci, p) && !slices.Contains(cols, ci) {
-			cols = append(cols, ci)
+	for i := range filters {
+		if f := &filters[i]; f.probesIndex(m) && !slices.Contains(cols, f.col) {
+			cols = append(cols, f.col)
 		}
 	}
 	return cols
 }
 
-// needVerify reports whether an index hit set for p is a superset that
-// must be re-checked row by row.
-func needVerify(sch *schema.Schema, p Pred) bool {
-	if p.Match {
-		return false // MATCH semantics are defined by the analyzer
-	}
-	ci := sch.ColumnIndex(p.Col)
-	return ci >= 0 && sch.Columns[ci].Type == schema.String
-}
-
-// indexLookup resolves a predicate through the column's index when the
-// predicate shape allows it. used=false means no index path exists.
-func indexLookup(r *logblock.Reader, p Pred, stats *ExecStats) (*bitutil.Bitset, bool, error) {
+// indexLookup resolves a filter that probesIndex through its column's
+// index: one BKD range per interval, one inverted lookup per string
+// equality or MATCH.
+func indexLookup(r *logblock.Reader, f *filter, stats *ExecStats) (*bitutil.Bitset, error) {
 	m := r.Meta
-	ci := m.Schema.ColumnIndex(p.Col)
-	if ci < 0 {
-		return nil, false, fmt.Errorf("query: column %q not in LogBlock schema", p.Col)
-	}
-	if !probesIndex(m, ci, p) {
-		return nil, false, nil
-	}
-	switch m.Columns[ci].Index {
-	case schema.IndexInverted:
-		ix, err := r.InvertedIndex(ci)
+	if f.pred == nil {
+		tree, err := r.BKDIndex(f.col)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		stats.IndexLookups++
-		if !p.Match {
-			bs, err := ix.LookupBitset(p.Val.S, m.RowCount)
-			return bs, true, err
-		}
-		bs, err := ix.LookupAll(p.Terms, m.RowCount)
-		if err != nil {
-			return nil, false, err
-		}
-		for _, prefix := range p.Prefixes {
-			if !bs.Any() {
-				break
-			}
-			pbs, err := ix.LookupPrefix(prefix, m.RowCount)
-			if err != nil {
-				return nil, false, err
-			}
-			bs.And(pbs)
-		}
-		return bs, true, nil
-	case schema.IndexBKD:
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		switch p.Op {
-		case sma.EQ:
-			lo, hi = p.Val.I, p.Val.I
-		case sma.GE:
-			lo = p.Val.I
-		case sma.GT:
-			if p.Val.I == math.MaxInt64 {
-				return bitutil.NewBitset(m.RowCount), true, nil
-			}
-			lo = p.Val.I + 1
-		case sma.LE:
-			hi = p.Val.I
-		case sma.LT:
-			if p.Val.I == math.MinInt64 {
-				return bitutil.NewBitset(m.RowCount), true, nil
-			}
-			hi = p.Val.I - 1
-		}
-		tree, err := r.BKDIndex(ci)
-		if err != nil {
-			return nil, false, err
-		}
-		stats.IndexLookups++
-		bs, err := tree.Range(lo, hi, m.RowCount)
-		return bs, true, err
+		bs, leaves, err := tree.Range(f.lo, f.hi, m.RowCount)
+		stats.IndexLeavesScanned += leaves
+		return bs, err
 	}
-	return nil, false, nil
+	ix, err := r.InvertedIndex(f.col)
+	if err != nil {
+		return nil, err
+	}
+	stats.IndexLookups++
+	p := f.pred
+	if !p.Match {
+		return ix.LookupBitset(p.Val.S, m.RowCount)
+	}
+	bs, err := ix.LookupAll(p.Terms, m.RowCount)
+	if err != nil {
+		return nil, err
+	}
+	for _, prefix := range p.Prefixes {
+		if !bs.Any() {
+			break
+		}
+		pbs, err := ix.LookupPrefix(prefix, m.RowCount)
+		if err != nil {
+			return nil, err
+		}
+		bs.And(pbs)
+	}
+	return bs, nil
 }
 
-// verifyScan narrows acc by evaluating p against the column's stored
+// verifyScan narrows acc by evaluating f against the column's stored
 // values, scanning only column blocks that can matter: blocks with no
 // candidate row in acc are skipped outright (a word-level range probe),
-// and (with skipping on) blocks whose block-level SMA refutes p are
-// skipped too. Surviving blocks are decoded to typed vectors — through
-// the decoded-vector cache when one is attached — and narrowed by the
-// typed kernels.
-func verifyScan(r *logblock.Reader, p Pred, acc *bitutil.Bitset, opts ExecOptions, stats *ExecStats) error {
+// and (with skipping on) so are blocks whose block-level SMA answers
+// for them — refuted blocks lose their bits, implied blocks keep them,
+// neither is decoded. Surviving blocks are decoded to typed vectors —
+// through the decoded-vector cache when one is attached — and narrowed
+// by the typed kernels.
+func verifyScan(r *logblock.Reader, f *filter, acc *bitutil.Bitset, opts ExecOptions, stats *ExecStats) error {
 	m := r.Meta
-	ci := m.Schema.ColumnIndex(p.Col)
-	if ci < 0 {
-		return fmt.Errorf("query: column %q not in LogBlock schema", p.Col)
-	}
-	cm := m.Columns[ci]
+	blocks := m.Columns[f.col].Blocks
 	for bi := 0; bi < m.NumBlocks; bi++ {
 		start, end := m.BlockRowRange(bi)
 		// Candidate check: any accumulated bit in this block's range?
@@ -265,17 +315,23 @@ func verifyScan(r *logblock.Reader, p Pred, acc *bitutil.Bitset, opts ExecOption
 			continue
 		}
 		// Block-level SMA (Figure 8, step 4).
-		if opts.DataSkipping && !p.Match && !cm.Blocks[bi].SMA.MayMatch(p.Op, p.Val) {
-			stats.ColumnBlocksSkipped++
-			acc.ClearRange(start, end)
-			continue
+		if opts.DataSkipping {
+			if f.refutedBy(blocks[bi].SMA) {
+				stats.ColumnBlocksSkipped++
+				acc.ClearRange(start, end)
+				continue
+			}
+			if f.impliedBy(blocks[bi].SMA, blocks[bi].RowCount) {
+				stats.ColumnBlocksSkipped++
+				continue
+			}
 		}
-		vec, err := r.BlockVector(ci, bi)
+		vec, err := r.BlockVector(f.col, bi)
 		if err != nil {
 			return err
 		}
 		stats.ColumnBlocksScanned++
-		EvalVector(p, vec, acc, start)
+		f.eval(vec, acc, start)
 	}
 	return nil
 }
@@ -304,17 +360,19 @@ func EffectiveColumns(q *Query, sch *schema.Schema) []int {
 
 // Materialize fetches the selected columns for the matched rows of one
 // LogBlock, returning rows in row-id (= time) order, projected to cols.
+// It allocates per column block, not per row: all cells share one
+// array, and the matched strings of a (column, column block) are copied
+// into one exactly sized string that the rows hold substrings of.
 func Materialize(r *logblock.Reader, matched *bitutil.Bitset, cols []int) ([]schema.Row, error) {
 	n := matched.Count()
+	out := make([]schema.Row, n)
 	if n == 0 || len(cols) == 0 {
-		out := make([]schema.Row, n)
 		for i := range out {
 			out[i] = schema.Row{}
 		}
 		return out, nil
 	}
 	m := r.Meta
-	out := make([]schema.Row, n)
 	cells := make([]schema.Value, n*len(cols)) // one backing array for all rows
 	for i := range out {
 		out[i] = cells[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
@@ -340,20 +398,33 @@ func Materialize(r *logblock.Reader, matched *bitutil.Bitset, cols []int) ([]sch
 				}
 				continue
 			}
-			// String rows: dictionary blocks repeat arena extents, so
-			// consecutive equal extents share one materialized string.
+			// String rows, in two walks over the matched bits: size the
+			// block's one allocation, then fill it and cut each row's
+			// substring from it. Dictionary blocks repeat arena extents,
+			// so a run of equal extents is copied once and shared.
 			sv := vec.Strs
-			var prevStart, prevLen uint32
-			var prevStr string
-			havePrev := false
+			sameAsPrev := func(j, prev int) bool {
+				return prev >= 0 && sv.Starts[j] == sv.Starts[prev] && sv.Lens[j] == sv.Lens[prev]
+			}
+			total, prev := 0, -1
 			for i := matched.NextSet(start); i >= 0 && i < end; i = matched.NextSet(i + 1) {
-				j := i - start
-				if !havePrev || sv.Starts[j] != prevStart || sv.Lens[j] != prevLen {
-					prevStart, prevLen = sv.Starts[j], sv.Lens[j]
-					prevStr = sv.Value(j)
-					havePrev = true
+				if j := i - start; !sameAsPrev(j, prev) {
+					total += int(sv.Lens[j])
+					prev = j
 				}
-				out[outIdx][colPos] = schema.StringValue(prevStr)
+			}
+			var sb strings.Builder
+			sb.Grow(total) // exact: the substrings cut below stay valid
+			prev = -1
+			var cur string
+			for i := matched.NextSet(start); i >= 0 && i < end; i = matched.NextSet(i + 1) {
+				if j := i - start; !sameAsPrev(j, prev) {
+					from := sb.Len()
+					sb.Write(sv.Bytes(j))
+					cur = sb.String()[from:]
+					prev = j
+				}
+				out[outIdx][colPos] = schema.StringValue(cur)
 				outIdx++
 			}
 		}
@@ -372,6 +443,9 @@ func ExecuteBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecSta
 		// match count from the returned row count.
 		n := matched.Count()
 		return make([]schema.Row, n), nil
+	}
+	if n := q.RowCap(); n > 0 {
+		matched.KeepFirst(n)
 	}
 	return Materialize(r, matched, EffectiveColumns(q, r.Meta.Schema))
 }

@@ -173,6 +173,64 @@ func TestExecuteBlockProjection(t *testing.T) {
 	}
 }
 
+// TestLimitCapsBlockContribution: a plain LIMIT n makes a LogBlock
+// contribute its first n matched rows and nothing else — the rows the
+// merged result would have kept anyway — while ORDER BY, GROUP BY and
+// COUNT(*) still see every match.
+func TestLimitCapsBlockContribution(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	opts := ExecOptions{DataSkipping: true}
+	capped := 0
+	for trial := 0; trial < 100; trial++ {
+		d := randomDataset(t, rng)
+		q := &Query{Table: "prop", Select: []string{"msg", "code"}}
+		for n := rng.Intn(3); n > 0; n-- {
+			q.Preds = append(q.Preds, randomPreds(rng, len(d.rows))...)
+		}
+		var stats ExecStats
+		all, err := ExecuteBlock(d.r, q, opts, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Limit = 1 + rng.Intn(40)
+		got, err := ExecuteBlock(d.r, q, opts, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := all[:min(q.Limit, len(all))]
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: LIMIT %d gave %d of %d rows\nquery: %s", trial, q.Limit, len(got), len(all), q)
+		}
+		for i := range got {
+			if !got[i][0].Equal(want[i][0]) || !got[i][1].Equal(want[i][1]) {
+				t.Fatalf("trial %d: row %d is %v, want %v\nquery: %s", trial, i, got[i], want[i], q)
+			}
+		}
+		if len(got) < len(all) {
+			capped++
+		}
+		q.OrderBy = "code"
+		if got, err = ExecuteBlock(d.r, q, opts, &stats); err != nil || len(got) != len(all) {
+			t.Fatalf("trial %d: ORDER BY with LIMIT materialized %d of %d rows (err %v)", trial, len(got), len(all), err)
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no trial had more matches than its LIMIT")
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM request_log WHERE tenant_id = 42 LIMIT 3",
+		"SELECT ip, COUNT(*) FROM request_log WHERE tenant_id = 42 GROUP BY ip LIMIT 3",
+	} {
+		q, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.RowCap() != 0 {
+			t.Errorf("%s: row cap %d, want none", sql, q.RowCap())
+		}
+	}
+}
+
 func TestExecuteBlockCount(t *testing.T) {
 	r, rows := buildBlock(t, 800, 100)
 	sch := schema.RequestLogSchema()

@@ -43,6 +43,12 @@ func EvalInt64s(p Pred, vals []int64, acc *bitutil.Bitset, start int) {
 	}
 }
 
+// EvalInt64Range narrows acc over rows [start, start+len(vals)) to the
+// rows with lo <= value <= hi: the kernel of a folded interval.
+func EvalInt64Range(lo, hi int64, vals []int64, acc *bitutil.Bitset, start int) {
+	acc.FilterRange(start, start+len(vals), func(i int) bool { return vals[i-start] >= lo && vals[i-start] <= hi })
+}
+
 // compareBytesString is bytes.Compare against a string without
 // converting either side (schema.Value.Compare is byte-wise too).
 func compareBytesString(b []byte, s string) int {

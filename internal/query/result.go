@@ -56,6 +56,30 @@ func (r *Result) AddRow(q *Query, row schema.Row) {
 	}
 }
 
+// AddRows folds the matched, projected rows of one LogBlock, in order.
+// The slice becomes the result's (the first one is kept, not copied).
+func (r *Result) AddRows(q *Query, rows []schema.Row) {
+	switch {
+	case q.CountStar && q.GroupBy != "":
+		for _, row := range rows {
+			r.addGroup(row[0], 1)
+		}
+	case q.CountStar:
+		r.Count += int64(len(rows))
+	default:
+		r.Rows = adoptOrAppend(r.Rows, rows)
+	}
+}
+
+// adoptOrAppend appends more to rows, taking more itself when there is
+// nothing to append to: most results come from one part.
+func adoptOrAppend(rows, more []schema.Row) []schema.Row {
+	if len(rows) == 0 {
+		return more
+	}
+	return append(rows, more...)
+}
+
 func (r *Result) addGroup(key schema.Value, n int64) {
 	for i := range r.Groups {
 		if r.Groups[i].Key.Equal(key) {
@@ -66,7 +90,9 @@ func (r *Result) addGroup(key schema.Value, n int64) {
 	r.Groups = append(r.Groups, GroupCount{Key: key, Count: n})
 }
 
-// Merge folds another partial result in.
+// Merge folds another partial result in. It takes o's rows over: the
+// first part's row slice becomes r's own instead of being copied, so o
+// must not be used afterwards.
 func (r *Result) Merge(o *Result) {
 	if o == nil {
 		return
@@ -74,7 +100,7 @@ func (r *Result) Merge(o *Result) {
 	if len(r.Columns) == 0 {
 		r.Columns = o.Columns
 	}
-	r.Rows = append(r.Rows, o.Rows...)
+	r.Rows = adoptOrAppend(r.Rows, o.Rows)
 	r.Count += o.Count
 	for _, g := range o.Groups {
 		r.addGroup(g.Key, g.Count)

@@ -1280,6 +1280,12 @@ func (w *Worker) queryOneBlock(ctx context.Context, path string, q *query.Query,
 	if err != nil {
 		return fmt.Errorf("worker %d: match %s: %w", w.cfg.ID, path, err)
 	}
+	// A plain LIMIT stops work here: rows beyond the cap are neither
+	// fetched (their column blocks drop out of the data wave) nor
+	// materialized.
+	if n := q.RowCap(); n > 0 {
+		matched.KeepFirst(n)
+	}
 	if w.pool != nil {
 		if err := prefetchMembers(ctx, r, dataMembers(r, matched, q)); err != nil {
 			return fmt.Errorf("worker %d: prefetch data of %s: %w", w.cfg.ID, path, err)
@@ -1348,9 +1354,7 @@ func (w *Worker) foldMatches(r *logblock.Reader, matched *bitutil.Bitset, q *que
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
-		res.AddRow(q, row)
-	}
+	res.AddRows(q, rows)
 	return nil
 }
 

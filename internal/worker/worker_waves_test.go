@@ -30,6 +30,7 @@ type waveStore struct {
 	mu      sync.Mutex
 	gate    chan struct{} // nil: open
 	arrived chan struct{}
+	offsets []int64 // where every ranged get since the last reset began
 }
 
 func newWaveStore() *waveStore {
@@ -93,6 +94,9 @@ func (s *waveStore) HeadContext(ctx context.Context, key string) (oss.ObjectInfo
 
 func (s *waveStore) GetRangeContext(ctx context.Context, key string, off, size int64) ([]byte, error) {
 	s.stats.RangeGets.Inc()
+	s.mu.Lock()
+	s.offsets = append(s.offsets, off)
+	s.mu.Unlock()
 	s.wait()
 	return s.Store.GetRange(key, off, size)
 }
@@ -171,12 +175,6 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 		t.Fatalf("fixture: %d LogBlocks, want 1", len(blocks))
 	}
 	path := blocks[0].Path
-	q, err := query.Parse(fmt.Sprintf(
-		"SELECT log FROM request_log WHERE tenant_id = 0 AND ts >= %d AND ts <= %d AND latency >= 100",
-		blocks[0].MinTS, blocks[0].MaxTS))
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := query.ExecOptions{DataSkipping: true}
 
 	// What each level has to read, from the object itself.
@@ -192,65 +190,106 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 		t.Fatalf("fixture: manifest and meta end at %d, beyond the first cache block", ext.Offset+ext.Size)
 	}
 	open := []int64{0}
-	var idxMembers, dataMembers []string
-	for _, ci := range query.IndexColumns(r.Meta, q, opts) {
-		idxMembers = append(idxMembers, logblock.IndexMember(ci))
-	}
-	var stats query.ExecStats
-	matched, err := query.MatchBlock(r, q, opts, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tsIndex := minus(cacheBlocks(t, r, []string{logblock.IndexMember(r.Meta.Schema.ColumnIndex("ts"))}), open)
 	logCol := r.Meta.Schema.ColumnIndex("log")
-	for bi := 0; bi < r.Meta.NumBlocks; bi++ {
-		if start, end := r.Meta.BlockRowRange(bi); matched.AnyInRange(start, end) {
-			dataMembers = append(dataMembers, logblock.DataMember(logCol, bi))
-		}
-	}
-	indexes := minus(cacheBlocks(t, r, idxMembers), open)
-	data := minus(cacheBlocks(t, r, dataMembers), open, indexes)
-	if len(idxMembers) < 3 || len(indexes) < 2 || len(data) < 2 {
-		t.Fatalf("fixture too small to tell a wave from a chain: %d index members on %d blocks, %d data blocks",
-			len(idxMembers), len(indexes), len(data))
-	}
 
-	t.Logf("%d-byte LogBlock: open %v, %d index members on blocks %v, data blocks %v",
-		len(raw), open, len(idxMembers), indexes, data)
-
-	want, err := w.QueryBlocksCtx(context.Background(), []string{path}, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Rows) == 0 || len(want.Rows) != matched.Count() {
-		t.Fatalf("ungated query returned %d rows, matcher says %d", len(want.Rows), matched.Count())
-	}
-
-	w.PurgeCaches()
-	store.stats = oss.Stats{}
-	store.closeGate()
-	done := make(chan error, 1)
-	var got *query.Result
-	go func() {
-		var err error
-		got, err = w.QueryBlocksCtx(context.Background(), []string{path}, q, opts)
-		done <- err
-	}()
-	store.wave(t, "open", len(open), done)
-	store.wave(t, "index", len(indexes), done)
-	store.wave(t, "data", len(data), done)
-	select {
-	case err := <-done:
+	// Two shapes. A window inside the LogBlock probes three indexes, one
+	// of them ts: enough members to tell a wave from a chain. The full
+	// history implies the window, so the index wave is the latency index
+	// alone and no byte of the ts index is read — still three levels.
+	var want *query.Result
+	var q *query.Query
+	for _, tc := range []struct {
+		name, where   string
+		minIdxMembers int
+		readsTS       bool
+	}{
+		{"window", fmt.Sprintf("ts >= %d AND ts <= %d AND latency >= 100 AND log MATCH 'tenant'",
+			blocks[0].MinTS+1, blocks[0].MaxTS), 3, true},
+		{"full history", fmt.Sprintf("ts >= %d AND ts <= %d AND latency >= 100",
+			blocks[0].MinTS, blocks[0].MaxTS), 1, false},
+	} {
+		q, err = query.Parse("SELECT log FROM request_log WHERE tenant_id = 0 AND " + tc.where)
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-store.arrived:
-		t.Fatal("a fourth dependent round trip")
-	}
-	if h, g := store.stats.Heads.Value(), store.stats.RangeGets.Value(); h != 0 || g != int64(len(open)+len(indexes)+len(data)) {
-		t.Errorf("cold query: %d heads, %d range gets; want 0 and %d", h, g, len(open)+len(indexes)+len(data))
-	}
-	if len(got.Rows) != len(want.Rows) || got.Stats != want.Stats {
-		t.Errorf("gated cold query: %d rows, stats %+v; want %d, %+v", len(got.Rows), got.Stats, len(want.Rows), want.Stats)
+		var idxMembers, dataMembers []string
+		for _, ci := range query.IndexColumns(r.Meta, q, opts) {
+			idxMembers = append(idxMembers, logblock.IndexMember(ci))
+		}
+		var stats query.ExecStats
+		matched, err := query.MatchBlock(r, q, opts, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi := 0; bi < r.Meta.NumBlocks; bi++ {
+			if start, end := r.Meta.BlockRowRange(bi); matched.AnyInRange(start, end) {
+				dataMembers = append(dataMembers, logblock.DataMember(logCol, bi))
+			}
+		}
+		indexes := minus(cacheBlocks(t, r, idxMembers), open)
+		data := minus(cacheBlocks(t, r, dataMembers), open, indexes)
+		if len(idxMembers) < tc.minIdxMembers || len(indexes) < 2 || len(data) < 2 {
+			t.Fatalf("%s: fixture too small to tell a wave from a chain: %d index members on %d blocks, %d data blocks",
+				tc.name, len(idxMembers), len(indexes), len(data))
+		}
+		if !tc.readsTS && (len(tsIndex) == 0 || len(minus(tsIndex, indexes, data)) != len(tsIndex)) {
+			t.Fatalf("%s: fixture: ts index blocks %v overlap what the query must read (%v, %v)", tc.name, tsIndex, indexes, data)
+		}
+
+		t.Logf("%s: %d-byte LogBlock: open %v, %d index members on blocks %v, data blocks %v",
+			tc.name, len(raw), open, len(idxMembers), indexes, data)
+
+		store.mu.Lock()
+		store.gate = nil
+		store.mu.Unlock()
+		w.PurgeCaches()
+		want, err = w.QueryBlocksCtx(context.Background(), []string{path}, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) == 0 || len(want.Rows) != matched.Count() {
+			t.Fatalf("%s: ungated query returned %d rows, matcher says %d", tc.name, len(want.Rows), matched.Count())
+		}
+
+		w.PurgeCaches()
+		store.stats = oss.Stats{}
+		store.mu.Lock()
+		store.offsets = nil
+		store.mu.Unlock()
+		store.closeGate()
+		done := make(chan error, 1)
+		var got *query.Result
+		go func() {
+			var err error
+			got, err = w.QueryBlocksCtx(context.Background(), []string{path}, q, opts)
+			done <- err
+		}()
+		store.wave(t, "open", len(open), done)
+		store.wave(t, "index", len(indexes), done)
+		store.wave(t, "data", len(data), done)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-store.arrived:
+			t.Fatalf("%s: a fourth dependent round trip", tc.name)
+		}
+		if h, g := store.stats.Heads.Value(), store.stats.RangeGets.Value(); h != 0 || g != int64(len(open)+len(indexes)+len(data)) {
+			t.Errorf("%s: cold query: %d heads, %d range gets; want 0 and %d", tc.name, h, g, len(open)+len(indexes)+len(data))
+		}
+		if len(got.Rows) != len(want.Rows) || got.Stats != want.Stats {
+			t.Errorf("%s: gated cold query: %d rows, stats %+v; want %d, %+v", tc.name, len(got.Rows), got.Stats, len(want.Rows), want.Stats)
+		}
+		for _, off := range store.offsets {
+			if !tc.readsTS && slices.Contains(tsIndex, off/waveBlockSize) {
+				t.Errorf("%s: read at %d lies under the ts index, which the SMA made unnecessary", tc.name, off)
+			}
+		}
+		if implied := got.Stats.PredsImpliedBySMA; (implied == 3) == tc.readsTS {
+			t.Errorf("%s: %d comparisons implied by the SMA", tc.name, implied)
+		}
 	}
 
 	// Not in the catalog: the size comes from one Head, then as before.
@@ -266,6 +305,67 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 	}
 	if h := store.stats.Heads.Value(); h != 1 || len(res.Rows) != len(want.Rows) {
 		t.Errorf("unregistered path: %d heads, %d rows; want 1 head, %d rows", h, len(res.Rows), len(want.Rows))
+	}
+}
+
+// TestLimitShrinksDataWave: LIMIT n without ORDER BY stops work, not
+// just output. Over a LogBlock of several column blocks the capped query
+// returns the first n rows of the uncapped one and fetches strictly
+// fewer data blocks for them.
+func TestLimitShrinksDataWave(t *testing.T) {
+	store := newWaveStore()
+	catalog := meta.NewManager()
+	w, err := New(Config{
+		ID: 7, Replicas: 1, ArchiveInterval: time.Hour,
+		BlockSize: waveBlockSize,
+		Builder:   builder.Config{Table: "request_log", BlockRows: 256},
+	}, schema.RequestLogSchema(), store, catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	blocks := archiveTenant(t, w, catalog, 6000, 33)
+	if len(blocks) != 1 {
+		t.Fatalf("fixture: %d LogBlocks, want 1", len(blocks))
+	}
+	opts := query.ExecOptions{DataSkipping: true}
+	cold := func(sql string) (*query.Result, int64) {
+		t.Helper()
+		q, err := query.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.PurgeCaches()
+		store.stats = oss.Stats{}
+		res, err := w.QueryBlocksCtx(context.Background(), []string{blocks[0].Path}, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Finalize(q); err != nil {
+			t.Fatal(err)
+		}
+		return res, store.stats.RangeGets.Value()
+	}
+	const where = "SELECT log FROM request_log WHERE tenant_id = 0 AND latency >= 100"
+	all, allGets := cold(where)
+	top, topGets := cold(where + " LIMIT 10")
+	if len(all.Rows) < 100 || len(top.Rows) != 10 {
+		t.Fatalf("fixture: %d rows uncapped, %d capped", len(all.Rows), len(top.Rows))
+	}
+	for i, row := range top.Rows {
+		if !row[0].Equal(all.Rows[i][0]) {
+			t.Fatalf("row %d under LIMIT is %v, want %v", i, row, all.Rows[i])
+		}
+	}
+	if topGets >= allGets {
+		t.Errorf("LIMIT 10 read %d cache blocks, the uncapped query %d: the data wave did not shrink", topGets, allGets)
+	}
+	if top.Stats != all.Stats {
+		t.Errorf("LIMIT changed what matching did: %+v, uncapped %+v", top.Stats, all.Stats)
+	}
+	// ORDER BY needs every row before it can pick ten.
+	if _, sortedGets := cold(where + " ORDER BY log LIMIT 10"); sortedGets != allGets {
+		t.Errorf("ORDER BY ... LIMIT read %d cache blocks, want all %d", sortedGets, allGets)
 	}
 }
 

@@ -49,6 +49,8 @@ import (
 type (
 	// Result is a finalized query result.
 	Result = query.Result
+	// ExecStats is a Result's account of the skipping work done for it.
+	ExecStats = query.ExecStats
 	// GroupCount is one GROUP BY bucket of a Result.
 	GroupCount = query.GroupCount
 	// Row is one log record, positionally matching the table schema.
