@@ -86,6 +86,9 @@ func (c *Cluster) RestoreTenant(src oss.Store, srcPrefix string) (int, error) {
 			}
 			entry := b
 			entry.Path = key
+			// The rows are in no row store of this cluster, whatever the
+			// backed-up entry recorded.
+			entry.BornSegment = 0
 			if err := c.catalog.Register(entry); err != nil {
 				return restored, err
 			}

@@ -35,6 +35,11 @@ func TestBackupRestoreTenant(t *testing.T) {
 	if copied != len(c.TenantBlocks(1)) {
 		t.Fatalf("copied %d of %d blocks", copied, len(c.TenantBlocks(1)))
 	}
+	for _, b := range c.TenantBlocks(1) {
+		if b.BornSegment == 0 {
+			t.Fatalf("drained block %+v does not name its segment", b)
+		}
+	}
 	if _, err := vault.Get("backups/2026-07-05/catalog.json"); err != nil {
 		t.Fatal("manifest missing from backup")
 	}
@@ -60,6 +65,11 @@ func TestBackupRestoreTenant(t *testing.T) {
 	}
 	if restored != copied {
 		t.Fatalf("restored %d of %d blocks", restored, copied)
+	}
+	for _, b := range c.TenantBlocks(1) {
+		if b.BornSegment != 0 {
+			t.Fatalf("restored block %+v claims to be born from a segment of this cluster", b)
+		}
 	}
 	back, err := c.Query(countSQL)
 	if err != nil {

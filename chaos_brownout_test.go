@@ -63,7 +63,10 @@ func TestChaosBrownout(t *testing.T) {
 	cfg.Workers = 3
 	cfg.ShardsPerWorker = 2
 	cfg.Replicas = 2 // raft apply path live, so slow-apply injection bites
-	cfg.CacheMemoryBytes = 8 << 20
+	// Smaller than any LogBlock: nothing a commit hands to a block cache
+	// stays there, so the first read of every new block goes to the store
+	// — the working set far beyond the cache that a stalled store hurts.
+	cfg.CacheMemoryBytes = 4 << 10
 	cfg.HeartbeatInterval = 10 * time.Millisecond
 	cfg.HedgeDelay = 20 * time.Millisecond
 	cfg.SlowWorkerThreshold = 40 * time.Millisecond
@@ -206,6 +209,10 @@ func TestQueryExpiredDeadlineSkipsOSS(t *testing.T) {
 		t.Fatalf("%d rows still resident after flush", resident)
 	}
 
+	// The flush left every block in its read home's block cache; the
+	// control query below must find them cold.
+	purgeCaches(c)
+
 	reads := func() int64 {
 		return stats.Gets.Value() + stats.RangeGets.Value() +
 			stats.Heads.Value() + stats.Lists.Value()
@@ -278,6 +285,8 @@ func TestCanceledQueriesReleaseCapacity(t *testing.T) {
 			f.StallNextGets(n, d)
 		}
 	}
+	// Flushed is not cold: the blocks sit in their read homes' caches.
+	purgeCaches(c)
 	stallAll(10_000, 300*time.Millisecond)
 
 	const storm = 8

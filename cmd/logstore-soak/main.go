@@ -3,15 +3,20 @@
 // concurrent query traffic for a wall-clock duration, then verifies the
 // exactly-once accounting (appended == resident + archived) and emits a
 // JSON report of sustained throughput, latency quantiles, and the
-// group-commit factor.
+// group-commit factor. While the load runs, an auditing reader holds the
+// read side to the same ledger: a tenant's COUNT(*) over all time may
+// never exceed the rows sent by the query's end (a row counted in its
+// row store and in its LogBlock), never fall below the same tenant's
+// previous count (a row counted in neither while the archive loop moves
+// it), and must equal the rows acked once everything is flushed.
 //
 // Unlike the micro-benchmarks (one caller, tight loop), the soak
 // exercises the ingest path the way the paper's production deployment
 // does: many concurrent writers per worker, group commit under real
 // contention, archive cycles running mid-stream, and readers competing
 // for the same shards. It exits non-zero on any append error, any
-// query error, or an accounting mismatch, so `make soak-short` can sit
-// in the tier-1 gate.
+// query error, an audited count out of range, or an accounting
+// mismatch, so `make soak-short` can sit in the tier-1 gate.
 //
 //	logstore-soak -tenants 2000 -duration 20s -writers 8 -readers 2 -out BENCH_soak.json
 package main
@@ -51,12 +56,23 @@ type report struct {
 	DedupSkips     int64   `json:"dedup_skips"`
 	ResidentRows   int64   `json:"resident_rows"`
 	ArchivedRows   int64   `json:"archived_rows"`
+	AuditQueries   int64   `json:"audit_queries"`
+	CacheHitRatio  float64 `json:"cache_hit_ratio"`
+	// Bytes of LogBlocks handed to a peer worker's block cache at commit,
+	// per byte archived: what the worker-to-worker link carries in a
+	// deployment.
+	HandoffPeerBytesPerArchivedByte float64 `json:"handoff_peer_bytes_per_archived_byte"`
 	// Shipping metrics ride in the same flat numeric namespace the
 	// benchdiff soak loader expects (no non-numeric fields here).
 	ShipChunks     int64 `json:"ship_chunks,omitempty"`
 	ShipSnapshots  int64 `json:"ship_snapshots,omitempty"`
 	UnshippedBytes int64 `json:"unshipped_bytes,omitempty"`
 }
+
+// auditTenants is how many of the hottest tenants (the lowest ids) the
+// auditing reader checks. They take most of a zipfian load, so they are
+// the ones the archive loop is always in the middle of moving.
+const auditTenants = 8
 
 func main() {
 	var (
@@ -99,6 +115,7 @@ func main() {
 		fatal("open cluster: %v", err)
 	}
 	defer c.Close()
+	sch := c.TableSchema()
 
 	// Each writer gets a disjoint timestamp range. The ingest path
 	// dedups retries by batch content hash, so two byte-identical
@@ -115,6 +132,10 @@ func main() {
 		queryLat     = metrics.NewHistogram(0)
 		stop         = make(chan struct{})
 		wg           sync.WaitGroup
+		// Per audited tenant: rows handed to Append so far, and rows whose
+		// Append has returned.
+		sent, acked [auditTenants]atomic.Int64
+		audits      atomic.Int64
 	)
 	fail := func(format string, args ...any) {
 		if errsReported.Add(1) <= 10 {
@@ -137,12 +158,24 @@ func main() {
 				default:
 				}
 				rows := gen.Batch(*batch)
+				var audited [auditTenants]int64
+				for _, r := range rows {
+					if t := r.Tenant(sch); t < auditTenants {
+						audited[t]++
+					}
+				}
+				for t, n := range audited {
+					sent[t].Add(n)
+				}
 				t0 := time.Now()
 				if err := c.Append(rows...); err != nil {
 					fail("append: %v", err)
 					return
 				}
 				appendLat.Observe(float64(time.Since(t0).Microseconds()) / 1e3)
+				for t, n := range audited {
+					acked[t].Add(n)
+				}
 				rowsAppended.Add(int64(len(rows)))
 			}
 		}(i)
@@ -177,6 +210,44 @@ func main() {
 		}(i * 37)
 	}
 
+	// The auditing reader: per audited tenant, no more rows than were
+	// sent by the end of the query and no fewer than its previous query
+	// saw, whatever the archive loop is doing to the tenant's rows
+	// meanwhile. (The floor is the previous count and not the rows acked
+	// before the query: on a replicated shard an ack means quorum commit,
+	// and the serving replica applies a moment later, so a row acked
+	// microseconds ago may legitimately not be visible yet. Once visible
+	// it must stay visible; the exact comparison with the acked ledger is
+	// made after the final flush.) Its queries are in neither the query
+	// count nor the latency quantiles, which keep describing the readers
+	// above.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var floor [auditTenants]int64
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			t := n % auditTenants
+			got, err := countTenant(c, t)
+			if err != nil {
+				fail("audit query: %v", err)
+				return
+			}
+			hi := sent[t].Load()
+			audits.Add(1)
+			if got < floor[t] || got > hi {
+				fail("audit: tenant %d counts %d rows, outside [%d counted before, %d sent by the query's end]",
+					t, got, floor[t], hi)
+				continue // a wrong count is no floor for the next
+			}
+			floor[t] = got
+		}
+	}()
+
 	t0 := time.Now()
 	time.Sleep(*duration)
 	close(stop)
@@ -184,7 +255,10 @@ func main() {
 	elapsed := time.Since(t0)
 
 	if n := errsReported.Load(); n > 0 {
-		fatal("%d append/query errors under sustained load", n)
+		fatal("%d append, query or audit failures under sustained load (%d audit queries)", n, audits.Load())
+	}
+	if audits.Load() == 0 {
+		fatal("the auditing reader completed no query")
 	}
 
 	// Exactly-once accounting: drain everything to OSS and reconcile the
@@ -196,6 +270,11 @@ func main() {
 	}
 	if resident := c.WaitForArchive(30 * time.Second); resident != 0 {
 		fatal("%d rows still resident after flush", resident)
+	}
+	for t := range acked {
+		if got, err := countTenant(c, t); err != nil || got != acked[t].Load() {
+			fatal("audit: tenant %d counts %d rows after the flush (%v), %d were acked", t, got, err, acked[t].Load())
+		}
 	}
 	stats := c.Stats()
 	apply := c.ApplyStats()
@@ -228,6 +307,13 @@ func main() {
 		DedupSkips:     apply.DedupSkips,
 		ResidentRows:   stats.ResidentRows,
 		ArchivedRows:   stats.ArchivedRows,
+		AuditQueries:   audits.Load(),
+	}
+	if lookups := stats.CacheMemHits + stats.CacheMemMisses; lookups > 0 {
+		rep.CacheHitRatio = float64(stats.CacheMemHits) / float64(lookups)
+	}
+	if stats.ArchivedBytes > 0 {
+		rep.HandoffPeerBytesPerArchivedByte = float64(stats.HandoffPeerBytes) / float64(stats.ArchivedBytes)
 	}
 	if groups > 0 {
 		rep.GroupFactor = float64(batches) / float64(groups)
@@ -253,8 +339,20 @@ func main() {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fatal("write %s: %v", *out, err)
 	}
-	fmt.Printf("soak ok: %.0f rows/s sustained, %.0f queries/s, group factor %.2f, p99 append %.2fms\n",
-		rep.RowsPerSec, rep.QueriesPerSec, rep.GroupFactor, rep.AppendP99MS)
+	fmt.Printf("soak ok: %.0f rows/s sustained, %.0f queries/s, group factor %.2f, p99 append %.2fms, %d audited counts in range\n",
+		rep.RowsPerSec, rep.QueriesPerSec, rep.GroupFactor, rep.AppendP99MS, rep.AuditQueries)
+}
+
+// countTenant is the audit's query: every row of the tenant, resident
+// or archived.
+func countTenant(c *logstore.Cluster, tenant int) (int64, error) {
+	sch := c.TableSchema()
+	res, err := c.Query(fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s = %d AND %s >= 0",
+		sch.Name, sch.TenantCol, tenant, sch.TimeCol))
+	if err != nil {
+		return 0, err
+	}
+	return res.Count, nil
 }
 
 func fatal(format string, args ...any) {

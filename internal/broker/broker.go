@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sync"
 	"time"
@@ -417,6 +416,16 @@ func (b *Broker) QueryContext(ctx context.Context, sql string) (*query.Result, e
 // every archived-block sub-query (through the worker's scan and down to
 // object-storage reads) and every real-time scan, so one client
 // deadline bounds the whole scatter.
+//
+// Each row is read exactly once although the archive loop moves rows
+// from the row stores to LogBlocks while the query runs. The real-time
+// scans come first and report the row-store segments their snapshots
+// covered; only then is the catalog pruned, and a LogBlock born from a
+// covered segment is left out — its rows were in that scan (a drain
+// registers a segment's blocks before it releases the segment, so for a
+// while both hold them). The order closes the other gap: a segment
+// released before the scan had registered all its blocks by then, so the
+// prune, which is later still, finds them.
 func (b *Broker) ExecuteContext(ctx context.Context, q *query.Query) (*query.Result, error) {
 	if err := q.Validate(b.sch); err != nil {
 		return nil, err
@@ -428,88 +437,72 @@ func (b *Broker) ExecuteContext(ctx context.Context, q *query.Query) (*query.Res
 	if !ok {
 		return nil, fmt.Errorf("broker: query must constrain %s with equality", b.sch.TenantCol)
 	}
-
-	// Plan: archived blocks from the LogBlock map, partitioned across
-	// the workers the health tracker considers able to serve reads, by
-	// path hash (stable → cache affinity); real-time sub-queries to
-	// every shard in old+new routing plans. Workers the tracker flags
-	// as slow (gray failure: alive but lagging) are excluded from the
-	// primary partition and kept only as failover tail.
-	blocks := b.catalog.Prune(tenant, minTS, maxTS)
 	workerIDs := b.pool.WorkerIDs()
 	if len(workerIDs) == 0 {
 		return nil, fmt.Errorf("broker: no workers")
 	}
-	serving := b.servingWorkers(workerIDs)
-	primary := b.preferFast(serving)
-	byWorker := make(map[flow.WorkerID][]string)
-	for _, blk := range blocks {
-		h := fnv.New32a()
-		h.Write([]byte(blk.Path))
-		wid := primary[int(h.Sum32())%len(primary)]
-		byWorker[wid] = append(byWorker[wid], blk.Path)
-	}
-	shards := b.router.ReadShards(flow.TenantID(tenant))
-
-	type part struct {
-		res *query.Result
-		err error
-	}
-	results := make(chan part, len(byWorker)+len(shards))
-	var wg sync.WaitGroup
-
-	for wid, paths := range byWorker {
-		wid, paths := wid, paths
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			candidates := b.candidatesFrom(wid, primary)
-			for _, s := range serving {
-				if !slices.Contains(primary, s) {
-					candidates = append(candidates, s) // slow workers: failover tail
-				}
-			}
-			res, err := b.runBlockSet(ctx, paths, q, candidates)
-			results <- part{res: res, err: err}
-		}()
-	}
-	for _, shard := range shards {
-		shard := shard
-		wid, ok := b.pool.ShardOwner(shard)
-		if !ok {
-			continue // shard may have been removed; archived data covers it
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, ok := b.pool.Worker(wid)
-			if !ok {
-				results <- part{err: fmt.Errorf("broker: worker %d not found", wid)}
-				return
-			}
-			res, err := w.QueryRealtimeCtx(ctx, shard, q)
-			results <- part{res: res, err: err}
-		}()
-	}
-	wg.Wait()
-	close(results)
-
 	final := query.NewResult(q, b.sch)
-	var firstErr error
-	for p := range results {
-		if p.err != nil {
-			if firstErr == nil {
-				firstErr = p.err
-			}
-			continue // drain so stragglers don't leak into a closed channel
-		}
-		final.Merge(p.res)
+
+	// Real-time sub-queries go to every shard in the old and new routing
+	// plans. A shard without an owner may have been removed; archived
+	// data covers it.
+	type shardAt struct {
+		shard flow.ShardID
+		wid   flow.WorkerID
 	}
-	if firstErr != nil {
-		if errors.Is(firstErr, context.Canceled) || errors.Is(firstErr, context.DeadlineExceeded) {
-			return nil, b.countCtxErr(firstErr)
+	var owned []shardAt
+	for _, shard := range b.router.ReadShards(flow.TenantID(tenant)) {
+		if wid, ok := b.pool.ShardOwner(shard); ok {
+			owned = append(owned, shardAt{shard, wid})
 		}
-		return nil, firstErr
+	}
+	err := b.mergeParts(final, len(owned), func(i int) (*query.Result, error) {
+		w, ok := b.pool.Worker(owned[i].wid)
+		if !ok {
+			return nil, fmt.Errorf("broker: worker %d not found", owned[i].wid)
+		}
+		return w.QueryRealtimeCtx(ctx, owned[i].shard, q)
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Archived blocks from the LogBlock map, partitioned by path hash
+	// (stable → cache affinity) across the workers the health tracker
+	// considers able to serve reads; slow-flagged ones are kept out of
+	// that partition and serve only as failover tail.
+	serving, primary := b.cfg.Health.ReadPartition(workerIDs)
+	type blockSet struct {
+		wid   flow.WorkerID
+		paths []string
+	}
+	var sets []blockSet
+	for _, blk := range b.catalog.Prune(tenant, minTS, maxTS) {
+		if blk.BornSegment != 0 && slices.Contains(final.Resident, blk.BornSegment) {
+			continue
+		}
+		wid := flow.ReadHome(primary, blk.Path)
+		i := slices.IndexFunc(sets, func(s blockSet) bool { return s.wid == wid })
+		if i < 0 {
+			i = len(sets)
+			sets = append(sets, blockSet{wid: wid})
+		}
+		sets[i].paths = append(sets[i].paths, blk.Path)
+	}
+	final.Resident = nil // the broker's working state, not part of the answer
+
+	var tail []flow.WorkerID // slow workers: failover only
+	for _, s := range serving {
+		if !slices.Contains(primary, s) {
+			tail = append(tail, s)
+		}
+	}
+	err = b.mergeParts(final, len(sets), func(i int) (*query.Result, error) {
+		candidates := append(b.candidatesFrom(sets[i].wid, primary), tail...)
+		return b.runBlockSet(ctx, sets[i].paths, q, candidates)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := final.Finalize(q); err != nil {
 		return nil, err
@@ -517,45 +510,38 @@ func (b *Broker) ExecuteContext(ctx context.Context, q *query.Query) (*query.Res
 	return final, nil
 }
 
-// preferFast drops slow-flagged workers from the primary read
-// partition, keeping them only as failover candidates. If every
-// serving worker is slow the full list is returned — universally
-// degraded beats unavailable.
-func (b *Broker) preferFast(serving []flow.WorkerID) []flow.WorkerID {
-	if b.cfg.Health == nil {
-		return serving
+// mergeParts runs n sub-queries — the last on the caller's goroutine,
+// so the common single sub-query costs no goroutine — and merges their
+// partial results into final in index order. Every sub-query finishes
+// before it returns; the error is that of the lowest index that failed.
+func (b *Broker) mergeParts(final *query.Result, n int, run func(i int) (*query.Result, error)) error {
+	if n == 0 {
+		return nil
 	}
-	out := make([]flow.WorkerID, 0, len(serving))
-	for _, wid := range serving {
-		if b.cfg.Health.State(wid) != flow.WorkerSlow {
-			out = append(out, wid)
+	parts := make([]*query.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			parts[i], errs[i] = run(i)
+		}(i)
+	}
+	parts[n-1], errs[n-1] = run(n - 1)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return b.countCtxErr(err)
+			}
+			return err
 		}
 	}
-	if len(out) == 0 {
-		return serving
+	for _, p := range parts {
+		final.Merge(p)
 	}
-	return out
-}
-
-// servingWorkers filters out workers the health tracker believes are
-// dead. Draining workers still serve reads (they answer for the cached
-// blocks they hold; only new writes avoid them). If health marks every
-// worker dead the full list is returned — stale health must degrade to
-// optimistic routing, never to total unavailability.
-func (b *Broker) servingWorkers(all []flow.WorkerID) []flow.WorkerID {
-	if b.cfg.Health == nil {
-		return all
-	}
-	out := make([]flow.WorkerID, 0, len(all))
-	for _, wid := range all {
-		if b.cfg.Health.State(wid) != flow.WorkerDead {
-			out = append(out, wid)
-		}
-	}
-	if len(out) == 0 {
-		return all
-	}
-	return out
+	return nil
 }
 
 // candidatesFrom orders the serving workers for one block set: the

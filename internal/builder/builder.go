@@ -9,19 +9,25 @@
 // throttles and fails transiently under multi-tenant load, so every
 // OSS operation goes through a retrying store (exponential backoff
 // with full jitter behind a circuit breaker; see internal/retry), and
-// the archive commit is idempotent and atomic:
+// the archive commit (publish, shared by drains and compaction) is
+// idempotent and atomic:
 //
 //  1. the packed LogBlock's key is derived from its content
 //     (tenant, min timestamp, FNV-64a fingerprint of the packed
 //     bytes), so re-archiving the same segment reproduces the same
 //     key instead of a duplicate object;
 //  2. the object is uploaded first, while it is still invisible —
-//     nothing reads a key the catalog does not hold;
-//  3. catalog registration is the single commit point, performed
+//     nothing reads a key the catalog does not hold — unless a Head
+//     finds it already there at the right size (a crash between upload
+//     and registration left it);
+//  3. the packed bytes, still in hand, are offered to the block cache of
+//     the worker that will be asked for the block (Config.Handoff), so
+//     its first read is not a storage round trip. Best effort: a lost
+//     hand-off costs that read one fetch, nothing else;
+//  4. catalog registration is the single commit point, performed
 //     last. A crash or exhausted retry before registration leaves at
-//     worst an unregistered (invisible) object for SweepOrphans, and
-//     the segment is re-drained later: the catalog/Head dedup checks
-//     then skip the work already done.
+//     worst an unregistered (invisible) object for SweepOrphans and a
+//     cache entry nobody asks for, and the segment is re-drained later.
 //
 // A segment is released from the row store only after every one of its
 // LogBlocks has committed, so no row is dropped before it is durable
@@ -65,6 +71,12 @@ type Config struct {
 	// The builder always wraps its store with retries; passing an
 	// already-wrapped *oss.RetryingStore keeps that wrapper.
 	Retry *retry.Policy
+	// Handoff, when set, is offered every LogBlock's packed bytes under
+	// its object key after the upload and before the catalog makes the
+	// key visible (the worker passes them to the block's read home). It
+	// must not keep the builder waiting on anything slow, and may drop
+	// the bytes. packed is not modified afterwards.
+	Handoff func(key string, packed []byte)
 }
 
 // Builder converts row-store segments into LogBlocks on object storage.
@@ -222,7 +234,7 @@ func (b *Builder) archiveSegment(seg *rowstore.Segment) (int, error) {
 		for len(rows) > 0 {
 			chunk := rows[:min(len(rows), b.cfg.MaxRowsPerBlock)]
 			rows = rows[len(chunk):]
-			fresh, err := b.commitChunk(tenant, chunk)
+			fresh, err := b.commitChunk(tenant, chunk, seg.ID)
 			if err != nil {
 				return committed, fmt.Errorf("tenant %d: %w", tenant, err)
 			}
@@ -255,28 +267,34 @@ func (b *Builder) blockKey(tenant, minTS int64, packed []byte) string {
 		meta.TenantPrefix(b.cfg.Table, tenant), minTS, h.Sum64())
 }
 
-// commitChunk archives one tenant's row chunk as a LogBlock using the
-// idempotent upload-then-register protocol. It reports whether a new
-// block was committed (false = deduplicated against a prior commit).
-func (b *Builder) commitChunk(tenant int64, rows []schema.Row) (bool, error) {
+// packBlock builds rows into a LogBlock and returns its packed bytes
+// with the catalog entry describing them (CreatedMS and BornSegment are
+// the caller's to set).
+func (b *Builder) packBlock(tenant int64, rows []schema.Row) ([]byte, meta.BlockInfo, error) {
 	built, err := logblock.Build(b.sch, rows, b.buildOptions())
 	if err != nil {
-		return false, err
+		return nil, meta.BlockInfo{}, err
 	}
 	packed, err := built.Pack()
 	if err != nil {
-		return false, err
+		return nil, meta.BlockInfo{}, err
 	}
-	key := b.blockKey(tenant, built.Meta.MinTS, packed)
+	return packed, meta.BlockInfo{
+		Tenant: tenant,
+		Path:   b.blockKey(tenant, built.Meta.MinTS, packed),
+		MinTS:  built.Meta.MinTS,
+		MaxTS:  built.Meta.MaxTS,
+		Rows:   int64(built.Meta.RowCount),
+		Bytes:  int64(len(packed)),
+	}, nil
+}
 
-	// Dedup check 1: already registered — the commit completed in a
-	// previous drain (e.g. the crash happened after registration but
-	// before the segment was released). Nothing to do.
-	if b.catalog.Has(tenant, key) {
-		b.dedupSkips.Inc()
-		return false, nil
-	}
-
+// publish is the archive commit: upload packed under key unless it is
+// there already, hand the bytes to the block's read home, then run
+// register, the catalog operation that makes the key visible. The key
+// is marked pending throughout, so an orphan sweep never deletes an
+// in-flight commit.
+func (b *Builder) publish(key string, packed []byte, register func() error) error {
 	b.mu.Lock()
 	b.pending[key] = struct{}{}
 	b.mu.Unlock()
@@ -286,36 +304,53 @@ func (b *Builder) commitChunk(tenant int64, rows []schema.Row) (bool, error) {
 		b.mu.Unlock()
 	}()
 
-	// Dedup check 2: uploaded but never registered (crash between
-	// upload and commit). The key is content-derived, so a size match
-	// means the bytes are already there; skip straight to registration.
-	uploaded := false
+	// Upload first: the object is invisible until registered, so a
+	// failure here never exposes a partial LogBlock. Uploaded but never
+	// registered (a crash between the two): the key is content-derived,
+	// so a size match means the bytes are already there.
 	if info, err := b.store.Head(key); err == nil && info.Size == int64(len(packed)) {
-		uploaded = true
 		b.dedupSkips.Inc()
+	} else if err := b.store.Put(key, packed); err != nil {
+		return fmt.Errorf("upload %s: %w", key, err)
 	}
-	if !uploaded {
-		// Upload first: the object is invisible until registered, so a
-		// failure here never exposes a partial LogBlock.
-		if err := b.store.Put(key, packed); err != nil {
-			return false, fmt.Errorf("upload %s: %w", key, err)
-		}
+	// Before the key is visible, so that whoever finds it in the catalog
+	// finds it cached; the key is content-derived, so bytes admitted for
+	// a commit that then fails can never be wrong, only unused.
+	if b.cfg.Handoff != nil {
+		b.cfg.Handoff(key, packed)
 	}
-
-	// Commit point: catalog registration makes the block visible.
-	info := meta.BlockInfo{
-		Tenant:    tenant,
-		Path:      key,
-		MinTS:     built.Meta.MinTS,
-		MaxTS:     built.Meta.MaxTS,
-		Rows:      int64(len(rows)),
-		Bytes:     int64(len(packed)),
-		CreatedMS: time.Now().UnixMilli(),
-	}
-	if err := b.catalog.Register(info); err != nil {
-		return false, fmt.Errorf("register %s: %w", key, err)
+	if err := register(); err != nil {
+		return fmt.Errorf("register %s: %w", key, err)
 	}
 	b.blocksBuilt.Inc()
-	b.rowsArchived.Add(int64(len(rows)))
+	return nil
+}
+
+// commitChunk archives one tenant's row chunk, cut from row-store
+// segment born, as a LogBlock. It reports whether a new block was
+// committed (false = deduplicated against a prior commit).
+func (b *Builder) commitChunk(tenant int64, rows []schema.Row, born uint64) (bool, error) {
+	packed, info, err := b.packBlock(tenant, rows)
+	if err != nil {
+		return false, err
+	}
+	// Already registered: the commit completed in a previous drain (a
+	// later block of the segment failed, or the crash happened after
+	// registration but before the segment was released). The rows are in
+	// this segment now, so the entry says so.
+	if old, ok := b.catalog.Lookup(info.Path); ok && old.Tenant == tenant {
+		b.dedupSkips.Inc()
+		if old.BornSegment == born {
+			return false, nil
+		}
+		old.BornSegment = born
+		return false, b.catalog.Register(old)
+	}
+	info.CreatedMS = time.Now().UnixMilli()
+	info.BornSegment = born
+	if err := b.publish(info.Path, packed, func() error { return b.catalog.Register(info) }); err != nil {
+		return false, err
+	}
+	b.rowsArchived.Add(info.Rows)
 	return true, nil
 }

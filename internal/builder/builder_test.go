@@ -1,6 +1,7 @@
 package builder_test
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"strings"
@@ -157,24 +158,41 @@ func TestRedrainAlreadyRegisteredIsDeduped(t *testing.T) {
 	b, catalog := newBuilder(t, builder.Config{}, mem)
 	rows, perTenant := genRows(t, 200, 3, 5)
 
+	// bornFrom checks that every catalog entry names segment id.
+	bornFrom := func(id uint64) {
+		t.Helper()
+		for tenant := range perTenant {
+			for _, blk := range catalog.Blocks(tenant) {
+				if blk.BornSegment != id {
+					t.Errorf("block %s born from segment %d, want %d", blk.Path, blk.BornSegment, id)
+				}
+			}
+		}
+	}
+
 	rs1 := newRowStore(t)
 	if err := rs1.Append(rows...); err != nil {
 		t.Fatal(err)
 	}
+	seg1 := rs1.Seal().ID
 	n1, err := b.DrainStore(rs1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bornFrom(seg1)
 	objects, err := mem.List("")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Same rows in a "recovered" segment — as if Release never happened.
+	// The rows are in that segment now, and the entries must say so, or
+	// a query would count them in the segment and in the block.
 	rs2 := newRowStore(t)
 	if err := rs2.Append(rows...); err != nil {
 		t.Fatal(err)
 	}
+	seg2 := rs2.Seal().ID
 	n2, err := b.DrainStore(rs2)
 	if err != nil {
 		t.Fatal(err)
@@ -182,6 +200,10 @@ func TestRedrainAlreadyRegisteredIsDeduped(t *testing.T) {
 	if n2 != 0 {
 		t.Errorf("re-drain committed %d new blocks, want 0", n2)
 	}
+	if seg2 == seg1 {
+		t.Fatalf("two stores numbered a segment %d", seg1)
+	}
+	bornFrom(seg2)
 	if _, _, skips := b.Stats(); skips < int64(n1) {
 		t.Errorf("dedupSkips = %d, want >= %d", skips, n1)
 	}
@@ -247,6 +269,56 @@ func TestRedrainUploadedButUnregistered(t *testing.T) {
 	for tenant, want := range perTenant {
 		if got := catalogRows(catalog2, tenant); got != int64(want) {
 			t.Errorf("tenant %d rows = %d, want %d", tenant, got, want)
+		}
+	}
+}
+
+// TestHandoffBetweenUploadAndRegister: every committed LogBlock — drained
+// or merged — is offered to Config.Handoff exactly once, with the bytes
+// the store holds under its key, after the upload and before the catalog
+// makes the key visible; a block the catalog already holds is not.
+func TestHandoffBetweenUploadAndRegister(t *testing.T) {
+	mem := oss.NewMemStore()
+	var catalog *meta.Manager
+	offered := map[string]int{}
+	b, catalog := newBuilder(t, builder.Config{Handoff: func(key string, packed []byte) {
+		offered[key]++
+		stored, err := mem.Get(key)
+		if err != nil || !bytes.Equal(stored, packed) {
+			t.Errorf("hand-off of %s: store holds %d bytes (%v), offered %d", key, len(stored), err, len(packed))
+		}
+		if _, visible := catalog.Lookup(key); visible {
+			t.Errorf("hand-off of %s after it became visible", key)
+		}
+	}}, mem)
+	drain := func(rows []schema.Row) {
+		t.Helper()
+		rs := newRowStore(t)
+		if err := rs.Append(rows...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.DrainStore(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, _ := genRows(t, 120, 1, 21)
+	second, _ := genRows(t, 120, 1, 22)
+	drain(first)
+	drain(first) // deduplicated: nothing to hand off
+	drain(second)
+	if len(offered) != 2 {
+		t.Fatalf("%d keys offered after two distinct drains, want 2", len(offered))
+	}
+	if merged, err := b.CompactTenant(0, 0); err != nil || merged != 2 {
+		t.Fatalf("CompactTenant = %d, %v; want 2", merged, err)
+	}
+	blocks := catalog.Blocks(0)
+	if len(blocks) != 1 || offered[blocks[0].Path] != 1 || len(offered) != 3 {
+		t.Fatalf("after compaction: blocks %+v, offered %v; want the merged block offered once", blocks, offered)
+	}
+	for key, n := range offered {
+		if n != 1 {
+			t.Errorf("%s offered %d times", key, n)
 		}
 	}
 }

@@ -21,12 +21,12 @@ const DefaultCompactTargetRows = 1_000_000
 // class as expiration and checkpointing) that repairs it.
 //
 // The commit is atomic and crash-safe: merged blocks are uploaded
-// first (invisible), then the catalog entries are swapped in one
-// operation (meta.Replace), then the source objects are deleted
-// best-effort. A crash before the swap leaves only invisible merged
-// objects (orphans for SweepOrphans); a crash after it leaves only
-// unreferenced source objects — in neither case does a query see
-// double or missing rows.
+// first (invisible) and handed to their read home, then the catalog
+// entries are swapped in one operation (publish with meta.Replace), then
+// the source objects are deleted best-effort. A crash before the swap
+// leaves only invisible merged objects (orphans for SweepOrphans); a
+// crash after it leaves only unreferenced source objects — in neither
+// case does a query see double or missing rows.
 func (b *Builder) CompactTenant(tenant int64, targetRows int) (int, error) {
 	if targetRows <= 0 {
 		targetRows = DefaultCompactTargetRows
@@ -83,61 +83,29 @@ func (b *Builder) mergeGroup(tenant int64, group []meta.BlockInfo) error {
 		rows = append(rows, blockRows...)
 	}
 
-	built, err := logblock.Build(b.sch, rows, b.buildOptions())
+	packed, info, err := b.packBlock(tenant, rows)
 	if err != nil {
 		return err
 	}
-	packed, err := built.Pack()
-	if err != nil {
-		return err
-	}
-	key := b.blockKey(tenant, built.Meta.MinTS, packed)
-
-	b.mu.Lock()
-	b.pending[key] = struct{}{}
-	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		delete(b.pending, key)
-		b.mu.Unlock()
-	}()
-
-	// Upload while invisible (idempotent: skip if already there).
-	if info, err := b.store.Head(key); err != nil || info.Size != int64(len(packed)) {
-		if err := b.store.Put(key, packed); err != nil {
-			return fmt.Errorf("upload %s: %w", key, err)
-		}
-	} else {
-		b.dedupSkips.Inc()
-	}
-
-	// Atomic commit: sources out, merged block in, one catalog swap.
+	// Atomic commit: sources out, merged block in, one catalog swap. The
+	// merged block's rows are in no row store, so it carries no
+	// BornSegment.
 	removePaths := make([]string, len(group))
-	var createdMS int64
 	for i, blk := range group {
 		removePaths[i] = blk.Path
-		if blk.CreatedMS > createdMS {
-			createdMS = blk.CreatedMS
-		}
+		info.CreatedMS = max(info.CreatedMS, blk.CreatedMS)
 	}
-	info := meta.BlockInfo{
-		Tenant:    tenant,
-		Path:      key,
-		MinTS:     built.Meta.MinTS,
-		MaxTS:     built.Meta.MaxTS,
-		Rows:      int64(built.Meta.RowCount),
-		Bytes:     int64(len(packed)),
-		CreatedMS: createdMS,
+	err = b.publish(info.Path, packed, func() error {
+		return b.catalog.Replace(tenant, removePaths, []meta.BlockInfo{info})
+	})
+	if err != nil {
+		return err
 	}
-	if err := b.catalog.Replace(tenant, removePaths, []meta.BlockInfo{info}); err != nil {
-		return fmt.Errorf("commit %s: %w", key, err)
-	}
-	b.blocksBuilt.Inc()
 
 	// The source objects are now unreferenced; delete best-effort. A
 	// failure leaves an invisible orphan for SweepOrphans.
 	for _, path := range removePaths {
-		if path == key {
+		if path == info.Path {
 			continue // content-identical rewrite; never delete the live key
 		}
 		_ = b.store.Delete(path)

@@ -245,3 +245,53 @@ func (h *HealthTracker) Snapshot() map[WorkerID]WorkerState {
 	}
 	return out
 }
+
+// ReadPartition splits the workers for archived reads under the current
+// health view. Serving drops the workers believed dead: draining ones
+// still answer for the cached blocks they hold, only new writes avoid
+// them. Primary further drops the slow-flagged ones (gray failure:
+// alive but lagging), which stay in serving as the failover tail. A
+// filter that would leave nothing returns its input instead: stale
+// health must degrade to optimistic routing, never to unavailability,
+// and universally degraded beats unavailable. A nil tracker treats every
+// worker as healthy.
+func (h *HealthTracker) ReadPartition(all []WorkerID) (serving, primary []WorkerID) {
+	if h == nil {
+		return all, all
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	serving = make([]WorkerID, 0, len(all))
+	primary = make([]WorkerID, 0, len(all))
+	for _, w := range all {
+		switch h.stateLocked(w) {
+		case WorkerDead:
+		case WorkerSlow:
+			serving = append(serving, w)
+		default:
+			serving = append(serving, w)
+			primary = append(primary, w)
+		}
+	}
+	if len(serving) == 0 {
+		serving = all
+	}
+	if len(primary) == 0 {
+		primary = serving
+	}
+	return serving, primary
+}
+
+// ReadHome returns the worker of a non-empty primary partition that a
+// LogBlock's sub-queries are sent to first: the FNV-1a hash of its
+// object key picks the slot, so the choice is stable while the partition
+// is and repeated reads of a block meet one worker's caches. The broker
+// routes by it and the archive commit hands a new block's bytes to the
+// same worker, which is why the rule lives in one place.
+func ReadHome(primary []WorkerID, path string) WorkerID {
+	h := uint32(2166136261)
+	for i := 0; i < len(path); i++ {
+		h = (h ^ uint32(path[i])) * 16777619
+	}
+	return primary[h%uint32(len(primary))]
+}

@@ -26,6 +26,14 @@ type BlockInfo struct {
 	Rows      int64  `json:"rows"`
 	Bytes     int64  `json:"bytes"`
 	CreatedMS int64  `json:"created_ms"`
+	// BornSegment is the id of the row-store segment a drained block's
+	// rows came from (rowstore.Segment.ID, unique across stores and
+	// restarts); 0 = unknown or none, as for compaction outputs, restored
+	// backups and entries written before the field existed. Between the
+	// block's registration and the segment's release the rows are in
+	// both places, and a query that scanned the segment uses the tag to
+	// leave the block out (broker.ExecuteContext).
+	BornSegment uint64 `json:"born_segment,omitempty"`
 }
 
 // Manager is the metadata manager. Safe for concurrent use.
@@ -121,18 +129,11 @@ func (m *Manager) Register(info BlockInfo) error {
 	return nil
 }
 
-// Has reports whether the tenant already has a block registered under
-// path (the data builder's archive-commit dedup check).
-func (m *Manager) Has(tenant int64, path string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	b, ok := m.byPath[path]
-	return ok && b.Tenant == tenant
-}
-
 // Lookup returns the catalog entry of the object stored under path.
 // The read path takes the object's size from it (BlockInfo.Bytes)
-// instead of probing object storage.
+// instead of probing object storage, and the data builder's archive
+// commit asks it whether the block it is about to commit is already
+// registered.
 func (m *Manager) Lookup(path string) (BlockInfo, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -17,6 +17,12 @@ func info(tenant int64, path string, minTS, maxTS int64) BlockInfo {
 	}
 }
 
+// has reports whether the tenant has a block registered under path.
+func has(m *Manager, tenant int64, path string) bool {
+	b, ok := m.Lookup(path)
+	return ok && b.Tenant == tenant
+}
+
 func TestRegisterValidation(t *testing.T) {
 	m := NewManager()
 	if err := m.Register(BlockInfo{Tenant: 1, Path: "", MinTS: 0, MaxTS: 1}); err == nil {
@@ -200,6 +206,40 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotBornSegment: a snapshot written before BlockInfo had
+// BornSegment (these bytes are one) loads with the tag unknown, an
+// untagged entry still serializes to those bytes, and a tag survives a
+// round trip.
+func TestSnapshotBornSegment(t *testing.T) {
+	const old = `{"blocks":{"1":[{"tenant":1,"path":"a","min_ts":0,"max_ts":99,"rows":100,"bytes":1048576,"created_ms":99}]},"retention_ms":{}}`
+	m := NewManager()
+	if err := m.Unmarshal([]byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Blocks(1); len(got) != 1 || got[0].BornSegment != 0 || got[0] != info(1, "a", 0, 99) {
+		t.Fatalf("old snapshot loaded as %+v", got)
+	}
+	if raw, err := m.Marshal(); err != nil || string(raw) != old {
+		t.Fatalf("untagged entry serialized as %s (%v), want the old bytes", raw, err)
+	}
+	tagged := info(1, "b", 100, 199)
+	tagged.BornSegment = 1<<63 + 5
+	if err := m.Register(tagged); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewManager()
+	if err := m2.Unmarshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := m2.Lookup("b"); got != tagged {
+		t.Fatalf("tagged entry round-tripped as %+v, want %+v", got, tagged)
+	}
+}
+
 func TestBlockPathLayout(t *testing.T) {
 	p := BlockPath("request_log", 42, 1000, 7)
 	if !strings.HasPrefix(p, TenantPrefix("request_log", 42)) {
@@ -314,7 +354,7 @@ func TestIndexMatchesListsUnderRandomOps(t *testing.T) {
 					}
 				} else {
 					for _, a := range add {
-						if !m.Has(tenant, a.Path) {
+						if !has(m, tenant, a.Path) {
 							t.Fatalf("seed %d step %d: Replace lost %s", seed, step, a.Path)
 						}
 					}
@@ -323,7 +363,7 @@ func TestIndexMatchesListsUnderRandomOps(t *testing.T) {
 			case 5, 6:
 				path := fmt.Sprintf("p%d", rng.Intn(40))
 				m.Remove(tenant, path)
-				if m.Has(tenant, path) {
+				if has(m, tenant, path) {
 					t.Fatalf("seed %d step %d: %s still registered after Remove", seed, step, path)
 				}
 				op = "Remove"
@@ -369,7 +409,7 @@ func TestUnmarshalRejectsInconsistentSnapshot(t *testing.T) {
 		if err := m.Unmarshal([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		if !m.Has(1, "keep") || len(m.Blocks(1)) != 1 {
+		if !has(m, 1, "keep") || len(m.Blocks(1)) != 1 {
 			t.Fatalf("%s: a refused snapshot changed the catalog", name)
 		}
 		checkIndex(t, m, name)

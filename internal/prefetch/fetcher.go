@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -292,6 +293,27 @@ func (f *CachedFetcher) Warm(ctx context.Context, ranges []Range) error {
 	}
 	_, err := f.loadBlocks(ctx, bis)
 	return err
+}
+
+// Admit stores the whole object, whose bytes the caller already holds,
+// under the cache blocks a read of it looks up, so that the first read
+// is a hit instead of a storage round trip. data must be the complete
+// object and must not change afterwards. An object of one cache block is
+// kept as given; a longer one is copied block by block, so that evicting
+// one block frees that block's bytes instead of pinning the whole
+// object. The entries are ordinary cache entries from then on.
+func (f *CachedFetcher) Admit(data []byte) {
+	if f.Cache == nil {
+		return
+	}
+	bs := f.blockSize()
+	for bi := int64(0); bi*bs < int64(len(data)); bi++ {
+		block := data[bi*bs : min((bi+1)*bs, int64(len(data)))]
+		if len(block) < len(data) {
+			block = bytes.Clone(block)
+		}
+		f.Cache.Put(f.blockKey(bi), block)
+	}
 }
 
 // Fetch implements logblock.Fetcher: it returns size bytes at off,

@@ -201,3 +201,55 @@ func TestWarmStopsOnCancel(t *testing.T) {
 	}
 	pool.Close() // returns only once the workers are idle: nothing leaked
 }
+
+// TestAdmitReadsBackWithoutStore: an admitted object — one cache block
+// or several with a short tail — reads back byte-identical at any range
+// through a second fetcher, sized or not, without a store call; its
+// entries are per-block copies (the cache holds exactly the object's
+// bytes and evicting a block brings only that block back from the
+// store), and an object of one block is kept as given, not copied.
+func TestAdmitReadsBackWithoutStore(t *testing.T) {
+	for _, n := range []int{700, 1024, 10_000} {
+		data, stats, admit := countedFetcher(t, n, 0, nil)
+		admit.Admit(data)
+		if used := admit.Cache.MemoryUsed(); used != int64(n) {
+			t.Fatalf("n=%d: cache holds %d bytes after Admit", n, used)
+		}
+		first, ok := admit.Cache.Get(admit.blockKey(0))
+		if !ok || (&first[0] == &data[0]) != (n <= 1024) {
+			t.Fatalf("n=%d: block 0 cached %v, shares the object's array %v", n, ok, ok && &first[0] == &data[0])
+		}
+		for _, size := range []int64{0, int64(n)} {
+			f := &CachedFetcher{Store: admit.Store, Key: "obj", Cache: admit.Cache, BlockSize: 1024, Size: size}
+			for _, r := range [][2]int64{{0, int64(n)}, {0, 1}, {int64(n) - 1, 1}, {int64(n) / 3, int64(n) / 2}} {
+				got, err := f.Fetch(r[0], r[1])
+				if err != nil || !bytes.Equal(got, data[r[0]:r[0]+r[1]]) {
+					t.Fatalf("n=%d size=%d: Fetch(%d, %d): %v", n, size, r[0], r[1], err)
+				}
+			}
+		}
+		if h, g := stats.Heads.Value(), stats.RangeGets.Value()+stats.Gets.Value(); h != 0 || g != 0 {
+			t.Errorf("n=%d: %d heads and %d gets reading an admitted object, want none", n, h, g)
+		}
+	}
+
+	// A cache smaller than the object keeps what fits, block by block,
+	// and the store serves the rest: admission never pins a whole object.
+	data, stats, f := countedFetcher(t, 10_000, 10_000, nil)
+	small, err := cache.NewBlockCache(cache.BlockCacheConfig{MemoryBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Cache = small
+	f.Admit(data)
+	if used := small.MemoryUsed(); used == 0 || used > 4096 {
+		t.Fatalf("a 4096-byte cache holds %d bytes of a 10000-byte object", used)
+	}
+	got, err := f.Fetch(0, 10_000)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("reading a partly cached object: %v", err)
+	}
+	if g := stats.RangeGets.Value(); g == 0 || g > 10 {
+		t.Fatalf("%d range gets for the blocks that did not fit, want 1 to 10", g)
+	}
+}

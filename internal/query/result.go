@@ -22,6 +22,10 @@ type Result struct {
 	Count   int64
 	Groups  []GroupCount
 	Stats   ExecStats
+	// Resident lists the row-store segments the real-time partials merged
+	// into this result had covered (rowstore.Store.ScanTenant). The broker
+	// leaves out the LogBlocks born from them, whose rows it has already.
+	Resident []uint64
 }
 
 // NewResult returns an empty result shaped for the query.
@@ -106,6 +110,7 @@ func (r *Result) Merge(o *Result) {
 		r.addGroup(g.Key, g.Count)
 	}
 	r.Stats.Add(o.Stats)
+	r.Resident = append(r.Resident, o.Resident...)
 }
 
 // Finalize applies ORDER BY and LIMIT, producing the client-visible

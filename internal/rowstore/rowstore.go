@@ -11,6 +11,7 @@ package rowstore
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 
 	"logstore/internal/schema"
@@ -39,6 +40,12 @@ type Options struct {
 
 // Segment is an immutable-after-seal run of rows in arrival order.
 type Segment struct {
+	// ID names the segment in Release, in what ScanTenant reports and in
+	// the catalog entries of the LogBlocks it is drained into
+	// (meta.BlockInfo.BornSegment). Those entries outlive the store, so
+	// an id is never used twice — not by this store and not by the one
+	// that replaces it after a crash, a wiped disk or a shard move: a
+	// store numbers its segments upwards from a random 63-bit start.
 	ID    uint64
 	Rows  []schema.Row
 	Bytes int64
@@ -91,7 +98,7 @@ func New(sch *schema.Schema, opts Options) (*Store, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = 16 << 20
 	}
-	return &Store{sch: sch, opts: opts, nextID: 1}, nil
+	return &Store{sch: sch, opts: opts, nextID: rand.Uint64()>>1 + 1}, nil
 }
 
 // Schema returns the table schema.
@@ -244,27 +251,41 @@ func (s *Store) Scan(fn func(r schema.Row) bool) {
 
 // ScanTenant streams rows of one tenant within [minTS, maxTS],
 // skipping segments whose time range cannot overlap. This is the
-// real-time read path serving queries over not-yet-archived data.
-func (s *Store) ScanTenant(tenant, minTS, maxTS int64, fn func(r schema.Row) bool) {
+// real-time read path serving queries over not-yet-archived data. It
+// returns the ids of the segments resident when it took its snapshot,
+// the time-skipped ones included (nil when the store is empty): every
+// row of them that was there at that instant has been offered to fn or
+// is outside the range, so the caller must not also read it from a
+// LogBlock born from one of them.
+func (s *Store) ScanTenant(tenant, minTS, maxTS int64, fn func(r schema.Row) bool) (covered []uint64) {
 	tenantIdx := s.sch.TenantIdx()
 	timeIdx := s.sch.TimeIdx()
 
-	s.mu.RLock()
-	segs := make([]*Segment, 0, len(s.sealed)+1)
-	segs = append(segs, s.sealed...)
-	if s.active != nil && len(s.active.Rows) > 0 {
-		segs = append(segs, s.active)
-	}
 	type view struct {
 		rows []schema.Row
 		idx  []int32 // tenant's row positions, when indexed
 	}
-	views := make([]view, 0, len(segs))
-	for _, seg := range segs {
-		if len(seg.Rows) > 0 && (seg.MaxTS < minTS || seg.MinTS > maxTS) {
+	var views []view
+	s.mu.RLock()
+	for i := 0; i <= len(s.sealed); i++ {
+		seg := s.active
+		if i < len(s.sealed) {
+			seg = s.sealed[i]
+		}
+		if seg == nil || len(seg.Rows) == 0 {
+			continue
+		}
+		if covered == nil {
+			covered = make([]uint64, 0, len(s.sealed)+1-i)
+			views = make([]view, 0, len(s.sealed)+1-i)
+		}
+		covered = append(covered, seg.ID)
+		if seg.MaxTS < minTS || seg.MinTS > maxTS {
 			continue // segment-level time skipping
 		}
-		v := view{rows: seg.Rows[:len(seg.Rows)]}
+		// Rows are append-only, so the prefix under this slice header is
+		// immutable once the lock is dropped.
+		v := view{rows: seg.Rows}
 		if s.opts.TenantIndex && seg != s.active {
 			positions, ok := seg.tenantIndex(tenantIdx)[tenant]
 			if !ok {
@@ -289,17 +310,18 @@ func (s *Store) ScanTenant(tenant, minTS, maxTS int64, fn func(r schema.Row) boo
 		if v.idx != nil {
 			for _, pos := range v.idx {
 				if !emit(v.rows[pos]) {
-					return
+					return covered
 				}
 			}
 			continue
 		}
 		for _, r := range v.rows {
 			if !emit(r) {
-				return
+				return covered
 			}
 		}
 	}
+	return covered
 }
 
 // Stats reports resident totals.

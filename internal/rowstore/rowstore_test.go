@@ -2,6 +2,7 @@ package rowstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -354,6 +355,46 @@ func benchScanTenant(b *testing.B, indexed bool) {
 		s.ScanTenant(42, 0, 1<<40, func(schema.Row) bool { n++; return true })
 		if n == 0 {
 			b.Fatal("no rows")
+		}
+	}
+}
+
+// TestScanTenantReportsCoveredSegments: the scan names every segment
+// resident at its snapshot — sealed and active, scanned, time-skipped or
+// holding none of the tenant's rows — nothing once they are released,
+// and segment ids are not reused, not even by another store.
+func TestScanTenantReportsCoveredSegments(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		s := newStore(t, Options{MaxSegmentRows: 4, TenantIndex: indexed})
+		if got := s.ScanTenant(1, 0, 1000, func(schema.Row) bool { return true }); got != nil {
+			t.Fatalf("empty store covered %v", got)
+		}
+		for i := 0; i < 10; i++ { // two sealed segments (ts 0-3, 4-7) and an active one (8-9)
+			if err := s.Append(row(int64(i%2), int64(i), "x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := []uint64{s.Sealed()[0].ID, s.Sealed()[1].ID, s.Sealed()[1].ID + 1}
+		seen := 0
+		got := s.ScanTenant(1, 4, 7, func(schema.Row) bool { seen++; return true })
+		if !slices.Equal(got, want) || seen != 2 {
+			t.Fatalf("indexed=%v: covered %v, saw %d rows; want %v and 2", indexed, got, seen, want)
+		}
+		// A tenant with no rows anywhere still gets the full snapshot.
+		if got := s.ScanTenant(9, 0, 1000, func(schema.Row) bool { return true }); !slices.Equal(got, want) {
+			t.Fatalf("indexed=%v: absent tenant covered %v, want %v", indexed, got, want)
+		}
+		s.Release(want[0])
+		if got := s.ScanTenant(1, 0, 1000, func(schema.Row) bool { return true }); !slices.Equal(got, want[1:]) {
+			t.Fatalf("indexed=%v: after release covered %v, want %v", indexed, got, want[1:])
+		}
+
+		other := newStore(t, Options{})
+		if err := other.Append(row(1, 1, "x")); err != nil {
+			t.Fatal(err)
+		}
+		if id := other.Seal().ID; id == 0 || slices.Contains(want, id) {
+			t.Fatalf("a second store's first segment got id %d; the first store used %v", id, want)
 		}
 	}
 }

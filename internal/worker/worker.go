@@ -83,6 +83,13 @@ type Config struct {
 	// replication (Replicas > 1) and a DataDir; all workers of a
 	// cluster must share the same Options.Registry.
 	WALShip *ship.Options
+	// ReadHome resolves the worker that block sub-queries for the object
+	// at path are sent to (flow.ReadHome over the cluster's health view);
+	// every LogBlock this worker commits is handed to that worker's block
+	// cache (AdmitBlock). It may return nil: no such worker right now.
+	// Unset, the worker is its own read home — it is the only reader a
+	// lone worker has.
+	ReadHome func(path string) *Worker
 }
 
 // ErrWorkerDown is returned by Append and the query entry points after
@@ -327,7 +334,17 @@ type Worker struct {
 	// hydrations counts shards rebuilt from the shipped OSS log after
 	// disk loss (empty data dir + registered generation).
 	hydrations atomic.Int64
+	// handoffs counts the LogBlocks this worker committed by where their
+	// bytes went (blocks, bytes): its own block cache, a peer's, nowhere.
+	handoffs [3][2]atomic.Int64
 }
+
+// Outcomes of a hand-off, indexing Worker.handoffs.
+const (
+	handoffLocal = iota
+	handoffPeer
+	handoffDropped
+)
 
 // New constructs a worker.
 func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager) (*Worker, error) {
@@ -368,10 +385,6 @@ func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager)
 	// one shared circuit breaker (WithDefaultRetry is idempotent, so a
 	// store wrapped by the cluster is not double-wrapped).
 	store = oss.WithDefaultRetry(store)
-	bld, err := builder.New(cfg.Builder, sch, store, catalog)
-	if err != nil {
-		return nil, err
-	}
 	w := &Worker{
 		cfg:         cfg,
 		sch:         sch,
@@ -380,9 +393,13 @@ func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager)
 		shards:      make(map[flow.ShardID]*Shard),
 		blockCache:  bc,
 		objectCache: cache.NewObjectCache(cfg.ObjectCacheBytes),
-		bld:         bld,
 		archiveStop: make(chan struct{}),
 		archiveDone: make(chan struct{}),
+	}
+	cfg.Builder.Handoff = w.handOff
+	w.bld, err = builder.New(cfg.Builder, sch, store, catalog)
+	if err != nil {
+		return nil, err
 	}
 	if !cfg.PrefetchDisabled {
 		w.pool = prefetch.NewService(cfg.PrefetchThreads, cfg.PrefetchThreads*4)
@@ -1051,9 +1068,13 @@ func (w *Worker) ShipStats() ShipSummary {
 func (w *Worker) Hydrations() int64 { return w.hydrations.Load() }
 
 // QueryRealtimeCtx executes a query over one shard's row store (the
-// not-yet-archived data), returning a partial result. The scan is pure
-// memory work, so the context is checked at entry and every scanBatch
-// rows rather than per row.
+// not-yet-archived data), returning a partial result whose Resident
+// names the segments the scan covered. A shard with nothing resident
+// answers with a bare empty partial before any query set-up: archived
+// reads pay for this call too. The scan is pure memory work, so the
+// context is checked at entry and every scanBatch rows rather than per
+// row. Matches are projected into one cell slab per scan, not one row
+// allocation per match.
 func (w *Worker) QueryRealtimeCtx(ctx context.Context, shardID flow.ShardID, q *query.Query) (*query.Result, error) {
 	if w.down.Load() {
 		return nil, ErrWorkerDown
@@ -1066,38 +1087,99 @@ func (w *Worker) QueryRealtimeCtx(ctx context.Context, shardID flow.ShardID, q *
 		return nil, err
 	}
 	tenant, minTS, maxTS, ok := q.KeyRange(w.sch)
-	res := query.NewResult(q, w.sch)
 	if !ok {
 		return nil, fmt.Errorf("worker: query must constrain %s with equality", w.sch.TenantCol)
 	}
-	cols := query.EffectiveColumns(q, w.sch)
+	if rows, _, _ := sh.rs.Stats(); rows == 0 {
+		return &query.Result{}, nil
+	}
 	preds, err := q.Compile(w.sch)
 	if err != nil {
 		return nil, err
 	}
+	res := query.NewResult(q, w.sch)
+	countOnly := q.CountStar && q.GroupBy == ""
 	const scanBatch = 1024
 	scanned := 0
 	aborted := false
-	sh.rs.ScanTenant(tenant, minTS, maxTS, func(r schema.Row) bool {
+	var matched []schema.Row // rows of the store, not copies
+	res.Resident = sh.rs.ScanTenant(tenant, minTS, maxTS, func(r schema.Row) bool {
 		scanned++
 		if scanned%scanBatch == 0 && ctx.Err() != nil {
 			aborted = true
 			return false
 		}
-		if !query.EvalCompiled(preds, r) {
-			return true
+		switch {
+		case !query.EvalCompiled(preds, r):
+		case countOnly:
+			res.Count++
+		default:
+			matched = append(matched, r)
 		}
-		projected := make(schema.Row, len(cols))
-		for i, ci := range cols {
-			projected[i] = r[ci]
-		}
-		res.AddRow(q, projected)
 		return true
 	})
 	if aborted {
 		return nil, ctx.Err()
 	}
+	if len(matched) > 0 {
+		cols := query.EffectiveColumns(q, w.sch)
+		cells := make([]schema.Value, len(matched)*len(cols))
+		for i, r := range matched {
+			row := cells[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+			for j, ci := range cols {
+				row[j] = r[ci]
+			}
+			matched[i] = row
+		}
+		res.AddRows(q, matched)
+	}
 	return res, nil
+}
+
+// AdmitBlock stores a LogBlock's packed bytes in this worker's block
+// cache under the keys a read of the object at path looks up, and
+// reports whether it did (a down worker does not). The catalog need not
+// hold path yet: keys are content-addressed, so admitted bytes can never
+// be stale, and an unregistered key is read by nobody. packed must not
+// be modified afterwards.
+func (w *Worker) AdmitBlock(path string, packed []byte) bool {
+	if w.down.Load() {
+		return false
+	}
+	f := prefetch.CachedFetcher{Key: path, Cache: w.blockCache, BlockSize: w.cfg.BlockSize}
+	f.Admit(packed)
+	return true
+}
+
+// handOff is the builder's Config.Handoff: it passes a just-uploaded
+// LogBlock to the block cache of its read home and counts where the
+// bytes went. In this repository the peer is a worker of the same
+// process; a deployment sends them over the worker-to-worker link.
+func (w *Worker) handOff(path string, packed []byte) {
+	home := w
+	if w.cfg.ReadHome != nil {
+		home = w.cfg.ReadHome(path)
+	}
+	outcome := handoffPeer
+	switch {
+	case home == nil || !home.AdmitBlock(path, packed):
+		outcome = handoffDropped
+	case home == w:
+		outcome = handoffLocal
+	}
+	w.handoffs[outcome][0].Add(1)
+	w.handoffs[outcome][1].Add(int64(len(packed)))
+}
+
+// HandoffStats reports, in LogBlocks and bytes, where the blocks this
+// worker committed were admitted: its own block cache, a peer's (the
+// bytes that cross the worker-to-worker link in a deployment), or
+// nowhere because the read home was down or gone.
+func (w *Worker) HandoffStats() (localBlocks, localBytes, peerBlocks, peerBytes, droppedBlocks, droppedBytes int64) {
+	h := &w.handoffs
+	return h[handoffLocal][0].Load(), h[handoffLocal][1].Load(),
+		h[handoffPeer][0].Load(), h[handoffPeer][1].Load(),
+		h[handoffDropped][0].Load(), h[handoffDropped][1].Load()
 }
 
 // fetcherFor builds the cached, prefetching fetcher for one object,

@@ -520,11 +520,28 @@ func (c *Cluster) newWorkerLocked(id flow.WorkerID) (*worker.Worker, error) {
 		RaftSyncQueueItems:  c.cfg.RaftQueueItems,
 		RaftApplyQueueItems: c.cfg.RaftQueueItems,
 		WALShip:             walShip,
+		ReadHome:            c.readHome,
 	}, c.sch, wstore, c.catalog)
 	if err != nil {
 		return nil, err
 	}
 	return w, nil
+}
+
+// readHome is every worker's Config.ReadHome: the worker the brokers
+// send the object's block sub-queries to first, under the health view
+// of this instant. It runs on the archive path, possibly inside the
+// final drain of a worker this cluster is closing or replacing with
+// c.mu held, so it never waits for the lock: while the worker set is
+// being changed the hand-off is dropped (nil), which costs the block's
+// first reader one fetch.
+func (c *Cluster) readHome(path string) *worker.Worker {
+	if !c.mu.TryRLock() {
+		return nil
+	}
+	defer c.mu.RUnlock()
+	_, primary := c.health.ReadPartition(c.workerIDsLocked())
+	return c.workers[flow.ReadHome(primary, path)]
 }
 
 func (c *Cluster) topologyLocked() *flow.Topology {
@@ -587,6 +604,10 @@ func (c *Cluster) ShardOwner(s flow.ShardID) (flow.WorkerID, bool) {
 func (c *Cluster) WorkerIDs() []flow.WorkerID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.workerIDsLocked()
+}
+
+func (c *Cluster) workerIDsLocked() []flow.WorkerID {
 	out := make([]flow.WorkerID, 0, len(c.workers))
 	for id := range c.workers {
 		out = append(out, id)
@@ -689,8 +710,9 @@ func (c *Cluster) TenantBlocks(tenant int64) []BlockInfo {
 }
 
 // Flush forces every worker to archive resident rows to object storage
-// and blocks until done. Useful before latency experiments that must
-// read from OSS, and in examples.
+// and blocks until done. The LogBlocks it commits are also in their read
+// homes' block caches, as after any archive cycle: an experiment that
+// must read from OSS purges the workers' caches as well.
 func (c *Cluster) Flush() error {
 	c.mu.RLock()
 	workers := make([]*worker.Worker, 0, len(c.workers))
@@ -828,6 +850,17 @@ type ClusterStats struct {
 	ExpiredBlocks  int   `json:"expired_blocks"`
 	CacheMemHits   int64 `json:"cache_mem_hits"`
 	CacheMemMisses int64 `json:"cache_mem_misses"`
+	// Where the LogBlocks committed by the current worker instances were
+	// admitted at commit, in blocks and bytes: the committing worker's own
+	// block cache, a peer's (in a deployment these bytes cross the
+	// worker-to-worker link), or nowhere because the block's read home
+	// was down or being replaced.
+	HandoffLocalBlocks   int64 `json:"handoff_local_blocks"`
+	HandoffLocalBytes    int64 `json:"handoff_local_bytes"`
+	HandoffPeerBlocks    int64 `json:"handoff_peer_blocks"`
+	HandoffPeerBytes     int64 `json:"handoff_peer_bytes"`
+	HandoffDroppedBlocks int64 `json:"handoff_dropped_blocks"`
+	HandoffDroppedBytes  int64 `json:"handoff_dropped_bytes"`
 }
 
 // Stats returns an operational snapshot (served by the HTTP front end's
@@ -842,6 +875,13 @@ func (c *Cluster) Stats() ClusterStats {
 		hits, misses, _, _ := w.CacheStats()
 		s.CacheMemHits += hits
 		s.CacheMemMisses += misses
+		localN, localB, peerN, peerB, droppedN, droppedB := w.HandoffStats()
+		s.HandoffLocalBlocks += localN
+		s.HandoffLocalBytes += localB
+		s.HandoffPeerBlocks += peerN
+		s.HandoffPeerBytes += peerB
+		s.HandoffDroppedBlocks += droppedN
+		s.HandoffDroppedBytes += droppedB
 	}
 	c.mu.RUnlock()
 	for _, tenant := range c.catalog.Tenants() {

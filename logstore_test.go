@@ -33,6 +33,17 @@ func openCluster(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
+// purgeCaches empties every worker's block and object cache. A LogBlock
+// is admitted to its read home's block cache when it is committed, so a
+// test that needs its next read to come from object storage says so.
+func purgeCaches(c *Cluster) {
+	for _, id := range c.WorkerIDs() {
+		if w, ok := c.Worker(id); ok {
+			w.PurgeCaches()
+		}
+	}
+}
+
 func TestEndToEndIngestAndQuery(t *testing.T) {
 	c := openCluster(t, fastConfig())
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 10, Theta: 0.5, Seed: 1, StartMS: 1000})
