@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenReader$$' -fuzztime $(FUZZTIME) ./internal/logblock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlockData$$' -fuzztime $(FUZZTIME) ./internal/logblock/
 	$(GO) test -run '^$$' -fuzz '^FuzzForEachSub$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/worker/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/
 
 ## chaos: the node-failure and OSS-fault chaos gates at full size, with
 ## per-run recovery stats in the -v output. The fault schedule is fixed
@@ -104,7 +105,7 @@ chaos-brownout-short:
 ## ns/op, B/op, allocs/op per bench. Commit the refreshed JSON when a
 ## perf PR intentionally moves the numbers — benchdiff gates against it.
 bench:
-	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
+	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/bench_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
@@ -121,7 +122,7 @@ benchdiff: benchdiff-micro benchdiff-soak benchdiff-ship benchdiff-admission
 
 .PHONY: benchdiff-micro benchdiff-soak benchdiff-ship benchdiff-admission
 benchdiff-micro:
-	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
+	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/benchdiff_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_scan.txt > /tmp/benchdiff_scan.json
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json

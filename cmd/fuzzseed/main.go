@@ -45,6 +45,8 @@ func writeSeed(dir, name string, args ...any) error {
 		switch v := a.(type) {
 		case []byte:
 			body += fmt.Sprintf("[]byte(%q)\n", v)
+		case string:
+			body += fmt.Sprintf("string(%q)\n", v)
 		case int:
 			body += fmt.Sprintf("int(%d)\n", v)
 		case int64:
@@ -205,6 +207,22 @@ func run(root string) error {
 		"seed-many-rows": worker.EncodeGroupProposal([][]byte{{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x07}}), // 16M rows in 0 bytes
 	} {
 		if err := writeSeed(subDir, name, data); err != nil {
+			return err
+		}
+	}
+	// internal/query: statements as clients send them — the paper's
+	// retrieval template, the BI shape, MATCH with a prefix, an escaped
+	// quote — and the ways one can fail to be one.
+	parseDir := filepath.Join(root, "internal/query/testdata/fuzz/FuzzParse")
+	for name, sql := range map[string]string{
+		"seed-template":     "SELECT log FROM request_log WHERE tenant_id = 12276 AND ts >= 1604995200000 AND ts <= 1604998800000 AND ip = '192.168.0.1' AND latency >= 100 AND fail = 'false'",
+		"seed-group-by":     "SELECT api, COUNT(*) FROM request_log WHERE tenant_id = 3 AND ts >= 0 AND ts <= 99 GROUP BY api ORDER BY COUNT(*) DESC LIMIT 5",
+		"seed-match":        "select log from request_log where tenant_id = 1 and log match 'upstream time*' order by ts asc limit 20",
+		"seed-escape":       "SELECT * FROM request_log WHERE tenant_id = 1 AND log = 'it''s' AND api <> '' AND latency != -7",
+		"seed-unterminated": "SELECT log FROM request_log WHERE ip = 'unterminated",
+		"seed-bad-char":     "SELECT log FROM request_log WHERE x = 1 ; DROP TABLE",
+	} {
+		if err := writeSeed(parseDir, name, sql); err != nil {
 			return err
 		}
 	}

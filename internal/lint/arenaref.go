@@ -5,27 +5,27 @@ import (
 	"go/types"
 )
 
-// ArenaRefAnalyzer guards the arena-lifetime invariant behind the
-// vectorized scan engine: a []byte derived from a decoded vector's
-// arena (StringVector.Bytes, a StringVector.Arena subslice, or the
-// Int64Vector.Vals slice) is a *view* into memory owned by the vector,
-// and the vector's lifetime is the decoded-vector cache entry's — it
-// can be evicted (and its arena reused or collected) the moment the
-// scan that fetched it returns. Retaining a view beyond that window is
-// the use-after-evict bug class: the analyzer flags every escape of a
-// live view — stored into a field, map, slice element, or composite
-// literal; sent on a channel; or returned to a caller (outside
-// logblock itself, whose accessors exist to hand out views).
-// Converting to string or appending into another buffer copies the
-// bytes out and is always safe.
+// ArenaRefAnalyzer guards the lifetime invariant behind the vectorized
+// scan engine: a decoded vector's typed slices (StringVector.Starts and
+// .Lens, Int64Vector.Vals) are storage owned by the vector, and the
+// vector's lifetime is the decoded-vector cache entry's — it can be
+// evicted the moment the scan that fetched it returns, and the slices
+// are the vector's to account for, not a caller's to keep. Retaining
+// one beyond that window is the bug class: the analyzer flags every
+// escape of such a slice — stored into a field, map, slice element, or
+// composite literal; sent on a channel; or returned to a caller
+// (outside logblock itself). Copying the elements out is always safe.
+// A string value (StringVector.Value, the Arena field) is not tracked:
+// a Go string cannot alias recyclable memory, so keeping a substring of
+// the arena is safe by construction — it keeps the arena alive, which
+// is what results that outlive their vector are meant to do.
 var ArenaRefAnalyzer = &Analyzer{
 	Name: "arenaref",
-	Doc:  "arena-backed vector views must not be retained beyond the vector's lifetime (copy with string()/append)",
+	Doc:  "decoded vector slices must not be retained beyond the vector's lifetime (copy the elements out)",
 	Run:  runArenaRef,
 }
 
 var arenaRefSpec = &taintSpec{
-	sourceCall:   arenaViewCall,
 	sourceSel:    arenaFieldRead,
 	escapeStore:  true,
 	escapeSend:   true,
@@ -39,25 +39,8 @@ func runArenaRef(p *Pass) {
 	runTaint(p, arenaRefSpec)
 }
 
-// arenaViewCall matches (*logblock.StringVector).Bytes — the accessor
-// returning an arena subslice.
-func arenaViewCall(p *Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Bytes" {
-		return "", false
-	}
-	recv := recvOfCall(p.Info, call)
-	if recv == nil {
-		return "", false
-	}
-	if isPkgPath(namedTypePkgPath(recv), logblockPkgSuffix) && namedTypeName(recv) == "StringVector" {
-		return "arena view (StringVector.Bytes)", true
-	}
-	return "", false
-}
-
-// arenaFieldRead matches direct reads of the arena-backed storage
-// fields: StringVector.Arena / .Starts / .Lens and Int64Vector.Vals.
+// arenaFieldRead matches direct reads of the vector-owned slices:
+// StringVector.Starts / .Lens and Int64Vector.Vals.
 func arenaFieldRead(p *Pass, sel *ast.SelectorExpr) (string, bool) {
 	selection, ok := p.Info.Selections[sel]
 	if !ok || selection.Kind() != types.FieldVal {
@@ -68,10 +51,10 @@ func arenaFieldRead(p *Pass, sel *ast.SelectorExpr) (string, bool) {
 		return "", false
 	}
 	switch tn, f := namedTypeName(recv), sel.Sel.Name; {
-	case tn == "StringVector" && (f == "Arena" || f == "Starts" || f == "Lens"):
-		return "arena slice (StringVector." + f + ")", true
+	case tn == "StringVector" && (f == "Starts" || f == "Lens"):
+		return "vector-owned slice (StringVector." + f + ")", true
 	case tn == "Int64Vector" && f == "Vals":
-		return "arena slice (Int64Vector.Vals)", true
+		return "vector-owned slice (Int64Vector.Vals)", true
 	}
 	return "", false
 }

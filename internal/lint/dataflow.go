@@ -5,8 +5,9 @@ package lint
 // analyzers (poolescape, arenaref). The model:
 //
 //   - An *origin* is one value-creation site the analysis tracks — a
-//     sync.Pool.Get call, a StringVector.Bytes arena view. Origins are
-//     generated while expressions are evaluated in statement order.
+//     sync.Pool.Get call, a read of a decoded vector's Int64Vector.Vals.
+//     Origins are generated while expressions are evaluated in
+//     statement order.
 //   - The *taintEnv* is the flow state: an alias map from local
 //     variables (types.Object) to the set of origins they may alias,
 //     plus the set of origins whose lifetime has ended (killed — e.g.
@@ -94,7 +95,7 @@ type taintSpec struct {
 	// value, with a description for findings ("sync.Pool.Get value").
 	sourceCall func(p *Pass, call *ast.CallExpr) (string, bool)
 	// sourceSel reports whether reading sel creates a tracked value
-	// (arenaref: StringVector.Arena / Int64Vector.Vals field reads).
+	// (arenaref: StringVector.Starts/.Lens and Int64Vector.Vals reads).
 	sourceSel func(p *Pass, sel *ast.SelectorExpr) (string, bool)
 	// killArgs returns the expressions whose origins end when call
 	// executes (Pool.Put(x) → x; a put/release helper → its args).

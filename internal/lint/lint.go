@@ -16,8 +16,8 @@
 //     boxed []schema.Value compatibility shim
 //   - poolescape: sync.Pool values are never used, stored, returned, or
 //     sent after the matching Put (flow-sensitive, dataflow.go)
-//   - arenaref:   arena-backed vector views never outlive their vector
-//     (flow-sensitive, dataflow.go)
+//   - arenaref:   a decoded vector's typed slices never outlive their
+//     vector (flow-sensitive, dataflow.go)
 //   - lockorder:  the whole-tree mutex acquisition graph is acyclic
 //     (module-wide, RunModule)
 //   - goleak:     every go statement has a reachable stop path

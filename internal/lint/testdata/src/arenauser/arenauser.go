@@ -1,30 +1,31 @@
-// Package arenauser is the arenaref fixture: views into
-// logblock.StringVector/Int64Vector arenas must not be retained —
-// stored, sent, or returned — while copies (string conversion, byte
-// append) pass freely.
+// Package arenauser is the arenaref fixture: the slices a
+// logblock.StringVector/Int64Vector owns must not be retained —
+// stored, sent, or returned — while strings out of the arena, and
+// copies of the slices' elements, pass freely.
 package arenauser
 
 import "logstore/internal/logblock"
 
 type cache struct {
-	view []byte
-	vals []int64
-	rows [][]byte
-	ch   chan []byte
+	value  string
+	vals   []int64
+	starts []uint32
+	ch     chan string
 }
 
 type entry struct {
-	data []byte
+	vals []int64
 }
 
-// goodCompare: a transient view compared and dropped.
+// goodCompare: a value compared and dropped.
 func goodCompare(sv *logblock.StringVector, i int, want string) bool {
-	return string(sv.Bytes(i)) == want
+	return sv.Value(i) == want
 }
 
-// goodCopyReturn: append into a fresh buffer copies the bytes out.
-func goodCopyReturn(sv *logblock.StringVector, i int) []byte {
-	return append([]byte(nil), sv.Bytes(i)...)
+// goodReturnValue: a value is a substring of an immutable arena, so the
+// caller may keep it.
+func goodReturnValue(sv *logblock.StringVector, i int) string {
+	return sv.Value(i)
 }
 
 // goodSum reduces over the decoded column without keeping it.
@@ -36,17 +37,19 @@ func goodSum(iv *logblock.Int64Vector) int64 {
 	return s
 }
 
-// goodStringCopy stores a copy, not the arena.
-func (c *cache) goodStringCopy(sv *logblock.StringVector, i int) string {
-	s := string(sv.Bytes(i))
-	return s
+// goodFieldStore keeps a value in a long-lived struct.
+func (c *cache) goodFieldStore(sv *logblock.StringVector, i int) {
+	c.value = sv.Value(i)
 }
 
-// badFieldStore parks an arena view in a struct field: the vector can
-// be evicted while c.view still points into its arena.
-func (c *cache) badFieldStore(sv *logblock.StringVector, i int) {
-	v := sv.Bytes(i)
-	c.view = v // want arenaref
+// goodSend ships a value to another goroutine.
+func (c *cache) goodSend(sv *logblock.StringVector, i int) {
+	c.ch <- sv.Value(i)
+}
+
+// goodCopyVals copies the elements out.
+func (c *cache) goodCopyVals(iv *logblock.Int64Vector) {
+	c.vals = append([]int64(nil), iv.Vals...)
 }
 
 // badKeepVals retains the raw column storage itself.
@@ -54,24 +57,18 @@ func (c *cache) badKeepVals(iv *logblock.Int64Vector) {
 	c.vals = iv.Vals // want arenaref
 }
 
-// badReturnArena hands the backing arena to the caller.
-func badReturnArena(sv *logblock.StringVector) []byte {
-	return sv.Arena // want arenaref
+// badKeepStarts retains a string vector's extents.
+func (c *cache) badKeepStarts(sv *logblock.StringVector) {
+	s := sv.Starts
+	c.starts = s // want arenaref
 }
 
-// badAppendRetain appends the view itself (not its bytes) into a
-// long-lived slice-of-slices.
-func (c *cache) badAppendRetain(sv *logblock.StringVector, i int) {
-	c.rows = append(c.rows, sv.Bytes(i)) // want arenaref
+// badReturnVals hands the column storage to the caller.
+func badReturnVals(iv *logblock.Int64Vector) []int64 {
+	return iv.Vals[1:] // want arenaref
 }
 
-// badSend ships a view to another goroutine with its own lifetime.
-func (c *cache) badSend(sv *logblock.StringVector, i int) {
-	v := sv.Bytes(i)
-	c.ch <- v // want arenaref
-}
-
-// badCompositeLit smuggles a view out inside a struct value.
-func badCompositeLit(sv *logblock.StringVector, i int) entry {
-	return entry{data: sv.Bytes(i)} // want arenaref
+// badCompositeLit smuggles the storage out inside a struct value.
+func badCompositeLit(iv *logblock.Int64Vector) entry {
+	return entry{vals: iv.Vals} // want arenaref
 }

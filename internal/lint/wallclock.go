@@ -11,7 +11,7 @@ import (
 // they may not consult the wall clock directly. (Raft's tick/election
 // timers run behind the Clock seam so failover tests can drive
 // elections deterministically; the worker's append retry loop and
-// archive/standby tickers run behind timeNow/timeSleep/newWallTicker
+// archive ticker run behind timeNow/timeSleep/newWallTicker
 // in its clock.go for the same reason.) The broker's retry/hedge
 // timing, the chaos harness's pacing and dwell times, and the HTTP
 // surface's timestamp defaulting and latency accounting follow the

@@ -74,9 +74,10 @@ type Reader struct {
 	shared *readerShared
 
 	// vecCache, when set, is the shared decoded-vector cache level;
-	// vecKey identifies this object in its keyspace.
+	// vecKeys holds this object's key there for each (column, block),
+	// made once so that a cache hit allocates nothing.
 	vecCache VectorCache
-	vecKey   string
+	vecKeys  []string
 }
 
 type readerShared struct {
@@ -106,7 +107,7 @@ func (r *Reader) WithFetcher(f Fetcher) *Reader {
 		Meta:     r.Meta,
 		shared:   r.shared,
 		vecCache: r.vecCache,
-		vecKey:   r.vecKey,
+		vecKeys:  r.vecKeys,
 	}
 }
 
@@ -128,8 +129,12 @@ func VectorCacheKey(object string, col, bi int) string {
 // SetVectorCache attaches a shared decoded-vector cache, keying this
 // reader's blocks under the given object identity (its storage path).
 func (r *Reader) SetVectorCache(c VectorCache, object string) {
-	r.vecCache = c
-	r.vecKey = object
+	nb := r.Meta.NumBlocks
+	keys := make([]string, len(r.Meta.Columns)*nb)
+	for i := range keys {
+		keys[i] = VectorCacheKey(object, i/nb, i%nb)
+	}
+	r.vecCache, r.vecKeys = c, keys
 }
 
 // RetainedBytes reports the approximate memory the reader retains:
@@ -263,8 +268,9 @@ func (r *Reader) BKDIndex(col int) (*bkd.Tree, error) {
 // is attached. The returned vector is shared and must not be mutated.
 func (r *Reader) BlockVector(col, bi int) (*Vector, error) {
 	var key string
-	if r.vecCache != nil {
-		key = VectorCacheKey(r.vecKey, col, bi)
+	// A block out of range has no key; ReadMember reports it missing.
+	if nb := r.Meta.NumBlocks; r.vecCache != nil && uint(col) < uint(len(r.Meta.Columns)) && uint(bi) < uint(nb) {
+		key = r.vecKeys[col*nb+bi]
 		if v, ok := r.vecCache.Get(key); ok {
 			return v.(*Vector), nil
 		}
@@ -277,7 +283,7 @@ func (r *Reader) BlockVector(col, bi int) (*Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.vecCache != nil {
+	if key != "" {
 		r.vecCache.Put(key, vec, vec.SizeBytes())
 	}
 	return vec, nil

@@ -2,6 +2,7 @@ package logblock
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"logstore/internal/bitutil"
@@ -10,7 +11,7 @@ import (
 )
 
 // Typed column vectors: the unboxed decoded form of one column block.
-// Decode produces []int64 / byte-arena slices instead of boxed
+// Decode produces []int64 / string-arena extents instead of boxed
 // []schema.Value, so the scan kernels touch flat memory, and a decoded
 // vector is immutable and safe to share through the decoded-vector
 // cache level across queries.
@@ -24,11 +25,11 @@ type Int64Vector struct {
 func (v *Int64Vector) Len() int { return len(v.Vals) }
 
 // StringVector holds a decoded string column block: per-row extents
-// into a shared byte arena. For dictionary-encoded blocks the arena
-// stores each distinct value once and rows share extents, preserving
-// the dictionary's compactness in decoded form.
+// into one immutable string arena. For dictionary-encoded blocks the
+// arena stores each distinct value once and rows share extents,
+// preserving the dictionary's compactness in decoded form.
 type StringVector struct {
-	Arena  []byte
+	Arena  string
 	Starts []uint32
 	Lens   []uint32
 }
@@ -36,15 +37,13 @@ type StringVector struct {
 // Len returns the row count.
 func (v *StringVector) Len() int { return len(v.Starts) }
 
-// Bytes returns row i's value as a subslice of the arena (no copy;
-// callers must not mutate it).
-func (v *StringVector) Bytes(i int) []byte {
+// Value returns row i's value as a substring of the arena: no copy, and
+// safe to keep — a kept value keeps the whole arena alive, not the
+// cache entry.
+func (v *StringVector) Value(i int) string {
 	s := v.Starts[i]
 	return v.Arena[s : s+v.Lens[i]]
 }
-
-// Value returns row i's value as a string (copies out of the arena).
-func (v *StringVector) Value(i int) string { return string(v.Bytes(i)) }
 
 // Vector is one decoded column block: exactly one of Ints/Strs is set,
 // according to Type, plus the block's validity bitset.
@@ -63,8 +62,8 @@ func (v *Vector) Len() int {
 	return v.Strs.Len()
 }
 
-// Value boxes row i into a schema.Value (string rows copy out of the
-// arena). Bulk paths should use the typed slices directly.
+// Value boxes row i into a schema.Value (string rows are arena
+// substrings). Bulk paths should use the typed slices directly.
 func (v *Vector) Value(i int) schema.Value {
 	if v.Type == schema.Int64 {
 		return schema.IntValue(v.Ints.Vals[i])
@@ -82,20 +81,8 @@ func (v *Vector) Values() []schema.Value {
 		}
 		return out
 	}
-	// Materialize arena extents once per distinct start offset would
-	// need a map; rows are boxed directly — dict blocks repeat extents,
-	// so share one string per contiguous equal extent run instead.
-	s := v.Strs
-	var prevStart, prevLen uint32
-	var prevStr string
-	for i := range s.Starts {
-		if i > 0 && s.Starts[i] == prevStart && s.Lens[i] == prevLen {
-			out[i] = schema.StringValue(prevStr)
-			continue
-		}
-		prevStart, prevLen = s.Starts[i], s.Lens[i]
-		prevStr = s.Value(i)
-		out[i] = schema.StringValue(prevStr)
+	for i := range v.Strs.Starts {
+		out[i] = schema.StringValue(v.Strs.Value(i))
 	}
 	return out
 }
@@ -118,7 +105,8 @@ func (v *Vector) SizeBytes() int64 {
 
 // payloadScratch recycles decompression buffers across block decodes:
 // the decompressed payload is transient (its bytes are copied into the
-// vector's typed slices), so steady-state decode reuses one buffer.
+// vector's typed slices and string arena), so steady-state decode
+// reuses one buffer.
 var payloadScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // DecodeBlockVector decodes one raw data member into a typed vector:
@@ -196,13 +184,15 @@ func DecodeBlockVector(m *Meta, col, bi int, raw []byte) (*Vector, error) {
 }
 
 // decodeStringPlainVector decodes concatenated len-prefixed strings,
-// copying the bytes into one owned arena (the payload is recycled).
+// copying the bytes once into the vector's string arena (the payload is
+// recycled).
 func decodeStringPlainVector(payload []byte, rowCount int) (*StringVector, error) {
 	sv := &StringVector{
-		Arena:  make([]byte, 0, len(payload)),
 		Starts: make([]uint32, 0, rowCount),
 		Lens:   make([]uint32, 0, rowCount),
 	}
+	var arena strings.Builder
+	arena.Grow(len(payload))
 	off := 0
 	for i := 0; i < rowCount; i++ {
 		b, c, err := bitutil.LenBytes(payload[off:])
@@ -210,13 +200,14 @@ func decodeStringPlainVector(payload []byte, rowCount int) (*StringVector, error
 			return nil, fmt.Errorf("value %d: %w", i, err)
 		}
 		off += c
-		sv.Starts = append(sv.Starts, uint32(len(sv.Arena)))
+		sv.Starts = append(sv.Starts, uint32(arena.Len()))
 		sv.Lens = append(sv.Lens, uint32(len(b)))
-		sv.Arena = append(sv.Arena, b...)
+		arena.Write(b)
 	}
 	if off != len(payload) {
 		return nil, fmt.Errorf("block has %d trailing bytes", len(payload)-off)
 	}
+	sv.Arena = arena.String()
 	return sv, nil
 }
 
@@ -232,19 +223,20 @@ func decodeStringDictVector(payload []byte, rowCount int) (*StringVector, error)
 	}
 	dictStarts := make([]uint32, n)
 	dictLens := make([]uint32, n)
-	arena := make([]byte, 0, len(payload))
+	var arena strings.Builder
+	arena.Grow(len(payload))
 	for i := uint64(0); i < n; i++ {
 		b, c, err := bitutil.LenBytes(payload[off:])
 		if err != nil {
 			return nil, fmt.Errorf("dict entry %d: %w", i, err)
 		}
 		off += c
-		dictStarts[i] = uint32(len(arena))
+		dictStarts[i] = uint32(arena.Len())
 		dictLens[i] = uint32(len(b))
-		arena = append(arena, b...)
+		arena.Write(b)
 	}
 	sv := &StringVector{
-		Arena:  arena,
+		Arena:  arena.String(),
 		Starts: make([]uint32, 0, rowCount),
 		Lens:   make([]uint32, 0, rowCount),
 	}

@@ -52,6 +52,24 @@ func benchReader(tb testing.TB) *logblock.Reader {
 	return r
 }
 
+// mapVectorCache is an unbounded decoded-vector cache.
+type mapVectorCache map[string]any
+
+func (c mapVectorCache) Get(key string) (any, bool)         { v, ok := c[key]; return v, ok }
+func (c mapVectorCache) Put(key string, value any, _ int64) { c[key] = value }
+
+// warmReader returns benchReader's LogBlock with a decoded-vector cache
+// holding every column block cols needs.
+func warmReader(tb testing.TB, matched *bitutil.Bitset, cols []int) *logblock.Reader {
+	tb.Helper()
+	r := benchReader(tb)
+	r.SetVectorCache(mapVectorCache{}, "warm")
+	if _, err := Materialize(r, matched, cols); err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func benchQuery(preds ...Pred) *Query {
 	return &Query{Table: "request_log", Star: true, Preds: preds}
 }
@@ -199,6 +217,27 @@ func BenchmarkMaterialize(b *testing.B) {
 	r := benchReader(b)
 	matched := benchMatched(benchRows, 16)
 	cols := []int{r.Meta.Schema.ColumnIndex("latency"), r.Meta.Schema.ColumnIndex("log")}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := Materialize(r, matched, cols)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != benchRows/16 {
+			b.Fatalf("unexpected row count %d", len(rows))
+		}
+	}
+}
+
+// BenchmarkMaterializeWarm measures the same projection over vectors
+// already in a decoded-vector cache, as on a warm query: no decode, so
+// what is left is filling the cells.
+func BenchmarkMaterializeWarm(b *testing.B) {
+	sch := schema.RequestLogSchema()
+	matched := benchMatched(benchRows, 16)
+	cols := []int{sch.ColumnIndex("latency"), sch.ColumnIndex("log")}
+	r := warmReader(b, matched, cols)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := Materialize(r, matched, cols)

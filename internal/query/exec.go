@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"logstore/internal/bitutil"
 	"logstore/internal/index/sma"
@@ -360,9 +359,10 @@ func EffectiveColumns(q *Query, sch *schema.Schema) []int {
 
 // Materialize fetches the selected columns for the matched rows of one
 // LogBlock, returning rows in row-id (= time) order, projected to cols.
-// It allocates per column block, not per row: all cells share one
-// array, and the matched strings of a (column, column block) are copied
-// into one exactly sized string that the rows hold substrings of.
+// Past decoding, it allocates per call, not per row: all cells share
+// one array, and a string cell is a substring of its column block's
+// decoded arena — no byte is copied, and a row the caller keeps keeps
+// that arena alive after the vector leaves the decoded-vector cache.
 func Materialize(r *logblock.Reader, matched *bitutil.Bitset, cols []int) ([]schema.Row, error) {
 	n := matched.Count()
 	out := make([]schema.Row, n)
@@ -398,33 +398,9 @@ func Materialize(r *logblock.Reader, matched *bitutil.Bitset, cols []int) ([]sch
 				}
 				continue
 			}
-			// String rows, in two walks over the matched bits: size the
-			// block's one allocation, then fill it and cut each row's
-			// substring from it. Dictionary blocks repeat arena extents,
-			// so a run of equal extents is copied once and shared.
 			sv := vec.Strs
-			sameAsPrev := func(j, prev int) bool {
-				return prev >= 0 && sv.Starts[j] == sv.Starts[prev] && sv.Lens[j] == sv.Lens[prev]
-			}
-			total, prev := 0, -1
 			for i := matched.NextSet(start); i >= 0 && i < end; i = matched.NextSet(i + 1) {
-				if j := i - start; !sameAsPrev(j, prev) {
-					total += int(sv.Lens[j])
-					prev = j
-				}
-			}
-			var sb strings.Builder
-			sb.Grow(total) // exact: the substrings cut below stay valid
-			prev = -1
-			var cur string
-			for i := matched.NextSet(start); i >= 0 && i < end; i = matched.NextSet(i + 1) {
-				if j := i - start; !sameAsPrev(j, prev) {
-					from := sb.Len()
-					sb.Write(sv.Bytes(j))
-					cur = sb.String()[from:]
-					prev = j
-				}
-				out[outIdx][colPos] = schema.StringValue(cur)
+				out[outIdx][colPos] = schema.StringValue(sv.Value(i - start))
 				outIdx++
 			}
 		}

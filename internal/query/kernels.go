@@ -1,6 +1,8 @@
 package query
 
 import (
+	"strings"
+
 	"logstore/internal/bitutil"
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
@@ -49,35 +51,9 @@ func EvalInt64Range(lo, hi int64, vals []int64, acc *bitutil.Bitset, start int) 
 	acc.FilterRange(start, start+len(vals), func(i int) bool { return vals[i-start] >= lo && vals[i-start] <= hi })
 }
 
-// compareBytesString is bytes.Compare against a string without
-// converting either side (schema.Value.Compare is byte-wise too).
-func compareBytesString(b []byte, s string) int {
-	n := len(b)
-	if len(s) < n {
-		n = len(s)
-	}
-	for i := 0; i < n; i++ {
-		if b[i] != s[i] {
-			if b[i] < s[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(b) == len(s):
-		return 0
-	case len(b) < len(s):
-		return -1
-	default:
-		return 1
-	}
-}
-
 // EvalStrings narrows acc over rows [start, start+sv.Len()) by
-// evaluating p against the string vector's arena bytes. Comparison
-// predicates never copy the value out of the arena; MATCH (which
-// tokenizes) boxes only the candidate rows it visits.
+// evaluating p against the string vector's values: arena substrings,
+// so neither the comparisons nor MATCH (which tokenizes) copy a row.
 func EvalStrings(p Pred, sv *logblock.StringVector, acc *bitutil.Bitset, start int) {
 	end := start + sv.Len()
 	if p.Match {
@@ -93,18 +69,17 @@ func EvalStrings(p Pred, sv *logblock.StringVector, acc *bitutil.Bitset, start i
 	s := p.Val.S
 	switch p.Op {
 	case sma.EQ:
-		// string(b) == s compiles to an allocation-free comparison.
-		acc.FilterRange(start, end, func(i int) bool { return string(sv.Bytes(i-start)) == s })
+		acc.FilterRange(start, end, func(i int) bool { return sv.Value(i-start) == s })
 	case sma.NE:
-		acc.FilterRange(start, end, func(i int) bool { return string(sv.Bytes(i-start)) != s })
+		acc.FilterRange(start, end, func(i int) bool { return sv.Value(i-start) != s })
 	case sma.LT:
-		acc.FilterRange(start, end, func(i int) bool { return compareBytesString(sv.Bytes(i-start), s) < 0 })
+		acc.FilterRange(start, end, func(i int) bool { return strings.Compare(sv.Value(i-start), s) < 0 })
 	case sma.LE:
-		acc.FilterRange(start, end, func(i int) bool { return compareBytesString(sv.Bytes(i-start), s) <= 0 })
+		acc.FilterRange(start, end, func(i int) bool { return strings.Compare(sv.Value(i-start), s) <= 0 })
 	case sma.GT:
-		acc.FilterRange(start, end, func(i int) bool { return compareBytesString(sv.Bytes(i-start), s) > 0 })
+		acc.FilterRange(start, end, func(i int) bool { return strings.Compare(sv.Value(i-start), s) > 0 })
 	case sma.GE:
-		acc.FilterRange(start, end, func(i int) bool { return compareBytesString(sv.Bytes(i-start), s) >= 0 })
+		acc.FilterRange(start, end, func(i int) bool { return strings.Compare(sv.Value(i-start), s) >= 0 })
 	default:
 		acc.ClearRange(start, end)
 	}

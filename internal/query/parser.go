@@ -49,8 +49,12 @@ type token struct {
 	raw  string
 }
 
+// tokenize splits sql into tokens without copying it where it can: an
+// identifier already in lower case, a keyword in any case, a string
+// literal without an escaped (doubled) quote, a number and a symbol are
+// all substrings of sql or constants.
 func tokenize(sql string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(sql)/4+2)
 	i := 0
 	for i < len(sql) {
 		c := sql[i]
@@ -58,26 +62,12 @@ func tokenize(sql string) ([]token, error) {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
-				if j >= len(sql) {
-					return nil, fmt.Errorf("unterminated string literal")
-				}
-				if sql[j] == '\'' {
-					// '' escapes a quote.
-					if j+1 < len(sql) && sql[j+1] == '\'' {
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				sb.WriteByte(sql[j])
-				j++
+			text, j, err := stringLiteral(sql, i)
+			if err != nil {
+				return nil, err
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), raw: sql[i : j+1]})
-			i = j + 1
+			toks = append(toks, token{kind: tokString, text: text, raw: sql[i:j]})
+			i = j
 		case c == '-' || (c >= '0' && c <= '9'):
 			j := i + 1
 			for j < len(sql) && sql[j] >= '0' && sql[j] <= '9' {
@@ -93,25 +83,64 @@ func tokenize(sql string) ([]token, error) {
 			for j < len(sql) && isIdentPart(rune(sql[j])) {
 				j++
 			}
-			toks = append(toks, token{kind: tokIdent, text: strings.ToLower(sql[i:j]), raw: sql[i:j]})
+			toks = append(toks, token{kind: tokIdent, text: lowerIdent(sql[i:j]), raw: sql[i:j]})
 			i = j
-		case strings.ContainsRune("=<>!,*()", rune(c)):
+		case strings.IndexByte("=<>!,*()", c) >= 0:
 			// Two-char operators first.
+			n := 1
 			if i+1 < len(sql) {
-				two := sql[i : i+2]
-				if two == "<=" || two == ">=" || two == "!=" || two == "<>" {
-					toks = append(toks, token{kind: tokSymbol, text: two, raw: two})
-					i += 2
-					continue
+				if two := sql[i : i+2]; two == "<=" || two == ">=" || two == "!=" || two == "<>" {
+					n = 2
 				}
 			}
-			toks = append(toks, token{kind: tokSymbol, text: string(c), raw: string(c)})
-			i++
+			toks = append(toks, token{kind: tokSymbol, text: sql[i : i+n], raw: sql[i : i+n]})
+			i += n
 		default:
 			return nil, fmt.Errorf("unexpected character %q", c)
 		}
 	}
 	return append(toks, token{kind: tokEOF}), nil
+}
+
+// stringLiteral reads the quoted literal opening at sql[i], returning
+// its text and the offset just past the closing quote. Only a literal
+// with an escaped (doubled) quote is copied.
+func stringLiteral(sql string, i int) (text string, end int, err error) {
+	var sb strings.Builder
+	from := i + 1 // start of the run not yet in sb
+	for j := i + 1; j < len(sql); j++ {
+		if sql[j] != '\'' {
+			continue
+		}
+		if j+1 < len(sql) && sql[j+1] == '\'' { // '' escapes a quote
+			sb.WriteString(sql[from : j+1])
+			j++
+			from = j + 1
+			continue
+		}
+		if from == i+1 { // nothing escaped
+			return sql[i+1 : j], j + 1, nil
+		}
+		sb.WriteString(sql[from:j])
+		return sb.String(), j + 1, nil
+	}
+	return "", 0, fmt.Errorf("unterminated string literal")
+}
+
+// keywords are the words the parser accepts, so that an identifier
+// spelling one in any case lowers to a constant instead of a copy.
+var keywords = []string{"select", "from", "where", "and", "match", "group", "order", "by", "count", "asc", "desc", "limit"}
+
+// lowerIdent returns strings.ToLower(s), without allocating when s is
+// already lower case or is a keyword. (At equal lengths EqualFold with
+// an ASCII word holds only for ASCII s, where it is ToLower's answer.)
+func lowerIdent(s string) string {
+	for _, kw := range keywords {
+		if len(kw) == len(s) && strings.EqualFold(kw, s) {
+			return kw
+		}
+	}
+	return strings.ToLower(s)
 }
 
 func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }

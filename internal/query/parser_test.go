@@ -1,6 +1,9 @@
 package query
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -246,4 +249,143 @@ func TestParseMatchPrefix(t *testing.T) {
 	if _, err := Parse("SELECT log FROM request_log WHERE log MATCH '*'"); err == nil {
 		t.Error("bare star accepted")
 	}
+}
+
+// tokenizeRef is the tokenizer before it stopped allocating per token:
+// the reference tokenize must agree with token for token.
+func tokenizeRef(sql string) ([]token, error) {
+	var toks []token
+	i := 0
+	for i < len(sql) {
+		c := sql[i]
+		switch {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			i++
+		case c == '\'':
+			j := i + 1
+			var sb strings.Builder
+			for {
+				if j >= len(sql) {
+					return nil, fmt.Errorf("unterminated string literal")
+				}
+				if sql[j] == '\'' {
+					// A doubled quote escapes a quote.
+					if j+1 < len(sql) && sql[j+1] == '\'' {
+						sb.WriteByte('\'')
+						j += 2
+						continue
+					}
+					break
+				}
+				sb.WriteByte(sql[j])
+				j++
+			}
+			toks = append(toks, token{kind: tokString, text: sb.String(), raw: sql[i : j+1]})
+			i = j + 1
+		case c == '-' || (c >= '0' && c <= '9'):
+			j := i + 1
+			for j < len(sql) && sql[j] >= '0' && sql[j] <= '9' {
+				j++
+			}
+			if j == i+1 && c == '-' {
+				return nil, fmt.Errorf("stray '-'")
+			}
+			toks = append(toks, token{kind: tokNumber, text: sql[i:j], raw: sql[i:j]})
+			i = j
+		case isIdentStart(rune(c)):
+			j := i + 1
+			for j < len(sql) && isIdentPart(rune(sql[j])) {
+				j++
+			}
+			toks = append(toks, token{kind: tokIdent, text: strings.ToLower(sql[i:j]), raw: sql[i:j]})
+			i = j
+		case strings.ContainsRune("=<>!,*()", rune(c)):
+			// Two-char operators first.
+			if i+1 < len(sql) {
+				two := sql[i : i+2]
+				if two == "<=" || two == ">=" || two == "!=" || two == "<>" {
+					toks = append(toks, token{kind: tokSymbol, text: two, raw: two})
+					i += 2
+					continue
+				}
+			}
+			toks = append(toks, token{kind: tokSymbol, text: string(c), raw: string(c)})
+			i++
+		default:
+			return nil, fmt.Errorf("unexpected character %q", c)
+		}
+	}
+	return append(toks, token{kind: tokEOF}), nil
+}
+
+// parseRef is Parse over tokenizeRef.
+func parseRef(sql string) (*Query, error) {
+	toks, err := tokenizeRef(sql)
+	if err != nil {
+		return nil, err
+	}
+	q, err := (&parser{toks: toks}).parseQuery()
+	if err != nil {
+		return nil, fmt.Errorf("query: parse %q: %w", sql, err)
+	}
+	return q, nil
+}
+
+// parseSeeds are the statements FuzzParse starts from beside its
+// checked-in corpus (go run ./cmd/fuzzseed): the paper's template,
+// upper- and mixed-case keywords, escaped quotes, non-ASCII and invalid
+// UTF-8.
+var parseSeeds = []string{
+	"SELECT log FROM request_log WHERE tenant_id = 12276 AND ts >= 1604995200000 AND ts <= 1604998800000 AND ip = '192.168.0.1' AND latency >= 100 AND fail = 'false'",
+	"SeLeCt Log FrOm Request_Log wHeRe IP = 'it''s' aNd LOG match 'cache mis*' Order By COUNT(*) desc LIMIT 5",
+	"select ip, count(*) from request_log where tenant_id = 1 group by ip order by count asc limit 10",
+	"SELECT * FROM request_log WHERE log = '''' AND api <> '' AND x != 'ä''ö' AND Ünïcode = 'é'",
+	"SELECT log FROM request_log WHERE ts >= -100 AND latency < 7 LIMIT 3",
+	"SELECT log FROM request_log WHERE ip = 'unterminated",
+	"SELECT \xff\xc3 FROM t WHERE a = 1",
+	"SELECT \u017felect FROM t WHERE \u212a = 1 \u212aND x = 2", // letters that fold to ASCII ones
+}
+
+func TestTokenizeMatchesReference(t *testing.T) {
+	for _, sql := range parseSeeds {
+		checkParseMatchesReference(t, sql)
+	}
+}
+
+// TestTokenizeAllocations: a statement whose literals have no escaped
+// quote costs tokenize one allocation, the token slice, whatever the
+// case of its keywords.
+func TestTokenizeAllocations(t *testing.T) {
+	sql := parseSeeds[0]
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := tokenize(sql); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("tokenize made %v allocations, want 1", n)
+	}
+}
+
+func checkParseMatchesReference(t *testing.T, sql string) {
+	t.Helper()
+	toks, err := tokenize(sql)
+	want, werr := tokenizeRef(sql)
+	if fmt.Sprint(err) != fmt.Sprint(werr) || !slices.Equal(toks, want) {
+		t.Fatalf("tokenize(%q) = %v, %v\nreference %v, %v", sql, toks, err, want, werr)
+	}
+	q, err := Parse(sql)
+	wq, werr := parseRef(sql)
+	if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(q, wq) {
+		t.Fatalf("Parse(%q) = %+v, %v\nreference %+v, %v", sql, q, err, wq, werr)
+	}
+}
+
+// FuzzParse: tokenize and Parse agree with the reference tokenizer on
+// every input — the same tokens, and the same *Query or the same error
+// — and never panic.
+func FuzzParse(f *testing.F) {
+	for _, sql := range parseSeeds {
+		f.Add(sql)
+	}
+	f.Fuzz(checkParseMatchesReference)
 }

@@ -4,9 +4,9 @@ import "time"
 
 // This file is the package's clock seam — the single place the worker
 // touches the wall clock. The append path's leader-retry loop and the
-// archive/standby tickers all route through these indirections, so tests can pin time and the
-// wallclock analyzer can enforce that no other file in the package
-// reads the clock.
+// archive ticker route through these indirections, so tests can pin
+// time and the wallclock analyzer can enforce that no other file in the
+// package reads the clock.
 
 var (
 	// timeNow / timeSleep back the propose retry deadline and pacing.
@@ -14,5 +14,5 @@ var (
 	timeSleep = time.Sleep
 )
 
-// newWallTicker backs the archive and standby-release cadences.
+// newWallTicker backs the archive cadence.
 func newWallTicker(d time.Duration) *time.Ticker { return time.NewTicker(d) }

@@ -161,7 +161,6 @@ type raftGroup struct {
 	nodes   []*raft.Node
 	stores  []raft.Storage     // per-replica durable state, reused on restart
 	wals    []*raft.WALStorage // non-nil entries are closed on group stop
-	stopcs  []chan struct{}    // per-replica aux goroutine stops (standby release loop)
 	stopped []bool
 }
 
@@ -187,8 +186,8 @@ func (g *raftGroup) serving() *raft.Node {
 	return g.nodes[0]
 }
 
-// kill stops one replica's node (and its aux goroutine), leaving its
-// storage open for an in-place restart.
+// kill stops one replica's node, leaving its storage open for an
+// in-place restart.
 func (g *raftGroup) kill(id raft.NodeID) error {
 	i := int(id)
 	g.mu.Lock()
@@ -202,12 +201,7 @@ func (g *raftGroup) kill(id raft.NodeID) error {
 	}
 	g.stopped[i] = true
 	n := g.nodes[i]
-	stopc := g.stopcs[i]
-	g.stopcs[i] = nil
 	g.mu.Unlock()
-	if stopc != nil {
-		close(stopc)
-	}
 	n.Stop()
 	return nil
 }
@@ -229,18 +223,13 @@ func (g *raftGroup) stop() {
 	g.mu.Lock()
 	nodes := append([]*raft.Node(nil), g.nodes...)
 	stopped := append([]bool(nil), g.stopped...)
-	stopcs := append([]chan struct{}(nil), g.stopcs...)
 	for i := range g.stopped {
 		g.stopped[i] = true
-		g.stopcs[i] = nil
 	}
 	wals := append([]*raft.WALStorage(nil), g.wals...)
 	g.mu.Unlock()
 	for i, n := range nodes {
 		if n != nil && !stopped[i] {
-			if stopcs[i] != nil {
-				close(stopcs[i])
-			}
 			n.Stop()
 		}
 	}
@@ -454,7 +443,6 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 		g.nodes = make([]*raft.Node, w.cfg.Replicas)
 		g.stores = make([]raft.Storage, w.cfg.Replicas)
 		g.wals = make([]*raft.WALStorage, w.cfg.Replicas)
-		g.stopcs = make([]chan struct{}, w.cfg.Replicas)
 		g.stopped = make([]bool, w.cfg.Replicas)
 		for i := range g.peers {
 			// Durable storage is opened before the state machine so the
@@ -600,7 +588,6 @@ func (w *Worker) shipSource(sh *Shard, g *raftGroup) ship.Source {
 func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) error {
 	i := int(id)
 	var sm raft.StateMachine
-	var stopc chan struct{}
 	switch {
 	case i == 0:
 		// Replica 0's state machine is the serving row store. One raft
@@ -658,49 +645,12 @@ func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) err
 				sh.applied.Store(index)
 			}
 		})
-	case i == 1:
-		// Replica 1 keeps a full row store too (paper: two of three
-		// replicas have a complete row-store). It is a standby; queries
-		// are served from replica 0.
-		standby, err := rowstore.New(w.sch, w.cfg.RowStore)
-		if err != nil {
-			return err
-		}
-		sm = raft.StateMachineFunc(func(_ uint64, data []byte) {
-			_ = ForEachSub(data, func(_ uint64, batch []byte) error {
-				scratch := rowScratchPool.Get().(*[]schema.Row)
-				rows, err := decodeBatchInto((*scratch)[:0], batch)
-				if err == nil {
-					_ = standby.Append(rows...)
-				}
-				putRowScratch(scratch, rows)
-				return nil
-			})
-		})
-		// Standby archive: release sealed standby segments so the
-		// replica's memory stays bounded. The loop dies with the node
-		// (kill/restart) or the worker, whichever first.
-		stopc = make(chan struct{})
-		go func() {
-			t := newWallTicker(w.cfg.ArchiveInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-w.archiveStop:
-					return
-				case <-stopc:
-					return
-				case <-t.C:
-					standby.Seal()
-					for _, seg := range standby.Sealed() {
-						standby.Release(seg.ID)
-					}
-				}
-			}
-		}()
 	default:
-		// Remaining replica stores WAL only (the raft log is the WAL);
-		// it applies nothing.
+		// The other replicas keep the log only (the raft log is the WAL)
+		// and apply nothing. The paper's second row-store copy serves
+		// follower reads, a path this repository does not have (ROADMAP
+		// item 7); until one does, no query, flush, failover or recovery
+		// would read that copy.
 		sm = raft.StateMachineFunc(func(uint64, []byte) {})
 	}
 	// Every replica offers its committed entries to the shard's
@@ -726,14 +676,10 @@ func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) err
 		CommitHook:      hook,
 	})
 	if err != nil {
-		if stopc != nil {
-			close(stopc)
-		}
 		return err
 	}
 	g.mu.Lock()
 	g.nodes[i] = node
-	g.stopcs[i] = stopc
 	g.stopped[i] = false
 	g.mu.Unlock()
 	g.net.Register(node)

@@ -1,7 +1,10 @@
 package logstore
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -420,5 +423,61 @@ func TestConfigVariants(t *testing.T) {
 	}
 	if res.Stats.IndexLookups != 0 {
 		t.Errorf("DataSkipping=false still used indexes: %+v", res.Stats)
+	}
+}
+
+// TestResultStringsOutliveEviction: a result's strings are substrings of
+// the decoded column blocks they came from, so a row the client keeps
+// keeps its block's arena alive. Emptying the caches, decoding other
+// blocks in their place and collecting garbage must change no byte of
+// it.
+func TestResultStringsOutliveEviction(t *testing.T) {
+	cfg := fastConfig()
+	cfg.ArchiveInterval = time.Hour
+	c := openCluster(t, cfg)
+	const tenants, perTenant = 8, 300
+	var want []Row
+	for tenant := int64(0); tenant < tenants; tenant++ {
+		rows := rowsAt(c, tenant, perTenant, 1_000)
+		if tenant == 0 {
+			want = rows
+		}
+		if err := c.Append(rows...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	query := func(tenant int64) []Row {
+		t.Helper()
+		res, err := c.Query(fmt.Sprintf("SELECT * FROM request_log WHERE tenant_id = %d AND ts >= 0 AND ts <= 99999999", tenant))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows
+	}
+	query(0)         // decodes tenant 0's column blocks into the vector cache
+	kept := query(0) // and this one is served from them
+
+	purgeCaches(c)
+	for round := 0; round < 3; round++ {
+		for tenant := int64(1); tenant < tenants; tenant++ {
+			query(tenant)
+		}
+	}
+	runtime.GC()
+
+	timeIdx := c.TableSchema().TimeIdx()
+	slices.SortFunc(kept, func(a, b Row) int { return cmp.Compare(a[timeIdx].I, b[timeIdx].I) })
+	if len(kept) != len(want) {
+		t.Fatalf("kept %d rows, want %d", len(kept), len(want))
+	}
+	for i := range want {
+		for ci, v := range want[i] {
+			if !kept[i][ci].Equal(v) {
+				t.Fatalf("row %d column %d is %v after eviction, want %v", i, ci, kept[i][ci], v)
+			}
+		}
 	}
 }
