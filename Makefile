@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenReader$$' -fuzztime $(FUZZTIME) ./internal/logblock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlockData$$' -fuzztime $(FUZZTIME) ./internal/logblock/
 	$(GO) test -run '^$$' -fuzz '^FuzzForEachSub$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/worker/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendBatch$$' -fuzztime $(FUZZTIME) ./internal/rowstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/
 
 ## chaos: the node-failure and OSS-fault chaos gates at full size, with
@@ -108,7 +109,7 @@ bench:
 	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/bench_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
-	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
+	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/bench_ingest.txt
 	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$' \
 		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ >> /tmp/bench_ingest.txt
@@ -126,7 +127,7 @@ benchdiff-micro:
 		-benchmem -run '^$$' ./internal/query/ > /tmp/benchdiff_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_scan.txt > /tmp/benchdiff_scan.json
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json
-	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
+	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/benchdiff_ingest.txt
 	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$' \
 		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ >> /tmp/benchdiff_ingest.txt

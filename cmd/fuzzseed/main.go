@@ -23,6 +23,7 @@ import (
 	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
+	"logstore/internal/rowstore"
 	"logstore/internal/schema"
 	"logstore/internal/worker"
 )
@@ -207,6 +208,28 @@ func run(root string) error {
 		"seed-many-rows": worker.EncodeGroupProposal([][]byte{{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x07}}), // 16M rows in 0 bytes
 	} {
 		if err := writeSeed(subDir, name, data); err != nil {
+			return err
+		}
+	}
+	// internal/rowstore: one sub's batch as a serving replica applies it —
+	// empty, one row, several — and the ways a row can fail to be one of
+	// the table's.
+	five := rowstore.EncodeBatch(nil, seedRows(5))
+	one := rowstore.EncodeBatch(nil, seedRows(1))
+	wrongKind := append([]byte(nil), one...)
+	wrongKind[2] = byte(schema.String) // the tenant id claims to be a string
+	batchDir := filepath.Join(root, "internal/rowstore/testdata/fuzz/FuzzAppendBatch")
+	for name, data := range map[string][]byte{
+		"seed-empty":      rowstore.EncodeBatch(nil, nil),
+		"seed-one":        one,
+		"seed-five":       five,
+		"seed-truncated":  five[:len(five)-4],
+		"seed-wrong-kind": wrongKind,
+		"seed-arity":      rowstore.EncodeBatch(nil, []schema.Row{{schema.IntValue(1), schema.IntValue(2)}}),
+		"seed-many-rows":  {0xff, 0xff, 0xff, 0x07, 7},                                                           // 16M rows in one byte
+		"seed-long-value": {1, 7, byte(schema.Int64), 2, byte(schema.Int64), 4, byte(schema.String), 0xff, 0x0f}, // a string far beyond the input
+	} {
+		if err := writeSeed(batchDir, name, data); err != nil {
 			return err
 		}
 	}

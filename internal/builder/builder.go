@@ -178,18 +178,17 @@ func (b *Builder) DrainSegments(rs *rowstore.Store, segs []*rowstore.Segment) (i
 // archiveSegment splits one sealed segment by tenant and commits each
 // tenant's chunks. Returns how many LogBlocks were newly committed.
 func (b *Builder) archiveSegment(seg *rowstore.Segment) (int, error) {
-	tenantIdx := b.sch.TenantIdx()
-	timeIdx := b.sch.TimeIdx()
-
-	// Counting sort by tenant into one slice: a tenant's rows become
-	// one run, in arrival order. Runs lie in ascending tenant order,
-	// which keeps re-drains byte-identical.
+	// Counting sort of row positions by tenant, read from the segment's
+	// row table: a tenant's rows become one run, in arrival order. Runs
+	// lie in ascending tenant order, which keeps re-drains
+	// byte-identical.
+	n := seg.Len()
 	ordinal := make(map[int64]int32)
-	rowOrdinal := make([]int32, len(seg.Rows))
+	rowOrdinal := make([]int32, n)
 	var tenants []int64
 	var counts []int
-	for i, r := range seg.Rows {
-		t := r[tenantIdx].I
+	for i := 0; i < n; i++ {
+		t := seg.Tenant(i)
 		o, ok := ordinal[t]
 		if !ok {
 			o = int32(len(tenants))
@@ -202,38 +201,48 @@ func (b *Builder) archiveSegment(seg *rowstore.Segment) (int, error) {
 	}
 	slices.Sort(tenants)
 	next := make([]int, len(tenants)) // by ordinal: where the tenant's next row goes
-	end := 0
+	end, largest := 0, 0              // largest: the most rows one chunk will hold
 	for _, t := range tenants {
 		o := ordinal[t]
 		next[o] = end
 		end += counts[o]
+		largest = max(largest, min(counts[o], b.cfg.MaxRowsPerBlock))
 	}
-	grouped := make([]schema.Row, len(seg.Rows))
-	for i, r := range seg.Rows {
-		o := rowOrdinal[i]
-		grouped[next[o]] = r
+	grouped := make([]int32, n)
+	for i, o := range rowOrdinal {
+		grouped[next[o]] = int32(i)
 		next[o]++
 	}
 
-	byTime := func(a, b schema.Row) int { return cmp.Compare(a[timeIdx].I, b[timeIdx].I) }
+	// Every chunk is decoded into the same cell slab: logblock.Build
+	// keeps none of the rows it is given.
+	ncols := len(b.sch.Columns)
+	cells := make([]schema.Value, largest*ncols)
+	slab := make([]schema.Row, largest)
+	for k := range slab {
+		slab[k] = cells[k*ncols : (k+1)*ncols : (k+1)*ncols]
+	}
+	byTime := func(x, y int32) int { return cmp.Compare(seg.Time(int(x)), seg.Time(int(y))) }
 	committed := 0
 	start := 0
 	for _, tenant := range tenants {
-		n := counts[ordinal[tenant]]
-		rows := grouped[start : start+n]
-		start += n
+		c := counts[ordinal[tenant]]
+		run := grouped[start : start+c]
+		start += c
 		// Sort by time before chunking so every chunk covers a
 		// contiguous time range (LogBlocks are stored in chronological
 		// order per tenant, paper §3.1) and chunk contents are
 		// deterministic. One client's appends arrive in time order, so
 		// the sort is usually skipped, and logblock.Build then takes the
 		// chunk as it is.
-		if !slices.IsSortedFunc(rows, byTime) {
-			slices.SortStableFunc(rows, byTime)
+		if !slices.IsSortedFunc(run, byTime) {
+			slices.SortStableFunc(run, byTime)
 		}
-		for len(rows) > 0 {
-			chunk := rows[:min(len(rows), b.cfg.MaxRowsPerBlock)]
-			rows = rows[len(chunk):]
+		for len(run) > 0 {
+			pos := run[:min(len(run), b.cfg.MaxRowsPerBlock)]
+			run = run[len(pos):]
+			chunk := slab[:len(pos)]
+			seg.Decode(pos, chunk)
 			fresh, err := b.commitChunk(tenant, chunk, seg.ID)
 			if err != nil {
 				return committed, fmt.Errorf("tenant %d: %w", tenant, err)

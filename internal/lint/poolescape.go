@@ -43,8 +43,8 @@ func poolGetSource(p *Pass, call *ast.CallExpr) (string, bool) {
 }
 
 // poolPutKills matches (*sync.Pool).Put(x) — killing x — and the
-// project's put/release helper idiom (putRowScratch, appendScratch
-// release, ...), which returns its arguments and receiver to a pool.
+// project's put/release helper idiom (appendScratch.release, ...),
+// which returns its arguments and receiver to a pool.
 func poolPutKills(p *Pass, call *ast.CallExpr) []ast.Expr {
 	if isPoolMethod(p, call, "Put") {
 		return call.Args

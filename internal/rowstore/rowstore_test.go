@@ -82,7 +82,7 @@ func TestSegmentRolloverByRows(t *testing.T) {
 		t.Errorf("sealed = %d, want 2 (4+4+2 active)", sealed)
 	}
 	segs := s.Sealed()
-	if len(segs) != 2 || len(segs[0].Rows) != 4 || len(segs[1].Rows) != 4 {
+	if len(segs) != 2 || segs[0].Len() != 4 || segs[1].Len() != 4 {
 		t.Errorf("segment shapes wrong: %d segments", len(segs))
 	}
 	if segs[0].ID >= segs[1].ID {
@@ -395,6 +395,122 @@ func TestScanTenantReportsCoveredSegments(t *testing.T) {
 		}
 		if id := other.Seal().ID; id == 0 || slices.Contains(want, id) {
 			t.Fatalf("a second store's first segment got id %d; the first store used %v", id, want)
+		}
+	}
+}
+
+// TestAppendBatchAllocations: applying a committed batch builds nothing
+// per row — a 200-row batch costs the allocations a 1-row batch does.
+func TestAppendBatchAllocations(t *testing.T) {
+	s := newStore(t, Options{})
+	batch := func(n int) []byte {
+		rows := make([]schema.Row, n)
+		for i := range rows {
+			rows[i] = row(int64(i%7), int64(i), fmt.Sprintf("message %d", i))
+		}
+		return EncodeBatch(nil, rows)
+	}
+	one, many := batch(1), batch(200)
+	apply := func(b []byte) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := s.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a1, a200 := apply(one), apply(many); a1 != a200 {
+		t.Errorf("a 1-row batch costs %.0f allocations, a 200-row batch %.0f", a1, a200)
+	}
+}
+
+// TestBatchSplitAcrossSeal: a batch that straddles a seal lands partly
+// in each segment, each segment's Bytes is the schema.Row.Size of its
+// rows, and every row reads back once, in order.
+func TestBatchSplitAcrossSeal(t *testing.T) {
+	s := newStore(t, Options{MaxSegmentRows: 4})
+	var rows []schema.Row
+	for i := 0; i < 6; i++ {
+		rows = append(rows, row(int64(i%2), int64(100-i), fmt.Sprintf("m%d", i)))
+	}
+	if err := s.Append(rows[:3]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(rows[3:]...); err != nil { // one row to the first segment, two to the next
+		t.Fatal(err)
+	}
+	sealed := s.Sealed()
+	if len(sealed) != 1 || sealed[0].Len() != 4 {
+		t.Fatalf("sealed %d segments, want one of 4 rows", len(sealed))
+	}
+	size := func(rs []schema.Row) (n int64) {
+		for _, r := range rs {
+			n += int64(r.Size())
+		}
+		return n
+	}
+	if seg := sealed[0]; seg.Bytes != size(rows[:4]) || seg.MinTS != 97 || seg.MaxTS != 100 {
+		t.Errorf("sealed segment: %d bytes over [%d, %d]; want %d over [97, 100]", seg.Bytes, seg.MinTS, seg.MaxTS, size(rows[:4]))
+	}
+	if _, bytes, _ := s.Stats(); bytes != size(rows) {
+		t.Errorf("resident bytes = %d, want %d", bytes, size(rows))
+	}
+	var got []string
+	s.Scan(func(r schema.Row) bool { got = append(got, fmt.Sprint(r)); return true })
+	for i, r := range rows {
+		if i >= len(got) || got[i] != fmt.Sprint(r) {
+			t.Fatalf("Scan = %q, want the appended rows in order", got)
+		}
+	}
+	dst := make([]schema.Row, 4)
+	for k := range dst {
+		dst[k] = make(schema.Row, len(rows[0]))
+	}
+	sealed[0].Decode([]int32{3, 0, 2, 1}, dst)
+	for k, i := range []int{3, 0, 2, 1} {
+		if fmt.Sprint(dst[k]) != fmt.Sprint(rows[i]) {
+			t.Fatalf("Decode position %d = %v, want %v", i, dst[k], rows[i])
+		}
+	}
+}
+
+// TestSelectionDecodeColumns: a selection decodes any columns of any of
+// its rows — projected, repeated, out of schema order, ints only — and
+// leaves the store's rows as they were.
+func TestSelectionDecodeColumns(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		s := newStore(t, Options{MaxSegmentRows: 5, TenantIndex: indexed})
+		var want []schema.Row
+		for i := 0; i < 23; i++ {
+			r := row(int64(i%3), int64(i), fmt.Sprintf("log line %d", i))
+			r[4] = schema.IntValue(int64(i * 10))
+			if err := s.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 2 && i >= 4 && i <= 20 {
+				want = append(want, r)
+			}
+		}
+		sel, covered := s.SelectTenant(2, 4, 20)
+		if sel.Len() != len(want) || len(covered) != 5 {
+			t.Fatalf("indexed=%v: selected %d rows over %d segments, want %d over 5", indexed, sel.Len(), len(covered), len(want))
+		}
+		idx := make([]int32, sel.Len())
+		for k := range idx {
+			idx[k] = int32(len(idx) - 1 - k) // backwards
+		}
+		for _, cols := range [][]int{{6, 1, 6}, {4}, {1, 0}} {
+			dst := make([]schema.Row, len(idx))
+			for k := range dst {
+				dst[k] = make(schema.Row, len(cols))
+			}
+			sel.Decode(idx, cols, dst)
+			for k, i := range idx {
+				for j, c := range cols {
+					if !dst[k][j].Equal(want[i][c]) {
+						t.Fatalf("indexed=%v cols %v: row %d cell %d = %v, want %v", indexed, cols, i, j, dst[k][j], want[i][c])
+					}
+				}
+			}
 		}
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sync"
 
 	"logstore/internal/bitutil"
+	"logstore/internal/rowstore"
 	"logstore/internal/schema"
 )
 
@@ -39,45 +39,28 @@ func BatchID(encoded []byte) uint64 {
 	return h.Sum64()
 }
 
-// batchSize returns the exact EncodeBatch output size for rows, so
-// encode buffers are sized once instead of grown.
-func batchSize(rows []schema.Row) int {
-	n := bitutil.UvarintLen(uint64(len(rows)))
-	for _, r := range rows {
-		n += r.EncodedSize()
-	}
-	return n
-}
-
-func appendBatch(dst []byte, rows []schema.Row) []byte {
-	dst = bitutil.AppendUvarint(dst, uint64(len(rows)))
-	for _, r := range rows {
-		dst = r.AppendTo(dst)
-	}
-	return dst
-}
-
-// EncodeBatch serializes a row batch for raft replication, pre-sized to
-// a single allocation.
+// EncodeBatch serializes a row batch for raft replication (the batch
+// format rowstore.Store.AppendBatch applies), pre-sized to a single
+// allocation.
 func EncodeBatch(rows []schema.Row) []byte {
-	return appendBatch(make([]byte, 0, batchSize(rows)), rows)
+	return rowstore.EncodeBatch(make([]byte, 0, rowstore.BatchSize(rows)), rows)
 }
 
 // AppendSubProposal appends one sub-proposal (batch id ++ batch) to
 // dst, growing it at most once. The id is computed over the batch bytes
 // just written, so the hole is backfilled after encoding.
 func AppendSubProposal(dst []byte, rows []schema.Row) []byte {
-	return appendSub(dst, rows, batchSize(rows))
+	return appendSub(dst, rows, rowstore.BatchSize(rows))
 }
 
 // appendSub is AppendSubProposal with the batch's encoded size (its
-// batchSize) already known.
+// rowstore.BatchSize) already known.
 func appendSub(dst []byte, rows []schema.Row, size int) []byte {
 	dst = slices.Grow(dst, 8+size)
 	off := len(dst)
 	var idHole [8]byte
 	dst = append(dst, idHole[:]...)
-	dst = appendBatch(dst, rows)
+	dst = rowstore.EncodeBatch(dst, rows)
 	binary.BigEndian.PutUint64(dst[off:off+8], BatchID(dst[off+8:]))
 	return dst
 }
@@ -91,7 +74,7 @@ func encodeUnit(batches [][]schema.Row) []byte {
 	sizes := stack[:0]
 	n := bitutil.UvarintLen(uint64(len(batches)))
 	for _, rows := range batches {
-		size := batchSize(rows)
+		size := rowstore.BatchSize(rows)
 		sizes = append(sizes, size)
 		n += bitutil.UvarintLen(uint64(8+size)) + 8 + size
 	}
@@ -145,51 +128,4 @@ func ForEachSub(data []byte, fn func(bid uint64, batch []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// DecodeBatch reverses EncodeBatch.
-func DecodeBatch(data []byte) ([]schema.Row, error) {
-	return decodeBatchInto(nil, data)
-}
-
-// decodeBatchInto appends the batch's rows to rows (which may come from
-// rowScratchPool: the row store retains the Row values, never the outer
-// slice). On error it returns the partially-filled slice so a pooled
-// caller can still nil out the Row references it accumulated.
-func decodeBatchInto(rows []schema.Row, data []byte) ([]schema.Row, error) {
-	n, off, err := bitutil.Uvarint(data)
-	if err != nil {
-		return rows, fmt.Errorf("worker: batch count: %w", err)
-	}
-	if n > uint64(len(data)-off) { // a row is at least one byte
-		return rows, fmt.Errorf("worker: batch claims %d rows in %d bytes", n, len(data)-off)
-	}
-	if rows == nil {
-		rows = make([]schema.Row, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		r, c, err := schema.DecodeRow(data[off:])
-		if err != nil {
-			return rows, fmt.Errorf("worker: batch row %d: %w", i, err)
-		}
-		off += c
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-// rowScratchPool recycles the outer row slice used to decode a sub on
-// apply. Callers must nil the Row entries before putting the slice back
-// so pooled slices don't pin applied rows.
-var rowScratchPool = sync.Pool{New: func() any {
-	s := make([]schema.Row, 0, 256)
-	return &s
-}}
-
-func putRowScratch(scratch *[]schema.Row, rows []schema.Row) {
-	for i := range rows {
-		rows[i] = nil
-	}
-	*scratch = rows[:0]
-	rowScratchPool.Put(scratch)
 }

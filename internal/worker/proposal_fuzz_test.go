@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"logstore/internal/rowstore"
 	"logstore/internal/schema"
 	"logstore/internal/workload"
 )
@@ -11,9 +12,9 @@ import (
 // FuzzForEachSub treats the fuzz input as the payload of one raft entry
 // — bytes the state machine reads back from a WAL on disk or a shipped
 // chunk on OSS — and walks it exactly as apply does: the group framing,
-// then each sub's batch. Damaged input must come back as an error, never
-// a panic or an allocation sized by a length field alone, and whatever
-// does decode must survive a re-encode unchanged.
+// then each sub's batch into a row store. Damaged input must come back
+// as an error, never a panic or an allocation sized by a length field
+// alone, and whatever does decode must survive a re-encode unchanged.
 func FuzzForEachSub(f *testing.F) {
 	// The seed corpus is testdata/fuzz/FuzzForEachSub (cmd/fuzzseed).
 	// This one needs the unexported unit encoder: a nine-tenant unit as
@@ -29,10 +30,15 @@ func FuzzForEachSub(f *testing.F) {
 		var subs [][]byte
 		var batches [][]schema.Row
 		err := ForEachSub(data, func(bid uint64, batch []byte) error {
-			rows, derr := decodeBatchInto(nil, batch)
-			if derr != nil {
+			rs, err := rowstore.New(schema.RequestLogSchema(), rowstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rs.AppendBatch(batch); err != nil {
 				return nil // apply counts it and moves on to the next sub
 			}
+			var rows []schema.Row
+			rs.Scan(func(r schema.Row) bool { rows = append(rows, r); return true })
 			subs = append(subs, AppendSubProposal(nil, rows))
 			batches = append(batches, rows)
 			return nil

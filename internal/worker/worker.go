@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"logstore/internal/builder"
 	"logstore/internal/cache"
 	"logstore/internal/flow"
+	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
 	"logstore/internal/meta"
 	"logstore/internal/oss"
@@ -620,22 +622,22 @@ func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) err
 					sh.dedupSkips.Add(1)
 					return nil
 				}
-				scratch := rowScratchPool.Get().(*[]schema.Row)
-				rows, derr := decodeBatchInto((*scratch)[:0], batch)
-				if derr != nil {
-					putRowScratch(scratch, rows)
-					sh.decodeFails.Add(1)
-					ok = false
-					return nil
-				}
-				if sh.rs.Append(rows...) == nil {
+				// The row store keeps batch, which aliases the entry's
+				// Data: raft never modifies an entry's Data once it is
+				// proposed, and every Data it decodes (raft.DecodeEntry,
+				// so WAL replay and hydration too) is a fresh buffer.
+				n, aerr := sh.rs.AppendBatch(batch)
+				switch {
+				case aerr == nil:
 					sh.seen.Add(bid, index)
-					sh.appliedRows.Add(int64(len(rows)))
-				} else {
+					sh.appliedRows.Add(int64(n))
+				case errors.Is(aerr, rowstore.ErrClosed):
 					sh.appendFails.Add(1)
 					ok = false
+				default:
+					sh.decodeFails.Add(1)
+					ok = false
 				}
-				putRowScratch(scratch, rows)
 				return nil
 			})
 			if err != nil {
@@ -807,8 +809,18 @@ func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batche
 		return PendingAppend{err: err}
 	}
 	if sh.group == nil {
+		// The same representation a committed entry leaves: the unit is
+		// encoded once, into one buffer the row store keeps, so nothing
+		// of the caller's rows is retained.
+		size := 0
 		for _, rows := range batches {
-			if err := sh.rs.Append(rows...); err != nil {
+			size += rowstore.BatchSize(rows)
+		}
+		buf := make([]byte, 0, size)
+		for _, rows := range batches {
+			start := len(buf)
+			buf = rowstore.EncodeBatch(buf, rows)
+			if _, err := sh.rs.AppendBatch(buf[start:len(buf):len(buf)]); err != nil {
 				return PendingAppend{err: err}
 			}
 		}
@@ -1017,10 +1029,14 @@ func (w *Worker) Hydrations() int64 { return w.hydrations.Load() }
 // not-yet-archived data), returning a partial result whose Resident
 // names the segments the scan covered. A shard with nothing resident
 // answers with a bare empty partial before any query set-up: archived
-// reads pay for this call too. The scan is pure memory work, so the
-// context is checked at entry and every scanBatch rows rather than per
-// row. Matches are projected into one cell slab per scan, not one row
-// allocation per match.
+// reads pay for this call too. The tenant and time range are matched on
+// the row tables (rowstore.Store.SelectTenant), which also decides the
+// predicates on those two columns; for the rest, only the columns they
+// test are decoded, a block of scanBatch candidates at a time, and of
+// the matches only the projected columns, straight into one result slab
+// — so the allocations do not grow with the matches. The scan is pure
+// memory work, so the context is checked at entry and once per block
+// rather than per row.
 func (w *Worker) QueryRealtimeCtx(ctx context.Context, shardID flow.ShardID, q *query.Query) (*query.Result, error) {
 	if w.down.Load() {
 		return nil, ErrWorkerDown
@@ -1044,42 +1060,96 @@ func (w *Worker) QueryRealtimeCtx(ctx context.Context, shardID flow.ShardID, q *
 		return nil, err
 	}
 	res := query.NewResult(q, w.sch)
+	sel, covered := sh.rs.SelectTenant(tenant, minTS, maxTS)
+	res.Resident = covered
+	if sel.Len() == 0 {
+		return res, nil
+	}
 	countOnly := q.CountStar && q.GroupBy == ""
-	const scanBatch = 1024
-	scanned := 0
-	aborted := false
-	var matched []schema.Row // rows of the store, not copies
-	res.Resident = sh.rs.ScanTenant(tenant, minTS, maxTS, func(r schema.Row) bool {
-		scanned++
-		if scanned%scanBatch == 0 && ctx.Err() != nil {
-			aborted = true
-			return false
+	var matched []int32 // positions in sel
+	if !countOnly {
+		matched = make([]int32, 0, sel.Len())
+	}
+	predCols, local := residualPreds(preds, w.sch, tenant, minTS, maxTS)
+	switch {
+	case len(local) == 0 && countOnly: // every candidate matches
+		res.Count = int64(sel.Len())
+	case len(local) == 0:
+		for i := range sel.Len() {
+			matched = append(matched, int32(i))
 		}
-		switch {
-		case !query.EvalCompiled(preds, r):
-		case countOnly:
-			res.Count++
-		default:
-			matched = append(matched, r)
+	default:
+		const scanBatch = 1024
+		block := min(scanBatch, sel.Len())
+		idx := make([]int32, block)
+		cand := cellRows(block, len(predCols))
+		for first := 0; first < sel.Len(); first += block {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			n := min(block, sel.Len()-first)
+			for k := range idx[:n] {
+				idx[k] = int32(first + k)
+			}
+			sel.Decode(idx[:n], predCols, cand[:n])
+			for k, r := range cand[:n] {
+				switch {
+				case !query.EvalCompiled(local, r):
+				case countOnly:
+					res.Count++
+				default:
+					matched = append(matched, idx[k])
+				}
+			}
 		}
-		return true
-	})
-	if aborted {
-		return nil, ctx.Err()
 	}
 	if len(matched) > 0 {
 		cols := query.EffectiveColumns(q, w.sch)
-		cells := make([]schema.Value, len(matched)*len(cols))
-		for i, r := range matched {
-			row := cells[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
-			for j, ci := range cols {
-				row[j] = r[ci]
-			}
-			matched[i] = row
-		}
-		res.AddRows(q, matched)
+		rows := cellRows(len(matched), len(cols))
+		sel.Decode(matched, cols, rows)
+		res.AddRows(q, rows)
 	}
 	return res, nil
+}
+
+// residualPreds drops the predicates the row tables have already
+// decided for every row SelectTenant(tenant, minTS, maxTS) returns — one
+// on the tenant column that holds for tenant, a comparison on the time
+// column that holds at both ends of [minTS, maxTS] — and re-points the
+// rest at their columns' places in the projection it returns, the
+// distinct columns they test.
+func residualPreds(preds []query.CompiledPred, sch *schema.Schema, tenant, minTS, maxTS int64) ([]int, []query.CompiledPred) {
+	tenantIdx, timeIdx := sch.TenantIdx(), sch.TimeIdx()
+	var cols []int
+	var local []query.CompiledPred
+	for _, cp := range preds {
+		p := cp.Pred
+		switch {
+		case p.Match:
+		case cp.Col == tenantIdx && p.EvalRow(schema.IntValue(tenant)):
+			continue
+		case cp.Col == timeIdx && p.Op != sma.NE &&
+			p.EvalRow(schema.IntValue(minTS)) && p.EvalRow(schema.IntValue(maxTS)):
+			continue
+		}
+		j := slices.Index(cols, cp.Col)
+		if j < 0 {
+			j = len(cols)
+			cols = append(cols, cp.Col)
+		}
+		local = append(local, query.CompiledPred{Col: j, Pred: p})
+	}
+	return cols, local
+}
+
+// cellRows returns n rows of width cells each, cut from one cell slab.
+func cellRows(n, width int) []schema.Row {
+	cells := make([]schema.Value, n*width)
+	rows := make([]schema.Row, n)
+	for i := range rows {
+		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // AdmitBlock stores a LogBlock's packed bytes in this worker's block

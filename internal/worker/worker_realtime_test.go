@@ -3,6 +3,7 @@ package worker
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -175,5 +176,58 @@ func TestLoneWorkerIsItsOwnReadHome(t *testing.T) {
 	w.Crash()
 	if w.AdmitBlock("request_log/tenant-1/x.tar", []byte("x")) {
 		t.Fatal("a crashed worker admitted a block")
+	}
+}
+
+// TestRealtimePredicatesOnKeys: predicates on the tenant and time
+// columns — which the row tables decide for every candidate when they
+// can — answer like a filter over the appended rows, including the ones
+// they cannot decide: a second tenant equality, !=, bounds at the ends
+// of int64, an empty range.
+func TestRealtimePredicatesOnKeys(t *testing.T) {
+	w, _, _ := flushOnlyWorker(t)
+	sch := schema.RequestLogSchema()
+	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 3, Theta: 0, Seed: 8, StartMS: 1000})
+	rows := g.Batch(600)
+	if err := w.Append(0, rows); err != nil {
+		t.Fatal(err)
+	}
+	mid := rows[300][sch.TimeIdx()].I
+	for _, where := range []string{
+		"tenant_id = 1",
+		"tenant_id = 1 AND tenant_id = 2",
+		"tenant_id = 1 AND tenant_id != 1",
+		"tenant_id = 1 AND tenant_id >= 0 AND tenant_id < 2",
+		fmt.Sprintf("tenant_id = 2 AND ts >= %d", mid),
+		fmt.Sprintf("tenant_id = 2 AND ts > %d AND ts <= %d", mid, mid+40),
+		fmt.Sprintf("tenant_id = 2 AND ts = %d", mid),
+		fmt.Sprintf("tenant_id = 2 AND ts != %d", mid),
+		fmt.Sprintf("tenant_id = 2 AND ts < %d AND ts > %d", mid, mid),
+		"tenant_id = 0 AND ts > 9223372036854775807",
+		"tenant_id = 0 AND ts < -9223372036854775808",
+		"tenant_id = 0 AND ts <= 9223372036854775807 AND latency >= 50",
+	} {
+		q := mustParse(t, "SELECT ts FROM request_log WHERE "+where)
+		var want []int64
+		for _, r := range rows {
+			if q.EvalRowAll(sch, r) {
+				want = append(want, r[sch.TimeIdx()].I)
+			}
+		}
+		res, err := w.QueryRealtimeCtx(context.Background(), 0, q)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		got := make([]int64, len(res.Rows))
+		for i, r := range res.Rows {
+			got[i] = r[0].I
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: %d rows, want %d", where, len(got), len(want))
+		}
+		count, err := w.QueryRealtimeCtx(context.Background(), 0, mustParse(t, "SELECT COUNT(*) FROM request_log WHERE "+where))
+		if err != nil || count.Count != int64(len(want)) {
+			t.Errorf("%s: COUNT(*) = %d, %v; want %d", where, count.Count, err, len(want))
+		}
 	}
 }
