@@ -34,7 +34,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 3, "worker nodes")
 		shards     = flag.Int("shards-per-worker", 4, "shards per worker")
-		replicas   = flag.Int("replicas", 3, "raft replicas per shard")
+		replicas   = flag.Int("replicas", 3, "raft replicas per shard (1 is a one-node raft group: same log, same WAL under -data-dir, no replication)")
 		balance    = flag.Duration("balance-interval", 30*time.Second, "hotspot manager cadence")
 		expire     = flag.Duration("expire-interval", time.Minute, "retention enforcement cadence")
 		cacheDir   = flag.String("cache-dir", "", "SSD block-cache directory (empty = memory only)")

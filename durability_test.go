@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -171,5 +172,61 @@ func TestClusterRestartOnDirStore(t *testing.T) {
 	}
 	if res.Count == 0 {
 		t.Fatal("full-text over recovered blocks found nothing")
+	}
+}
+
+// TestDataDirSurvivesCrashAtEveryReplicaCount: DataDir makes the raft
+// log survive the process whatever the replica count. 500 acked rows
+// stay resident (no archive cycle runs), the worker is killed, and the
+// rebuilt worker must replay exactly those 500 from its WAL.
+func TestDataDirSurvivesCrashAtEveryReplicaCount(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		t.Run(fmt.Sprintf("Replicas=%d", replicas), func(t *testing.T) {
+			cfg := fastConfig()
+			cfg.Replicas = replicas
+			cfg.Workers = 1
+			cfg.ShardsPerWorker = 1
+			cfg.ArchiveInterval = time.Hour
+			cfg.DataDir = t.TempDir()
+			c := openCluster(t, cfg)
+			g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Theta: 0, Seed: 21, StartMS: 1000})
+			for i := 0; i < 5; i++ {
+				if err := c.Append(g.Batch(100)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const countSQL = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 0 AND ts >= 0 AND ts <= 99999999"
+			count := func() int64 {
+				t.Helper()
+				res, err := c.Query(countSQL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Count
+			}
+			waitCount := func(what string) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for count() != 500 && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if got := count(); got != 500 {
+					t.Fatalf("%s: COUNT(*) = %d, want 500", what, got)
+				}
+			}
+			waitCount("before the crash")
+			id := c.WorkerIDs()[0]
+			if err := c.CrashWorker(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RecoverWorker(id); err != nil {
+				t.Fatal(err)
+			}
+			waitCount("after recovery")
+			time.Sleep(50 * time.Millisecond) // a late replay would double rows
+			if got := count(); got != 500 {
+				t.Fatalf("after replay settled: COUNT(*) = %d, want 500", got)
+			}
+		})
 	}
 }

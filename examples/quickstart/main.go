@@ -12,8 +12,8 @@ import (
 )
 
 func main() {
-	// An in-process cluster: 2 workers × 2 shards, unreplicated for a
-	// quick demo (production uses Replicas: 3).
+	// An in-process cluster: 2 workers × 2 shards of one-node raft
+	// groups for a quick demo (production uses Replicas: 3).
 	c, err := logstore.Open(logstore.Config{
 		Workers:         2,
 		ShardsPerWorker: 2,

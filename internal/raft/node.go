@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -125,8 +126,12 @@ type Node struct {
 	// applied is the highest log index the apply loop has finished
 	// with (state-machine entries after SM.Apply returns, leadership
 	// no-ops as they pass through the queue). Commit acks fire before
-	// apply — AppliedIndex lets callers barrier on the gap.
+	// apply — WaitApplied lets callers barrier on the gap.
 	applied atomic.Uint64
+	// appliedCh is WaitApplied's signal: a waiter installs a channel,
+	// the next advance of applied swaps it out and closes it. With no
+	// waiter it stays nil, so the apply loop never allocates for it.
+	appliedCh atomic.Pointer[chan struct{}]
 
 	// Status snapshot, updated by the run goroutine.
 	statusMu sync.Mutex
@@ -358,20 +363,47 @@ func (n *Node) applyLoop() {
 // advanceApplied moves the applied index monotonically forward — an
 // installBase fast-forward can race the apply loop's stores.
 func (n *Node) advanceApplied(to uint64) {
-	for {
-		cur := n.applied.Load()
-		if to <= cur || n.applied.CompareAndSwap(cur, to) {
+	for cur := n.applied.Load(); to > cur; cur = n.applied.Load() {
+		if n.applied.CompareAndSwap(cur, to) {
+			if ch := n.appliedCh.Swap(nil); ch != nil {
+				close(*ch)
+			}
 			return
 		}
 	}
 }
 
-// AppliedIndex reports the highest log index whose apply has finished
-// on this node. A proposal ack only proves quorum commit; the state
-// machine sees the entry asynchronously. Callers that need read-your-
-// writes against this replica (e.g. flush-then-reconcile) wait until
-// AppliedIndex catches up to the leader's commit index.
-func (n *Node) AppliedIndex() uint64 { return n.applied.Load() }
+// WaitApplied blocks until this node has finished applying index. A
+// proposal ack only proves commit; the state machine sees the entry
+// asynchronously, so callers that need read-your-writes against this
+// replica wait for the leader's commit index here. It returns ctx's
+// error if ctx ends first, and ErrStopped if the node stops first
+// (entries still queued then may never apply here).
+func (n *Node) WaitApplied(ctx context.Context, index uint64) error {
+	for n.applied.Load() < index {
+		ch := n.appliedCh.Load()
+		if ch == nil {
+			c := make(chan struct{})
+			if !n.appliedCh.CompareAndSwap(nil, &c) {
+				continue
+			}
+			ch = &c
+		}
+		// Checked again once ch is installed: an advance that raced the
+		// installation is seen here, any later one closes ch.
+		if n.applied.Load() >= index {
+			return nil
+		}
+		select {
+		case <-*ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-n.stopc:
+			return ErrStopped
+		}
+	}
+	return nil
+}
 
 func (n *Node) resetElectionTimer() {
 	n.elapsed = 0
@@ -403,7 +435,9 @@ func (n *Node) tick() {
 			n.broadcastAppend()
 		}
 	default:
-		if n.elapsed >= n.electionLimit {
+		// A node that is its whole peer set has nobody to hear from: it
+		// elects itself at once instead of waiting out a timeout.
+		if n.elapsed >= n.electionLimit || len(n.cfg.Peers) == 1 {
 			n.startElection()
 		}
 	}
@@ -624,6 +658,9 @@ func (n *Node) becomeLeader() {
 	n.matchIndex[n.cfg.ID] = n.lastIndex()
 	n.elapsed = 0
 	n.broadcastAppend()
+	// A leader that is its own quorum commits the no-op — and the log it
+	// recovered — here: no append response will ever arrive to do it.
+	n.maybeCommit()
 	// Proposals may be waiting from before we won.
 	n.drainProposals()
 }
@@ -887,6 +924,9 @@ func (n *Node) advanceCommit(to uint64) {
 		n.stalledApply = append(n.stalledApply, n.log[idx-n.base-1])
 	}
 	n.flushStalledApply()
+	// Publish the commit index before acking: a proposer that reads
+	// Status after its ack must see its own entry committed.
+	n.updateStatus()
 	n.ackPending(to)
 }
 

@@ -1,6 +1,8 @@
 package raft
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -173,7 +175,7 @@ func waitApplied(t *testing.T, sm *recordingSM, want int) {
 }
 
 // TestAppliedIndexCoversCommit pins the flush-barrier invariant: every
-// replica's AppliedIndex converges to its CommitIndex, with leadership
+// replica's applied index converges to its CommitIndex, with leadership
 // no-ops (empty Data, never handed to the SM) covered too. A commit ack
 // fires before the state machine sees the entry, so "committed but not
 // yet applied" is a real window — FlushShard barriers on exactly this
@@ -193,8 +195,8 @@ func TestAppliedIndexCoversCommit(t *testing.T) {
 		lagging := ""
 		for id, n := range c.nodes {
 			st := n.Status()
-			if st.CommitIndex < 21 || n.AppliedIndex() < st.CommitIndex {
-				lagging = fmt.Sprintf("node %d: commit=%d applied=%d", id, st.CommitIndex, n.AppliedIndex())
+			if st.CommitIndex < 21 || n.applied.Load() < st.CommitIndex {
+				lagging = fmt.Sprintf("node %d: commit=%d applied=%d", id, st.CommitIndex, n.applied.Load())
 			}
 		}
 		if lagging == "" {
@@ -204,5 +206,32 @@ func TestAppliedIndexCoversCommit(t *testing.T) {
 			t.Fatalf("applied index never met commit index: %s", lagging)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestWaitApplied: WaitApplied returns once the node has applied the
+// index, reports an ended context, and fails with ErrStopped once the
+// node stops rather than waiting for an apply that cannot come.
+func TestWaitApplied(t *testing.T) {
+	c := newCluster(t, 1)
+	n := c.waitLeader()
+	if err := n.Propose([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.WaitApplied(context.Background(), n.Status().CommitIndex); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.sms[0].count(); got != 1 {
+		t.Fatalf("applied %d entries after WaitApplied, want 1", got)
+	}
+	beyond := n.Status().CommitIndex + 1
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := n.WaitApplied(ctx, beyond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitApplied past the log = %v, want DeadlineExceeded", err)
+	}
+	go n.Stop()
+	if err := n.WaitApplied(context.Background(), beyond); !errors.Is(err, ErrStopped) {
+		t.Fatalf("WaitApplied on a stopped node = %v, want ErrStopped", err)
 	}
 }

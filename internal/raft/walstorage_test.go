@@ -276,3 +276,43 @@ func TestWALStorageAppliedMark(t *testing.T) {
 		t.Fatalf("recovered mark = %d", got)
 	}
 }
+
+// TestOneNodeRestartAppliesRecoveredLog: a one-node group restarted from
+// its WAL commits and applies the entries it recovered with no new
+// proposal. It is its own quorum, so no append response will ever come
+// to advance the commit; electing itself has to.
+func TestOneNodeRestartAppliesRecoveredLog(t *testing.T) {
+	dir := t.TempDir()
+	start := func(sm *recordingSM) (*Node, *WALStorage) {
+		ws := openWS(t, dir)
+		n, err := NewNode(Config{
+			ID: 0, Peers: []NodeID{0}, Transport: NewLocalNetwork(1).Transport(0),
+			SM: sm, Storage: ws, TickInterval: 2 * time.Millisecond, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, ws
+	}
+	n, ws := start(&recordingSM{})
+	waitFor(t, "leader", n.IsLeader)
+	for i := 0; i < 3; i++ {
+		if err := n.Propose([]byte(fmt.Sprintf("e%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Stop()
+	ws.Close()
+
+	sm := &recordingSM{}
+	n, ws = start(sm)
+	defer ws.Close()
+	defer n.Stop()
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for sm.count() < 3 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := sm.count(); got != 3 {
+		t.Fatalf("restarted one-node group applied %d of 3 recovered entries", got)
+	}
+}

@@ -112,7 +112,8 @@ type Config struct {
 	Workers int
 	// ShardsPerWorker is the initial shard count per worker (0 = 4).
 	ShardsPerWorker int
-	// Replicas per shard Raft group (0 = 3; 1 disables replication).
+	// Replicas per shard Raft group (0 = 3; 1 is a one-node raft group:
+	// same log, same WAL under DataDir, no replication).
 	Replicas int
 	// Store is the object storage backend (nil = in-memory MemStore).
 	// Wrap with oss.NewSimStore for realistic latency experiments.
@@ -163,8 +164,7 @@ type Config struct {
 	// into object storage as generation-scoped snapshot + chunk objects
 	// under wal/<shard>/, making OSS the only durable truth: a worker
 	// whose DataDir was wiped (total disk loss) hydrates its shards
-	// entirely from the shipped state on recovery. Requires DataDir and
-	// Replicas > 1.
+	// entirely from the shipped state on recovery. Requires DataDir.
 	ShipWAL bool
 	// ShipSync blocks each append until its entries are archived
 	// in OSS (zero acked-but-unshipped exposure, higher ack latency).
@@ -304,8 +304,8 @@ func Open(cfg Config) (*Cluster, error) {
 	if err := cfg.Schema.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ShipWAL && (cfg.DataDir == "" || cfg.Replicas <= 1) {
-		return nil, fmt.Errorf("logstore: ShipWAL requires DataDir and Replicas > 1")
+	if cfg.ShipWAL && cfg.DataDir == "" {
+		return nil, fmt.Errorf("logstore: ShipWAL requires DataDir")
 	}
 	c := &Cluster{
 		cfg: cfg,
