@@ -45,8 +45,8 @@ lint-baseline:
 ## fuzz: run every fuzz target for FUZZTIME each, starting from the
 ## checked-in seed corpora (regenerate those with `go run ./cmd/fuzzseed`).
 ## Go allows one -fuzz target per invocation, hence the list.
-## (FuzzForEachSub caps minimization: the default 60s per interesting
-## input stalls both fuzz workers for longer than FUZZTIME.)
+## (FuzzForEachSub and FuzzShipDecode cap minimization: the default 60s
+## per interesting input stalls both fuzz workers for longer than FUZZTIME.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzSMADecode$$' -fuzztime $(FUZZTIME) ./internal/index/sma/
@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzForEachSub$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/worker/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBatch$$' -fuzztime $(FUZZTIME) ./internal/rowstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzShipDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ship/
 
 ## chaos: the node-failure and OSS-fault chaos gates at full size, with
 ## per-run recovery stats in the -v output. The fault schedule is fixed
@@ -101,13 +102,15 @@ chaos-brownout-short:
 		-run 'TestChaosBrownout' -timeout 120s .
 
 ## bench: the micro-benchmarks tracked across perf PRs; writes
-## BENCH_scan.json (query path) and BENCH_ingest.json (write path: the
-## append benchmarks plus the archive rung, BuildPack and DrainStore) with
+## BENCH_scan.json (query path, with the BKD index's Open and Range) and
+## BENCH_ingest.json (write path: the append benchmarks plus the
+## archive rung, BuildPack and DrainStore) with
 ## ns/op, B/op, allocs/op per bench. Commit the refreshed JSON when a
 ## perf PR intentionally moves the numbers — benchdiff gates against it.
 bench:
 	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/bench_scan.txt
+	$(GO) test -bench 'BenchmarkOpen$$|BenchmarkRange$$' -benchmem -run '^$$' ./internal/index/bkd/ >> /tmp/bench_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/bench_ingest.txt
@@ -125,6 +128,7 @@ benchdiff: benchdiff-micro benchdiff-soak benchdiff-ship benchdiff-admission
 benchdiff-micro:
 	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/benchdiff_scan.txt
+	$(GO) test -bench 'BenchmarkOpen$$|BenchmarkRange$$' -benchmem -run '^$$' ./internal/index/bkd/ >> /tmp/benchdiff_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_scan.txt > /tmp/benchdiff_scan.json
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \

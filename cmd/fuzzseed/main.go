@@ -17,14 +17,18 @@ import (
 	"hash/crc32"
 	"log"
 	"os"
+	"path"
 	"path/filepath"
 
 	"logstore/internal/index/bkd"
 	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
+	"logstore/internal/oss"
+	"logstore/internal/raft"
 	"logstore/internal/rowstore"
 	"logstore/internal/schema"
+	"logstore/internal/ship"
 	"logstore/internal/worker"
 )
 
@@ -73,6 +77,43 @@ func seedRows(n int) []schema.Row {
 		}
 	}
 	return rows
+}
+
+// shippedObjects runs a shipper for one shard over a snapshot of two
+// entries, offers it three more, and returns what it wrote to the store,
+// keyed by object name within the generation.
+func shippedObjects() (map[string][]byte, error) {
+	entries := func(first, last uint64) []raft.Entry {
+		var out []raft.Entry
+		for i := first; i <= last; i++ {
+			out = append(out, raft.Entry{Term: 2, Index: i, Data: rowstore.EncodeBatch(nil, seedRows(1+int(i)%2))})
+		}
+		return out
+	}
+	store := oss.NewMemStore()
+	source := func() (ship.State, error) {
+		return ship.State{Term: 2, Applied: 2, AppliedTerm: 2, DedupIDs: []uint64{7, 9}, Entries: entries(3, 4)}, nil
+	}
+	sh := ship.New(ship.Options{Store: store, Registry: ship.NewRegistry(store)}, 1, 5, source)
+	sh.Offer(entries(5, 7))
+	err := sh.Barrier()
+	sh.Stop(false)
+	if err != nil {
+		return nil, err
+	}
+	infos, err := store.List("wal/1/")
+	if err != nil {
+		return nil, err
+	}
+	objs := map[string][]byte{}
+	for _, info := range infos {
+		data, err := store.Get(info.Key)
+		if err != nil {
+			return nil, err
+		}
+		objs[path.Base(info.Key)] = data
+	}
+	return objs, nil
 }
 
 func run(root string) error {
@@ -246,6 +287,41 @@ func run(root string) error {
 		"seed-bad-char":     "SELECT log FROM request_log WHERE x = 1 ; DROP TABLE",
 	} {
 		if err := writeSeed(parseDir, name, sql); err != nil {
+			return err
+		}
+	}
+	// internal/ship: the objects a shipper writes for one shard — a
+	// snapshot, a chunk and its commit record, read back from the store —
+	// and the ways each can lie.
+	objs, err := shippedObjects()
+	if err != nil {
+		return err
+	}
+	snap, chunk, commit := objs["snap"], objs["chunk-00000000"], objs["commit-00000000"]
+	if snap == nil || chunk == nil || commit == nil {
+		return fmt.Errorf("shipper wrote %d objects, want a snapshot, a chunk and a commit", len(objs))
+	}
+	magic := func(obj []byte) []byte { return append([]byte(nil), obj[:8]...) }
+	// A snapshot whose CRC holds but whose entry count does not.
+	manySnap := binary.AppendUvarint(magic(snap), 2) // term
+	manySnap = binary.AppendUvarint(manySnap, 4)     // applied
+	manySnap = binary.AppendUvarint(manySnap, 2)     // applied term
+	manySnap = binary.AppendUvarint(manySnap, 0)     // dedup ids
+	manySnap = binary.AppendUvarint(manySnap, 1<<22) // entries
+	manySnap = binary.LittleEndian.AppendUint32(manySnap, crc32.Checksum(manySnap, castagnoli))
+	shipDir := filepath.Join(root, "internal/ship/testdata/fuzz/FuzzShipDecode")
+	for name, data := range map[string][]byte{
+		"seed-snap":               snap,
+		"seed-snap-truncated":     snap[:len(snap)-5],
+		"seed-snap-many-entries":  manySnap,
+		"seed-chunk":              chunk,
+		"seed-chunk-truncated":    chunk[:len(chunk)-3],
+		"seed-chunk-many-entries": binary.AppendUvarint(magic(chunk), 1<<22),                       // 4M entries in no bytes
+		"seed-chunk-long-data":    append(binary.AppendUvarint(magic(chunk), 1), 1, 1, 0xff, 0x0f), // data far beyond the input
+		"seed-commit":             commit,
+		"seed-commit-truncated":   commit[:len(commit)/2],
+	} {
+		if err := writeSeed(shipDir, name, data); err != nil {
 			return err
 		}
 	}

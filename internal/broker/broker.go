@@ -325,7 +325,7 @@ func (b *Broker) appendSubs(ctx context.Context, s *appendScratch, subs []tenant
 				down += copy(subs[down:], unit)
 			case firstErr != nil:
 				// Resolved like every unit; only the first error is reported.
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			case isCtxErr(err):
 				firstErr = b.countCtxErr(err)
 			default:
 				firstErr = fmt.Errorf("broker: append %d tenants to shard %d: %w", len(unit), unit[0].shard, err)
@@ -532,7 +532,7 @@ func (b *Broker) mergeParts(final *query.Result, n int, run func(i int) (*query.
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if isCtxErr(err) {
 				return b.countCtxErr(err)
 			}
 			return err
@@ -566,23 +566,20 @@ func (b *Broker) candidatesFrom(preferred flow.WorkerID, serving []flow.WorkerID
 // configured) a single hedged re-dispatch. Archived blocks are readable
 // by any worker — OSS is the shared source of truth — so a sub-query
 // that fails on one worker (crash mid-query, ErrWorkerDown) is retried
-// on the next candidate. With HedgeDelay set, a slow first worker gets
-// one speculative duplicate on the next candidate; first success wins
-// and stragglers drain into the buffered channel.
+// on the next candidate. Where no hedge can fire, the candidates are
+// tried in turn on the caller's goroutine. With HedgeDelay set and a
+// second candidate, the first attempt runs on its own goroutine, so
+// that a worker stalled past the delay gets one speculative duplicate
+// on the next candidate; first success wins and stragglers drain into
+// the buffered channel.
 func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query, candidates []flow.WorkerID) (*query.Result, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("broker: no workers for block set")
 	}
-	type part struct {
-		res *query.Result
-		err error
-	}
-	resc := make(chan part, len(candidates))
-	attempt := func(wid flow.WorkerID) {
+	attempt := func(wid flow.WorkerID) (*query.Result, error) {
 		w, ok := b.pool.Worker(wid)
 		if !ok {
-			resc <- part{err: fmt.Errorf("broker: worker %d not found", wid)}
-			return
+			return nil, fmt.Errorf("broker: worker %d not found", wid)
 		}
 		start := timeNow()
 		res, err := w.QueryBlocksCtx(ctx, paths, q, b.cfg.Exec)
@@ -592,16 +589,42 @@ func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query
 		if b.cfg.Health != nil && ctx.Err() == nil {
 			b.cfg.Health.ReportLatency(wid, timeNow().Sub(start))
 		}
-		resc <- part{res: res, err: err}
+		return res, err
+	}
+	if b.cfg.HedgeDelay <= 0 || len(candidates) == 1 {
+		var errs []error
+		for i, wid := range candidates {
+			if i > 0 {
+				b.failovers.Inc()
+			}
+			res, err := attempt(wid)
+			if err == nil {
+				return res, nil
+			}
+			if isCtxErr(err) {
+				return nil, err
+			}
+			errs = append(errs, err)
+		}
+		return nil, errors.Join(errs...)
+	}
+
+	type part struct {
+		res *query.Result
+		err error
+	}
+	resc := make(chan part, len(candidates))
+	launch := func(wid flow.WorkerID) {
+		go func() {
+			res, err := attempt(wid)
+			resc <- part{res, err}
+		}()
 	}
 	launched := 1
-	go attempt(candidates[0])
-	var hedge <-chan time.Time
-	if b.cfg.HedgeDelay > 0 && len(candidates) > 1 {
-		t := newWallTimer(b.cfg.HedgeDelay)
-		defer t.Stop()
-		hedge = t.C
-	}
+	launch(candidates[0])
+	t := newWallTimer(b.cfg.HedgeDelay)
+	defer t.Stop()
+	hedge := t.C
 	outstanding := 1
 	var errs []error
 	for {
@@ -612,14 +635,14 @@ func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query
 				return p.res, nil
 			}
 			errs = append(errs, p.err)
-			if errors.Is(p.err, context.Canceled) || errors.Is(p.err, context.DeadlineExceeded) {
+			if isCtxErr(p.err) {
 				// Our caller's context died: failover would rerun the
 				// same doomed sub-query elsewhere.
 				return nil, p.err
 			}
 			if launched < len(candidates) {
 				b.failovers.Inc()
-				go attempt(candidates[launched])
+				launch(candidates[launched])
 				launched++
 				outstanding++
 			} else if outstanding == 0 {
@@ -634,7 +657,7 @@ func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query
 				if b.cfg.Health != nil && ctx.Err() == nil {
 					b.cfg.Health.ReportLatency(candidates[0], b.cfg.HedgeDelay)
 				}
-				go attempt(candidates[launched])
+				launch(candidates[launched])
 				launched++
 				outstanding++
 			}
@@ -642,6 +665,11 @@ func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query
 			return nil, ctx.Err()
 		}
 	}
+}
+
+// isCtxErr reports whether err is the caller's context ending.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Stats reports the broker's failure-handling counters: block sub-query

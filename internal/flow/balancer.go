@@ -28,12 +28,21 @@ func DefaultBalancerConfig() BalancerConfig {
 	}
 }
 
+// loadRelEps is the relative slack of a load-versus-threshold test. A
+// max-flow plan fills a shard to exactly its hot threshold, and a load
+// summed over tenants in map order lands a rounding step either side of
+// it; only a load past the threshold by more than that is over it.
+const loadRelEps = 1e-9
+
+// exceeds reports whether load is over limit by more than rounding.
+func exceeds(load, limit float64) bool { return load > limit*(1+loadRelEps) }
+
 // HotShards returns shards whose load exceeds the hot threshold
 // (CheckHotSpot in Algorithm 1).
 func HotShards(topo *Topology, tr *Traffic, cfg BalancerConfig) []ShardID {
 	var hot []ShardID
 	for s, f := range tr.Shard {
-		if c, ok := topo.ShardCapacity[s]; ok && f > cfg.ShardHotFraction*c {
+		if c, ok := topo.ShardCapacity[s]; ok && exceeds(f, cfg.ShardHotFraction*c) {
 			hot = append(hot, s)
 		}
 	}
@@ -52,7 +61,7 @@ func ClusterOverloaded(topo *Topology, tr *Traffic, cfg BalancerConfig) bool {
 	for _, c := range topo.WorkerCapacity {
 		capacity += c
 	}
-	return demand > cfg.Alpha*capacity
+	return exceeds(demand, cfg.Alpha*capacity)
 }
 
 // shardTraffic computes f(X_ij)-derived per-shard loads implied by a

@@ -7,15 +7,17 @@
 //
 // Construction is bulk-only (LogBlocks are immutable): sort (value,
 // rowID) pairs, pack them into fixed-size leaves, record each leaf's key
-// range. A range query binary-searches the routing level and scans only
-// leaves whose range intersects the predicate, returning a row-id set.
+// range. A reader decodes the whole tree once, when it loads it, so a
+// range query is two binary searches over the sorted values and a pass
+// over the matching row ids.
 package bkd
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"logstore/internal/bitutil"
 )
@@ -122,17 +124,21 @@ func (b *Builder) AppendTo(dst []byte) []byte {
 	return append(dst, leaves...)
 }
 
-// Tree provides range lookups over a serialized BKD index.
+// Tree answers range lookups over a BKD index decoded once, at Open:
+// every entry's value and row id in two arrays in (value, row) order, so
+// a lookup is two binary searches and a loop over row ids. The routing
+// level is kept only to report how many leaves a lookup covers.
 type Tree struct {
-	entryCount int
-	mins       []int64
-	maxs       []int64
-	offs       []int
-	leaves     []byte
+	mins, maxs []int64 // per leaf, as routed (and checked against vals)
+	vals       []int64
+	rows       []uint32 // rows[i] is the row id of vals[i]
 }
 
-// Open parses the routing level of a serialized tree. Leaf data is
-// decoded lazily per query.
+// Open parses and decodes a serialized tree. It does not alias raw.
+// Corrupt input errors: counts beyond the bytes, truncated varints,
+// values out of order within or across leaves, leaves that do not
+// follow one another, routing keys that disagree with their leaf, and
+// row ids beyond 32 bits.
 func Open(raw []byte) (*Tree, error) {
 	off := 0
 	_, n, err := bitutil.Uvarint(raw[off:]) // leafSize: informational
@@ -165,12 +171,13 @@ func Open(raw []byte) (*Tree, error) {
 		return nil, fmt.Errorf("bkd: leaf count %d exceeds %d remaining bytes", nLeaves, len(raw)-off)
 	}
 	t := &Tree{
-		entryCount: int(entries),
-		mins:       make([]int64, nLeaves),
-		maxs:       make([]int64, nLeaves),
-		offs:       make([]int, nLeaves),
+		mins: make([]int64, nLeaves),
+		maxs: make([]int64, nLeaves),
+		vals: make([]int64, 0, entries),
+		rows: make([]uint32, 0, entries),
 	}
-	for i := 0; i < int(nLeaves); i++ {
+	offs := make([]int, nLeaves)
+	for i := range offs {
 		if t.mins[i], n, err = bitutil.Varint(raw[off:]); err != nil {
 			return nil, fmt.Errorf("bkd: leaf %d min: %w", i, err)
 		}
@@ -185,124 +192,110 @@ func Open(raw []byte) (*Tree, error) {
 		}
 		off += n
 		// Reject before the int conversion: a 64-bit offset can wrap to
-		// a negative int and slip past the range check below.
+		// a negative int.
 		if o > uint64(len(raw)) {
 			return nil, fmt.Errorf("bkd: leaf %d offset %d beyond input (%d bytes)", i, o, len(raw))
 		}
-		t.offs[i] = int(o)
+		offs[i] = int(o)
 	}
-	t.leaves = raw[off:]
-	for i, o := range t.offs {
-		if o > len(t.leaves) {
-			return nil, fmt.Errorf("bkd: leaf %d offset %d beyond leaf region (%d bytes)", i, o, len(t.leaves))
+	leaves := raw[off:]
+	off = 0
+	for li, o := range offs {
+		if o != off {
+			return nil, fmt.Errorf("bkd: leaf %d offset %d, want %d: the leaves must follow one another", li, o, off)
 		}
+		if off, err = t.decodeLeaf(li, leaves, off); err != nil {
+			return nil, err
+		}
+	}
+	if uint64(len(t.vals)) != entries {
+		return nil, fmt.Errorf("bkd: %d entries in the leaves, %d in the header", len(t.vals), entries)
 	}
 	return t, nil
 }
 
+// decodeLeaf appends leaf li, which starts at data[off:], to t.vals and
+// t.rows and returns the offset just past it.
+func (t *Tree) decodeLeaf(li int, data []byte, off int) (int, error) {
+	cnt64, n, err := bitutil.Uvarint(data[off:])
+	if err != nil {
+		return 0, fmt.Errorf("bkd: leaf %d count: %w", li, err)
+	}
+	off += n
+	// Each entry is at least two bytes (value varint + row-id uvarint).
+	if cnt64 > uint64(len(data)-off)/2 {
+		return 0, fmt.Errorf("bkd: leaf %d count %d exceeds %d remaining bytes", li, cnt64, len(data)-off)
+	}
+	if cnt64 == 0 {
+		return 0, fmt.Errorf("bkd: leaf %d is empty", li)
+	}
+	start := len(t.vals)
+	cur := int64(0)
+	for i := 0; i < int(cnt64); i++ {
+		d, n := binary.Varint(data[off:])
+		if n <= 0 {
+			return 0, fmt.Errorf("bkd: leaf %d value %d truncated or malformed", li, i)
+		}
+		off += n
+		// Deltas wrap (the builder subtracts in int64), so order is
+		// checked on the sums, against the previous leaf's last value too.
+		cur += d
+		if len(t.vals) > 0 && cur < t.vals[len(t.vals)-1] {
+			return 0, fmt.Errorf("bkd: leaf %d value %d breaks the sort order", li, i)
+		}
+		t.vals = append(t.vals, cur)
+	}
+	for i := 0; i < int(cnt64); i++ {
+		r, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return 0, fmt.Errorf("bkd: leaf %d row %d truncated or malformed", li, i)
+		}
+		off += n
+		if r > math.MaxUint32 {
+			return 0, fmt.Errorf("bkd: leaf %d row id %d outside the 32-bit row-id range", li, r)
+		}
+		t.rows = append(t.rows, uint32(r))
+	}
+	if lo, hi := t.vals[start], t.vals[len(t.vals)-1]; lo != t.mins[li] || hi != t.maxs[li] {
+		return 0, fmt.Errorf("bkd: leaf %d routed as [%d, %d] holds [%d, %d]", li, t.mins[li], t.maxs[li], lo, hi)
+	}
+	return off, nil
+}
+
 // Len returns the number of indexed entries.
-func (t *Tree) Len() int { return t.entryCount }
+func (t *Tree) Len() int { return len(t.vals) }
 
 // Leaves returns the number of leaf blocks.
-func (t *Tree) Leaves() int { return len(t.offs) }
+func (t *Tree) Leaves() int { return len(t.mins) }
+
+// SizeBytes is the memory the decoded tree holds: 12 B per entry plus
+// the routing level.
+func (t *Tree) SizeBytes() int64 { return int64(12*len(t.vals) + 16*len(t.mins)) }
 
 // Range collects the row ids of entries with lo <= value <= hi into a
-// bitset of size rowCount, and reports how many leaves it read. The
-// bounds are inclusive; use math.MinInt64 / math.MaxInt64 for open ends.
-//
-// A leaf the routing level places wholly inside [lo, hi] (an interior
-// leaf) contributes every row id without its values being decoded; a
-// boundary leaf is decoded up to the first value above hi. A row id
-// outside [0, rowCount) is an error, not a dropped match.
+// bitset of size rowCount, and reports how many leaves the routing level
+// places over [lo, hi]. The bounds are inclusive; use math.MinInt64 /
+// math.MaxInt64 for open ends. A row id outside [0, rowCount) is an
+// error, not a dropped match.
 func (t *Tree) Range(lo, hi int64, rowCount int) (*bitutil.Bitset, int, error) {
 	bs := bitutil.NewBitset(rowCount)
 	if lo > hi {
 		return bs, 0, nil
 	}
-	// Leaves are sorted by min value; find the first leaf whose max >= lo.
-	first := sort.Search(len(t.offs), func(i int) bool { return t.maxs[i] >= lo })
-	leaves := 0
-	// Every leaf from the first one starting beyond hi on is out of range.
-	for li := first; li < len(t.offs) && t.mins[li] <= hi; li++ {
-		leaves++
-		if err := t.scanLeaf(li, lo, hi, bs); err != nil {
-			return nil, leaves, err
-		}
+	// Open checked that the routing keys are the leaves' own first and
+	// last values, so both lists ascend.
+	first, _ := slices.BinarySearch(t.maxs, lo)
+	from, _ := slices.BinarySearch(t.vals, lo)
+	past, to := len(t.mins), len(t.vals)
+	if hi < math.MaxInt64 {
+		past, _ = slices.BinarySearch(t.mins, hi+1)
+		to, _ = slices.BinarySearch(t.vals, hi+1)
 	}
-	return bs, leaves, nil
-}
-
-func (t *Tree) scanLeaf(li int, lo, hi int64, bs *bitutil.Bitset) error {
-	data := t.leaves[t.offs[li]:]
-	cnt64, off, err := bitutil.Uvarint(data)
-	if err != nil {
-		return fmt.Errorf("bkd: leaf %d count: %w", li, err)
-	}
-	// Each entry is at least two bytes (value varint + row-id uvarint).
-	if cnt64 > uint64(len(data)-off)/2 {
-		return fmt.Errorf("bkd: leaf %d count %d exceeds %d remaining bytes", li, cnt64, len(data)-off)
-	}
-	cnt := int(cnt64)
-
-	// A leaf is value-sorted, so its entries inside [lo, hi] are one run
-	// [from, to). An interior leaf's run is the whole leaf; a boundary
-	// leaf's is found by decoding values until the first one above hi.
-	from, to, undecoded := 0, cnt, cnt
-	if t.mins[li] < lo || t.maxs[li] > hi {
-		cur := int64(0)
-		for i := 0; i < cnt; i++ {
-			d, n, err := bitutil.Varint(data[off:])
-			if err != nil {
-				return fmt.Errorf("bkd: leaf %d value %d: %w", li, i, err)
-			}
-			off += n
-			undecoded--
-			// Deltas wrap (the builder subtracts in int64), so order is
-			// checked on the sums. The early stop and the single run
-			// both rely on it.
-			if i > 0 && cur+d < cur {
-				return fmt.Errorf("bkd: leaf %d value %d breaks the sort order", li, i)
-			}
-			cur += d
-			if cur > hi {
-				to = i
-				break
-			}
-			if cur < lo {
-				from = i + 1
-			}
-		}
-	}
-	if off, err = skipVarints(data, off, undecoded+from); err != nil {
-		return fmt.Errorf("bkd: leaf %d: %w", li, err)
-	}
-	for i := from; i < to; i++ {
-		r, n, err := bitutil.Uvarint(data[off:])
-		if err != nil {
-			return fmt.Errorf("bkd: leaf %d row %d: %w", li, i, err)
-		}
-		off += n
-		if r >= uint64(bs.Len()) {
-			return fmt.Errorf("bkd: leaf %d row id %d outside the %d-row LogBlock", li, r, bs.Len())
+	for _, r := range t.rows[from:to] {
+		if int(r) >= rowCount {
+			return nil, past - first, fmt.Errorf("bkd: row id %d outside the %d-row LogBlock", r, rowCount)
 		}
 		bs.Set(int(r))
 	}
-	return nil
-}
-
-// skipVarints advances off past n varints without decoding them: a
-// varint ends at its first byte with the continuation bit clear.
-func skipVarints(data []byte, off, n int) (int, error) {
-	for ; n > 0; n-- {
-		for {
-			if off >= len(data) {
-				return 0, fmt.Errorf("truncated: %d entries short", n)
-			}
-			off++
-			if data[off-1] < 0x80 {
-				break
-			}
-		}
-	}
-	return off, nil
+	return bs, past - first, nil
 }

@@ -233,21 +233,37 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkRange(b *testing.B) {
+// benchIndex serializes the 100k-entry index BenchmarkOpen and
+// BenchmarkRange share: values uniform over [0, 2^20).
+func benchIndex() (raw []byte, n int) {
 	rng := rand.New(rand.NewSource(1))
-	vals := make([]int64, 100000)
 	bu := NewBuilder(0)
-	for i := range vals {
-		vals[i] = rng.Int63n(1 << 20)
-		bu.Add(uint32(i), vals[i])
+	for i := 0; i < 100000; i++ {
+		bu.Add(uint32(i), rng.Int63n(1<<20))
 	}
-	tree, err := Open(bu.Build())
+	return bu.Build(), bu.Len()
+}
+
+func BenchmarkOpen(b *testing.B) {
+	raw, _ := benchIndex()
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Open(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRange(b *testing.B) {
+	raw, n := benchIndex()
+	tree, err := Open(raw)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tree.Range(1000, 2000, len(vals)); err != nil {
+		if _, _, err := tree.Range(1000, 2000, n); err != nil {
 			b.Fatal(err)
 		}
 	}

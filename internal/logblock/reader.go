@@ -231,8 +231,9 @@ func (r *Reader) InvertedIndex(col int) (*inverted.Index, error) {
 	return ix, nil
 }
 
-// BKDIndex loads and opens column col's BKD tree, memoizing the parsed
-// tree for the reader's lifetime.
+// BKDIndex loads and decodes column col's BKD tree, memoizing it for
+// the reader's lifetime. The decoded tree, not the fetched member, is
+// what stays resident, so it is what RetainedBytes is charged.
 func (r *Reader) BKDIndex(col int) (*bkd.Tree, error) {
 	if r.Meta.Columns[col].Index != schema.IndexBKD {
 		return nil, fmt.Errorf("logblock: column %d has no BKD index", col)
@@ -256,7 +257,7 @@ func (r *Reader) BKDIndex(col int) (*bkd.Tree, error) {
 		r.shared.bkdCache = make(map[int]*bkd.Tree)
 	}
 	if _, dup := r.shared.bkdCache[col]; !dup {
-		r.shared.retained.Add(int64(len(raw)))
+		r.shared.retained.Add(t.SizeBytes())
 	}
 	r.shared.bkdCache[col] = t
 	r.shared.mu.Unlock()

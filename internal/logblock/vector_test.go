@@ -187,12 +187,14 @@ func TestRetainedBytesGrowsWithIndexes(t *testing.T) {
 	if base <= 0 {
 		t.Fatalf("base retained bytes %d", base)
 	}
-	if _, err := r.BKDIndex(sch.ColumnIndex("latency")); err != nil {
+	tree, err := r.BKDIndex(sch.ColumnIndex("latency"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := r.RetainedBytes()
-	if after <= base {
-		t.Fatalf("retained bytes did not grow after index load: %d -> %d", base, after)
+	// The decoded tree is charged, 12 B per entry, not the member bytes.
+	if got := after - base; got != tree.SizeBytes() || got < 12*int64(len(rows)) {
+		t.Fatalf("index load charged %d bytes, want the decoded tree's %d (%d entries)", got, tree.SizeBytes(), tree.Len())
 	}
 	// Re-loading the same index must not double-charge.
 	if _, err := r.BKDIndex(sch.ColumnIndex("latency")); err != nil {

@@ -35,9 +35,10 @@ var (
 	crcTable   = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// maxShippedEntries bounds decode loops against corrupt objects; real
-// chunks are capped far lower by the flush thresholds.
-const maxShippedEntries = 1 << 22
+// minEntryBytes is the smallest encoded entry (one byte each of term,
+// index and data length): an entry count above the remaining bytes over
+// it is corrupt, and is refused before anything is allocated for it.
+const minEntryBytes = 3
 
 // State is the logical shard state a snapshot carries — everything a
 // wiped worker needs beyond the archived LogBlocks: the raft term, the
@@ -122,7 +123,7 @@ func decodeSnap(data []byte) (State, error) {
 	if err != nil {
 		return st, fmt.Errorf("ship: snapshot entry count: %w", err)
 	}
-	if nentries > maxShippedEntries {
+	if nentries > uint64(len(body)-off)/minEntryBytes {
 		return st, fmt.Errorf("ship: implausible entry count %d", nentries)
 	}
 	st.Entries = make([]raft.Entry, 0, nentries)
@@ -157,10 +158,10 @@ func decodeChunk(data []byte) ([]raft.Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ship: chunk entry count: %w", err)
 	}
-	if n > maxShippedEntries {
+	off += c
+	if n > uint64(len(data)-off)/minEntryBytes {
 		return nil, fmt.Errorf("ship: implausible chunk entry count %d", n)
 	}
-	off += c
 	entries := make([]raft.Entry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		e, c, err := raft.DecodeEntry(data[off:])

@@ -1242,12 +1242,13 @@ func baseFetcher(r *logblock.Reader) *prefetch.CachedFetcher {
 // (and repeated queries) decode each column block once. It returns a
 // ctx-bound view: the cached reader (shared decoded state, base fetcher)
 // stays context-free in the object cache; the returned view reads bytes
-// under ctx.
+// under ctx. A reader's key is its path as is, so a hit builds no
+// string: object paths end in ".tar" and the vectors shared through the
+// same cache are keyed "vec:<path>/<col>/<block>", so no two collide.
 func (w *Worker) openReaderCtx(ctx context.Context, path string) (*logblock.Reader, error) {
-	key := "reader:" + path
-	if v, ok := w.objectCache.Get(key); ok {
+	if v, ok := w.objectCache.Get(path); ok {
 		r := v.(*logblock.Reader)
-		w.objectCache.Put(key, r, r.RetainedBytes())
+		w.objectCache.Put(path, r, r.RetainedBytes())
 		return bindCtx(ctx, r), nil
 	}
 	base := w.fetcherFor(path)
@@ -1262,7 +1263,7 @@ func (w *Worker) openReaderCtx(ctx context.Context, path string) (*logblock.Read
 	r.SetVectorCache(w.objectCache, path)
 	// Cache the context-free view; hand the caller the ctx-bound one.
 	cached := r.WithFetcher(base)
-	w.objectCache.Put(key, cached, cached.RetainedBytes())
+	w.objectCache.Put(path, cached, cached.RetainedBytes())
 	return r, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"logstore/internal/builder"
 	"logstore/internal/flow"
+	"logstore/internal/logblock"
 	"logstore/internal/meta"
 	"logstore/internal/oss"
 	"logstore/internal/query"
@@ -292,6 +293,40 @@ func TestWarmCacheFewerFetches(t *testing.T) {
 	}
 	if afterPurge := counting.Stats().RangeGets.Value(); afterPurge == cold {
 		t.Error("purge should force re-fetching")
+	}
+}
+
+// TestCachedReaderHitAllocatesNothing pins the object-cache hit of
+// openReaderCtx at zero allocations: a warm query looks its readers up
+// by path, without building a key.
+func TestCachedReaderHitAllocatesNothing(t *testing.T) {
+	w, catalog, _ := newWorker(t, 1)
+	if err := w.AddShard(0); err != nil {
+		t.Fatal(err)
+	}
+	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Theta: 0, Seed: 7, StartMS: 0})
+	if err := w.Append(0, g.Batch(200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.FlushShard(0); err != nil {
+		t.Fatal(err)
+	}
+	blocks := catalog.Prune(0, 0, 1<<60)
+	if len(blocks) == 0 {
+		t.Fatal("flush archived nothing")
+	}
+	path := blocks[0].Path
+	ctx := context.Background()
+	first, err := w.openReaderCtx(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hit *logblock.Reader
+	if a := testing.AllocsPerRun(100, func() { hit, _ = w.openReaderCtx(ctx, path) }); a != 0 {
+		t.Fatalf("cached reader lookup allocates %.1f times, want 0", a)
+	}
+	if hit.Meta != first.Meta {
+		t.Fatal("second open did not come from the cache")
 	}
 }
 
