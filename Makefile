@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBatch$$' -fuzztime $(FUZZTIME) ./internal/rowstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzShipDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ship/
+	$(GO) test -run '^$$' -fuzz '^FuzzCatalogUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/meta/
 
 ## chaos: the node-failure and OSS-fault chaos gates at full size, with
 ## per-run recovery stats in the -v output. The fault schedule is fixed
@@ -104,7 +105,7 @@ chaos-brownout-short:
 ## bench: the micro-benchmarks tracked across perf PRs; writes
 ## BENCH_scan.json (query path, with the BKD index's Open and Range) and
 ## BENCH_ingest.json (write path: the append benchmarks plus the
-## archive rung, BuildPack and DrainStore) with
+## archive rung, BuildPack, DrainStore and the apply path's DedupSet) with
 ## ns/op, B/op, allocs/op per bench. Commit the refreshed JSON when a
 ## perf PR intentionally moves the numbers — benchdiff gates against it.
 bench:
@@ -114,8 +115,8 @@ bench:
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/bench_ingest.txt
-	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$' \
-		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ >> /tmp/bench_ingest.txt
+	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$|BenchmarkDedupSet$$' \
+		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ ./internal/worker/ >> /tmp/bench_ingest.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_ingest.txt > BENCH_ingest.json
 
 ## benchdiff: re-measure the tracked benchmarks and fail on a >25%
@@ -133,8 +134,8 @@ benchdiff-micro:
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/benchdiff_ingest.txt
-	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$' \
-		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ >> /tmp/benchdiff_ingest.txt
+	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$|BenchmarkDedupSet$$' \
+		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ ./internal/worker/ >> /tmp/benchdiff_ingest.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_ingest.txt > /tmp/benchdiff_ingest.json
 	$(GO) run ./cmd/benchdiff -base BENCH_ingest.json -new /tmp/benchdiff_ingest.json
 

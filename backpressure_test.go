@@ -146,10 +146,19 @@ func TestBackpressureSurfacesToClient(t *testing.T) {
 		}
 	}
 	// Everything a blocked append holds is in a bounded queue the memory
-	// proxy reads: two parked proposals, two more awaiting apply.
-	if got := w.MemoryFootprint(); got < 4*proposalBytes || c.MemoryProxy() < got {
+	// proxy reads: two parked proposals, two more awaiting apply. The
+	// sixth refusal can land before the last of the four reaches its
+	// queue, and entries move between the replicas' queues between two
+	// reads, so poll until one reading of each shows both bounds — for
+	// well under the hold, inside which none of the four can leave.
+	got, proxy := w.MemoryFootprint(), c.MemoryProxy()
+	for deadline := time.Now().Add(hold / 4); (got < 4*proposalBytes || proxy < got) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		got, proxy = w.MemoryFootprint(), c.MemoryProxy()
+	}
+	if got < 4*proposalBytes || proxy < got {
 		t.Fatalf("memory footprint %d (cluster proxy %d) with full queues, want at least 4 proposals of %d bytes",
-			got, c.MemoryProxy(), proposalBytes)
+			got, proxy, proposalBytes)
 	}
 	if err := c.SlowShardApply(shard, 0); err != nil {
 		t.Fatal(err)

@@ -19,11 +19,13 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"time"
 
 	"logstore/internal/index/bkd"
 	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
+	"logstore/internal/meta"
 	"logstore/internal/oss"
 	"logstore/internal/raft"
 	"logstore/internal/rowstore"
@@ -322,6 +324,39 @@ func run(root string) error {
 		"seed-commit-truncated":   commit[:len(commit)/2],
 	} {
 		if err := writeSeed(shipDir, name, data); err != nil {
+			return err
+		}
+	}
+	// internal/meta: a catalog checkpoint as Marshal writes it — blocks
+	// of two tenants, retentions, a drained block's segment tag — and the
+	// ways a snapshot can lie, retentions a duration cannot hold among them.
+	catalog := meta.NewManager()
+	for i, b := range []meta.BlockInfo{
+		{Tenant: 1, Path: meta.BlockPath("request_log", 1, 1000, 1), MinTS: 1000, MaxTS: 1999, Rows: 40, Bytes: 5120, CreatedMS: 2000, BornSegment: 3},
+		{Tenant: 1, Path: meta.BlockPath("request_log", 1, 2000, 2), MinTS: 2000, MaxTS: 2999, Rows: 60, Bytes: 7168, CreatedMS: 3000},
+		{Tenant: 7, Path: meta.BlockPath("request_log", 7, 1500, 3), MinTS: 1500, MaxTS: 1500, Rows: 1, Bytes: 2048, CreatedMS: 1600},
+	} {
+		if err := catalog.Register(b); err != nil {
+			return fmt.Errorf("catalog block %d: %w", i, err)
+		}
+	}
+	catalog.SetRetention(1, 24*time.Hour)
+	catalog.SetRetention(7, time.Minute)
+	snapshot, err := catalog.Marshal()
+	if err != nil {
+		return err
+	}
+	const oneBlock = `"blocks":{"1":[{"tenant":1,"path":"a","min_ts":100,"max_ts":200}]}`
+	catalogDir := filepath.Join(root, "internal/meta/testdata/fuzz/FuzzCatalogUnmarshal")
+	for name, data := range map[string]string{
+		"seed-catalog":            string(snapshot),
+		"seed-truncated":          string(snapshot[:len(snapshot)/2]),
+		"seed-retention-zero":     `{` + oneBlock + `,"retention_ms":{"1":0}}`,
+		"seed-retention-negative": `{` + oneBlock + `,"retention_ms":{"1":-1}}`,
+		"seed-retention-overflow": `{` + oneBlock + `,"retention_ms":{"1":9223372036855}}`,
+		"seed-path-twice":         `{"blocks":{"1":[{"tenant":1,"path":"a","min_ts":0,"max_ts":1}],"2":[{"tenant":2,"path":"a","min_ts":0,"max_ts":1}]}}`,
+	} {
+		if err := writeSeed(catalogDir, name, []byte(data)); err != nil {
 			return err
 		}
 	}

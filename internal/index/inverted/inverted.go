@@ -116,6 +116,31 @@ func (b *Builder) Add(rowID uint32, value string) {
 	}
 }
 
+// AddValue is Add for a value the caller will see again: it indexes
+// the row and appends to ords the ordinals of the terms it posted —
+// the value's distinct terms, in first-seen order. Another row holding
+// the same value is then indexed by AddOrdinals with that span, without
+// analyzing or hashing the value again.
+func (b *Builder) AddValue(rowID uint32, value string, ords []uint32) []uint32 {
+	start := len(b.pairs)
+	b.Add(rowID, value)
+	for _, p := range b.pairs[start:] {
+		ords = append(ords, uint32(p>>32))
+	}
+	return ords
+}
+
+// AddOrdinals indexes a row whose value an earlier AddValue call
+// analyzed into ords: it posts the row under each of those terms. Rows
+// must still come in ascending row-id order.
+func (b *Builder) AddOrdinals(rowID uint32, ords []uint32) {
+	for _, id := range ords {
+		b.counts[id]++
+		b.last[id] = rowID
+		b.pairs = append(b.pairs, uint64(id)<<32|uint64(rowID))
+	}
+}
+
 func asciiAlnum(c byte) bool {
 	return 'a' <= c && c <= 'z' || '0' <= c && c <= '9'
 }

@@ -2,6 +2,8 @@ package logblock
 
 import (
 	"logstore/internal/bitutil"
+	"logstore/internal/index/inverted"
+	"logstore/internal/index/sma"
 	"logstore/internal/schema"
 )
 
@@ -23,32 +25,60 @@ const (
 // values fall back to plain encoding.
 const maxDictEntries = 4096
 
-// encodeStringBlock chooses the smaller of plain and dictionary
-// encoding for one string column block. The returned payload is scratch
-// memory, valid until the next call.
-func (s *buildScratch) encodeStringBlock(rows []schema.Row, ci int) (byte, []byte) {
+// encodeStringBlock makes the one pass over a string column block's
+// cells. rows are the block's rows, the first of them row first of the
+// LogBlock; st is the block's SMA, and inv the column's inverted index
+// (nil when the column has none). Each cell costs one dictionary
+// lookup. A value's first sight gives it its dictionary code, folds it
+// into st and analyzes it into inv, keeping the span of term ordinals
+// it posted; a repeat appends its code, counts itself in st (it cannot
+// move the min or max) and posts its row under that span. Once a block
+// brings more than maxDictEntries distinct values it is plain-encoded,
+// and its remaining cells take the per-row path: SMA AddString and
+// inverted Add.
+//
+// It returns the smaller of the plain and dictionary encodings; the
+// payload is scratch memory, valid until the next call.
+func (s *buildScratch) encodeStringBlock(rows []schema.Row, ci, first int, st *sma.SMA, inv *inverted.Builder) (byte, []byte) {
 	plain, entries, codes := s.plain[:0], s.entries[:0], s.codes[:0]
+	// Value code c's terms are ords[spans[c]:spans[c+1]].
+	ords, spans := s.ords[:0], append(s.spans[:0], 0)
 	clear(s.dict)
 	dictable := true
-	for _, r := range rows {
-		v := r[ci].S
+	for i, r := range rows {
+		v, row := r[ci].S, uint32(first+i)
 		plain = bitutil.AppendLenString(plain, v)
-		if !dictable {
-			continue
-		}
-		code, ok := s.dict[v]
-		if !ok {
-			if len(s.dict) >= maxDictEntries {
+		if dictable {
+			code, seen := s.dict[v]
+			switch {
+			case seen:
+				st.Count++
+				if inv != nil {
+					inv.AddOrdinals(row, ords[spans[code]:spans[code+1]])
+				}
+			case len(s.dict) < maxDictEntries:
+				code = len(s.dict)
+				s.dict[v] = code
+				entries = bitutil.AppendLenString(entries, v)
+				st.AddString(v)
+				if inv != nil {
+					ords = inv.AddValue(row, v, ords)
+					spans = append(spans, uint32(len(ords)))
+				}
+			default:
 				dictable = false
+			}
+			if dictable {
+				codes = bitutil.AppendUvarint(codes, uint64(code))
 				continue
 			}
-			code = len(s.dict)
-			s.dict[v] = code
-			entries = bitutil.AppendLenString(entries, v)
 		}
-		codes = bitutil.AppendUvarint(codes, uint64(code))
+		st.AddString(v)
+		if inv != nil {
+			inv.Add(row, v)
+		}
 	}
-	s.plain, s.entries, s.codes = plain, entries, codes
+	s.plain, s.entries, s.codes, s.ords, s.spans = plain, entries, codes, ords, spans
 	count := uint64(len(s.dict))
 	if !dictable || bitutil.UvarintLen(count)+len(entries)+len(codes) >= len(plain) {
 		return encodingPlain, plain

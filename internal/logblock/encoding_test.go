@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"logstore/internal/compress"
+	"logstore/internal/index/sma"
 	"logstore/internal/schema"
 )
 
@@ -26,13 +27,13 @@ func TestDictEncodingChosenForLowCardinality(t *testing.T) {
 	sch := schema.RequestLogSchema()
 	scratch := buildScratchPool.Get().(*buildScratch)
 	defer buildScratchPool.Put(scratch)
-	enc, _ := scratch.encodeStringBlock(rows, sch.ColumnIndex("fail"))
+	enc, _ := scratch.encodeStringBlock(rows, sch.ColumnIndex("fail"), 0, sma.New(schema.String), nil)
 	if enc != encodingDict {
 		t.Error("low-cardinality column should dictionary-encode")
 	}
 	// High-entropy unique strings: plain wins (dict adds the dictionary
 	// on top of unique values plus indices).
-	enc, _ = scratch.encodeStringBlock(rows, sch.ColumnIndex("log"))
+	enc, _ = scratch.encodeStringBlock(rows, sch.ColumnIndex("log"), 0, sma.New(schema.String), nil)
 	if enc != encodingPlain {
 		t.Error("unique-value column should stay plain")
 	}
@@ -95,7 +96,7 @@ func TestDictEncodingShrinksLowCardinalityColumns(t *testing.T) {
 	ipCol := sch.ColumnIndex("ip")
 	scratch := buildScratchPool.Get().(*buildScratch)
 	defer buildScratchPool.Put(scratch)
-	enc, payload := scratch.encodeStringBlock(rows, ipCol)
+	enc, payload := scratch.encodeStringBlock(rows, ipCol, 0, sma.New(schema.String), nil)
 	if enc != encodingDict {
 		t.Fatal("ip column with 8 distinct values should dict-encode")
 	}

@@ -522,16 +522,33 @@ func TestCompressionReducesSize(t *testing.T) {
 // loop at the three block sizes the benchmark workloads produce: 40
 // rows (a paced tenant's 1 s archive tick), 400 and 4000 (hot tenants,
 // compaction). Rows come from the workload generator so value shapes
-// match the end-to-end benchmark.
+// match the end-to-end benchmark. The distinct case gives every string
+// cell of the 4000 rows a value its column never repeats, the worst
+// case for a builder that analyzes each distinct value once.
 func BenchmarkBuildPack(b *testing.B) {
 	sch := schema.RequestLogSchema()
-	for _, n := range []int{40, 400, 4000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+	for _, bc := range []struct {
+		n        int
+		distinct bool
+	}{{40, false}, {400, false}, {4000, false}, {4000, true}} {
+		name := fmt.Sprintf("rows=%d", bc.n)
+		if bc.distinct {
+			name += "-distinct"
+		}
+		b.Run(name, func(b *testing.B) {
+			n := bc.n
 			g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Seed: int64(n), StepMS: 25})
 			rows := make([]schema.Row, n)
 			var userBytes int
 			for i := range rows {
 				rows[i] = g.RowForTenant(7)
+				if bc.distinct {
+					for ci, col := range sch.Columns {
+						if col.Type == schema.String {
+							rows[i][ci] = schema.StringValue(fmt.Sprintf("%s %d", rows[i][ci].S, i))
+						}
+					}
+				}
 				userBytes += rows[i].Size()
 			}
 			var packedBytes int

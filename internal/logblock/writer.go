@@ -90,12 +90,19 @@ type buildScratch struct {
 	data  []byte
 
 	// One column block before compression: the plain encoding, and for
-	// strings the dictionary alternative (entries, then per-row codes).
+	// strings the dictionary alternative (entries, then per-row codes),
+	// plus each dictionary entry's span of inverted-index term ordinals.
 	plain   []byte
 	entries []byte
 	codes   []byte
 	dict    map[string]int
+	ords    []uint32
+	spans   []uint32
 }
+
+// stringBlockFunc encodes one string column block and feeds its SMA and
+// inverted index; encodeStringBlock is the one Build uses.
+type stringBlockFunc func(s *buildScratch, rows []schema.Row, ci, first int, st *sma.SMA, inv *inverted.Builder) (byte, []byte)
 
 var buildScratchPool = sync.Pool{New: func() any {
 	return &buildScratch{
@@ -113,6 +120,12 @@ var buildScratchPool = sync.Pool{New: func() any {
 // give the same bytes — which the builder's content-addressed object
 // keys rely on.
 func Build(sch *schema.Schema, rows []schema.Row, opts BuildOptions) (*Built, error) {
+	return build(sch, rows, opts, (*buildScratch).encodeStringBlock)
+}
+
+// build is Build with the string column block step as a parameter, so
+// tests can hold the builder's bytes to a per-row reference of it.
+func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock stringBlockFunc) (*Built, error) {
 	if err := sch.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,14 +242,11 @@ func Build(sch *schema.Schema, rows []schema.Row, opts BuildOptions) (*Built, er
 				}
 				s.plain = payload
 			} else {
-				for i := start; i < end; i++ {
-					v := sorted[i][ci].S
-					bh.SMA.AddString(v)
-					if cm.Index == schema.IndexInverted {
-						s.inv.Add(uint32(i), v)
-					}
+				var inv *inverted.Builder
+				if cm.Index == schema.IndexInverted {
+					inv = s.inv
 				}
-				encoding, payload = s.encodeStringBlock(sorted[start:end], ci)
+				encoding, payload = stringBlock(s, sorted[start:end], ci, start, bh.SMA, inv)
 			}
 			cm.SMA.Merge(bh.SMA)
 			cm.Blocks[bi] = bh

@@ -11,6 +11,7 @@ package meta
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -291,9 +292,15 @@ func (m *Manager) Marshal() ([]byte, error) {
 	return json.Marshal(&s)
 }
 
+// maxRetentionMS is the longest retention, in milliseconds, a
+// time.Duration can hold.
+const maxRetentionMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Unmarshal replaces the catalog with a serialized snapshot. A snapshot
 // Marshal did not write — an entry filed under another tenant's list,
-// or one path twice — is rejected and leaves the catalog as it was.
+// one path twice, a retention too long for a time.Duration — is
+// rejected and leaves the catalog as it was. A retention of zero or
+// less means "keep forever", as in SetRetention.
 func (m *Manager) Unmarshal(data []byte) error {
 	var s snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -322,7 +329,12 @@ func (m *Manager) Unmarshal(data []byte) error {
 	}
 	retention := make(map[int64]time.Duration, len(s.RetentionMS))
 	for t, ms := range s.RetentionMS {
-		retention[t] = time.Duration(ms) * time.Millisecond
+		if ms > maxRetentionMS {
+			return fmt.Errorf("meta: decode snapshot: tenant %d retention %d ms overflows a duration", t, ms)
+		}
+		if ms > 0 { // SetRetention's rule: zero or negative keeps forever
+			retention[t] = time.Duration(ms) * time.Millisecond
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

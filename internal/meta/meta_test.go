@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -413,5 +414,47 @@ func TestUnmarshalRejectsInconsistentSnapshot(t *testing.T) {
 			t.Fatalf("%s: a refused snapshot changed the catalog", name)
 		}
 		checkIndex(t, m, name)
+	}
+}
+
+// TestUnmarshalRetentionRule: a snapshot's retention follows
+// SetRetention's rule — zero or negative keeps the tenant's blocks
+// forever — and one too long for a time.Duration (it would wrap
+// negative) is refused. Before the rule, each of the three made Expired
+// return every block of the tenant.
+func TestUnmarshalRetentionRule(t *testing.T) {
+	const block = `"blocks":{"1":[{"tenant":1,"path":"a","min_ts":100,"max_ts":200}]}`
+	for name, ms := range map[string]string{"zero": "0", "negative": "-5000"} {
+		m := NewManager()
+		if err := m.Unmarshal([]byte(`{` + block + `,"retention_ms":{"1":` + ms + `}}`)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := m.Retention(1); d != 0 {
+			t.Errorf("%s: retention %v, want 0 (forever)", name, d)
+		}
+		if exp := m.Expired(300); len(exp) != 0 {
+			t.Errorf("%s: Expired(300) = %+v, want nothing", name, exp)
+		}
+	}
+	m := NewManager()
+	if err := m.Register(info(1, "keep", 0, 9)); err != nil {
+		t.Fatal(err)
+	}
+	m.SetRetention(1, time.Hour)
+	for _, ms := range []int64{maxRetentionMS + 1, math.MaxInt64} {
+		raw := fmt.Sprintf(`{%s,"retention_ms":{"1":%d}}`, block, ms)
+		if err := m.Unmarshal([]byte(raw)); err == nil {
+			t.Errorf("retention %d ms: accepted", ms)
+		}
+		if !has(m, 1, "keep") || m.Retention(1) != time.Hour || len(m.Expired(300)) != 0 {
+			t.Fatalf("retention %d ms: a refused snapshot changed the catalog", ms)
+		}
+	}
+	raw := fmt.Sprintf(`{%s,"retention_ms":{"1":%d}}`, block, maxRetentionMS)
+	if err := m.Unmarshal([]byte(raw)); err != nil {
+		t.Fatalf("retention %d ms, the longest a duration holds: %v", maxRetentionMS, err)
+	}
+	if exp := m.Expired(300); len(exp) != 0 {
+		t.Errorf("longest retention: Expired(300) = %+v, want nothing", exp)
 	}
 }

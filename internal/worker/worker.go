@@ -242,59 +242,6 @@ func (g *raftGroup) stop() {
 	}
 }
 
-// dedupSet is a bounded FIFO set of batch ids (per shard), each tagged
-// with the raft index of its first apply. The bound only limits how
-// far back a retry can arrive and still be suppressed; 64k batches is
-// far beyond any client retry horizon. The index tag lets a shipped
-// snapshot export exactly the ids applied at or below its checkpoint
-// base — entries above the base carry their ids inline.
-type dedupSet struct {
-	mu    sync.Mutex
-	seen  map[uint64]uint64 // id -> raft index of first apply (0 = preloaded)
-	order []uint64
-	limit int
-}
-
-func newDedupSet(limit int) *dedupSet {
-	return &dedupSet{seen: make(map[uint64]uint64), limit: limit}
-}
-
-func (d *dedupSet) Contains(id uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.seen[id]
-	return ok
-}
-
-func (d *dedupSet) Add(id, index uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.seen[id]; ok {
-		return
-	}
-	d.seen[id] = index
-	d.order = append(d.order, id)
-	if len(d.order) > d.limit {
-		delete(d.seen, d.order[0])
-		d.order = d.order[1:]
-	}
-}
-
-// SnapshotBelow returns the ids first applied at or below maxIdx
-// (preloaded ids — index 0 — always qualify: they come from a prior
-// life's checkpointed prefix or a shipped snapshot).
-func (d *dedupSet) SnapshotBelow(maxIdx uint64) []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]uint64, 0, len(d.order))
-	for _, id := range d.order {
-		if idx, ok := d.seen[id]; ok && idx <= maxIdx {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Worker is one execution-layer node.
 type Worker struct {
 	cfg     Config
@@ -606,7 +553,8 @@ func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) err
 			}
 			ok := true
 			err := ForEachSub(data, func(bid uint64, batch []byte) error {
-				if sh.seen.Contains(bid) {
+				slot, dup := sh.seen.Probe(bid)
+				if dup {
 					// A retried batch that already applied at an earlier
 					// index: consume the sub without duplicating rows.
 					sh.dedupSkips.Add(1)
@@ -619,7 +567,7 @@ func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) err
 				n, aerr := sh.rs.AppendBatch(batch)
 				switch {
 				case aerr == nil:
-					sh.seen.Add(bid, index)
+					sh.seen.Insert(slot, bid, index)
 					sh.appliedRows.Add(int64(n))
 				case errors.Is(aerr, rowstore.ErrClosed):
 					sh.appendFails.Add(1)

@@ -194,10 +194,10 @@ func TestUnitMatchesIndividualAppends(t *testing.T) {
 	for i, u := range units {
 		for _, sub := range u {
 			bid := BatchID(EncodeBatch(sub))
-			if !gs.seen.Contains(bid) {
+			if _, ok := gs.seen.Probe(bid); !ok {
 				t.Fatalf("unit %d (bid %x) missing from grouped dedup set", i, bid)
 			}
-			if !is.seen.Contains(bid) {
+			if _, ok := is.seen.Probe(bid); !ok {
 				t.Fatalf("unit %d (bid %x) missing from individual dedup set", i, bid)
 			}
 		}
