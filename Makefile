@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzShipDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ship/
 	$(GO) test -run '^$$' -fuzz '^FuzzCatalogUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/meta/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/raft/
 
 ## chaos: the node-failure and OSS-fault chaos gates at full size, with
 ## per-run recovery stats in the -v output. The fault schedule is fixed
@@ -103,15 +104,17 @@ chaos-brownout-short:
 		-run 'TestChaosBrownout' -timeout 120s .
 
 ## bench: the micro-benchmarks tracked across perf PRs; writes
-## BENCH_scan.json (query path, with the BKD index's Open and Range) and
+## BENCH_scan.json (query path, with Parse, the BKD index's Open and
+## Range, and a warm query's fixed cost through the cluster) and
 ## BENCH_ingest.json (write path: the append benchmarks plus the
 ## archive rung, BuildPack, DrainStore and the apply path's DedupSet) with
 ## ns/op, B/op, allocs/op per bench. Commit the refreshed JSON when a
 ## perf PR intentionally moves the numbers — benchdiff gates against it.
 bench:
-	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
+	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory|BenchmarkParse$$' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/bench_scan.txt
 	$(GO) test -bench 'BenchmarkOpen$$|BenchmarkRange$$' -benchmem -run '^$$' ./internal/index/bkd/ >> /tmp/bench_scan.txt
+	$(GO) test -bench 'BenchmarkWarmQuery$$' -benchmem -run '^$$' . >> /tmp/bench_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/bench_ingest.txt
@@ -127,9 +130,10 @@ benchdiff: benchdiff-micro benchdiff-soak benchdiff-ship benchdiff-admission
 
 .PHONY: benchdiff-micro benchdiff-soak benchdiff-ship benchdiff-admission
 benchdiff-micro:
-	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory' \
+	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory|BenchmarkParse$$' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/benchdiff_scan.txt
 	$(GO) test -bench 'BenchmarkOpen$$|BenchmarkRange$$' -benchmem -run '^$$' ./internal/index/bkd/ >> /tmp/benchdiff_scan.txt
+	$(GO) test -bench 'BenchmarkWarmQuery$$' -benchmem -run '^$$' . >> /tmp/benchdiff_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_scan.txt > /tmp/benchdiff_scan.json
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \

@@ -9,6 +9,7 @@ package logstore
 // EXPERIMENTS.md for recorded outputs.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -413,5 +414,59 @@ func BenchmarkAblationIndexes(b *testing.B) {
 		if _, err := experiments.AblationIndexes(s); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWarmQuery measures the fixed cost of a warm query through
+// Cluster.QueryContext: parse, plan, route, the real-time and archived
+// sub-queries and the merge, on a zero-value cluster over a MemStore
+// whose LogBlocks every iteration after the warming pass finds cached.
+// rows=0 is a needle whose ip no row has (the index answers "none");
+// rows=100 a 75-minute slice of the hottest tenant.
+func BenchmarkWarmQuery(b *testing.B) {
+	const (
+		startMS = int64(1_600_000_000_000)
+		stepMS  = int64(8640) // 20 000 rows over 48 h
+	)
+	c, err := Open(Config{ArchiveInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 100, Theta: 0.99, Seed: 1, StartMS: startMS, StepMS: stepMS})
+	for i := 0; i < 100; i++ {
+		if err := c.Append(g.Batch(200)...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	from := startMS + 24*3600_000
+	for _, bc := range []struct {
+		name string
+		rows int // want exactly 0, or at least 50
+		sql  string
+	}{
+		{"rows=0", 0, fmt.Sprintf("SELECT log FROM request_log WHERE tenant_id = 0 AND ts >= %d AND ts <= %d AND ip = '192.168.9.9' AND latency >= 100 AND fail = 'false'", from, from+3600_000)},
+		{"rows=100", 50, fmt.Sprintf("SELECT log FROM request_log WHERE tenant_id = 0 AND ts >= %d AND ts <= %d", from, from+75*60_000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			res, err := c.QueryContext(ctx, bc.sql) // the warming pass
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n := len(res.Rows); (bc.rows == 0) != (n == 0) || n < bc.rows {
+				b.Fatalf("%d rows, want %d", n, bc.rows)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.QueryContext(ctx, bc.sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

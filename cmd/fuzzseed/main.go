@@ -360,6 +360,20 @@ func run(root string) error {
 			return err
 		}
 	}
+	// internal/raft: one WAL entry as AppendTo writes it, one with no
+	// data, and the ways the framing can lie.
+	entry := raft.Entry{Term: 3, Index: 17, Data: []byte("a proposal's bytes")}.AppendTo(nil)
+	entryDir := filepath.Join(root, "internal/raft/testdata/fuzz/FuzzDecodeEntry")
+	for name, data := range map[string][]byte{
+		"seed-entry":            entry,
+		"seed-empty-data":       raft.Entry{Term: 1, Index: 1}.AppendTo(nil),
+		"seed-truncated-varint": {0x83, 0x80},                 // a term whose varint never ends
+		"seed-long-data":        {3, 17, 0xff, 0xff, 0x0f, 1}, // data far beyond the input
+	} {
+		if err := writeSeed(entryDir, name, data); err != nil {
+			return err
+		}
+	}
 	fmt.Println("fuzz seed corpora regenerated")
 	return nil
 }

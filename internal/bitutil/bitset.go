@@ -25,6 +25,22 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// Reset makes b an empty bitset able to hold bits [0, n), reusing its
+// words when they are enough.
+func (b *Bitset) Reset(n int) {
+	if n < 0 {
+		n = 0
+	}
+	nw := (n + 63) / 64
+	if cap(b.words) < nw {
+		b.words = make([]uint64, nw)
+	} else {
+		b.words = b.words[:nw]
+		clear(b.words)
+	}
+	b.n = n
+}
+
 // Len returns the capacity in bits.
 func (b *Bitset) Len() int { return b.n }
 
@@ -189,6 +205,24 @@ func (b *Bitset) ClearRange(start, end int) {
 	b.words[whi] &^= last
 	for wi := wlo + 1; wi < whi; wi++ {
 		b.words[wi] = 0
+	}
+}
+
+// SetRange sets every bit in [start, end), a word at a time.
+func (b *Bitset) SetRange(start, end int) {
+	start, end, ok := b.clampRange(start, end)
+	if !ok {
+		return
+	}
+	wlo, whi, first, last := rangeMasks(start, end)
+	if wlo == whi {
+		b.words[wlo] |= first & last
+		return
+	}
+	b.words[wlo] |= first
+	b.words[whi] |= last
+	for wi := wlo + 1; wi < whi; wi++ {
+		b.words[wi] = ^uint64(0)
 	}
 }
 

@@ -49,6 +49,17 @@ func TestRangeKernelsMatchScalar(t *testing.T) {
 				if got, want := b.CountInRange(start, end), refCountInRange(b, start, end); got != want {
 					t.Fatalf("CountInRange(%d, %d) n=%d: got %d want %d", start, end, n, got, want)
 				}
+				set := b.Clone()
+				set.SetRange(start, end)
+				for i := 0; i < n; i++ {
+					want := b.Test(i) || (i >= start && i < end)
+					if set.Test(i) != want {
+						t.Fatalf("SetRange(%d, %d) n=%d: bit %d got %v want %v", start, end, n, i, set.Test(i), want)
+					}
+				}
+				if set.Count() != refCountInRange(set, 0, n) {
+					t.Fatalf("SetRange(%d, %d) n=%d set a bit past the end", start, end, n)
+				}
 				clr := b.Clone()
 				clr.ClearRange(start, end)
 				for i := 0; i < n; i++ {

@@ -32,7 +32,8 @@ type WorkerPool interface {
 	Worker(id flow.WorkerID) (*worker.Worker, bool)
 	// ShardOwner returns the worker hosting a shard.
 	ShardOwner(s flow.ShardID) (flow.WorkerID, bool)
-	// WorkerIDs lists all workers (ascending).
+	// WorkerIDs lists all workers (ascending). The caller must not
+	// modify the slice.
 	WorkerIDs() []flow.WorkerID
 }
 
@@ -134,6 +135,7 @@ type appendScratch struct {
 	units   []shardUnit
 	batches [][]schema.Row // one unit's EnqueueAppend argument
 	charges []backpressure.TenantCharge
+	traffic []flow.TenantRows // one committed unit's, for the collector
 }
 
 var appendScratchPool = sync.Pool{New: func() any {
@@ -317,9 +319,12 @@ func (b *Broker) appendSubs(ctx context.Context, s *appendScratch, subs []tenant
 			unit := subs[u.lo:u.hi]
 			switch {
 			case err == nil:
+				traffic := s.traffic[:0]
 				for _, sub := range unit {
-					b.collector.Record(flow.TenantID(sub.tenant), sub.shard, u.wid, int64(len(sub.rows)))
+					traffic = append(traffic, flow.TenantRows{Tenant: flow.TenantID(sub.tenant), Rows: int64(len(sub.rows))})
 				}
+				s.traffic = traffic
+				b.collector.RecordUnit(unit[0].shard, u.wid, traffic)
 			case u.retry || errors.Is(err, worker.ErrWorkerDown):
 				downErr = err
 				down += copy(subs[down:], unit)
@@ -446,24 +451,14 @@ func (b *Broker) ExecuteContext(ctx context.Context, q *query.Query) (*query.Res
 	// Real-time sub-queries go to every shard in the old and new routing
 	// plans. A shard without an owner may have been removed; archived
 	// data covers it.
-	type shardAt struct {
-		shard flow.ShardID
-		wid   flow.WorkerID
-	}
-	var owned []shardAt
+	var buf [4]subQuery // the usual scatter, on the stack
+	subs := buf[:0]
 	for _, shard := range b.router.ReadShards(flow.TenantID(tenant)) {
 		if wid, ok := b.pool.ShardOwner(shard); ok {
-			owned = append(owned, shardAt{shard, wid})
+			subs = append(subs, subQuery{wid: wid, shard: shard})
 		}
 	}
-	err := b.mergeParts(final, len(owned), func(i int) (*query.Result, error) {
-		w, ok := b.pool.Worker(owned[i].wid)
-		if !ok {
-			return nil, fmt.Errorf("broker: worker %d not found", owned[i].wid)
-		}
-		return w.QueryRealtimeCtx(ctx, owned[i].shard, q)
-	})
-	if err != nil {
+	if err := b.mergeParts(ctx, q, final, subs); err != nil {
 		return nil, err
 	}
 
@@ -472,36 +467,28 @@ func (b *Broker) ExecuteContext(ctx context.Context, q *query.Query) (*query.Res
 	// considers able to serve reads; slow-flagged ones are kept out of
 	// that partition and serve only as failover tail.
 	serving, primary := b.cfg.Health.ReadPartition(workerIDs)
-	type blockSet struct {
-		wid   flow.WorkerID
-		paths []string
-	}
-	var sets []blockSet
-	for _, blk := range b.catalog.Prune(tenant, minTS, maxTS) {
-		if blk.BornSegment != 0 && slices.Contains(final.Resident, blk.BornSegment) {
-			continue
-		}
-		wid := flow.ReadHome(primary, blk.Path)
-		i := slices.IndexFunc(sets, func(s blockSet) bool { return s.wid == wid })
-		if i < 0 {
-			i = len(sets)
-			sets = append(sets, blockSet{wid: wid})
-		}
-		sets[i].paths = append(sets[i].paths, blk.Path)
-	}
-	final.Resident = nil // the broker's working state, not part of the answer
-
 	var tail []flow.WorkerID // slow workers: failover only
 	for _, s := range serving {
 		if !slices.Contains(primary, s) {
 			tail = append(tail, s)
 		}
 	}
-	err = b.mergeParts(final, len(sets), func(i int) (*query.Result, error) {
-		candidates := append(b.candidatesFrom(sets[i].wid, primary), tail...)
-		return b.runBlockSet(ctx, sets[i].paths, q, candidates)
-	})
-	if err != nil {
+	subs = buf[:0]
+	for _, blk := range b.catalog.Prune(tenant, minTS, maxTS) {
+		if blk.BornSegment != 0 && slices.Contains(final.Resident, blk.BornSegment) {
+			continue
+		}
+		wid := flow.ReadHome(primary, blk.Path)
+		i := slices.IndexFunc(subs, func(s subQuery) bool { return s.wid == wid })
+		if i < 0 {
+			i = len(subs)
+			subs = append(subs, subQuery{wid: wid, cands: candidatesFrom(wid, primary, tail)})
+		}
+		subs[i].paths = append(subs[i].paths, blk.Path)
+	}
+	final.Resident = nil // the broker's working state, not part of the answer
+
+	if err := b.mergeParts(ctx, q, final, subs); err != nil {
 		return nil, err
 	}
 	if err := final.Finalize(q); err != nil {
@@ -510,14 +497,52 @@ func (b *Broker) ExecuteContext(ctx context.Context, q *query.Query) (*query.Res
 	return final, nil
 }
 
-// mergeParts runs n sub-queries — the last on the caller's goroutine,
-// so the common single sub-query costs no goroutine — and merges their
-// partial results into final in index order. Every sub-query finishes
-// before it returns; the error is that of the lowest index that failed.
-func (b *Broker) mergeParts(final *query.Result, n int, run func(i int) (*query.Result, error)) error {
-	if n == 0 {
+// subQuery is one part of a query's scatter: the real-time scan of a
+// shard on its owner wid or, with paths set, a block set of archived
+// LogBlocks run on the first of cands that answers (wid heads them).
+type subQuery struct {
+	wid   flow.WorkerID
+	shard flow.ShardID
+	paths []string
+	cands candidates
+}
+
+func (b *Broker) runSub(ctx context.Context, q *query.Query, s *subQuery) (*query.Result, error) {
+	if s.paths != nil {
+		return b.runBlockSet(ctx, s.paths, q, s.cands)
+	}
+	w, ok := b.pool.Worker(s.wid)
+	if !ok {
+		return nil, fmt.Errorf("broker: worker %d not found", s.wid)
+	}
+	return w.QueryRealtimeCtx(ctx, s.shard, q)
+}
+
+// mergeParts runs the sub-queries and merges their partial results into
+// final in order. The common single sub-query runs on the caller's
+// goroutine and costs no allocation. Every sub-query finishes before it
+// returns; the error is that of the lowest index that failed.
+func (b *Broker) mergeParts(ctx context.Context, q *query.Query, final *query.Result, subs []subQuery) error {
+	switch len(subs) {
+	case 0:
+		return nil
+	case 1:
+		part, err := b.runSub(ctx, q, &subs[0])
+		if err != nil {
+			return b.partErr(err)
+		}
+		final.Merge(part)
 		return nil
 	}
+	// The goroutines get their own copy, so that subs can live on the
+	// caller's stack.
+	return b.mergeConcurrent(ctx, q, final, slices.Clone(subs))
+}
+
+// mergeConcurrent is mergeParts for two or more sub-queries: all but the
+// last on goroutines of their own, the last on the caller's.
+func (b *Broker) mergeConcurrent(ctx context.Context, q *query.Query, final *query.Result, subs []subQuery) error {
+	n := len(subs)
 	parts := make([]*query.Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -525,17 +550,14 @@ func (b *Broker) mergeParts(final *query.Result, n int, run func(i int) (*query.
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = run(i)
+			parts[i], errs[i] = b.runSub(ctx, q, &subs[i])
 		}(i)
 	}
-	parts[n-1], errs[n-1] = run(n - 1)
+	parts[n-1], errs[n-1] = b.runSub(ctx, q, &subs[n-1])
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			if isCtxErr(err) {
-				return b.countCtxErr(err)
-			}
-			return err
+			return b.partErr(err)
 		}
 	}
 	for _, p := range parts {
@@ -544,22 +566,54 @@ func (b *Broker) mergeParts(final *query.Result, n int, run func(i int) (*query.
 	return nil
 }
 
-// candidatesFrom orders the serving workers for one block set: the
-// cache-affine preferred worker first, then the rest in rotation. Each
-// worker appears once — failover tries every live worker at most once.
-func (b *Broker) candidatesFrom(preferred flow.WorkerID, serving []flow.WorkerID) []flow.WorkerID {
-	start := 0
-	for i, wid := range serving {
-		if wid == preferred {
-			start = i
-			break
-		}
+// partErr is a failed sub-query's error as the query returns it, a
+// context's counted as a degradation.
+func (b *Broker) partErr(err error) error {
+	if isCtxErr(err) {
+		return b.countCtxErr(err)
 	}
-	out := make([]flow.WorkerID, 0, len(serving))
-	for i := range serving {
-		out = append(out, serving[(start+i)%len(serving)])
+	return err
+}
+
+// candidates orders the workers a block set may run on: the cache-affine
+// preferred worker first, then the rest of primary in rotation, then the
+// slow tail. Each worker appears once — failover tries every live
+// worker at most once.
+type candidates struct {
+	primary, tail []flow.WorkerID
+	start         int // primary[start] is the preferred worker
+}
+
+// candidatesFrom orders primary from preferred (from its head when it is
+// not there), then tail.
+func candidatesFrom(preferred flow.WorkerID, primary, tail []flow.WorkerID) candidates {
+	return candidates{primary: primary, tail: tail, start: max(0, slices.Index(primary, preferred))}
+}
+
+func (c candidates) len() int { return len(c.primary) + len(c.tail) }
+
+func (c candidates) at(i int) flow.WorkerID {
+	if i < len(c.primary) {
+		return c.primary[(c.start+i)%len(c.primary)]
 	}
-	return out
+	return c.tail[i-len(c.primary)]
+}
+
+// attempt runs one block sub-query on worker wid.
+func (b *Broker) attempt(ctx context.Context, wid flow.WorkerID, paths []string, q *query.Query) (*query.Result, error) {
+	w, ok := b.pool.Worker(wid)
+	if !ok {
+		return nil, fmt.Errorf("broker: worker %d not found", wid)
+	}
+	start := timeNow()
+	res, err := w.QueryBlocksCtx(ctx, paths, q, b.cfg.Exec)
+	// Feed the gray-failure detector: completion latency of every
+	// sub-query, successful or not, but never latencies inflated by
+	// our own caller's cancellation.
+	if b.cfg.Health != nil && ctx.Err() == nil {
+		b.cfg.Health.ReportLatency(wid, timeNow().Sub(start))
+	}
+	return res, err
 }
 
 // runBlockSet executes one block sub-query with failover and (when
@@ -572,32 +626,17 @@ func (b *Broker) candidatesFrom(preferred flow.WorkerID, serving []flow.WorkerID
 // that a worker stalled past the delay gets one speculative duplicate
 // on the next candidate; first success wins and stragglers drain into
 // the buffered channel.
-func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query, candidates []flow.WorkerID) (*query.Result, error) {
-	if len(candidates) == 0 {
+func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query, cands candidates) (*query.Result, error) {
+	if cands.len() == 0 {
 		return nil, fmt.Errorf("broker: no workers for block set")
 	}
-	attempt := func(wid flow.WorkerID) (*query.Result, error) {
-		w, ok := b.pool.Worker(wid)
-		if !ok {
-			return nil, fmt.Errorf("broker: worker %d not found", wid)
-		}
-		start := timeNow()
-		res, err := w.QueryBlocksCtx(ctx, paths, q, b.cfg.Exec)
-		// Feed the gray-failure detector: completion latency of every
-		// sub-query, successful or not, but never latencies inflated by
-		// our own caller's cancellation.
-		if b.cfg.Health != nil && ctx.Err() == nil {
-			b.cfg.Health.ReportLatency(wid, timeNow().Sub(start))
-		}
-		return res, err
-	}
-	if b.cfg.HedgeDelay <= 0 || len(candidates) == 1 {
+	if b.cfg.HedgeDelay <= 0 || cands.len() == 1 {
 		var errs []error
-		for i, wid := range candidates {
+		for i := 0; i < cands.len(); i++ {
 			if i > 0 {
 				b.failovers.Inc()
 			}
-			res, err := attempt(wid)
+			res, err := b.attempt(ctx, cands.at(i), paths, q)
 			if err == nil {
 				return res, nil
 			}
@@ -608,20 +647,24 @@ func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query
 		}
 		return nil, errors.Join(errs...)
 	}
+	return b.runHedged(ctx, paths, q, cands)
+}
 
+// runHedged is runBlockSet with a hedge armed.
+func (b *Broker) runHedged(ctx context.Context, paths []string, q *query.Query, cands candidates) (*query.Result, error) {
 	type part struct {
 		res *query.Result
 		err error
 	}
-	resc := make(chan part, len(candidates))
+	resc := make(chan part, cands.len())
 	launch := func(wid flow.WorkerID) {
 		go func() {
-			res, err := attempt(wid)
+			res, err := b.attempt(ctx, wid, paths, q)
 			resc <- part{res, err}
 		}()
 	}
 	launched := 1
-	launch(candidates[0])
+	launch(cands.at(0))
 	t := newWallTimer(b.cfg.HedgeDelay)
 	defer t.Stop()
 	hedge := t.C
@@ -640,9 +683,9 @@ func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query
 				// same doomed sub-query elsewhere.
 				return nil, p.err
 			}
-			if launched < len(candidates) {
+			if launched < cands.len() {
 				b.failovers.Inc()
-				launch(candidates[launched])
+				launch(cands.at(launched))
 				launched++
 				outstanding++
 			} else if outstanding == 0 {
@@ -650,14 +693,14 @@ func (b *Broker) runBlockSet(ctx context.Context, paths []string, q *query.Query
 			}
 		case <-hedge:
 			hedge = nil
-			if launched < len(candidates) {
+			if launched < cands.len() {
 				b.hedges.Inc()
 				// The first worker has been silent for the whole hedge
 				// delay — that silence is itself a latency observation.
 				if b.cfg.Health != nil && ctx.Err() == nil {
-					b.cfg.Health.ReportLatency(candidates[0], b.cfg.HedgeDelay)
+					b.cfg.Health.ReportLatency(cands.at(0), b.cfg.HedgeDelay)
 				}
-				launch(candidates[launched])
+				launch(cands.at(launched))
 				launched++
 				outstanding++
 			}

@@ -157,7 +157,7 @@ func TestRunBlockSetFailsOverToNextWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.runBlockSet(context.Background(), paths, q, []flow.WorkerID{victim, owner})
+	res, err := b.runBlockSet(context.Background(), paths, q, candidates{primary: []flow.WorkerID{victim, owner}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestRunBlockSetAllCandidatesFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.runBlockSet(context.Background(), paths, q, []flow.WorkerID{0, 1}); !errors.Is(err, worker.ErrWorkerDown) {
+	if _, err := b.runBlockSet(context.Background(), paths, q, candidates{primary: []flow.WorkerID{0, 1}}); !errors.Is(err, worker.ErrWorkerDown) {
 		t.Fatalf("all-dead block set err = %v, want ErrWorkerDown", err)
 	}
 	failovers, _, _ := b.Stats()
@@ -203,7 +203,7 @@ func TestRunBlockSetHedgesSlowWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	startedAt := time.Now()
-	res, err := b.runBlockSet(context.Background(), paths, q, []flow.WorkerID{slow, owner})
+	res, err := b.runBlockSet(context.Background(), paths, q, candidates{primary: []flow.WorkerID{slow, owner}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,6 +238,10 @@ func NewObjectCache(capacity int64) *ObjectCache {
 // Get returns a cached object.
 func (c *ObjectCache) Get(key string) (any, bool) { return c.lru.Get(key) }
 
+// Contains reports whether key is cached, without counting a hit or a
+// miss or changing recency.
+func (c *ObjectCache) Contains(key string) bool { return c.lru.Contains(key) }
+
 // Put caches an object with the caller's size estimate.
 func (c *ObjectCache) Put(key string, value any, size int64) { c.lru.Put(key, value, size) }
 

@@ -2,6 +2,10 @@ package flow
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"logstore/internal/workload"
@@ -112,25 +116,95 @@ func TestRouteTableBasics(t *testing.T) {
 }
 
 func TestPickShardDistribution(t *testing.T) {
-	rt := RouteTable{1: {0: 0.25, 1: 0.75}}
+	rs := compileRoutes(RouteTable{1: {0: 0.25, 1: 0.75}})
 	counts := map[ShardID]int{}
 	const n = 10000
 	for i := 0; i < n; i++ {
-		s, ok := rt.PickShard(1, float64(i)/n)
+		s, ok := rs.pick(1, float64(i)/n)
 		if !ok {
-			t.Fatal("PickShard failed")
+			t.Fatal("pick failed")
 		}
 		counts[s]++
 	}
 	if f := float64(counts[0]) / n; math.Abs(f-0.25) > 0.02 {
 		t.Errorf("shard 0 share = %v, want 0.25", f)
 	}
-	if _, ok := rt.PickShard(99, 0.5); ok {
+	if _, ok := rs.pick(99, 0.5); ok {
 		t.Error("unknown tenant routed")
 	}
 	// r at the extreme top lands on the last shard.
-	if s, _ := rt.PickShard(1, 0.999999999); s != 1 {
+	if s, _ := rs.pick(1, 0.999999999); s != 1 {
 		t.Errorf("top residual lands on %d", s)
+	}
+}
+
+// refPickShard is how a pick was made before the router compiled its
+// tables: sort the tenant's shards on every call and walk their
+// weights.
+func refPickShard(rt RouteTable, tenant TenantID, r float64) (ShardID, bool) {
+	shards, ok := rt[tenant]
+	if !ok || len(shards) == 0 {
+		return 0, false
+	}
+	ids := make([]ShardID, 0, len(shards))
+	for s := range shards {
+		ids = append(ids, s)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var acc float64
+	for _, s := range ids {
+		acc += shards[s]
+		if r < acc {
+			return s, true
+		}
+	}
+	return ids[len(ids)-1], true
+}
+
+// TestPickMatchesReference holds the compiled pick to refPickShard over
+// random tables — normalized or not, weights that do not reach 1 — and
+// random r, the top of [0, 1) and values past it included, and checks
+// that a routed pick allocates nothing.
+func TestPickMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 300; trial++ {
+		rt := RouteTable{}
+		for tn := rng.Intn(6); tn > 0; tn-- {
+			weights := map[ShardID]float64{}
+			for sn := 1 + rng.Intn(5); sn > 0; sn-- {
+				weights[ShardID(rng.Intn(12))] = rng.Float64()
+			}
+			rt[TenantID(rng.Intn(8))] = weights
+		}
+		if trial%2 == 0 {
+			rt.Normalize()
+		}
+		rs := compileRoutes(rt)
+		for probe := 0; probe < 50; probe++ {
+			tenant := TenantID(rng.Intn(9))
+			r := rng.Float64()
+			switch probe % 10 {
+			case 0:
+				r = math.Nextafter(1, 0)
+			case 1:
+				r = 1 + rng.Float64()
+			}
+			got, gotOK := rs.pick(tenant, r)
+			want, wantOK := refPickShard(rt, tenant, r)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("trial %d: pick(%d, %v) over %v = %d, %v; reference %d, %v", trial, tenant, r, rt, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	rs := compileRoutes(RouteTable{1: {4: 0.2, 2: 0.3, 9: 0.5}})
+	if n := testing.AllocsPerRun(100, func() { _, _ = rs.pick(1, 0.6) }); n != 0 {
+		t.Fatalf("pick made %v allocations, want 0", n)
+	}
+	r := NewRouter([]ShardID{0, 1, 2, 3}, 1)
+	r.Update(RouteTable{5: {1: 0.3, 2: 0.7}})
+	r.Update(RouteTable{5: {3: 1}})
+	if n := testing.AllocsPerRun(100, func() { _ = r.Route(5); _ = r.ReadShards(5); _ = r.ReadShards(77) }); n != 0 {
+		t.Fatalf("Route and ReadShards made %v allocations, want 0", n)
 	}
 }
 
@@ -388,4 +462,78 @@ func TestMaxFlowReducesShardStddev(t *testing.T) {
 	if sdAfter*2 > sdBefore {
 		t.Errorf("stddev before %v, after %v — expected >= 2x reduction", sdBefore, sdAfter)
 	}
+}
+
+// TestReadShardsMatchesReference holds ReadShards, after each of a run
+// of random updates, to the union it used to build per call: the
+// current and previous tables' shards and the fallback home, sorted.
+func TestReadShardsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	shards := []ShardID{0, 1, 2, 3, 4, 5}
+	r := NewRouter(shards, 1)
+	home := NewConsistentHash(shards, 0)
+	var prev RouteTable
+	for trial := 0; trial < 100; trial++ {
+		rt := RouteTable{}
+		for tn := rng.Intn(5); tn > 0; tn-- {
+			weights := map[ShardID]float64{}
+			for sn := 1 + rng.Intn(3); sn > 0; sn-- {
+				weights[shards[rng.Intn(len(shards))]] = 1
+			}
+			rt[TenantID(rng.Intn(10))] = weights
+		}
+		r.Update(rt)
+		for tenant := TenantID(0); tenant < 12; tenant++ {
+			seen := map[ShardID]bool{home.Owner(tenant): true}
+			for s := range rt[tenant] {
+				seen[s] = true
+			}
+			for s := range prev[tenant] {
+				seen[s] = true
+			}
+			var want []ShardID
+			for s := range seen {
+				want = append(want, s)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			if got := r.ReadShards(tenant); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: ReadShards(%d) = %v, want %v", trial, tenant, got, want)
+			}
+		}
+		prev = rt
+	}
+}
+
+// TestRouterConcurrentUpdate: writes and reads route while tables are
+// installed; every read set holds the tenant's fallback home (run with
+// -race).
+func TestRouterConcurrentUpdate(t *testing.T) {
+	shards := []ShardID{0, 1, 2, 3}
+	r := NewRouter(shards, 1)
+	home := NewConsistentHash(shards, 0).Owner(5)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_ = r.Route(5)
+				if set := r.ReadShards(5); !slices.Contains(set, home) {
+					t.Errorf("ReadShards(5) = %v, without home %d", set, home)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		r.Update(RouteTable{5: {ShardID(i % 4): 0.5, ShardID((i + 1) % 4): 0.5}})
+	}
+	close(done)
+	wg.Wait()
 }

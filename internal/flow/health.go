@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -254,13 +255,20 @@ func (h *HealthTracker) Snapshot() map[WorkerID]WorkerState {
 // filter that would leave nothing returns its input instead: stale
 // health must degrade to optimistic routing, never to unavailability,
 // and universally degraded beats unavailable. A nil tracker treats every
-// worker as healthy.
+// worker as healthy. When no worker is dead or slow, both partitions
+// are all itself, and nothing is allocated.
 func (h *HealthTracker) ReadPartition(all []WorkerID) (serving, primary []WorkerID) {
 	if h == nil {
 		return all, all
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if !slices.ContainsFunc(all, func(w WorkerID) bool {
+		s := h.stateLocked(w)
+		return s == WorkerDead || s == WorkerSlow
+	}) {
+		return all, all
+	}
 	serving = make([]WorkerID, 0, len(all))
 	primary = make([]WorkerID, 0, len(all))
 	for _, w := range all {

@@ -16,9 +16,16 @@ type Collector struct {
 	mu      sync.Mutex
 	window  time.Duration
 	buckets int
+	now     func() time.Time // every rate's clock
 	tenant  map[TenantID]*metrics.Rate
 	shard   map[ShardID]*metrics.Rate
 	worker  map[WorkerID]*metrics.Rate
+}
+
+// TenantRows is one tenant's rows of a committed unit.
+type TenantRows struct {
+	Tenant TenantID
+	Rows   int64
 }
 
 // NewCollector returns a collector averaging over the given window
@@ -34,6 +41,7 @@ func NewCollector(window time.Duration) *Collector {
 	return &Collector{
 		window:  window,
 		buckets: buckets,
+		now:     timeNow,
 		tenant:  make(map[TenantID]*metrics.Rate),
 		shard:   make(map[ShardID]*metrics.Rate),
 		worker:  make(map[WorkerID]*metrics.Rate),
@@ -44,27 +52,59 @@ func (c *Collector) span() time.Duration {
 	return c.window / time.Duration(c.buckets)
 }
 
+// SetClock makes now the time source of the collector and of every
+// rate it keeps; for deterministic tests.
+func (c *Collector) SetClock(now func() time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = now
+	for _, r := range c.tenant {
+		r.SetClock(now)
+	}
+	for _, r := range c.shard {
+		r.SetClock(now)
+	}
+	for _, r := range c.worker {
+		r.SetClock(now)
+	}
+}
+
 // Record accounts n units of traffic from tenant t landing on shard s
 // of worker w.
 func (c *Collector) Record(t TenantID, s ShardID, w WorkerID, n int64) {
+	c.RecordUnit(s, w, []TenantRows{{Tenant: t, Rows: n}})
+}
+
+// RecordUnit accounts one committed unit: the rows of each tenant sub,
+// all landing on shard s of worker w. The unit costs one collector lock
+// and one clock read; each tenant's rate takes its sub's rows, and the
+// shard and worker rates the unit's total, once.
+func (c *Collector) RecordUnit(s ShardID, w WorkerID, subs []TenantRows) {
+	if len(subs) == 0 {
+		return
+	}
 	c.mu.Lock()
-	tr, ok := c.tenant[t]
-	if !ok {
-		tr = metrics.NewRate(c.buckets, c.span())
-		c.tenant[t] = tr
+	defer c.mu.Unlock()
+	nowNS := c.now().UnixNano()
+	var total int64
+	for _, sub := range subs {
+		rateOf(c, c.tenant, sub.Tenant).AddAt(nowNS, sub.Rows)
+		total += sub.Rows
 	}
-	sr, ok := c.shard[s]
+	rateOf(c, c.shard, s).AddAt(nowNS, total)
+	rateOf(c, c.worker, w).AddAt(nowNS, total)
+}
+
+// rateOf returns the rate of key k in m, made on first use. c.mu is
+// held.
+func rateOf[K comparable](c *Collector, m map[K]*metrics.Rate, k K) *metrics.Rate {
+	r, ok := m[k]
 	if !ok {
-		sr = metrics.NewRate(c.buckets, c.span())
-		c.shard[s] = sr
+		r = metrics.NewRate(c.buckets, c.span())
+		r.SetClock(c.now)
+		m[k] = r
 	}
-	wr, ok := c.worker[w]
-	if !ok {
-		wr = metrics.NewRate(c.buckets, c.span())
-		c.worker[w] = wr
-	}
-	c.mu.Unlock()
-	metrics.AddAll(n, tr, sr, wr)
+	return r
 }
 
 // Snapshot returns the current rates (units/sec) for every observed

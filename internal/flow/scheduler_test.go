@@ -2,6 +2,8 @@ package flow
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -270,6 +272,38 @@ func TestCollectorSnapshot(t *testing.T) {
 	c.Reset()
 	if got := c.Snapshot().TotalTenant(); got != 0 {
 		t.Errorf("after Reset: %v", got)
+	}
+}
+
+// TestRecordUnitEqualsPerSub: on one fake clock, recording each
+// committed unit at once gives the Snapshot that recording its tenant
+// subs one by one gives, as units land across bucket edges and past the
+// window.
+func TestRecordUnitEqualsPerSub(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return now }
+	perSub, perUnit := NewCollector(3*time.Second), NewCollector(3*time.Second)
+	perSub.SetClock(clock)
+	perUnit.SetClock(clock)
+	for step := 0; step < 400; step++ {
+		now = now.Add(time.Duration(rng.Intn(300)) * time.Millisecond)
+		if step%97 == 0 {
+			now = now.Add(5 * time.Second) // past the window
+		}
+		s, w := ShardID(rng.Intn(6)), WorkerID(rng.Intn(3))
+		var unit []TenantRows
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			sub := TenantRows{Tenant: TenantID(rng.Intn(20)), Rows: int64(1 + rng.Intn(200))}
+			unit = append(unit, sub)
+			perSub.Record(sub.Tenant, s, w, sub.Rows)
+		}
+		perUnit.RecordUnit(s, w, unit)
+		if step%10 == 0 {
+			if got, want := perUnit.Snapshot(), perSub.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: per-unit snapshot %+v, per-sub %+v", step, got, want)
+			}
+		}
 	}
 }
 

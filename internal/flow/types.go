@@ -176,29 +176,6 @@ func (rt RouteTable) Validate() error {
 	return nil
 }
 
-// PickShard selects a shard for one record given a uniform random r in
-// [0, 1). Iteration is over sorted shards so the choice is
-// deterministic for a given (table, r).
-func (rt RouteTable) PickShard(tenant TenantID, r float64) (ShardID, bool) {
-	shards, ok := rt[tenant]
-	if !ok || len(shards) == 0 {
-		return 0, false
-	}
-	ids := make([]ShardID, 0, len(shards))
-	for s := range shards {
-		ids = append(ids, s)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var acc float64
-	for _, s := range ids {
-		acc += shards[s]
-		if r < acc {
-			return s, true
-		}
-	}
-	return ids[len(ids)-1], true
-}
-
 // ConsistentHash assigns a tenant to its home shard (Algorithm 1's
 // initial placement: P_j ← ConsistentHash(K_i), X_ij ← 100%).
 type ConsistentHash struct {

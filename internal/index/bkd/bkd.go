@@ -128,10 +128,16 @@ func (b *Builder) AppendTo(dst []byte) []byte {
 // every entry's value and row id in two arrays in (value, row) order, so
 // a lookup is two binary searches and a loop over row ids. The routing
 // level is kept only to report how many leaves a lookup covers.
+//
+// An identity tree is one whose row ids are their positions, rows[i] ==
+// i: the index of a column the LogBlock is sorted by (ts), or of a
+// constant one (the tenant). Its matches are the rows [from, to), so a
+// lookup sets them a word at a time instead of a row at a time.
 type Tree struct {
 	mins, maxs []int64 // per leaf, as routed (and checked against vals)
 	vals       []int64
 	rows       []uint32 // rows[i] is the row id of vals[i]
+	identity   bool     // rows[i] == i for every i
 }
 
 // Open parses and decodes a serialized tree. It does not alias raw.
@@ -211,6 +217,13 @@ func Open(raw []byte) (*Tree, error) {
 	if uint64(len(t.vals)) != entries {
 		return nil, fmt.Errorf("bkd: %d entries in the leaves, %d in the header", len(t.vals), entries)
 	}
+	t.identity = true
+	for i, r := range t.rows {
+		if r != uint32(i) {
+			t.identity = false
+			break
+		}
+	}
 	return t, nil
 }
 
@@ -279,8 +292,19 @@ func (t *Tree) SizeBytes() int64 { return int64(12*len(t.vals) + 16*len(t.mins))
 // error, not a dropped match.
 func (t *Tree) Range(lo, hi int64, rowCount int) (*bitutil.Bitset, int, error) {
 	bs := bitutil.NewBitset(rowCount)
+	leaves, err := t.RangeInto(bs, lo, hi)
+	if err != nil {
+		return nil, leaves, err
+	}
+	return bs, leaves, nil
+}
+
+// RangeInto is Range setting the matching row ids in bs, an empty
+// bitset whose length is the LogBlock's row count.
+func (t *Tree) RangeInto(bs *bitutil.Bitset, lo, hi int64) (int, error) {
+	rowCount := bs.Len()
 	if lo > hi {
-		return bs, 0, nil
+		return 0, nil
 	}
 	// Open checked that the routing keys are the leaves' own first and
 	// last values, so both lists ascend.
@@ -291,11 +315,18 @@ func (t *Tree) Range(lo, hi int64, rowCount int) (*bitutil.Bitset, int, error) {
 		past, _ = slices.BinarySearch(t.mins, hi+1)
 		to, _ = slices.BinarySearch(t.vals, hi+1)
 	}
+	if t.identity && from < to {
+		if to > rowCount {
+			return past - first, fmt.Errorf("bkd: row id %d outside the %d-row LogBlock", max(from, rowCount), rowCount)
+		}
+		bs.SetRange(from, to)
+		return past - first, nil
+	}
 	for _, r := range t.rows[from:to] {
 		if int(r) >= rowCount {
-			return nil, past - first, fmt.Errorf("bkd: row id %d outside the %d-row LogBlock", r, rowCount)
+			return past - first, fmt.Errorf("bkd: row id %d outside the %d-row LogBlock", r, rowCount)
 		}
 		bs.Set(int(r))
 	}
-	return bs, past - first, nil
+	return past - first, nil
 }

@@ -124,7 +124,10 @@ func (t *refTree) scanLeaf(li int, lo, hi int64, bs *bitutil.Bitset) error {
 // on random builder-made trees: small leaves, runs of duplicates that
 // straddle leaf edges, values at both ends of the domain (so deltas
 // wrap), and bounds that are open, at the extremes, or inverted. The
-// row-id sets and the leaves-read counts must be identical.
+// row-id sets and the leaves-read counts must be identical. Every third
+// tree indexes a column in row order, sorted or constant, so that it is
+// an identity tree, and those are also probed with a row count short of
+// their rows, where both must fail.
 func TestRangeMatchesLeafWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
@@ -141,12 +144,26 @@ func TestRangeMatchesLeafWalk(t *testing.T) {
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = value(domain)
-			b.Add(uint32(i), vals[i])
+		}
+		ordered := trial%3 == 0
+		if ordered {
+			slices.Sort(vals)
+			if trial%2 == 0 {
+				for i := range vals {
+					vals[i] = vals[0] // constant
+				}
+			}
+		}
+		for i, v := range vals {
+			b.Add(uint32(i), v)
 		}
 		raw := b.Build()
 		tree, err := Open(raw)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if ordered && !tree.identity {
+			t.Fatalf("trial %d: values %v in row order make no identity tree", trial, vals)
 		}
 		ref, err := openRef(raw)
 		if err != nil {
@@ -168,6 +185,13 @@ func TestRangeMatchesLeafWalk(t *testing.T) {
 			if !slices.Equal(got.Slice(), want.Slice()) || gotLeaves != wantLeaves {
 				t.Fatalf("trial %d, values %v: Range(%d, %d) = %v in %d leaves, leaf walk %v in %d",
 					trial, vals, lo, hi, got.Slice(), gotLeaves, want.Slice(), wantLeaves)
+			}
+			if short := n / 2; ordered && got.Any() && got.Slice()[got.Count()-1] >= short {
+				_, _, err := tree.Range(lo, hi, short)
+				_, _, werr := ref.Range(lo, hi, short)
+				if err == nil || werr == nil {
+					t.Fatalf("trial %d: Range(%d, %d) over %d rows: %v, leaf walk %v; want both to fail", trial, lo, hi, short, err, werr)
+				}
 			}
 		}
 	}

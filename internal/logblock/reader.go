@@ -113,11 +113,13 @@ func (r *Reader) WithFetcher(f Fetcher) *Reader {
 
 // VectorCache is the decoded-vector cache level consulted by
 // BlockVector: decoded column vectors are shared across queries keyed
-// by (object, column, block) with byte-cost accounting. cache.ObjectCache
+// by (object, column, block) with byte-cost accounting. Contains reports
+// presence without counting a hit or a miss. cache.ObjectCache
 // satisfies it.
 type VectorCache interface {
 	Get(key string) (any, bool)
 	Put(key string, value any, size int64)
+	Contains(key string) bool
 }
 
 // VectorCacheKey returns the canonical decoded-vector cache key of one
@@ -288,6 +290,15 @@ func (r *Reader) BlockVector(col, bi int) (*Vector, error) {
 		r.vecCache.Put(key, vec, vec.SizeBytes())
 	}
 	return vec, nil
+}
+
+// VectorCached reports whether the decoded-vector cache holds column
+// col's block bi, so that BlockVector would read no member for it. It
+// counts no hit or miss.
+func (r *Reader) VectorCached(col, bi int) bool {
+	nb := r.Meta.NumBlocks
+	return r.vecCache != nil && uint(col) < uint(len(r.Meta.Columns)) && uint(bi) < uint(nb) &&
+		r.vecCache.Contains(r.vecKeys[col*nb+bi])
 }
 
 // BlockValues fetches and decodes column col's block bi, returning the

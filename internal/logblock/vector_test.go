@@ -124,6 +124,11 @@ func (c *countingVectorCache) Get(key string) (any, bool) {
 	return v, ok
 }
 
+func (c *countingVectorCache) Contains(key string) bool {
+	_, ok := c.m[key]
+	return ok
+}
+
 func (c *countingVectorCache) Put(key string, value any, size int64) {
 	if size <= 0 {
 		panic("vector cached with non-positive size")
@@ -151,6 +156,10 @@ func TestBlockVectorUsesCache(t *testing.T) {
 	}
 	if c.puts != 1 || c.hits != 1 {
 		t.Fatalf("puts=%d hits=%d, want 1/1", c.puts, c.hits)
+	}
+	if !r.VectorCached(1, 0) || r.VectorCached(1, 1) || r.VectorCached(99, 0) || c.gets != 2 {
+		t.Fatalf("VectorCached: (1,0) %v, (1,1) %v, (99,0) %v after %d gets; want true, false, false after 2",
+			r.VectorCached(1, 0), r.VectorCached(1, 1), r.VectorCached(99, 0), c.gets)
 	}
 	if _, ok := c.m[VectorCacheKey("obj/1", 1, 0)]; !ok {
 		t.Fatal("vector not cached under the canonical key")

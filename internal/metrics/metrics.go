@@ -111,27 +111,15 @@ func (r *Rate) advanceTo(nowNS int64) {
 	r.headStart += steps * span
 }
 
-// AddAll records n into every rate with one shared clock read (the
-// first rate's source), for callers that update several meters per
-// event — the traffic collector touches three on every append. The
-// rates should share a time source; after SetClock on any of them,
-// pass that one first.
-func AddAll(n int64, rates ...*Rate) {
-	if len(rates) == 0 {
-		return
-	}
-	first := rates[0]
-	first.mu.Lock()
-	nowNS := first.now().UnixNano()
-	first.advanceTo(nowNS)
-	first.buckets[first.head] += n
-	first.mu.Unlock()
-	for _, r := range rates[1:] {
-		r.mu.Lock()
-		r.advanceTo(nowNS)
-		r.buckets[r.head] += n
-		r.mu.Unlock()
-	}
+// AddAt records n events at nowNS (unix nanoseconds), a time the
+// caller read once for several meters — the traffic collector touches a
+// tenant, a shard and a worker meter for every append. The meters
+// should share a time source.
+func (r *Rate) AddAt(nowNS int64, n int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.advanceTo(nowNS)
+	r.buckets[r.head] += n
 }
 
 // Add records n events at the current time.

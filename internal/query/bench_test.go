@@ -8,6 +8,7 @@ import (
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
 	"logstore/internal/schema"
+	"logstore/internal/workload"
 )
 
 // Scan-path micro-benchmarks (the perf trajectory recorded in
@@ -57,6 +58,7 @@ type mapVectorCache map[string]any
 
 func (c mapVectorCache) Get(key string) (any, bool)         { v, ok := c[key]; return v, ok }
 func (c mapVectorCache) Put(key string, value any, _ int64) { c[key] = value }
+func (c mapVectorCache) Contains(key string) bool           { _, ok := c[key]; return ok }
 
 // warmReader returns benchReader's LogBlock with a decoded-vector cache
 // holding every column block cols needs.
@@ -283,6 +285,22 @@ func BenchmarkCountStar(b *testing.B) {
 		}
 		if len(rows) == 0 {
 			b.Fatal("no rows counted")
+		}
+	}
+}
+
+// BenchmarkParse parses the six query shapes of workload.GenerateQueries
+// in turn: ns/op and allocs/op are per statement.
+func BenchmarkParse(b *testing.B) {
+	specs := workload.GenerateQueries(workload.QuerySetConfig{
+		Tenants: 1, PerTenant: 6,
+		HistoryStartMS: 1604995200000, HistoryEndMS: 1604995200000 + 48*3600_000, Seed: 1,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(specs[i%len(specs)].SQL); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

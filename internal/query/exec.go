@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"logstore/internal/bitutil"
 	"logstore/internal/index/sma"
@@ -101,32 +102,72 @@ func (f *filter) eval(vec *logblock.Vector, acc *bitutil.Bitset, start int) {
 	EvalInt64Range(f.lo, f.hi, vec.Ints.Vals, acc, start)
 }
 
-// planBlock is what MatchBlock does with q in one LogBlock, made from
-// the meta member alone. Without DataSkipping that is every predicate
-// as written. With it, the int64 comparisons on a column (=, >=, >, <=,
-// <; a != or a constant of the wrong type stays as written) fold into
-// one interval at the position of the first, and the column SMAs then
-// answer both ways: refuted says one of them rules the LogBlock out
-// (an empty interval always does), and an interval that contains a
-// fully summarized column's [min, max] holds for every row and is
-// dropped, its comparisons counted in implied. What is left is one
-// index probe or scan per filter.
-func planBlock(m *logblock.Meta, q *Query, opts ExecOptions) (filters []filter, refuted bool, implied int, err error) {
-	filters = make([]filter, 0, len(q.Preds))
+// BlockPlan is what matching q does in one LogBlock, planned once from
+// the meta member alone and shared by the caller's index wave
+// (IndexColumns) and the match itself (Match). A plan from PlanBlock is
+// pooled: its filters and bitsets serve the next plan once Release
+// returns it.
+type BlockPlan struct {
+	meta    *logblock.Meta
+	opts    ExecOptions
+	filters []filter
+	refuted bool // an SMA rules the LogBlock out
+	implied int  // comparisons the SMAs prove for every row
+
+	// acc is the set Match returns; probe takes one BKD range at a time.
+	acc, probe bitutil.Bitset
+}
+
+var planPool = sync.Pool{New: func() any { return new(BlockPlan) }}
+
+// PlanBlock plans q in the LogBlock m describes. The caller releases the
+// plan once neither it nor the set its Match returned is in use.
+func PlanBlock(m *logblock.Meta, q *Query, opts ExecOptions) (*BlockPlan, error) {
+	p := planPool.Get().(*BlockPlan)
+	if err := p.plan(m, q, opts); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// Release returns the plan to the pool. Neither the plan nor the set
+// its Match returned may be used after.
+func (p *BlockPlan) Release() {
+	p.meta = nil
+	clear(p.filters[:cap(p.filters)]) // they point into the query
+	p.filters = p.filters[:0]
+	planPool.Put(p)
+}
+
+// plan makes p the plan of q in m. Without DataSkipping that is every
+// predicate as written. With it, the int64 comparisons on a column (=,
+// >=, >, <=, <; a != or a constant of the wrong type stays as written)
+// fold into one interval at the position of the first, and the column
+// SMAs then answer both ways: refuted says one of them rules the
+// LogBlock out (an empty interval always does), and an interval that
+// contains a fully summarized column's [min, max] holds for every row
+// and is dropped, its comparisons counted in implied. What is left is
+// one index probe or scan per filter.
+func (p *BlockPlan) plan(m *logblock.Meta, q *Query, opts ExecOptions) error {
+	p.meta, p.opts = m, opts
+	filters := p.filters[:0]
+	p.refuted, p.implied = false, 0
 	for i := range q.Preds {
 		ci := m.Schema.ColumnIndex(q.Preds[i].Col)
 		if ci < 0 {
-			return nil, false, 0, fmt.Errorf("query: column %q not in LogBlock schema", q.Preds[i].Col)
+			return fmt.Errorf("query: column %q not in LogBlock schema", q.Preds[i].Col)
 		}
 		filters = append(filters, filter{col: ci, pred: &q.Preds[i]})
 	}
+	p.filters = filters
 	if !opts.DataSkipping {
-		return filters, false, 0, nil
+		return nil
 	}
 	kept := filters[:0]
 	for _, f := range filters {
-		p := f.pred
-		if p.Match || p.Op == sma.NE || p.Val.Kind != schema.Int64 || m.Schema.Columns[f.col].Type != schema.Int64 {
+		pr := f.pred
+		if pr.Match || pr.Op == sma.NE || pr.Val.Kind != schema.Int64 || m.Schema.Columns[f.col].Type != schema.Int64 {
 			kept = append(kept, f)
 			continue
 		}
@@ -143,7 +184,7 @@ func planBlock(m *logblock.Meta, q *Query, opts ExecOptions) (filters []filter, 
 		}
 		iv.folded++
 		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		switch x := p.Val.I; p.Op {
+		switch x := pr.Val.I; pr.Op {
 		case sma.EQ:
 			lo, hi = x, x
 		case sma.GE:
@@ -165,15 +206,17 @@ func planBlock(m *logblock.Meta, q *Query, opts ExecOptions) (filters []filter, 
 	for _, f := range filters {
 		cs := m.Columns[f.col].SMA
 		if f.refutedBy(cs) {
-			return nil, true, 0, nil
+			p.filters, p.refuted, p.implied = kept[:0], true, 0
+			return nil
 		}
 		if f.impliedBy(cs, m.RowCount) {
-			implied += f.folded
+			p.implied += f.folded
 			continue
 		}
 		kept = append(kept, f)
 	}
-	return kept, false, implied, nil
+	p.filters = kept
+	return nil
 }
 
 // MatchBlock computes the row ids within one LogBlock satisfying all of
@@ -181,36 +224,45 @@ func planBlock(m *logblock.Meta, q *Query, opts ExecOptions) (filters []filter, 
 // Without DataSkipping every predicate is scanned as written: the
 // oracle the skipping plan is tested against.
 func MatchBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecStats) (*bitutil.Bitset, error) {
-	m := r.Meta
-	stats.BlocksExamined++
-
-	acc := bitutil.NewBitset(m.RowCount)
-	// Step 2: whole-LogBlock answers from the column SMAs.
-	filters, refuted, implied, err := planBlock(m, q, opts)
+	p, err := PlanBlock(r.Meta, q, opts)
+	if err != nil {
+		stats.BlocksExamined++
+		return nil, err
+	}
+	defer p.Release()
+	matched, err := p.Match(r, stats)
 	if err != nil {
 		return nil, err
 	}
-	if refuted {
+	return matched.Clone(), nil // the caller's, not the plan's
+}
+
+// Match computes the row ids of the planned LogBlock, r, that satisfy
+// every predicate: whole-LogBlock answers from the column SMAs first,
+// then the index probes, then residual scans narrowed by the rows left.
+// The set is the plan's.
+func (p *BlockPlan) Match(r *logblock.Reader, stats *ExecStats) (*bitutil.Bitset, error) {
+	m, opts := p.meta, p.opts
+	stats.BlocksExamined++
+	acc := &p.acc
+	acc.Reset(m.RowCount)
+	if p.refuted {
 		stats.BlocksSkippedBySMA++
 		return acc, nil
 	}
-	stats.PredsImpliedBySMA += implied
+	stats.PredsImpliedBySMA += p.implied
 	acc.SetAll()
 
 	// Cheapest strategies first: indexes, then residual scans narrowed
 	// by the accumulated set.
-	scan := filters[:0]
-	for i := range filters {
-		f := &filters[i]
+	for i := range p.filters {
+		f := &p.filters[i]
 		if !opts.DataSkipping || !f.probesIndex(m) {
-			scan = append(scan, *f)
 			continue
 		}
-		bs, err := indexLookup(r, f, stats)
-		if err != nil {
+		if err := p.indexLookup(r, f, stats); err != nil {
 			return nil, err
 		}
-		acc.And(bs)
 		// String equality via the inverted index is a candidate set (the
 		// index analyzes case-insensitively); verify exact equality
 		// against the stored values.
@@ -223,8 +275,12 @@ func MatchBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecStats
 			return acc, nil
 		}
 	}
-	for i := range scan {
-		if err := verifyScan(r, &scan[i], acc, opts, stats); err != nil {
+	for i := range p.filters {
+		f := &p.filters[i]
+		if opts.DataSkipping && f.probesIndex(m) {
+			continue
+		}
+		if err := verifyScan(r, f, acc, opts, stats); err != nil {
 			return nil, err
 		}
 		if !acc.Any() {
@@ -235,40 +291,55 @@ func MatchBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecStats
 	return acc, nil
 }
 
-// IndexColumns returns the columns whose index MatchBlock reads for q
-// in this LogBlock, so that a caller can fetch those members together
-// instead of one dependent read per predicate. It is empty when the
-// LogBlock is skipped before any index is read, and never names a
-// column whose comparisons the SMA already implies.
-func IndexColumns(m *logblock.Meta, q *Query, opts ExecOptions) []int {
-	if !opts.DataSkipping {
-		return nil
+// IndexColumns appends to dst the columns whose index Match reads, so
+// that a caller can fetch those members together instead of one
+// dependent read per predicate. It appends none when the LogBlock is
+// skipped before any index is read, and never a column whose
+// comparisons the SMA already implies.
+func (p *BlockPlan) IndexColumns(dst []int) []int {
+	if !p.opts.DataSkipping {
+		return dst
 	}
-	filters, _, _, _ := planBlock(m, q, opts) // refuted or failed: no filters
-	var cols []int
-	for i := range filters {
-		if f := &filters[i]; f.probesIndex(m) && !slices.Contains(cols, f.col) {
-			cols = append(cols, f.col)
+	from := len(dst)
+	for i := range p.filters {
+		if f := &p.filters[i]; f.probesIndex(p.meta) && !slices.Contains(dst[from:], f.col) {
+			dst = append(dst, f.col)
 		}
 	}
-	return cols
+	return dst
 }
 
-// indexLookup resolves a filter that probesIndex through its column's
-// index: one BKD range per interval, one inverted lookup per string
-// equality or MATCH.
-func indexLookup(r *logblock.Reader, f *filter, stats *ExecStats) (*bitutil.Bitset, error) {
-	m := r.Meta
-	if f.pred == nil {
-		tree, err := r.BKDIndex(f.col)
+// indexLookup narrows acc through the index of a filter that
+// probesIndex: one BKD range per interval, one inverted lookup per
+// string equality or MATCH.
+func (p *BlockPlan) indexLookup(r *logblock.Reader, f *filter, stats *ExecStats) error {
+	if f.pred != nil {
+		bs, err := invertedLookup(r, f, stats)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		stats.IndexLookups++
-		bs, leaves, err := tree.Range(f.lo, f.hi, m.RowCount)
-		stats.IndexLeavesScanned += leaves
-		return bs, err
+		p.acc.And(bs)
+		return nil
 	}
+	tree, err := r.BKDIndex(f.col)
+	if err != nil {
+		return err
+	}
+	stats.IndexLookups++
+	p.probe.Reset(r.Meta.RowCount)
+	leaves, err := tree.RangeInto(&p.probe, f.lo, f.hi)
+	stats.IndexLeavesScanned += leaves
+	if err != nil {
+		return err
+	}
+	p.acc.And(&p.probe)
+	return nil
+}
+
+// invertedLookup resolves a string equality or MATCH through its
+// column's inverted index.
+func invertedLookup(r *logblock.Reader, f *filter, stats *ExecStats) (*bitutil.Bitset, error) {
+	m := r.Meta
 	ix, err := r.InvertedIndex(f.col)
 	if err != nil {
 		return nil, err
@@ -410,7 +481,13 @@ func Materialize(r *logblock.Reader, matched *bitutil.Bitset, cols []int) ([]sch
 
 // ExecuteBlock runs match + materialize for one LogBlock.
 func ExecuteBlock(r *logblock.Reader, q *Query, opts ExecOptions, stats *ExecStats) ([]schema.Row, error) {
-	matched, err := MatchBlock(r, q, opts, stats)
+	plan, err := PlanBlock(r.Meta, q, opts)
+	if err != nil {
+		stats.BlocksExamined++
+		return nil, err
+	}
+	defer plan.Release()
+	matched, err := plan.Match(r, stats)
 	if err != nil {
 		return nil, err
 	}

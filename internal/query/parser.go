@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
@@ -21,12 +22,18 @@ import (
 // where pred is `col (=|!=|<>|<|<=|>|>=) literal` or `col MATCH 'text'`.
 // Literals are single-quoted strings or decimal integers.
 func Parse(sql string) (*Query, error) {
-	toks, err := tokenize(sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lex: lexer{sql: sql}}
+	p.tok = p.lex.next()
 	q, err := p.parseQuery()
+	if err != nil && p.lex.err == nil {
+		// A malformed token anywhere in sql is the error to report, as
+		// if sql had been split into tokens before parsing began.
+		for p.lex.next().kind != tokEOF {
+		}
+	}
+	if p.lex.err != nil {
+		return nil, p.lex.err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("query: parse %q: %w", sql, err)
 	}
@@ -49,57 +56,79 @@ type token struct {
 	raw  string
 }
 
-// tokenize splits sql into tokens without copying it where it can: an
-// identifier already in lower case, a keyword in any case, a string
+// lexer reads sql one token at a time without copying it where it can:
+// an identifier already in lower case, a keyword in any case, a string
 // literal without an escaped (doubled) quote, a number and a symbol are
 // all substrings of sql or constants.
-func tokenize(sql string) ([]token, error) {
-	toks := make([]token, 0, len(sql)/4+2)
-	i := 0
-	for i < len(sql) {
-		c := sql[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '\'':
-			text, j, err := stringLiteral(sql, i)
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, token{kind: tokString, text: text, raw: sql[i:j]})
-			i = j
-		case c == '-' || (c >= '0' && c <= '9'):
-			j := i + 1
-			for j < len(sql) && sql[j] >= '0' && sql[j] <= '9' {
-				j++
-			}
-			if j == i+1 && c == '-' {
-				return nil, fmt.Errorf("stray '-'")
-			}
-			toks = append(toks, token{kind: tokNumber, text: sql[i:j], raw: sql[i:j]})
-			i = j
-		case isIdentStart(rune(c)):
-			j := i + 1
-			for j < len(sql) && isIdentPart(rune(sql[j])) {
-				j++
-			}
-			toks = append(toks, token{kind: tokIdent, text: lowerIdent(sql[i:j]), raw: sql[i:j]})
-			i = j
-		case strings.IndexByte("=<>!,*()", c) >= 0:
-			// Two-char operators first.
-			n := 1
-			if i+1 < len(sql) {
-				if two := sql[i : i+2]; two == "<=" || two == ">=" || two == "!=" || two == "<>" {
-					n = 2
-				}
-			}
-			toks = append(toks, token{kind: tokSymbol, text: sql[i : i+n], raw: sql[i : i+n]})
-			i += n
-		default:
-			return nil, fmt.Errorf("unexpected character %q", c)
-		}
+type lexer struct {
+	sql string
+	pos int
+	err error // the first malformed token; every later token is tokEOF
+}
+
+// next returns the token at l.pos and moves past it.
+func (l *lexer) next() token {
+	var t token
+	l.scan(&t)
+	return t
+}
+
+// scan reads the token at l.pos into t and moves past it.
+func (l *lexer) scan(t *token) {
+	sql := l.sql
+	i := l.pos
+	for i < len(sql) && byteClass[sql[i]]&space != 0 {
+		i++
 	}
-	return append(toks, token{kind: tokEOF}), nil
+	if i == len(sql) || l.err != nil {
+		l.pos = i
+		*t = token{kind: tokEOF}
+		return
+	}
+	j := i + 1
+	switch c := sql[i]; {
+	case c == '\'':
+		text, end, err := stringLiteral(sql, i)
+		if err != nil {
+			l.err = err
+			*t = token{kind: tokEOF}
+			return
+		}
+		*t, j = token{kind: tokString, text: text, raw: sql[i:end]}, end
+	case c == '-' || (c >= '0' && c <= '9'):
+		for j < len(sql) && sql[j] >= '0' && sql[j] <= '9' {
+			j++
+		}
+		if j == i+1 && c == '-' {
+			l.err = fmt.Errorf("stray '-'")
+			*t = token{kind: tokEOF}
+			return
+		}
+		*t = token{kind: tokNumber, text: sql[i:j], raw: sql[i:j]}
+	case byteClass[c]&identStart != 0:
+		class := byteClass[c]
+		for ; j < len(sql) && byteClass[sql[j]]&identPart != 0; j++ {
+			class |= byteClass[sql[j]]
+		}
+		word := sql[i:j]
+		*t = token{kind: tokIdent, text: word, raw: word}
+		if class&(upperASCII|nonASCII) != 0 {
+			t.text = lowerIdent(word, class&nonASCII != 0)
+		}
+	case byteClass[c]&symbol != 0:
+		// Two-char operators first.
+		if j < len(sql) {
+			if two := sql[i : i+2]; two == "<=" || two == ">=" || two == "!=" || two == "<>" {
+				j++
+			}
+		}
+		*t = token{kind: tokSymbol, text: sql[i:j], raw: sql[i:j]}
+	default:
+		l.err = fmt.Errorf("unexpected character %q", c)
+		*t = token{kind: tokEOF}
+		return
+	}
+	l.pos = j
 }
 
 // stringLiteral reads the quoted literal opening at sql[i], returning
@@ -127,38 +156,114 @@ func stringLiteral(sql string, i int) (text string, end int, err error) {
 	return "", 0, fmt.Errorf("unterminated string literal")
 }
 
-// keywords are the words the parser accepts, so that an identifier
-// spelling one in any case lowers to a constant instead of a copy.
-var keywords = []string{"select", "from", "where", "and", "match", "group", "order", "by", "count", "asc", "desc", "limit"}
-
-// lowerIdent returns strings.ToLower(s), without allocating when s is
-// already lower case or is a keyword. (At equal lengths EqualFold with
-// an ASCII word holds only for ASCII s, where it is ToLower's answer.)
-func lowerIdent(s string) string {
-	for _, kw := range keywords {
-		if len(kw) == len(s) && strings.EqualFold(kw, s) {
+// lowerIdent returns strings.ToLower(s) for an identifier with an upper
+// case letter, without allocating when it is a keyword: only an ASCII
+// word can equal an ASCII keyword case-insensitively at the same length.
+func lowerIdent(s string, nonASCII bool) string {
+	if !nonASCII {
+		if kw := keyword(s); kw != "" {
 			return kw
 		}
 	}
 	return strings.ToLower(s)
 }
 
-func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.'
+// keyword returns the keyword the ASCII word s spells in any case, or
+// "" when it spells none.
+func keyword(s string) string {
+	if len(s) >= len(keywordsByLen) {
+		return ""
+	}
+	for _, kw := range keywordsByLen[len(s)] {
+		if asciiFold(s, kw) {
+			return kw
+		}
+	}
+	return ""
 }
 
+// keywordsByLen are the words the parser accepts, by length.
+var keywordsByLen = [...][]string{
+	2: {"by"},
+	3: {"and", "asc"},
+	4: {"from", "desc"},
+	5: {"where", "match", "group", "order", "count", "limit"},
+	6: {"select"},
+}
+
+// asciiFold reports whether the ASCII word s equals the lower-case
+// word kw of the same length, ignoring case.
+func asciiFold(s, kw string) bool {
+	for i := 0; i < len(kw); i++ {
+		if s[i]|0x20 != kw[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// byteClass classifies each byte for the lexer, taken as the rune of
+// the same value: identStart for a letter or '_', identPart for those,
+// a digit or '.', symbol for punctuation and operators, space for the
+// blanks between tokens, and upperASCII and nonASCII for the bytes that
+// make lowering an identifier more than taking it as it is. Beyond
+// ASCII a letter is one of unicode's Latin-1 letters.
+var byteClass = func() (t [256]uint8) {
+	for b := range t {
+		r := rune(b)
+		if unicode.IsLetter(r) || r == '_' {
+			t[b] |= identStart | identPart
+		}
+		if unicode.IsDigit(r) || r == '.' {
+			t[b] |= identPart
+		}
+		if strings.ContainsRune("=<>!,*()", r) {
+			t[b] |= symbol
+		}
+		if strings.ContainsRune(" \t\n\r", r) {
+			t[b] |= space
+		}
+		if 'A' <= r && r <= 'Z' {
+			t[b] |= upperASCII
+		}
+		if r >= utf8.RuneSelf {
+			t[b] |= nonASCII
+		}
+	}
+	return t
+}()
+
+const (
+	identStart = 1 << iota
+	identPart
+	symbol
+	upperASCII
+	nonASCII
+	space
+)
+
+// parser reads a statement with one token of lookahead, tok, from lex,
+// or from replay when that is set (the reference parse in tests).
 type parser struct {
-	toks []token
-	pos  int
+	lex    lexer
+	tok    token
+	replay []token
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) peek() token { return p.tok }
+func (p *parser) next() token {
+	t := p.tok
+	if p.replay == nil {
+		p.lex.scan(&p.tok)
+	} else if len(p.replay) > 1 {
+		p.replay = p.replay[1:]
+		p.tok = p.replay[0]
+	}
+	return t
+}
 func (p *parser) accept(kind tokKind, text string) bool {
-	t := p.peek()
-	if t.kind == kind && t.text == text {
-		p.pos++
+	if p.tok.kind == kind && p.tok.text == text {
+		p.next()
 		return true
 	}
 	return false
@@ -189,16 +294,19 @@ func (p *parser) parseQuery() (*Query, error) {
 	q.Table = tbl.text
 
 	if p.accept(tokIdent, "where") {
+		var buf [8]Pred
+		preds := buf[:0] // the query keeps a copy of the exact size
 		for {
 			pred, err := p.parsePred()
 			if err != nil {
 				return nil, err
 			}
-			q.Preds = append(q.Preds, pred)
+			preds = append(preds, pred)
 			if !p.accept(tokIdent, "and") {
 				break
 			}
 		}
+		q.Preds = append([]Pred(nil), preds...)
 	}
 	if p.accept(tokIdent, "group") {
 		if err := p.expectIdent("by"); err != nil {
@@ -284,9 +392,41 @@ func (p *parser) parseSelectList(q *Query) error {
 	}
 }
 
-var opTable = map[string]sma.Op{
-	"=": sma.EQ, "!=": sma.NE, "<>": sma.NE,
-	"<": sma.LT, "<=": sma.LE, ">": sma.GT, ">=": sma.GE,
+// parseInt64 is strconv.ParseInt(s, 10, 64) for a number token: an
+// optional '-' and digits. One short enough not to overflow is summed
+// in place.
+func parseInt64(s string) (int64, error) {
+	digits := strings.TrimPrefix(s, "-")
+	if len(digits) > 18 {
+		return strconv.ParseInt(s, 10, 64)
+	}
+	var v int64
+	for i := 0; i < len(digits); i++ {
+		v = v*10 + int64(digits[i]-'0')
+	}
+	if len(digits) < len(s) {
+		v = -v
+	}
+	return v, nil
+}
+
+// compareOp returns the comparison a symbol spells.
+func compareOp(sym string) (sma.Op, bool) {
+	switch sym {
+	case "=":
+		return sma.EQ, true
+	case "!=", "<>":
+		return sma.NE, true
+	case "<":
+		return sma.LT, true
+	case "<=":
+		return sma.LE, true
+	case ">":
+		return sma.GT, true
+	case ">=":
+		return sma.GE, true
+	}
+	return 0, false
 }
 
 func (p *parser) parsePred() (Pred, error) {
@@ -321,7 +461,7 @@ func (p *parser) parsePred() (Pred, error) {
 		return Pred{Col: col.text, Match: true, Terms: terms, Prefixes: prefixes}, nil
 	}
 	opTok := p.next()
-	op, ok := opTable[opTok.text]
+	op, ok := compareOp(opTok.text)
 	if opTok.kind != tokSymbol || !ok {
 		return Pred{}, fmt.Errorf("expected comparison operator, got %q", opTok.raw)
 	}
@@ -330,7 +470,7 @@ func (p *parser) parsePred() (Pred, error) {
 	case tokString:
 		return Pred{Col: col.text, Op: op, Val: schema.StringValue(lit.text)}, nil
 	case tokNumber:
-		v, err := strconv.ParseInt(lit.text, 10, 64)
+		v, err := parseInt64(lit.text)
 		if err != nil {
 			return Pred{}, fmt.Errorf("bad number %q", lit.raw)
 		}

@@ -2,10 +2,13 @@ package query
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"logstore/internal/index/sma"
 	"logstore/internal/schema"
@@ -251,6 +254,22 @@ func TestParseMatchPrefix(t *testing.T) {
 	}
 }
 
+// tokenize splits sql into tokens through the lexer Parse reads from.
+func tokenize(sql string) ([]token, error) {
+	toks := make([]token, 0, len(sql)/4+2)
+	l := lexer{sql: sql}
+	for {
+		t := l.next()
+		if l.err != nil {
+			return nil, l.err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
 // tokenizeRef is the tokenizer before it stopped allocating per token:
 // the reference tokenize must agree with token for token.
 func tokenizeRef(sql string) ([]token, error) {
@@ -318,13 +337,18 @@ func tokenizeRef(sql string) ([]token, error) {
 	return append(toks, token{kind: tokEOF}), nil
 }
 
+func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
+func isIdentPart(r rune) bool {
+	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.'
+}
+
 // parseRef is Parse over tokenizeRef.
 func parseRef(sql string) (*Query, error) {
 	toks, err := tokenizeRef(sql)
 	if err != nil {
 		return nil, err
 	}
-	q, err := (&parser{toks: toks}).parseQuery()
+	q, err := (&parser{tok: toks[0], replay: toks}).parseQuery()
 	if err != nil {
 		return nil, fmt.Errorf("query: parse %q: %w", sql, err)
 	}
@@ -343,7 +367,9 @@ var parseSeeds = []string{
 	"SELECT log FROM request_log WHERE ts >= -100 AND latency < 7 LIMIT 3",
 	"SELECT log FROM request_log WHERE ip = 'unterminated",
 	"SELECT \xff\xc3 FROM t WHERE a = 1",
-	"SELECT \u017felect FROM t WHERE \u212a = 1 \u212aND x = 2", // letters that fold to ASCII ones
+	"SELECT \u017felect FROM t WHERE \u212a = 1 \u212aND x = 2",   // letters that fold to ASCII ones
+	"SELECT FROM request_log WHERE ip = 'unterminated",            // a parse error before a malformed token
+	"SELECT log FROM request_log WHERE ts >= 1 AND AND ts <= 2 ~", // the same, the other malformed token
 }
 
 func TestTokenizeMatchesReference(t *testing.T) {
@@ -352,9 +378,9 @@ func TestTokenizeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTokenizeAllocations: a statement whose literals have no escaped
-// quote costs tokenize one allocation, the token slice, whatever the
-// case of its keywords.
+// TestTokenizeAllocations: the lexer allocates nothing for a statement
+// whose literals have no escaped quote, whatever the case of its
+// keywords: tokenize's one allocation is its token slice.
 func TestTokenizeAllocations(t *testing.T) {
 	sql := parseSeeds[0]
 	if n := testing.AllocsPerRun(50, func() {
@@ -363,6 +389,42 @@ func TestTokenizeAllocations(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Fatalf("tokenize made %v allocations, want 1", n)
+	}
+}
+
+// TestParseAllocations: Parse allocates the query, its predicates and
+// its select list, and nothing per token.
+func TestParseAllocations(t *testing.T) {
+	sql := parseSeeds[0]
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := Parse(sql); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 3 {
+		t.Fatalf("Parse made %v allocations, want 3", n)
+	}
+}
+
+// TestParseInt64MatchesStrconv: the number-token fast path agrees with
+// strconv.ParseInt, value and error, at every length and at the limits.
+func TestParseInt64MatchesStrconv(t *testing.T) {
+	cases := []string{"0", "-0", "7", "-7", "007", "999999999999999999", "-999999999999999999",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808", "-9223372036854775809",
+		"99999999999999999999999"}
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 2000; i++ {
+		s := strconv.FormatInt(rng.Int63()>>uint(rng.Intn(63)), 10)
+		if rng.Intn(2) == 0 {
+			s = "-" + s
+		}
+		cases = append(cases, s)
+	}
+	for _, s := range cases {
+		got, err := parseInt64(s)
+		want, werr := strconv.ParseInt(s, 10, 64)
+		if got != want || (err == nil) != (werr == nil) {
+			t.Fatalf("parseInt64(%q) = %d, %v; strconv %d, %v", s, got, err, want, werr)
+		}
 	}
 }
 

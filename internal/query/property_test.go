@@ -229,7 +229,7 @@ func refMatchBlock(d *propData, q *Query, opts ExecOptions, stats *ExecStats) (*
 			acc.And(bs)
 		case kind == schema.IndexInverted && (p.Match || (p.Op == sma.EQ && p.Val.Kind == schema.String)):
 			// The inverted index has its own reference tests; probe it.
-			bs, err := indexLookup(r, &filter{col: f.col, pred: &p}, stats)
+			bs, err := invertedLookup(r, &filter{col: f.col, pred: &p}, stats)
 			if err != nil {
 				return nil, err
 			}
@@ -482,9 +482,13 @@ func TestIndexColumnsEqualsProbedSet(t *testing.T) {
 			q.Preds = append(q.Preds, randomPreds(rng, len(d.rows))...)
 		}
 		opts := ExecOptions{DataSkipping: true}
-		named := IndexColumns(d.r.Meta, q, opts)
+		plan, err := PlanBlock(d.r.Meta, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := plan.IndexColumns(nil)
 		var stats ExecStats
-		bs, err := MatchBlock(d.r, q, opts, &stats)
+		bs, err := plan.Match(d.r, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,6 +512,7 @@ func TestIndexColumnsEqualsProbedSet(t *testing.T) {
 				exact++
 			}
 		}
+		plan.Release()
 	}
 	if exact == 0 {
 		t.Fatal("no trial probed an index and matched rows")

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"logstore/internal/schema"
@@ -41,7 +42,7 @@ func NewResult(q *Query, sch *schema.Schema) *Result {
 			r.Columns = append(r.Columns, c.Name)
 		}
 	default:
-		r.Columns = append(r.Columns, q.Select...)
+		r.Columns = slices.Clip(q.Select) // shared, so never appended to in place
 	}
 	return r
 }

@@ -59,29 +59,45 @@ func (e Entry) AppendTo(dst []byte) []byte {
 	return bitutil.AppendLenBytes(dst, e.Data)
 }
 
-// DecodeEntry reverses AppendTo.
+// DecodeEntry reverses AppendTo, returning the entry and the bytes it
+// took. It accepts exactly what AppendTo writes: a varint in more bytes
+// than it needs is an error, so re-encoding an entry gives back the
+// bytes it came from. Data is a copy.
 func DecodeEntry(data []byte) (Entry, int, error) {
 	var e Entry
 	var off int
-	v, n, err := bitutil.Uvarint(data)
+	v, n, err := minimalUvarint(data)
 	if err != nil {
 		return e, 0, fmt.Errorf("raft: entry term: %w", err)
 	}
 	e.Term = v
 	off += n
-	v, n, err = bitutil.Uvarint(data[off:])
+	v, n, err = minimalUvarint(data[off:])
 	if err != nil {
 		return e, 0, fmt.Errorf("raft: entry index: %w", err)
 	}
 	e.Index = v
 	off += n
-	p, n, err := bitutil.LenBytes(data[off:])
+	l, n, err := minimalUvarint(data[off:])
 	if err != nil {
-		return e, 0, fmt.Errorf("raft: entry data: %w", err)
+		return e, 0, fmt.Errorf("raft: entry data length: %w", err)
 	}
-	e.Data = append([]byte(nil), p...)
 	off += n
-	return e, off, nil
+	if l > uint64(len(data)-off) {
+		return e, 0, fmt.Errorf("raft: entry data: %d bytes, %d left", l, len(data)-off)
+	}
+	e.Data = append([]byte(nil), data[off:off+int(l)]...)
+	return e, off + int(l), nil
+}
+
+// minimalUvarint is bitutil.Uvarint refusing an overlong encoding, one
+// whose last byte adds nothing: binary.AppendUvarint never writes one.
+func minimalUvarint(b []byte) (uint64, int, error) {
+	v, n, err := bitutil.Uvarint(b)
+	if err == nil && n > 1 && b[n-1] == 0 {
+		return 0, 0, fmt.Errorf("overlong uvarint (%d bytes for %d)", n, v)
+	}
+	return v, n, err
 }
 
 // MessageType enumerates raft RPCs (as one-way messages).

@@ -1298,12 +1298,17 @@ func (w *Worker) queryOneBlock(ctx context.Context, path string, q *query.Query,
 	if err != nil {
 		return fmt.Errorf("worker %d: open %s: %w", w.cfg.ID, path, err)
 	}
+	plan, err := query.PlanBlock(r.Meta, q, opts)
+	if err != nil {
+		return fmt.Errorf("worker %d: match %s: %w", w.cfg.ID, path, err)
+	}
+	defer plan.Release()
 	if w.pool != nil {
-		if err := prefetchMembers(ctx, r, indexMembers(r, q, opts)); err != nil {
+		if err := prefetchMembers(ctx, r, indexMembers(r, plan)); err != nil {
 			return fmt.Errorf("worker %d: prefetch indexes of %s: %w", w.cfg.ID, path, err)
 		}
 	}
-	matched, err := query.MatchBlock(r, q, opts, &res.Stats)
+	matched, err := plan.Match(r, &res.Stats)
 	if err != nil {
 		return fmt.Errorf("worker %d: match %s: %w", w.cfg.ID, path, err)
 	}
@@ -1313,22 +1318,33 @@ func (w *Worker) queryOneBlock(ctx context.Context, path string, q *query.Query,
 	if n := q.RowCap(); n > 0 {
 		matched.KeepFirst(n)
 	}
+	if q.CountStar && q.GroupBy == "" {
+		res.Count += int64(matched.Count())
+		return nil
+	}
+	var cols []int // the projection, read only when a row matched
+	if matched.Any() {
+		cols = query.EffectiveColumns(q, r.Meta.Schema)
+	}
 	if w.pool != nil {
-		if err := prefetchMembers(ctx, r, dataMembers(r, matched, q)); err != nil {
+		if err := prefetchMembers(ctx, r, dataMembers(r, matched, cols)); err != nil {
 			return fmt.Errorf("worker %d: prefetch data of %s: %w", w.cfg.ID, path, err)
 		}
 	}
-	if err := w.foldMatches(r, matched, q, res); err != nil {
+	rows, err := query.Materialize(r, matched, cols)
+	if err != nil {
 		return fmt.Errorf("worker %d: materialize %s: %w", w.cfg.ID, path, err)
 	}
+	res.AddRows(q, rows)
 	return nil
 }
 
-// indexMembers names the index members matching q will read and the
-// reader has not parsed yet.
-func indexMembers(r *logblock.Reader, q *query.Query, opts query.ExecOptions) []string {
+// indexMembers names the index members matching by plan will read and
+// the reader has not parsed yet.
+func indexMembers(r *logblock.Reader, plan *query.BlockPlan) []string {
+	var buf [8]int
 	var names []string
-	for _, ci := range query.IndexColumns(r.Meta, q, opts) {
+	for _, ci := range plan.IndexColumns(buf[:0]) {
 		if !r.IndexLoaded(ci) {
 			names = append(names, logblock.IndexMember(ci))
 		}
@@ -1336,10 +1352,10 @@ func indexMembers(r *logblock.Reader, q *query.Query, opts query.ExecOptions) []
 	return names
 }
 
-// dataMembers names the data members materializing q's projection of
-// the matched rows will read.
-func dataMembers(r *logblock.Reader, matched *bitutil.Bitset, q *query.Query) []string {
-	cols := query.EffectiveColumns(q, r.Meta.Schema)
+// dataMembers names the data members materializing the columns cols of
+// the matched rows will read and the decoded-vector cache does not
+// hold. A vector evicted after this check is read on demand.
+func dataMembers(r *logblock.Reader, matched *bitutil.Bitset, cols []int) []string {
 	if len(cols) == 0 {
 		return nil
 	}
@@ -1350,7 +1366,9 @@ func dataMembers(r *logblock.Reader, matched *bitutil.Bitset, q *query.Query) []
 			continue
 		}
 		for _, ci := range cols {
-			names = append(names, logblock.DataMember(ci, bi))
+			if !r.VectorCached(ci, bi) {
+				names = append(names, logblock.DataMember(ci, bi))
+			}
 		}
 	}
 	return names
@@ -1370,19 +1388,6 @@ func prefetchMembers(ctx context.Context, r *logblock.Reader, names []string) er
 		}
 	}
 	return f.Warm(ctx, ranges)
-}
-
-func (w *Worker) foldMatches(r *logblock.Reader, matched *bitutil.Bitset, q *query.Query, res *query.Result) error {
-	if q.CountStar && q.GroupBy == "" {
-		res.Count += int64(matched.Count())
-		return nil
-	}
-	rows, err := query.Materialize(r, matched, query.EffectiveColumns(q, r.Meta.Schema))
-	if err != nil {
-		return err
-	}
-	res.AddRows(q, rows)
-	return nil
 }
 
 // archiveLoop drains every shard's row store on the archive cadence.

@@ -362,7 +362,7 @@ func TestQueryBlocksParallelWithWarmup(t *testing.T) {
 	for i, b := range blocks {
 		paths[i] = b.Path
 	}
-	// Materializing query (not COUNT): index and data waves + foldMatches.
+	// Materializing query (not COUNT): index and data waves + Materialize.
 	q, err := query.Parse("SELECT ip, log FROM request_log WHERE tenant_id = 0 AND latency >= 10")
 	if err != nil {
 		t.Fatal(err)

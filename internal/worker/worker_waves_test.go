@@ -214,9 +214,14 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		var idxMembers, dataMembers []string
-		for _, ci := range query.IndexColumns(r.Meta, q, opts) {
+		plan, err := query.PlanBlock(r.Meta, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ci := range plan.IndexColumns(nil) {
 			idxMembers = append(idxMembers, logblock.IndexMember(ci))
 		}
+		plan.Release()
 		var stats query.ExecStats
 		matched, err := query.MatchBlock(r, q, opts, &stats)
 		if err != nil {
@@ -434,5 +439,61 @@ func TestPrefetchedEqualsSerial(t *testing.T) {
 					spec.SQL, temp, len(got.Rows), got.Stats, len(want.Rows), want.Stats)
 			}
 		}
+	}
+}
+
+// TestDataWaveSkipsCachedVectors: once a query has run, its data wave
+// names no member whose decoded vector the cache holds; a vector evicted
+// after that check is read on demand, giving the same rows.
+func TestDataWaveSkipsCachedVectors(t *testing.T) {
+	catalog := meta.NewManager()
+	w, err := New(Config{
+		ID: 7, Replicas: 1, ArchiveInterval: time.Hour,
+		BlockSize: waveBlockSize,
+		Builder:   builder.Config{Table: "request_log", BlockRows: 256},
+	}, schema.RequestLogSchema(), oss.NewMemStore(), catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	path := archiveTenant(t, w, catalog, 3000, 34)[0].Path
+	q, err := query.Parse("SELECT log, latency FROM request_log WHERE tenant_id = 0 AND latency >= 100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := query.ExecOptions{DataSkipping: true}
+	ctx := context.Background()
+	want, err := w.QueryBlocksCtx(ctx, []string{path}, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := w.openReaderCtx(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := query.PlanBlock(r.Meta, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plan.Release()
+	var stats query.ExecStats
+	matched, err := plan.Match(r, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := query.EffectiveColumns(q, r.Meta.Schema)
+	if names := dataMembers(r, matched, cols); len(names) != 0 {
+		t.Fatalf("warm data wave names %v", names)
+	}
+	w.objectCache.Purge() // the vectors go between the check and the read
+	if names := dataMembers(r, matched, cols); len(names) < 2 {
+		t.Fatalf("fixture: the data wave names %v once the vectors are gone", names)
+	}
+	rows, err := query.Materialize(r, matched, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 || !slices.Equal(rowStrings(rows), rowStrings(want.Rows)) {
+		t.Fatalf("after eviction: %d rows, want the %d the query returned", len(rows), len(want.Rows))
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -277,6 +278,7 @@ type Cluster struct {
 
 	mu         sync.RWMutex
 	workers    map[flow.WorkerID]*worker.Worker
+	workerIDs  []flow.WorkerID // workers' keys, ascending; replaced, never changed in place
 	shardOwner map[flow.ShardID]flow.WorkerID
 	nextShard  flow.ShardID
 	nextWorker flow.WorkerID
@@ -460,6 +462,9 @@ func (c *Cluster) addWorkerLocked() (*worker.Worker, error) {
 		c.shardOwner[sid] = id
 	}
 	c.workers[id] = w
+	ids := append(slices.Clone(c.workerIDs), id)
+	slices.Sort(ids)
+	c.workerIDs = ids
 	return w, nil
 }
 
@@ -540,7 +545,7 @@ func (c *Cluster) readHome(path string) *worker.Worker {
 		return nil
 	}
 	defer c.mu.RUnlock()
-	_, primary := c.health.ReadPartition(c.workerIDsLocked())
+	_, primary := c.health.ReadPartition(c.workerIDs)
 	return c.workers[flow.ReadHome(primary, path)]
 }
 
@@ -600,20 +605,12 @@ func (c *Cluster) ShardOwner(s flow.ShardID) (flow.WorkerID, bool) {
 	return w, ok
 }
 
-// WorkerIDs implements broker.WorkerPool.
+// WorkerIDs implements broker.WorkerPool: the workers' ids, ascending.
+// The slice is shared; the caller must not modify it.
 func (c *Cluster) WorkerIDs() []flow.WorkerID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.workerIDsLocked()
-}
-
-func (c *Cluster) workerIDsLocked() []flow.WorkerID {
-	out := make([]flow.WorkerID, 0, len(c.workers))
-	for id := range c.workers {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return c.workerIDs
 }
 
 // ---- client API ----
