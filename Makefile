@@ -45,8 +45,9 @@ lint-baseline:
 ## fuzz: run every fuzz target for FUZZTIME each, starting from the
 ## checked-in seed corpora (regenerate those with `go run ./cmd/fuzzseed`).
 ## Go allows one -fuzz target per invocation, hence the list.
-## (FuzzForEachSub and FuzzShipDecode cap minimization: the default 60s
-## per interesting input stalls both fuzz workers for longer than FUZZTIME.)
+## (FuzzForEachSub, FuzzShipDecode and the two HTTP body targets cap
+## minimization: the default 60s per interesting input stalls both fuzz
+## workers for longer than FUZZTIME.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzSMADecode$$' -fuzztime $(FUZZTIME) ./internal/index/sma/
@@ -62,6 +63,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzShipDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ship/
 	$(GO) test -run '^$$' -fuzz '^FuzzCatalogUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/meta/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/raft/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/httpapi/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/httpapi/
 
 ## chaos: the node-failure and OSS-fault chaos gates at full size, with
 ## per-run recovery stats in the -v output. The fault schedule is fixed
@@ -107,7 +110,8 @@ chaos-brownout-short:
 ## BENCH_scan.json (query path, with Parse, the BKD index's Open and
 ## Range, and a warm query's fixed cost through the cluster) and
 ## BENCH_ingest.json (write path: the append benchmarks plus the
-## archive rung, BuildPack, DrainStore and the apply path's DedupSet) with
+## archive rung, BuildPack, DrainStore, a flush against the simulated
+## store at commit windows 1 and 16, and the apply path's DedupSet) with
 ## ns/op, B/op, allocs/op per bench. Commit the refreshed JSON when a
 ## perf PR intentionally moves the numbers — benchdiff gates against it.
 bench:
@@ -118,7 +122,7 @@ bench:
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/bench_ingest.txt
-	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$|BenchmarkDedupSet$$' \
+	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$|BenchmarkFlushSim$$|BenchmarkDedupSet$$' \
 		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ ./internal/worker/ >> /tmp/bench_ingest.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_ingest.txt > BENCH_ingest.json
 
@@ -138,7 +142,7 @@ benchdiff-micro:
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json
 	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/benchdiff_ingest.txt
-	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$|BenchmarkDedupSet$$' \
+	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$|BenchmarkFlushSim$$|BenchmarkDedupSet$$' \
 		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ ./internal/worker/ >> /tmp/benchdiff_ingest.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_ingest.txt > /tmp/benchdiff_ingest.json
 	$(GO) run ./cmd/benchdiff -base BENCH_ingest.json -new /tmp/benchdiff_ingest.json

@@ -374,6 +374,39 @@ func run(root string) error {
 			return err
 		}
 	}
+	// internal/httpapi: request bodies as clients send them — an append
+	// of two tenants' records, one with its time left to the server, and
+	// the ways a JSON body can fail to be an array of records.
+	appendDir := filepath.Join(root, "internal/httpapi/testdata/fuzz/FuzzAppendBody")
+	for name, body := range map[string]string{
+		"seed-records":      `[{"tenant":7,"ts":1000,"ip":"10.0.0.1","api":"/q","latency":42,"fail":"false","log":"served fast"},{"tenant":3,"ts":0,"ip":"10.0.0.2","api":"/x","latency":900,"fail":"true","log":"upstream timeout"}]`,
+		"seed-empty":        `[]`,
+		"seed-null":         `null`,
+		"seed-object":       `{"tenant":7}`,
+		"seed-truncated":    `[{"tenant":7,"ts":1000,"log":"cut`,
+		"seed-wrong-type":   `[{"tenant":"seven","ts":1000}]`,
+		"seed-overflow":     `[{"tenant":7,"ts":1e400}]`,
+		"seed-trailing":     `[{"tenant":1,"ts":5,"log":"a"}] and then some`,
+		"seed-escaped-utf8": `[{"tenant":2,"ts":9,"log":"\u00e9\ud800 Gr\u00f6\u00dfe","api":"\/q"}]`,
+	} {
+		if err := writeSeed(appendDir, name, []byte(body)); err != nil {
+			return err
+		}
+	}
+	queryDir := filepath.Join(root, "internal/httpapi/testdata/fuzz/FuzzQueryBody")
+	for name, sql := range map[string]string{
+		"seed-select":    "SELECT log FROM request_log WHERE tenant_id = 7 AND ts >= 0 AND ts <= 2000 AND fail = 'true'",
+		"seed-count":     "SELECT COUNT(*) FROM request_log WHERE tenant_id = 7 AND ts >= 0 AND ts <= 9999999999999",
+		"seed-group-by":  "SELECT api, COUNT(*) FROM request_log WHERE tenant_id = 7 AND ts >= 0 AND ts <= 2000 GROUP BY api ORDER BY COUNT(*) DESC LIMIT 5",
+		"seed-match":     "SELECT log FROM request_log WHERE tenant_id = 7 AND ts >= 0 AND ts <= 2000 AND log MATCH 'upstream time*'",
+		"seed-no-tenant": "SELECT log FROM request_log WHERE latency > 5",
+		"seed-empty":     "",
+		"seed-garbage":   "NOT SQL AT ALL",
+	} {
+		if err := writeSeed(queryDir, name, sql); err != nil {
+			return err
+		}
+	}
 	fmt.Println("fuzz seed corpora regenerated")
 	return nil
 }

@@ -32,6 +32,13 @@
 // A segment is released from the row store only after every one of its
 // LogBlocks has committed, so no row is dropped before it is durable
 // and visible on object storage.
+//
+// A drain builds a segment's LogBlocks one after another and hands each
+// packed block's commit to a window of at most W commits in flight (see
+// FlushWindow). At W = 1 each commit runs before the next block is
+// built. After the first failure no further commit starts; the ones in
+// flight finish, and what committed stays committed for a re-drain to
+// deduplicate.
 package builder
 
 import (
@@ -78,6 +85,16 @@ type Config struct {
 	// the bytes. packed is not modified afterwards.
 	Handoff func(key string, packed []byte)
 }
+
+// FlushWindow is the commit window of a drain that a caller waits on:
+// an explicit flush, or the last drain of a closing worker. A commit is
+// two store round trips (Head, Put) that no other block's commit depends
+// on, so keeping several in flight divides the wait. A sweep over 4, 8,
+// 16 and 32 stopped gaining at 16 (EXPERIMENTS.md, the flush-window
+// sweep). The periodic archive loop drains with a window of 1, because
+// the length of its round sets the size of the next round's blocks
+// (DESIGN.md "Fault tolerance").
+const FlushWindow = 16
 
 // Builder converts row-store segments into LogBlocks on object storage.
 // Safe for concurrent use; drains and compactions of the same tenant
@@ -146,26 +163,28 @@ func (b *Builder) Stats() (blocks, rows, dedupSkips int64) {
 }
 
 // DrainStore seals the row store's active segment and archives every
-// sealed segment to object storage, releasing each segment only after
-// all of its LogBlocks have committed. It returns the number of
-// LogBlocks newly committed. On error the failed segment (and any
-// after it) stays sealed in the row store; a later drain retries it and
-// the content-derived keys deduplicate whatever had already committed.
+// sealed segment to object storage, one commit at a time, releasing
+// each segment only after all of its LogBlocks have committed. It
+// returns the number of LogBlocks newly committed. On error the failed
+// segment (and any after it) stays sealed in the row store; a later
+// drain retries it and the content-derived keys deduplicate whatever
+// had already committed.
 func (b *Builder) DrainStore(rs *rowstore.Store) (int, error) {
 	rs.Seal()
-	return b.DrainSegments(rs, rs.Sealed())
+	return b.DrainSegments(rs, rs.Sealed(), 1)
 }
 
-// DrainSegments archives an explicit list of already-sealed segments.
-// The worker uses it when the seal and the segment snapshot must happen
+// DrainSegments archives an explicit list of already-sealed segments
+// with at most window commits in flight (values below 1 mean 1). The
+// worker uses it when the seal and the segment snapshot must happen
 // under the shard's apply lock (so the archived row set and the
 // recorded raft applied-index agree exactly — a segment auto-sealed by
 // a concurrent apply must wait for the next drain), while the slow OSS
 // uploads stay outside the lock.
-func (b *Builder) DrainSegments(rs *rowstore.Store, segs []*rowstore.Segment) (int, error) {
+func (b *Builder) DrainSegments(rs *rowstore.Store, segs []*rowstore.Segment, window int) (int, error) {
 	committed := 0
 	for _, seg := range segs {
-		n, err := b.archiveSegment(seg)
+		n, err := b.archiveSegment(seg, window)
 		committed += n
 		if err != nil {
 			return committed, fmt.Errorf("builder: segment %d: %w", seg.ID, err)
@@ -176,8 +195,9 @@ func (b *Builder) DrainSegments(rs *rowstore.Store, segs []*rowstore.Segment) (i
 }
 
 // archiveSegment splits one sealed segment by tenant and commits each
-// tenant's chunks. Returns how many LogBlocks were newly committed.
-func (b *Builder) archiveSegment(seg *rowstore.Segment) (int, error) {
+// tenant's chunks, at most window at a time. It returns once every
+// commit it started has, with how many LogBlocks were newly committed.
+func (b *Builder) archiveSegment(seg *rowstore.Segment, window int) (int, error) {
 	// Counting sort of row positions by tenant, read from the segment's
 	// row table: a tenant's rows become one run, in arrival order. Runs
 	// lie in ascending tenant order, which keeps re-drains
@@ -223,8 +243,14 @@ func (b *Builder) archiveSegment(seg *rowstore.Segment) (int, error) {
 		slab[k] = cells[k*ncols : (k+1)*ncols : (k+1)*ncols]
 	}
 	byTime := func(x, y int32) int { return cmp.Compare(seg.Time(int(x)), seg.Time(int(y))) }
-	committed := 0
+	commits := newCommitWindow(window)
+	// started holds the keys handed to a commit in this segment. Two
+	// chunks with identical bytes share a key; the second is a
+	// deduplicated commit, as it is when the first is already
+	// registered, whether or not the first has finished.
+	started := make(map[string]struct{})
 	start := 0
+tenants:
 	for _, tenant := range tenants {
 		c := counts[ordinal[tenant]]
 		run := grouped[start : start+c]
@@ -239,20 +265,102 @@ func (b *Builder) archiveSegment(seg *rowstore.Segment) (int, error) {
 			slices.SortStableFunc(run, byTime)
 		}
 		for len(run) > 0 {
+			if commits.failed() {
+				break tenants
+			}
 			pos := run[:min(len(run), b.cfg.MaxRowsPerBlock)]
 			run = run[len(pos):]
 			chunk := slab[:len(pos)]
 			seg.Decode(pos, chunk)
-			fresh, err := b.commitChunk(tenant, chunk, seg.ID)
+			packed, info, err := b.packBlock(tenant, chunk)
 			if err != nil {
-				return committed, fmt.Errorf("tenant %d: %w", tenant, err)
+				commits.done(false, fmt.Errorf("tenant %d: %w", tenant, err))
+				break tenants
 			}
-			if fresh {
-				committed++
+			if _, dup := started[info.Path]; dup {
+				b.dedupSkips.Inc()
+				continue
 			}
+			started[info.Path] = struct{}{}
+			commits.start(func() (bool, error) {
+				fresh, err := b.commitBlock(packed, info, seg.ID)
+				if err != nil {
+					err = fmt.Errorf("tenant %d: %w", tenant, err)
+				}
+				return fresh, err
+			})
 		}
 	}
-	return committed, nil
+	return commits.wait()
+}
+
+// commitWindow runs one segment's LogBlock commits, at most a window of
+// them at a time: with a window of 1 each runs inline on the drain's
+// goroutine. It keeps the first error and counts fresh commits.
+type commitWindow struct {
+	slots chan struct{} // nil: commit inline
+	wg    sync.WaitGroup
+
+	mu    sync.Mutex
+	fresh int
+	err   error
+}
+
+func newCommitWindow(window int) *commitWindow {
+	c := &commitWindow{}
+	if window > 1 {
+		c.slots = make(chan struct{}, window)
+	}
+	return c
+}
+
+// start runs commit once a slot is free, unless a commit has failed by
+// then.
+func (c *commitWindow) start(commit func() (bool, error)) {
+	if c.slots == nil {
+		c.done(commit())
+		return
+	}
+	c.slots <- struct{}{}
+	if c.failed() {
+		<-c.slots
+		return
+	}
+	c.wg.Add(1)
+	go func() {
+		defer func() {
+			<-c.slots
+			c.wg.Done()
+		}()
+		c.done(commit())
+	}()
+}
+
+func (c *commitWindow) done(fresh bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if fresh {
+		c.fresh++
+	}
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+}
+
+// failed reports whether an error has been recorded.
+func (c *commitWindow) failed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err != nil
+}
+
+// wait returns, once every started commit has, the number of fresh
+// commits and the first error.
+func (c *commitWindow) wait() (int, error) {
+	c.wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fresh, c.err
 }
 
 // buildOptions maps the config onto logblock build options.
@@ -335,19 +443,15 @@ func (b *Builder) publish(key string, packed []byte, register func() error) erro
 	return nil
 }
 
-// commitChunk archives one tenant's row chunk, cut from row-store
-// segment born, as a LogBlock. It reports whether a new block was
+// commitBlock commits one packed LogBlock, cut from row-store segment
+// born, that info describes. It reports whether a new block was
 // committed (false = deduplicated against a prior commit).
-func (b *Builder) commitChunk(tenant int64, rows []schema.Row, born uint64) (bool, error) {
-	packed, info, err := b.packBlock(tenant, rows)
-	if err != nil {
-		return false, err
-	}
+func (b *Builder) commitBlock(packed []byte, info meta.BlockInfo, born uint64) (bool, error) {
 	// Already registered: the commit completed in a previous drain (a
 	// later block of the segment failed, or the crash happened after
 	// registration but before the segment was released). The rows are in
 	// this segment now, so the entry says so.
-	if old, ok := b.catalog.Lookup(info.Path); ok && old.Tenant == tenant {
+	if old, ok := b.catalog.Lookup(info.Path); ok && old.Tenant == info.Tenant {
 		b.dedupSkips.Inc()
 		if old.BornSegment == born {
 			return false, nil

@@ -137,18 +137,22 @@ func (b *Builder) SweepOrphans() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("builder: sweep list: %w", err)
 	}
-	registered := make(map[string]bool)
-	for _, tenant := range b.catalog.Tenants() {
-		for _, blk := range b.catalog.Blocks(tenant) {
-			registered[blk.Path] = true
-		}
-	}
+	// Pending before registered: a commit registers its key before it
+	// stops being pending, so a key uploaded before the listing is in
+	// one of the two snapshots. Taken the other way round, a commit that
+	// finished between them would be in neither.
 	b.mu.Lock()
 	pending := make(map[string]bool, len(b.pending))
 	for k := range b.pending {
 		pending[k] = true
 	}
 	b.mu.Unlock()
+	registered := make(map[string]bool)
+	for _, tenant := range b.catalog.Tenants() {
+		for _, blk := range b.catalog.Blocks(tenant) {
+			registered[blk.Path] = true
+		}
+	}
 
 	deleted := 0
 	for _, info := range infos {

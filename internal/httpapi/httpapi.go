@@ -108,10 +108,29 @@ func writeLoadError(w http.ResponseWriter, err error) bool {
 	return true
 }
 
+// The largest request bodies the API reads: an append's JSON array and
+// a query's SQL statement. A longer body is refused whole with 413; it
+// is never cut to the limit and used.
+const (
+	maxAppendBody = 64 << 20
+	maxQueryBody  = 1 << 20
+)
+
+// bodyError answers a failed body read: 413 when the body was over its
+// limit, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	httpError(w, http.StatusBadRequest, err)
+}
+
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var recs []Record
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&recs); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAppendBody)).Decode(&recs); err != nil {
+		bodyError(w, fmt.Errorf("decode body: %w", err))
 		return
 	}
 	rows := make([]logstore.Row, len(recs))
@@ -129,9 +148,9 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sqlBytes, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	sqlBytes, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		bodyError(w, err)
 		return
 	}
 	start := timeNow()

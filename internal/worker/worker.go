@@ -1399,16 +1399,21 @@ func (w *Worker) archiveLoop() {
 		select {
 		case <-w.archiveStop:
 			if !w.crashed.Load() {
-				w.drainAll() // graceful close: archive what's resident
+				// Graceful close: archive what's resident, with the
+				// window of a drain somebody waits on.
+				w.drainAll(builder.FlushWindow)
 			}
 			return
 		case <-ticker.C:
-			w.drainAll()
+			// One commit at a time: the round's length sets the next
+			// round's block size (builder.FlushWindow).
+			w.drainAll(1)
 		}
 	}
 }
 
-func (w *Worker) drainAll() {
+// drainAll drains every shard with at most window commits in flight.
+func (w *Worker) drainAll(window int) {
 	w.mu.RLock()
 	shards := make([]*Shard, 0, len(w.shards))
 	for _, sh := range w.shards {
@@ -1418,7 +1423,7 @@ func (w *Worker) drainAll() {
 	w.archiveMu.Lock()
 	defer w.archiveMu.Unlock()
 	for _, sh := range shards {
-		w.drainShardLocked(sh)
+		w.drainShardLocked(sh, window)
 	}
 }
 
@@ -1435,13 +1440,14 @@ func (w *Worker) drainAll() {
 // next drain. Without this, a crash after the checkpoint could drop
 // acked rows (index marked applied but rows not archived) or replay
 // them twice (rows archived but produced by entries above the mark).
-func (w *Worker) drainShardLocked(sh *Shard) error {
+// At most window LogBlock commits are in flight (builder.DrainSegments).
+func (w *Worker) drainShardLocked(sh *Shard, window int) error {
 	sh.applyMu.Lock()
 	appliedBefore := sh.applied.Load()
 	sh.rs.Seal()
 	segs := sh.rs.Sealed()
 	sh.applyMu.Unlock()
-	if _, err := w.bld.DrainSegments(sh.rs, segs); err != nil {
+	if _, err := w.bld.DrainSegments(sh.rs, segs, window); err != nil {
 		return err
 	}
 	if appliedBefore > 0 {
@@ -1480,10 +1486,12 @@ func (w *Worker) barrierApply(sh *Shard) {
 	_ = serving.WaitApplied(ctx, lead.Status().CommitIndex)
 }
 
-// FlushShard force-archives one shard's resident rows (used when a
-// rebalance removes the shard from a tenant's route: the paper flushes
-// to OSS instead of migrating data). It barriers on the apply pipeline
-// first so rows committed-but-not-yet-applied make the drain.
+// FlushShard force-archives one shard's resident rows, with up to
+// builder.FlushWindow LogBlock commits in flight. Cluster.Flush calls
+// it; no route change does (the paper flushes a shard a rebalance takes
+// off a tenant's route instead of migrating its data, ROADMAP item 9).
+// It barriers on the apply pipeline first so rows committed but not yet
+// applied make the drain.
 func (w *Worker) FlushShard(id flow.ShardID) error {
 	if w.down.Load() {
 		return ErrWorkerDown
@@ -1495,7 +1503,7 @@ func (w *Worker) FlushShard(id flow.ShardID) error {
 	w.barrierApply(sh)
 	w.archiveMu.Lock()
 	defer w.archiveMu.Unlock()
-	return w.drainShardLocked(sh)
+	return w.drainShardLocked(sh, builder.FlushWindow)
 }
 
 // CompactTenant merges the tenant's small adjacent LogBlocks (see

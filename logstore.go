@@ -22,6 +22,7 @@ package logstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -707,9 +708,11 @@ func (c *Cluster) TenantBlocks(tenant int64) []BlockInfo {
 }
 
 // Flush forces every worker to archive resident rows to object storage
-// and blocks until done. The LogBlocks it commits are also in their read
-// homes' block caches, as after any archive cycle: an experiment that
-// must read from OSS purges the workers' caches as well.
+// and blocks until done. Workers flush concurrently, and one that fails
+// (or is down) does not stop the others: the error joins every
+// failure. The LogBlocks it commits are also in their read homes' block
+// caches, as after any archive cycle: an experiment that must read from
+// OSS purges the workers' caches as well.
 func (c *Cluster) Flush() error {
 	c.mu.RLock()
 	workers := make([]*worker.Worker, 0, len(c.workers))
@@ -717,14 +720,31 @@ func (c *Cluster) Flush() error {
 		workers = append(workers, w)
 	}
 	c.mu.RUnlock()
-	for _, w := range workers {
+	errs := make([]error, len(workers))
+	eachWorker(workers, func(i int, w *worker.Worker) {
 		for _, sid := range w.Shards() {
-			if err := w.FlushShard(sid); err != nil {
-				return err
+			err := w.FlushShard(sid)
+			errs[i] = errors.Join(errs[i], err)
+			if errors.Is(err, worker.ErrWorkerDown) {
+				return
 			}
 		}
+	})
+	return errors.Join(errs...)
+}
+
+// eachWorker runs fn for every worker, each on its own goroutine, and
+// returns when all have.
+func eachWorker(workers []*worker.Worker, fn func(i int, w *worker.Worker)) {
+	var wg sync.WaitGroup
+	for i, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, w)
+		}()
 	}
-	return nil
+	wg.Wait()
 }
 
 // WaitForArchive polls until no rows remain unarchived or the timeout
@@ -1174,9 +1194,12 @@ func (c *Cluster) Close() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	workers := make([]*worker.Worker, 0, len(c.workers))
 	for _, w := range c.workers {
-		w.Close() // final drain archives resident rows
+		workers = append(workers, w)
 	}
+	// Each worker's final drain archives its resident rows.
+	eachWorker(workers, func(_ int, w *worker.Worker) { w.Close() })
 	// Persist the catalog so a reopen over the same store recovers all
 	// tenant metadata.
 	if c.ctrl != nil {

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -11,6 +12,7 @@ import (
 
 	"logstore/internal/flow"
 	"logstore/internal/oss"
+	"logstore/internal/worker"
 	"logstore/internal/workload"
 )
 
@@ -97,6 +99,42 @@ func TestEndToEndIngestAndQuery(t *testing.T) {
 	rowsUsed, bytesUsed := c.TenantUsage(3)
 	if rowsUsed != int64(wantT3) || bytesUsed <= 0 {
 		t.Errorf("usage = %d rows %d bytes", rowsUsed, bytesUsed)
+	}
+}
+
+// TestFlushFlushesEveryLiveWorker: a worker that is down fails Flush
+// with ErrWorkerDown, and every other worker is flushed all the same.
+func TestFlushFlushesEveryLiveWorker(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Workers = 3
+	cfg.ArchiveInterval = time.Hour // only the Flush below drains
+	c := openCluster(t, cfg)
+	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 4, StartMS: 1000})
+	if err := c.Append(g.Batch(600)...); err != nil {
+		t.Fatal(err)
+	}
+	ids := c.WorkerIDs()
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().ResidentRows < 600; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 600 rows applied", c.Stats().ResidentRows)
+		}
+	}
+	for _, id := range ids {
+		if w, _ := c.Worker(id); w.ResidentRows() == 0 {
+			t.Fatalf("worker %d holds no rows; the test needs every worker to", id)
+		}
+	}
+	down := ids[1]
+	if err := c.CrashWorker(down); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); !errors.Is(err, worker.ErrWorkerDown) {
+		t.Fatalf("Flush = %v, want ErrWorkerDown", err)
+	}
+	for _, id := range ids {
+		if w, _ := c.Worker(id); id != down && w.ResidentRows() != 0 {
+			t.Errorf("live worker %d holds %d rows after Flush", id, w.ResidentRows())
+		}
 	}
 }
 
