@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzShipDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ship/
 	$(GO) test -run '^$$' -fuzz '^FuzzCatalogUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/meta/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/raft/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALStorageReplay$$' -fuzztime $(FUZZTIME) ./internal/raft/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/httpapi/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/httpapi/
 
@@ -112,8 +113,9 @@ chaos-brownout-short:
 ## BENCH_ingest.json (write path: the append benchmarks plus the
 ## archive rung, BuildPack, DrainStore, a flush against the simulated
 ## store at commit windows 1 and 16, and the apply path's DedupSet) with
-## ns/op, B/op, allocs/op per bench. Commit the refreshed JSON when a
-## perf PR intentionally moves the numbers — benchdiff gates against it.
+## ns/op, B/op, allocs/op and custom metrics (packedB/userB, ns/row)
+## per bench. Commit the refreshed JSON when a perf PR intentionally
+## moves the numbers — benchdiff gates against it.
 bench:
 	$(GO) test -bench 'BenchmarkScan|BenchmarkMaterialize|BenchmarkMaterializeWarm|BenchmarkCountStar|BenchmarkMatchTimeSlice|BenchmarkMatchFullHistory|BenchmarkParse$$' \
 		-benchmem -run '^$$' ./internal/query/ > /tmp/bench_scan.txt
@@ -127,7 +129,8 @@ bench:
 	$(GO) run ./cmd/benchjson < /tmp/bench_ingest.txt > BENCH_ingest.json
 
 ## benchdiff: re-measure the tracked benchmarks and fail on a >25%
-## ns/op or allocs/op regression against the committed baselines,
+## ns/op or allocs/op regression against the committed baselines, or
+## on packedB/userB (LogBlock bytes per user byte) growing by >1%,
 ## then re-run the full soak and gate BENCH_soak.json throughput,
 ## and bound the WAL-shipping overhead against a durable baseline.
 benchdiff: benchdiff-micro benchdiff-soak benchdiff-ship benchdiff-admission

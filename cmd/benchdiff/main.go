@@ -8,6 +8,10 @@
 //	go test -bench ... -benchmem | benchjson > /tmp/new.json
 //	benchdiff -base BENCH_scan.json -new /tmp/new.json
 //
+// A custom metric in exactMetrics (packedB/userB) fails the gate when
+// it grows by more than its own, much tighter, bound; the others are
+// printed for context.
+//
 // Benchmarks present in only one file are reported but not failing:
 // baselines grow as benchmarks are added. Improvements are printed so
 // a perf PR's wins are visible in the same output.
@@ -34,10 +38,18 @@ import (
 
 // result mirrors cmd/benchjson's per-benchmark entry.
 type result struct {
-	NsOp     float64 `json:"ns_op"`
-	BOp      int64   `json:"b_op"`
-	AllocsOp int64   `json:"allocs_op"`
+	NsOp     float64            `json:"ns_op"`
+	BOp      int64              `json:"b_op"`
+	AllocsOp int64              `json:"allocs_op"`
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
 }
+
+// exactMetrics are the custom metrics a benchmark computes from its
+// output rather than from a clock, with the growth in percent that
+// fails the gate. They do not vary run to run, so a tight bound is a
+// real one: packedB/userB is the bytes a packed LogBlock costs per byte
+// of user data.
+var exactMetrics = map[string]float64{"packedB/userB": 1}
 
 func load(path string) map[string]result {
 	data, err := os.ReadFile(path)
@@ -156,6 +168,28 @@ func main() {
 		}
 		fmt.Printf("%s %-40s ns/op %12.0f → %12.0f (%+6.1f%%)  allocs/op %6d → %6d (%+6.1f%%)\n",
 			verdict, n, b.NsOp, c.NsOp, nsDelta, b.AllocsOp, c.AllocsOp, allocDelta)
+		units := make([]string, 0, len(b.Metrics))
+		for unit := range b.Metrics {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			bv := b.Metrics[unit]
+			cv, ok := c.Metrics[unit]
+			if !ok {
+				fmt.Printf("SKIP %s %s: missing from %s\n", n, unit, *newPath)
+				continue
+			}
+			verdict := "info"
+			if bound, exact := exactMetrics[unit]; exact {
+				verdict = "ok  "
+				if pct(bv, cv) > bound {
+					verdict = "FAIL"
+					failed++
+				}
+			}
+			fmt.Printf("%s %-40s %-14s %12.4g → %12.4g (%+6.1f%%)\n", verdict, n, unit, bv, cv, pct(bv, cv))
+		}
 	}
 	for n := range cur {
 		if _, ok := base[n]; !ok {
@@ -163,7 +197,7 @@ func main() {
 		}
 	}
 	if failed > 0 {
-		fatal("%d benchmark(s) regressed more than %.0f%%", failed, *maxRegress)
+		fatal("%d benchmark(s) or exact metric(s) regressed beyond their bounds (ns/op and allocs/op %.0f%%)", failed, *maxRegress)
 	}
 }
 

@@ -3,6 +3,9 @@
 //
 //	{"BenchmarkScanInt64Pred": {"ns_op": 123456.0, "b_op": 7890, "allocs_op": 12}, ...}
 //
+// A benchmark's custom metrics ride along under "metrics", keyed by
+// their unit: {"ns_op": ..., "metrics": {"packedB/userB": 0.28, "ns/row": 2761}}.
+//
 // Lines that are not benchmark results (PASS, ok, logs) are ignored, so
 // the raw `go test` stream can be piped through unchanged:
 //
@@ -26,11 +29,14 @@ import (
 	"strings"
 )
 
-// Result carries the three benchmem metrics recorded per benchmark.
+// Result carries the three benchmem metrics recorded per benchmark,
+// and any custom per-op metrics the benchmark reports (b.ReportMetric
+// or b.SetBytes: packedB/userB, ns/row, MB/s), keyed by unit.
 type Result struct {
-	NsOp     float64 `json:"ns_op"`
-	BOp      int64   `json:"b_op"`
-	AllocsOp int64   `json:"allocs_op"`
+	NsOp     float64            `json:"ns_op"`
+	BOp      int64              `json:"b_op"`
+	AllocsOp int64              `json:"allocs_op"`
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
 }
 
 func parseLine(line string) (string, Result, bool) {
@@ -63,6 +69,11 @@ func parseLine(line string) (string, Result, bool) {
 			res.BOp = int64(v)
 		case "allocs/op":
 			res.AllocsOp = int64(v)
+		default:
+			if res.Metrics == nil {
+				res.Metrics = make(map[string]float64)
+			}
+			res.Metrics[fields[i+1]] = v
 		}
 	}
 	return name, res, seen

@@ -31,6 +31,7 @@ import (
 	"logstore/internal/rowstore"
 	"logstore/internal/schema"
 	"logstore/internal/ship"
+	"logstore/internal/wal"
 	"logstore/internal/worker"
 )
 
@@ -118,6 +119,40 @@ func shippedObjects() (map[string][]byte, error) {
 	return objs, nil
 }
 
+// walStorageRecords runs write against a WALStorage in a temporary
+// directory and returns the records it left in the log, each framed
+// with a uvarint length.
+func walStorageRecords(write func(*raft.WALStorage) error) ([]byte, error) {
+	dir, err := os.MkdirTemp("", "fuzzseed-wal")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	s, err := raft.OpenWALStorage(dir, wal.Options{})
+	if err != nil {
+		return nil, err
+	}
+	if err := write(s); err != nil {
+		_ = s.Close()
+		return nil, err
+	}
+	if err := s.Close(); err != nil {
+		return nil, err
+	}
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close()
+	var out []byte
+	err = l.Replay(func(_ uint64, payload []byte) error {
+		out = binary.AppendUvarint(out, uint64(len(payload)))
+		out = append(out, payload...)
+		return nil
+	})
+	return out, err
+}
+
 func run(root string) error {
 	// internal/compress: FuzzLZRoundTrip fuzzes the *uncompressed* side,
 	// so seeds are plain byte patterns with repetition for the matcher.
@@ -150,33 +185,44 @@ func run(root string) error {
 		}
 	}
 
-	// internal/index/bkd: a multi-leaf tree and a truncated copy, each
-	// with range bounds that cut through the leaves.
-	bb := bkd.NewBuilder(8)
-	for i := 0; i < 64; i++ {
-		bb.Add(uint32(i), int64(i%13)-6)
-	}
-	tree := bb.Build()
+	// internal/index/bkd: multi-leaf trees and truncated copies, each
+	// with range bounds that cut through the leaves — one that stores its
+	// row ids, and an identity tree (a sorted column) that stores none.
+	// seed-tree and seed-truncated in this directory are the legacy
+	// encoding, which no code writes any more; they are kept as checked
+	// in, since OpenLegacy must go on reading such trees.
 	bkdDir := filepath.Join(root, "internal/index/bkd/testdata/fuzz/FuzzBKDOpen")
-	if err := writeSeed(bkdDir, "seed-tree", tree, int64(-2), int64(3)); err != nil {
-		return err
+	rowsTree := bkd.NewBuilder(8)
+	identityTree := bkd.NewBuilder(8)
+	for i := 0; i < 64; i++ {
+		rowsTree.Add(uint32(i), int64(i%13)-6)
+		identityTree.Add(uint32(i), int64(i/3)-6)
 	}
-	if err := writeSeed(bkdDir, "seed-truncated", tree[:len(tree)/2], int64(-6), int64(6)); err != nil {
-		return err
+	for name, tree := range map[string][]byte{"seed-rows": rowsTree.Build(), "seed-identity": identityTree.Build()} {
+		if err := writeSeed(bkdDir, name, tree, int64(-2), int64(3)); err != nil {
+			return err
+		}
+		if err := writeSeed(bkdDir, name+"-truncated", tree[:len(tree)/2], int64(-6), int64(6)); err != nil {
+			return err
+		}
 	}
 
-	// internal/index/inverted: a small dictionary and a truncated copy.
+	// internal/index/inverted: a front-coded dictionary of more than one
+	// restart interval, with a term in every row (bitset postings) and
+	// terms in one (delta postings), and a truncated copy. seed-dict and
+	// seed-truncated in this directory are the legacy encoding, kept as
+	// checked in for OpenLegacy.
 	ib := inverted.NewBuilder()
-	ib.Add(0, "alpha beta gamma")
-	ib.Add(1, "beta delta")
-	ib.Add(2, "alpha")
-	ib.Add(3, "GET /api/v1/query 200")
+	for i := 0; i < 40; i++ {
+		ib.Add(uint32(i), fmt.Sprintf("GET /api/v%d/query %d served", i%3, 200+i))
+	}
+	ib.Add(40, "alpha beta gamma")
 	dict := ib.Build()
 	invDir := filepath.Join(root, "internal/index/inverted/testdata/fuzz/FuzzInvertedOpen")
-	if err := writeSeed(invDir, "seed-dict", dict); err != nil {
+	if err := writeSeed(invDir, "seed-front-coded", dict); err != nil {
 		return err
 	}
-	if err := writeSeed(invDir, "seed-truncated", dict[:len(dict)/2]); err != nil {
+	if err := writeSeed(invDir, "seed-front-coded-truncated", dict[:len(dict)/2]); err != nil {
 		return err
 	}
 
@@ -214,14 +260,16 @@ func run(root string) error {
 	}
 	// seed-packed and seed-truncated in this directory hold the same
 	// rows in the layout before the four-member one (a tar member per
-	// part). No code writes that layout any more, so they are kept as
-	// checked in — readers must go on opening such objects — and the
-	// current layout gets seeds of its own.
+	// part), and seed-packed-four-members and seed-truncated-four-members
+	// in the four-member layout with the legacy index encoding. No code
+	// writes either any more, so they are kept as checked in — readers
+	// must go on opening such objects — and the current format gets
+	// seeds of its own.
 	openDir := filepath.Join(root, "internal/logblock/testdata/fuzz/FuzzOpenReader")
-	if err := writeSeed(openDir, "seed-packed-four-members", packed); err != nil {
+	if err := writeSeed(openDir, "seed-packed-compact-index", packed); err != nil {
 		return err
 	}
-	if err := writeSeed(openDir, "seed-truncated-four-members", packed[:len(packed)/3]); err != nil {
+	if err := writeSeed(openDir, "seed-truncated-compact-index", packed[:len(packed)/3]); err != nil {
 		return err
 	}
 	decodeDir := filepath.Join(root, "internal/logblock/testdata/fuzz/FuzzDecodeBlockData")
@@ -371,6 +419,38 @@ func run(root string) error {
 		"seed-long-data":        {3, 17, 0xff, 0xff, 0x0f, 1}, // data far beyond the input
 	} {
 		if err := writeSeed(entryDir, name, data); err != nil {
+			return err
+		}
+	}
+	// internal/raft: WAL records as a WALStorage writes them, read back
+	// from its log and framed with a uvarint length each — a log with a
+	// conflict replaced and a checkpoint, one with a gap in its entries,
+	// and a torn copy.
+	walRecs, err := walStorageRecords(func(s *raft.WALStorage) error {
+		s.SetState(2, 1)
+		s.Append([]raft.Entry{{Term: 1, Index: 1, Data: []byte("a")}, {Term: 1, Index: 2, Data: []byte("b")}, {Term: 1, Index: 3}})
+		s.TruncateFrom(3)
+		s.Append([]raft.Entry{{Term: 2, Index: 3, Data: []byte("c")}, {Term: 2, Index: 4, Data: []byte("d")}})
+		return s.Checkpoint(2)
+	})
+	if err != nil {
+		return err
+	}
+	gapRecs, err := walStorageRecords(func(s *raft.WALStorage) error {
+		s.Append([]raft.Entry{{Term: 1, Index: 1}, {Term: 1, Index: 2}})
+		s.Append([]raft.Entry{{Term: 1, Index: 4}, {Term: 1, Index: 5}})
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	replayDir := filepath.Join(root, "internal/raft/testdata/fuzz/FuzzWALStorageReplay")
+	for name, data := range map[string][]byte{
+		"seed-log":       walRecs,
+		"seed-gap":       gapRecs,
+		"seed-truncated": walRecs[:len(walRecs)-3],
+	} {
+		if err := writeSeed(replayDir, name, data); err != nil {
 			return err
 		}
 	}

@@ -120,6 +120,25 @@ func (b *Bitset) Or(other *Bitset) {
 	}
 }
 
+// OrBytes unions into b the packed bitset p, bit i of byte j standing
+// for bit 8j+i. Bits of p at or beyond Len are ignored, as Set ignores
+// them.
+func (b *Bitset) OrBytes(p []byte) {
+	p = p[:min(len(p), len(b.words)*8)]
+	i := 0
+	for ; len(p)-8*i >= 8; i++ {
+		b.words[i] |= Uint64(p[8*i:])
+	}
+	if tail := p[8*i:]; len(tail) > 0 {
+		var w uint64
+		for j, c := range tail {
+			w |= uint64(c) << (8 * j)
+		}
+		b.words[i] |= w
+	}
+	b.trimTail()
+}
+
 // AndNot removes every bit of other from b in place.
 func (b *Bitset) AndNot(other *Bitset) {
 	if b.n != other.n {

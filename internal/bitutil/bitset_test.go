@@ -267,3 +267,29 @@ func TestBitsetKeepFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestBitsetOrBytes: OrBytes sets exactly the bits Set would for each
+// bit of the packed bytes — bits at or beyond Len ignored, however long
+// the input — and keeps the bits already set.
+func TestBitsetOrBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300)
+		p := make([]byte, rng.Intn(50))
+		rng.Read(p)
+		got, want := NewBitset(n), NewBitset(n)
+		for i := 0; i < n; i += 1 + rng.Intn(20) {
+			got.Set(i)
+			want.Set(i)
+		}
+		for i := 0; i < 8*len(p); i++ {
+			if p[i/8]&(1<<(i%8)) != 0 {
+				want.Set(i)
+			}
+		}
+		got.OrBytes(p)
+		if !slices.Equal(got.Slice(), want.Slice()) || got.Count() != want.Count() {
+			t.Fatalf("n=%d, %d bytes: OrBytes gives %v, want %v", n, len(p), got.Slice(), want.Slice())
+		}
+	}
+}

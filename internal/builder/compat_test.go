@@ -36,19 +36,34 @@ func tarMembers(t *testing.T, packed []byte) []string {
 }
 
 // TestParentLayoutBlockQueriesAndCompacts is the backward-compatibility
-// gate of the four-member layout. testdata/parent_layout.tar under
-// internal/logblock was packed by the last commit that gave every part
-// a tar member of its own (12 rows of tenant 9, two column blocks, 23
-// members); objects like it are what a cluster upgraded in place finds
-// on OSS. It must open, answer an indexed and a scanning query, and
-// merge with a block of the current layout under CompactTenant.
+// gate of the LogBlock format, run over two objects under
+// internal/logblock/testdata that hold the same 12 rows of tenant 9 in
+// two column blocks; objects like them are what a cluster upgraded in
+// place finds on OSS. parent_layout.tar was packed by the last commit
+// that gave every part a tar member of its own (23 members);
+// legacy_index.tar by the last one that wrote the legacy index
+// encoding (four members). Each must open, answer indexed and scanning
+// queries exactly as the same rows packed now do, and merge with a
+// block of the current format under CompactTenant.
 func TestParentLayoutBlockQueriesAndCompacts(t *testing.T) {
-	old, err := os.ReadFile("../logblock/testdata/parent_layout.tar")
+	for _, fx := range []struct {
+		file    string
+		members int
+	}{
+		{"parent_layout.tar", 23},
+		{"legacy_index.tar", 4},
+	} {
+		t.Run(fx.file, func(t *testing.T) { checkLegacyObject(t, fx.file, fx.members) })
+	}
+}
+
+func checkLegacyObject(t *testing.T, file string, members int) {
+	old, err := os.ReadFile("../logblock/testdata/" + file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tarMembers(t, old)); n != 23 {
-		t.Fatalf("fixture has %d tar members; it should be the one-member-per-part layout (23)", n)
+	if n := len(tarMembers(t, old)); n != members {
+		t.Fatalf("fixture has %d tar members, want %d", n, members)
 	}
 	r, err := logblock.OpenReader(logblock.BytesFetcher(old))
 	if err != nil {
@@ -62,12 +77,32 @@ func TestParentLayoutBlockQueriesAndCompacts(t *testing.T) {
 	if len(oldRows) != 12 || r.Meta.Tenant != tenant || r.Meta.NumBlocks != 2 {
 		t.Fatalf("fixture: %d rows, tenant %d, %d blocks", len(oldRows), r.Meta.Tenant, r.Meta.NumBlocks)
 	}
+	for ci, cm := range r.Meta.Columns {
+		if cm.IndexFormat != logblock.IndexFormatLegacy {
+			t.Fatalf("fixture column %d has index format %d; it should be the legacy one", ci, cm.IndexFormat)
+		}
+	}
+	// The same rows packed now, for the answers to agree with.
+	built, err := logblock.Build(r.Meta.Schema, oldRows, logblock.BuildOptions{BlockRows: r.Meta.BlockRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packedNow, err := built.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := logblock.OpenReader(logblock.BytesFetcher(packedNow))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// The same two queries through the index path and the scan path,
-	// against a filter over the materialized rows.
+	// Queries through the index path and the scan path, against a
+	// filter over the materialized rows and the same query over the
+	// rows packed now.
 	sch := r.Meta.Schema
-	ipCol, logCol := sch.ColumnIndex("ip"), sch.ColumnIndex("log")
-	ip := oldRows[0][ipCol].S
+	ipCol, logCol, failCol, latCol, tsCol := sch.ColumnIndex("ip"), sch.ColumnIndex("log"),
+		sch.ColumnIndex("fail"), sch.ColumnIndex("latency"), sch.TimeIdx()
+	ip, lat, ts := oldRows[0][ipCol].S, oldRows[3][latCol].I, oldRows[5][tsCol].I
 	for _, tc := range []struct {
 		where string
 		keep  func(schema.Row) bool
@@ -75,6 +110,14 @@ func TestParentLayoutBlockQueriesAndCompacts(t *testing.T) {
 		{fmt.Sprintf("ip = '%s'", ip), func(row schema.Row) bool { return row[ipCol].S == ip }},
 		{"log MATCH 'served'", func(row schema.Row) bool {
 			return strings.Contains(strings.ToLower(row[logCol].S), "served")
+		}},
+		{"log MATCH 'serv*'", func(row schema.Row) bool {
+			return strings.Contains(strings.ToLower(row[logCol].S), "serv")
+		}},
+		{"fail = 'false'", func(row schema.Row) bool { return strings.EqualFold(row[failCol].S, "false") }},
+		{fmt.Sprintf("latency >= %d", lat), func(row schema.Row) bool { return row[latCol].I >= lat }},
+		{fmt.Sprintf("ts >= %d AND ts <= %d", ts, ts+3), func(row schema.Row) bool {
+			return row[tsCol].I >= ts && row[tsCol].I <= ts+3
 		}},
 	} {
 		q, err := query.Parse("SELECT * FROM request_log WHERE tenant_id = 9 AND ts >= 0 AND ts <= 99999 AND " + tc.where)
@@ -91,13 +134,22 @@ func TestParentLayoutBlockQueriesAndCompacts(t *testing.T) {
 			t.Fatalf("%s matches no fixture row; the test would prove nothing", tc.where)
 		}
 		for _, skipping := range []bool{true, false} {
-			var stats query.ExecStats
-			got, err := query.ExecuteBlock(r, q, query.ExecOptions{DataSkipping: skipping}, &stats)
+			var stats, nowStats query.ExecStats
+			opts := query.ExecOptions{DataSkipping: skipping}
+			got, err := query.ExecuteBlock(r, q, opts, &stats)
 			if err != nil {
 				t.Fatalf("%s (skipping=%v): %v", tc.where, skipping, err)
 			}
 			if len(got) != want {
 				t.Errorf("%s (skipping=%v): %d rows, want %d", tc.where, skipping, len(got), want)
+			}
+			fresh, err := query.ExecuteBlock(now, q, opts, &nowStats)
+			if err != nil {
+				t.Fatalf("%s (skipping=%v) over the rows packed now: %v", tc.where, skipping, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(fresh) || stats != nowStats {
+				t.Errorf("%s (skipping=%v): fixture answers %v (%+v), rows packed now %v (%+v)",
+					tc.where, skipping, got, stats, fresh, nowStats)
 			}
 			if skipping && stats.IndexLookups == 0 {
 				t.Errorf("%s: the indexed run probed no index", tc.where)
@@ -153,6 +205,11 @@ func TestParentLayoutBlockQueriesAndCompacts(t *testing.T) {
 	mr, err := logblock.OpenReader(logblock.BytesFetcher(packed))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for ci, cm := range mr.Meta.Columns {
+		if cm.Index != schema.IndexNone && cm.IndexFormat != logblock.IndexFormatCompact {
+			t.Errorf("merged column %d has index format %d, want the compact one", ci, cm.IndexFormat)
+		}
 	}
 	got, err := mr.AllRows()
 	if err != nil {

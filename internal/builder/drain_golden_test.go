@@ -20,13 +20,14 @@ type drainedKey struct {
 }
 
 // TestDrainKeysGolden pins the LogBlocks a drain commits — object keys
-// and sizes — to the ones the boxed-row drain (a row store holding
-// []schema.Row, before segments kept their rows encoded) gave for the
-// same appends. A segment re-drained across
-// an upgrade must deduplicate against what the old build committed, so
-// neither the grouping by tenant, nor the order within a tenant's run
-// (arrival order, stably sorted by time), nor where a run is chunked may
-// move. The appends cover four tenants, timestamps out of order with
+// and sizes — for a fixed set of appends. The blocks are the ones the
+// boxed-row drain (a row store holding []schema.Row, before segments
+// kept their rows encoded) gave; their keys are those of the compact
+// index encoding, which moved every key once. A segment re-drained
+// across an upgrade that keeps the index encoding must deduplicate
+// against what the old build committed, so neither the grouping by
+// tenant, nor the order within a tenant's run (arrival order, stably
+// sorted by time), nor where a run is chunked may move. The appends cover four tenants, timestamps out of order with
 // ties, empty and non-ASCII strings, a tenant's run chunked at
 // MaxRowsPerBlock, and a batch split across a segment seal.
 func TestDrainKeysGolden(t *testing.T) {
@@ -82,18 +83,18 @@ func TestDrainKeysGolden(t *testing.T) {
 }
 
 var goldenDrainKeys = []drainedKey{
-	{"request_log/tenant-0/logblock-0000000000001000-84cb7d800d60dd13.tar", 5632},
-	{"request_log/tenant-0/logblock-0000000000001000-9c20b5acd3747f56.tar", 5632},
-	{"request_log/tenant-0/logblock-0000000000001007-cd1d34e3585527d7.tar", 5632},
-	{"request_log/tenant-0/logblock-0000000000001012-e1dadfaf3b8ab55b.tar", 5120},
-	{"request_log/tenant-1/logblock-0000000000001000-1546634226ffb797.tar", 5632},
-	{"request_log/tenant-1/logblock-0000000000001000-d2638ac20a442a0e.tar", 5632},
-	{"request_log/tenant-1/logblock-0000000000001007-2c9732c51f93ef8d.tar", 5120},
-	{"request_log/tenant-1/logblock-0000000000001008-d96310c739784439.tar", 5632},
-	{"request_log/tenant-2/logblock-0000000000001000-e8572e52f3267917.tar", 5632},
-	{"request_log/tenant-2/logblock-0000000000001001-123749fc096f89ea.tar", 5632},
-	{"request_log/tenant-2/logblock-0000000000001009-d9b758b003bd6015.tar", 5120},
-	{"request_log/tenant-2/logblock-0000000000001010-7f28539df3d48dde.tar", 5632},
-	{"request_log/tenant-3/logblock-0000000000001001-e9281821ac0a19ea.tar", 5632},
-	{"request_log/tenant-3/logblock-0000000000001006-ad9ee471246a9f3a.tar", 5632},
+	{"request_log/tenant-0/logblock-0000000000001000-304199f87bd09e8c.tar", 5120},
+	{"request_log/tenant-0/logblock-0000000000001000-4aec32741a8f7354.tar", 5120},
+	{"request_log/tenant-0/logblock-0000000000001007-48dba82d5b47e845.tar", 5120},
+	{"request_log/tenant-0/logblock-0000000000001012-8aa6da2cedc90154.tar", 5120},
+	{"request_log/tenant-1/logblock-0000000000001000-4c1ece91e2d0d113.tar", 5120},
+	{"request_log/tenant-1/logblock-0000000000001000-7fd2b5cb7db2eb23.tar", 5120},
+	{"request_log/tenant-1/logblock-0000000000001007-c2d28876cb237b5b.tar", 5120},
+	{"request_log/tenant-1/logblock-0000000000001008-8c9bc0c0ebfbb712.tar", 5120},
+	{"request_log/tenant-2/logblock-0000000000001000-e28cdbc6597c148f.tar", 5120},
+	{"request_log/tenant-2/logblock-0000000000001001-115e4e40b30b43c0.tar", 5632},
+	{"request_log/tenant-2/logblock-0000000000001009-ad68ff409ffd533e.tar", 5120},
+	{"request_log/tenant-2/logblock-0000000000001010-a8fed73b64d94014.tar", 5120},
+	{"request_log/tenant-3/logblock-0000000000001001-0d18565921592f22.tar", 5120},
+	{"request_log/tenant-3/logblock-0000000000001006-e5ad56d2a9d0468a.tar", 5120},
 }

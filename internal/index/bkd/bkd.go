@@ -9,7 +9,8 @@
 // rowID) pairs, pack them into fixed-size leaves, record each leaf's key
 // range. A reader decodes the whole tree once, when it loads it, so a
 // range query is two binary searches over the sorted values and a pass
-// over the matching row ids.
+// over the matching row ids — or, for a tree whose row ids are their
+// positions and are not stored, a run of rows.
 package bkd
 
 import (
@@ -79,8 +80,12 @@ func (b *Builder) Build() []byte { return b.AppendTo(nil) }
 // AppendTo serializes the tree, appending it to dst:
 //
 //	uvarint leafSize, uvarint entryCount, uvarint leafCount
+//	byte rowIDs: 0 when the tree is an identity tree and stores none
 //	routing level: per leaf — varint minVal, varint maxVal, uvarint byteOffset
-//	leaves region: per leaf — uvarint n, delta-varint values, uvarint rowIDs
+//	leaves region: per leaf — uvarint n, delta-varint values, [uvarint rowIDs]
+//
+// An identity tree — the index of a column the LogBlock is sorted by,
+// or of a constant one — stores no row ids: each is its position.
 func (b *Builder) AppendTo(dst []byte) []byte {
 	// (value, rowID) is a total order, so an unstable sort gives one
 	// result; on a time-sorted or constant column it is a single pass.
@@ -92,6 +97,13 @@ func (b *Builder) AppendTo(dst []byte) []byte {
 	})
 	n := len(b.entries)
 	nLeaves := (n + b.leafSize - 1) / b.leafSize
+	identity := true
+	for i, e := range b.entries {
+		if e.row != uint32(i) {
+			identity = false
+			break
+		}
+	}
 
 	leaves, metas := b.leaves[:0], b.metas[:0]
 	for start := 0; start < n; start += b.leafSize {
@@ -107,8 +119,10 @@ func (b *Builder) AppendTo(dst []byte) []byte {
 			leaves = bitutil.AppendVarint(leaves, e.val-prev)
 			prev = e.val
 		}
-		for _, e := range leaf {
-			leaves = bitutil.AppendUvarint(leaves, uint64(e.row))
+		if !identity {
+			for _, e := range leaf {
+				leaves = bitutil.AppendUvarint(leaves, uint64(e.row))
+			}
 		}
 	}
 	b.leaves, b.metas = leaves, metas
@@ -116,6 +130,11 @@ func (b *Builder) AppendTo(dst []byte) []byte {
 	dst = bitutil.AppendUvarint(dst, uint64(b.leafSize))
 	dst = bitutil.AppendUvarint(dst, uint64(n))
 	dst = bitutil.AppendUvarint(dst, uint64(nLeaves))
+	if identity {
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, 1)
+	}
 	for _, m := range metas {
 		dst = bitutil.AppendVarint(dst, m.min)
 		dst = bitutil.AppendVarint(dst, m.max)
@@ -132,20 +151,28 @@ func (b *Builder) AppendTo(dst []byte) []byte {
 // An identity tree is one whose row ids are their positions, rows[i] ==
 // i: the index of a column the LogBlock is sorted by (ts), or of a
 // constant one (the tenant). Its matches are the rows [from, to), so a
-// lookup sets them a word at a time instead of a row at a time.
+// lookup sets them a word at a time instead of a row at a time, and it
+// keeps no row ids.
 type Tree struct {
 	mins, maxs []int64 // per leaf, as routed (and checked against vals)
 	vals       []int64
-	rows       []uint32 // rows[i] is the row id of vals[i]
-	identity   bool     // rows[i] == i for every i
+	rows       []uint32 // rows[i] is the row id of vals[i]; nil if identity
+	identity   bool     // row i is the row id of vals[i]
 }
 
-// Open parses and decodes a serialized tree. It does not alias raw.
-// Corrupt input errors: counts beyond the bytes, truncated varints,
-// values out of order within or across leaves, leaves that do not
-// follow one another, routing keys that disagree with their leaf, and
-// row ids beyond 32 bits.
-func Open(raw []byte) (*Tree, error) {
+// Open parses and decodes a tree AppendTo wrote. It does not alias
+// raw. Corrupt input errors: counts beyond the bytes, truncated
+// varints, values out of order within or across leaves, leaves that do
+// not follow one another, routing keys that disagree with their leaf,
+// and row ids beyond 32 bits.
+func Open(raw []byte) (*Tree, error) { return open(raw, false) }
+
+// OpenLegacy decodes a tree in the encoding before identity trees
+// dropped their row ids: the same as AppendTo's, with no rowIDs byte
+// and the row ids of every leaf stored.
+func OpenLegacy(raw []byte) (*Tree, error) { return open(raw, true) }
+
+func open(raw []byte, legacy bool) (*Tree, error) {
 	off := 0
 	_, n, err := bitutil.Uvarint(raw[off:]) // leafSize: informational
 	if err != nil {
@@ -162,14 +189,23 @@ func Open(raw []byte) (*Tree, error) {
 		return nil, fmt.Errorf("bkd: leaf count: %w", err)
 	}
 	off += n
+	storesRows := true
+	if !legacy {
+		if off >= len(raw) || raw[off] > 1 {
+			return nil, fmt.Errorf("bkd: row-id flag missing or not 0 or 1")
+		}
+		storesRows = raw[off] == 1
+		off++
+	}
 	if nLeaves > entries+1 {
 		return nil, fmt.Errorf("bkd: implausible leaf count %d for %d entries", nLeaves, entries)
 	}
 	// Bound both counts by what the input could physically hold before
-	// allocating: every entry costs at least two bytes in the leaf
-	// region (one value varint, one row-id uvarint) and every leaf at
-	// least three bytes of routing (min, max, offset), so a count beyond
-	// the remaining input is corrupt, not merely large.
+	// allocating: every entry costs at least one byte in the leaf
+	// region (a value varint, and a row-id uvarint unless the tree is
+	// an identity one) and every leaf at least three bytes of routing
+	// (min, max, offset), so a count beyond the remaining input is
+	// corrupt, not merely large.
 	if entries > uint64(len(raw)) {
 		return nil, fmt.Errorf("bkd: entry count %d exceeds %d input bytes", entries, len(raw))
 	}
@@ -180,7 +216,9 @@ func Open(raw []byte) (*Tree, error) {
 		mins: make([]int64, nLeaves),
 		maxs: make([]int64, nLeaves),
 		vals: make([]int64, 0, entries),
-		rows: make([]uint32, 0, entries),
+	}
+	if storesRows {
+		t.rows = make([]uint32, 0, entries)
 	}
 	offs := make([]int, nLeaves)
 	for i := range offs {
@@ -210,7 +248,7 @@ func Open(raw []byte) (*Tree, error) {
 		if o != off {
 			return nil, fmt.Errorf("bkd: leaf %d offset %d, want %d: the leaves must follow one another", li, o, off)
 		}
-		if off, err = t.decodeLeaf(li, leaves, off); err != nil {
+		if off, err = t.decodeLeaf(li, leaves, off, storesRows); err != nil {
 			return nil, err
 		}
 	}
@@ -224,19 +262,27 @@ func Open(raw []byte) (*Tree, error) {
 			break
 		}
 	}
+	if t.identity {
+		t.rows = nil
+	}
 	return t, nil
 }
 
 // decodeLeaf appends leaf li, which starts at data[off:], to t.vals and
-// t.rows and returns the offset just past it.
-func (t *Tree) decodeLeaf(li int, data []byte, off int) (int, error) {
+// (when the tree stores them) t.rows, and returns the offset just past
+// it.
+func (t *Tree) decodeLeaf(li int, data []byte, off int, storesRows bool) (int, error) {
 	cnt64, n, err := bitutil.Uvarint(data[off:])
 	if err != nil {
 		return 0, fmt.Errorf("bkd: leaf %d count: %w", li, err)
 	}
 	off += n
-	// Each entry is at least two bytes (value varint + row-id uvarint).
-	if cnt64 > uint64(len(data)-off)/2 {
+	// Each entry is at least one byte per varint it stores.
+	perEntry := uint64(1)
+	if storesRows {
+		perEntry = 2
+	}
+	if cnt64 > uint64(len(data)-off)/perEntry {
 		return 0, fmt.Errorf("bkd: leaf %d count %d exceeds %d remaining bytes", li, cnt64, len(data)-off)
 	}
 	if cnt64 == 0 {
@@ -258,7 +304,7 @@ func (t *Tree) decodeLeaf(li int, data []byte, off int) (int, error) {
 		}
 		t.vals = append(t.vals, cur)
 	}
-	for i := 0; i < int(cnt64); i++ {
+	for i := 0; storesRows && i < int(cnt64); i++ {
 		r, n := binary.Uvarint(data[off:])
 		if n <= 0 {
 			return 0, fmt.Errorf("bkd: leaf %d row %d truncated or malformed", li, i)
@@ -281,9 +327,9 @@ func (t *Tree) Len() int { return len(t.vals) }
 // Leaves returns the number of leaf blocks.
 func (t *Tree) Leaves() int { return len(t.mins) }
 
-// SizeBytes is the memory the decoded tree holds: 12 B per entry plus
-// the routing level.
-func (t *Tree) SizeBytes() int64 { return int64(12*len(t.vals) + 16*len(t.mins)) }
+// SizeBytes is the memory the decoded tree holds: 8 B per value, 4 B
+// per row id, and the routing level.
+func (t *Tree) SizeBytes() int64 { return int64(8*len(t.vals) + 4*len(t.rows) + 16*len(t.mins)) }
 
 // Range collects the row ids of entries with lo <= value <= hi into a
 // bitset of size rowCount, and reports how many leaves the routing level
@@ -315,7 +361,10 @@ func (t *Tree) RangeInto(bs *bitutil.Bitset, lo, hi int64) (int, error) {
 		past, _ = slices.BinarySearch(t.mins, hi+1)
 		to, _ = slices.BinarySearch(t.vals, hi+1)
 	}
-	if t.identity && from < to {
+	if t.identity {
+		if from >= to {
+			return past - first, nil
+		}
 		if to > rowCount {
 			return past - first, fmt.Errorf("bkd: row id %d outside the %d-row LogBlock", max(from, rowCount), rowCount)
 		}

@@ -2,14 +2,16 @@ package bkd
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"logstore/internal/bitutil"
 )
 
-// TestOpenCorrupt feeds hand-built corrupt serializations to Open: every
-// case must produce an error, not a panic or an oversized allocation.
+// TestOpenCorrupt feeds hand-built corrupt serializations to Open and
+// OpenLegacy: every case must produce an error, not a panic or an
+// oversized allocation.
 func TestOpenCorrupt(t *testing.T) {
 	header := func(leafSize, entries, nLeaves uint64) []byte {
 		out := bitutil.AppendUvarint(nil, leafSize)
@@ -66,19 +68,21 @@ func TestOpenCorrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Open(tc.data)
-			if err == nil {
-				t.Fatalf("Open accepted corrupt input")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+			for _, err := range openBoth(tc.data) {
+				if err == nil {
+					t.Fatalf("Open accepted corrupt input")
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %q does not mention %q", err, tc.want)
+				}
 			}
 		})
 	}
 }
 
 // TestScanLeafCorrupt builds structurally valid routing levels whose
-// leaf regions lie. Every case must fail with an error: a damaged index
+// leaf regions lie, in the legacy encoding and, with the row-id flag
+// added, in the current one, which must fail alike. Every case must fail with an error: a damaged index
 // that answered quietly would drop matches. Open decodes every leaf, so
 // it catches all of them but one: a row id beyond the LogBlock, which
 // only a lookup knows the size of.
@@ -126,7 +130,16 @@ func TestScanLeafCorrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := Open(tc.data)
+			tr, err := OpenLegacy(tc.data)
+			if tr2, err2 := Open(withRowIDs(tc.data)); (err == nil) != (err2 == nil) || err2 != nil && err2.Error() != err.Error() {
+				t.Fatalf("legacy Open: %v; with the row-id flag: %v", err, err2)
+			} else if tr != nil {
+				_, _, err := tr.Range(tc.lo, tc.hi, 64)
+				_, _, err2 := tr2.Range(tc.lo, tc.hi, 64)
+				if (err == nil) != (err2 == nil) {
+					t.Fatalf("legacy Range: %v; with the row-id flag: %v", err, err2)
+				}
+			}
 			switch {
 			case err != nil && tc.atRange:
 				t.Fatalf("Open rejected what only a lookup can fault: %v", err)
@@ -143,7 +156,7 @@ func TestScanLeafCorrupt(t *testing.T) {
 		})
 	}
 	// The same leaf, intact, answers.
-	tr, err := Open(tree(1000, 7000, good))
+	tr, err := Open(withRowIDs(tree(1000, 7000, good)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,4 +178,28 @@ func leafBytes(vals []int64, rows []uint64) []byte {
 		out = bitutil.AppendUvarint(out, r)
 	}
 	return out
+}
+
+// withRowIDs turns a legacy serialization into the current encoding of
+// the same tree with its row ids stored: the row-id flag byte, set,
+// after the three header counts. Input too short for the header comes
+// back as it is.
+func withRowIDs(legacy []byte) []byte {
+	off := 0
+	for i := 0; i < 3; i++ {
+		_, n, err := bitutil.Uvarint(legacy[off:])
+		if err != nil {
+			return legacy
+		}
+		off += n
+	}
+	return append(append(slices.Clone(legacy[:off]), 1), legacy[off:]...)
+}
+
+// openBoth opens a legacy serialization with OpenLegacy and, with the
+// row-id flag added, with Open, and returns both errors.
+func openBoth(legacy []byte) []error {
+	_, err := OpenLegacy(legacy)
+	_, err2 := Open(withRowIDs(legacy))
+	return []error{err, err2}
 }

@@ -21,7 +21,45 @@ type refTree struct {
 	leaves     []byte
 }
 
-// openRef parses the routing level of a builder-made tree.
+// legacyBuild is the builder's AppendTo as it was before identity trees
+// dropped their row ids: the same sort, leaves and routing level, no
+// row-id flag, and every leaf's row ids stored. OpenLegacy reads what
+// it writes, and so does the leaf walk.
+func legacyBuild(leafSize int, vals []int64) []byte {
+	type pair struct {
+		val int64
+		row uint32
+	}
+	entries := make([]pair, len(vals))
+	for i, v := range vals {
+		entries[i] = pair{v, uint32(i)}
+	}
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].val < entries[j].val })
+	var leaves, routing []byte
+	nLeaves := 0
+	for start := 0; start < len(entries); start += leafSize {
+		leaf := entries[start:min(start+leafSize, len(entries))]
+		nLeaves++
+		routing = bitutil.AppendVarint(routing, leaf[0].val)
+		routing = bitutil.AppendVarint(routing, leaf[len(leaf)-1].val)
+		routing = bitutil.AppendUvarint(routing, uint64(len(leaves)))
+		leaves = bitutil.AppendUvarint(leaves, uint64(len(leaf)))
+		prev := int64(0)
+		for _, e := range leaf {
+			leaves = bitutil.AppendVarint(leaves, e.val-prev)
+			prev = e.val
+		}
+		for _, e := range leaf {
+			leaves = bitutil.AppendUvarint(leaves, uint64(e.row))
+		}
+	}
+	out := bitutil.AppendUvarint(nil, uint64(leafSize))
+	out = bitutil.AppendUvarint(out, uint64(len(entries)))
+	out = bitutil.AppendUvarint(out, uint64(nLeaves))
+	return append(append(out, routing...), leaves...)
+}
+
+// openRef parses the routing level of a legacyBuild-made tree.
 func openRef(raw []byte) (*refTree, error) {
 	var vals [3]uint64
 	off := 0
@@ -121,7 +159,8 @@ func (t *refTree) scanLeaf(li int, lo, hi int64, bs *bitutil.Bitset) error {
 }
 
 // TestRangeMatchesLeafWalk checks the decoded tree against the leaf walk
-// on random builder-made trees: small leaves, runs of duplicates that
+// over the legacy encoding of the same column, and the legacy tree
+// OpenLegacy decodes against both, on random trees: small leaves, runs of duplicates that
 // straddle leaf edges, values at both ends of the domain (so deltas
 // wrap), and bounds that are open, at the extremes, or inverted. The
 // row-id sets and the leaves-read counts must be identical. Every third
@@ -157,17 +196,21 @@ func TestRangeMatchesLeafWalk(t *testing.T) {
 		for i, v := range vals {
 			b.Add(uint32(i), v)
 		}
-		raw := b.Build()
-		tree, err := Open(raw)
+		tree, err := Open(b.Build())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if ordered && !tree.identity {
+		if ordered && (!tree.identity || tree.rows != nil) {
 			t.Fatalf("trial %d: values %v in row order make no identity tree", trial, vals)
 		}
-		ref, err := openRef(raw)
+		legacy := legacyBuild(b.leafSize, vals)
+		ref, err := openRef(legacy)
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
+		}
+		old, err := OpenLegacy(legacy)
+		if err != nil {
+			t.Fatalf("trial %d: legacy: %v", trial, err)
 		}
 		for probe := 0; probe < 30; probe++ {
 			lo, hi := value(domain+2), value(domain+2)
@@ -185,6 +228,10 @@ func TestRangeMatchesLeafWalk(t *testing.T) {
 			if !slices.Equal(got.Slice(), want.Slice()) || gotLeaves != wantLeaves {
 				t.Fatalf("trial %d, values %v: Range(%d, %d) = %v in %d leaves, leaf walk %v in %d",
 					trial, vals, lo, hi, got.Slice(), gotLeaves, want.Slice(), wantLeaves)
+			}
+			if was, wasLeaves, err := old.Range(lo, hi, n); err != nil || !slices.Equal(was.Slice(), want.Slice()) || wasLeaves != wantLeaves {
+				t.Fatalf("trial %d, values %v: legacy Range(%d, %d) = %v in %d leaves (%v), leaf walk %v in %d",
+					trial, vals, lo, hi, was.Slice(), wasLeaves, err, want.Slice(), wantLeaves)
 			}
 			if short := n / 2; ordered && got.Any() && got.Slice()[got.Count()-1] >= short {
 				_, _, err := tree.Range(lo, hi, short)

@@ -100,10 +100,11 @@ func FuzzAnalyzerEquivalence(f *testing.F) {
 	})
 }
 
-// referenceBuild is the index encoder as it was before the builder
-// kept postings as one pair list: a posting slice per term, sorted
-// terms, entries after the offset table. The serialized bytes are part
-// of the LogBlock format, so the builder must reproduce them exactly.
+// referenceBuild is the legacy index encoder, as it was before the
+// builder kept postings as one pair list and before the dictionary was
+// front-coded: a posting slice per term, sorted terms, entries after
+// the offset table. OpenLegacy reads what it writes, and an index the
+// builder writes must answer every lookup as this one does.
 func referenceBuild(values []string) []byte {
 	postings := make(map[string][]uint32)
 	for row, v := range values {
@@ -156,8 +157,16 @@ func TestBuilderMatchesReferenceEncoding(t *testing.T) {
 		if !bytes.HasPrefix(got, prefix) {
 			t.Fatal("AppendTo overwrote the bytes before it")
 		}
-		if want := referenceBuild(values); !bytes.Equal(got[len(prefix):], want) {
-			t.Fatalf("round %d: %d-row index differs from the reference encoding", round, len(values))
+		ix, err := Open(got[len(prefix):])
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		ref, err := OpenLegacy(referenceBuild(values))
+		if err != nil {
+			t.Fatalf("round %d: reference: %v", round, err)
+		}
+		for _, probe := range append(words, values...) {
+			assertSameLookups(t, ix, ref, probe, len(values))
 		}
 	}
 }

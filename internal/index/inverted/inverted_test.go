@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"logstore/internal/bitutil"
 )
 
 func TestTokenize(t *testing.T) {
@@ -228,11 +230,11 @@ func TestPostingsSortedProperty(t *testing.T) {
 			return false
 		}
 		// Every term's postings must be strictly ascending.
-		for i := 0; i < ix.TermCount(); i++ {
-			term, _, err := ix.entryAt(i)
-			if err != nil {
-				return false
-			}
+		terms, err := dictTerms(ix)
+		if err != nil || len(terms) != ix.TermCount() {
+			return false
+		}
+		for _, term := range terms {
 			ids, err := ix.Lookup(term)
 			if err != nil {
 				return false
@@ -356,4 +358,39 @@ func TestLookupPrefix(t *testing.T) {
 	if bs.Count() != len(want) {
 		t.Errorf("uppercase prefix -> %v", bs.Slice())
 	}
+}
+
+// dictTerms decodes every term of the dictionary, in order.
+func dictTerms(ix *Index) ([]string, error) {
+	var terms []string
+	if ix.legacy {
+		for i := 0; i < ix.n; i++ {
+			term, _, err := ix.legacyEntryAt(i)
+			if err != nil {
+				return nil, err
+			}
+			terms = append(terms, string(term))
+		}
+		return terms, nil
+	}
+	prev := ""
+	for off := 0; len(terms) < ix.n; {
+		shared, n, err := bitutil.Uvarint(ix.entries[off:])
+		if err != nil {
+			return nil, err
+		}
+		suffix, m, err := bitutil.LenBytes(ix.entries[off+n:])
+		if err != nil {
+			return nil, err
+		}
+		off += n + m
+		h, n, err := bitutil.Uvarint(ix.entries[off:])
+		if err != nil {
+			return nil, err
+		}
+		off += n + int(h>>1)
+		prev = prev[:shared] + string(suffix)
+		terms = append(terms, prev)
+	}
+	return terms, nil
 }

@@ -1,6 +1,7 @@
 package logblock
 
 import (
+	"math"
 	"os"
 	"testing"
 
@@ -24,18 +25,22 @@ func fuzzPacked(f *testing.F) []byte {
 // FuzzOpenReader treats the input as a complete packed LogBlock object:
 // manifest, meta, index, and data members. Whatever OpenReader accepts
 // must then survive the whole read surface — member fetches, index
-// opens, block decodes — returning errors for damage, never panicking.
+// opens and lookups in the encoding the meta names, block decodes —
+// returning errors for damage, never panicking.
 func FuzzOpenReader(f *testing.F) {
 	packed := fuzzPacked(f)
 	f.Add(packed)
 	f.Add(packed[:tarBlock+8]) // manifest header + truncated manifest
-	// An object of the one-member-per-part layout; the checked-in
-	// seed-packed and seed-truncated corpus entries are that layout too.
-	old, err := os.ReadFile("testdata/parent_layout.tar")
-	if err != nil {
-		f.Fatal(err)
+	// Objects of the one-member-per-part layout and of the legacy index
+	// encoding; the checked-in seed-packed and seed-truncated corpus
+	// entries are the first, the *-four-members ones the second.
+	for _, file := range []string{"parent_layout.tar", "legacy_index.tar"} {
+		old, err := os.ReadFile("testdata/" + file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
 	}
-	f.Add(old)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -69,8 +74,15 @@ func FuzzOpenReader(f *testing.F) {
 				}
 			}
 			if r.HasIndex(ci) {
-				_, _ = r.InvertedIndex(ci)
-				_, _ = r.BKDIndex(ci)
+				// A bitset per lookup: bound its size, not the row count.
+				rows := min(m.RowCount, 4096)
+				if ix, err := r.InvertedIndex(ci); err == nil {
+					_, _ = ix.Lookup("false")
+					_, _ = ix.LookupPrefix("r", rows)
+				}
+				if t, err := r.BKDIndex(ci); err == nil {
+					_, _, _ = t.Range(math.MinInt64, math.MaxInt64, rows)
+				}
 			}
 		}
 		if m.RowCount > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"logstore/internal/bitutil"
+	"logstore/internal/index/inverted"
 	"logstore/internal/schema"
 )
 
@@ -75,11 +78,14 @@ func partHashes(t *testing.T, rows []schema.Row, opts BuildOptions) []partHash {
 }
 
 // TestPartsGolden pins every manifest-addressed part of two fixed-seed
-// blocks to the bytes the four-member packer's parent commit (a575349,
-// one tar member per part) produced for the same rows: the packer may
-// change the framing around the parts, never a part. The builder's
-// object keys are content hashes, so a silent change here would also
-// re-key every re-drained segment.
+// blocks. The data parts are the bytes the four-member packer's parent
+// commit (a575349, one tar member per part) produced for the same rows:
+// the packer may change the framing around the parts, never a data
+// part. The meta and index parts are those of the compact index
+// encoding (IndexFormatCompact); TestParentLayoutFixture holds them to
+// the legacy ones by their answers. The builder's object keys are
+// content hashes, so a silent change here would also re-key every
+// re-drained segment.
 func TestPartsGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -115,49 +121,150 @@ func TestPartsGolden(t *testing.T) {
 	}
 }
 
-// TestParentLayoutFixture reads testdata/parent_layout.tar — goldenRows(12,
-// 17) at BlockRows 8, packed by the parent commit with one tar member
-// per part — and checks that the same rows packed now carry the same
-// manifest names and, behind them, the same bytes: what changed is only
-// where the parts lie.
+// TestParentLayoutFixture reads two objects of goldenRows(12, 17) at
+// BlockRows 8 packed by earlier commits — testdata/parent_layout.tar,
+// with one tar member per part, and testdata/legacy_index.tar, with
+// four members and the legacy index encoding — and checks them against
+// the same rows packed now: the same manifest names; behind them the
+// same data parts byte for byte; the same meta but for the index
+// format; and indexes that answer every lookup alike.
 func TestParentLayoutFixture(t *testing.T) {
-	old, err := os.ReadFile("testdata/parent_layout.tar")
-	if err != nil {
-		t.Fatal(err)
+	rows := goldenRows(12, 17)
+	newReader := buildAndOpen(t, rows, BuildOptions{BlockRows: 8})
+	for _, file := range []string{"parent_layout.tar", "legacy_index.tar"} {
+		t.Run(file, func(t *testing.T) {
+			old, err := os.ReadFile("testdata/" + file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldReader, err := OpenReader(BytesFetcher(old))
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := newReader.Manifest.Names()
+			if oldNames := oldReader.Manifest.Names(); !slices.Equal(oldNames, names) {
+				t.Fatalf("manifest names differ:\n parent %v\n now    %v", oldNames, names)
+			}
+			for _, name := range names {
+				if !strings.HasPrefix(name, "data/") {
+					continue
+				}
+				was, err := oldReader.ReadMember(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				is, err := newReader.ReadMember(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(was, is) {
+					t.Errorf("part %s: %d bytes in the parent's object, %d now, or different content", name, len(was), len(is))
+				}
+			}
+			// The meta differs only in the index format of each indexed
+			// column.
+			m := *oldReader.Meta
+			m.Columns = slices.Clone(m.Columns)
+			for ci := range m.Columns {
+				if m.Columns[ci].IndexFormat != IndexFormatLegacy {
+					t.Fatalf("column %d of the parent's object has index format %d", ci, m.Columns[ci].IndexFormat)
+				}
+				if m.Columns[ci].Index != schema.IndexNone {
+					m.Columns[ci].IndexFormat = IndexFormatCompact
+				}
+			}
+			if !bytes.Equal(m.Encode(), newReader.Meta.Encode()) {
+				t.Error("meta differs from the parent's by more than the index format")
+			}
+			assertIndexesAgree(t, newReader, oldReader, rows)
+		})
 	}
-	oldReader, err := OpenReader(BytesFetcher(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newReader := buildAndOpen(t, goldenRows(12, 17), BuildOptions{BlockRows: 8})
-	names := newReader.Manifest.Names()
-	if oldNames := oldReader.Manifest.Names(); !slices.Equal(oldNames, names) {
-		t.Fatalf("manifest names differ:\n parent %v\n now    %v", oldNames, names)
-	}
-	for _, name := range names {
-		was, err := oldReader.ReadMember(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		is, err := newReader.ReadMember(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(was, is) {
-			t.Errorf("part %s: %d bytes in the parent's object, %d now, or different content", name, len(was), len(is))
+}
+
+// assertIndexesAgree checks that two readers over the same rows answer
+// every index lookup alike: for an inverted index, Lookup,
+// LookupBitset, LookupPrefix and LookupAll of every value, token and
+// their prefixes; for a BKD tree, every range between two of the
+// column's values, their neighbours and the ends of the domain.
+func assertIndexesAgree(t *testing.T, got, want *Reader, rows []schema.Row) {
+	t.Helper()
+	n := got.Meta.RowCount
+	for ci, col := range got.Meta.Schema.Columns {
+		switch col.Index {
+		case schema.IndexInverted:
+			gi, err := got.InvertedIndex(ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wi, err := want.InvertedIndex(ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes := []string{"", "zzz"}
+			for _, r := range rows {
+				v := r[ci].S
+				probes = append(probes, v, v[:len(v)/2])
+				for _, tok := range inverted.Tokenize(v) {
+					probes = append(probes, tok, tok[:1])
+				}
+			}
+			for _, p := range probes {
+				g, gerr := gi.Lookup(p)
+				w, werr := wi.Lookup(p)
+				if gerr != nil || werr != nil || !slices.Equal(g, w) {
+					t.Fatalf("column %d Lookup(%q) = %v, %v; legacy %v, %v", ci, p, g, gerr, w, werr)
+				}
+				for name, lookup := range map[string]func(*inverted.Index) (*bitutil.Bitset, error){
+					"LookupBitset": func(ix *inverted.Index) (*bitutil.Bitset, error) { return ix.LookupBitset(p, n) },
+					"LookupPrefix": func(ix *inverted.Index) (*bitutil.Bitset, error) { return ix.LookupPrefix(p, n) },
+					"LookupAll": func(ix *inverted.Index) (*bitutil.Bitset, error) {
+						return ix.LookupAll(inverted.Tokenize(p), n)
+					},
+				} {
+					g, gerr := lookup(gi)
+					w, werr := lookup(wi)
+					if gerr != nil || werr != nil || !slices.Equal(g.Slice(), w.Slice()) {
+						t.Fatalf("column %d %s(%q) = %v, %v; legacy %v, %v", ci, name, p, g, gerr, w, werr)
+					}
+				}
+			}
+		case schema.IndexBKD:
+			gt, err := got.BKDIndex(ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wt, err := want.BKDIndex(ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds := []int64{math.MinInt64, math.MaxInt64}
+			for _, r := range rows {
+				v := r[ci].I
+				bounds = append(bounds, v-1, v, v+1)
+			}
+			for _, lo := range bounds {
+				for _, hi := range bounds {
+					g, gl, gerr := gt.Range(lo, hi, n)
+					w, wl, werr := wt.Range(lo, hi, n)
+					if gerr != nil || werr != nil || gl != wl || !slices.Equal(g.Slice(), w.Slice()) {
+						t.Fatalf("column %d Range(%d, %d) = %v in %d leaves, %v; legacy %v in %d, %v",
+							ci, lo, hi, g, gl, gerr, w, wl, werr)
+					}
+				}
+			}
 		}
 	}
 }
 
 var golden40 = []partHash{
-	{"meta", 322, 0x995ede19110b6e5f},
-	{"index/0", 88, 0x3944353298ab99e8},
-	{"index/1", 91, 0x97ef465361afdc04},
-	{"index/2", 633, 0x503f1e08eed7b859},
-	{"index/3", 265, 0xc6d1954b7152690c},
-	{"index/4", 90, 0xa0f0cb2c058439a2},
-	{"index/5", 65, 0xd68a7907946c3d1a},
-	{"index/6", 2575, 0x62b89dd4200e871d},
+	{"meta", 322, 0x1fea5ac20e0b2ccf},
+	{"index/0", 49, 0xccf415cb785cd7a4},
+	{"index/1", 52, 0xdd090f182f585028},
+	{"index/2", 267, 0x6b1be4fc8ea8fbff},
+	{"index/3", 108, 0xa5b0f6da57960759},
+	{"index/4", 91, 0x07dedc8b388d30a1},
+	{"index/5", 27, 0xbbb2c5774a1d1f08},
+	{"index/6", 1197, 0xa4ebeb331c841d87},
 	{"data/0/0", 26, 0x0b66aed9cd029156},
 	{"data/1/0", 102, 0x0a54f27009783159},
 	{"data/2/0", 113, 0x0cca433bc614ed19},
@@ -168,14 +275,14 @@ var golden40 = []partHash{
 }
 
 var golden400 = []partHash{
-	{"meta", 744, 0x1230f5c37cff60f5},
-	{"index/0", 1082, 0x4c4b02556a719a7a},
-	{"index/1", 1085, 0x10db6f9847777517},
-	{"index/2", 2536, 0xb3468b168d52e297},
-	{"index/3", 1711, 0xf19299ad94b756ec},
-	{"index/4", 1083, 0x10475358bcac65ed},
-	{"index/5", 426, 0x709bc151b10b7357},
-	{"index/6", 25206, 0xcedd82ed16783ef1},
+	{"meta", 744, 0xd0c521a22bea3b25},
+	{"index/0", 411, 0x0e55e807dca00f14},
+	{"index/1", 414, 0x90a24a511f5d2aa1},
+	{"index/2", 1165, 0x8d9a4647eaa9b602},
+	{"index/3", 468, 0x783a5a0f2c1ed5bf},
+	{"index/4", 1084, 0xbf7b4b810b19bbb4},
+	{"index/5", 106, 0x3e9e835dbf194ac9},
+	{"index/6", 10760, 0x74d25854b4cc7163},
 	{"data/0/0", 35, 0xde4b948df630dfca},
 	{"data/0/1", 35, 0xde4b948df630dfca},
 	{"data/0/2", 35, 0xde4b948df630dfca},

@@ -16,13 +16,33 @@ type BlockHeader struct {
 	SMA      *sma.SMA
 }
 
-// ColumnMeta describes one column: its whole-column SMA, index kind,
-// and per-block headers (paper Figure 4, parts 2 and 4).
+// ColumnMeta describes one column: its whole-column SMA, index kind
+// and encoding, and per-block headers (paper Figure 4, parts 2 and 4).
 type ColumnMeta struct {
-	SMA    *sma.SMA
-	Index  schema.IndexKind
-	Blocks []BlockHeader
+	SMA         *sma.SMA
+	Index       schema.IndexKind
+	IndexFormat IndexFormat
+	Blocks      []BlockHeader
 }
+
+// IndexFormat is the encoding of a column's serialized index. The meta
+// stores it in the high nibble of the column's index byte, beside the
+// index kind in the low one, so a meta written before there was a
+// second encoding reads as IndexFormatLegacy.
+type IndexFormat uint8
+
+const (
+	// IndexFormatLegacy is the encoding of objects written before the
+	// compact one: an inverted index's dictionary as whole terms, each
+	// with its delta-varint postings, behind an offset per term; a BKD
+	// tree with a row id per entry.
+	IndexFormatLegacy IndexFormat = 0
+	// IndexFormatCompact is what Build writes: a front-coded term
+	// dictionary whose postings are deltas or a row bitset, whichever
+	// is smaller, and BKD trees that store no row id when each is its
+	// position.
+	IndexFormatCompact IndexFormat = 1
+)
 
 // Meta is the decoded "meta" member of a LogBlock: schema, geometry,
 // codec, and all column/block statistics. It is everything the planner
@@ -56,7 +76,7 @@ func (m *Meta) Encode() []byte {
 	out = bitutil.AppendVarint(out, m.MaxTS)
 	for _, cm := range m.Columns {
 		out = cm.SMA.AppendTo(out)
-		out = append(out, byte(cm.Index))
+		out = append(out, byte(cm.IndexFormat)<<4|byte(cm.Index))
 		for _, bh := range cm.Blocks {
 			out = bitutil.AppendUvarint(out, uint64(bh.RowCount))
 			out = bh.SMA.AppendTo(out)
@@ -136,8 +156,11 @@ func DecodeMeta(data []byte) (*Meta, error) {
 		if off >= len(data) {
 			return nil, fmt.Errorf("logblock: column %d index kind truncated", ci)
 		}
-		cm := ColumnMeta{SMA: colSMA, Index: schema.IndexKind(data[off])}
+		cm := ColumnMeta{SMA: colSMA, Index: schema.IndexKind(data[off] & 0x0f), IndexFormat: IndexFormat(data[off] >> 4)}
 		off++
+		if cm.IndexFormat > IndexFormatCompact {
+			return nil, fmt.Errorf("logblock: column %d index format %d unknown", ci, cm.IndexFormat)
+		}
 		cm.Blocks = make([]BlockHeader, m.NumBlocks)
 		for bi := 0; bi < m.NumBlocks; bi++ {
 			rc, n, err := bitutil.Uvarint(data[off:])

@@ -217,7 +217,11 @@ func (r *Reader) InvertedIndex(col int) (*inverted.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := inverted.Open(raw)
+	open := inverted.Open
+	if r.Meta.Columns[col].IndexFormat == IndexFormatLegacy {
+		open = inverted.OpenLegacy
+	}
+	ix, err := open(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +254,11 @@ func (r *Reader) BKDIndex(col int) (*bkd.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := bkd.Open(raw)
+	open := bkd.Open
+	if r.Meta.Columns[col].IndexFormat == IndexFormatLegacy {
+		open = bkd.OpenLegacy
+	}
+	t, err := open(raw)
 	if err != nil {
 		return nil, err
 	}

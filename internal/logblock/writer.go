@@ -215,6 +215,9 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 		if opts.NoIndexes {
 			cm.Index = schema.IndexNone
 		}
+		if cm.Index != schema.IndexNone {
+			cm.IndexFormat = IndexFormatCompact
+		}
 		switch cm.Index {
 		case schema.IndexInverted:
 			s.inv.Reset()

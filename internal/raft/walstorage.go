@@ -65,64 +65,68 @@ func OpenWALStorage(dir string, opts wal.Options) (*WALStorage, error) {
 		return nil, err
 	}
 	s := &WALStorage{log: l, vote: None}
-	err = l.Replay(func(seq uint64, payload []byte) error {
-		if len(payload) == 0 {
-			return fmt.Errorf("raft: empty WAL record")
-		}
-		switch payload[0] {
-		case walTagState:
-			term, n, err := bitutil.Uvarint(payload[1:])
-			if err != nil {
-				return fmt.Errorf("raft: WAL state term: %w", err)
-			}
-			votePlus, _, err := bitutil.Uvarint(payload[1+n:])
-			if err != nil {
-				return fmt.Errorf("raft: WAL state vote: %w", err)
-			}
-			s.term = term
-			s.vote = NodeID(int64(votePlus) - 1)
-		case walTagEntry:
-			e, _, err := DecodeEntry(payload[1:])
-			if err != nil {
-				return fmt.Errorf("raft: WAL entry: %w", err)
-			}
-			s.entries = append(s.entries, e)
-			s.seqs = append(s.seqs, seq)
-		case walTagTruncate:
-			idx, _, err := bitutil.Uvarint(payload[1:])
-			if err != nil {
-				return fmt.Errorf("raft: WAL truncate: %w", err)
-			}
-			s.truncateMem(idx)
-		case walTagApplied:
-			idx, n, err := bitutil.Uvarint(payload[1:])
-			if err != nil {
-				return fmt.Errorf("raft: WAL applied mark: %w", err)
-			}
-			// The term rides along since this record doubles as the
-			// compaction point; tolerate its absence (older records).
-			term := uint64(0)
-			if len(payload) > 1+n {
-				term, _, err = bitutil.Uvarint(payload[1+n:])
-				if err != nil {
-					return fmt.Errorf("raft: WAL applied mark term: %w", err)
-				}
-			}
-			if idx >= s.applied {
-				s.applied = idx
-				s.markTerm = term
-			}
-		default:
-			return fmt.Errorf("raft: unknown WAL tag %q", payload[0])
-		}
-		return nil
-	})
-	if err != nil {
+	if err := l.Replay(s.replayRecord); err != nil {
 		_ = l.Close() // surfacing the replay failure; close is best-effort
 		return nil, err
 	}
 	s.normalizeReplay()
 	return s, nil
+}
+
+// replayRecord applies one WAL record, the one with sequence number seq,
+// to the replayed state. Open calls it for every record in order, then
+// normalizeReplay.
+func (s *WALStorage) replayRecord(seq uint64, payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("raft: empty WAL record")
+	}
+	switch payload[0] {
+	case walTagState:
+		term, n, err := bitutil.Uvarint(payload[1:])
+		if err != nil {
+			return fmt.Errorf("raft: WAL state term: %w", err)
+		}
+		votePlus, _, err := bitutil.Uvarint(payload[1+n:])
+		if err != nil {
+			return fmt.Errorf("raft: WAL state vote: %w", err)
+		}
+		s.term = term
+		s.vote = NodeID(int64(votePlus) - 1)
+	case walTagEntry:
+		e, _, err := DecodeEntry(payload[1:])
+		if err != nil {
+			return fmt.Errorf("raft: WAL entry: %w", err)
+		}
+		s.entries = append(s.entries, e)
+		s.seqs = append(s.seqs, seq)
+	case walTagTruncate:
+		idx, _, err := bitutil.Uvarint(payload[1:])
+		if err != nil {
+			return fmt.Errorf("raft: WAL truncate: %w", err)
+		}
+		s.truncateMem(idx)
+	case walTagApplied:
+		idx, n, err := bitutil.Uvarint(payload[1:])
+		if err != nil {
+			return fmt.Errorf("raft: WAL applied mark: %w", err)
+		}
+		// The term rides along since this record doubles as the
+		// compaction point; tolerate its absence (older records).
+		term := uint64(0)
+		if len(payload) > 1+n {
+			term, _, err = bitutil.Uvarint(payload[1+n:])
+			if err != nil {
+				return fmt.Errorf("raft: WAL applied mark term: %w", err)
+			}
+		}
+		if idx >= s.applied {
+			s.applied = idx
+			s.markTerm = term
+		}
+	default:
+		return fmt.Errorf("raft: unknown WAL tag %q", payload[0])
+	}
+	return nil
 }
 
 // normalizeReplay rebases the replayed log at the applied mark. Entries
@@ -132,33 +136,26 @@ func OpenWALStorage(dir string, opts wal.Options) (*WALStorage, error) {
 // base = mark. A restarted node then reports the correct last index —
 // new entries continue from mark+1 rather than colliding with the
 // skip-below-the-mark apply rule, which used to silently drop freshly
-// acked rows after a checkpointed restart. Entries above the mark that
-// are not contiguous with it (a hole left by segment recycling) are
-// unusable and dropped; the leader re-replicates them.
+// acked rows after a checkpointed restart. The live log is the
+// contiguous run of entries from mark+1 (from 1 when no checkpoint
+// ever happened): entries after a gap in it, or all of them when
+// there is a hole at the mark (left by segment recycling), would sit
+// at slice positions that disagree with their indexes, so they are
+// dropped and the leader re-replicates them.
 func (s *WALStorage) normalizeReplay() {
-	if s.applied == 0 {
-		// No checkpoint ever happened; a log not starting at 1 would be
-		// a corrupt replay — drop it and let the leader repair us.
-		if len(s.entries) > 0 && s.entries[0].Index != 1 {
-			s.entries = nil
-			s.seqs = nil
-		}
-		return
-	}
 	cut := 0
 	for cut < len(s.entries) && s.entries[cut].Index <= s.applied {
 		cut++
 	}
-	s.prefix = append([]Entry(nil), s.entries[:cut]...)
-	live := s.entries[cut:]
-	liveSeqs := s.seqs[cut:]
-	if len(live) > 0 && live[0].Index == s.applied+1 {
-		s.entries = append([]Entry(nil), live...)
-		s.seqs = append([]uint64(nil), liveSeqs...)
-	} else {
-		s.entries = nil
-		s.seqs = nil
+	if s.applied > 0 {
+		s.prefix = append([]Entry(nil), s.entries[:cut]...)
 	}
+	run := 0
+	for cut+run < len(s.entries) && s.entries[cut+run].Index == s.applied+1+uint64(run) {
+		run++
+	}
+	s.entries = append([]Entry(nil), s.entries[cut:cut+run]...)
+	s.seqs = append([]uint64(nil), s.seqs[cut:cut+run]...)
 	s.base = s.applied
 	s.baseTerm = s.markTerm
 	if s.baseTerm == 0 && len(s.prefix) > 0 && s.prefix[len(s.prefix)-1].Index == s.base {

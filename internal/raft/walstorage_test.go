@@ -316,3 +316,54 @@ func TestOneNodeRestartAppliesRecoveredLog(t *testing.T) {
 		t.Fatalf("restarted one-node group applied %d of 3 recovered entries", got)
 	}
 }
+
+// TestWALStorageReplayDropsGap: a WAL whose entry records skip an index
+// replays to the contiguous run before the gap, with or without an
+// applied mark, so a slice position always agrees with its index. The
+// entries after the gap are the leader's to re-replicate.
+func TestWALStorageReplayDropsGap(t *testing.T) {
+	entries := func(indexes ...uint64) []Entry {
+		var out []Entry
+		for _, i := range indexes {
+			out = append(out, Entry{Term: 1, Index: i, Data: []byte(fmt.Sprintf("e%d", i))})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		mark     uint64
+		appended []uint64
+		want     []uint64
+	}{
+		{"no mark", 0, []uint64{1, 2, 4, 5}, []uint64{1, 2}},
+		{"no mark, gap at the start", 0, []uint64{2, 3}, nil},
+		{"past the mark", 2, []uint64{1, 2, 3, 5, 6}, []uint64{3}},
+		{"hole at the mark", 2, []uint64{1, 2, 4, 5}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openWS(t, dir)
+			s.Append(entries(tc.appended...))
+			if tc.mark > 0 {
+				if err := s.Checkpoint(tc.mark); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2 := openWS(t, dir)
+			defer s2.Close()
+			var got []uint64
+			for _, e := range s2.Entries() {
+				got = append(got, e.Index)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("replayed entries %v, want %v", got, tc.want)
+			}
+			if base, _ := s2.Base(); base != tc.mark {
+				t.Fatalf("base %d, want %d", base, tc.mark)
+			}
+		})
+	}
+}

@@ -170,7 +170,9 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	blocks := archiveTenant(t, w, catalog, 6000, 31)
+	// The tenant and ts indexes store no row ids, so it takes 12000 rows
+	// for the ts index to reach past the first cache block.
+	blocks := archiveTenant(t, w, catalog, 12000, 31)
 	if len(blocks) != 1 {
 		t.Fatalf("fixture: %d LogBlocks, want 1", len(blocks))
 	}
