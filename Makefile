@@ -2,13 +2,14 @@ GO ?= go
 FUZZTIME ?= 10s
 CHAOS_SEED ?= 2026
 
-.PHONY: check fmt vet build test race lint lint-baseline fuzz chaos chaos-short chaos-wipe chaos-wipe-short chaos-brownout chaos-brownout-short bench bench-all bench-e2e bench-e2e-compare benchdiff soak soak-short soak-baseline clean
+.PHONY: check fmt vet build test race lint fuzz chaos chaos-short chaos-wipe chaos-wipe-short chaos-brownout chaos-brownout-short bench bench-all bench-e2e bench-e2e-compare benchdiff soak soak-short soak-baseline clean
 
 ## check: the tier-1 gate — formatting, vet, build, race-enabled tests,
-## plus the repo's own invariant linter, a short fuzz pass over every
-## untrusted decode surface, the short node-failure, disk-wipe and
-## brownout chaos runs, and a short sustained-load soak with
-## exactly-once accounting.
+## plus the invariant analyzers no test replaces (lint), a short fuzz
+## pass over every untrusted decode surface, the short node-failure,
+## disk-wipe and brownout chaos runs, and a short sustained-load soak
+## with exactly-once accounting. EXPERIMENTS.md "Which gates catch
+## what" has each leg's wall time and the seeded mutations it catches.
 check: fmt vet build race lint fuzz chaos-short chaos-wipe-short chaos-brownout-short soak-short
 
 fmt:
@@ -29,18 +30,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-## lint: the project-specific invariant analyzers (internal/lint),
-## with per-analyzer timing and finding counts. Findings recorded in
-## .lint-baseline pass; anything new — or any baseline entry the tree
-## no longer reproduces — fails.
+## lint: the project-specific invariant analyzers (internal/lint:
+## rawstore, boxedvalue), with per-analyzer timing and finding counts.
+## Any finding fails; there is no baseline.
 lint:
 	$(GO) run ./cmd/logstore-lint -stats ./...
-
-## lint-baseline: deliberately regenerate .lint-baseline from the
-## current findings. Only for consciously accepting legacy findings —
-## the goal state is an empty baseline.
-lint-baseline:
-	$(GO) run ./cmd/logstore-lint -write-baseline ./...
 
 ## fuzz: run every fuzz target for FUZZTIME each, starting from the
 ## checked-in seed corpora (regenerate those with `go run ./cmd/fuzzseed`).

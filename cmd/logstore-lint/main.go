@@ -4,22 +4,17 @@
 //
 // Usage:
 //
-//	logstore-lint [-list] [-only name,name] [-stats] [-baseline file]
-//	              [-write-baseline] [patterns...]
+//	logstore-lint [-list] [-only name,name] [-stats] [patterns...]
 //
 // Patterns are package directories or "dir/..." trees; the default is
-// "./..." (the whole module). When a baseline file exists (default
-// .lint-baseline at the module root), findings recorded in it pass
-// silently and stale entries fail; -write-baseline regenerates it from
-// the current findings instead of failing. Exit status: 0 clean, 1
-// findings (or stale baseline entries), 2 usage or load failure.
+// "./..." (the whole module). Exit status: 0 clean, 1 findings, 2 usage
+// or load failure.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"logstore/internal/lint"
@@ -29,8 +24,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	stats := flag.Bool("stats", false, "print per-analyzer timing and finding counts")
-	baselinePath := flag.String("baseline", ".lint-baseline", "baseline file relative to the module root (\"\" disables)")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline file from current findings and exit")
 	flag.Parse()
 
 	if *list {
@@ -77,42 +70,11 @@ func main() {
 		}
 	}
 
-	root := loader.ModuleRoot()
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "logstore-lint: -write-baseline needs -baseline")
-			os.Exit(2)
-		}
-		path := filepath.Join(root, *baselinePath)
-		if err := os.WriteFile(path, lint.FormatBaseline(findings, root), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "logstore-lint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "logstore-lint: wrote %d finding(s) to %s\n", len(findings), path)
-		return
-	}
-
-	var stale []string
-	if *baselinePath != "" {
-		if data, rerr := os.ReadFile(filepath.Join(root, *baselinePath)); rerr == nil {
-			bl, perr := lint.ParseBaseline(data)
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "logstore-lint: %v\n", perr)
-				os.Exit(2)
-			}
-			findings, stale = bl.Filter(findings, root)
-		}
-	}
-
 	for _, f := range findings {
 		fmt.Println(f)
 	}
-	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "logstore-lint: stale baseline entry (fixed? remove it): %s\n",
-			strings.ReplaceAll(s, "\t", " "))
-	}
-	if len(findings) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "logstore-lint: %d finding(s), %d stale baseline entr(ies)\n", len(findings), len(stale))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "logstore-lint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

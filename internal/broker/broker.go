@@ -347,8 +347,8 @@ func (b *Broker) appendSubs(ctx context.Context, s *appendScratch, subs []tenant
 			if window <= 0 {
 				window = 5 * time.Second
 			}
-			deadline = timeNow().Add(window)
-		} else if timeNow().After(deadline) {
+			deadline = time.Now().Add(window)
+		} else if time.Now().After(deadline) {
 			return fmt.Errorf("broker: append tenant %d: no live route: %w", subs[0].tenant, downErr)
 		}
 		b.reroutes.Inc()
@@ -393,10 +393,10 @@ func (b *Broker) enqueueUnit(ctx context.Context, s *appendScratch, subs []tenan
 // first. A context that cannot be canceled takes the plain-sleep path.
 func sleepInterruptible(ctx context.Context, d time.Duration) error {
 	if ctx.Done() == nil {
-		timeSleep(d)
+		time.Sleep(d)
 		return nil
 	}
-	t := newWallTimer(d)
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -605,13 +605,13 @@ func (b *Broker) attempt(ctx context.Context, wid flow.WorkerID, paths []string,
 	if !ok {
 		return nil, fmt.Errorf("broker: worker %d not found", wid)
 	}
-	start := timeNow()
+	start := time.Now()
 	res, err := w.QueryBlocksCtx(ctx, paths, q, b.cfg.Exec)
 	// Feed the gray-failure detector: completion latency of every
 	// sub-query, successful or not, but never latencies inflated by
 	// our own caller's cancellation.
 	if b.cfg.Health != nil && ctx.Err() == nil {
-		b.cfg.Health.ReportLatency(wid, timeNow().Sub(start))
+		b.cfg.Health.ReportLatency(wid, time.Since(start))
 	}
 	return res, err
 }
@@ -665,7 +665,7 @@ func (b *Broker) runHedged(ctx context.Context, paths []string, q *query.Query, 
 	}
 	launched := 1
 	launch(cands.at(0))
-	t := newWallTimer(b.cfg.HedgeDelay)
+	t := time.NewTimer(b.cfg.HedgeDelay)
 	defer t.Stop()
 	hedge := t.C
 	outstanding := 1

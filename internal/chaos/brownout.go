@@ -201,16 +201,16 @@ func RunBrownout(tg BrownoutTarget, cfg BrownoutConfig) (*BrownoutReport, error)
 		for i := 0; i < n; i++ {
 			tenant := int64(i % cfg.Tenants)
 			ctx, cancel := context.WithTimeout(context.Background(), cfg.QueryDeadline)
-			start := timeNow()
+			start := time.Now()
 			_, err := tg.QueryContext(ctx, countQuery(tenant))
 			cancel()
 			if err != nil {
 				fails++
 			} else {
-				lat = append(lat, timeNow().Sub(start))
+				lat = append(lat, time.Since(start))
 			}
 			if cfg.QueryPace > 0 {
-				timeSleep(cfg.QueryPace)
+				time.Sleep(cfg.QueryPace)
 			}
 		}
 		return lat, fails
@@ -269,9 +269,9 @@ func RunBrownout(tg BrownoutTarget, cfg BrownoutConfig) (*BrownoutReport, error)
 					if wait <= 0 || wait > 50*time.Millisecond {
 						wait = 50 * time.Millisecond
 					}
-					timeSleep(wait)
+					time.Sleep(wait)
 				} else {
-					timeSleep(5 * time.Millisecond)
+					time.Sleep(5 * time.Millisecond)
 				}
 				select {
 				case <-done:
@@ -300,7 +300,7 @@ func RunBrownout(tg BrownoutTarget, cfg BrownoutConfig) (*BrownoutReport, error)
 				if err := tg.AppendContext(context.Background(), batch...); err == nil {
 					acked = true
 				} else {
-					timeSleep(5 * time.Millisecond)
+					time.Sleep(5 * time.Millisecond)
 					select {
 					case <-done:
 						return
@@ -312,7 +312,7 @@ func RunBrownout(tg BrownoutTarget, cfg BrownoutConfig) (*BrownoutReport, error)
 			rep.Acked[tenant] += int64(len(batch))
 			rep.AckedTotal += int64(len(batch))
 			mu.Unlock()
-			timeSleep(cfg.HealthyPace)
+			time.Sleep(cfg.HealthyPace)
 		}
 	}()
 
@@ -334,7 +334,7 @@ func RunBrownout(tg BrownoutTarget, cfg BrownoutConfig) (*BrownoutReport, error)
 				}
 				mu.Unlock()
 			}
-			timeSleep(10 * time.Millisecond)
+			time.Sleep(10 * time.Millisecond)
 		}
 	}()
 

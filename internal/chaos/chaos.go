@@ -192,7 +192,7 @@ func Run(tg Target, cfg Config) (*Report, error) {
 			default:
 			}
 			batch := gen.Batch(cfg.BatchRows)
-			deadline := timeNow().Add(60 * time.Second)
+			deadline := time.Now().Add(60 * time.Second)
 			for {
 				err := tg.Append(batch...)
 				if err == nil {
@@ -201,13 +201,13 @@ func Run(tg Target, cfg Config) (*Report, error) {
 				mu.Lock()
 				rep.AppendRetries++
 				mu.Unlock()
-				if timeNow().After(deadline) {
+				if time.Now().After(deadline) {
 					mu.Lock()
 					ingestErr = fmt.Errorf("chaos: batch never acked: %w", err)
 					mu.Unlock()
 					return
 				}
-				timeSleep(2 * time.Millisecond)
+				time.Sleep(2 * time.Millisecond)
 			}
 			mu.Lock()
 			for _, r := range batch {
@@ -236,22 +236,22 @@ func Run(tg Target, cfg Config) (*Report, error) {
 			tenant := int64(i % cfg.Tenants)
 			sql := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s = %d AND %s >= 0",
 				sch.Name, sch.TenantCol, tenant, sch.TimeCol)
-			deadline := timeNow().Add(10 * time.Second)
+			deadline := time.Now().Add(10 * time.Second)
 			for {
 				if _, err := tg.Query(sql); err == nil {
 					break
-				} else if timeNow().After(deadline) {
+				} else if time.Now().After(deadline) {
 					mu.Lock()
 					queryErr = fmt.Errorf("chaos: query for tenant %d never answered: %w", tenant, err)
 					mu.Unlock()
 					return
 				}
-				timeSleep(2 * time.Millisecond)
+				time.Sleep(2 * time.Millisecond)
 			}
 			mu.Lock()
 			rep.Queries++
 			mu.Unlock()
-			timeSleep(time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 	}()
 
@@ -266,7 +266,7 @@ func Run(tg Target, cfg Config) (*Report, error) {
 				faultErr = fmt.Errorf("chaos: crash worker %d: %w", ev.worker, err)
 				break
 			}
-			timeSleep(cfg.RecoverAfter)
+			time.Sleep(cfg.RecoverAfter)
 			if err := tg.RecoverWorker(ev.worker); err != nil {
 				faultErr = fmt.Errorf("chaos: recover worker %d: %w", ev.worker, err)
 				break
@@ -278,7 +278,7 @@ func Run(tg Target, cfg Config) (*Report, error) {
 				faultErr = fmt.Errorf("chaos: wipe worker %d: %w", ev.worker, err)
 				break
 			}
-			timeSleep(cfg.RecoverAfter)
+			time.Sleep(cfg.RecoverAfter)
 			if err := tg.RecoverWorker(ev.worker); err != nil {
 				faultErr = fmt.Errorf("chaos: recover wiped worker %d: %w", ev.worker, err)
 				break
@@ -288,20 +288,20 @@ func Run(tg Target, cfg Config) (*Report, error) {
 			// Retry: the group may be mid-election from a prior fault.
 			var killed raft.NodeID
 			var err error
-			killDeadline := timeNow().Add(5 * time.Second)
+			killDeadline := time.Now().Add(5 * time.Second)
 			for {
 				killed, err = tg.KillShardLeader(ev.shard)
-				if err == nil || timeNow().After(killDeadline) {
+				if err == nil || time.Now().After(killDeadline) {
 					break
 				}
-				timeSleep(5 * time.Millisecond)
+				time.Sleep(5 * time.Millisecond)
 			}
 			if err != nil {
 				faultErr = fmt.Errorf("chaos: kill leader of shard %d: %w", ev.shard, err)
 				break
 			}
 			logf("chaos: killed leader replica %d of shard %d", killed, ev.shard)
-			timeSleep(cfg.RecoverAfter)
+			time.Sleep(cfg.RecoverAfter)
 			if err := tg.RestartShardReplica(ev.shard, killed); err != nil {
 				faultErr = fmt.Errorf("chaos: restart replica %d of shard %d: %w", killed, ev.shard, err)
 				break
@@ -313,7 +313,7 @@ func Run(tg Target, cfg Config) (*Report, error) {
 				faultErr = fmt.Errorf("chaos: partition shard %d: %w", ev.shard, err)
 				break
 			}
-			timeSleep(cfg.RecoverAfter)
+			time.Sleep(cfg.RecoverAfter)
 			if err := tg.HealShard(ev.shard); err != nil {
 				faultErr = fmt.Errorf("chaos: heal shard %d: %w", ev.shard, err)
 				break
@@ -323,7 +323,7 @@ func Run(tg Target, cfg Config) (*Report, error) {
 		if faultErr != nil {
 			break
 		}
-		timeSleep(cfg.RecoverAfter / 2)
+		time.Sleep(cfg.RecoverAfter / 2)
 	}
 
 	// Final sweep: heal and restart everything so in-flight retries can
@@ -374,7 +374,7 @@ func VerifyCounts(tg QueryTarget, sch *schema.Schema, acked map[int64]int64, tim
 	if sch == nil {
 		sch = schema.RequestLogSchema()
 	}
-	deadline := timeNow().Add(timeout)
+	deadline := time.Now().Add(timeout)
 	for {
 		mismatch := ""
 		for tenant, want := range acked {
@@ -394,9 +394,9 @@ func VerifyCounts(tg QueryTarget, sch *schema.Schema, acked map[int64]int64, tim
 		if mismatch == "" {
 			return nil
 		}
-		if timeNow().After(deadline) {
+		if time.Now().After(deadline) {
 			return fmt.Errorf("chaos: exactly-once violated: %s", mismatch)
 		}
-		timeSleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 }

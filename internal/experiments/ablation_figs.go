@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"logstore/internal/compress"
 	"logstore/internal/logblock"
 	"logstore/internal/query"
@@ -54,7 +56,7 @@ func AblationBlockSize(s Scale) (*Table, error) {
 			return nil, err
 		}
 		var stats query.ExecStats
-		elapsed := stopwatch()
+		start := time.Now()
 		const iters = 20
 		for i := 0; i < iters; i++ {
 			stats = query.ExecStats{}
@@ -62,7 +64,7 @@ func AblationBlockSize(s Scale) (*Table, error) {
 				return nil, err
 			}
 		}
-		perMatch := float64(elapsed().Microseconds()) / iters
+		perMatch := float64(time.Since(start).Microseconds()) / iters
 		t.Rows = append(t.Rows, []float64{
 			float64(blockRows), float64(len(packed)), perMatch,
 			float64(stats.ColumnBlocksScanned), float64(stats.ColumnBlocksSkipped),
@@ -87,7 +89,7 @@ func AblationCodec(s Scale) (*Table, error) {
 		Header: []string{"codec", "packed_bytes", "build_ms", "scan_us"},
 	}
 	for i, codec := range []compress.Codec{compress.None, compress.LZ4, compress.Zstd} {
-		elapsed := stopwatch()
+		start := time.Now()
 		built, err := logblock.Build(schema.RequestLogSchema(), rows,
 			logblock.BuildOptions{Codec: codec})
 		if err != nil {
@@ -97,12 +99,12 @@ func AblationCodec(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		buildMS := float64(elapsed().Microseconds()) / 1000
+		buildMS := float64(time.Since(start).Microseconds()) / 1000
 		r, err := logblock.OpenReader(logblock.BytesFetcher(packed))
 		if err != nil {
 			return nil, err
 		}
-		elapsed = stopwatch()
+		start = time.Now()
 		const iters = 10
 		for j := 0; j < iters; j++ {
 			var stats query.ExecStats
@@ -112,7 +114,7 @@ func AblationCodec(s Scale) (*Table, error) {
 				return nil, err
 			}
 		}
-		scanUS := float64(elapsed().Microseconds()) / iters
+		scanUS := float64(time.Since(start).Microseconds()) / iters
 		t.Rows = append(t.Rows, []float64{float64(i), float64(len(packed)), buildMS, scanUS})
 	}
 	return t, nil
@@ -134,7 +136,7 @@ func AblationIndexes(s Scale) (*Table, error) {
 		Header: []string{"indexed", "packed_bytes", "build_ms", "match_us"},
 	}
 	for i, noIdx := range []bool{false, true} {
-		elapsed := stopwatch()
+		start := time.Now()
 		built, err := logblock.Build(schema.RequestLogSchema(), rows,
 			logblock.BuildOptions{NoIndexes: noIdx})
 		if err != nil {
@@ -144,12 +146,12 @@ func AblationIndexes(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		buildMS := float64(elapsed().Microseconds()) / 1000
+		buildMS := float64(time.Since(start).Microseconds()) / 1000
 		r, err := logblock.OpenReader(logblock.BytesFetcher(packed))
 		if err != nil {
 			return nil, err
 		}
-		elapsed = stopwatch()
+		start = time.Now()
 		const iters = 20
 		for j := 0; j < iters; j++ {
 			var stats query.ExecStats
@@ -157,7 +159,7 @@ func AblationIndexes(s Scale) (*Table, error) {
 				return nil, err
 			}
 		}
-		matchUS := float64(elapsed().Microseconds()) / iters
+		matchUS := float64(time.Since(start).Microseconds()) / iters
 		indexed := 1.0
 		if noIdx {
 			indexed = 0

@@ -41,7 +41,7 @@ func NewCollector(window time.Duration) *Collector {
 	return &Collector{
 		window:  window,
 		buckets: buckets,
-		now:     timeNow,
+		now:     time.Now,
 		tenant:  make(map[TenantID]*metrics.Rate),
 		shard:   make(map[ShardID]*metrics.Rate),
 		worker:  make(map[WorkerID]*metrics.Rate),

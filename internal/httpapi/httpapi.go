@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -134,7 +135,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rows := make([]logstore.Row, len(recs))
-	now := timeNow().UnixMilli()
+	now := time.Now().UnixMilli()
 	for i, rec := range recs {
 		rows[i] = rec.Row(now)
 	}
@@ -153,7 +154,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, err)
 		return
 	}
-	start := timeNow()
+	start := time.Now()
 	res, err := s.cluster.QueryContext(r.Context(), string(sqlBytes))
 	if err != nil {
 		if !writeLoadError(w, err) {
@@ -164,7 +165,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := QueryResponse{
 		Columns: res.Columns,
 		Count:   res.Count,
-		TookMS:  float64(timeSince(start).Microseconds()) / 1000,
+		TookMS:  float64(time.Since(start).Microseconds()) / 1000,
 		Stats:   res.Stats,
 	}
 	for _, row := range res.Rows {
@@ -225,7 +226,9 @@ func (s *server) handleRetention(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hours, err := strconv.ParseFloat(r.URL.Query().Get("hours"), 64)
-	if err != nil || hours < 0 {
+	// NaN fails hours >= 0, and a duration past time.Duration's range
+	// would wrap negative, which SetRetention reads as "keep forever".
+	if err != nil || !(hours >= 0) || hours*float64(time.Hour) >= math.MaxInt64 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad hours parameter"))
 		return
 	}

@@ -147,14 +147,18 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad tenant id: status %d", resp.StatusCode)
 	}
-	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/tenants/5/retention?hours=-3", nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative hours: status %d", resp.StatusCode)
+	// Negative, non-finite, and past time.Duration's range (which would
+	// wrap to a negative "keep forever" retention) are all refused.
+	for _, hours := range []string{"-3", "NaN", "Inf", "-Inf", "3e6", "1e300"} {
+		req, _ = http.NewRequest(http.MethodPut, srv.URL+"/tenants/5/retention?hours="+hours, nil)
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("hours=%s: status %d", hours, resp.StatusCode)
+		}
 	}
 }
 

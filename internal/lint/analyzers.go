@@ -4,14 +4,7 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		RawStoreAnalyzer,
-		LockIOAnalyzer,
-		ErrCloseAnalyzer,
-		WallClockAnalyzer,
 		BoxedValueAnalyzer,
-		PoolEscapeAnalyzer,
-		ArenaRefAnalyzer,
-		LockOrderAnalyzer,
-		GoLeakAnalyzer,
 	}
 }
 

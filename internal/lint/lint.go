@@ -6,27 +6,8 @@
 //
 //   - rawstore:   production packages reach object storage only through
 //     the retrying, fault-classifying oss.RetryingStore
-//   - lockio:     no simulated-latency I/O, channel op, or sleep while a
-//     mutex is held
-//   - errclose:   error returns of Close/Flush/Sync/Put are not silently
-//     dropped
-//   - wallclock:  clock-disciplined packages do not read the wall clock
-//     outside their clock seam
 //   - boxedvalue: scan paths stay on the typed-vector API instead of the
 //     boxed []schema.Value compatibility shim
-//   - poolescape: sync.Pool values are never used, stored, returned, or
-//     sent after the matching Put (flow-sensitive, dataflow.go)
-//   - arenaref:   a decoded vector's typed slices never outlive their
-//     vector (flow-sensitive, dataflow.go)
-//   - lockorder:  the whole-tree mutex acquisition graph is acyclic
-//     (module-wide, RunModule)
-//   - goleak:     every go statement has a reachable stop path
-//
-// `//lint:ignore <analyzer> <reason>` suppresses a finding on its own
-// or the next line; malformed, unknown-analyzer, and stale ignores are
-// findings themselves (directive.go). Accepted legacy findings live in
-// the committed .lint-baseline (baseline.go), where stale entries also
-// fail — the ledger can only shrink honestly.
 //
 // The cmd/logstore-lint driver runs every analyzer over the module and
 // is part of `make check`.
@@ -42,10 +23,7 @@ import (
 	"time"
 )
 
-// Analyzer is one named invariant check. Exactly one of Run and
-// RunModule is set: Run sees one package at a time, RunModule sees
-// every loaded package at once (for whole-module properties like the
-// lock-acquisition graph, which no single package can prove acyclic).
+// Analyzer is one named invariant check over one package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in findings and -run filters.
 	Name string
@@ -53,9 +31,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-	// RunModule inspects all packages of the run together; findings are
-	// reported through whichever pass owns the relevant file.
-	RunModule func([]*Pass)
 }
 
 // Pass carries one analyzer's view of one package.
@@ -101,15 +76,6 @@ func (p *Pass) PkgBase() string {
 	return p.Path
 }
 
-// Filename returns the base name of the file containing pos.
-func (p *Pass) Filename(pos token.Pos) string {
-	name := p.Fset.Position(pos).Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
 // Stat records one analyzer's cost and yield over a run, for the
 // driver's per-analyzer summary.
 type Stat struct {
@@ -119,8 +85,7 @@ type Stat struct {
 }
 
 // Run applies the given analyzers to the given packages and returns
-// the findings sorted by position, after honoring any //lint:ignore
-// directives in the sources. Packages with parse or type errors
+// the findings sorted by position. Packages with parse or type errors
 // contribute an error instead of being analyzed: analyzers must only
 // ever see fully resolved type information.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
@@ -140,9 +105,8 @@ func RunStats(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Stat, error)
 	for _, a := range analyzers {
 		start := time.Now()
 		before := len(findings)
-		passes := make([]*Pass, 0, len(pkgs))
 		for _, pkg := range pkgs {
-			passes = append(passes, &Pass{
+			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     pkgFset(pkg),
 				Path:     pkg.Path,
@@ -152,24 +116,7 @@ func RunStats(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Stat, error)
 				report:   func(f Finding) { findings = append(findings, f) },
 			})
 		}
-		if a.RunModule != nil {
-			a.RunModule(passes)
-		} else {
-			for _, pass := range passes {
-				a.Run(pass)
-			}
-		}
 		stats = append(stats, Stat{Name: a.Name, Duration: time.Since(start), Findings: len(findings) - before})
-	}
-	findings = applyDirectives(findings, collectDirectives(pkgs), analyzers)
-	for i := range stats {
-		n := 0
-		for _, f := range findings {
-			if f.Analyzer == stats[i].Name {
-				n++
-			}
-		}
-		stats[i].Findings = n
 	}
 	sortFindings(findings)
 	return findings, stats, nil

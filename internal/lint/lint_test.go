@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/token"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -95,138 +94,15 @@ func runFixture(t *testing.T, fixture string, a *Analyzer) {
 	}
 }
 
-func TestRawStoreAnalyzer(t *testing.T)  { runFixture(t, "worker", RawStoreAnalyzer) }
-func TestLockIOAnalyzer(t *testing.T)    { runFixture(t, "lockheld", LockIOAnalyzer) }
-func TestErrCloseAnalyzer(t *testing.T)  { runFixture(t, "closecheck", ErrCloseAnalyzer) }
-func TestWallClockAnalyzer(t *testing.T) { runFixture(t, "flow", WallClockAnalyzer) }
-
-// TestWallClockAnalyzerWorker covers the worker ingest path's seam:
-// the same fixture package that exercises rawstore also carries a
-// clock.go seam plus direct time.* uses the analyzer must flag.
-func TestWallClockAnalyzerWorker(t *testing.T) { runFixture(t, "worker", WallClockAnalyzer) }
-
-// TestWallClockAnalyzerBroker covers the broker-side clock seam added
-// when wallclock's scope grew to broker/chaos/httpapi.
-func TestWallClockAnalyzerBroker(t *testing.T) { runFixture(t, "broker", WallClockAnalyzer) }
-func TestBoxedValueAnalyzer(t *testing.T)      { runFixture(t, "boxeduser", BoxedValueAnalyzer) }
-func TestPoolEscapeAnalyzer(t *testing.T)      { runFixture(t, "pooluser", PoolEscapeAnalyzer) }
-func TestArenaRefAnalyzer(t *testing.T)        { runFixture(t, "arenauser", ArenaRefAnalyzer) }
-func TestLockOrderAnalyzer(t *testing.T)       { runFixture(t, "lockcycle", LockOrderAnalyzer) }
-func TestGoLeakAnalyzer(t *testing.T)          { runFixture(t, "goleakuser", GoLeakAnalyzer) }
-
-// TestDirectives exercises the //lint:ignore machinery on the
-// ignoredir fixture: two real poolescape findings are suppressed (one
-// next-line, one same-line), and the stale, malformed, and
-// unknown-analyzer directives each surface as "directive" findings.
-// Expectations are asserted by message rather than `// want` markers
-// because directive findings land on comment lines.
-func TestDirectives(t *testing.T) {
-	l := fixtureLoaderFor(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "ignoredir"))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	findings, err := Run([]*Package{pkg}, []*Analyzer{PoolEscapeAnalyzer})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var stale, malformed, unknown int
-	for _, f := range findings {
-		switch {
-		case f.Analyzer == "poolescape":
-			t.Errorf("poolescape finding escaped its //lint:ignore: %s", f)
-		case strings.Contains(f.Message, "stale"):
-			stale++
-		case strings.Contains(f.Message, "malformed"):
-			malformed++
-		case strings.Contains(f.Message, "unknown analyzer"):
-			unknown++
-		default:
-			t.Errorf("unclassified finding: %s", f)
-		}
-	}
-	if stale != 1 || malformed != 1 || unknown != 1 {
-		t.Errorf("want 1 stale, 1 malformed, 1 unknown directive finding; got %d/%d/%d", stale, malformed, unknown)
-		for _, f := range findings {
-			t.Logf("finding: %s", f)
-		}
-	}
-}
-
-// TestDirectiveNotStaleWhenAnalyzerSkipped: an ignore for an analyzer
-// that did not run must not be condemned as stale.
-func TestDirectiveNotStaleWhenAnalyzerSkipped(t *testing.T) {
-	l := fixtureLoaderFor(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "ignoredir"))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	findings, err := Run([]*Package{pkg}, []*Analyzer{RawStoreAnalyzer})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, f := range findings {
-		if strings.Contains(f.Message, "stale") {
-			t.Errorf("poolescape ignore reported stale in a run without poolescape: %s", f)
-		}
-	}
-}
-
-// TestBaselineFilter covers the baseline round trip: formatted
-// findings absorb themselves, and entries no run reproduces surface
-// as stale.
-func TestBaselineFilter(t *testing.T) {
-	findings := []Finding{
-		{Pos: token.Position{Filename: "/m/a.go", Line: 3}, Analyzer: "poolescape", Message: "boom"},
-		{Pos: token.Position{Filename: "/m/b.go", Line: 9}, Analyzer: "goleak", Message: "leak"},
-	}
-	bl, err := ParseBaseline(FormatBaseline(findings, "/m"))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	fresh, stale := bl.Filter(findings, "/m")
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("round trip: fresh=%v stale=%v", fresh, stale)
-	}
-	fresh, stale = bl.Filter(findings[:1], "/m")
-	if len(fresh) != 0 || len(stale) != 1 {
-		t.Fatalf("fixed finding: fresh=%v stale=%v", fresh, stale)
-	}
-	fresh, stale = bl.Filter(append(findings, Finding{
-		Pos: token.Position{Filename: "/m/c.go", Line: 1}, Analyzer: "arenaref", Message: "new",
-	}), "/m")
-	if len(fresh) != 1 || fresh[0].Message != "new" || len(stale) != 0 {
-		t.Fatalf("new finding: fresh=%v stale=%v", fresh, stale)
-	}
-}
-
-// TestTreeLintsClean is the self-lint gate: every analyzer over every
-// module package must come back silent — the same bar `make lint`
-// (logstore-lint ./...) holds the tree to.
-func TestTreeLintsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module load is slow; covered by make lint")
-	}
-	l := fixtureLoaderFor(t)
-	pkgs, err := l.LoadPatterns([]string{"./..."})
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	findings, err := Run(pkgs, All())
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, f := range findings {
-		t.Errorf("tree finding: %s", f)
-	}
-}
+func TestRawStoreAnalyzer(t *testing.T)   { runFixture(t, "worker", RawStoreAnalyzer) }
+func TestBoxedValueAnalyzer(t *testing.T) { runFixture(t, "boxeduser", BoxedValueAnalyzer) }
 
 // TestRawStoreScope checks the production-package scoping: the same
 // violating code in a package whose import path does not end in a
-// production segment is out of scope for rawstore.
+// production segment (the sim fixture) is out of scope for rawstore.
 func TestRawStoreScope(t *testing.T) {
 	l := fixtureLoaderFor(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "lockheld"))
+	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "sim"))
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -239,27 +115,9 @@ func TestRawStoreScope(t *testing.T) {
 	}
 }
 
-// TestWallClockScope: wall-clock reads outside the deterministic
-// packages (here: a fixture named closecheck) are not wallclock's
-// business.
-func TestWallClockScope(t *testing.T) {
-	l := fixtureLoaderFor(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "lockheld"))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	findings, err := Run([]*Package{pkg}, []*Analyzer{WallClockAnalyzer})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, f := range findings {
-		t.Errorf("wallclock fired outside its deterministic-package scope: %s", f)
-	}
-}
-
 func TestByName(t *testing.T) {
-	got := ByName([]string{"lockio", "rawstore"})
-	if len(got) != 2 || got[0] != LockIOAnalyzer || got[1] != RawStoreAnalyzer {
+	got := ByName([]string{"boxedvalue", "rawstore"})
+	if len(got) != 2 || got[0] != BoxedValueAnalyzer || got[1] != RawStoreAnalyzer {
 		t.Fatalf("ByName returned %v", got)
 	}
 	if ByName([]string{"nosuch"}) != nil {
@@ -270,8 +128,8 @@ func TestByName(t *testing.T) {
 func TestAllAnalyzersHaveDocs(t *testing.T) {
 	names := make(map[string]bool)
 	for _, a := range All() {
-		if a.Name == "" || a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
-			t.Errorf("analyzer %+v needs a name, a doc, and exactly one of Run/RunModule", a)
+		if a.Name == "" || a.Doc == "" || a.Run == nil {
+			t.Errorf("analyzer %+v needs a name, a doc, and a Run", a)
 		}
 		if names[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)

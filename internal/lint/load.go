@@ -69,12 +69,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleRoot returns the absolute module root directory.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // findModule walks up from dir to the nearest go.mod and extracts the
 // module path and go directive.
 func findModule(dir string) (root, modPath, goVersion string, err error) {

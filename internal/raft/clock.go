@@ -9,8 +9,7 @@ import (
 // the wall clock. The election and heartbeat machinery counts logical
 // ticks; where those ticks come from is behind the Clock interface, so
 // failover tests can drive a group with a ManualClock and observe
-// deterministic elections instead of tuning sleeps. The wallclock
-// analyzer enforces that no other file in the package reads the clock.
+// deterministic elections instead of tuning sleeps.
 
 // Clock supplies the node's one timing source: the run loop's tick
 // stream.

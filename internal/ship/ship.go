@@ -172,7 +172,7 @@ func New(opts Options, shard int64, next uint64, source Source) *Shipper {
 		doneCh:     make(chan struct{}),
 		next:       next,
 	}
-	s.lastShipNano.Set(timeNow().UnixNano())
+	s.lastShipNano.Set(time.Now().UnixNano())
 	go s.loop()
 	return s
 }
@@ -288,7 +288,7 @@ func (s *Shipper) Stats() Stats {
 		Fenced:           errors.Is(s.failed, ErrFenced),
 	}
 	s.mu.Unlock()
-	st.LastShipAge = time.Duration(timeNow().UnixNano() - s.lastShipNano.Value())
+	st.LastShipAge = time.Duration(time.Now().UnixNano() - s.lastShipNano.Value())
 	st.Chunks = s.chunks.Value()
 	st.Snapshots = s.snaps.Value()
 	st.Rolls = s.rolls.Value()
@@ -318,7 +318,7 @@ func (s *Shipper) signalFlush() {
 
 func (s *Shipper) loop() {
 	defer close(s.doneCh)
-	ticker := newWallTicker(s.linger)
+	ticker := time.NewTicker(s.linger)
 	defer ticker.Stop()
 	for {
 		select {
@@ -457,7 +457,7 @@ func (s *Shipper) roll() (bool, error) {
 		s.next = tip + 1
 	}
 	s.mu.Unlock()
-	s.lastShipNano.Set(timeNow().UnixNano())
+	s.lastShipNano.Set(time.Now().UnixNano())
 	s.releaseReady()
 	// Older generations are now garbage — this is shipped-segment
 	// truncation. Best-effort: a missed delete is retried next roll.
@@ -536,7 +536,7 @@ func (s *Shipper) shipChunk() bool {
 	s.chunksSinceSnap++
 	s.lastShippedMark = mark
 	s.chunks.Inc()
-	s.lastShipNano.Set(timeNow().UnixNano())
+	s.lastShipNano.Set(time.Now().UnixNano())
 	if len(entries) > 0 {
 		last := entries[len(entries)-1].Index
 		s.mu.Lock()

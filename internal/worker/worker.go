@@ -539,7 +539,7 @@ func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) err
 				// Injected apply lag sleeps before taking the apply
 				// lock: the backlog accumulates in the bounded apply
 				// queue, not behind a held mutex.
-				timeSleep(time.Duration(d))
+				time.Sleep(time.Duration(d))
 			}
 			sh.applyMu.Lock()
 			defer sh.applyMu.Unlock()
@@ -820,7 +820,7 @@ func (w *Worker) MemoryFootprint() int64 {
 // proposeGroup drives one group proposal through the shard's raft
 // leader, retrying briefly across elections and replica kills.
 func (w *Worker) proposeGroup(sh *Shard, data []byte) error {
-	deadline := timeNow().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if w.down.Load() {
 			return ErrWorkerDown
@@ -834,10 +834,10 @@ func (w *Worker) proposeGroup(sh *Shard, data []byte) error {
 			// ErrStopped: the leader was killed under us (chaos).
 			// Both retry against whoever gets elected next.
 		}
-		if timeNow().After(deadline) {
+		if time.Now().After(deadline) {
 			return fmt.Errorf("worker %d shard %d: no raft leader", w.cfg.ID, sh.ID)
 		}
-		timeSleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -1393,7 +1393,7 @@ func prefetchMembers(ctx context.Context, r *logblock.Reader, names []string) er
 // archiveLoop drains every shard's row store on the archive cadence.
 func (w *Worker) archiveLoop() {
 	defer close(w.archiveDone)
-	ticker := newWallTicker(w.cfg.ArchiveInterval)
+	ticker := time.NewTicker(w.cfg.ArchiveInterval)
 	defer ticker.Stop()
 	for {
 		select {

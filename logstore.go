@@ -171,28 +171,18 @@ type Config struct {
 	// ShipSync blocks each append until its entries are archived
 	// in OSS (zero acked-but-unshipped exposure, higher ack latency).
 	// When false shipping is asynchronous: acked entries ride the next
-	// chunk upload, bounded by ShipLinger / ShipMaxBytes.
+	// chunk upload, at most 100 ms or 1 MiB away, and past 16 MiB of
+	// acked-but-unshipped bytes per shard (object store unreachable)
+	// async appends see backpressure until the shipper drains.
 	ShipSync bool
-	// ShipLinger bounds how long acked entries may wait before the next
-	// asynchronous chunk upload (0 = 100 ms).
-	ShipLinger time.Duration
-	// ShipMaxBytes flushes a chunk early once this many pending bytes
-	// accumulate (0 = 1 MiB).
-	ShipMaxBytes int64
-	// ShipMaxBacklog caps acked-but-unshipped bytes per shard; beyond
-	// it (object store unreachable) async appends see backpressure
-	// until the shipper drains (0 = 16 MiB).
-	ShipMaxBacklog int64
 	// RaftQueueItems bounds each shard's Raft sync/apply queues (BFC);
 	// 0 keeps raft defaults. Small values trip backpressure earlier.
 	RaftQueueItems int
 	// HeartbeatInterval is the worker health-check cadence: each beat
 	// marks live workers up and advances the miss counter of silent
-	// ones (0 disables the loop — health stays optimistic).
+	// ones (0 disables the loop — health stays optimistic). Three
+	// consecutive misses mark a worker dead.
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many consecutive missed heartbeats mark a
-	// worker dead (0 = 3).
-	HeartbeatMisses int
 	// HedgeDelay enables hedged block sub-queries on the brokers: a
 	// straggling worker's block set is speculatively re-dispatched to
 	// another worker after this delay (0 disables hedging).
@@ -208,9 +198,6 @@ type Config struct {
 	// AdmitGlobalBytes caps in-flight append bytes across all tenants —
 	// the cluster-wide memory guard (0 = unlimited).
 	AdmitGlobalBytes int64
-	// AdmitBurstSeconds sizes bucket bursts in seconds of refill
-	// (0 = 1).
-	AdmitBurstSeconds float64
 	// SlowWorkerThreshold arms gray-failure detection: a worker whose
 	// sub-query latency EWMA exceeds it is flagged WorkerSlow, steered
 	// out of the primary read partition, and scales down the admission
@@ -320,7 +307,7 @@ func Open(cfg Config) (*Cluster, error) {
 		catalog:    meta.NewManager(),
 		workers:    make(map[flow.WorkerID]*worker.Worker),
 		shardOwner: make(map[flow.ShardID]flow.WorkerID),
-		health:     flow.NewHealthTracker(cfg.HeartbeatMisses),
+		health:     flow.NewHealthTracker(0),
 		hbStop:     make(chan struct{}),
 		hbDone:     make(chan struct{}),
 	}
@@ -339,7 +326,6 @@ func Open(cfg Config) (*Cluster, error) {
 			TenantRowsPerSec:  cfg.AdmitTenantRowsPerSec,
 			TenantBytesPerSec: cfg.AdmitTenantBytesPerSec,
 			GlobalBytes:       cfg.AdmitGlobalBytes,
-			BurstSeconds:      cfg.AdmitBurstSeconds,
 			SlowFraction:      c.health.SlowFraction,
 		})
 	}
@@ -490,12 +476,9 @@ func (c *Cluster) newWorkerLocked(id flow.WorkerID) (*worker.Worker, error) {
 	var walShip *ship.Options
 	if c.cfg.ShipWAL {
 		walShip = &ship.Options{
-			Store:      c.store,
-			Registry:   c.shipGens,
-			Sync:       c.cfg.ShipSync,
-			Linger:     c.cfg.ShipLinger,
-			MaxBytes:   c.cfg.ShipMaxBytes,
-			MaxBacklog: c.cfg.ShipMaxBacklog,
+			Store:    c.store,
+			Registry: c.shipGens,
+			Sync:     c.cfg.ShipSync,
 		}
 	}
 	// Per-worker store view: the chaos hook wraps the raw configured
