@@ -2,15 +2,16 @@ GO ?= go
 FUZZTIME ?= 10s
 CHAOS_SEED ?= 2026
 
-.PHONY: check fmt vet build test race lint fuzz chaos chaos-short chaos-wipe chaos-wipe-short chaos-brownout chaos-brownout-short bench bench-all bench-e2e bench-e2e-compare benchdiff soak soak-short soak-baseline clean
+.PHONY: check fmt vet build test race fuzz chaos chaos-short bench bench-all bench-e2e bench-e2e-compare benchdiff soak soak-short soak-baseline clean
 
-## check: the tier-1 gate — formatting, vet, build, race-enabled tests,
-## plus the invariant analyzers no test replaces (lint), a short fuzz
-## pass over every untrusted decode surface, the short node-failure,
-## disk-wipe and brownout chaos runs, and a short sustained-load soak
-## with exactly-once accounting. EXPERIMENTS.md "Which gates catch
-## what" has each leg's wall time and the seeded mutations it catches.
-check: fmt vet build race lint fuzz chaos-short chaos-wipe-short chaos-brownout-short soak-short
+## check: the tier-1 gate — formatting, vet, build (which also holds
+## the invariants the types carry: OSS access through
+## oss.RetryingStore), race-enabled tests, a short fuzz pass over every
+## untrusted decode surface, one short chaos run (node failures, disk
+## wipe, brownout), and a short sustained-load soak with exactly-once
+## accounting. EXPERIMENTS.md "Which gates catch what" has each leg's
+## wall time and the seeded mutations it catches.
+check: fmt vet build race fuzz chaos-short soak-short
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -29,12 +30,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-## lint: the project-specific invariant analyzers (internal/lint:
-## rawstore, boxedvalue), with per-analyzer timing and finding counts.
-## Any finding fails; there is no baseline.
-lint:
-	$(GO) run ./cmd/logstore-lint -stats ./...
 
 ## fuzz: run every fuzz target for FUZZTIME each, starting from the
 ## checked-in seed corpora (regenerate those with `go run ./cmd/fuzzseed`).
@@ -61,45 +56,31 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/httpapi/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/httpapi/
 
-## chaos: the node-failure and OSS-fault chaos gates at full size, with
-## per-run recovery stats in the -v output. The fault schedule is fixed
-## by CHAOS_SEED (override to explore other interleavings).
+## chaos: the chaos gates at full size, with per-run recovery stats in
+## the -v output. The fault schedule is fixed by CHAOS_SEED (override to
+## explore other interleavings).
+##  - node failures, and the cluster end to end over a faulty OSS
+##    (TestChaosNodeFailures, TestChaosClusterEndToEnd);
+##  - disk loss: workers crash with their raft WALs and caches destroyed
+##    under live traffic, and recovery must hydrate the lost shards from
+##    the shipped WAL on OSS (TestChaosDiskWipe, TestDiskLossHydration);
+##  - gray failure: nothing crashes, but one worker's OSS reads stall,
+##    one replica lags its applies, and one tenant floods at ~10x its
+##    admission budget; healthy tenants' query p99 must stay within 3x
+##    baseline, the memory proxy bounded and the flood shed with
+##    Retry-After (TestChaosBrownout, TestQueryExpiredDeadlineSkipsOSS,
+##    TestCanceledQueriesReleaseCapacity).
+## Every run keeps exactly-once accounting intact.
 chaos:
 	LOGSTORE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -v \
-		-run 'TestChaosNodeFailures|TestChaosClusterEndToEnd' -timeout 300s .
+		-run 'TestChaosNodeFailures|TestChaosClusterEndToEnd|TestChaosDiskWipe|TestDiskLossHydration|TestChaosBrownout|TestQueryExpiredDeadlineSkipsOSS|TestCanceledQueriesReleaseCapacity' \
+		-timeout 900s .
 
-## chaos-short: the reduced node-failure run folded into `make check`.
+## chaos-short: the reduced node-failure, disk-wipe and brownout runs
+## folded into `make check`, in one race test binary.
 chaos-short:
 	LOGSTORE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -short \
-		-run 'TestChaosNodeFailures' -timeout 120s .
-
-## chaos-wipe: the disk-loss gate at full size — workers crash with
-## their raft WALs and caches destroyed under live traffic; recovery
-## must hydrate the lost shards from the shipped WAL on OSS with
-## exactly-once accounting intact.
-chaos-wipe:
-	LOGSTORE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -v \
-		-run 'TestChaosDiskWipe|TestDiskLossHydration' -timeout 300s .
-
-## chaos-wipe-short: the reduced disk-wipe run folded into `make check`.
-chaos-wipe-short:
-	LOGSTORE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -short \
-		-run 'TestChaosDiskWipe' -timeout 120s .
-
-## chaos-brownout: the gray-failure gate — nothing crashes, but one
-## worker's OSS reads stall, one replica lags its applies, and one
-## tenant floods at ~10x its admission budget. Healthy tenants' query
-## p99 must stay within 3x baseline, the memory proxy bounded, the
-## flood shed with Retry-After, and exactly-once accounting intact.
-chaos-brownout:
-	LOGSTORE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -v \
-		-run 'TestChaosBrownout|TestQueryExpiredDeadlineSkipsOSS|TestCanceledQueriesReleaseCapacity' \
-		-timeout 300s .
-
-## chaos-brownout-short: the reduced brownout run folded into `make check`.
-chaos-brownout-short:
-	LOGSTORE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -short \
-		-run 'TestChaosBrownout' -timeout 120s .
+		-run 'TestChaos(NodeFailures|DiskWipe|Brownout)$$' -timeout 360s .
 
 ## bench: the micro-benchmarks tracked across perf PRs; writes
 ## BENCH_scan.json (query path, with Parse, the BKD index's Open and

@@ -57,8 +57,11 @@ func (c *Cluster) BackupTenant(tenant int64, dst oss.Store, dstPrefix string) (i
 // RestoreTenant imports a tenant backup produced by BackupTenant into
 // this cluster: objects are copied back into the cluster's store and
 // re-registered in the catalog. Existing catalog entries with the same
-// paths are overwritten (restore is idempotent). Returns the number of
-// LogBlocks restored.
+// paths are overwritten (restore is idempotent). Every manifest entry
+// must name an object under srcPrefix whose canonical key lies in its
+// own tenant's directory of this cluster's table; a manifest with any
+// other entry is refused before anything is written. Returns the
+// number of LogBlocks restored.
 func (c *Cluster) RestoreTenant(src oss.Store, srcPrefix string) (int, error) {
 	if src == nil {
 		return 0, fmt.Errorf("logstore: nil restore source")
@@ -72,28 +75,36 @@ func (c *Cluster) RestoreTenant(src oss.Store, srcPrefix string) (int, error) {
 	if err := snap.Unmarshal(manifest); err != nil {
 		return 0, fmt.Errorf("logstore: restore manifest: %w", err)
 	}
-	restored := 0
+	// Rewrite each entry to its canonical key (the backup prefix
+	// stripped), refusing the manifest if any key would land outside
+	// its tenant's directory: the catalog checkpoint, another tenant's
+	// blocks and the shipped WAL are not a backup's to overwrite.
+	var entries []meta.BlockInfo
 	for _, tenant := range snap.Tenants() {
 		for _, b := range snap.Blocks(tenant) {
-			data, err := src.Get(b.Path)
-			if err != nil {
-				return restored, fmt.Errorf("logstore: restore read %s: %w", b.Path, err)
+			prefix := meta.TenantPrefix(c.sch.Name, b.Tenant)
+			key, ok := strings.CutPrefix(b.Path, srcPrefix+"/")
+			if !ok || !strings.HasPrefix(key, prefix) {
+				return 0, fmt.Errorf("logstore: restore manifest: tenant %d entry %q is not under %s/%s", b.Tenant, b.Path, srcPrefix, prefix)
 			}
-			// Strip the backup prefix to land back at the canonical key.
-			key := strings.TrimPrefix(b.Path, srcPrefix+"/")
-			if err := c.store.Put(key, data); err != nil {
-				return restored, fmt.Errorf("logstore: restore write %s: %w", key, err)
-			}
-			entry := b
-			entry.Path = key
-			// The rows are in no row store of this cluster, whatever the
-			// backed-up entry recorded.
-			entry.BornSegment = 0
-			if err := c.catalog.Register(entry); err != nil {
-				return restored, err
-			}
-			restored++
+			b.Path = key
+			entries = append(entries, b)
 		}
 	}
-	return restored, nil
+	for i, b := range entries {
+		data, err := src.Get(srcPrefix + "/" + b.Path)
+		if err != nil {
+			return i, fmt.Errorf("logstore: restore read %s/%s: %w", srcPrefix, b.Path, err)
+		}
+		if err := c.store.Put(b.Path, data); err != nil {
+			return i, fmt.Errorf("logstore: restore write %s: %w", b.Path, err)
+		}
+		// The rows are in no row store of this cluster, whatever the
+		// backed-up entry recorded.
+		b.BornSegment = 0
+		if err := c.catalog.Register(b); err != nil {
+			return i, err
+		}
+	}
+	return len(entries), nil
 }

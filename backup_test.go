@@ -1,9 +1,12 @@
 package logstore
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
+	"logstore/internal/meta"
 	"logstore/internal/oss"
 	"logstore/internal/workload"
 )
@@ -93,6 +96,88 @@ func TestBackupRestoreTenant(t *testing.T) {
 	}
 	if other.Count == 0 {
 		t.Fatal("tenant 0 data disturbed")
+	}
+}
+
+// TestRestoreTenantRefusesForeignKeys: a backup manifest may restore a
+// tenant's LogBlocks and nothing else. A manifest naming a key outside
+// the backup, or one in another tenant's directory, is refused before
+// anything is written: the catalog checkpoint survives, and the
+// tenant's queries still answer.
+func TestRestoreTenantRefusesForeignKeys(t *testing.T) {
+	mem := oss.NewMemStore()
+	cfg := fastConfig()
+	cfg.Store = mem
+	first := openCluster(t, cfg)
+	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 3, Theta: 0, Seed: 12, StartMS: 1000})
+	if err := first.Append(g.Batch(600)...); err != nil {
+		t.Fatal(err)
+	}
+	first.Close() // archives everything and writes the catalog checkpoint
+	checkpoint, err := mem.Get("meta/checkpoint.json")
+	if err != nil {
+		t.Fatalf("no catalog checkpoint after Close: %v", err)
+	}
+	c := openCluster(t, cfg)
+	countSQL := "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND ts >= 0 AND ts <= 99999999"
+	orig, err := c.Query(countSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orig.Count == 0 {
+		t.Fatal("no data to back up")
+	}
+
+	for _, bad := range []string{
+		"meta/checkpoint.json",                   // outside the backup
+		"bk/request_log/tenant-2/logblock-x.tar", // another tenant's directory
+		"bk/meta/checkpoint.json",                // outside every tenant's directory
+	} {
+		vault := oss.NewMemStore()
+		if _, err := c.BackupTenant(1, vault, "bk"); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := vault.Get("bk/catalog.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest := meta.NewManager()
+		if err := manifest.Unmarshal(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := manifest.Register(meta.BlockInfo{Tenant: 1, Path: bad, Rows: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if raw, err = manifest.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := vault.Put("bk/catalog.json", raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := vault.Put(bad, []byte("not a catalog")); err != nil {
+			t.Fatal(err)
+		}
+		before, err := mem.List("")
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if n, err := c.RestoreTenant(vault, "bk"); err == nil {
+			t.Fatalf("manifest entry %q: restored %d blocks, want an error", bad, n)
+		}
+		if now, err := mem.Get("meta/checkpoint.json"); err != nil || !bytes.Equal(now, checkpoint) {
+			t.Fatalf("manifest entry %q: catalog checkpoint changed (err %v)", bad, err)
+		}
+		if after, err := mem.List(""); err != nil || !slices.Equal(after, before) {
+			t.Fatalf("manifest entry %q: refused restore wrote to the store (err %v)", bad, err)
+		}
+		res, err := c.Query(countSQL)
+		if err != nil {
+			t.Fatalf("manifest entry %q: tenant query after refused restore: %v", bad, err)
+		}
+		if res.Count != orig.Count {
+			t.Fatalf("manifest entry %q: count %d after refused restore, want %d", bad, res.Count, orig.Count)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func brownoutSeed(t *testing.T) int64 {
 	return seed
 }
 
-// TestChaosBrownout is the gray-failure gate (`make chaos-brownout`):
+// TestChaosBrownout is the gray-failure gate (`make chaos`):
 // nothing crashes, but one worker's object store stalls on reads, one
 // shard's serving replica lags its applies, and one tenant floods at
 // roughly ten times its admission budget — all at once. The cluster

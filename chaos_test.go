@@ -119,4 +119,29 @@ func TestChaosClusterEndToEnd(t *testing.T) {
 	}
 	t.Logf("cluster chaos: %d rows, %d blocks, %d injected faults",
 		total, len(registered), flaky.InjectedFailures())
+
+	// The catalog checkpoint crosses the same faulty store: Close writes
+	// it and a reopen recovers the catalog from it, both at the fault
+	// rate and with the first Put and the first read after the heal
+	// (the checkpoint's upload and the reopen's probe for it) failing,
+	// and every tenant's rows must still be there exactly once.
+	flaky.SetRates(faultRate, faultRate)
+	flaky.FailNextPuts(1)
+	flaky.FailNextGets(1)
+	faults := flaky.InjectedFailures()
+	c.Close()
+	c = openCluster(t, cfg)
+	for tenant, want := range appended {
+		q := fmt.Sprintf("SELECT COUNT(*) FROM request_log WHERE tenant_id = %d AND ts >= 0 AND ts <= 99999999999", tenant)
+		res, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("tenant %d query after reopen under faults: %v", tenant, err)
+		}
+		if res.Count != want {
+			t.Errorf("tenant %d count after reopen = %d, want %d", tenant, res.Count, want)
+		}
+	}
+	if n := flaky.InjectedFailures() - faults; n < 2 {
+		t.Errorf("close and reopen injected %d faults, want at least 2", n)
+	}
 }

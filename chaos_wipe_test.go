@@ -9,7 +9,7 @@ import (
 	"logstore/internal/chaos"
 )
 
-// TestChaosDiskWipe is the disk-loss chaos gate (`make chaos-wipe`): a
+// TestChaosDiskWipe is the disk-loss chaos gate (`make chaos`): a
 // wipe-heavy seeded schedule — workers repeatedly crash WITH their raft
 // WALs and caches destroyed — runs under live ingest and query traffic.
 // Every recovery must hydrate the lost shards from the shipped WAL on

@@ -93,7 +93,7 @@ func shippedObjects() (map[string][]byte, error) {
 		}
 		return out
 	}
-	store := oss.NewMemStore()
+	store := oss.WithDefaultRetry(oss.NewMemStore())
 	source := func() (ship.State, error) {
 		return ship.State{Term: 2, Applied: 2, AppliedTerm: 2, DedupIDs: []uint64{7, 9}, Entries: entries(3, 4)}, nil
 	}
@@ -249,7 +249,7 @@ func run(root string) error {
 	}
 
 	// internal/logblock: a full packed object for OpenReader, and raw
-	// data members for DecodeBlockData.
+	// data members for FuzzDecodeBlockData.
 	built, err := logblock.Build(schema.RequestLogSchema(), seedRows(48), logblock.BuildOptions{BlockRows: 16})
 	if err != nil {
 		return err

@@ -54,7 +54,6 @@ import (
 	"logstore/internal/meta"
 	"logstore/internal/metrics"
 	"logstore/internal/oss"
-	"logstore/internal/retry"
 	"logstore/internal/rowstore"
 	"logstore/internal/schema"
 )
@@ -74,10 +73,6 @@ type Config struct {
 	Codec compress.Codec
 	// NoIndexes suppresses index members (ablation experiments).
 	NoIndexes bool
-	// Retry overrides the store retry policy (nil = oss default).
-	// The builder always wraps its store with retries; passing an
-	// already-wrapped *oss.RetryingStore keeps that wrapper.
-	Retry *retry.Policy
 	// Handoff, when set, is offered every LogBlock's packed bytes under
 	// its object key after the upload and before the catalog makes the
 	// key visible (the worker passes them to the block's read home). It
@@ -103,7 +98,7 @@ const FlushWindow = 16
 type Builder struct {
 	cfg     Config
 	sch     *schema.Schema
-	store   oss.Store
+	store   *oss.RetryingStore
 	catalog *meta.Manager
 
 	// pending tracks keys uploaded but not yet registered, so an
@@ -116,8 +111,9 @@ type Builder struct {
 	dedupSkips   metrics.Counter
 }
 
-// New constructs a builder. The store is wrapped with retries (unless
-// it already is); the catalog is the cluster's metadata manager.
+// New constructs a builder. A raw store is wrapped with the default
+// retry policy; an *oss.RetryingStore keeps its own. The catalog is the
+// cluster's metadata manager.
 func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager) (*Builder, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("builder: nil schema")
@@ -137,21 +133,14 @@ func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager)
 	if cfg.MaxRowsPerBlock <= 0 {
 		cfg.MaxRowsPerBlock = 1_000_000
 	}
-	policy := oss.DefaultRetryPolicy()
-	if cfg.Retry != nil {
-		policy = *cfg.Retry
-	}
 	return &Builder{
 		cfg:     cfg,
 		sch:     sch,
-		store:   oss.WithRetry(store, policy),
+		store:   oss.WithDefaultRetry(store),
 		catalog: catalog,
 		pending: make(map[string]struct{}),
 	}, nil
 }
-
-// Store returns the builder's (retry-wrapped) object store.
-func (b *Builder) Store() oss.Store { return b.store }
 
 // Table returns the OSS directory the builder archives under.
 func (b *Builder) Table() string { return b.cfg.Table }

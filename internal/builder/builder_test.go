@@ -19,8 +19,8 @@ import (
 )
 
 // fastRetry keeps failure-path tests quick.
-func fastRetry() *retry.Policy {
-	return &retry.Policy{
+func fastRetry() retry.Policy {
+	return retry.Policy{
 		MaxAttempts:    4,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     2 * time.Millisecond,
@@ -329,7 +329,7 @@ func TestHandoffBetweenUploadAndRegister(t *testing.T) {
 func TestDrainFailureKeepsSegmentSealed(t *testing.T) {
 	mem := oss.NewMemStore()
 	flaky := oss.NewFlakyStore(mem, 0, 0, 1)
-	b, catalog := newBuilder(t, builder.Config{Retry: fastRetry()}, flaky)
+	b, catalog := newBuilder(t, builder.Config{}, oss.WithRetry(flaky, fastRetry()))
 	rs := newRowStore(t)
 	rows, perTenant := genRows(t, 100, 2, 13)
 	if err := rs.Append(rows...); err != nil {
@@ -541,9 +541,6 @@ func TestNewValidates(t *testing.T) {
 	}
 	if b.Table() != sch.Name {
 		t.Errorf("default table = %q, want %q", b.Table(), sch.Name)
-	}
-	if _, ok := b.Store().(*oss.RetryingStore); !ok {
-		t.Error("builder store is not retry-wrapped")
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // chaosRetry: enough attempts that a 5% fault rate essentially never
 // exhausts an operation (0.05^6 ≈ 1.6e-8), with millisecond backoff so
 // the test stays fast.
-func chaosRetry() *retry.Policy {
-	return &retry.Policy{
+func chaosRetry() retry.Policy {
+	return retry.Policy{
 		MaxAttempts:    6,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     4 * time.Millisecond,
@@ -47,10 +47,10 @@ func TestChaosArchivePipeline(t *testing.T) {
 	)
 	mem := oss.NewMemStore()
 	flaky := oss.NewFlakyStore(mem, faultRate, faultRate, 42)
+	store := oss.WithRetry(flaky, chaosRetry())
 	b, catalog := newBuilder(t, builder.Config{
 		MaxRowsPerBlock: 50, // small blocks: more commits, more fault windows
-		Retry:           chaosRetry(),
-	}, flaky)
+	}, store)
 	rs := newRowStore(t)
 	sch := schema.RequestLogSchema()
 	g := workload.NewGenerator(workload.GeneratorConfig{
@@ -99,8 +99,6 @@ func TestChaosArchivePipeline(t *testing.T) {
 	if _, err := b.SweepOrphans(); err != nil {
 		t.Fatal(err)
 	}
-
-	store := b.Store().(*oss.RetryingStore)
 
 	// Zero lost rows, zero duplicates: catalog row accounting matches
 	// the appended counts exactly, and the blocks really hold the rows.

@@ -207,7 +207,7 @@ func TestFailedPutMidWindow(t *testing.T) {
 	rows := oneBlockPerTenant(2000, tenants)
 	mem := oss.NewMemStore()
 	store := &windowStore{Store: mem, delay: time.Millisecond, failAt: failAt}
-	b, catalog := newBuilder(t, builder.Config{Retry: fastRetry()}, store)
+	b, catalog := newBuilder(t, builder.Config{}, oss.WithRetry(store, fastRetry()))
 	rs := newRowStore(t)
 	if err := rs.Append(rows...); err != nil {
 		t.Fatal(err)

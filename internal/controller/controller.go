@@ -58,7 +58,7 @@ type Controller struct {
 	sched     *flow.Scheduler
 	collector *flow.Collector
 	catalog   *meta.Manager
-	store     oss.Store
+	store     *oss.RetryingStore
 	scale     ScaleFunc
 
 	stopc chan struct{}
@@ -73,7 +73,7 @@ type Controller struct {
 
 // New constructs a controller over an existing topology.
 func New(cfg Config, topo *flow.Topology, tenants []flow.TenantID,
-	catalog *meta.Manager, store oss.Store, scale ScaleFunc) (*Controller, error) {
+	catalog *meta.Manager, store *oss.RetryingStore, scale ScaleFunc) (*Controller, error) {
 	if catalog == nil || store == nil {
 		return nil, fmt.Errorf("controller: nil catalog or store")
 	}
@@ -89,13 +89,10 @@ func New(cfg Config, topo *flow.Topology, tenants []flow.TenantID,
 		sched:     sched,
 		collector: flow.NewCollector(10 * time.Second),
 		catalog:   catalog,
-		// Expiration deletes and catalog checkpoints go through the
-		// retry layer like every other production OSS path; an
-		// already-wrapped store keeps its wrapper.
-		store: oss.WithDefaultRetry(store),
-		scale: scale,
-		stopc: make(chan struct{}),
-		donec: make(chan struct{}),
+		store:     store,
+		scale:     scale,
+		stopc:     make(chan struct{}),
+		donec:     make(chan struct{}),
 	}
 	return c, nil
 }

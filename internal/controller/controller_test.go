@@ -31,7 +31,7 @@ func topo(workers, shardsPer int) *flow.Topology {
 func newController(t *testing.T, cfg Config, scale ScaleFunc) (*Controller, *oss.MemStore) {
 	t.Helper()
 	store := oss.NewMemStore()
-	c, err := New(cfg, topo(2, 2), []flow.TenantID{1, 2}, meta.NewManager(), store, scale)
+	c, err := New(cfg, topo(2, 2), []flow.TenantID{1, 2}, meta.NewManager(), oss.WithDefaultRetry(store), scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func newController(t *testing.T, cfg Config, scale ScaleFunc) (*Controller, *oss
 }
 
 func TestNewValidation(t *testing.T) {
-	store := oss.NewMemStore()
+	store := oss.WithDefaultRetry(oss.NewMemStore())
 	if _, err := New(Config{}, topo(1, 1), nil, nil, store, nil); err == nil {
 		t.Error("nil catalog accepted")
 	}
@@ -161,7 +161,7 @@ func TestCheckpointRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fresh controller recovers the catalog from OSS.
-	c2, err := New(Config{CheckpointKey: "meta/checkpoint"}, topo(2, 2), nil, meta.NewManager(), store, nil)
+	c2, err := New(Config{CheckpointKey: "meta/checkpoint"}, topo(2, 2), nil, meta.NewManager(), oss.WithDefaultRetry(store), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,14 +133,13 @@ func (ds *queryDataset) store(p storageProfile, seed int64) oss.Store {
 func (ds *queryDataset) newReadWorker(p storageProfile, prefetchOn bool, seed int64) (*worker.Worker, error) {
 	threads := 32
 	if !prefetchOn {
-		threads = 1
+		threads = -1
 	}
 	return worker.New(worker.Config{
 		ID:               0,
 		Replicas:         1,
 		MemoryCacheBytes: 256 << 20,
 		PrefetchThreads:  threads,
-		PrefetchDisabled: !prefetchOn,
 		// The simulated stores model wall-clock latency, not CPU work, so
 		// keep 8 LogBlocks in flight regardless of the host's core count.
 		QueryConcurrency: 8,

@@ -65,14 +65,14 @@ func TestDictEncodingRoundTrip(t *testing.T) {
 	}
 	apiCol := sch.ColumnIndex("api")
 	for bi := 0; bi < r.Meta.NumBlocks; bi++ {
-		vals, _, err := r.BlockValues(apiCol, bi)
+		vec, err := r.BlockVector(apiCol, bi)
 		if err != nil {
 			t.Fatal(err)
 		}
 		start, _ := r.Meta.BlockRowRange(bi)
-		for j, v := range vals {
-			if v.S != apis[(start+j)%3] {
-				t.Fatalf("block %d row %d: %q", bi, j, v.S)
+		for j := 0; j < vec.Len(); j++ {
+			if v := vec.Strs.Value(j); v != apis[(start+j)%3] {
+				t.Fatalf("block %d row %d: %q", bi, j, v)
 			}
 		}
 	}
@@ -123,11 +123,11 @@ func TestDecodeRejectsCorruptEncoding(t *testing.T) {
 	}
 	corrupt := append([]byte(nil), member...)
 	corrupt[n] = 99 // unknown encoding
-	if _, _, err := DecodeBlockData(built.Meta, 2, 0, corrupt); err == nil {
+	if _, err := DecodeBlockVector(built.Meta, 2, 0, corrupt); err == nil {
 		t.Error("unknown encoding accepted")
 	}
 	// Truncation right after the bitset (missing encoding byte).
-	if _, _, err := DecodeBlockData(built.Meta, 2, 0, member[:n]); err == nil {
+	if _, err := DecodeBlockVector(built.Meta, 2, 0, member[:n]); err == nil {
 		t.Error("missing encoding byte accepted")
 	}
 }
@@ -140,7 +140,7 @@ func splitMember(member []byte) ([]byte, int, error) {
 }
 
 func bitsetPrefix(member []byte) ([]byte, int, error) {
-	// Mirrors DecodeBlockData's framing.
+	// Mirrors DecodeBlockVector's framing.
 	bsRaw, n, err := lenBytes(member)
 	if err != nil {
 		return nil, 0, err

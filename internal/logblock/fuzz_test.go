@@ -94,7 +94,7 @@ func FuzzOpenReader(f *testing.F) {
 
 // FuzzDecodeBlockData holds the meta member fixed (a real one, from the
 // writer) and fuzzes the raw data-member bytes plus the block
-// coordinates: the decoder must reject mismatched or corrupt payloads
+// coordinates fed to DecodeBlockVector: the decoder must reject mismatched or corrupt payloads
 // without panicking, and must never allocate beyond what the payload
 // could really hold.
 func FuzzDecodeBlockData(f *testing.F) {
@@ -112,15 +112,15 @@ func FuzzDecodeBlockData(f *testing.F) {
 		if col < 0 || col >= len(meta.Schema.Columns) || bi < 0 || bi >= meta.NumBlocks {
 			return
 		}
-		vals, valid, err := DecodeBlockData(meta, col, bi, raw)
+		vec, err := DecodeBlockVector(meta, col, bi, raw)
 		if err != nil {
 			return
 		}
 		want := meta.Columns[col].Blocks[bi].RowCount
-		if len(vals) != want {
-			t.Fatalf("decoded %d values for a %d-row block", len(vals), want)
+		if vec.Len() != want {
+			t.Fatalf("decoded %d values for a %d-row block", vec.Len(), want)
 		}
-		if valid == nil {
+		if vec.Valid == nil {
 			t.Fatal("nil validity bitset on successful decode")
 		}
 	})

@@ -122,15 +122,15 @@ func TestRowsSortedByTime(t *testing.T) {
 	tsCol := r.Meta.Schema.TimeIdx()
 	prev := int64(-1)
 	for bi := 0; bi < r.Meta.NumBlocks; bi++ {
-		vals, _, err := r.BlockValues(tsCol, bi)
+		vec, err := r.BlockVector(tsCol, bi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range vals {
-			if v.I < prev {
-				t.Fatalf("timestamps not sorted: %d after %d", v.I, prev)
+		for _, v := range vec.Ints.Vals {
+			if v < prev {
+				t.Fatalf("timestamps not sorted: %d after %d", v, prev)
 			}
-			prev = v.I
+			prev = v
 		}
 	}
 }

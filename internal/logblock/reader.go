@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"logstore/internal/bitutil"
 	"logstore/internal/index/bkd"
 	"logstore/internal/index/inverted"
 	"logstore/internal/schema"
@@ -309,28 +308,6 @@ func (r *Reader) VectorCached(col, bi int) bool {
 		r.vecCache.Contains(r.vecKeys[col*nb+bi])
 }
 
-// BlockValues fetches and decodes column col's block bi, returning the
-// values and the validity bitset (positions relative to the block).
-// It is the boxed compatibility shim over BlockVector; scan paths use
-// the typed vector directly.
-func (r *Reader) BlockValues(col, bi int) ([]schema.Value, *bitutil.Bitset, error) {
-	vec, err := r.BlockVector(col, bi)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vec.Values(), vec.Valid, nil
-}
-
-// DecodeBlockData decodes one raw data member into boxed values: the
-// compatibility shim over DecodeBlockVector.
-func DecodeBlockData(m *Meta, col, bi int, raw []byte) ([]schema.Value, *bitutil.Bitset, error) {
-	vec, err := DecodeBlockVector(m, col, bi, raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vec.Values(), vec.Valid, nil
-}
-
 // AllRows materializes the entire LogBlock, column block by column
 // block (each data member fetched exactly once). Used by compaction
 // and backfill jobs that rewrite whole blocks.
@@ -342,13 +319,13 @@ func (r *Reader) AllRows() ([]schema.Row, error) {
 	}
 	for ci := range m.Schema.Columns {
 		for bi := 0; bi < m.NumBlocks; bi++ {
-			vals, _, err := r.BlockValues(ci, bi)
+			vec, err := r.BlockVector(ci, bi)
 			if err != nil {
 				return nil, err
 			}
 			start, _ := m.BlockRowRange(bi)
-			for j, v := range vals {
-				rows[start+j][ci] = v
+			for j := 0; j < vec.Len(); j++ {
+				rows[start+j][ci] = vec.Value(j)
 			}
 		}
 	}
@@ -366,14 +343,14 @@ func (r *Reader) ReadRow(rowID int) (schema.Row, error) {
 	inBlock := rowID % r.Meta.BlockRows
 	row := make(schema.Row, len(r.Meta.Schema.Columns))
 	for ci := range r.Meta.Schema.Columns {
-		vals, _, err := r.BlockValues(ci, bi)
+		vec, err := r.BlockVector(ci, bi)
 		if err != nil {
 			return nil, err
 		}
-		if inBlock >= len(vals) {
+		if inBlock >= vec.Len() {
 			return nil, fmt.Errorf("logblock: row %d beyond block %d of column %d", rowID, bi, ci)
 		}
-		row[ci] = vals[inBlock]
+		row[ci] = vec.Value(inBlock)
 	}
 	return row, nil
 }

@@ -71,22 +71,6 @@ func (v *Vector) Value(i int) schema.Value {
 	return schema.StringValue(v.Strs.Value(i))
 }
 
-// Values boxes the whole vector into []schema.Value — the compatibility
-// shim behind Reader.BlockValues.
-func (v *Vector) Values() []schema.Value {
-	out := make([]schema.Value, v.Len())
-	if v.Type == schema.Int64 {
-		for i, x := range v.Ints.Vals {
-			out[i] = schema.IntValue(x)
-		}
-		return out
-	}
-	for i := range v.Strs.Starts {
-		out[i] = schema.StringValue(v.Strs.Value(i))
-	}
-	return out
-}
-
 // SizeBytes estimates the vector's resident size for cache accounting.
 func (v *Vector) SizeBytes() int64 {
 	const overhead = 96 // structs, slice headers, bitset header

@@ -142,13 +142,13 @@ func refVerifyScan(r *logblock.Reader, f *refFilter, acc *bitutil.Bitset, opts E
 			stats.ColumnBlocksSkipped++
 			continue
 		}
-		vals, _, err := r.BlockValues(f.col, bi)
+		vec, err := r.BlockVector(f.col, bi)
 		if err != nil {
 			return err
 		}
 		stats.ColumnBlocksScanned++
 		for i := start; i < end; i++ {
-			if acc.Test(i) && !f.holds(vals[i-start]) {
+			if acc.Test(i) && !f.holds(vec.Value(i-start)) {
 				acc.Clear(i)
 			}
 		}

@@ -25,8 +25,7 @@ import (
 // tip), so callers can hand it straight to raft recovery: entries at
 // or below Applied replay as prefix (dedup preload, rows already in
 // LogBlocks), entries above it re-apply as resident rows.
-func Hydrate(store oss.Store, reg *Registry, shard int64) (st State, ok, torn bool, err error) {
-	rs := oss.WithDefaultRetry(store)
+func Hydrate(store *oss.RetryingStore, reg *Registry, shard int64) (st State, ok, torn bool, err error) {
 	gen, err := reg.CurrentGen(shard)
 	if err != nil {
 		return State{}, false, false, err
@@ -34,7 +33,7 @@ func Hydrate(store oss.Store, reg *Registry, shard int64) (st State, ok, torn bo
 	if gen == 0 {
 		return State{}, false, false, nil
 	}
-	data, err := rs.Get(snapKey(shard, gen))
+	data, err := store.Get(snapKey(shard, gen))
 	if err != nil {
 		return State{}, false, false, fmt.Errorf("ship: generation %d snapshot for shard %d: %w", gen, shard, err)
 	}
@@ -49,7 +48,7 @@ func Hydrate(store oss.Store, reg *Registry, shard int64) (st State, ok, torn bo
 	tip := st.Tip()
 	mark := st.Applied
 	for seq := uint64(0); ; seq++ {
-		cdata, err := rs.Get(commitKey(shard, gen, seq))
+		cdata, err := store.Get(commitKey(shard, gen, seq))
 		if errors.Is(err, oss.ErrNotFound) {
 			break // end of the committed run
 		}
@@ -63,7 +62,7 @@ func Hydrate(store oss.Store, reg *Registry, shard int64) (st State, ok, torn bo
 			torn = true
 			break
 		}
-		chunk, err := rs.Get(chunkKey(shard, gen, seq))
+		chunk, err := store.Get(chunkKey(shard, gen, seq))
 		if errors.Is(err, oss.ErrNotFound) {
 			torn = true
 			break

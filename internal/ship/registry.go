@@ -31,7 +31,7 @@ var ErrFenced = errors.New("ship: generation fenced by a newer shipper")
 // repaired in place) and cleans its own objects up, so the survivors
 // converge on one generation with no interleaved segments.
 type Registry struct {
-	store oss.Store
+	store *oss.RetryingStore
 
 	mu         sync.Mutex
 	next       map[int64]uint64 // next generation to hand out
@@ -39,12 +39,11 @@ type Registry struct {
 	loaded     map[int64]bool   // CURRENT consulted at least once
 }
 
-// NewRegistry builds a registry over store (wrapped in the retry layer
-// if it is not already — CURRENT reads and writes are production OSS
-// traffic like any other).
-func NewRegistry(store oss.Store) *Registry {
+// NewRegistry builds a registry over store: CURRENT reads and writes
+// are production OSS traffic like any other.
+func NewRegistry(store *oss.RetryingStore) *Registry {
 	return &Registry{
-		store:      oss.WithDefaultRetry(store),
+		store:      store,
 		next:       make(map[int64]uint64),
 		registered: make(map[int64]uint64),
 		loaded:     make(map[int64]bool),

@@ -42,9 +42,8 @@ const (
 
 // Options configures WAL shipping for a worker's shards.
 type Options struct {
-	// Store is the OSS backend shipped objects land in. It is wrapped
-	// in the retry layer if it is not one already.
-	Store oss.Store
+	// Store is the OSS backend shipped objects land in.
+	Store *oss.RetryingStore
 	// Registry issues and fences per-shard shipping generations. All
 	// shippers of a cluster must share one registry.
 	Registry *Registry
@@ -158,7 +157,7 @@ func New(opts Options, shard int64, next uint64, source Source) *Shipper {
 		next = 1
 	}
 	s := &Shipper{
-		store:      oss.WithDefaultRetry(opts.Store),
+		store:      opts.Store,
 		reg:        opts.Registry,
 		shard:      shard,
 		source:     source,

@@ -91,7 +91,7 @@ func TestChunkRoundTrip(t *testing.T) {
 }
 
 func TestRegistryRegisterFences(t *testing.T) {
-	store := oss.NewMemStore()
+	store := oss.WithDefaultRetry(oss.NewMemStore())
 	reg := NewRegistry(store)
 	const shard = 5
 
@@ -135,10 +135,18 @@ func TestRegistryRegisterFences(t *testing.T) {
 	}
 }
 
+// hydrate reads shard's shipped log back through a fresh registry, as a
+// reopened cluster would.
+func hydrate(store oss.Store, shard int64) (State, bool, bool, error) {
+	rs := oss.WithDefaultRetry(store)
+	return Hydrate(rs, NewRegistry(rs), shard)
+}
+
 func newTestShipper(t *testing.T, store oss.Store, shard int64, src *fakeSource) (*Shipper, *Registry) {
 	t.Helper()
-	reg := NewRegistry(store)
-	s := New(Options{Store: store, Registry: reg, Linger: 5 * time.Millisecond}, shard, 1, src.source)
+	rs := oss.WithDefaultRetry(store)
+	reg := NewRegistry(rs)
+	s := New(Options{Store: rs, Registry: reg, Linger: 5 * time.Millisecond}, shard, 1, src.source)
 	t.Cleanup(func() { s.Stop(false) })
 	return s, reg
 }
@@ -157,7 +165,7 @@ func TestShipAndHydrate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, ok, torn, err := Hydrate(store, NewRegistry(store), 1)
+	st, ok, torn, err := hydrate(store, 1)
 	if err != nil || !ok || torn {
 		t.Fatalf("hydrate: ok=%v torn=%v err=%v", ok, torn, err)
 	}
@@ -170,7 +178,7 @@ func TestShipAndHydrate(t *testing.T) {
 	s.NoteArchived(15)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st, ok, _, err = Hydrate(store, NewRegistry(store), 1)
+		st, ok, _, err = hydrate(store, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +198,7 @@ func TestShipAndHydrate(t *testing.T) {
 
 func TestHydrateUnknownShard(t *testing.T) {
 	store := oss.NewMemStore()
-	_, ok, torn, err := Hydrate(store, NewRegistry(store), 42)
+	_, ok, torn, err := hydrate(store, 42)
 	if err != nil || ok || torn {
 		t.Fatalf("fresh shard: ok=%v torn=%v err=%v, want false/false/nil", ok, torn, err)
 	}
@@ -214,7 +222,7 @@ func TestShipThroughFlakyStore(t *testing.T) {
 	if flaky.InjectedFailures() == 0 {
 		t.Fatal("flaky store injected nothing; test exercised no fault")
 	}
-	st, ok, torn, err := Hydrate(mem, NewRegistry(mem), 2)
+	st, ok, torn, err := hydrate(mem, 2)
 	if err != nil || !ok || torn {
 		t.Fatalf("hydrate: ok=%v torn=%v err=%v", ok, torn, err)
 	}
@@ -249,7 +257,7 @@ func TestShipTornPutDetected(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	st, ok, torn, err := Hydrate(mem, NewRegistry(mem), 3)
+	st, ok, torn, err := hydrate(mem, 3)
 	if err != nil || !ok || torn {
 		t.Fatalf("hydrate: ok=%v torn=%v err=%v", ok, torn, err)
 	}
@@ -303,7 +311,7 @@ func TestHydrateTornChunkFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, ok, torn, err := Hydrate(store, NewRegistry(store), 4)
+	st, ok, torn, err := hydrate(store, 4)
 	if err != nil || !ok {
 		t.Fatalf("hydrate: ok=%v err=%v", ok, err)
 	}
@@ -329,12 +337,13 @@ func TestHydrateTornChunkFallback(t *testing.T) {
 // losing lineage may remain.
 func TestGenerationHandoff(t *testing.T) {
 	store := oss.NewMemStore()
-	reg := NewRegistry(store)
+	rs := oss.WithDefaultRetry(store)
+	reg := NewRegistry(rs)
 	const shard = int64(6)
 
 	srcA := &fakeSource{}
 	srcA.set(State{Term: 1})
-	a := New(Options{Store: store, Registry: reg, Linger: 5 * time.Millisecond}, shard, 1, srcA.source)
+	a := New(Options{Store: rs, Registry: reg, Linger: 5 * time.Millisecond}, shard, 1, srcA.source)
 	defer a.Stop(false)
 	a.Offer(testEntries(1, 6))
 	if err := a.Barrier(); err != nil {
@@ -345,7 +354,7 @@ func TestGenerationHandoff(t *testing.T) {
 	// The new worker hydrated entries 1..6 and boots its own shipper.
 	srcB := &fakeSource{}
 	srcB.set(State{Term: 2, Entries: testEntries(1, 6)})
-	b := New(Options{Store: store, Registry: reg, Linger: 5 * time.Millisecond}, shard, 7, srcB.source)
+	b := New(Options{Store: rs, Registry: reg, Linger: 5 * time.Millisecond}, shard, 7, srcB.source)
 	defer b.Stop(false)
 	b.Offer(testEntries(7, 9))
 	if err := b.Barrier(); err != nil {
@@ -371,7 +380,7 @@ func TestGenerationHandoff(t *testing.T) {
 
 	// Exactly one generation's objects remain (plus CURRENT), and the
 	// surviving lineage hydrates to the new shipper's run.
-	st, ok, torn, err := Hydrate(store, NewRegistry(store), shard)
+	st, ok, torn, err := hydrate(store, shard)
 	if err != nil || !ok || torn {
 		t.Fatalf("hydrate: ok=%v torn=%v err=%v", ok, torn, err)
 	}
@@ -397,11 +406,12 @@ func TestGenerationHandoff(t *testing.T) {
 func TestShipperBackpressure(t *testing.T) {
 	mem := oss.NewMemStore()
 	flaky := oss.NewFlakyStore(mem, 1.0, 0, 1) // every Put fails
-	reg := NewRegistry(flaky)
+	rs := oss.WithDefaultRetry(flaky)
+	reg := NewRegistry(rs)
 	src := &fakeSource{}
 	src.set(State{Term: 1})
 	s := New(Options{
-		Store: flaky, Registry: reg,
+		Store: rs, Registry: reg,
 		Linger: 5 * time.Millisecond, MaxBacklog: 256,
 	}, 7, 1, src.source)
 	defer s.Stop(false)
@@ -423,7 +433,7 @@ func TestShipperBackpressure(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	st, ok, torn, err := Hydrate(mem, NewRegistry(mem), 7)
+	st, ok, torn, err := hydrate(mem, 7)
 	if err != nil || !ok || torn {
 		t.Fatalf("hydrate: ok=%v torn=%v err=%v", ok, torn, err)
 	}
@@ -453,7 +463,7 @@ func TestShipperGapRolls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, ok, torn, err := Hydrate(store, NewRegistry(store), 8)
+	st, ok, torn, err := hydrate(store, 8)
 	if err != nil || !ok || torn {
 		t.Fatalf("hydrate: ok=%v torn=%v err=%v", ok, torn, err)
 	}
@@ -474,7 +484,7 @@ func TestShipperGapRolls(t *testing.T) {
 // linger, size or a barrier.
 func TestSyncShipsAtCommit(t *testing.T) {
 	for _, sync := range []bool{true, false} {
-		store := oss.NewMemStore()
+		store := oss.WithDefaultRetry(oss.NewMemStore())
 		src := &fakeSource{}
 		src.set(State{Term: 1})
 		s := New(Options{Store: store, Registry: NewRegistry(store), Sync: sync, Linger: time.Hour}, 1, 1, src.source)

@@ -50,15 +50,13 @@ type Config struct {
 	MemoryCacheBytes int64
 	DiskCacheBytes   int64
 	DiskCacheDir     string
-	// ObjectCacheBytes sizes the decoded-object cache.
-	ObjectCacheBytes int64
-	// PrefetchThreads sizes the parallel prefetch pool (paper: 32).
+	// PrefetchThreads sizes the parallel prefetch pool (0 = 32, the
+	// paper's; negative = no pool, serial block loading: the Figure 16
+	// baseline).
 	PrefetchThreads int
 	// QueryConcurrency bounds how many LogBlocks one query processes
 	// concurrently (0 = GOMAXPROCS).
 	QueryConcurrency int
-	// PrefetchDisabled forces serial block loading (Figure 16 baseline).
-	PrefetchDisabled bool
 	// BlockSize is the cache/prefetch file-block granularity.
 	BlockSize int64
 	// ArchiveInterval is the builder cadence.
@@ -73,13 +71,9 @@ type Config struct {
 	// on disk (WAL-backed storage under DataDir/shard-N/replica-M);
 	// empty keeps raft state in memory.
 	DataDir string
-	// RaftSyncQueueItems / RaftSyncQueueBytes bound each shard's
-	// sync_queue (BFC); zero selects the raft defaults.
-	RaftSyncQueueItems int
-	RaftSyncQueueBytes int64
-	// RaftApplyQueueItems / RaftApplyQueueBytes bound the apply_queue.
-	RaftApplyQueueItems int
-	RaftApplyQueueBytes int64
+	// RaftQueueItems bounds each shard's raft sync_queue and
+	// apply_queue (BFC) in entries; zero selects the raft defaults.
+	RaftQueueItems int
 	// WALShip, when set, streams every shard's committed raft log into
 	// OSS (continuous WAL shipping) and hydrates shards whose data
 	// directory was wiped from the shipped generation. Requires a
@@ -246,7 +240,7 @@ func (g *raftGroup) stop() {
 type Worker struct {
 	cfg     Config
 	sch     *schema.Schema
-	store   oss.Store
+	store   *oss.RetryingStore
 	catalog *meta.Manager
 
 	mu     sync.RWMutex
@@ -277,6 +271,9 @@ type Worker struct {
 	handoffs [3][2]atomic.Int64
 }
 
+// objectCacheBytes sizes each worker's decoded-object cache.
+const objectCacheBytes = 32 << 20
+
 // Outcomes of a hand-off, indexing Worker.handoffs.
 const (
 	handoffLocal = iota
@@ -295,10 +292,7 @@ func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager)
 	if cfg.MemoryCacheBytes <= 0 {
 		cfg.MemoryCacheBytes = 64 << 20
 	}
-	if cfg.ObjectCacheBytes <= 0 {
-		cfg.ObjectCacheBytes = 32 << 20
-	}
-	if cfg.PrefetchThreads <= 0 {
+	if cfg.PrefetchThreads == 0 {
 		cfg.PrefetchThreads = 32
 	}
 	if cfg.QueryConcurrency <= 0 {
@@ -320,26 +314,26 @@ func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager)
 	}
 	// All of the worker's OSS traffic — prefetch reads, archive
 	// uploads, compaction rewrites — retries transient faults behind
-	// one shared circuit breaker (WithDefaultRetry is idempotent, so a
-	// store wrapped by the cluster is not double-wrapped).
-	store = oss.WithDefaultRetry(store)
+	// one shared circuit breaker. A store that already retries keeps
+	// its own wrapper.
+	rs := oss.WithDefaultRetry(store)
 	w := &Worker{
 		cfg:         cfg,
 		sch:         sch,
-		store:       store,
+		store:       rs,
 		catalog:     catalog,
 		shards:      make(map[flow.ShardID]*Shard),
 		blockCache:  bc,
-		objectCache: cache.NewObjectCache(cfg.ObjectCacheBytes),
+		objectCache: cache.NewObjectCache(objectCacheBytes),
 		archiveStop: make(chan struct{}),
 		archiveDone: make(chan struct{}),
 	}
 	cfg.Builder.Handoff = w.handOff
-	w.bld, err = builder.New(cfg.Builder, sch, store, catalog)
+	w.bld, err = builder.New(cfg.Builder, sch, rs, catalog)
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.PrefetchDisabled {
+	if cfg.PrefetchThreads > 0 {
 		w.pool = prefetch.NewService(cfg.PrefetchThreads, cfg.PrefetchThreads*4)
 	}
 	go w.archiveLoop()
@@ -608,10 +602,8 @@ func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) err
 		SM:              sm,
 		Storage:         g.stores[i],
 		TickInterval:    w.cfg.RaftTick,
-		SyncQueueItems:  w.cfg.RaftSyncQueueItems,
-		SyncQueueBytes:  w.cfg.RaftSyncQueueBytes,
-		ApplyQueueItems: w.cfg.RaftApplyQueueItems,
-		ApplyQueueBytes: w.cfg.RaftApplyQueueBytes,
+		SyncQueueItems:  w.cfg.RaftQueueItems,
+		ApplyQueueItems: w.cfg.RaftQueueItems,
 		Seed:            int64(sh.ID)*101 + int64(i),
 		CommitHook:      hook,
 	})

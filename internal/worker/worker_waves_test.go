@@ -392,11 +392,15 @@ func TestPrefetchedEqualsSerial(t *testing.T) {
 	store := oss.NewMemStore()
 	catalog := meta.NewManager()
 	newW := func(id int, serial bool) *Worker {
+		threads := 0
+		if serial {
+			threads = -1
+		}
 		w, err := New(Config{
 			ID: flow.WorkerID(id), Replicas: 1, ArchiveInterval: time.Hour,
-			BlockSize:        waveBlockSize,
-			PrefetchDisabled: serial,
-			Builder:          builder.Config{Table: "request_log", MaxRowsPerBlock: 2500},
+			BlockSize:       waveBlockSize,
+			PrefetchThreads: threads,
+			Builder:         builder.Config{Table: "request_log", MaxRowsPerBlock: 2500},
 		}, schema.RequestLogSchema(), store, catalog)
 		if err != nil {
 			t.Fatal(err)

@@ -259,7 +259,7 @@ func (c *Config) withDefaults() Config {
 type Cluster struct {
 	cfg      Config
 	sch      *schema.Schema
-	store    oss.Store
+	store    *oss.RetryingStore
 	catalog  *meta.Manager
 	ctrl     *controller.Controller
 	shipGens *ship.Registry // nil unless ShipWAL
@@ -301,8 +301,9 @@ func Open(cfg Config) (*Cluster, error) {
 		cfg: cfg,
 		sch: cfg.Schema,
 		// Every OSS touchpoint in the cluster — builder uploads,
-		// prefetch reads, catalog checkpoints — goes through one
-		// retrying wrapper (idempotent if cfg.Store is already one).
+		// prefetch reads, catalog checkpoints, WAL shipping — goes
+		// through this one retrying wrapper (a cfg.Store that already
+		// retries keeps its own).
 		store:      oss.WithDefaultRetry(cfg.Store),
 		catalog:    meta.NewManager(),
 		workers:    make(map[flow.WorkerID]*worker.Worker),
@@ -463,12 +464,6 @@ func (c *Cluster) newWorkerLocked(id flow.WorkerID) (*worker.Worker, error) {
 	if c.cfg.CacheDir != "" {
 		cacheDir = fmt.Sprintf("%s/worker-%d", c.cfg.CacheDir, id)
 	}
-	prefetchThreads := c.cfg.PrefetchThreads
-	disabled := false
-	if prefetchThreads < 0 {
-		prefetchThreads = 1
-		disabled = true
-	}
 	dataDir := ""
 	if c.cfg.DataDir != "" {
 		dataDir = fmt.Sprintf("%s/worker-%d", c.cfg.DataDir, id)
@@ -482,9 +477,11 @@ func (c *Cluster) newWorkerLocked(id flow.WorkerID) (*worker.Worker, error) {
 		}
 	}
 	// Per-worker store view: the chaos hook wraps the raw configured
-	// store (worker.New adds its own retry layer on top, so injected
-	// faults sit under retries, exactly like a real flaky backend).
-	wstore := c.store
+	// store, and worker.New puts a retry layer of the worker's own over
+	// the result, so injected faults sit under retries, exactly like a
+	// real flaky backend. Without the hook the worker shares the
+	// cluster's retrying store.
+	var wstore oss.Store = c.store
 	if c.cfg.WorkerStoreWrap != nil {
 		wstore = c.cfg.WorkerStoreWrap(id, c.cfg.Store)
 	}
@@ -495,21 +492,19 @@ func (c *Cluster) newWorkerLocked(id flow.WorkerID) (*worker.Worker, error) {
 		MemoryCacheBytes: c.cfg.CacheMemoryBytes,
 		DiskCacheBytes:   c.cfg.CacheDiskBytes,
 		DiskCacheDir:     cacheDir,
-		PrefetchThreads:  prefetchThreads,
-		PrefetchDisabled: disabled,
+		PrefetchThreads:  c.cfg.PrefetchThreads,
 		QueryConcurrency: c.cfg.QueryConcurrency,
 		ArchiveInterval:  c.cfg.ArchiveInterval,
 		// TenantIndex implements the paper's future-work real-time-store
 		// optimization: sealed segments index rows by tenant (~50×
 		// faster tenant scans) without touching the append path.
-		RowStore:            rowstore.Options{MaxSegmentRows: c.cfg.MaxSegmentRows, TenantIndex: true},
-		Builder:             builder.Config{Table: c.sch.Name},
-		RaftTick:            c.cfg.RaftTick,
-		DataDir:             dataDir,
-		RaftSyncQueueItems:  c.cfg.RaftQueueItems,
-		RaftApplyQueueItems: c.cfg.RaftQueueItems,
-		WALShip:             walShip,
-		ReadHome:            c.readHome,
+		RowStore:       rowstore.Options{MaxSegmentRows: c.cfg.MaxSegmentRows, TenantIndex: true},
+		Builder:        builder.Config{Table: c.sch.Name},
+		RaftTick:       c.cfg.RaftTick,
+		DataDir:        dataDir,
+		RaftQueueItems: c.cfg.RaftQueueItems,
+		WALShip:        walShip,
+		ReadHome:       c.readHome,
 	}, c.sch, wstore, c.catalog)
 	if err != nil {
 		return nil, err
