@@ -57,8 +57,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/httpapi/
 
 ## chaos: the chaos gates at full size, with per-run recovery stats in
-## the -v output. The fault schedule is fixed by CHAOS_SEED (override to
-## explore other interleavings).
+## the -v output. Each gate is a schedule played by the one load-and-fault
+## driver, chaos.Run; the fault schedule is fixed by CHAOS_SEED (override
+## to explore other interleavings).
 ##  - node failures, and the cluster end to end over a faulty OSS
 ##    (TestChaosNodeFailures, TestChaosClusterEndToEnd);
 ##  - disk loss: workers crash with their raft WALs and caches destroyed
@@ -76,8 +77,9 @@ chaos:
 		-run 'TestChaosNodeFailures|TestChaosClusterEndToEnd|TestChaosDiskWipe|TestDiskLossHydration|TestChaosBrownout|TestQueryExpiredDeadlineSkipsOSS|TestCanceledQueriesReleaseCapacity' \
 		-timeout 900s .
 
-## chaos-short: the reduced node-failure, disk-wipe and brownout runs
-## folded into `make check`, in one race test binary.
+## chaos-short: the reduced node-failure, disk-wipe and brownout
+## schedules of chaos.Run folded into `make check`, in one race test
+## binary.
 chaos-short:
 	LOGSTORE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -short \
 		-run 'TestChaos(NodeFailures|DiskWipe|Brownout)$$' -timeout 360s .
@@ -183,17 +185,18 @@ bench-e2e:
 bench-e2e-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
 
-## soak: the sustained-load gate — thousands of zipfian tenants,
-## concurrent writers and readers against a replicated cluster, with
-## exactly-once accounting verified at the end; writes BENCH_soak.json
-## (commit it alongside perf PRs).
+## soak: the sustained-load gate — chaos.Run with one fault-free step:
+## thousands of zipfian tenants, concurrent writers, readers and a read
+## audit against a replicated cluster, with exactly-once accounting
+## verified at the end; writes BENCH_soak.json (commit it alongside perf
+## PRs).
 soak:
 	$(GO) run ./cmd/logstore-soak -tenants 2000 -duration 20s \
 		-writers 8 -readers 2 -out BENCH_soak.json
 
-## soak-short: the reduced soak folded into `make check`, gated
-## against the committed short baseline so throughput regressions fail
-## the tier-1 gate. The 50% tolerance absorbs 2s-run noise; real
+## soak-short: the reduced soak (the same one-step chaos.Run) folded
+## into `make check`, gated against the committed short baseline so
+## throughput regressions fail the tier-1 gate. The 50% tolerance absorbs 2s-run noise; real
 ## regressions (a proposal per tenant again, serialized appends) cut
 ## throughput by integer factors, not halves.
 soak-short:

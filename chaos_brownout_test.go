@@ -2,8 +2,6 @@ package logstore
 
 import (
 	"context"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -26,22 +24,6 @@ func tenantRows(tenant int64, n int, seed int64) []Row {
 	return rows
 }
 
-// The cluster is the brownout harness's target.
-var _ chaos.BrownoutTarget = (*Cluster)(nil)
-
-func brownoutSeed(t *testing.T) int64 {
-	t.Helper()
-	seed := int64(2026)
-	if v := os.Getenv("LOGSTORE_CHAOS_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("LOGSTORE_CHAOS_SEED: %v", err)
-		}
-		seed = n
-	}
-	return seed
-}
-
 // TestChaosBrownout is the gray-failure gate (`make chaos`):
 // nothing crashes, but one worker's object store stalls on reads, one
 // shard's serving replica lags its applies, and one tenant floods at
@@ -53,7 +35,7 @@ func brownoutSeed(t *testing.T) int64 {
 // tenant is shed with a retry hint rather than breaking others, and
 // the exactly-once ledger holds through the whole episode.
 func TestChaosBrownout(t *testing.T) {
-	seed := brownoutSeed(t)
+	seed := chaosSeed(t, 2026)
 
 	var (
 		flakyMu sync.Mutex
@@ -83,31 +65,26 @@ func TestChaosBrownout(t *testing.T) {
 	}
 	c := openCluster(t, cfg)
 
-	bcfg := chaos.BrownoutConfig{
-		Seed:             seed,
-		Tenants:          3,
-		PreloadRows:      400,
-		BaselineQueries:  60,
-		BrownoutQueries:  60,
-		QueryDeadline:    2 * time.Second,
-		QueryPace:        25 * time.Millisecond, // ~1.5s fault window for the flood to run in
-		HotBatchRows:     250,                   // ~20 retries/s x 250 rows = ~10x the 500 rows/s bucket
-		HealthyBatchRows: 20,
-		HealthyPace:      100 * time.Millisecond,
-		SlowShard:        c.ShardIDs()[len(c.ShardIDs())-1],
-		SlowApplyDelay:   2 * time.Millisecond,
-		InjectFaults: func() {
+	stall := func(n int, d, tail time.Duration, p float64) func() {
+		return func() {
 			flakyMu.Lock()
 			defer flakyMu.Unlock()
-			flaky.StallNextGets(500, 120*time.Millisecond)
-			flaky.SetTailLatency(0.35, 80*time.Millisecond)
-		},
-		HealFaults: func() {
-			flakyMu.Lock()
-			defer flakyMu.Unlock()
-			flaky.StallNextGets(0, 0)
-			flaky.SetTailLatency(0, 0)
-		},
+			flaky.StallNextGets(n, d)
+			flaky.SetTailLatency(p, tail)
+		}
+	}
+	// Each phase is about 60 healthy-tenant queries 25 ms apart (30 in
+	// -short): long enough for the flood and the ingest to run against
+	// the faults. The preload is archived first, so the baseline reads
+	// through the same OSS path the faults degrade.
+	preload, phase := 400, 1500*time.Millisecond
+	if testing.Short() {
+		preload, phase = 200, 750*time.Millisecond
+	}
+	rep, err := chaos.Run(c, chaos.Config{
+		Seed: seed, Tenants: 3, Writers: 1, BatchRows: 20, WritePace: 100 * time.Millisecond,
+		Readers: 1, QueryPace: 25 * time.Millisecond, QueryDeadline: 2 * time.Second,
+		Preload: preload,
 		Settle: func() error {
 			if err := c.Flush(); err != nil {
 				return err
@@ -117,18 +94,23 @@ func TestChaosBrownout(t *testing.T) {
 			}
 			return nil
 		},
-		StartMS: 1_000,
-		Logf:    t.Logf,
-	}
-	if testing.Short() {
-		bcfg.PreloadRows = 200
-		bcfg.BaselineQueries = 30
-		bcfg.BrownoutQueries = 30
-	}
-
-	rep, err := chaos.RunBrownout(c, bcfg)
+		Schedule: []chaos.Step{{Hold: phase}, {Hold: phase, Faults: []chaos.Fault{
+			{Kind: chaos.Hook, Inject: stall(500, 120*time.Millisecond, 80*time.Millisecond, 0.35), Heal: stall(0, 0, 0, 0)},
+			{Kind: chaos.SlowApply, Shard: c.ShardIDs()[len(c.ShardIDs())-1], Delay: 2 * time.Millisecond},
+			// ~20 retries/s x 250 rows = ~10x the 500 rows/s bucket.
+			{Kind: chaos.Flood, Tenant: 3, Rows: 250},
+		}}},
+		Logf: t.Logf,
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	base, brown := rep.Phases[0], rep.Phases[1]
+	if n := base.Failures.Load(); n > 0 {
+		t.Fatalf("%d baseline queries failed before any fault", n)
+	}
+	if brown.Queries.Load() == 0 {
+		t.Fatal("no healthy-tenant query succeeded during the fault window")
 	}
 
 	// The faults must actually have fired: reads stalled on worker 0,
@@ -136,28 +118,27 @@ func TestChaosBrownout(t *testing.T) {
 	if n := flaky.InjectedStalls(); n == 0 {
 		t.Fatal("no OSS read was ever stalled — the gray failure never fired")
 	}
-	if rep.HotShed == 0 {
-		t.Fatalf("hot tenant was never shed (acked %d rows) — admission idle", rep.HotAcked)
+	if rep.Shed == 0 {
+		t.Fatalf("hot tenant was never shed (acked %d rows) — admission idle", rep.FloodAcked)
 	}
-	if rep.HotAcked == 0 {
+	if rep.FloodAcked == 0 {
 		t.Fatal("hot tenant never acked a batch — shed must delay, not starve")
 	}
 
 	// Healthy tenants' p99 during the brownout stays within 3x baseline.
 	// The floor keeps the bound meaningful when the baseline is only a
 	// few milliseconds: hedged sub-queries cost up to ~HedgeDelay extra.
+	p99 := func(p *chaos.Phase) time.Duration {
+		return time.Duration(p.Latency.Quantile(0.99) * float64(time.Millisecond))
+	}
 	floor := 50 * time.Millisecond
-	base := rep.BaselineP99
-	if base < floor {
-		base = floor
+	if p99(brown) > 3*max(p99(base), floor) {
+		t.Fatalf("healthy p99 %v during brownout, want <= 3x max(baseline %v, %v)", p99(brown), p99(base), floor)
 	}
-	if rep.BrownoutP99 > 3*base {
-		t.Fatalf("healthy p99 %v during brownout, want <= 3x max(baseline %v, %v)",
-			rep.BrownoutP99, rep.BaselineP99, floor)
-	}
-	if rep.QueryFailures > bcfg.BrownoutQueries/10 {
-		t.Fatalf("%d/%d healthy queries missed a 2s deadline during brownout",
-			rep.QueryFailures, bcfg.BrownoutQueries)
+	t.Logf("healthy p99 %v (baseline %v), flood shed %d times, %d rows admitted, peak memory proxy %d bytes",
+		p99(brown), p99(base), rep.Shed, rep.FloodAcked, rep.MaxMemory)
+	if f, n := brown.Failures.Load(), brown.Queries.Load(); f*10 > f+n {
+		t.Fatalf("%d of %d healthy query attempts missed a 2s deadline during brownout", f, f+n)
 	}
 
 	// Degradation must show up as rejections, not memory growth: the
@@ -174,7 +155,7 @@ func TestChaosBrownout(t *testing.T) {
 	// Exactly-once through the whole episode: every acked row (preload,
 	// steady healthy ingest, every eventually-admitted hot batch) is
 	// counted once after heal.
-	if err := chaos.VerifyCounts(c, c.TableSchema(), rep.Acked, 30*time.Second); err != nil {
+	if err := chaos.VerifyCounts(c, rep.Acked, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,7 +231,7 @@ func TestQueryExpiredDeadlineSkipsOSS(t *testing.T) {
 // stalled, a storm of doomed queries would wedge the cluster for good
 // if even one slot leaked; the clean query afterwards proves none did.
 func TestCanceledQueriesReleaseCapacity(t *testing.T) {
-	seed := brownoutSeed(t)
+	seed := chaosSeed(t, 2026)
 	var (
 		flakyMu sync.Mutex
 		flakies []*oss.FlakyStore

@@ -12,24 +12,49 @@ import (
 // The chaos driver must be able to point at a cluster directly.
 var _ chaos.Target = (*Cluster)(nil)
 
+// chaosSeed is LOGSTORE_CHAOS_SEED when set (to explore other
+// interleavings), def otherwise.
+func chaosSeed(t *testing.T, def int64) int64 {
+	t.Helper()
+	v := os.Getenv("LOGSTORE_CHAOS_SEED")
+	if v == "" {
+		return def
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		t.Fatalf("LOGSTORE_CHAOS_SEED: %v", err)
+	}
+	return n
+}
+
+// nodeFaultRun plays the seeded mix one fault at a time, each held for
+// hold, under one writer of 40-row batches over four tenants and one
+// COUNT(*) reader.
+func nodeFaultRun(t *testing.T, c *Cluster, seed int64, replicas int, counts map[chaos.Kind]int, hold time.Duration) *chaos.Report {
+	t.Helper()
+	faults := chaos.Shuffled(seed, c.WorkerIDs(), c.ShardIDs(), replicas, counts)
+	rep, err := chaos.Run(c, chaos.Config{
+		Seed: seed + 1, Tenants: 4, Writers: 1, BatchRows: 40,
+		Readers: 1, QueryPace: time.Millisecond,
+		Schedule: chaos.OneAtATime(faults, hold), Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AckedTotal == 0 || rep.Queries() == 0 {
+		t.Fatalf("no live traffic: acked=%d queries=%d", rep.AckedTotal, rep.Queries())
+	}
+	return rep
+}
+
 // TestChaosNodeFailures is the node-death safety gate: worker
 // crash/restart cycles, raft leader kills, and replica partitions are
 // interleaved with live ingest and query traffic, and afterwards every
 // acked row must be queryable exactly once — no loss from crashes, no
-// duplicates from the retries the faults force. The schedule is seeded
-// (override with LOGSTORE_CHAOS_SEED to explore); raft runs on the
-// deterministic tick so recovery is driven by elections, not tuned
-// sleeps.
+// duplicates from the retries the faults force. The schedule is seeded;
+// raft runs on the deterministic tick so recovery is driven by
+// elections, not tuned sleeps.
 func TestChaosNodeFailures(t *testing.T) {
-	seed := int64(2026)
-	if v := os.Getenv("LOGSTORE_CHAOS_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("LOGSTORE_CHAOS_SEED: %v", err)
-		}
-		seed = n
-	}
-
 	cfg := fastConfig()
 	cfg.Workers = 3
 	cfg.ShardsPerWorker = 2
@@ -47,51 +72,32 @@ func TestChaosNodeFailures(t *testing.T) {
 	cfg.BalanceInterval = 0
 	c := openCluster(t, cfg)
 
-	ccfg := chaos.Config{
-		Seed:         seed,
-		Tenants:      4,
-		BatchRows:    40,
-		CrashCycles:  3,
-		WipeCycles:   2,
-		LeaderKills:  2,
-		Partitions:   2,
-		Replicas:     cfg.Replicas,
-		RecoverAfter: 150 * time.Millisecond,
-		StartMS:      1_000,
-		Logf:         t.Logf,
-	}
+	counts := map[chaos.Kind]int{chaos.Crash: 3, chaos.Wipe: 2, chaos.LeaderKill: 2, chaos.Partition: 2}
+	hold := 150 * time.Millisecond
 	if testing.Short() {
-		ccfg.Partitions = 1
-		ccfg.RecoverAfter = 80 * time.Millisecond
+		counts[chaos.Partition] = 1
+		hold = 80 * time.Millisecond
 	}
-
-	rep, err := chaos.Run(c, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Crashes < 3 || rep.LeaderKills < 2 || rep.Wipes < 2 {
-		t.Fatalf("injected crashes=%d leaderKills=%d wipes=%d, want >=3, >=2 and >=2",
-			rep.Crashes, rep.LeaderKills, rep.Wipes)
-	}
-	if rep.AckedTotal == 0 || rep.Queries == 0 {
-		t.Fatalf("no live traffic: acked=%d queries=%d", rep.AckedTotal, rep.Queries)
+	rep := nodeFaultRun(t, c, chaosSeed(t, 2026), cfg.Replicas, counts, hold)
+	if got := rep.Injected; got[chaos.Crash] < 3 || got[chaos.LeaderKill] < 2 || got[chaos.Wipe] < 2 {
+		t.Fatalf("injected %v, want >=3 crashes, >=2 leader kills and >=2 wipes", got)
 	}
 
 	// The core invariant: per-tenant counts converge to exactly the
 	// acked ledger — nothing lost, nothing duplicated.
-	if err := chaos.VerifyCounts(c, c.TableSchema(), rep.Acked, 20*time.Second); err != nil {
+	if err := chaos.VerifyCounts(c, rep.Acked, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	stats := c.RecoveryStats()
-	if stats.Crashes < int64(ccfg.CrashCycles) || stats.Recoveries < int64(ccfg.CrashCycles) {
-		t.Fatalf("recovery stats = %+v, want >=%d crashes and recoveries", stats, ccfg.CrashCycles)
+	if n := int64(counts[chaos.Crash]); stats.Crashes < n || stats.Recoveries < n {
+		t.Fatalf("recovery stats = %+v, want >=%d crashes and recoveries", stats, n)
 	}
-	if stats.LeaderKills < int64(ccfg.LeaderKills) {
-		t.Fatalf("recovery stats = %+v, want >=%d leader kills", stats, ccfg.LeaderKills)
+	if stats.LeaderKills < int64(counts[chaos.LeaderKill]) {
+		t.Fatalf("recovery stats = %+v, want >=%d leader kills", stats, counts[chaos.LeaderKill])
 	}
-	if stats.Wipes < int64(ccfg.WipeCycles) || stats.Hydrations == 0 {
-		t.Fatalf("recovery stats = %+v, want >=%d wipes and >0 OSS hydrations", stats, ccfg.WipeCycles)
+	if stats.Wipes < int64(counts[chaos.Wipe]) || stats.Hydrations == 0 {
+		t.Fatalf("recovery stats = %+v, want >=%d wipes and >0 OSS hydrations", stats, counts[chaos.Wipe])
 	}
 	// Every surviving worker's ingest went through raft as multi-sub
 	// group proposals — the exactly-once verification above therefore
@@ -102,5 +108,5 @@ func TestChaosNodeFailures(t *testing.T) {
 		t.Fatalf("append path saw no traffic (groups=%d batches=%d); chaos must ingest through raft", groups, batches)
 	}
 	t.Logf("chaos stats: %+v; acked=%d batches=%d retries=%d queries=%d coalesce=%d/%d",
-		stats, rep.AckedTotal, rep.Batches, rep.AppendRetries, rep.Queries, groups, batches)
+		stats, rep.AckedTotal, rep.Batches, rep.AppendRetries, rep.Queries(), groups, batches)
 }

@@ -1,8 +1,6 @@
 package logstore
 
 import (
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -16,15 +14,6 @@ import (
 // object storage, and the exactly-once ledger must hold throughout:
 // acked rows survive total disk loss, retried batches never double.
 func TestChaosDiskWipe(t *testing.T) {
-	seed := int64(4096)
-	if v := os.Getenv("LOGSTORE_CHAOS_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("LOGSTORE_CHAOS_SEED: %v", err)
-		}
-		seed = n
-	}
-
 	cfg := fastConfig()
 	cfg.Workers = 3
 	cfg.ShardsPerWorker = 2
@@ -38,40 +27,23 @@ func TestChaosDiskWipe(t *testing.T) {
 	cfg.BalanceInterval = 0
 	c := openCluster(t, cfg)
 
-	ccfg := chaos.Config{
-		Seed:         seed,
-		Tenants:      4,
-		BatchRows:    40,
-		WipeCycles:   4,
-		LeaderKills:  1,
-		Replicas:     cfg.Replicas,
-		RecoverAfter: 150 * time.Millisecond,
-		StartMS:      1_000,
-		Logf:         t.Logf,
-	}
+	counts := map[chaos.Kind]int{chaos.Wipe: 4, chaos.LeaderKill: 1}
+	hold := 150 * time.Millisecond
 	if testing.Short() {
-		ccfg.WipeCycles = 2
-		ccfg.LeaderKills = 0
-		ccfg.RecoverAfter = 80 * time.Millisecond
+		counts = map[chaos.Kind]int{chaos.Wipe: 2}
+		hold = 80 * time.Millisecond
 	}
-
-	rep, err := chaos.Run(c, ccfg)
-	if err != nil {
-		t.Fatal(err)
+	rep := nodeFaultRun(t, c, chaosSeed(t, 4096), cfg.Replicas, counts, hold)
+	if rep.Injected[chaos.Wipe] < counts[chaos.Wipe] {
+		t.Fatalf("injected wipes=%d, want >=%d", rep.Injected[chaos.Wipe], counts[chaos.Wipe])
 	}
-	if rep.Wipes < ccfg.WipeCycles {
-		t.Fatalf("injected wipes=%d, want >=%d", rep.Wipes, ccfg.WipeCycles)
-	}
-	if rep.AckedTotal == 0 || rep.Queries == 0 {
-		t.Fatalf("no live traffic: acked=%d queries=%d", rep.AckedTotal, rep.Queries)
-	}
-	if err := chaos.VerifyCounts(c, c.TableSchema(), rep.Acked, 30*time.Second); err != nil {
+	if err := chaos.VerifyCounts(c, rep.Acked, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	stats := c.RecoveryStats()
-	if stats.Wipes < int64(ccfg.WipeCycles) {
-		t.Fatalf("recovery stats = %+v, want >=%d wipes", stats, ccfg.WipeCycles)
+	if stats.Wipes < int64(counts[chaos.Wipe]) {
+		t.Fatalf("recovery stats = %+v, want >=%d wipes", stats, counts[chaos.Wipe])
 	}
 	if stats.Hydrations == 0 {
 		t.Fatalf("recovery stats = %+v: no shard ever hydrated from OSS", stats)
@@ -80,6 +52,6 @@ func TestChaosDiskWipe(t *testing.T) {
 		t.Fatalf("shipping idle during chaos: %+v", stats)
 	}
 	t.Logf("wipe chaos: acked=%d retries=%d queries=%d wipes=%d hydrations=%d snapshots=%d chunks=%d",
-		rep.AckedTotal, rep.AppendRetries, rep.Queries,
+		rep.AckedTotal, rep.AppendRetries, rep.Queries(),
 		stats.Wipes, stats.Hydrations, stats.ShipSnapshots, stats.ShipChunks)
 }

@@ -1,22 +1,16 @@
-// Command logstore-soak is the sustained-load soak driver: it runs an
-// embedded cluster under continuous multi-tenant zipfian ingest with
-// concurrent query traffic for a wall-clock duration, then verifies the
-// exactly-once accounting (appended == resident + archived) and emits a
-// JSON report of sustained throughput, latency quantiles, and the
-// group-commit factor. While the load runs, an auditing reader holds the
-// read side to the same ledger: a tenant's COUNT(*) over all time may
-// never exceed the rows sent by the query's end (a row counted in its
-// row store and in its LogBlock), never fall below the same tenant's
-// previous count (a row counted in neither while the archive loop moves
-// it), and must equal the rows acked once everything is flushed.
-//
-// Unlike the micro-benchmarks (one caller, tight loop), the soak
-// exercises the ingest path the way the paper's production deployment
-// does: many concurrent writers per worker, group commit under real
-// contention, archive cycles running mid-stream, and readers competing
-// for the same shards. It exits non-zero on any append error, any
-// query error, an audited count out of range, or an accounting
-// mismatch, so `make soak-short` can sit in the tier-1 gate.
+// Command logstore-soak is the sustained-load soak: chaos.Run with one
+// fault-free step runs many concurrent zipfian writers and readers
+// against an embedded cluster for a wall-clock duration — group commit
+// under real contention, archive cycles mid-stream, readers competing
+// for the same shards, the way the paper's production deployment runs.
+// The driver's auditing reader holds each hot tenant's COUNT(*) between
+// its previous count and the rows sent so far while rows move. After a
+// final flush the soak verifies exactly-once accounting (appended ==
+// resident + archived, each audited tenant's count == its acked rows)
+// and writes a JSON report of sustained throughput, latency quantiles
+// and the group-commit factor. It exits non-zero on any append or query
+// error, an audited count out of range, or an accounting mismatch, so
+// `make soak-short` can sit in the tier-1 gate.
 //
 //	logstore-soak -tenants 2000 -duration 20s -writers 8 -readers 2 -out BENCH_soak.json
 package main
@@ -26,12 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	logstore "logstore"
-	"logstore/internal/metrics"
+	"logstore/internal/chaos"
 	"logstore/internal/workload"
 )
 
@@ -115,71 +107,6 @@ func main() {
 		fatal("open cluster: %v", err)
 	}
 	defer c.Close()
-	sch := c.TableSchema()
-
-	// Each writer gets a disjoint timestamp range. The ingest path
-	// dedups retries by batch content hash, so two byte-identical
-	// single-row sub-batches from different writers would count as one —
-	// real log streams never collide like that because timestamps are
-	// unique, and the generator guarantees that only within one stream.
-	const startMS = 1_000
-	const writerSpanMS = 1_000_000_000
-	var (
-		rowsAppended atomic.Int64
-		queriesRun   atomic.Int64
-		errsReported atomic.Int64
-		appendLat    = metrics.NewHistogram(0)
-		queryLat     = metrics.NewHistogram(0)
-		stop         = make(chan struct{})
-		wg           sync.WaitGroup
-		// Per audited tenant: rows handed to Append so far, and rows whose
-		// Append has returned.
-		sent, acked [auditTenants]atomic.Int64
-		audits      atomic.Int64
-	)
-	fail := func(format string, args ...any) {
-		if errsReported.Add(1) <= 10 {
-			fmt.Fprintf(os.Stderr, "soak: "+format+"\n", args...)
-		}
-	}
-
-	for i := 0; i < *writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			gen := workload.NewGenerator(workload.GeneratorConfig{
-				Tenants: *tenants, Theta: *theta, Seed: int64(1000 + i),
-				StartMS: startMS + int64(i)*writerSpanMS,
-			})
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rows := gen.Batch(*batch)
-				var audited [auditTenants]int64
-				for _, r := range rows {
-					if t := r.Tenant(sch); t < auditTenants {
-						audited[t]++
-					}
-				}
-				for t, n := range audited {
-					sent[t].Add(n)
-				}
-				t0 := time.Now()
-				if err := c.Append(rows...); err != nil {
-					fail("append: %v", err)
-					return
-				}
-				appendLat.Observe(float64(time.Since(t0).Microseconds()) / 1e3)
-				for t, n := range audited {
-					acked[t].Add(n)
-				}
-				rowsAppended.Add(int64(len(rows)))
-			}
-		}(i)
-	}
 
 	specs := workload.GenerateQueries(workload.QuerySetConfig{
 		Tenants:        min(*tenants, 500), // query the hot head of the population
@@ -188,76 +115,32 @@ func main() {
 		HistoryEndMS:   64_000_000_000, // far past any generated ts
 		Seed:           7,
 	})
-	for i := 0; i < *readers; i++ {
-		wg.Add(1)
-		go func(offset int) {
-			defer wg.Done()
-			for n := offset; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := specs[n%len(specs)]
-				t0 := time.Now()
-				if _, err := c.Query(q.SQL); err != nil {
-					fail("query %q: %v", q.SQL, err)
-					return
-				}
-				queryLat.Observe(float64(time.Since(t0).Microseconds()) / 1e3)
-				queriesRun.Add(1)
-			}
-		}(i * 37)
+	queries := make([]string, len(specs))
+	for i, q := range specs {
+		queries[i] = q.SQL
 	}
-
-	// The auditing reader: per audited tenant, no more rows than were
-	// sent by the end of the query and no fewer than its previous query
-	// saw, whatever the archive loop is doing to the tenant's rows
-	// meanwhile. (The floor is the previous count and not the rows acked
-	// before the query: on a replicated shard an ack means quorum commit,
-	// and the serving replica applies a moment later, so a row acked
-	// microseconds ago may legitimately not be visible yet. Once visible
-	// it must stay visible; the exact comparison with the acked ledger is
-	// made after the final flush.) Its queries are in neither the query
-	// count nor the latency quantiles, which keep describing the readers
-	// above.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var floor [auditTenants]int64
-		for n := 0; ; n++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			t := n % auditTenants
-			got, err := countTenant(c, t)
-			if err != nil {
-				fail("audit query: %v", err)
-				return
-			}
-			hi := sent[t].Load()
-			audits.Add(1)
-			if got < floor[t] || got > hi {
-				fail("audit: tenant %d counts %d rows, outside [%d counted before, %d sent by the query's end]",
-					t, got, floor[t], hi)
-				continue // a wrong count is no floor for the next
-			}
-			floor[t] = got
-		}
-	}()
-
-	t0 := time.Now()
-	time.Sleep(*duration)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(t0)
-
-	if n := errsReported.Load(); n > 0 {
-		fatal("%d append, query or audit failures under sustained load (%d audit queries)", n, audits.Load())
+	// One step of traffic and no faults. Writer i's generator is seeded
+	// 1000+i, and the driver gives each writer a disjoint timestamp
+	// range: the ingest path dedups retries by batch content hash, so two
+	// byte-identical batches from different writers would count as one.
+	load, err := chaos.Run(c, chaos.Config{
+		Seed: 1000, Tenants: *tenants, Theta: *theta,
+		Writers: *writers, BatchRows: *batch,
+		Readers: *readers, Queries: queries,
+		Audit:    auditTenants,
+		Schedule: []chaos.Step{{Hold: *duration}},
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "soak: "+format+"\n", args...)
+		},
+	})
+	if err != nil {
+		fatal("%v", err)
 	}
-	if audits.Load() == 0 {
+	phase := load.Phases[0]
+	if n, m := load.AppendRetries, phase.Failures.Load(); n+m > 0 {
+		fatal("%d append and %d query failures under sustained load (%d audit queries)", n, m, load.Audits)
+	}
+	if load.Audits == 0 {
 		fatal("the auditing reader completed no query")
 	}
 
@@ -271,22 +154,25 @@ func main() {
 	if resident := c.WaitForArchive(30 * time.Second); resident != 0 {
 		fatal("%d rows still resident after flush", resident)
 	}
-	for t := range acked {
-		if got, err := countTenant(c, t); err != nil || got != acked[t].Load() {
-			fatal("audit: tenant %d counts %d rows after the flush (%v), %d were acked", t, got, err, acked[t].Load())
-		}
+	audited := map[int64]int64{}
+	for t := int64(0); t < auditTenants; t++ {
+		audited[t] = load.Acked[t]
+	}
+	if err := chaos.VerifyCounts(c, audited, 0); err != nil {
+		fatal("audit after the flush: %v", err)
 	}
 	stats := c.Stats()
 	apply := c.ApplyStats()
 	if apply.Lost() {
 		fatal("apply drops (acked rows lost): %+v", apply)
 	}
-	if got := stats.ArchivedRows + stats.ResidentRows; got != rowsAppended.Load() {
+	if got := stats.ArchivedRows + stats.ResidentRows; got != load.AckedTotal {
 		fatal("accounting mismatch: appended %d, archived+resident %d (counters %+v)",
-			rowsAppended.Load(), got, apply)
+			load.AckedTotal, got, apply)
 	}
 
 	groups, batches := c.CoalesceStats()
+	elapsed := load.Elapsed
 	rep := report{
 		Tenants:        *tenants,
 		Writers:        *writers,
@@ -294,20 +180,20 @@ func main() {
 		BatchRows:      *batch,
 		Theta:          *theta,
 		DurationSec:    elapsed.Seconds(),
-		RowsAppended:   rowsAppended.Load(),
-		RowsPerSec:     float64(rowsAppended.Load()) / elapsed.Seconds(),
-		AppendP50MS:    appendLat.Quantile(0.5),
-		AppendP99MS:    appendLat.Quantile(0.99),
-		Queries:        queriesRun.Load(),
-		QueriesPerSec:  float64(queriesRun.Load()) / elapsed.Seconds(),
-		QueryP50MS:     queryLat.Quantile(0.5),
-		QueryP99MS:     queryLat.Quantile(0.99),
+		RowsAppended:   load.AckedTotal,
+		RowsPerSec:     float64(load.AckedTotal) / elapsed.Seconds(),
+		AppendP50MS:    load.AppendLatency.Quantile(0.5),
+		AppendP99MS:    load.AppendLatency.Quantile(0.99),
+		Queries:        phase.Queries.Load(),
+		QueriesPerSec:  float64(phase.Queries.Load()) / elapsed.Seconds(),
+		QueryP50MS:     phase.Latency.Quantile(0.5),
+		QueryP99MS:     phase.Latency.Quantile(0.99),
 		CoalesceGroups: groups,
 		CoalesceBatch:  batches,
 		DedupSkips:     apply.DedupSkips,
 		ResidentRows:   stats.ResidentRows,
 		ArchivedRows:   stats.ArchivedRows,
-		AuditQueries:   audits.Load(),
+		AuditQueries:   load.Audits,
 	}
 	if lookups := stats.CacheMemHits + stats.CacheMemMisses; lookups > 0 {
 		rep.CacheHitRatio = float64(stats.CacheMemHits) / float64(lookups)
@@ -341,18 +227,6 @@ func main() {
 	}
 	fmt.Printf("soak ok: %.0f rows/s sustained, %.0f queries/s, group factor %.2f, p99 append %.2fms, %d audited counts in range\n",
 		rep.RowsPerSec, rep.QueriesPerSec, rep.GroupFactor, rep.AppendP99MS, rep.AuditQueries)
-}
-
-// countTenant is the audit's query: every row of the tenant, resident
-// or archived.
-func countTenant(c *logstore.Cluster, tenant int) (int64, error) {
-	sch := c.TableSchema()
-	res, err := c.Query(fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s = %d AND %s >= 0",
-		sch.Name, sch.TenantCol, tenant, sch.TimeCol))
-	if err != nil {
-		return 0, err
-	}
-	return res.Count, nil
 }
 
 func fatal(format string, args ...any) {

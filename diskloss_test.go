@@ -70,12 +70,12 @@ func TestDiskLossHydration(t *testing.T) {
 					t.Fatalf("cycle %d: recover: %v", cycle, err)
 				}
 				// Every acked row is back, exactly once, from OSS alone.
-				if err := chaos.VerifyCounts(c, c.TableSchema(), acked, 30*time.Second); err != nil {
+				if err := chaos.VerifyCounts(c, acked, 30*time.Second); err != nil {
 					t.Fatalf("cycle %d: %v", cycle, err)
 				}
 				// The hydrated worker keeps working: more ingest, still exact.
 				ingest(5)
-				if err := chaos.VerifyCounts(c, c.TableSchema(), acked, 30*time.Second); err != nil {
+				if err := chaos.VerifyCounts(c, acked, 30*time.Second); err != nil {
 					t.Fatalf("cycle %d post-ingest: %v", cycle, err)
 				}
 			}

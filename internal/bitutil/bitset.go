@@ -76,13 +76,6 @@ func (b *Bitset) SetAll() {
 	b.trimTail()
 }
 
-// ClearAll clears every bit.
-func (b *Bitset) ClearAll() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
 // trimTail zeroes bits at positions >= n in the last word so that
 // Count and iteration never observe phantom bits.
 func (b *Bitset) trimTail() {

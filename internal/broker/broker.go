@@ -46,7 +46,7 @@ type Config struct {
 	// Seed randomizes weighted routing.
 	Seed int64
 	// Health, when set, steers sub-queries and writes away from workers
-	// the cluster believes are down or draining, and enables failover:
+	// the cluster believes are down or slow, and enables failover:
 	// a failed block sub-query is retried on the next healthy worker.
 	// Nil treats every worker as healthy (single-node setups, tests).
 	Health *flow.HealthTracker

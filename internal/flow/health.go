@@ -23,9 +23,6 @@ type WorkerState int
 const (
 	// WorkerUp is serving normally.
 	WorkerUp WorkerState = iota
-	// WorkerDraining is alive but being decommissioned: it still
-	// answers queries for data it holds, but new writes avoid it.
-	WorkerDraining
 	// WorkerDead has missed enough heartbeats to be presumed crashed;
 	// brokers fail its sub-queries over to other workers.
 	WorkerDead
@@ -33,8 +30,7 @@ const (
 	// observed latency EWMA crossed the slow threshold. Brokers depri-
 	// oritize it for new sub-queries (it stays a failover candidate)
 	// and admission control sheds a share of ingest while any worker
-	// is slow. Appended after WorkerDead so persisted state values
-	// stay stable.
+	// is slow.
 	WorkerSlow
 )
 
@@ -43,8 +39,6 @@ func (s WorkerState) String() string {
 	switch s {
 	case WorkerUp:
 		return "up"
-	case WorkerDraining:
-		return "draining"
 	case WorkerDead:
 		return "dead"
 	case WorkerSlow:
@@ -54,12 +48,11 @@ func (s WorkerState) String() string {
 }
 
 // HealthTracker counts missed heartbeats per worker and derives an
-// up/draining/dead state. Safe for concurrent use.
+// up/slow/dead state. Safe for concurrent use.
 type HealthTracker struct {
 	mu        sync.Mutex
 	downAfter int
 	misses    map[WorkerID]int
-	draining  map[WorkerID]bool
 	dead      map[WorkerID]bool
 
 	// Slow-worker detection: a per-worker latency EWMA fed by broker
@@ -85,7 +78,6 @@ func NewHealthTracker(downAfterMisses int) *HealthTracker {
 	return &HealthTracker{
 		downAfter: downAfterMisses,
 		misses:    make(map[WorkerID]int),
-		draining:  make(map[WorkerID]bool),
 		dead:      make(map[WorkerID]bool),
 		ewma:      make(map[WorkerID]time.Duration),
 		slow:      make(map[WorkerID]bool),
@@ -165,30 +157,13 @@ func (h *HealthTracker) SlowFraction() float64 {
 	return float64(slow) / float64(live)
 }
 
-// Beat records a heartbeat: the worker is (back) up unless draining. A
-// beat from a dead worker resurrects it — recovery needs no separate
-// call.
+// Beat records a heartbeat: the worker is (back) up. A beat from a
+// dead worker resurrects it — recovery needs no separate call.
 func (h *HealthTracker) Beat(w WorkerID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.misses[w] = 0
 	delete(h.dead, w)
-}
-
-// SetDraining marks (or unmarks) a worker as draining. Draining is
-// orthogonal to liveness: a draining worker that stops beating still
-// becomes dead.
-func (h *HealthTracker) SetDraining(w WorkerID, draining bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if draining {
-		h.draining[w] = true
-		if _, ok := h.misses[w]; !ok {
-			h.misses[w] = 0
-		}
-	} else {
-		delete(h.draining, w)
-	}
 }
 
 // Tick advances the miss counter of every tracked worker; workers at or
@@ -221,16 +196,13 @@ func (h *HealthTracker) stateLocked(w WorkerID) WorkerState {
 	if h.dead[w] {
 		return WorkerDead
 	}
-	if h.draining[w] {
-		return WorkerDraining
-	}
 	if h.slow[w] {
 		return WorkerSlow
 	}
 	return WorkerUp
 }
 
-// Up reports whether the worker accepts new work (up, not draining).
+// Up reports whether the worker accepts new work (up, not slow or dead).
 func (h *HealthTracker) Up(w WorkerID) bool { return h.State(w) == WorkerUp }
 
 // Snapshot returns the state of every tracked worker.
@@ -248,12 +220,11 @@ func (h *HealthTracker) Snapshot() map[WorkerID]WorkerState {
 }
 
 // ReadPartition splits the workers for archived reads under the current
-// health view. Serving drops the workers believed dead: draining ones
-// still answer for the cached blocks they hold, only new writes avoid
-// them. Primary further drops the slow-flagged ones (gray failure:
-// alive but lagging), which stay in serving as the failover tail. A
-// filter that would leave nothing returns its input instead: stale
-// health must degrade to optimistic routing, never to unavailability,
+// health view. Serving drops the workers believed dead. Primary
+// further drops the slow-flagged ones (gray failure: alive but
+// lagging), which stay in serving as the failover tail. A filter that
+// would leave nothing returns its input instead: stale health must
+// degrade to optimistic routing, never to unavailability,
 // and universally degraded beats unavailable. A nil tracker treats every
 // worker as healthy. When no worker is dead or slow, both partitions
 // are all itself, and nothing is allocated.

@@ -38,6 +38,10 @@ func TestHealthTrackerLifecycle(t *testing.T) {
 	if again := h.Tick(); len(again) != 0 {
 		t.Fatalf("repeated death transitions = %v", again)
 	}
+	if WorkerUp.String() != "up" || WorkerDead.String() != "dead" ||
+		WorkerSlow.String() != "slow" || WorkerState(99).String() != "unknown" {
+		t.Error("WorkerState strings wrong")
+	}
 
 	// A beat resurrects.
 	h.Beat(1)
@@ -51,46 +55,6 @@ func TestHealthTrackerLifecycle(t *testing.T) {
 	snap := h.Snapshot()
 	if snap[1] != WorkerUp || snap[2] != WorkerDead {
 		t.Fatalf("snapshot = %v", snap)
-	}
-}
-
-func TestHealthTrackerDraining(t *testing.T) {
-	h := NewHealthTracker(2)
-	h.Beat(1)
-	h.SetDraining(1, true)
-	if h.Up(1) {
-		t.Fatal("draining worker reported up")
-	}
-	if got := h.State(1); got != WorkerDraining {
-		t.Fatalf("state = %v", got)
-	}
-	// Draining is orthogonal to liveness: missed beats still kill it.
-	h.Tick()
-	h.Tick()
-	if got := h.State(1); got != WorkerDead {
-		t.Fatalf("draining worker after misses = %v", got)
-	}
-	// Beat brings it back to draining, not up.
-	h.Beat(1)
-	if got := h.State(1); got != WorkerDraining {
-		t.Fatalf("resurrected draining worker = %v", got)
-	}
-	h.SetDraining(1, false)
-	if !h.Up(1) {
-		t.Fatal("undrained worker should be up")
-	}
-
-	// SetDraining on an unseen worker registers it for ticking.
-	h.SetDraining(9, true)
-	h.Tick()
-	h.Tick()
-	if got := h.State(9); got != WorkerDead {
-		t.Fatalf("drained-then-silent worker = %v", got)
-	}
-
-	if WorkerUp.String() != "up" || WorkerDraining.String() != "draining" ||
-		WorkerDead.String() != "dead" || WorkerState(99).String() != "unknown" {
-		t.Error("WorkerState strings wrong")
 	}
 }
 
@@ -119,14 +83,12 @@ func TestReadPartition(t *testing.T) {
 	h.Beat(1)
 	h.Tick() // worker 1 dead
 	h.ReportLatency(2, time.Second)
-	h.SetDraining(3, true)
 	s, p := h.ReadPartition(all)
 	if !eq(s, []WorkerID{0, 2, 3}) || !eq(p, []WorkerID{0, 3}) {
 		t.Fatalf("serving %v primary %v, want [0 2 3] and [0 3]", s, p)
 	}
 
 	// Every live worker slow: the slow ones are the partition.
-	h.SetDraining(3, false)
 	h.ReportLatency(0, time.Second)
 	h.ReportLatency(3, time.Second)
 	if s, p = h.ReadPartition(all); !eq(s, []WorkerID{0, 2, 3}) || !eq(p, s) {

@@ -9,7 +9,7 @@ import (
 // Router is the broker-side R/W router: it holds the latest routing
 // table pushed by the scheduler and picks a destination shard per
 // write, spreading a tenant's traffic across its routes by weight.
-// Reads consult the union of old and new plans (see Scheduler.ReadTable).
+// Reads consult the union of old and new plans (see ReadShards).
 //
 // Update compiles each table into the form the request path reads, so
 // that neither a write's pick nor a query's read set sorts, builds a

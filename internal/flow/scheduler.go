@@ -57,7 +57,6 @@ type Scheduler struct {
 	mu        sync.Mutex
 	topo      *Topology
 	table     RouteTable
-	prevTable RouteTable
 	listeners []func(RouteTable)
 }
 
@@ -86,28 +85,6 @@ func (s *Scheduler) Table() RouteTable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.table.Clone()
-}
-
-// ReadTable returns the union of the current and previous tables: reads
-// must consult shards from both plans while data written under the old
-// plan is still resident there (paper §4.1.5).
-func (s *Scheduler) ReadTable() RouteTable {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	merged := s.table.Clone()
-	for t, shards := range s.prevTable {
-		dst, ok := merged[t]
-		if !ok {
-			merged[t] = shards
-			continue
-		}
-		for sh := range shards {
-			if _, ok := dst[sh]; !ok {
-				dst[sh] = 0 // read-only route: weight irrelevant
-			}
-		}
-	}
-	return merged
 }
 
 // Topology returns a copy of the scheduler's cluster view.
@@ -205,7 +182,6 @@ func (s *Scheduler) Rebalance(tr *Traffic) Action {
 // (all routers see the same version).
 func (s *Scheduler) install(next RouteTable) {
 	s.mu.Lock()
-	s.prevTable = s.table
 	s.table = next
 	fns := make([]func(RouteTable), len(s.listeners))
 	copy(fns, s.listeners)

@@ -145,41 +145,6 @@ func TestSchedulerSubscribePush(t *testing.T) {
 	}
 }
 
-func TestSchedulerReadTableMergesOldPlan(t *testing.T) {
-	topo := testTopology(4, 2, 100_000, 250_000)
-	s, err := NewScheduler(topo, []TenantID{7}, AlgorithmMaxFlow, DefaultBalancerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldShards := map[ShardID]bool{}
-	for sh := range s.Table()[7] {
-		oldShards[sh] = true
-	}
-	home := ShardID(-1)
-	for sh := range oldShards {
-		home = sh
-	}
-	hot := &Traffic{
-		Tenant: map[TenantID]float64{7: 300_000},
-		Shard:  map[ShardID]float64{home: 300_000},
-		Worker: map[WorkerID]float64{topo.ShardWorker[home]: 300_000},
-	}
-	if got := s.Rebalance(hot); got != ActionRebalanced {
-		t.Fatal("rebalance failed")
-	}
-	read := s.ReadTable()
-	for sh := range oldShards {
-		if _, ok := read[7][sh]; !ok {
-			t.Errorf("read table lost old-plan shard %d", sh)
-		}
-	}
-	for sh := range s.Table()[7] {
-		if _, ok := read[7][sh]; !ok {
-			t.Errorf("read table missing new-plan shard %d", sh)
-		}
-	}
-}
-
 func TestSchedulerEnsureTenant(t *testing.T) {
 	topo := testTopology(2, 2, 100, 300)
 	s, err := NewScheduler(topo, nil, AlgorithmMaxFlow, DefaultBalancerConfig())

@@ -119,6 +119,10 @@ type Node struct {
 	// Storage needs no explicit flush). One Sync covers a whole
 	// group-committed run of entries.
 	syncer Syncer
+	// unsynced is set while the last Sync failed: entries this node
+	// already holds may not be durable, so even an append that adds
+	// nothing must flush again before it is answered with Success.
+	unsynced bool
 	// drainBuf is the reusable scratch for group-draining the
 	// sync_queue (run goroutine only).
 	drainBuf []any
@@ -508,21 +512,33 @@ func (n *Node) drainProposals() {
 	n.drainBuf = buf[:0]
 	n.appendEntries(entries...)
 	// One fsync covers the whole run: only after it may the group count
-	// toward quorum on this node.
-	n.syncStorage()
-	n.matchIndex[n.cfg.ID] = n.lastIndex()
+	// toward quorum on this node. A failed one fails the run's
+	// proposals; the entries stay in the log, so followers may still
+	// commit them, and the error's outcome is as ambiguous as
+	// ErrNotLeader's.
+	if err := n.syncStorage(); err != nil {
+		first := len(n.pending) - len(entries)
+		for _, p := range n.pending[first:] {
+			p.done <- err
+		}
+		n.pending = n.pending[:first]
+	} else {
+		n.matchIndex[n.cfg.ID] = n.lastIndex()
+	}
 	n.broadcastAppend()
 	n.maybeCommit()
 }
 
-// syncStorage flushes the storage when it buffers (WAL-backed); a
-// failed flush is ignored here — the entries stay in memory and the
-// worst case is re-replication after a crash, the same exposure the
-// write path already has when the log's disk vanishes mid-run.
-func (n *Node) syncStorage() {
-	if n.syncer != nil {
-		_ = n.syncer.Sync()
+// syncStorage flushes the storage when it buffers (WAL-backed). Until
+// it returns nil, nothing appended since the last successful flush may
+// count toward quorum on this node.
+func (n *Node) syncStorage() error {
+	if n.syncer == nil {
+		return nil
 	}
+	err := n.syncer.Sync()
+	n.unsynced = err != nil
+	return err
 }
 
 // ---- log helpers ----
@@ -654,8 +670,9 @@ func (n *Node) becomeLeader() {
 	// from previous terms — e.g. after a full-cluster restart. No-op
 	// entries (empty Data) are skipped on the apply path.
 	n.appendEntries(Entry{Term: n.term, Index: n.lastIndex() + 1})
-	n.syncStorage()
-	n.matchIndex[n.cfg.ID] = n.lastIndex()
+	if n.syncStorage() == nil {
+		n.matchIndex[n.cfg.ID] = n.lastIndex()
+	}
 	n.elapsed = 0
 	n.broadcastAppend()
 	// A leader that is its own quorum commits the no-op — and the log it
@@ -839,8 +856,8 @@ func (n *Node) handleAppendRequest(msg Message) {
 		appended = true
 		break
 	}
-	if appended {
-		n.syncStorage()
+	if (appended || n.unsynced) && n.syncStorage() != nil {
+		return // not durable here: no Success, so no quorum counts this node
 	}
 	match := msg.PrevLogIndex + uint64(len(msg.Entries))
 	if msg.LeaderCommit > n.commitIndex {

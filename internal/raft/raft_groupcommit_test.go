@@ -235,3 +235,92 @@ func TestWaitApplied(t *testing.T) {
 		t.Fatalf("WaitApplied on a stopped node = %v, want ErrStopped", err)
 	}
 }
+
+// failingSyncStorage is a Storage whose every Sync fails: a disk that
+// takes writes and then cannot flush them.
+type failingSyncStorage struct {
+	Storage
+}
+
+var errSyncFailed = errors.New("injected fsync failure")
+
+func (failingSyncStorage) Sync() error { return errSyncFailed }
+
+// TestFailedSyncIsNeverAcked: an entry whose Sync failed does not count
+// toward quorum on the node that failed it. A one-node group's leader
+// fails the proposal with the Sync error and commits nothing; in a
+// three-node group whose two followers cannot flush, the healthy
+// leader commits nothing either, because no follower answers Success.
+func TestFailedSyncIsNeverAcked(t *testing.T) {
+	t.Run("leader", func(t *testing.T) {
+		sm := &recordingSM{}
+		node, err := NewNode(Config{
+			ID: 0, Peers: []NodeID{0}, Transport: NewLocalNetwork(1).Transport(0),
+			SM: sm, Storage: failingSyncStorage{NewMemoryStorage()},
+			TickInterval: 2 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Stop()
+		waitFor(t, "self-election", node.IsLeader)
+		if err := node.Propose([]byte("x")); !errors.Is(err, errSyncFailed) {
+			t.Fatalf("Propose after a failed Sync = %v, want %v", err, errSyncFailed)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if st := node.Status(); st.CommitIndex != 0 || sm.count() != 0 {
+			t.Fatalf("commit index %d, %d applied: an unflushed entry committed", st.CommitIndex, sm.count())
+		}
+	})
+	t.Run("followers", func(t *testing.T) {
+		net := NewLocalNetwork(1)
+		peers := []NodeID{0, 1, 2}
+		var nodes []*Node
+		for _, id := range peers {
+			var st Storage = NewMemoryStorage()
+			if id != 0 {
+				st = failingSyncStorage{st}
+			}
+			n, err := NewNode(Config{
+				ID: id, Peers: peers, Transport: net.Transport(id), SM: &recordingSM{},
+				Storage: st, TickInterval: 2 * time.Millisecond, ElectionTicks: 10,
+				// Node 0 times out first and so is the healthy leader.
+				Seed: int64(id) * 1000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Register(n)
+			nodes = append(nodes, n)
+			defer n.Stop()
+		}
+		var leader *Node
+		waitFor(t, "a leader", func() bool {
+			for _, n := range nodes {
+				if n.IsLeader() {
+					leader = n
+					return true
+				}
+			}
+			return false
+		})
+		p, err := leader.ProposeAsync([]byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- p.Wait() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("proposal acked with no follower able to flush it")
+			}
+		case <-time.After(100 * time.Millisecond):
+		}
+		for _, n := range nodes {
+			if ci := n.Status().CommitIndex; ci != 0 {
+				t.Fatalf("node %d commit index %d: an unflushed entry committed", n.Status().ID, ci)
+			}
+		}
+	})
+}

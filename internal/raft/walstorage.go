@@ -42,6 +42,10 @@ type WALStorage struct {
 	base     uint64
 	baseTerm uint64
 	prefix   []Entry
+	// err is the first failed write or flush. The Storage mutators
+	// cannot return it, so every later Sync does: a record that never
+	// reached the log must not be reported durable by a flush after it.
+	err error
 }
 
 // Record type tags.
@@ -191,7 +195,15 @@ func (s *WALStorage) SetState(term uint64, vote NodeID) {
 	rec := []byte{walTagState}
 	rec = bitutil.AppendUvarint(rec, term)
 	rec = bitutil.AppendUvarint(rec, uint64(int64(vote)+1))
-	_, _ = s.log.Append(rec)
+	_, err := s.log.Append(rec)
+	s.keepErr(err)
+}
+
+// keepErr records err as the storage's first failure. Caller holds mu.
+func (s *WALStorage) keepErr(err error) {
+	if s.err == nil {
+		s.err = err
+	}
 }
 
 // Entries implements Storage.
@@ -216,7 +228,8 @@ func (s *WALStorage) Append(entries []Entry) {
 		rec := append([]byte{walTagEntry}, entries[0].AppendTo(nil)...)
 		seq, err := s.log.Append(rec)
 		if err != nil {
-			return // closed log: in-memory state still serves the node
+			s.keepErr(err) // in-memory state still serves the node
+			return
 		}
 		s.entries = append(s.entries, entries[0])
 		s.seqs = append(s.seqs, seq)
@@ -228,6 +241,7 @@ func (s *WALStorage) Append(entries []Entry) {
 	}
 	first, err := s.log.AppendBatch(recs)
 	if err != nil {
+		s.keepErr(err)
 		return
 	}
 	for i, e := range entries {
@@ -242,14 +256,28 @@ func (s *WALStorage) TruncateFrom(index uint64) {
 	defer s.mu.Unlock()
 	rec := []byte{walTagTruncate}
 	rec = bitutil.AppendUvarint(rec, index)
-	_, _ = s.log.Append(rec)
+	_, err := s.log.Append(rec)
+	s.keepErr(err)
 	s.truncateMem(index)
 }
 
 // Sync flushes the WAL to stable storage (call after quorum-critical
-// writes when Options.SyncEveryAppend is off).
+// writes when Options.SyncEveryAppend is off). Once a write or a flush
+// has failed, every Sync returns that first error.
 func (s *WALStorage) Sync() error {
-	return s.log.Sync()
+	s.mu.Lock()
+	err := s.err
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := s.log.Sync(); err != nil {
+		s.mu.Lock()
+		s.keepErr(err)
+		s.mu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // Checkpoint recycles WAL segments whose raft entries are all ≤
@@ -349,7 +377,8 @@ func (s *WALStorage) SetBase(index, term uint64) {
 	rec := []byte{walTagApplied}
 	rec = bitutil.AppendUvarint(rec, index)
 	rec = bitutil.AppendUvarint(rec, term)
-	_, _ = s.log.Append(rec)
+	_, err := s.log.Append(rec)
+	s.keepErr(err)
 	if index >= s.applied {
 		s.applied = index
 		s.markTerm = term

@@ -1653,14 +1653,5 @@ func (w *Worker) HealShardNetwork(id flow.ShardID) error {
 	return nil
 }
 
-// ShardApplied reports the serving replica's applied raft index.
-func (w *Worker) ShardApplied(id flow.ShardID) (uint64, error) {
-	sh, err := w.shard(id)
-	if err != nil {
-		return 0, err
-	}
-	return sh.applied.Load(), nil
-}
-
 // Proposal encode/decode lives in proposal.go (group framing, batch
 // ids, pooled encode buffers).

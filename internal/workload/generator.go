@@ -72,9 +72,6 @@ func NewGenerator(cfg GeneratorConfig) *Generator {
 // Tenants returns the number of tenants in the workload.
 func (g *Generator) Tenants() int { return g.zipf.N() }
 
-// TenantWeight returns the expected traffic share of tenant k.
-func (g *Generator) TenantWeight(k int) float64 { return g.zipf.Weight(k) }
-
 // NextTenant draws a tenant id under the Zipfian distribution.
 func (g *Generator) NextTenant() int64 { return int64(g.zipf.Next()) }
 

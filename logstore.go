@@ -77,10 +77,9 @@ type (
 
 // Worker health states (see flow.HealthTracker).
 const (
-	WorkerUp       = flow.WorkerUp
-	WorkerDraining = flow.WorkerDraining
-	WorkerDead     = flow.WorkerDead
-	WorkerSlow     = flow.WorkerSlow
+	WorkerUp   = flow.WorkerUp
+	WorkerDead = flow.WorkerDead
+	WorkerSlow = flow.WorkerSlow
 )
 
 // ErrOverloaded is the typed admission-shed error; errors.As against
