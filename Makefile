@@ -66,7 +66,7 @@ fuzz:
 ##    under live traffic, and recovery must hydrate the lost shards from
 ##    the shipped WAL on OSS (TestChaosDiskWipe, TestDiskLossHydration);
 ##  - gray failure: nothing crashes, but one worker's OSS reads stall,
-##    one replica lags its applies, and one tenant floods at ~10x its
+##    one shard lags its applies, and one tenant floods at ~10x its
 ##    admission budget; healthy tenants' query p99 must stay within 3x
 ##    baseline, the memory proxy bounded and the flood shed with
 ##    Retry-After (TestChaosBrownout, TestQueryExpiredDeadlineSkipsOSS,
@@ -99,7 +99,7 @@ bench:
 	$(GO) test -bench 'BenchmarkOpen$$|BenchmarkRange$$' -benchmem -run '^$$' ./internal/index/bkd/ >> /tmp/bench_scan.txt
 	$(GO) test -bench 'BenchmarkWarmQuery$$' -benchmem -run '^$$' . >> /tmp/bench_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
-	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
+	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/bench_ingest.txt
 	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$|BenchmarkFlushSim$$|BenchmarkDedupSet$$' \
 		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ ./internal/worker/ >> /tmp/bench_ingest.txt
@@ -120,7 +120,7 @@ benchdiff-micro:
 	$(GO) test -bench 'BenchmarkWarmQuery$$' -benchmem -run '^$$' . >> /tmp/benchdiff_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/benchdiff_scan.txt > /tmp/benchdiff_scan.json
 	$(GO) run ./cmd/benchdiff -base BENCH_scan.json -new /tmp/benchdiff_scan.json
-	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkIngestThroughputReplicated$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
+	$(GO) test -bench 'BenchmarkIngestThroughput$$|BenchmarkEncodeBatch$$|BenchmarkAppendGroupCommit$$' \
 		-benchmem -benchtime 2s -run '^$$' . > /tmp/benchdiff_ingest.txt
 	$(GO) test -bench 'BenchmarkBuildPack$$|BenchmarkDrainStore$$|BenchmarkFlushSim$$|BenchmarkDedupSet$$' \
 		-benchmem -run '^$$' ./internal/logblock/ ./internal/builder/ ./internal/worker/ >> /tmp/benchdiff_ingest.txt
@@ -187,7 +187,7 @@ bench-e2e-compare:
 
 ## soak: the sustained-load gate — chaos.Run with one fault-free step:
 ## thousands of zipfian tenants, concurrent writers, readers and a read
-## audit against a replicated cluster, with exactly-once accounting
+## audit against a cluster, with exactly-once accounting
 ## verified at the end; writes BENCH_soak.json (commit it alongside perf
 ## PRs).
 soak:

@@ -14,49 +14,30 @@ import (
 
 	"logstore"
 	"logstore/internal/backpressure"
-	"logstore/internal/flow"
 	"logstore/internal/httpapi"
 	"logstore/internal/worker"
 )
 
-// leadFromReplica0 leaves the shard's raft group led by replica 0 — the
-// replica whose applies SlowShardApply delays — with replica 2 down. It
-// needs no luck with election timers: replica 1 is made to miss a
-// committed batch, so once replica 2 is gone raft's election restriction
-// lets only replica 0 win.
-func leadFromReplica0(t *testing.T, c *logstore.Cluster, w *worker.Worker, shard flow.ShardID, batches [2][]logstore.Row) {
-	t.Helper()
-	steps := []func() error{
-		func() error { return w.KillShardReplica(shard, 1) },
-		func() error { return c.Append(batches[0]...) }, // commits on replicas 0 and 2
-		func() error { return w.KillShardReplica(shard, 2) },
-		func() error { return w.RestartShardReplica(shard, 1) }, // memory-backed: comes back empty
-		func() error { return c.Append(batches[1]...) },         // commits under the only possible leader
-	}
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("pinning the leader, step %d: %v", i, err)
-		}
-	}
-}
-
 // TestBackpressureSurfacesToClient is the paper's BFC end to end. With
-// two-item raft queues and the leader's applies held, four committed
-// batches fill the apply side, the leader stops draining its sync_queue,
-// two appends park there, and every further append is refused at
-// enqueue: Append returns backpressure.ErrBackpressure, the HTTP API
-// answers 429, the parked appends' bytes show in the memory proxy, and
-// once the hold is lifted every batch that was not refused — and none
-// that was — is readable, exactly once.
+// two-item raft queues and the shard's applies held, the first batches
+// commit and fill the apply side (one applying, two in the apply_queue,
+// at most two more held back from it), the node stops draining its
+// sync_queue, two appends park there, and every further append is
+// refused at enqueue: Append returns backpressure.ErrBackpressure, the
+// HTTP API answers 429, and the queued appends' bytes show in the
+// memory proxy. A refused writer sends the same batch again a moment
+// later. At most seven of the sixteen writers' batches fit, so both
+// halves meet refusals. Once the hold is lifted every batch is acked,
+// and each is readable exactly once: a refused attempt left nothing.
 func TestBackpressureSurfacesToClient(t *testing.T) {
 	const (
-		writers   = 8 // even ones call Append, odd ones POST /append
+		writers   = 16 // even ones call Append, odd ones POST /append
 		perWriter = 20
 		batchRows = 20
 		hold      = 500 * time.Millisecond
 	)
 	c, err := logstore.Open(logstore.Config{
-		Workers: 1, ShardsPerWorker: 1, Replicas: 3,
+		Workers: 1, ShardsPerWorker: 1,
 		RaftQueueItems:  2,
 		RaftTick:        2 * time.Millisecond,
 		ArchiveInterval: time.Hour,
@@ -91,27 +72,27 @@ func TestBackpressureSurfacesToClient(t *testing.T) {
 		}
 		return rows
 	}
-	leadFromReplica0(t, c, w, shard, [2][]logstore.Row{rowsOf(batch(0, 0)), rowsOf(batch(0, 1))})
-	// What one parked append holds: its batch as a raft proposal.
+	// What one queued append holds: its batch as a raft proposal.
 	proposalBytes := int64(len(worker.EncodeGroupProposal([][]byte{worker.AppendSubProposal(nil, rowsOf(batch(1, 0)))})))
 
 	if err := c.SlowShardApply(shard, hold); err != nil {
 		t.Fatal(err)
 	}
-	var refused atomic.Int64
+	var refused [2]atomic.Int64     // by writer parity: Append, POST /append
 	acked := make([]int64, writers) // rows, by writer
 	var wg sync.WaitGroup
 	for wr := 0; wr < writers; wr++ {
 		wg.Add(1)
 		go func(wr int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
+			for i := 0; i < perWriter; {
 				recs := batch(int64(wr+1), i)
 				if wr%2 == 0 {
 					err := c.Append(rowsOf(recs)...)
 					if errors.Is(err, backpressure.ErrBackpressure) {
-						refused.Add(1)
-						return
+						refused[0].Add(1)
+						time.Sleep(time.Millisecond)
+						continue
 					}
 					if err != nil {
 						t.Errorf("writer %d batch %d: %v", wr, i, err)
@@ -126,8 +107,9 @@ func TestBackpressureSurfacesToClient(t *testing.T) {
 					}
 					resp.Body.Close()
 					if resp.StatusCode == http.StatusTooManyRequests {
-						refused.Add(1)
-						return
+						refused[1].Add(1)
+						time.Sleep(time.Millisecond)
+						continue
 					}
 					if resp.StatusCode != http.StatusOK {
 						t.Errorf("writer %d batch %d: HTTP %d", wr, i, resp.StatusCode)
@@ -135,22 +117,23 @@ func TestBackpressureSurfacesToClient(t *testing.T) {
 					}
 				}
 				acked[wr] += batchRows
+				i++
 			}
 		}(wr)
 	}
 
-	// Two writers park in the sync_queue; the other six are each refused.
-	for deadline := time.Now().Add(10 * time.Second); refused.Load() < writers-2; time.Sleep(time.Millisecond) {
+	// A refusal means the sync_queue was full. The node stops draining
+	// it only once the apply_queue is full too, and the refused writers'
+	// retries keep it full from then on.
+	for deadline := time.Now().Add(10 * time.Second); refused[0].Load()+refused[1].Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d appends refused with the apply side held, want %d", refused.Load(), writers-2)
+			t.Fatal("no append refused with the apply side held")
 		}
 	}
 	// Everything a blocked append holds is in a bounded queue the memory
-	// proxy reads: two parked proposals, two more awaiting apply. The
-	// sixth refusal can land before the last of the four reaches its
-	// queue, and entries move between the replicas' queues between two
-	// reads, so poll until one reading of each shows both bounds — for
-	// well under the hold, inside which none of the four can leave.
+	// proxy reads: two parked proposals, two more awaiting apply. Poll
+	// until one reading of each shows both bounds — for well under the
+	// hold, inside which none of the four can leave.
 	got, proxy := w.MemoryFootprint(), c.MemoryProxy()
 	for deadline := time.Now().Add(hold / 4); (got < 4*proposalBytes || proxy < got) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
@@ -166,6 +149,9 @@ func TestBackpressureSurfacesToClient(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
+	}
+	if refused[0].Load() == 0 || refused[1].Load() == 0 {
+		t.Fatalf("refusals: %d by Append, %d by POST /append; want both", refused[0].Load(), refused[1].Load())
 	}
 
 	for wr, want := range acked {

@@ -151,14 +151,13 @@ func shifter(c *Cluster, rows []Row) func() {
 }
 
 // BenchmarkIngestThroughput measures end-to-end append throughput of an
-// embedded (unreplicated) cluster: rows/sec through broker routing,
+// embedded cluster with in-memory raft logs: rows/sec through broker routing,
 // shard row stores, and traffic accounting. Every iteration appends
 // distinct rows (shifter).
 func BenchmarkIngestThroughput(b *testing.B) {
 	cfg := Config{
 		Workers:         2,
 		ShardsPerWorker: 2,
-		Replicas:        1,
 		ArchiveInterval: time.Hour, // keep the bench about the write path
 		MaxSegmentRows:  1 << 20,
 	}
@@ -177,38 +176,6 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	}
 	defer c.Close()
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 100, Theta: 0.99, Seed: 1})
-	const batch = 1000
-	rows := g.Batch(batch)
-	shift := shifter(c, rows)
-	b.SetBytes(int64(batch))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Append(rows...); err != nil {
-			b.Fatal(err)
-		}
-		shift()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkIngestThroughputReplicated is the same write path with
-// 3-way Raft replication per shard (quorum-committed appends), distinct
-// rows every iteration.
-func BenchmarkIngestThroughputReplicated(b *testing.B) {
-	c, err := Open(Config{
-		Workers:         1,
-		ShardsPerWorker: 1,
-		Replicas:        3,
-		ArchiveInterval: time.Hour,
-		MaxSegmentRows:  1 << 20,
-		RaftTick:        time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 10, Theta: 0, Seed: 1})
 	const batch = 1000
 	rows := g.Batch(batch)
 	shift := shifter(c, rows)
@@ -246,17 +213,16 @@ func BenchmarkEncodeBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkAppendGroupCommit drives the replicated durable write path
-// from concurrent writers, the regime group commit exists for: while
-// one group's WAL fsync and quorum round are in flight, newly arriving
-// appends queue up for the next drain of the raft sync_queue, so the
-// dominant per-commit costs amortize across batches. Each writer's batches are distinct (a
+// BenchmarkAppendGroupCommit drives the durable write path from
+// concurrent writers, the regime group commit exists for: while one
+// group's WAL fsync is in flight, newly arriving appends queue up for
+// the next drain of the raft sync_queue, so the dominant per-commit
+// costs amortize across batches. Each writer's batches are distinct (a
 // shared batch would be suppressed by content-address dedup).
 func BenchmarkAppendGroupCommit(b *testing.B) {
 	c, err := Open(Config{
 		Workers:         1,
 		ShardsPerWorker: 1,
-		Replicas:        3,
 		ArchiveInterval: time.Hour,
 		MaxSegmentRows:  1 << 20,
 		RaftTick:        time.Millisecond,
@@ -272,14 +238,13 @@ func BenchmarkAppendGroupCommit(b *testing.B) {
 	var seeds atomic.Int64
 	b.SetBytes(int64(batch))
 	// 8 writers per core: group commit amortizes raft costs across
-	// writers blocked on the same quorum, so the benchmark needs real
+	// writers blocked on the same fsync, so the benchmark needs real
 	// append concurrency even on a single-core runner.
 	b.SetParallelism(8)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		// One template batch per writer, made unique per iteration by
-		// bumping a timestamp: on the replicated path rows are encoded
-		// into the proposal (never retained by the proposer), so
+		// bumping a timestamp: rows are encoded into the proposal (never retained by the proposer), so
 		// in-place mutation is safe and keeps the loop measuring
 		// encode+commit rather than row generation.
 		seed := seeds.Add(1)
@@ -309,7 +274,7 @@ func BenchmarkAppendGroupCommit(b *testing.B) {
 // write-optimized row store.
 func BenchmarkQueryRealtime(b *testing.B) {
 	c, err := Open(Config{
-		Workers: 2, ShardsPerWorker: 2, Replicas: 1,
+		Workers: 2, ShardsPerWorker: 2,
 		ArchiveInterval: time.Hour, MaxSegmentRows: 1 << 20,
 	})
 	if err != nil {
@@ -333,7 +298,7 @@ func BenchmarkQueryRealtime(b *testing.B) {
 // through the multi-level cache (warm after the first iteration).
 func BenchmarkQueryArchived(b *testing.B) {
 	c, err := Open(Config{
-		Workers: 2, ShardsPerWorker: 2, Replicas: 1,
+		Workers: 2, ShardsPerWorker: 2,
 		ArchiveInterval: time.Hour, MaxSegmentRows: 1 << 20,
 	})
 	if err != nil {
@@ -360,7 +325,7 @@ func BenchmarkQueryArchived(b *testing.B) {
 // path ("which IPs frequently accessed this API in the past day").
 func BenchmarkAnalyticsGroupBy(b *testing.B) {
 	c, err := Open(Config{
-		Workers: 2, ShardsPerWorker: 2, Replicas: 1,
+		Workers: 2, ShardsPerWorker: 2,
 		ArchiveInterval: time.Hour, MaxSegmentRows: 1 << 20,
 	})
 	if err != nil {

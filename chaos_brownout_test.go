@@ -26,7 +26,7 @@ func tenantRows(tenant int64, n int, seed int64) []Row {
 
 // TestChaosBrownout is the gray-failure gate (`make chaos`):
 // nothing crashes, but one worker's object store stalls on reads, one
-// shard's serving replica lags its applies, and one tenant floods at
+// shard lags its applies, and one tenant floods at
 // roughly ten times its admission budget — all at once. The cluster
 // must degrade gracefully, not collapse: healthy tenants' query p99
 // stays within 3x its pre-fault baseline (hedging + slow-worker
@@ -44,7 +44,6 @@ func TestChaosBrownout(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Workers = 3
 	cfg.ShardsPerWorker = 2
-	cfg.Replicas = 2 // raft apply path live, so slow-apply injection bites
 	// Smaller than any LogBlock: nothing a commit hands to a block cache
 	// stays there, so the first read of every new block goes to the store
 	// — the working set far beyond the cache that a stalled store hurts.

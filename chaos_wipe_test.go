@@ -17,7 +17,6 @@ func TestChaosDiskWipe(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Workers = 3
 	cfg.ShardsPerWorker = 2
-	cfg.Replicas = 3
 	cfg.DataDir = t.TempDir()
 	cfg.CacheDir = t.TempDir()
 	cfg.ShipWAL = true
@@ -27,13 +26,13 @@ func TestChaosDiskWipe(t *testing.T) {
 	cfg.BalanceInterval = 0
 	c := openCluster(t, cfg)
 
-	counts := map[chaos.Kind]int{chaos.Wipe: 4, chaos.LeaderKill: 1}
+	counts := map[chaos.Kind]int{chaos.Wipe: 4}
 	hold := 150 * time.Millisecond
 	if testing.Short() {
 		counts = map[chaos.Kind]int{chaos.Wipe: 2}
 		hold = 80 * time.Millisecond
 	}
-	rep := nodeFaultRun(t, c, chaosSeed(t, 4096), cfg.Replicas, counts, hold)
+	rep := nodeFaultRun(t, c, chaosSeed(t, 4096), counts, hold)
 	if rep.Injected[chaos.Wipe] < counts[chaos.Wipe] {
 		t.Fatalf("injected wipes=%d, want >=%d", rep.Injected[chaos.Wipe], counts[chaos.Wipe])
 	}

@@ -302,7 +302,7 @@ func run(root string) error {
 			return err
 		}
 	}
-	// internal/rowstore: one sub's batch as a serving replica applies it —
+	// internal/rowstore: one sub's batch as a shard's apply takes it —
 	// empty, one row, several — and the ways a row can fail to be one of
 	// the table's.
 	five := rowstore.EncodeBatch(nil, seedRows(5))

@@ -35,7 +35,6 @@ func main() {
 	c, err := logstore.Open(logstore.Config{
 		Workers:         *workers,
 		ShardsPerWorker: 2,
-		Replicas:        1,
 		ArchiveInterval: 200 * time.Millisecond,
 	})
 	if err != nil {

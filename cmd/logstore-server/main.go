@@ -1,7 +1,7 @@
 // Command logstore-server runs a single-process LogStore cluster with
 // an HTTP front end (standing in for the paper's SQL protocol + SLB).
 //
-//	logstore-server -addr :8080 -workers 3 -replicas 3
+//	logstore-server -addr :8080 -workers 3 -data-dir /var/lib/logstore
 //
 // Endpoints (see internal/httpapi):
 //
@@ -34,7 +34,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 3, "worker nodes")
 		shards     = flag.Int("shards-per-worker", 4, "shards per worker")
-		replicas   = flag.Int("replicas", 3, "raft replicas per shard (1 is a one-node raft group: same log, same WAL under -data-dir, no replication)")
 		balance    = flag.Duration("balance-interval", 30*time.Second, "hotspot manager cadence")
 		expire     = flag.Duration("expire-interval", time.Minute, "retention enforcement cadence")
 		cacheDir   = flag.String("cache-dir", "", "SSD block-cache directory (empty = memory only)")
@@ -57,7 +56,6 @@ func main() {
 	cluster, err := logstore.Open(logstore.Config{
 		Workers:         *workers,
 		ShardsPerWorker: *shards,
-		Replicas:        *replicas,
 		Store:           store,
 		BalanceInterval: *balance,
 		ExpireInterval:  *expire,
@@ -81,8 +79,8 @@ func main() {
 		log.Println("shutting down")
 		_ = srv.Close()
 	}()
-	log.Printf("logstore-server listening on %s (%d workers × %d shards, %d replicas)",
-		*addr, *workers, *shards, *replicas)
+	log.Printf("logstore-server listening on %s (%d workers × %d shards)",
+		*addr, *workers, *shards)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

@@ -76,7 +76,6 @@ func main() {
 		theta    = flag.Float64("theta", 0.99, "zipfian skew")
 		workers  = flag.Int("workers", 3, "worker nodes")
 		shards   = flag.Int("shards", 4, "shards per worker")
-		replicas = flag.Int("replicas", 3, "replicas per shard raft group")
 		ship     = flag.Bool("ship", false, "enable asynchronous WAL shipping to OSS (measures shipping overhead under load; implies durable raft WALs)")
 		durable  = flag.Bool("durable", false, "put raft WALs on disk (a temp dir) without shipping — the baseline -ship is compared against")
 		out      = flag.String("out", "BENCH_soak.json", "JSON report path")
@@ -86,7 +85,6 @@ func main() {
 	cfg := logstore.Config{
 		Workers:         *workers,
 		ShardsPerWorker: *shards,
-		Replicas:        *replicas,
 		ArchiveInterval: 250 * time.Millisecond,
 		RaftTick:        2 * time.Millisecond,
 	}

@@ -15,7 +15,6 @@ func ExampleOpen() {
 	c, err := logstore.Open(logstore.Config{
 		Workers:         1,
 		ShardsPerWorker: 1,
-		Replicas:        1,
 		ArchiveInterval: time.Hour,
 	})
 	if err != nil {
@@ -48,7 +47,7 @@ func ExampleOpen() {
 // term and the GROUP BY aggregation form over archived LogBlocks.
 func ExampleCluster_Query() {
 	c, err := logstore.Open(logstore.Config{
-		Workers: 1, ShardsPerWorker: 1, Replicas: 1, ArchiveInterval: time.Hour,
+		Workers: 1, ShardsPerWorker: 1, ArchiveInterval: time.Hour,
 	})
 	if err != nil {
 		log.Fatal(err)

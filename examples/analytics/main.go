@@ -17,7 +17,6 @@ func main() {
 	c, err := logstore.Open(logstore.Config{
 		Workers:         2,
 		ShardsPerWorker: 2,
-		Replicas:        1,
 		ArchiveInterval: 100 * time.Millisecond,
 		MaxSegmentRows:  10_000,
 	})

@@ -18,7 +18,6 @@ func main() {
 	c, err := logstore.Open(logstore.Config{
 		Workers:         3,
 		ShardsPerWorker: 2,
-		Replicas:        1,
 		ArchiveInterval: 100 * time.Millisecond,
 		MaxSegmentRows:  5000,
 	})

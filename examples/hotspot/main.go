@@ -27,7 +27,6 @@ func run(algo logstore.Algorithm) {
 	c, err := logstore.Open(logstore.Config{
 		Workers:              3,
 		ShardsPerWorker:      2,
-		Replicas:             1,
 		Algorithm:            algo,
 		WorkerCapacityPerSec: 200_000,
 		ShardCapacityPerSec:  100_000,

@@ -12,12 +12,12 @@ import (
 )
 
 func main() {
-	// An in-process cluster: 2 workers × 2 shards of one-node raft
-	// groups for a quick demo (production uses Replicas: 3).
+	// An in-process cluster: 2 workers × 2 shards, each shard one raft
+	// node. Set DataDir (and ShipWAL) for a log that survives a restart
+	// or a lost disk.
 	c, err := logstore.Open(logstore.Config{
 		Workers:         2,
 		ShardsPerWorker: 2,
-		Replicas:        1,
 		ArchiveInterval: 200 * time.Millisecond,
 	})
 	if err != nil {

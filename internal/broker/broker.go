@@ -276,11 +276,10 @@ func (b *Broker) AppendContext(ctx context.Context, rows []schema.Row) error {
 // says dead, the pool no longer has it, or the write came back
 // ErrWorkerDown) is re-routed in the next round, its tenants only, a
 // beat later, until the cluster swaps in the recovered worker — whose
-// shard raft group elects its own leader — or the retry window closes;
-// reroutes counts those extra rounds. Raft leadership moves inside a
-// worker are handled below the broker (the worker's propose retries
-// across elections itself). Any other error ends the call after its
-// round.
+// shard nodes elect themselves — or the retry window closes; reroutes
+// counts those extra rounds. A shard node's first election is waited
+// out below the broker (the worker's propose retries until the node
+// leads). Any other error ends the call after its round.
 func (b *Broker) appendSubs(ctx context.Context, s *appendScratch, subs []tenantSub) error {
 	// The deadline is read lazily so the success path (every append,
 	// under load) never touches the clock.

@@ -40,13 +40,12 @@ func (p *countingPool) count(id flow.WorkerID) int {
 	return p.lookups[id]
 }
 
-// newReplicatedWorker builds a worker whose shards commit through raft
-// (and so through the dedup set), hosting shards.
-func newReplicatedWorker(t *testing.T, id flow.WorkerID, shards ...flow.ShardID) *worker.Worker {
+// newRaftWorker builds a worker on a fast raft tick, hosting shards.
+func newRaftWorker(t *testing.T, id flow.WorkerID, shards ...flow.ShardID) *worker.Worker {
 	t.Helper()
 	sch := schema.RequestLogSchema()
 	w, err := worker.New(worker.Config{
-		ID: id, Replicas: 3, ArchiveInterval: time.Hour, RaftTick: 2 * time.Millisecond,
+		ID: id, ArchiveInterval: time.Hour, RaftTick: 2 * time.Millisecond,
 		Builder: builder.Config{Table: sch.Name},
 	}, sch, oss.NewMemStore(), meta.NewManager())
 	if err != nil {
@@ -61,9 +60,9 @@ func newReplicatedWorker(t *testing.T, id flow.WorkerID, shards ...flow.ShardID)
 	return w
 }
 
-// setupReplicated is two replicated workers of two shards each behind a
+// setupRaft is two workers of two shards each behind a
 // counting pool: worker w owns shards 2w and 2w+1.
-func setupReplicated(t *testing.T, cfg Config) (*Broker, *countingPool) {
+func setupRaft(t *testing.T, cfg Config) (*Broker, *countingPool) {
 	t.Helper()
 	pool := &countingPool{
 		lockedPool: lockedPool{
@@ -75,7 +74,7 @@ func setupReplicated(t *testing.T, cfg Config) (*Broker, *countingPool) {
 	var shardIDs []flow.ShardID
 	for wid := flow.WorkerID(0); wid < 2; wid++ {
 		a, b := flow.ShardID(2*wid), flow.ShardID(2*wid+1)
-		pool.workers[wid] = newReplicatedWorker(t, wid, a, b)
+		pool.workers[wid] = newRaftWorker(t, wid, a, b)
 		pool.owner[a], pool.owner[b] = wid, wid
 		shardIDs = append(shardIDs, a, b)
 	}
@@ -88,10 +87,10 @@ func setupReplicated(t *testing.T, cfg Config) (*Broker, *countingPool) {
 	return b, pool
 }
 
-// waitApplied polls until the workers' serving replicas have, between
-// them, applied rows rows and suppressed skips duplicate subs (any
-// number if skips < 0), with nothing lost (acks come at commit; apply
-// trails them).
+// waitApplied polls until the workers' shards have, between them,
+// applied rows rows and suppressed skips duplicate subs (any number if
+// skips < 0), with nothing lost (an ack waits for the apply only up to
+// a bound).
 func waitApplied(t *testing.T, rows, skips int64, ws ...*worker.Worker) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -115,7 +114,7 @@ func waitApplied(t *testing.T, rows, skips int64, ws ...*worker.Worker) {
 // shard's tenant subs, and a resend of the same batch is suppressed sub
 // by sub.
 func TestAppendOneUnitPerShard(t *testing.T) {
-	b, pool := setupReplicated(t, Config{})
+	b, pool := setupRaft(t, Config{})
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 21, StartMS: 100})
 	rows := g.Batch(400)
 	sch := schema.RequestLogSchema()
@@ -163,7 +162,7 @@ func TestAppendOneUnitPerShard(t *testing.T) {
 // worker's tenants go round again until recovery swaps a new worker in,
 // and then land; a full client resend adds dedup skips and no rows.
 func TestAppendSpansShardsWithWorkerDown(t *testing.T) {
-	b, pool := setupReplicated(t, Config{AppendRetryWindow: 10 * time.Second})
+	b, pool := setupRaft(t, Config{AppendRetryWindow: 10 * time.Second})
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 22, StartMS: 100})
 	rows := g.Batch(400)
 	sch := schema.RequestLogSchema()
@@ -183,7 +182,7 @@ func TestAppendSpansShardsWithWorkerDown(t *testing.T) {
 	dead.Crash()
 	// Recovery lands mid-append, once the live worker's share is applied
 	// and the broker is visibly re-routing the rest.
-	w2 := newReplicatedWorker(t, 1, 2, 3)
+	w2 := newRaftWorker(t, 1, 2, 3)
 	swapped := make(chan struct{})
 	go func() {
 		defer close(swapped)
@@ -234,7 +233,7 @@ func TestAppendSpansShardsWithWorkerDown(t *testing.T) {
 // shard's, and once the fault is gone a resend of the same batch lands
 // the missing tenants and nothing twice.
 func TestAppendFirstErrorInShardOrder(t *testing.T) {
-	b, pool := setupReplicated(t, Config{})
+	b, pool := setupRaft(t, Config{})
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 23, StartMS: 100})
 	rows := g.Batch(400)
 	sch := schema.RequestLogSchema()
@@ -275,7 +274,7 @@ func TestAppendFirstErrorInShardOrder(t *testing.T) {
 // the wait short — the commit's outcome is what the caller gets, the
 // rows land, nothing is left running and later appends are unharmed.
 func TestAppendContext(t *testing.T) {
-	b, pool := setupReplicated(t, Config{})
+	b, pool := setupRaft(t, Config{})
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 60, Theta: 0, Seed: 24, StartMS: 100})
 	w0, _ := pool.lockedPool.Worker(0)
 	w1, _ := pool.lockedPool.Worker(1)
@@ -344,7 +343,7 @@ func TestAppendAdmitsPrefix(t *testing.T) {
 	adm := backpressure.NewAdmission(backpressure.AdmissionConfig{
 		TenantRowsPerSec: 10, Now: func() time.Time { return now },
 	})
-	b, pool := setupReplicated(t, Config{Admission: adm})
+	b, pool := setupRaft(t, Config{Admission: adm})
 	row := func(tenant, ts int64) schema.Row {
 		return schema.Row{schema.IntValue(tenant), schema.IntValue(ts), schema.StringValue("1.1.1.1"),
 			schema.StringValue("/x"), schema.IntValue(1), schema.StringValue("false"), schema.StringValue("m")}

@@ -83,7 +83,7 @@ func setupFailover(t *testing.T, cfg Config) (*Broker, *lockedPool, *meta.Manage
 	sid := flow.ShardID(0)
 	for wid := flow.WorkerID(0); wid < 2; wid++ {
 		w, err := worker.New(worker.Config{
-			ID: wid, Replicas: 1, ArchiveInterval: time.Hour,
+			ID: wid, ArchiveInterval: time.Hour,
 			Builder: builder.Config{Table: sch.Name, MaxRowsPerBlock: 50},
 		}, sch, store, catalog)
 		if err != nil {
@@ -264,7 +264,7 @@ func TestAppendReroutesToRecoveredWorker(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		sch := schema.RequestLogSchema()
 		w2, err := worker.New(worker.Config{
-			ID: owner, Replicas: 1, ArchiveInterval: time.Hour,
+			ID: owner, ArchiveInterval: time.Hour,
 			Builder: builder.Config{Table: sch.Name},
 		}, sch, oss.NewMemStore(), meta.NewManager())
 		if err != nil {

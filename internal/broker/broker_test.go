@@ -53,7 +53,7 @@ func setup(t *testing.T) (*Broker, *testPool, *meta.Manager, *flow.Router) {
 	sid := flow.ShardID(0)
 	for wid := flow.WorkerID(0); wid < 2; wid++ {
 		w, err := worker.New(worker.Config{
-			ID: wid, Replicas: 1, ArchiveInterval: time.Hour,
+			ID: wid, ArchiveInterval: time.Hour,
 			Builder: builder.Config{Table: sch.Name},
 		}, sch, store, catalog)
 		if err != nil {

@@ -27,7 +27,6 @@ import (
 	"logstore/internal/flow"
 	"logstore/internal/metrics"
 	"logstore/internal/query"
-	"logstore/internal/raft"
 	"logstore/internal/schema"
 	"logstore/internal/workload"
 )
@@ -42,10 +41,6 @@ type Target interface {
 	CrashWorker(id flow.WorkerID) error
 	CrashWorkerWipeDisk(id flow.WorkerID) error
 	RecoverWorker(id flow.WorkerID) error
-	KillShardLeader(s flow.ShardID) (raft.NodeID, error)
-	RestartShardReplica(s flow.ShardID, r raft.NodeID) error
-	PartitionShardReplica(s flow.ShardID, r raft.NodeID) error
-	HealShard(s flow.ShardID) error
 	SlowShardApply(s flow.ShardID, d time.Duration) error
 	MemoryProxy() int64
 }
@@ -60,12 +55,7 @@ const (
 	// healing must hydrate every hosted shard from the shipped WAL on
 	// object storage (the cluster needs DataDir and WAL shipping).
 	Wipe
-	// LeaderKill kills a shard's raft leader; healing restarts that
-	// replica in place.
-	LeaderKill
-	// Partition cuts one replica off its shard's network.
-	Partition
-	// SlowApply lags a shard's serving replica by Delay per entry.
+	// SlowApply lags a shard's apply by Delay per entry.
 	SlowApply
 	// Hook calls Inject to open a fault the driver cannot reach itself
 	// (a stalled object store, say) and Heal to close it.
@@ -75,7 +65,7 @@ const (
 	Flood
 )
 
-var kindNames = [...]string{"crash", "wipe", "leader kill", "partition", "slow apply", "hook", "flood"}
+var kindNames = [...]string{"crash", "wipe", "slow apply", "hook", "flood"}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -83,8 +73,6 @@ func (f Fault) String() string {
 	switch f.Kind {
 	case Crash, Wipe:
 		return fmt.Sprintf("%v worker %d", f.Kind, f.Worker)
-	case Partition:
-		return fmt.Sprintf("partition replica %d of shard %d", f.Replica, f.Shard)
 	case Flood:
 		return fmt.Sprintf("flood tenant %d", f.Tenant)
 	}
@@ -94,15 +82,14 @@ func (f Fault) String() string {
 // Fault is one entry of a schedule. Only the fields its Kind names are
 // read.
 type Fault struct {
-	Kind    Kind
-	Worker  flow.WorkerID
-	Shard   flow.ShardID
-	Replica raft.NodeID
-	Delay   time.Duration
-	Tenant  int64
-	Rows    int
-	Inject  func()
-	Heal    func()
+	Kind   Kind
+	Worker flow.WorkerID
+	Shard  flow.ShardID
+	Delay  time.Duration
+	Tenant int64
+	Rows   int
+	Inject func()
+	Heal   func()
 }
 
 // Step opens its faults together, leaves them open for Hold while the
@@ -114,11 +101,9 @@ type Step struct {
 }
 
 // Shuffled is the seeded node-failure mix: counts[k] faults of each of
-// Crash, Wipe, LeaderKill and Partition with round-robin targets, in an
-// order shuffled by seed. Partitions cut a follower (replicas 1..n-1 in
-// turn) so the serving replica 0 keeps answering real-time reads; a
-// one-node group has no follower and loses replica 0.
-func Shuffled(seed int64, workers []flow.WorkerID, shards []flow.ShardID, replicas int, counts map[Kind]int) []Fault {
+// Crash and Wipe with round-robin workers, in an order shuffled by
+// seed.
+func Shuffled(seed int64, workers []flow.WorkerID, counts map[Kind]int) []Fault {
 	var out []Fault
 	for i := 0; i < counts[Crash]; i++ {
 		out = append(out, Fault{Kind: Crash, Worker: workers[i%len(workers)]})
@@ -127,16 +112,6 @@ func Shuffled(seed int64, workers []flow.WorkerID, shards []flow.ShardID, replic
 		// Offset so wipes and plain crashes don't always hit the same
 		// worker first.
 		out = append(out, Fault{Kind: Wipe, Worker: workers[(i+1)%len(workers)]})
-	}
-	for i := 0; i < counts[LeaderKill]; i++ {
-		out = append(out, Fault{Kind: LeaderKill, Shard: shards[i%len(shards)]})
-	}
-	for i := 0; i < counts[Partition]; i++ {
-		r := raft.NodeID(0)
-		if followers := replicas - 1; followers > 0 {
-			r = raft.NodeID(1 + i%followers)
-		}
-		out = append(out, Fault{Kind: Partition, Shard: shards[(i*3+1)%len(shards)], Replica: r})
 	}
 	rand.New(rand.NewSource(seed)).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
@@ -375,20 +350,6 @@ func (d *driver) open(f Fault) (func() error, error) {
 		return func() error { return tg.RecoverWorker(f.Worker) }, tg.CrashWorker(f.Worker)
 	case Wipe:
 		return func() error { return tg.RecoverWorker(f.Worker) }, tg.CrashWorkerWipeDisk(f.Worker)
-	case LeaderKill:
-		// Retry: the group may be mid-election from a prior fault.
-		killed, err := tg.KillShardLeader(f.Shard)
-		for deadline := time.Now().Add(5 * time.Second); err != nil && time.Now().Before(deadline); {
-			time.Sleep(5 * time.Millisecond)
-			killed, err = tg.KillShardLeader(f.Shard)
-		}
-		if err != nil {
-			return func() error { return nil }, err
-		}
-		d.logf("chaos: killed leader replica %d of shard %d", killed, f.Shard)
-		return func() error { return tg.RestartShardReplica(f.Shard, killed) }, nil
-	case Partition:
-		return func() error { return tg.HealShard(f.Shard) }, tg.PartitionShardReplica(f.Shard, f.Replica)
 	case SlowApply:
 		return func() error { return tg.SlowShardApply(f.Shard, 0) }, tg.SlowShardApply(f.Shard, f.Delay)
 	case Hook:
@@ -555,12 +516,11 @@ func (d *driver) query(sql string) (*query.Result, error) {
 // audit holds each audited tenant's count between the previous count
 // it saw and the rows sent by the query's end, whatever the archive
 // loop is doing to the tenant's rows meanwhile. (The floor is the
-// previous count and not the rows acked before the query: on a
-// replicated shard an ack means quorum commit and the serving replica
-// applies a moment later, so a row acked microseconds ago may not be
-// visible yet. Once visible it must stay visible; the exact comparison
-// with the ledger is VerifyCounts' after the traffic stops.) Its
-// queries are in no phase.
+// previous count and not the rows acked before the query: an ack waits
+// at most 5 s for the shard to apply the entry, so under a slow apply a
+// row acked a moment ago may not be visible yet. Once visible it must
+// stay visible; the exact comparison with the ledger is VerifyCounts'
+// after the traffic stops.) Its queries are in no phase.
 func (d *driver) audit() {
 	floor := make([]int64, d.cfg.Audit)
 	for n := 0; !d.stop.Load(); n++ {

@@ -137,7 +137,6 @@ func (ds *queryDataset) newReadWorker(p storageProfile, prefetchOn bool, seed in
 	}
 	return worker.New(worker.Config{
 		ID:               0,
-		Replicas:         1,
 		MemoryCacheBytes: 256 << 20,
 		PrefetchThreads:  threads,
 		// The simulated stores model wall-clock latency, not CPU work, so

@@ -109,7 +109,6 @@ func fuzzCluster(tb testing.TB) *logstore.Cluster {
 	cluster, err := logstore.Open(logstore.Config{
 		Workers:         1,
 		ShardsPerWorker: 2,
-		Replicas:        1,
 		ArchiveInterval: time.Hour,
 		RaftTick:        time.Millisecond,
 	})

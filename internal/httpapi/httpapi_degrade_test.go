@@ -20,7 +20,6 @@ func degradeServer(t *testing.T) (http.Handler, *logstore.Cluster) {
 	cluster, err := logstore.Open(logstore.Config{
 		Workers:               2,
 		ShardsPerWorker:       2,
-		Replicas:              1,
 		ArchiveInterval:       time.Hour,
 		AdmitTenantRowsPerSec: 20,
 	})

@@ -18,7 +18,6 @@ func newServer(t *testing.T) (*httptest.Server, *logstore.Cluster) {
 	cluster, err := logstore.Open(logstore.Config{
 		Workers:         2,
 		ShardsPerWorker: 2,
-		Replicas:        1,
 		ArchiveInterval: 50 * time.Millisecond,
 	})
 	if err != nil {

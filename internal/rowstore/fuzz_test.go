@@ -31,7 +31,7 @@ func decodeBatch(data []byte) ([]schema.Row, error) {
 }
 
 // FuzzAppendBatch treats the fuzz input as one committed sub's batch —
-// bytes a serving replica reads back from a raft WAL or a shipped chunk
+// bytes a shard's apply reads back from a raft WAL or a shipped chunk
 // — and applies it to a store that already holds a row, with segments
 // small enough that a batch can straddle a seal. AppendBatch must never
 // panic; it accepts the batch exactly when every row decodes

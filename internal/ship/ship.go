@@ -1,8 +1,8 @@
 // Package ship streams each shard's committed raft log into object
 // storage so OSS holds every acked row, not only the archived ones. A
 // per-shard shipper goroutine buffers committed entries (fed by the
-// raft commit hook on every replica — duplicates collapse on index
-// contiguity), flushes them as chunk objects under a registered
+// shard node's raft commit hook — entries a restarted node re-commits
+// below the boot tip collapse on index contiguity), flushes them as chunk objects under a registered
 // generation, and periodically rolls the generation with a fresh
 // snapshot so old chunks — like shipped local segments — can be
 // truncated. A worker that lost its disks hydrates the latest
@@ -114,7 +114,7 @@ type Shipper struct {
 	pending      []raft.Entry // contiguous committed run [watermark+1, next)
 	pendingBytes int64
 	next         uint64 // next index Offer accepts
-	maxOffered   uint64 // highest committed index any replica reported
+	maxOffered   uint64 // highest committed index the commit hook reported
 	gapped       bool   // commit stream skipped indexes; chunking must stop until a roll
 	watermark    uint64 // highest index the current generation covers in OSS
 	gen          uint64 // registered generation (0 = none yet)
@@ -176,9 +176,9 @@ func New(opts Options, shard int64, next uint64, source Source) *Shipper {
 	return s
 }
 
-// Offer feeds committed entries from a replica's commit hook. Every
-// replica of the shard calls it; duplicates are dropped on index
-// contiguity. It never blocks and never touches OSS — it runs inside
+// Offer feeds committed entries from the shard node's commit hook.
+// Entries below the next expected index (a restarted node re-commits
+// its recovered log) are dropped on index contiguity. It never blocks and never touches OSS — it runs inside
 // the raft loop's critical path.
 func (s *Shipper) Offer(entries []raft.Entry) {
 	if len(entries) == 0 {
@@ -231,18 +231,28 @@ func (s *Shipper) Offer(entries []raft.Entry) {
 // Sync-mode appends call this after the raft ack.
 func (s *Shipper) Barrier() error {
 	s.mu.Lock()
+	target := s.maxOffered
+	s.mu.Unlock()
+	return s.WaitShipped(target)
+}
+
+// WaitShipped blocks until every entry up to index is in OSS, or the
+// flush fails (that error) or the shipper has failed or stopped. index
+// must not be above what the commit hook has offered. A drain calls it
+// before it archives rows applied up to index.
+func (s *Shipper) WaitShipped(index uint64) error {
+	s.mu.Lock()
 	if s.failed != nil {
 		err := s.failed
 		s.mu.Unlock()
 		return err
 	}
-	target := s.maxOffered
-	if s.watermark >= target {
+	if s.watermark >= index {
 		s.mu.Unlock()
 		return nil
 	}
 	ch := make(chan error, 1)
-	s.waiters = append(s.waiters, waiter{target: target, ch: ch})
+	s.waiters = append(s.waiters, waiter{target: index, ch: ch})
 	s.mu.Unlock()
 	s.signalFlush()
 	return <-ch

@@ -70,7 +70,7 @@ func (d *dedupSet) find(id uint64) (int, bool) {
 // Probe looks id up: ok reports whether the set holds it, and when it
 // does not, Insert at slot adds it without probing again. The slot is
 // valid until the set's next write. A shard's writers never overlap —
-// the serving replica applies under applyMu, and AddShard preloads ids
+// the shard applies under applyMu, and AddShard preloads ids
 // before the first apply — so the apply path can probe, apply the
 // batch, then insert.
 func (d *dedupSet) Probe(id uint64) (slot int, ok bool) {

@@ -22,8 +22,8 @@ import (
 // so the state machine has a single decode path. Each sub keeps its own
 // content-derived batch id: which raft entry a batch rides in never
 // changes its dedup identity, so a batch retried after an ambiguous
-// outcome (leader died between commit and ack) is suppressed whether it
-// recommits grouped with different neighbors or alone.
+// outcome (the worker crashed between commit and ack) is suppressed
+// whether it recommits grouped with different neighbors or alone.
 
 // maxGroupSubs bounds group framing against corrupt input; a real group
 // is one client batch's tenants on one shard.

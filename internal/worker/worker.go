@@ -1,6 +1,6 @@
 // Package worker implements LogStore's execution layer (paper §3): a
-// worker node hosts a set of shards, each backed by a Raft-replicated
-// write-optimized row store (two-phase write, phase one), runs the
+// worker node hosts a set of shards, each a one-node raft log in front
+// of a write-optimized row store (two-phase write, phase one), runs the
 // data builder that archives sealed segments to object storage as
 // LogBlocks (phase two), and executes sub-queries — over its shards'
 // real-time stores and over archived LogBlocks fetched through its
@@ -41,10 +41,6 @@ type Config struct {
 	// CapacityPerSec is the worker's advertised write capacity c(D_k)
 	// (rows/sec), used by the traffic scheduler.
 	CapacityPerSec float64
-	// Replicas per shard Raft group (1 is a one-node raft group: same
-	// log, same WAL under DataDir, no replication; the paper runs 3: two
-	// full row stores plus one WAL-only).
-	Replicas int
 	// MemoryCacheBytes / DiskCacheBytes / DiskCacheDir size the block
 	// cache levels (paper: 8 GB / 200 GB).
 	MemoryCacheBytes int64
@@ -67,9 +63,10 @@ type Config struct {
 	Builder builder.Config
 	// RaftTick accelerates raft timing in tests (0 = 10ms).
 	RaftTick time.Duration
-	// DataDir, when set, makes every shard replica's raft log durable
-	// on disk (WAL-backed storage under DataDir/shard-N/replica-M);
-	// empty keeps raft state in memory.
+	// DataDir, when set, makes every shard's raft log durable on disk
+	// (WAL-backed storage under DataDir/shard-N/replica-0, the layout of
+	// replicated builds, so their data directories still recover); empty
+	// keeps raft state in memory.
 	DataDir string
 	// RaftQueueItems bounds each shard's raft sync_queue and
 	// apply_queue (BFC) in entries; zero selects the raft defaults.
@@ -94,14 +91,18 @@ type Config struct {
 // worker or retry after recovery.
 var ErrWorkerDown = errors.New("worker: node is down")
 
-// Shard is one table shard hosted by a worker: a raft group whose state
-// machine is the shard's row store.
+// Shard is one table shard hosted by a worker: a one-node raft group
+// whose state machine is the shard's row store. The node is the only
+// copy of the shard's log; durability beyond the process comes from
+// the WAL under DataDir and from WAL shipping (DESIGN.md, "One node per
+// shard").
 type Shard struct {
-	ID    flow.ShardID
-	rs    *rowstore.Store
-	group *raftGroup // never nil: Replicas nodes, one at Replicas == 1
-	sch   *schema.Schema
-	// applied is the highest raft index replica 0 has applied to rs;
+	ID   flow.ShardID
+	rs   *rowstore.Store
+	node *raft.Node
+	wal  *raft.WALStorage // the node's storage; nil without DataDir
+	sch  *schema.Schema
+	// applied is the highest raft index the node has applied to rs;
 	// once those rows are archived to object storage, the raft WAL can
 	// be checkpointed up to it.
 	applied atomic.Uint64
@@ -111,8 +112,9 @@ type Shard struct {
 	applyMu sync.Mutex
 	// seen suppresses duplicate batches: every sub-proposal carries a
 	// content-derived batch id, so a batch retried after an ambiguous
-	// outcome (leader died between commit and ack) applies once even if
-	// it commits at two raft indexes (or inside two different groups).
+	// outcome (the worker crashed between commit and ack) applies once
+	// even if it commits at two raft indexes (or inside two different
+	// groups).
 	seen *dedupSet
 	// units / subs feed CoalesceStats: raft proposals the append path
 	// issued for this shard and the sub-proposals they carried.
@@ -122,17 +124,17 @@ type Shard struct {
 	// when WAL shipping is off.
 	shipper *ship.Shipper
 	// Apply-path observability. decodeFails / appendFails count subs
-	// replica 0 could not apply — both should stay zero outside crash
+	// the node could not apply — both should stay zero outside crash
 	// tests, and a nonzero value means acked rows were dropped (the
 	// soak gate asserts on them). dedupSkips counts subs suppressed as
 	// content-addressed duplicates; legitimate only when ambiguous
-	// outcomes force retries (leadership churn, worker failover).
+	// outcomes force retries (a worker crash and recovery).
 	decodeFails atomic.Int64
 	appendFails atomic.Int64
 	dedupSkips  atomic.Int64
-	// appliedRows counts rows replica 0 inserted into the serving row
-	// store; comparing it against acked and archived+resident totals
-	// localizes a loss to the raft/apply side or the archive side.
+	// appliedRows counts rows the node inserted into the row store;
+	// comparing it against acked and archived+resident totals localizes
+	// a loss to the raft/apply side or the archive side.
 	appliedRows atomic.Int64
 	// frameFails counts entries whose group framing failed to decode
 	// (subs after the corrupt point are silently lost); staleSkips
@@ -140,100 +142,11 @@ type Shard struct {
 	// must be zero outside crash recovery.
 	frameFails atomic.Int64
 	staleSkips atomic.Int64
-	// applyDelay (ns), when nonzero, stalls the serving replica before
-	// each state-machine apply — the gray-failure injection for a
-	// lagging replica: commits keep acking, the apply queue backs up,
-	// and BFC (not memory growth) must absorb the lag.
+	// applyDelay (ns), when nonzero, stalls the node before each
+	// state-machine apply — the gray-failure injection for a lagging
+	// apply: commits keep acking (after Wait's 5 s bound), the apply
+	// queue backs up, and BFC (not memory growth) must absorb the lag.
 	applyDelay atomic.Int64
-}
-
-// raftGroup bundles the in-process replica set of one shard. Individual
-// nodes can be killed and restarted in place (leader-failover chaos);
-// mu guards the node slots against Append/kill/restart races.
-type raftGroup struct {
-	net   *raft.LocalNetwork
-	peers []raft.NodeID
-
-	mu      sync.Mutex
-	nodes   []*raft.Node
-	stores  []raft.Storage     // per-replica durable state, reused on restart
-	wals    []*raft.WALStorage // set by AddShard (all nil without DataDir), closed on stop
-	stopped []bool
-}
-
-func (g *raftGroup) leader() *raft.Node {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, n := range g.nodes {
-		if !g.stopped[i] && n.IsLeader() {
-			return n
-		}
-	}
-	return nil
-}
-
-// serving returns replica 0's live node — the replica whose state
-// machine feeds the serving row store — or nil if it is down.
-func (g *raftGroup) serving() *raft.Node {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.nodes) == 0 || g.stopped[0] {
-		return nil
-	}
-	return g.nodes[0]
-}
-
-// kill stops one replica's node, leaving its storage open for an
-// in-place restart.
-func (g *raftGroup) kill(id raft.NodeID) error {
-	i := int(id)
-	g.mu.Lock()
-	if i < 0 || i >= len(g.nodes) {
-		g.mu.Unlock()
-		return fmt.Errorf("worker: no raft replica %d", id)
-	}
-	if g.stopped[i] {
-		g.mu.Unlock()
-		return nil
-	}
-	g.stopped[i] = true
-	n := g.nodes[i]
-	g.mu.Unlock()
-	n.Stop()
-	return nil
-}
-
-// snapshotNodes returns the currently live replica nodes.
-func (g *raftGroup) snapshotNodes() []*raft.Node {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*raft.Node, 0, len(g.nodes))
-	for i, n := range g.nodes {
-		if !g.stopped[i] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func (g *raftGroup) stop() {
-	g.mu.Lock()
-	nodes := append([]*raft.Node(nil), g.nodes...)
-	stopped := append([]bool(nil), g.stopped...)
-	for i := range g.stopped {
-		g.stopped[i] = true
-	}
-	g.mu.Unlock()
-	for i, n := range nodes {
-		if n != nil && !stopped[i] {
-			n.Stop()
-		}
-	}
-	for _, s := range g.wals {
-		if s != nil {
-			_ = s.Close()
-		}
-	}
 }
 
 // Worker is one execution-layer node.
@@ -285,9 +198,6 @@ const (
 func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager) (*Worker, error) {
 	if err := sch.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 3
 	}
 	if cfg.MemoryCacheBytes <= 0 {
 		cfg.MemoryCacheBytes = 64 << 20
@@ -347,11 +257,11 @@ func (w *Worker) ID() flow.WorkerID { return w.cfg.ID }
 func (w *Worker) Capacity() float64 { return w.cfg.CapacityPerSec }
 
 // AddShard creates (and hosts) a shard. Idempotent per id. With a
-// DataDir configured, every replica recovers its raft state from its
-// persisted WAL: the serving replica resumes above the durable applied
-// mark (those rows are already archived to OSS) with its
-// duplicate-suppression set preloaded from the replayed log, so batches
-// retried across the restart still apply exactly once.
+// DataDir configured, the shard recovers its raft state from its
+// persisted WAL: it resumes above the durable applied mark (those rows
+// are already archived to OSS) with its duplicate-suppression set
+// preloaded from the replayed log, so batches retried across the
+// restart still apply exactly once.
 func (w *Worker) AddShard(id flow.ShardID) error {
 	w.mu.RLock()
 	_, exists := w.shards[id]
@@ -360,9 +270,9 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 		return nil
 	}
 	// Disk-loss hydration happens before the worker lock: it reads OSS
-	// (latest shipped snapshot + chunk suffix) and rewrites the replica
-	// WAL directories, after which the normal recovery path below
-	// replays them exactly as if the disks had survived.
+	// (latest shipped snapshot + chunk suffix) and rewrites the shard's
+	// WAL directory, after which the normal recovery path below replays
+	// it exactly as if the disk had survived.
 	hydratedIDs, hydrated, err := w.maybeHydrateShard(id)
 	if err != nil {
 		return err
@@ -377,32 +287,17 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 		return err
 	}
 	sh := &Shard{ID: id, rs: rs, sch: w.sch, seen: newDedupSet(1 << 16)}
-	g := &raftGroup{net: raft.NewLocalNetwork(int64(id))}
-	g.peers = make([]raft.NodeID, w.cfg.Replicas)
-	g.nodes = make([]*raft.Node, w.cfg.Replicas)
-	g.stores = make([]raft.Storage, w.cfg.Replicas)
-	g.wals = make([]*raft.WALStorage, w.cfg.Replicas)
-	g.stopped = make([]bool, w.cfg.Replicas)
-	for i := range g.peers {
-		g.peers[i] = raft.NodeID(i)
-		// Storage is opened before the state machine so the recovered
-		// applied-mark can gate replay (idempotence across restarts:
-		// entries ≤ mark were already archived to OSS). Memory storage
-		// outlives its node too: a killed replica restarts on its log.
-		g.stores[i] = raft.NewMemoryStorage()
-		if w.cfg.DataDir != "" {
-			dir := fmt.Sprintf("%s/shard-%d/replica-%d", w.cfg.DataDir, id, i)
-			opened, err := raft.OpenWALStorage(dir, wal.Options{})
-			if err != nil {
-				g.stop()
-				return fmt.Errorf("worker %d shard %d: open WAL: %w", w.cfg.ID, id, err)
-			}
-			g.wals[i] = opened
-			g.stores[i] = opened
+	// Storage is opened before the state machine so the recovered
+	// applied-mark can gate replay (idempotence across restarts: entries
+	// ≤ mark were already archived to OSS).
+	var storage raft.Storage = raft.NewMemoryStorage()
+	if w.cfg.DataDir != "" {
+		sh.wal, err = raft.OpenWALStorage(w.walDir(id), wal.Options{})
+		if err != nil {
+			return fmt.Errorf("worker %d shard %d: open WAL: %w", w.cfg.ID, id, err)
 		}
-	}
-	if ws := g.wals[0]; ws != nil {
-		mark := ws.AppliedMark()
+		storage = sh.wal
+		mark := sh.wal.AppliedMark()
 		sh.applied.Store(mark)
 		// Preload dedup with every replayed batch at or below the mark:
 		// those batches are durable in the archive, so a client retry
@@ -413,10 +308,10 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 			sh.seen.Add(bid, 0)
 			return nil
 		}
-		for _, e := range ws.ReplayedPrefix() {
+		for _, e := range sh.wal.ReplayedPrefix() {
 			_ = ForEachSub(e.Data, preload)
 		}
-		for _, e := range ws.Entries() {
+		for _, e := range sh.wal.Entries() {
 			if e.Index > mark {
 				break
 			}
@@ -428,26 +323,44 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 	for _, bid := range hydratedIDs {
 		sh.seen.Add(bid, 0)
 	}
-	if w.cfg.WALShip != nil && w.cfg.DataDir != "" {
+	if w.cfg.WALShip != nil && sh.wal != nil {
 		// The shipper expects the commit stream to resume just above
-		// the serving replica's recovered log tip; everything at or
-		// below it is covered by the first generation's snapshot.
-		bootTip, _ := g.wals[0].Base()
-		if entries := g.wals[0].Entries(); len(entries) > 0 {
+		// the recovered log tip; everything at or below it is covered
+		// by the first generation's snapshot.
+		bootTip, _ := sh.wal.Base()
+		if entries := sh.wal.Entries(); len(entries) > 0 {
 			bootTip = entries[len(entries)-1].Index
 		}
-		sh.shipper = ship.New(*w.cfg.WALShip, int64(id), bootTip+1, w.shipSource(sh, g))
+		sh.shipper = ship.New(*w.cfg.WALShip, int64(id), bootTip+1, w.shipSource(sh))
 	}
-	for i := range g.peers {
-		if err := w.startReplicaLocked(sh, g, raft.NodeID(i)); err != nil {
-			g.stop()
-			if sh.shipper != nil {
-				sh.shipper.Stop(false)
-			}
-			return err
+	// The node offers its committed entries to the shard's shipper
+	// before the proposer is acked and before it applies them. It is its
+	// whole peer set, so its transport never carries a message.
+	var hook func([]raft.Entry)
+	if sh.shipper != nil {
+		hook = sh.shipper.Offer
+	}
+	sh.node, err = raft.NewNode(raft.Config{
+		ID:              0,
+		Peers:           []raft.NodeID{0},
+		Transport:       raft.NewLocalNetwork(int64(id)).Transport(0),
+		SM:              raft.StateMachineFunc(sh.apply),
+		Storage:         storage,
+		TickInterval:    w.cfg.RaftTick,
+		SyncQueueItems:  w.cfg.RaftQueueItems,
+		ApplyQueueItems: w.cfg.RaftQueueItems,
+		Seed:            int64(id) * 101,
+		CommitHook:      hook,
+	})
+	if err != nil {
+		if sh.shipper != nil {
+			sh.shipper.Stop(false)
 		}
+		if sh.wal != nil {
+			_ = sh.wal.Close()
+		}
+		return err
 	}
-	sh.group = g
 	if hydrated {
 		w.hydrations.Add(1)
 	}
@@ -455,9 +368,14 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 	return nil
 }
 
-// maybeHydrateShard rebuilds a shard's replica WALs from the shipped
-// OSS generation when the local data directory is empty (disk loss)
-// but a generation is registered. Returns the snapshot's dedup ids for
+// walDir is the shard's raft WAL directory under DataDir.
+func (w *Worker) walDir(id flow.ShardID) string {
+	return fmt.Sprintf("%s/shard-%d/replica-0", w.cfg.DataDir, id)
+}
+
+// maybeHydrateShard rebuilds a shard's WAL from the shipped OSS
+// generation when the local data directory is empty (disk loss) but a
+// generation is registered. Returns the snapshot's dedup ids for
 // preloading. Runs before the worker lock: it does OSS reads and disk
 // writes that must not serialize the worker.
 func (w *Worker) maybeHydrateShard(id flow.ShardID) ([]uint64, bool, error) {
@@ -465,7 +383,7 @@ func (w *Worker) maybeHydrateShard(id flow.ShardID) ([]uint64, bool, error) {
 	if opts == nil || opts.Registry == nil || w.cfg.DataDir == "" {
 		return nil, false, nil
 	}
-	dir := fmt.Sprintf("%s/shard-%d/replica-0", w.cfg.DataDir, id)
+	dir := w.walDir(id)
 	names, err := os.ReadDir(dir)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, false, err
@@ -480,26 +398,22 @@ func (w *Worker) maybeHydrateShard(id flow.ShardID) ([]uint64, bool, error) {
 	if !ok {
 		return nil, false, nil // nothing ever shipped: genuinely fresh shard
 	}
-	// Every replica gets an identical recovered WAL. Vote is None: the
-	// whole group lost its disks together, so no prior ballot survives
-	// to conflict with a fresh election.
-	for i := 0; i < w.cfg.Replicas; i++ {
-		rdir := fmt.Sprintf("%s/shard-%d/replica-%d", w.cfg.DataDir, id, i)
-		if err := raft.WriteRecoveryWAL(rdir, wal.Options{}, st.Term, raft.None,
-			st.Applied, st.AppliedTerm, st.Entries); err != nil {
-			return nil, false, fmt.Errorf("worker %d shard %d: recovery WAL: %w", w.cfg.ID, id, err)
-		}
+	// Vote is None: the disk is gone, so no prior ballot survives to
+	// conflict with a fresh election.
+	if err := raft.WriteRecoveryWAL(dir, wal.Options{}, st.Term, raft.None,
+		st.Applied, st.AppliedTerm, st.Entries); err != nil {
+		return nil, false, fmt.Errorf("worker %d shard %d: recovery WAL: %w", w.cfg.ID, id, err)
 	}
 	return st.DedupIDs, true, nil
 }
 
 // shipSource snapshots the shard's logical state for a generation
-// roll: the serving replica's WAL base (= archive checkpoint), the
-// live entries above it, and the dedup ids at or below it — all under
-// the apply lock, so the cut is consistent with the archived row set.
-// Shipping requires DataDir, so the serving WAL exists.
-func (w *Worker) shipSource(sh *Shard, g *raftGroup) ship.Source {
-	ws := g.wals[0]
+// roll: the WAL base (= archive checkpoint), the live entries above
+// it, and the dedup ids at or below it — all under the apply lock, so
+// the cut is consistent with the archived row set. Shipping requires
+// DataDir, so the WAL exists.
+func (w *Worker) shipSource(sh *Shard) ship.Source {
+	ws := sh.wal
 	return func() (ship.State, error) {
 		sh.applyMu.Lock()
 		defer sh.applyMu.Unlock()
@@ -515,107 +429,61 @@ func (w *Worker) shipSource(sh *Shard, g *raftGroup) ship.Source {
 	}
 }
 
-// startReplicaLocked builds replica i's state machine and raft node and
-// installs it into the group slot (fresh start or in-place restart after
-// kill). Caller holds w.mu or is constructing the shard.
-func (w *Worker) startReplicaLocked(sh *Shard, g *raftGroup, id raft.NodeID) error {
-	i := int(id)
-	var sm raft.StateMachine
-	switch {
-	case i == 0:
-		// Replica 0's state machine is the serving row store. One raft
-		// entry carries a group of client batches; each sub applies (and
-		// dedups) independently, and the entry's index is marked applied
-		// only after every sub landed, so WAL replay after a crash
-		// re-presents a partially-applied group.
-		sm = raft.StateMachineFunc(func(index uint64, data []byte) {
-			if d := sh.applyDelay.Load(); d > 0 {
-				// Injected apply lag sleeps before taking the apply
-				// lock: the backlog accumulates in the bounded apply
-				// queue, not behind a held mutex.
-				time.Sleep(time.Duration(d))
-			}
-			sh.applyMu.Lock()
-			defer sh.applyMu.Unlock()
-			if index <= sh.applied.Load() {
-				// Replayed entry already applied (and archived). Outside
-				// WAL replay this must never fire: raft delivers strictly
-				// increasing indexes, so a hit here on a live node means
-				// an acked entry's rows are being dropped.
-				sh.staleSkips.Add(1)
-				return
-			}
-			ok := true
-			err := ForEachSub(data, func(bid uint64, batch []byte) error {
-				slot, dup := sh.seen.Probe(bid)
-				if dup {
-					// A retried batch that already applied at an earlier
-					// index: consume the sub without duplicating rows.
-					sh.dedupSkips.Add(1)
-					return nil
-				}
-				// The row store keeps batch, which aliases the entry's
-				// Data: raft never modifies an entry's Data once it is
-				// proposed, and every Data it decodes (raft.DecodeEntry,
-				// so WAL replay and hydration too) is a fresh buffer.
-				n, aerr := sh.rs.AppendBatch(batch)
-				switch {
-				case aerr == nil:
-					sh.seen.Insert(slot, bid, index)
-					sh.appliedRows.Add(int64(n))
-				case errors.Is(aerr, rowstore.ErrClosed):
-					sh.appendFails.Add(1)
-					ok = false
-				default:
-					sh.decodeFails.Add(1)
-					ok = false
-				}
-				return nil
-			})
-			if err != nil {
-				sh.frameFails.Add(1)
-			}
-			if err == nil && ok {
-				sh.applied.Store(index)
-			}
-		})
-	default:
-		// The other replicas keep the log only (the raft log is the WAL)
-		// and apply nothing. The paper's second row-store copy serves
-		// follower reads, a path this repository does not have (ROADMAP
-		// item 7); until one does, no query, flush, failover or recovery
-		// would read that copy.
-		sm = raft.StateMachineFunc(func(uint64, []byte) {})
+// apply is the shard's state machine: it inserts a committed entry's
+// rows into the row store. One raft entry carries a group of client
+// batches; each sub applies (and dedups) independently, and the entry's
+// index is marked applied only after every sub landed, so WAL replay
+// after a crash re-presents a partially-applied group.
+func (sh *Shard) apply(index uint64, data []byte) {
+	if d := sh.applyDelay.Load(); d > 0 {
+		// Injected apply lag sleeps before taking the apply lock: the
+		// backlog accumulates in the bounded apply queue, not behind a
+		// held mutex.
+		time.Sleep(time.Duration(d))
 	}
-	// Every replica offers its committed entries to the shard's
-	// shipper (before the proposer is acked); the shipper collapses
-	// the duplicate streams on index contiguity, so shipping keeps
-	// working as long as any replica is committing.
-	var hook func([]raft.Entry)
-	if sh.shipper != nil {
-		hook = sh.shipper.Offer
+	sh.applyMu.Lock()
+	defer sh.applyMu.Unlock()
+	if index <= sh.applied.Load() {
+		// Replayed entry already applied (and archived). Outside WAL
+		// replay this must never fire: raft delivers strictly increasing
+		// indexes, so a hit here on a live node means an acked entry's
+		// rows are being dropped.
+		sh.staleSkips.Add(1)
+		return
 	}
-	node, err := raft.NewNode(raft.Config{
-		ID:              id,
-		Peers:           g.peers,
-		Transport:       g.net.Transport(id),
-		SM:              sm,
-		Storage:         g.stores[i],
-		TickInterval:    w.cfg.RaftTick,
-		SyncQueueItems:  w.cfg.RaftQueueItems,
-		ApplyQueueItems: w.cfg.RaftQueueItems,
-		Seed:            int64(sh.ID)*101 + int64(i),
-		CommitHook:      hook,
+	ok := true
+	err := ForEachSub(data, func(bid uint64, batch []byte) error {
+		slot, dup := sh.seen.Probe(bid)
+		if dup {
+			// A retried batch that already applied at an earlier index:
+			// consume the sub without duplicating rows.
+			sh.dedupSkips.Add(1)
+			return nil
+		}
+		// The row store keeps batch, which aliases the entry's Data:
+		// raft never modifies an entry's Data once it is proposed, and
+		// every Data it decodes (raft.DecodeEntry, so WAL replay and
+		// hydration too) is a fresh buffer.
+		n, aerr := sh.rs.AppendBatch(batch)
+		switch {
+		case aerr == nil:
+			sh.seen.Insert(slot, bid, index)
+			sh.appliedRows.Add(int64(n))
+		case errors.Is(aerr, rowstore.ErrClosed):
+			sh.appendFails.Add(1)
+			ok = false
+		default:
+			sh.decodeFails.Add(1)
+			ok = false
+		}
+		return nil
 	})
 	if err != nil {
-		return err
+		sh.frameFails.Add(1)
 	}
-	g.mu.Lock()
-	g.nodes[i] = node
-	g.stopped[i] = false
-	g.mu.Unlock()
-	g.net.Register(node)
-	return nil
+	if err == nil && ok {
+		sh.applied.Store(index)
+	}
 }
 
 // Shards returns the ids of hosted shards.
@@ -641,8 +509,8 @@ func (w *Worker) shard(id flow.ShardID) (*Shard, error) {
 
 // Append writes one batch of rows into a shard (phase one of the
 // two-phase write) and waits for the outcome. The batch commits
-// through the shard's Raft group — the client is acked only after
-// quorum persistence; backpressure from the Raft queues surfaces as
+// through the shard's raft node — the client is acked only after the
+// entry is persisted; backpressure from the raft queues surfaces as
 // raft.ErrBackpressure. Rows are checked against the schema first;
 // callers that have already done so use AppendTrustedCtx.
 func (w *Worker) Append(shardID flow.ShardID, rows []schema.Row) error {
@@ -666,8 +534,8 @@ type PendingAppend struct {
 	err error // the outcome, when sh is nil
 
 	// Otherwise the unit is data, one group proposal bound for sh's raft
-	// group: in flight at the leader as prop, or, when proposed is false,
-	// not sent yet because the shard had no leader at enqueue.
+	// node: in flight as prop, or, when proposed is false, not sent yet
+	// because the node had not elected itself at enqueue.
 	w        *Worker
 	sh       *Shard
 	data     []byte
@@ -676,15 +544,16 @@ type PendingAppend struct {
 }
 
 // Wait blocks until the unit has committed or failed and returns that
-// outcome. If the leader it was sent to steps down or is killed first —
-// or there was none yet — Wait re-proposes the same bytes to whoever
-// leads next (proposeGroup; a re-commit of an entry that did land is
-// suppressed sub by sub on apply). It takes no context: an in-flight
-// proposal is not abandoned mid-commit — a commit outcome must stay
-// unambiguous — and proposeGroup's deadline bounds how long that takes.
-// On a one-node group Wait then waits, for at most 5 s more, until the
-// replica has applied the commit index it reads after the ack; that
-// index covers this unit's entry and may cover later ones.
+// outcome. If the node had not elected itself at enqueue, Wait proposes
+// the bytes once it has (proposeGroup). It takes no context: an
+// in-flight proposal is not abandoned mid-commit — a commit outcome
+// must stay unambiguous — and proposeGroup's deadline bounds how long
+// that takes. Wait then waits, for at most 5 s more, until the node has
+// applied the commit index it reads after the ack: that index covers
+// this unit's entry (and may cover later ones), so an ack means the
+// rows are visible. A stop before the apply leaves the unit committed
+// in the log the shard restarts on, and a slow apply past the bound
+// leaves it committed too: both still ack.
 func (p PendingAppend) Wait() error {
 	if p.sh == nil {
 		return p.err
@@ -699,17 +568,7 @@ func (p PendingAppend) Wait() error {
 	if err != nil {
 		return err
 	}
-	if len(p.sh.group.peers) == 1 {
-		// A one-node group's ack also means the rows are visible: its
-		// only replica serves them. A stop before the apply leaves the
-		// unit committed in the log it restarts on, and a slow apply
-		// past the bound leaves it committed too: both still ack.
-		if lead := p.sh.group.leader(); lead != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = lead.WaitApplied(ctx, lead.Status().CommitIndex)
-			cancel()
-		}
-	}
+	p.sh.waitApplied()
 	if p.sh.shipper != nil && p.w.cfg.WALShip.Sync {
 		// Sync shipping: the ack must imply the rows are in OSS. The
 		// commit hook offered this unit's entry before the proposal was
@@ -725,21 +584,21 @@ func (p PendingAppend) Wait() error {
 // EnqueueAppend is the worker's one write entry: it hands the shard a
 // unit of batches — each encoded as its own sub-proposal with its own
 // content-derived batch id, so a batch retried after an ambiguous
-// outcome (leader death between commit and ack) is suppressed however
-// it is regrouped — and returns without waiting for the commit, so a
+// outcome (a crash between commit and ack) is suppressed however it is
+// regrouped — and returns without waiting for the commit, so a
 // broker can enqueue every shard of a client batch before it waits on
 // any. The unit is one raft proposal, framed once into the buffer raft
-// retains and pushed onto the shard leader's sync_queue, where it meets
-// other callers' units: the leader group-commits whatever is queued (one
-// WAL sync, one replication fan-out). Rows are not checked against the
-// schema here: the broker has done that, and the row store checks again
-// on insert.
+// retains and pushed onto the shard node's sync_queue, where it meets
+// other callers' units: the node group-commits whatever is queued (one
+// WAL sync). Rows are not checked against the schema here: the broker
+// has done that, and the row store checks again on insert.
 //
 // It never blocks and fails fast, before any raft work, on a dead ctx,
 // a down worker, an overloaded shipper — and a full sync_queue: that
 // refusal, raft.ErrBackpressure, is the paper's BFC reaching the client,
-// and nothing of the unit is retained. A shard with no leader at this
-// instant is not an error; Wait proposes the unit once one is elected.
+// and nothing of the unit is retained. A node that has not elected
+// itself yet (the first tick after AddShard) is not an error; Wait
+// proposes the unit once it has.
 func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batches [][]schema.Row) PendingAppend {
 	if err := ctx.Err(); err != nil {
 		return PendingAppend{err: err}
@@ -758,8 +617,8 @@ func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batche
 		return PendingAppend{err: raft.ErrBackpressure}
 	}
 	p := PendingAppend{w: w, sh: sh, data: encodeUnit(batches)}
-	if leader := sh.group.leader(); leader != nil {
-		p.prop, err = leader.ProposeAsync(p.data)
+	if sh.node.IsLeader() {
+		p.prop, err = sh.node.ProposeAsync(p.data)
 		if err != nil {
 			return PendingAppend{err: err}
 		}
@@ -771,8 +630,8 @@ func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batche
 }
 
 // SlowShardApply injects (or clears, d = 0) a delay before every
-// serving-replica apply of one shard — the gray-failure knob for a
-// replica that is alive but lagging.
+// apply of one shard — the gray-failure knob for a node that is alive
+// but lagging.
 func (w *Worker) SlowShardApply(id flow.ShardID, d time.Duration) error {
 	sh, err := w.shard(id)
 	if err != nil {
@@ -796,10 +655,8 @@ func (w *Worker) MemoryFootprint() int64 {
 	}
 	w.mu.RUnlock()
 	for _, sh := range shards {
-		for _, n := range sh.group.snapshotNodes() {
-			st := n.Status()
-			total += st.SyncQueue.Bytes + st.ApplyQueue.Bytes
-		}
+		st := sh.node.Status()
+		total += st.SyncQueue.Bytes + st.ApplyQueue.Bytes
 		if sh.shipper != nil {
 			total += sh.shipper.Stats().UnshippedBytes
 		}
@@ -809,22 +666,22 @@ func (w *Worker) MemoryFootprint() int64 {
 	return total
 }
 
-// proposeGroup drives one group proposal through the shard's raft
-// leader, retrying briefly across elections and replica kills.
+// proposeGroup drives one group proposal through the shard's node,
+// retrying briefly until it has elected itself.
 func (w *Worker) proposeGroup(sh *Shard, data []byte) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if w.down.Load() {
 			return ErrWorkerDown
 		}
-		if leader := sh.group.leader(); leader != nil {
-			err := leader.Propose(data)
+		if sh.node.IsLeader() {
+			err := sh.node.Propose(data)
 			if err == nil || errors.Is(err, raft.ErrBackpressure) {
 				return err
 			}
-			// ErrNotLeader: leadership moved mid-propose.
-			// ErrStopped: the leader was killed under us (chaos).
-			// Both retry against whoever gets elected next.
+			// ErrNotLeader: the node had not finished its election.
+			// ErrStopped: the worker is stopping; the next round sees
+			// it down.
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("worker %d shard %d: no raft leader", w.cfg.ID, sh.ID)
@@ -833,13 +690,13 @@ func (w *Worker) proposeGroup(sh *Shard, data []byte) error {
 	}
 }
 
-// ApplyCounters aggregates the serving replicas' apply-path counters.
+// ApplyCounters aggregates the shards' apply-path counters.
 // Every field except DedupSkips and AppliedRows must be zero in a
 // healthy cluster: each counts acked rows that were silently dropped.
 // DedupSkips counts content-addressed duplicate suppressions,
-// legitimate only when ambiguous outcomes force retries (leadership
-// churn, worker failover). AppliedRows is the total row count inserted
-// into serving row stores — comparing it against acked and
+// legitimate only when ambiguous outcomes force retries (a worker
+// crash and recovery). AppliedRows is the total row count inserted
+// into the row stores — comparing it against acked and
 // archived+resident totals localizes a loss to the raft/apply side or
 // the archive side.
 type ApplyCounters struct {
@@ -885,9 +742,9 @@ func (w *Worker) ApplyStats() ApplyCounters {
 }
 
 // CoalesceStats sums, across shards, how many raft proposals the append
-// path issued — one per unit EnqueueAppend accepted, re-proposals across
-// elections not counted — and how many sub-proposals (tenant batches)
-// those carried; the ratio is how many batches share a raft entry.
+// path issued — one per unit EnqueueAppend accepted — and how many
+// sub-proposals (tenant batches) those carried; the ratio is how many
+// batches share a raft entry.
 func (w *Worker) CoalesceStats() (groups, batches int64) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -1420,7 +1277,7 @@ func (w *Worker) drainAll(window int) {
 }
 
 // drainShardLocked archives one shard's resident rows and, on success,
-// checkpoints the shard's raft WALs up to the index applied before the
+// checkpoints the shard's raft WAL up to the index applied before the
 // seal: those rows are now durable on object storage, so their WAL
 // segments can be recycled (the paper's checkpointing task).
 //
@@ -1432,21 +1289,32 @@ func (w *Worker) drainAll(window int) {
 // next drain. Without this, a crash after the checkpoint could drop
 // acked rows (index marked applied but rows not archived) or replay
 // them twice (rows archived but produced by entries above the mark).
-// At most window LogBlock commits are in flight (builder.DrainSegments).
+//
+// With WAL shipping, the drain first waits until the shipper has every
+// entry up to appliedBefore in OSS (the commit hook offered each one
+// before it applied): a LogBlock never holds rows whose entries and
+// batch ids are missing from the shipped log, so a shard hydrated after
+// a disk wipe still suppresses a client's retry of an archived batch.
+// If the shipper fails, the drain returns its error and the rows stay
+// resident for the next one. At most window LogBlock commits are in
+// flight (builder.DrainSegments).
 func (w *Worker) drainShardLocked(sh *Shard, window int) error {
 	sh.applyMu.Lock()
 	appliedBefore := sh.applied.Load()
 	sh.rs.Seal()
 	segs := sh.rs.Sealed()
 	sh.applyMu.Unlock()
+	if sh.shipper != nil && len(segs) > 0 {
+		if err := sh.shipper.WaitShipped(appliedBefore); err != nil {
+			return fmt.Errorf("worker %d shard %d: drain waits for the shipper: %w", w.cfg.ID, sh.ID, err)
+		}
+	}
 	if _, err := w.bld.DrainSegments(sh.rs, segs, window); err != nil {
 		return err
 	}
 	if appliedBefore > 0 {
-		for _, ws := range sh.group.wals {
-			if ws != nil {
-				_ = ws.Checkpoint(appliedBefore)
-			}
+		if sh.wal != nil {
+			_ = sh.wal.Checkpoint(appliedBefore)
 		}
 		if sh.shipper != nil {
 			// Rows at or below appliedBefore are in LogBlocks now; the
@@ -1458,24 +1326,18 @@ func (w *Worker) drainShardLocked(sh *Shard, window int) error {
 	return nil
 }
 
-// barrierApply waits until replica 0 has applied everything the group
-// leader has committed. A proposal ack fires at quorum commit, but the
-// serving replica's state machine sees the entry asynchronously (often
-// from a follower position, via the next append or heartbeat) — so at
-// any instant there can be acked rows not yet in the row store. An
-// explicit flush promises "everything acked is archived"; sealing
-// before the serving replica catches up would silently miss those
-// in-flight rows. Best-effort: if the group has no leader or no serving
-// replica (election in progress, replicas killed by chaos), or 5 s
-// pass, the drain proceeds with whatever has applied.
-func (w *Worker) barrierApply(sh *Shard) {
-	lead, serving := sh.group.leader(), sh.group.serving()
-	if lead == nil || serving == nil {
-		return
-	}
+// waitApplied waits, for at most 5 s, until the node has applied
+// everything it has committed. A proposal ack fires at commit, and the
+// state machine sees the entry asynchronously: an append's Wait closes
+// that gap before it acks, and an explicit flush before it seals, since
+// it promises "everything acked is archived" — and a slow apply (past
+// Wait's bound) can leave acked rows not yet in the row store.
+// Best-effort: past 5 s, or once the node stops, the caller proceeds
+// with whatever has applied.
+func (sh *Shard) waitApplied() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_ = serving.WaitApplied(ctx, lead.Status().CommitIndex)
+	_ = sh.node.WaitApplied(ctx, sh.node.Status().CommitIndex)
 }
 
 // FlushShard force-archives one shard's resident rows, with up to
@@ -1492,7 +1354,7 @@ func (w *Worker) FlushShard(id flow.ShardID) error {
 	if err != nil {
 		return err
 	}
-	w.barrierApply(sh)
+	sh.waitApplied()
 	w.archiveMu.Lock()
 	defer w.archiveMu.Unlock()
 	return w.drainShardLocked(sh, builder.FlushWindow)
@@ -1564,14 +1426,17 @@ func (w *Worker) shutdown(graceful bool) {
 			if sh.shipper != nil {
 				// Graceful close flushes the remaining backlog to OSS;
 				// a crash abandons it (the exposure window a recovery
-				// must tolerate). Stopped before the raft group so the
-				// final snapshot can still read the serving WAL.
+				// must tolerate). Stopped before the node so the final
+				// snapshot can still read the WAL.
 				sh.shipper.Stop(graceful)
 			}
-			// Stopping the nodes fails what is still in flight with
+			// Stopping the node fails what is still in flight with
 			// ErrStopped; callers in PendingAppend.Wait then find the
 			// worker down and return ErrWorkerDown.
-			sh.group.stop()
+			sh.node.Stop()
+			if sh.wal != nil {
+				_ = sh.wal.Close()
+			}
 			sh.rs.Close()
 		}
 		w.mu.Unlock()
@@ -1579,78 +1444,6 @@ func (w *Worker) shutdown(graceful bool) {
 			w.pool.Close()
 		}
 	})
-}
-
-// --- Shard-level fault injection (chaos tests) -----------------------
-
-// KillShardLeader stops the shard's current raft leader in place and
-// returns its replica id. The group is left to elect a new leader on
-// its own; Append retries ride across the election. Returns an error
-// if no replica currently leads (e.g. mid-election).
-func (w *Worker) KillShardLeader(id flow.ShardID) (raft.NodeID, error) {
-	sh, err := w.shard(id)
-	if err != nil {
-		return 0, err
-	}
-	leader := sh.group.leader()
-	if leader == nil {
-		return 0, fmt.Errorf("worker %d shard %d: no leader to kill", w.cfg.ID, id)
-	}
-	lid := leader.Status().ID
-	return lid, sh.group.kill(lid)
-}
-
-// KillShardReplica stops one replica's raft node in place (storage
-// stays open). Idempotent.
-func (w *Worker) KillShardReplica(id flow.ShardID, replica raft.NodeID) error {
-	sh, err := w.shard(id)
-	if err != nil {
-		return err
-	}
-	return sh.group.kill(replica)
-}
-
-// RestartShardReplica restarts a killed replica in place, reusing its
-// open durable storage, and reconnects it to the group network.
-func (w *Worker) RestartShardReplica(id flow.ShardID, replica raft.NodeID) error {
-	sh, err := w.shard(id)
-	if err != nil {
-		return err
-	}
-	g, i := sh.group, int(replica)
-	g.mu.Lock()
-	if i < 0 || i >= len(g.nodes) {
-		g.mu.Unlock()
-		return fmt.Errorf("worker %d shard %d: no raft replica %d", w.cfg.ID, id, replica)
-	}
-	if !g.stopped[i] {
-		g.mu.Unlock()
-		return nil // still running
-	}
-	g.mu.Unlock()
-	g.net.Reconnect(replica)
-	return w.startReplicaLocked(sh, g, replica)
-}
-
-// DisconnectShardReplica partitions one replica from the group network.
-func (w *Worker) DisconnectShardReplica(id flow.ShardID, replica raft.NodeID) error {
-	sh, err := w.shard(id)
-	if err != nil {
-		return err
-	}
-	sh.group.net.Disconnect(replica)
-	return nil
-}
-
-// HealShardNetwork clears every partition and loss setting on the
-// shard's replica network.
-func (w *Worker) HealShardNetwork(id flow.ShardID) error {
-	sh, err := w.shard(id)
-	if err != nil {
-		return err
-	}
-	sh.group.net.HealAll()
-	return nil
 }
 
 // Proposal encode/decode lives in proposal.go (group framing, batch

@@ -21,12 +21,11 @@ import (
 	"logstore/internal/workload"
 )
 
-// newMemWorker builds an in-memory replicated worker; cfg carries what a
-// test wants different (a raft tick, queue bounds).
+// newMemWorker builds a worker with in-memory raft logs; cfg carries
+// what a test wants different (a raft tick, queue bounds).
 func newMemWorker(t *testing.T, cfg Config) *Worker {
 	t.Helper()
 	cfg.ID = 1
-	cfg.Replicas = 3
 	cfg.ArchiveInterval = time.Hour // keep every row resident for the comparison
 	if cfg.RaftTick == 0 {
 		cfg.RaftTick = 2 * time.Millisecond
@@ -44,7 +43,7 @@ func newMemWorker(t *testing.T, cfg Config) *Worker {
 }
 
 // waitResident polls until the worker's resident row count reaches
-// want; proposals ack at raft commit, apply is asynchronous.
+// want; an ack waits for the apply only up to a bound.
 func waitResident(t *testing.T, w *Worker, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -188,7 +187,7 @@ func TestUnitMatchesIndividualAppends(t *testing.T) {
 
 	// Property 2: identical dedup id sets. Sub-proposal identity is the
 	// content hash of the encoded batch, so regrouping must not change
-	// which ids the replicas remember.
+	// which ids the shard remembers.
 	gs, _ := grouped.shard(0)
 	is, _ := individual.shard(0)
 	for i, u := range units {
@@ -236,14 +235,13 @@ func TestSubProposalBytesGolden(t *testing.T) {
 // its size — one sub, more subs than encodeUnit sizes on its stack, or
 // more bytes than any cap an earlier commit put on a proposal.
 func TestUnitIsOneRaftEntry(t *testing.T) {
-	// The default 10 ms tick: an election mid-test would add a no-op entry.
-	w := newMemWorker(t, Config{RaftTick: 10 * time.Millisecond})
+	w := newMemWorker(t, Config{})
 	sh, _ := w.shard(0)
 	sch := schema.RequestLogSchema()
-	var leader *raft.Node
-	for deadline := time.Now().Add(5 * time.Second); leader == nil; time.Sleep(time.Millisecond) {
-		if leader = sh.group.leader(); leader == nil && time.Now().After(deadline) {
-			t.Fatal("no leader")
+	leader := sh.node
+	for deadline := time.Now().Add(5 * time.Second); !leader.IsLeader(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the node never elected itself")
 		}
 	}
 	var total int64
@@ -344,23 +342,33 @@ func TestRetrySuppression(t *testing.T) {
 	}
 }
 
-// TestLeaderKillMidStream: many goroutines each push many units at one
-// shard while its raft leader is killed under them and later restarted.
-// Every Wait returns, every acked unit is applied exactly once, and the
-// only duplicate suppressions are re-proposals of units that were in
-// flight when the leader died — a unit that commits on its first
-// proposal is never sent twice.
-func TestLeaderKillMidStream(t *testing.T) {
+// TestCrashMidStream: many goroutines each push many units at one shard
+// while the worker is crashed under them and recovered from its
+// DataDir. A unit whose Wait failed with ErrWorkerDown is retried, the
+// same bytes, on the recovered worker. Every unit is acked and applied
+// exactly once, and the only duplicate suppressions are re-commits of
+// units not yet acked at the crash — an acked unit is never sent twice.
+func TestCrashMidStream(t *testing.T) {
 	const (
 		writers   = 8
 		perWriter = 40
 	)
-	// The default 10 ms tick keeps leadership where the kill leaves it.
-	w := newMemWorker(t, Config{RaftTick: 10 * time.Millisecond})
+	dir, store, catalog := t.TempDir(), oss.NewMemStore(), meta.NewManager()
+	open := func() *Worker {
+		w := newDurableWorker(t, dir, store, catalog, time.Hour)
+		if err := w.AddShard(0); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	first := open()
+	var cur atomic.Pointer[Worker]
+	cur.Store(first)
+	recovered := make(chan struct{})
 	sch := schema.RequestLogSchema()
 	ctx := context.Background()
 
-	// state[u]: 0 not started, 1 in EnqueueAppend or Wait, 2 returned.
+	// state[u]: 0 not started, 1 not acked yet, 2 acked.
 	state := make([]atomic.Int32, writers*perWriter)
 	subsOf := make([]int64, writers*perWriter)
 	var rows, started atomic.Int64
@@ -380,12 +388,18 @@ func TestLeaderKillMidStream(t *testing.T) {
 				subsOf[u] = int64(len(unit))
 				state[u].Store(1)
 				started.Add(1)
-				err := w.EnqueueAppend(ctx, 0, unit).Wait()
-				state[u].Store(2)
-				if err != nil {
-					t.Errorf("writer %d unit %d: %v", wr, i, err)
-					return
+				for {
+					err := cur.Load().EnqueueAppend(ctx, 0, unit).Wait()
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, ErrWorkerDown) {
+						t.Errorf("writer %d unit %d: %v", wr, i, err)
+						return
+					}
+					<-recovered
 				}
+				state[u].Store(2)
 				rows.Add(int64(len(batch)))
 			}
 		}(wr)
@@ -394,27 +408,23 @@ func TestLeaderKillMidStream(t *testing.T) {
 	for started.Load() < writers*perWriter/3 {
 		time.Sleep(time.Millisecond)
 	}
-	if skips := w.ApplyStats().DedupSkips; skips != 0 {
+	if skips := first.ApplyStats().DedupSkips; skips != 0 {
 		t.Fatalf("%d dedup skips before any fault", skips)
 	}
-	killed, err := w.KillShardLeader(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Whatever was in flight when the kill returned is all that may be
-	// proposed twice: later units find no leader and wait for the next.
+	first.Crash()
+	// Whatever was not acked when the crash returned is all that may
+	// commit twice: later units are refused by the crashed worker
+	// before any raft work, and wait for the recovered one.
 	var exposed int64
 	for u := range state {
 		if state[u].Load() == 1 {
 			exposed += subsOf[u]
 		}
 	}
-	for started.Load() < 2*writers*perWriter/3 {
-		time.Sleep(time.Millisecond)
-	}
-	if err := w.RestartShardReplica(0, killed); err != nil {
-		t.Fatal(err)
-	}
+	w := open()
+	t.Cleanup(w.Close)
+	cur.Store(w)
+	close(recovered)
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
@@ -422,59 +432,86 @@ func TestLeaderKillMidStream(t *testing.T) {
 
 	waitResident(t, w, rows.Load())
 	st := w.ApplyStats()
-	// (StaleSkips are not a loss here: a restarted serving replica is
-	// re-sent the log from the start and skips what it had applied.)
-	if st.DecodeFails+st.AppendFails+st.FrameFails != 0 || st.AppliedRows != rows.Load() {
+	if st.Lost() || st.AppliedRows != rows.Load() {
 		t.Fatalf("apply counters %+v, want %d rows applied once and nothing lost", st, rows.Load())
 	}
 	if st.DedupSkips > exposed {
-		t.Fatalf("%d dedup skips, but only %d subs were in flight at the kill", st.DedupSkips, exposed)
+		t.Fatalf("%d dedup skips, but only %d subs were unacked at the crash", st.DedupSkips, exposed)
 	}
-	if groups, _ := w.CoalesceStats(); groups != writers*perWriter {
-		t.Fatalf("%d proposals counted for %d units: a re-proposal must not count", groups, writers*perWriter)
-	}
-	t.Logf("killed replica %d with %d subs in flight; %d re-committed and were suppressed", killed, exposed, st.DedupSkips)
+	t.Logf("crashed with %d subs unacked; %d re-committed and were suppressed", exposed, st.DedupSkips)
 }
 
-// TestCrashFailsWaiters: callers parked in Wait — their proposals stuck
-// at a leader that cannot reach a quorum — all get ErrWorkerDown when
-// the worker crashes, an append after the crash is refused at once, and
-// no goroutine of the worker or of the append path is left behind.
+// TestCrashFailsWaiters: callers parked in Wait — their units held in
+// the sync_queue while a lagging apply keeps the node from committing
+// more — get ErrWorkerDown when the worker crashes, callers whose units
+// committed before it get their ack, an append after the crash is
+// refused at once, and no goroutine of the worker or of the append path
+// is left behind.
 func TestCrashFailsWaiters(t *testing.T) {
-	const waiters = 16
 	before := runtime.NumGoroutine()
-	w := newMemWorker(t, Config{})
+	w := newMemWorker(t, Config{RaftQueueItems: 2})
+	sh, _ := w.shard(0)
+	sch := schema.RequestLogSchema()
 	gen := workload.NewGenerator(workload.GeneratorConfig{Tenants: 4, Theta: 0, Seed: 9, StartMS: 1000})
 	if err := w.AppendTrustedCtx(context.Background(), 0, gen.Batch(10)); err != nil {
-		t.Fatal(err) // a leader is up
+		t.Fatal(err) // the node has elected itself
 	}
-	for r := raft.NodeID(0); r < 3; r++ {
-		if err := w.DisconnectShardReplica(0, r); err != nil {
-			t.Fatal(err)
+	// The first apply below sleeps this long; everything up to the crash
+	// happens well inside it.
+	if err := w.SlowShardApply(0, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Enqueue until the pipeline is full: one entry in the slow apply,
+	// two in the apply_queue, at least one more committed behind them
+	// (so the node stops draining proposals), and two units parked in
+	// the sync_queue, uncommitted. A refusal can come while the node
+	// still drains, so fill again until that state holds.
+	errs := make(chan error, 64)
+	waiters := 0
+	fill := func() {
+		for {
+			p := w.EnqueueAppend(context.Background(), 0, splitByTenant(sch, gen.Batch(10)))
+			if p.sh == nil {
+				if !errors.Is(p.err, raft.ErrBackpressure) {
+					t.Fatalf("enqueue %d: err = %v, want raft.ErrBackpressure", waiters, p.err)
+				}
+				return
+			}
+			if waiters++; waiters == cap(errs) {
+				t.Fatalf("%d units accepted and the sync_queue never filled", waiters)
+			}
+			go func() { errs <- p.Wait() }()
 		}
 	}
-	errs := make(chan error, waiters)
-	var enqueued sync.WaitGroup
-	enqueued.Add(waiters)
-	for i := 0; i < waiters; i++ {
-		unit := splitByTenant(schema.RequestLogSchema(), gen.Batch(10))
-		go func() {
-			p := w.EnqueueAppend(context.Background(), 0, unit)
-			enqueued.Done()
-			errs <- p.Wait()
-		}()
+	base := sh.applied.Load()
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		fill()
+		st := sh.node.Status()
+		if st.CommitIndex >= base+4 && st.SyncQueue.Len == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the pipeline never filled: %d units accepted, node %+v", waiters, st)
+		}
 	}
-	enqueued.Wait()
-	select {
-	case err := <-errs:
-		t.Fatalf("a wait returned %v with no quorum and no crash", err)
-	case <-time.After(20 * time.Millisecond):
+	const parked = 2
+	// Only the apply under way keeps sleeping: the crash waits for it,
+	// not for every queued entry.
+	if err := w.SlowShardApply(0, 0); err != nil {
+		t.Fatal(err)
 	}
 	w.Crash()
+	down := 0
 	for i := 0; i < waiters; i++ {
-		if err := <-errs; !errors.Is(err, ErrWorkerDown) {
-			t.Fatalf("waiter %d: err = %v, want ErrWorkerDown", i, err)
+		switch err := <-errs; {
+		case errors.Is(err, ErrWorkerDown):
+			down++
+		case err != nil:
+			t.Fatalf("waiter %d: err = %v, want ErrWorkerDown or its commit's nil", i, err)
 		}
+	}
+	if down < parked {
+		t.Fatalf("%d waiters got ErrWorkerDown, but %d units were parked in the sync_queue", down, parked)
 	}
 	if err := w.AppendTrustedCtx(context.Background(), 0, gen.Batch(10)); !errors.Is(err, ErrWorkerDown) {
 		t.Fatalf("append after the crash: err = %v, want ErrWorkerDown", err)

@@ -22,7 +22,7 @@ func flushOnlyWorker(t *testing.T) (*Worker, *meta.Manager, *oss.Stats) {
 	stats := &oss.Stats{}
 	catalog := meta.NewManager()
 	w, err := New(Config{
-		ID: 1, Replicas: 1, ArchiveInterval: time.Hour,
+		ID: 1, ArchiveInterval: time.Hour,
 		Builder: builder.Config{Table: "request_log"},
 	}, schema.RequestLogSchema(), oss.NewCountingStore(oss.NewMemStore(), stats), catalog)
 	if err != nil {

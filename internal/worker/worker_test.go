@@ -16,14 +16,13 @@ import (
 	"logstore/internal/workload"
 )
 
-func newWorker(t *testing.T, replicas int) (*Worker, *meta.Manager, *oss.MemStore) {
+func newWorker(t *testing.T) (*Worker, *meta.Manager, *oss.MemStore) {
 	t.Helper()
 	store := oss.NewMemStore()
 	catalog := meta.NewManager()
 	w, err := New(Config{
 		ID:              1,
 		CapacityPerSec:  100000,
-		Replicas:        replicas,
 		ArchiveInterval: 50 * time.Millisecond,
 		RaftTick:        2 * time.Millisecond,
 		Builder:         builder.Config{Table: "request_log"},
@@ -39,7 +38,7 @@ func TestBatchCodec(t *testing.T) {
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 3, Seed: 1})
 	rows := g.Batch(10)
 	data := EncodeBatch(rows)
-	// What a serving replica does with a committed sub's batch.
+	// What a shard's apply does with a committed sub's batch.
 	apply := func(batch []byte) ([]schema.Row, error) {
 		rs, err := rowstore.New(schema.RequestLogSchema(), rowstore.Options{})
 		if err != nil {
@@ -75,7 +74,7 @@ func TestBatchCodec(t *testing.T) {
 }
 
 func TestAppendAndRealtimeQueryUnreplicated(t *testing.T) {
-	w, _, _ := newWorker(t, 1)
+	w, _, _ := newWorker(t)
 	if err := w.AddShard(0); err != nil {
 		t.Fatal(err)
 	}
@@ -101,36 +100,32 @@ func TestAppendAndRealtimeQueryUnreplicated(t *testing.T) {
 	}
 }
 
-func TestAppendReplicatedCommitsThroughRaft(t *testing.T) {
-	w, _, _ := newWorker(t, 3)
-	if err := w.AddShard(0); err != nil {
-		t.Fatal(err)
-	}
-	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 2, Theta: 0, Seed: 3, StartMS: 100})
-	if err := w.Append(0, g.Batch(50)); err != nil {
-		t.Fatal(err)
-	}
-	// Raft apply is asynchronous past commit: wait for visibility.
+// TestAppendIsVisibleOnAck: an ack waits for the shard to apply the
+// entry, so every acked row is in the row store the moment Append
+// returns — read-your-writes with no polling.
+func TestAppendIsVisibleOnAck(t *testing.T) {
+	w := newMemWorker(t, Config{}) // no archive cycle moves rows away
+	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Theta: 0, Seed: 3, StartMS: 100})
 	q, err := query.Parse("SELECT COUNT(*) FROM request_log WHERE tenant_id = 0 AND ts >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	for i := 1; i <= 20; i++ {
+		if err := w.Append(0, g.Batch(50)); err != nil {
+			t.Fatal(err)
+		}
 		res, err := w.QueryRealtimeCtx(context.Background(), 0, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Count > 0 {
-			return
+		if res.Count != int64(50*i) {
+			t.Fatalf("after %d acked appends of 50 rows: %d visible", i, res.Count)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("replicated rows never became visible")
 }
 
 func TestBackgroundArchiveAndBlockQuery(t *testing.T) {
-	w, catalog, _ := newWorker(t, 1)
+	w, catalog, _ := newWorker(t)
 	if err := w.AddShard(0); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +173,7 @@ func TestBackgroundArchiveAndBlockQuery(t *testing.T) {
 }
 
 func TestQueryRequiresTenantPredicate(t *testing.T) {
-	w, _, _ := newWorker(t, 1)
+	w, _, _ := newWorker(t)
 	if err := w.AddShard(0); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +187,7 @@ func TestQueryRequiresTenantPredicate(t *testing.T) {
 }
 
 func TestAppendValidation(t *testing.T) {
-	w, _, _ := newWorker(t, 1)
+	w, _, _ := newWorker(t)
 	if err := w.AddShard(0); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +201,7 @@ func TestAppendValidation(t *testing.T) {
 }
 
 func TestAddShardIdempotent(t *testing.T) {
-	w, _, _ := newWorker(t, 1)
+	w, _, _ := newWorker(t)
 	if err := w.AddShard(5); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +217,7 @@ func TestAddShardIdempotent(t *testing.T) {
 }
 
 func TestFlushShard(t *testing.T) {
-	w, catalog, _ := newWorker(t, 1)
+	w, catalog, _ := newWorker(t)
 	if err := w.AddShard(0); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +244,7 @@ func TestWarmCacheFewerFetches(t *testing.T) {
 	counting := oss.NewCountingStore(store, nil)
 	catalog := meta.NewManager()
 	w, err := New(Config{
-		ID: 2, Replicas: 1, ArchiveInterval: 20 * time.Millisecond,
+		ID: 2, ArchiveInterval: 20 * time.Millisecond,
 		Builder: builder.Config{Table: "request_log"},
 	}, schema.RequestLogSchema(), counting, catalog)
 	if err != nil {
@@ -300,7 +295,7 @@ func TestWarmCacheFewerFetches(t *testing.T) {
 // openReaderCtx at zero allocations: a warm query looks its readers up
 // by path, without building a key.
 func TestCachedReaderHitAllocatesNothing(t *testing.T) {
-	w, catalog, _ := newWorker(t, 1)
+	w, catalog, _ := newWorker(t)
 	if err := w.AddShard(0); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +331,7 @@ func TestQueryBlocksParallelWithWarmup(t *testing.T) {
 	store := oss.NewMemStore()
 	catalog := meta.NewManager()
 	w, err := New(Config{
-		ID: 3, Replicas: 1, ArchiveInterval: time.Hour,
+		ID: 3, ArchiveInterval: time.Hour,
 		PrefetchThreads: 8,
 		Builder:         builder.Config{Table: "request_log", MaxRowsPerBlock: 50},
 	}, schema.RequestLogSchema(), store, catalog)
@@ -404,7 +399,7 @@ func TestWorkerCompactTenant(t *testing.T) {
 	store := oss.NewMemStore()
 	catalog := meta.NewManager()
 	w, err := New(Config{
-		ID: 4, Replicas: 1, ArchiveInterval: time.Hour,
+		ID: 4, ArchiveInterval: time.Hour,
 		Builder: builder.Config{Table: "request_log", MaxRowsPerBlock: 40},
 	}, schema.RequestLogSchema(), store, catalog)
 	if err != nil {

@@ -161,7 +161,7 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 	store := newWaveStore()
 	catalog := meta.NewManager()
 	w, err := New(Config{
-		ID: 7, Replicas: 1, ArchiveInterval: time.Hour,
+		ID: 7, ArchiveInterval: time.Hour,
 		BlockSize:       waveBlockSize,
 		PrefetchThreads: 64, // a wave wider than the pool would take two trips
 		Builder:         builder.Config{Table: "request_log"},
@@ -323,7 +323,7 @@ func TestLimitShrinksDataWave(t *testing.T) {
 	store := newWaveStore()
 	catalog := meta.NewManager()
 	w, err := New(Config{
-		ID: 7, Replicas: 1, ArchiveInterval: time.Hour,
+		ID: 7, ArchiveInterval: time.Hour,
 		BlockSize: waveBlockSize,
 		Builder:   builder.Config{Table: "request_log", BlockRows: 256},
 	}, schema.RequestLogSchema(), store, catalog)
@@ -397,7 +397,7 @@ func TestPrefetchedEqualsSerial(t *testing.T) {
 			threads = -1
 		}
 		w, err := New(Config{
-			ID: flow.WorkerID(id), Replicas: 1, ArchiveInterval: time.Hour,
+			ID: flow.WorkerID(id), ArchiveInterval: time.Hour,
 			BlockSize:       waveBlockSize,
 			PrefetchThreads: threads,
 			Builder:         builder.Config{Table: "request_log", MaxRowsPerBlock: 2500},
@@ -454,7 +454,7 @@ func TestPrefetchedEqualsSerial(t *testing.T) {
 func TestDataWaveSkipsCachedVectors(t *testing.T) {
 	catalog := meta.NewManager()
 	w, err := New(Config{
-		ID: 7, Replicas: 1, ArchiveInterval: time.Hour,
+		ID: 7, ArchiveInterval: time.Hour,
 		BlockSize: waveBlockSize,
 		Builder:   builder.Config{Table: "request_log", BlockRows: 256},
 	}, schema.RequestLogSchema(), oss.NewMemStore(), catalog)

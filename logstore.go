@@ -4,8 +4,8 @@
 //
 // A Cluster embeds the whole system in-process: a controller (metadata
 // catalog, hotspot manager running the max-flow traffic scheduler,
-// background expiration), a set of worker nodes (Raft-replicated
-// write-optimized row stores per shard, background conversion to
+// background expiration), a set of worker nodes (a raft-logged
+// write-optimized row store per shard, background conversion to
 // columnar LogBlocks on object storage, multi-level caches and parallel
 // prefetch on the read path), and brokers (SQL parsing, weighted tenant
 // routing, scatter-gather execution). Object storage is pluggable; the
@@ -40,7 +40,6 @@ import (
 	"logstore/internal/metrics"
 	"logstore/internal/oss"
 	"logstore/internal/query"
-	"logstore/internal/raft"
 	"logstore/internal/rowstore"
 	"logstore/internal/schema"
 	"logstore/internal/ship"
@@ -69,8 +68,6 @@ type (
 	Algorithm = flow.Algorithm
 	// TenantID identifies a tenant.
 	TenantID = flow.TenantID
-	// ReplicaID identifies one replica inside a shard's raft group.
-	ReplicaID = raft.NodeID
 	// WorkerState is a worker's health as the cluster sees it.
 	WorkerState = flow.WorkerState
 )
@@ -104,7 +101,7 @@ func StringValue(s string) Value { return schema.StringValue(s) }
 func RequestLogSchema() *Schema { return schema.RequestLogSchema() }
 
 // Config configures an embedded cluster. The zero value is a sensible
-// small deployment: 3 workers × 4 shards, 3-way replication, max-flow
+// small deployment: 3 workers × 4 shards (one raft node each), max-flow
 // scheduling, in-memory object storage.
 type Config struct {
 	// Schema is the log table (nil = RequestLogSchema).
@@ -113,9 +110,6 @@ type Config struct {
 	Workers int
 	// ShardsPerWorker is the initial shard count per worker (0 = 4).
 	ShardsPerWorker int
-	// Replicas per shard Raft group (0 = 3; 1 is a one-node raft group:
-	// same log, same WAL under DataDir, no replication).
-	Replicas int
 	// Store is the object storage backend (nil = in-memory MemStore).
 	// Wrap with oss.NewSimStore for realistic latency experiments.
 	Store oss.Store
@@ -158,7 +152,7 @@ type Config struct {
 	CacheDiskBytes int64
 	// RaftTick accelerates raft timing (0 = 10 ms).
 	RaftTick time.Duration
-	// DataDir, when set, puts every shard replica's raft log on disk
+	// DataDir, when set, puts every shard's raft log on disk
 	// (WAL-backed) under DataDir/worker-N/, surviving process restarts.
 	DataDir string
 	// ShipWAL continuously streams every shard's committed raft log
@@ -221,9 +215,6 @@ func (c *Config) withDefaults() Config {
 	if out.ShardsPerWorker <= 0 {
 		out.ShardsPerWorker = 4
 	}
-	if out.Replicas <= 0 {
-		out.Replicas = 3
-	}
 	if out.Store == nil {
 		out.Store = oss.NewMemStore()
 	}
@@ -279,10 +270,9 @@ type Cluster struct {
 	hbDone chan struct{}
 
 	// recovery bookkeeping (chaos/failover observability)
-	crashes     metrics.Counter
-	recoveries  metrics.Counter
-	leaderKills metrics.Counter
-	wipes       metrics.Counter
+	crashes    metrics.Counter
+	recoveries metrics.Counter
+	wipes      metrics.Counter
 
 	closed atomic.Bool
 }
@@ -487,7 +477,6 @@ func (c *Cluster) newWorkerLocked(id flow.WorkerID) (*worker.Worker, error) {
 	w, err := worker.New(worker.Config{
 		ID:               id,
 		CapacityPerSec:   c.cfg.WorkerCapacityPerSec,
-		Replicas:         c.cfg.Replicas,
 		MemoryCacheBytes: c.cfg.CacheMemoryBytes,
 		DiskCacheBytes:   c.cfg.CacheDiskBytes,
 		DiskCacheDir:     cacheDir,
@@ -794,7 +783,7 @@ func (c *Cluster) Collector() *flow.Collector { return c.ctrl.Collector() }
 // ApplyStats sums the workers' apply-path counters (see
 // worker.ApplyCounters): silent-drop counters that must stay zero,
 // content-addressed duplicate suppressions, and the total rows the
-// serving replicas inserted into their row stores.
+// shards inserted into their row stores.
 func (c *Cluster) ApplyStats() worker.ApplyCounters {
 	var out worker.ApplyCounters
 	c.mu.RLock()
@@ -1013,9 +1002,8 @@ func (c *Cluster) shardWorker(s flow.ShardID) (*worker.Worker, error) {
 }
 
 // SlowShardApply injects (d > 0) or clears (d = 0) an apply-path delay
-// on one shard's serving replica: commits keep acking while the
-// serving state machine lags — the classic gray failure of an
-// overloaded but live node.
+// on one shard: commits keep acking while its state machine lags —
+// the classic gray failure of an overloaded but live node.
 func (c *Cluster) SlowShardApply(s flow.ShardID, d time.Duration) error {
 	w, err := c.shardWorker(s)
 	if err != nil {
@@ -1043,60 +1031,15 @@ func (c *Cluster) MemoryProxy() int64 {
 	return total
 }
 
-// KillShardLeader stops the raft leader of one shard's replica group;
-// the survivors elect a new leader and appends resume without manual
-// intervention. Returns the killed replica id (restart it later with
-// RestartShardReplica).
-func (c *Cluster) KillShardLeader(s flow.ShardID) (ReplicaID, error) {
-	w, err := c.shardWorker(s)
-	if err != nil {
-		return 0, err
-	}
-	id, err := w.KillShardLeader(s)
-	if err == nil {
-		c.leaderKills.Inc()
-	}
-	return id, err
-}
-
-// RestartShardReplica restarts a killed replica in place.
-func (c *Cluster) RestartShardReplica(s flow.ShardID, r ReplicaID) error {
-	w, err := c.shardWorker(s)
-	if err != nil {
-		return err
-	}
-	return w.RestartShardReplica(s, r)
-}
-
-// PartitionShardReplica cuts one replica off the shard's network.
-func (c *Cluster) PartitionShardReplica(s flow.ShardID, r ReplicaID) error {
-	w, err := c.shardWorker(s)
-	if err != nil {
-		return err
-	}
-	return w.DisconnectShardReplica(s, r)
-}
-
-// HealShard clears every partition and loss setting on the shard's
-// replica network.
-func (c *Cluster) HealShard(s flow.ShardID) error {
-	w, err := c.shardWorker(s)
-	if err != nil {
-		return err
-	}
-	return w.HealShardNetwork(s)
-}
-
 // RecoveryStats summarizes the cluster's failure handling: node crashes
-// injected/observed, workers rebuilt, shard leaders killed, and the
+// injected/observed, workers rebuilt, and the
 // brokers' failover, hedge, and write re-route counts.
 type RecoveryStats struct {
-	Crashes     int64 `json:"crashes"`
-	Recoveries  int64 `json:"recoveries"`
-	LeaderKills int64 `json:"leader_kills"`
-	Failovers   int64 `json:"failovers"`
-	Hedges      int64 `json:"hedges"`
-	Reroutes    int64 `json:"reroutes"`
+	Crashes    int64 `json:"crashes"`
+	Recoveries int64 `json:"recoveries"`
+	Failovers  int64 `json:"failovers"`
+	Hedges     int64 `json:"hedges"`
+	Reroutes   int64 `json:"reroutes"`
 	// Disk-loss durability (ShipWAL): wipes injected, shards hydrated
 	// from OSS, lifetime ship counters, and the current exposure window
 	// (acked rows not yet readable from OSS alone).
@@ -1120,10 +1063,9 @@ type RecoveryStats struct {
 // RecoveryStats returns the current failure-handling counters.
 func (c *Cluster) RecoveryStats() RecoveryStats {
 	s := RecoveryStats{
-		Crashes:     c.crashes.Value(),
-		Recoveries:  c.recoveries.Value(),
-		LeaderKills: c.leaderKills.Value(),
-		Wipes:       c.wipes.Value(),
+		Crashes:    c.crashes.Value(),
+		Recoveries: c.recoveries.Value(),
+		Wipes:      c.wipes.Value(),
 	}
 	for _, b := range c.brokers {
 		f, h, r := b.Stats()

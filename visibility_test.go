@@ -147,7 +147,6 @@ func TestRowsVisibleExactlyOnceDuringDrain(t *testing.T) {
 		cfg := fastConfig()
 		cfg.Workers = 1
 		cfg.ShardsPerWorker = 1
-		cfg.Replicas = 3
 		cfg.DataDir = t.TempDir()
 		cfg.ArchiveInterval = time.Hour
 		c := openCluster(t, cfg)
@@ -168,7 +167,7 @@ func TestRowsVisibleExactlyOnceDuringDrain(t *testing.T) {
 		if err := c.Append(rowsAt(c, 1, 5, 1_000)...); err != nil {
 			t.Fatal(err)
 		}
-		waitCount(5) // applied on the serving replica
+		waitCount(5)
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
