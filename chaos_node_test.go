@@ -28,13 +28,14 @@ func chaosSeed(t *testing.T, def int64) int64 {
 }
 
 // nodeFaultRun plays the seeded mix one fault at a time, each held for
-// hold, under one writer of 40-row batches over four tenants and one
-// COUNT(*) reader.
+// hold, under four writers of 40-row batches over eight tenants and one
+// COUNT(*) reader. A batch blocked on a held-down shard parks its
+// writer; the others keep the traffic going.
 func nodeFaultRun(t *testing.T, c *Cluster, seed int64, counts map[chaos.Kind]int, hold time.Duration) *chaos.Report {
 	t.Helper()
 	faults := chaos.Shuffled(seed, c.WorkerIDs(), counts)
 	rep, err := chaos.Run(c, chaos.Config{
-		Seed: seed + 1, Tenants: 4, Writers: 1, BatchRows: 40,
+		Seed: seed + 1, Tenants: 8, Writers: 4, BatchRows: 40,
 		Readers: 1, QueryPace: time.Millisecond,
 		Schedule: chaos.OneAtATime(faults, hold), Logf: t.Logf,
 	})
@@ -77,6 +78,13 @@ func TestChaosNodeFailures(t *testing.T) {
 	rep := nodeFaultRun(t, c, chaosSeed(t, 2026), counts, hold)
 	if got := rep.Injected; got[chaos.Crash] < 3 || got[chaos.Wipe] < 2 {
 		t.Fatalf("injected %v, want >=3 crashes and >=2 wipes", got)
+	}
+	// The gate must see writes land while faults are held, not only
+	// between them. Ten -race -short runs at seed 2026 acked 33 to 64
+	// batches; the floor is half the fewest.
+	const minBatches = 16
+	if rep.Batches < minBatches {
+		t.Fatalf("%d batches acked, want >= %d: the writers stalled through the faults", rep.Batches, minBatches)
 	}
 
 	// The core invariant: per-tenant counts converge to exactly the

@@ -19,6 +19,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"logstore/internal/index/bkd"
@@ -259,18 +260,39 @@ func run(root string) error {
 		return err
 	}
 	// seed-packed and seed-truncated in this directory hold the same
-	// rows in the layout before the four-member one (a tar member per
-	// part), and seed-packed-four-members and seed-truncated-four-members
-	// in the four-member layout with the legacy index encoding. No code
-	// writes either any more, so they are kept as checked in — readers
-	// must go on opening such objects — and the current format gets
-	// seeds of its own.
+	// rows in the oldest tar layout (a tar member per part),
+	// seed-packed-four-members and seed-truncated-four-members in the
+	// four-member tar with the legacy index encoding, and
+	// seed-packed-compact-index and seed-truncated-compact-index in the
+	// four-member tar with the current one. No code writes a tar any
+	// more, so they are kept as checked in — readers must go on opening
+	// such objects — and the footer layout gets seeds of its own: the
+	// object, and the ways its trailer and manifest can lie. The
+	// trailer is the last 10 bytes: the manifest's length (u32), the
+	// format version (u16) and a magic.
+	const trailerSize = 10
+	trailerAt := len(packed) - trailerSize
+	manifestTooLong := slices.Clone(packed)
+	binary.LittleEndian.PutUint32(manifestTooLong[trailerAt:], uint32(len(packed)))
+	// The manifest's last record is the meta's, and its last byte the
+	// high byte of the meta's size: one more runs the parts into the
+	// manifest.
+	sizesPastTrailer := slices.Clone(packed)
+	sizesPastTrailer[trailerAt-1]++
 	openDir := filepath.Join(root, "internal/logblock/testdata/fuzz/FuzzOpenReader")
-	if err := writeSeed(openDir, "seed-packed-compact-index", packed); err != nil {
-		return err
-	}
-	if err := writeSeed(openDir, "seed-truncated-compact-index", packed[:len(packed)/3]); err != nil {
-		return err
+	for name, obj := range map[string][]byte{
+		"seed-footer":                    packed,
+		"seed-footer-truncated-trailer":  packed[:len(packed)-2],
+		"seed-footer-manifest-too-long":  manifestTooLong,
+		"seed-footer-sizes-past-trailer": sizesPastTrailer,
+	} {
+		_, err := logblock.OpenReader(logblock.BytesFetcher(obj))
+		if (name == "seed-footer") != (err == nil) {
+			return fmt.Errorf("logblock seed %s: open returned %v", name, err)
+		}
+		if err := writeSeed(openDir, name, obj); err != nil {
+			return err
+		}
 	}
 	decodeDir := filepath.Join(root, "internal/logblock/testdata/fuzz/FuzzDecodeBlockData")
 	for _, ci := range []int{0, 2} { // one int column, one string column

@@ -22,13 +22,15 @@ type drainedKey struct {
 // TestDrainKeysGolden pins the LogBlocks a drain commits — object keys
 // and sizes — for a fixed set of appends. The blocks are the ones the
 // boxed-row drain (a row store holding []schema.Row, before segments
-// kept their rows encoded) gave; their keys are those of the compact
-// index encoding, which moved every key once. A segment re-drained
-// across an upgrade that keeps the index encoding must deduplicate
-// against what the old build committed, so neither the grouping by
-// tenant, nor the order within a tenant's run (arrival order, stably
-// sorted by time), nor where a run is chunked may move. The appends cover four tenants, timestamps out of order with
-// ties, empty and non-ASCII strings, a tenant's run chunked at
+// kept their rows encoded) gave; their keys and sizes are those of the
+// footer layout, which dropped the tar framing and so moved every key
+// once, as the compact index encoding did before it. A segment
+// re-drained across an upgrade that keeps the object format must
+// deduplicate against what the old build committed, so neither the
+// grouping by tenant, nor the order within a tenant's run (arrival
+// order, stably sorted by time), nor where a run is chunked may move.
+// The appends cover four tenants, timestamps out of order with ties,
+// empty and non-ASCII strings, a tenant's run chunked at
 // MaxRowsPerBlock, and a batch split across a segment seal.
 func TestDrainKeysGolden(t *testing.T) {
 	sch := schema.RequestLogSchema()
@@ -83,18 +85,18 @@ func TestDrainKeysGolden(t *testing.T) {
 }
 
 var goldenDrainKeys = []drainedKey{
-	{"request_log/tenant-0/logblock-0000000000001000-304199f87bd09e8c.tar", 5120},
-	{"request_log/tenant-0/logblock-0000000000001000-4aec32741a8f7354.tar", 5120},
-	{"request_log/tenant-0/logblock-0000000000001007-48dba82d5b47e845.tar", 5120},
-	{"request_log/tenant-0/logblock-0000000000001012-8aa6da2cedc90154.tar", 5120},
-	{"request_log/tenant-1/logblock-0000000000001000-4c1ece91e2d0d113.tar", 5120},
-	{"request_log/tenant-1/logblock-0000000000001000-7fd2b5cb7db2eb23.tar", 5120},
-	{"request_log/tenant-1/logblock-0000000000001007-c2d28876cb237b5b.tar", 5120},
-	{"request_log/tenant-1/logblock-0000000000001008-8c9bc0c0ebfbb712.tar", 5120},
-	{"request_log/tenant-2/logblock-0000000000001000-e28cdbc6597c148f.tar", 5120},
-	{"request_log/tenant-2/logblock-0000000000001001-115e4e40b30b43c0.tar", 5632},
-	{"request_log/tenant-2/logblock-0000000000001009-ad68ff409ffd533e.tar", 5120},
-	{"request_log/tenant-2/logblock-0000000000001010-a8fed73b64d94014.tar", 5120},
-	{"request_log/tenant-3/logblock-0000000000001001-0d18565921592f22.tar", 5120},
-	{"request_log/tenant-3/logblock-0000000000001006-e5ad56d2a9d0468a.tar", 5120},
+	{"request_log/tenant-0/logblock-0000000000001000-63925625abc9c098.tar", 1155},
+	{"request_log/tenant-0/logblock-0000000000001000-dc71a39dee57ca19.tar", 1301},
+	{"request_log/tenant-0/logblock-0000000000001007-86d443eadbb551a5.tar", 1181},
+	{"request_log/tenant-0/logblock-0000000000001012-7df2956437864030.tar", 995},
+	{"request_log/tenant-1/logblock-0000000000001000-709294e9c527e7a6.tar", 1164},
+	{"request_log/tenant-1/logblock-0000000000001000-d63bf782f19fff1e.tar", 1200},
+	{"request_log/tenant-1/logblock-0000000000001007-8c82a29185e9821d.tar", 797},
+	{"request_log/tenant-1/logblock-0000000000001008-0761d0e396228aa9.tar", 1080},
+	{"request_log/tenant-2/logblock-0000000000001000-7d995d879ceffbf5.tar", 1133},
+	{"request_log/tenant-2/logblock-0000000000001001-1d0bcc6d699c2688.tar", 1315},
+	{"request_log/tenant-2/logblock-0000000000001009-f8721e10864edb55.tar", 956},
+	{"request_log/tenant-2/logblock-0000000000001010-5858c676c86d5036.tar", 1162},
+	{"request_log/tenant-3/logblock-0000000000001001-6095f24380f9552f.tar", 1154},
+	{"request_log/tenant-3/logblock-0000000000001006-ad4479ef8349707f.tar", 1164},
 }

@@ -2,8 +2,10 @@ package logblock
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
+	"logstore/internal/bitutil"
 	"logstore/internal/schema"
 )
 
@@ -20,21 +22,54 @@ func packedFixture(t *testing.T) []byte {
 	return packed
 }
 
-// TestOpenReaderCorrupt damages a valid packed LogBlock in the ways a
-// torn upload or bit rot would and checks OpenReader rejects each one.
+// repack re-encodes the manifest of a packed object with edit applied
+// to its records, and a trailer stating the new manifest's length.
+func repack(t *testing.T, packed []byte, edit func([]record)) []byte {
+	t.Helper()
+	manLen, err := parseTrailer(packed, int64(len(packed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manOff := len(packed) - trailerSize - int(manLen)
+	var recs []record
+	if err := forEachRecord(packed[manOff:len(packed)-trailerSize], uint64(manOff), func(r record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	edit(recs)
+	out := bytes.Clone(packed[:manOff])
+	for _, r := range recs {
+		out = appendRecord(out, int(r.kind), int(r.col), int(r.blk), int(r.size))
+	}
+	return appendTrailer(out, len(out)-manOff)
+}
+
+// TestOpenReaderCorrupt damages a valid packed LogBlock, and a legacy
+// tar one, in the ways a torn upload or bit rot would and checks
+// OpenReader rejects each one.
 func TestOpenReaderCorrupt(t *testing.T) {
 	packed := packedFixture(t)
 	magicAt := bytes.Index(packed, []byte(Magic))
 	if magicAt < 0 {
 		t.Fatal("packed object does not contain the meta magic")
 	}
+	legacy, err := os.ReadFile("testdata/legacy_index.tar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenReader(BytesFetcher(repack(t, packed, func([]record) {}))); err != nil {
+		t.Fatalf("repacking the manifest unchanged broke the object: %v", err)
+	}
+	trailerAt := len(packed) - trailerSize
 	cases := []struct {
 		name string
 		data []byte
 	}{
 		{"empty", nil},
-		{"truncated tar header", packed[:100]},
-		{"truncated manifest", packed[:tarBlock+4]},
+		{"truncated tar header", legacy[:100]},
+		{"truncated manifest", legacy[:tarBlock+4]},
 		{"truncated before meta", packed[:magicAt]},
 		{"bad meta magic", func() []byte {
 			p := bytes.Clone(packed)
@@ -42,15 +77,29 @@ func TestOpenReaderCorrupt(t *testing.T) {
 			return p
 		}()},
 		{"zeroed size field", func() []byte {
-			p := bytes.Clone(packed)
+			p := bytes.Clone(legacy)
 			for i := 124; i < 136; i++ {
 				p[i] = 0x00 // NULs in the octal size field
 			}
 			return p
 		}()},
 		{"oversized size field", func() []byte {
-			p := bytes.Clone(packed)
+			p := bytes.Clone(legacy)
 			copy(p[124:136], []byte("77777777777\x00")) // claims ~8 GiB manifest
+			return p
+		}()},
+		{"truncated trailer", packed[:len(packed)-2]},
+		{"trailer shorter than a trailer", packed[trailerAt+1:]},
+		{"manifest longer than the object", func() []byte {
+			p := bytes.Clone(packed)
+			bitutil.PutUint32(p[trailerAt:], uint32(len(p)))
+			return p
+		}()},
+		{"manifest sizes past the trailer", repack(t, packed, func(recs []record) { recs[len(recs)-1].size += trailerSize + 1 })},
+		{"manifest sizes short of the manifest", repack(t, packed, func(recs []record) { recs[0].size-- })},
+		{"unknown format version", func() []byte {
+			p := bytes.Clone(packed)
+			p[trailerAt+4]++
 			return p
 		}()},
 	}

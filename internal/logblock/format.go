@@ -9,170 +9,247 @@
 //  4. block header — per column-block row count and SMA
 //  5. column blocks — validity bitset + compressed values
 //
-// Following the paper's production experience, all parts are packaged
-// into a single tar file whose first member is a manifest mapping part
-// names to byte extents, so any part can be ranged out of object storage
-// without listing or downloading the whole object ("The header of the
-// tar file contains a manifest, allowing subsequent read operations to
-// seek and read any part of the tar file").
+// The paper packages all parts into one tar file whose first member is a
+// manifest, so that any part can be ranged out of object storage without
+// listing or downloading the whole object. This package keeps the
+// manifest and drops the tar: framing that readers never parse cost a
+// small block as many bytes as its parts. A packed object is its parts
+// back to back, with no padding, followed by a manifest and a fixed
+// trailer:
 //
-// The tar has at most four members, so a block pays for four headers
-// however many columns and column blocks it has:
-//
-//	manifest  extent table (first member)
+//	data      every column block, column-major
+//	index     every indexed column's serialized index, in column order
 //	meta      parts 1, 2 and 4 of the structure above
-//	index     every column's serialized index, back to back
-//	          (absent when no column is indexed)
-//	data      every column block, back to back, column-major
+//	manifest  one record per part, in the order above
+//	trailer   manifest length, format version, magic
 //
-// The manifest has one entry per part, and its extents are the only
-// addressing readers use — they never parse a member header past the
-// manifest's own:
+// A manifest record is four uvarints: the part's kind, column, block and
+// size. A part starts where the one before it ends, so records carry no
+// offsets. A reader fetches the object's tail, finds the manifest
+// through the trailer, and holds it positionally: the meta extent,
+// Index[col] and Data[col*NumBlocks+blk].
 //
-//	meta              the meta member
-//	index/<col>       serialized index of column ordinal <col>
-//	data/<col>/<blk>  column block <blk> of column ordinal <col>
-//
-// Objects written before the four-member layout gave every part a tar
-// member of its own; their manifests carry the same names, so they open
-// and read unchanged.
+// Objects written before this layout are tars whose manifest names its
+// parts ("meta", "index/<col>", "data/<col>/<blk>"); legacy.go maps them
+// into the same positions, so they open and read unchanged.
 package logblock
 
 import (
 	"fmt"
-	"strconv"
 
 	"logstore/internal/bitutil"
 )
 
-// Magic identifies the meta member of a LogBlock.
+// Magic identifies the meta part of a LogBlock.
 const Magic = "LGBK1"
 
 // DefaultBlockRows is the number of rows per column block. Smaller
 // blocks skip more precisely but cost more per-block overhead.
 const DefaultBlockRows = 4096
 
-// The tar member names. MemberMeta is also the meta part's manifest name.
+// The trailer closes every packed object: the manifest's length as a
+// little-endian u32, the format version as a u16, then trailerMagic. A
+// legacy tar ends in zero blocks, so the magic tells the two apart.
 const (
-	MemberManifest = "manifest"
-	MemberMeta     = "meta"
-	memberIndex    = "index"
-	memberData     = "data"
+	trailerMagic  = "LGBF"
+	formatVersion = 1
+	trailerSize   = 4 + 2 + 4 // length, version, magic
 )
 
-// IndexMember returns the manifest name of column col's index.
-func IndexMember(col int) string {
-	var buf [32]byte
-	return string(appendIndexName(buf[:0], col))
-}
+// TailSize is how many bytes an open reads from the end of an object:
+// room for the trailer, manifest and meta of any block the archive loop
+// writes, and no more than one block of the block cache, so that the
+// open's read is the object's last cache block (two when it straddles a
+// boundary).
+const TailSize = 16 << 10
 
-// DataMember returns the manifest name of column col's block blk.
-func DataMember(col, blk int) string {
-	var buf [48]byte
-	return string(appendDataName(buf[:0], col, blk))
-}
+// Part kinds, as a manifest record states them.
+const (
+	kindData  = 0
+	kindIndex = 1
+	kindMeta  = 2
+)
 
-func appendIndexName(dst []byte, col int) []byte {
-	return strconv.AppendInt(append(dst, "index/"...), int64(col), 10)
-}
-
-func appendDataName(dst []byte, col, blk int) []byte {
-	dst = strconv.AppendInt(append(dst, "data/"...), int64(col), 10)
-	return strconv.AppendInt(append(dst, '/'), int64(blk), 10)
-}
-
-// Extent locates a member inside the packed tar object.
+// Extent locates a part inside the packed object. Every part has at
+// least one byte, so the zero Extent stands for a part the object does
+// not have.
 type Extent struct {
 	Offset int64
 	Size   int64
 }
 
-// Manifest maps part names to extents. Serialized with fixed-width
-// offset/size fields so its encoded size is independent of the values,
-// letting the packer compute extents before writing.
+// Manifest locates every part of a packed LogBlock by position.
 type Manifest struct {
-	Members map[string]Extent
-	order   []string
+	Meta Extent
+	// Index holds column col's serialized index at col; the zero Extent
+	// where the column has none.
+	Index []Extent
+	// Data holds column col's block blk at col*NumBlocks+blk.
+	Data      []Extent
+	NumBlocks int
 }
 
-// NewManifest returns an empty manifest.
-func NewManifest() *Manifest {
-	return &Manifest{Members: make(map[string]Extent)}
-}
-
-// Add registers a member. Order of addition is preserved in encoding.
-func (m *Manifest) Add(name string, ext Extent) {
-	if _, ok := m.Members[name]; !ok {
-		m.order = append(m.order, name)
+// IndexExtent returns the extent of column col's index, the zero Extent
+// if there is none.
+func (m *Manifest) IndexExtent(col int) Extent {
+	if uint(col) >= uint(len(m.Index)) {
+		return Extent{}
 	}
-	m.Members[name] = ext
+	return m.Index[col]
 }
 
-// Names returns the member names in insertion order.
-func (m *Manifest) Names() []string {
-	out := make([]string, len(m.order))
-	copy(out, m.order)
-	return out
-}
-
-// Lookup returns the extent of a member.
-func (m *Manifest) Lookup(name string) (Extent, bool) {
-	e, ok := m.Members[name]
-	return e, ok
-}
-
-// manifestEntrySize is the encoded size of an entry whose name has
-// nameLen bytes.
-func manifestEntrySize(nameLen int) int {
-	return bitutil.UvarintLen(uint64(nameLen)) + nameLen + 16
-}
-
-// appendManifestEntry encodes one entry: a len-prefixed name, u64
-// offset, u64 size.
-func appendManifestEntry(dst, name []byte, ext Extent) []byte {
-	dst = bitutil.AppendLenBytes(dst, name)
-	var fixed [16]byte
-	bitutil.PutUint64(fixed[0:8], uint64(ext.Offset))
-	bitutil.PutUint64(fixed[8:16], uint64(ext.Size))
-	return append(dst, fixed[:]...)
-}
-
-// Encode serializes the manifest: u32 count, then one entry per member
-// in insertion order.
-func (m *Manifest) Encode() []byte {
-	out := make([]byte, 4)
-	bitutil.PutUint32(out, uint32(len(m.order)))
-	for _, name := range m.order {
-		out = appendManifestEntry(out, []byte(name), m.Members[name])
+// DataExtent returns the extent of column col's block blk, the zero
+// Extent if there is no such block.
+func (m *Manifest) DataExtent(col, blk int) Extent {
+	if uint(blk) >= uint(m.NumBlocks) || uint(col) >= uint(len(m.Data)/m.NumBlocks) {
+		return Extent{}
 	}
-	return out
+	return m.Data[col*m.NumBlocks+blk]
 }
 
-// DecodeManifest reverses Encode.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("logblock: manifest truncated")
+// retainedBytes approximates the memory the manifest holds.
+func (m *Manifest) retainedBytes() int64 {
+	return int64(16 * (1 + len(m.Index) + len(m.Data)))
+}
+
+// appendRecord encodes one manifest record.
+func appendRecord(dst []byte, kind, col, blk, size int) []byte {
+	for _, v := range [...]int{kind, col, blk, size} {
+		dst = bitutil.AppendUvarint(dst, uint64(v))
 	}
-	n := int(bitutil.Uint32(data[0:4]))
-	if n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("logblock: implausible manifest entry count %d", n)
+	return dst
+}
+
+// recordSize is the encoded size of one manifest record.
+func recordSize(kind, col, blk, size int) int {
+	return bitutil.UvarintLen(uint64(kind)) + bitutil.UvarintLen(uint64(col)) +
+		bitutil.UvarintLen(uint64(blk)) + bitutil.UvarintLen(uint64(size))
+}
+
+// appendTrailer encodes the trailer of a manifest of manLen bytes.
+func appendTrailer(dst []byte, manLen int) []byte {
+	var fixed [6]byte
+	bitutil.PutUint32(fixed[:4], uint32(manLen))
+	fixed[4], fixed[5] = byte(formatVersion), byte(formatVersion>>8)
+	return append(append(dst, fixed[:]...), trailerMagic...)
+}
+
+// hasTrailer reports whether tail, the end of an object, ends in the
+// trailer magic.
+func hasTrailer(tail []byte) bool {
+	return len(tail) >= len(trailerMagic) && string(tail[len(tail)-len(trailerMagic):]) == trailerMagic
+}
+
+// parseTrailer checks the trailer at the end of an object of size bytes
+// and returns the manifest's length, which it bounds by the object.
+func parseTrailer(tail []byte, size int64) (int64, error) {
+	if len(tail) < trailerSize {
+		return 0, fmt.Errorf("logblock: trailer truncated: %d bytes", len(tail))
 	}
-	m := NewManifest()
-	off := 4
-	for i := 0; i < n; i++ {
-		name, c, err := bitutil.LenString(data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("logblock: manifest entry %d: %w", i, err)
+	t := tail[len(tail)-trailerSize:]
+	if v := int(t[4]) | int(t[5])<<8; v != formatVersion {
+		return 0, fmt.Errorf("logblock: format version %d unknown", v)
+	}
+	manLen := int64(bitutil.Uint32(t[:4]))
+	if manLen > size-trailerSize {
+		return 0, fmt.Errorf("logblock: manifest of %d bytes in an object of %d", manLen, size)
+	}
+	return manLen, nil
+}
+
+// record is one decoded manifest record.
+type record struct{ kind, col, blk, size uint64 }
+
+// forEachRecord decodes the records of raw in order, stopping at the
+// first error. An empty part, one larger than limit, or a column or
+// block beyond 32 bits is an error, so that no later sum or product
+// overflows.
+func forEachRecord(raw []byte, limit uint64, fn func(record) error) error {
+	for off := 0; off < len(raw); {
+		var vals [4]uint64
+		for i := range vals {
+			v, n, err := bitutil.Uvarint(raw[off:])
+			if err != nil {
+				return fmt.Errorf("logblock: manifest record at %d: %w", off, err)
+			}
+			vals[i] = v
+			off += n
 		}
-		off += c
-		if off+16 > len(data) {
-			return nil, fmt.Errorf("logblock: manifest entry %d extent truncated", i)
+		rec := record{vals[0], vals[1], vals[2], vals[3]}
+		if rec.size == 0 || rec.size > limit {
+			return fmt.Errorf("logblock: manifest part of %d bytes in %d", rec.size, limit)
 		}
-		m.Add(name, Extent{
-			Offset: int64(bitutil.Uint64(data[off:])),
-			Size:   int64(bitutil.Uint64(data[off+8:])),
-		})
-		off += 16
+		if rec.col >= 1<<32 || rec.blk >= 1<<32 {
+			return fmt.Errorf("logblock: manifest part at column %d, block %d", rec.col, rec.blk)
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeManifest decodes the manifest raw of an object whose parts fill
+// [0, partsEnd). The parts must tile that range exactly, with one meta
+// part, every column's every block, and at most one index per column;
+// the slices it allocates are bounded by the record count, and so by
+// len(raw).
+func decodeManifest(raw []byte, partsEnd int64) (*Manifest, error) {
+	// First pass: check the tiling and find the geometry.
+	var nData, nMeta, cols, blocks, indexCols, sum uint64
+	limit := uint64(partsEnd)
+	err := forEachRecord(raw, limit, func(r record) error {
+		switch r.kind {
+		case kindData:
+			nData++
+			cols, blocks = max(cols, r.col+1), max(blocks, r.blk+1)
+		case kindIndex:
+			indexCols = max(indexCols, r.col+1)
+		case kindMeta:
+			nMeta++
+		default:
+			return fmt.Errorf("logblock: manifest part kind %d unknown", r.kind)
+		}
+		if sum += r.size; sum > limit {
+			return fmt.Errorf("logblock: manifest parts run past %d bytes", partsEnd)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case sum != limit:
+		return nil, fmt.Errorf("logblock: manifest parts cover %d of %d bytes", sum, partsEnd)
+	case nMeta != 1:
+		return nil, fmt.Errorf("logblock: manifest has %d meta parts", nMeta)
+	case cols > nData || blocks > nData || cols*blocks != nData:
+		return nil, fmt.Errorf("logblock: %d data parts do not fill %d columns of %d blocks", nData, cols, blocks)
+	case indexCols > cols:
+		return nil, fmt.Errorf("logblock: index of column %d beyond %d columns", indexCols-1, cols)
+	}
+
+	// Second pass: place every part.
+	m := &Manifest{Index: make([]Extent, cols), Data: make([]Extent, nData), NumBlocks: int(blocks)}
+	var off int64
+	err = forEachRecord(raw, limit, func(r record) error {
+		ext := Extent{Offset: off, Size: int64(r.size)}
+		off += ext.Size
+		slot := &m.Meta
+		switch r.kind {
+		case kindData:
+			slot = &m.Data[r.col*blocks+r.blk]
+		case kindIndex:
+			slot = &m.Index[r.col]
+		}
+		if *slot != (Extent{}) {
+			return fmt.Errorf("logblock: manifest states part %d/%d/%d twice", r.kind, r.col, r.blk)
+		}
+		*slot = ext
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -23,17 +23,19 @@ func fuzzPacked(f *testing.F) []byte {
 }
 
 // FuzzOpenReader treats the input as a complete packed LogBlock object:
-// manifest, meta, index, and data members. Whatever OpenReader accepts
-// must then survive the whole read surface — member fetches, index
-// opens and lookups in the encoding the meta names, block decodes —
-// returning errors for damage, never panicking.
+// data, index and meta parts, manifest and trailer, or a legacy tar.
+// Whatever OpenReader accepts must then survive the whole read surface —
+// part fetches, index opens and lookups in the encoding the meta names,
+// block decodes — returning errors for damage, never panicking.
 func FuzzOpenReader(f *testing.F) {
 	packed := fuzzPacked(f)
 	f.Add(packed)
-	f.Add(packed[:tarBlock+8]) // manifest header + truncated manifest
+	f.Add(packed[:len(packed)-2]) // trailer torn off
 	// Objects of the one-member-per-part layout and of the legacy index
 	// encoding; the checked-in seed-packed and seed-truncated corpus
-	// entries are the first, the *-four-members ones the second.
+	// entries are the first, the *-four-members ones the second, and the
+	// *-compact-index ones four-member tars with the current index
+	// encoding.
 	for _, file := range []string{"parent_layout.tar", "legacy_index.tar"} {
 		old, err := os.ReadFile("testdata/" + file)
 		if err != nil {

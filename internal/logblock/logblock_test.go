@@ -1,16 +1,14 @@
 package logblock
 
 import (
-	"archive/tar"
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
+	"os"
 	"slices"
-	"strings"
 	"testing"
-	"time"
 
+	"logstore/internal/bitutil"
 	"logstore/internal/compress"
 	"logstore/internal/schema"
 	"logstore/internal/workload"
@@ -244,21 +242,21 @@ func TestNoIndexesOption(t *testing.T) {
 	}
 }
 
-// TestPackIsValidTarWithCorrectExtents checks the packer's contract:
-// the object is a tar archive/tar reads, with exactly the members
-// manifest, meta, index, data (no index member without indexes); every
-// manifest extent lies inside the payload of the member its name
-// belongs to; a member's extents tile it in order with no gap or
-// overlap; and the object has exactly the size computed before packing.
+// TestPackIsValidTarWithCorrectExtents checks the packer's contract
+// (the name is the one it had when the object was a tar): the parts,
+// the manifest and the trailer tile the object exactly, with no gap and
+// no overlap — every column block, then every index, then the meta, in
+// the order the manifest lists them — so the object is exactly meta +
+// index + data + manifest + trailer bytes; and the reader sees through
+// the extents the bytes the builder made.
 func TestPackIsValidTarWithCorrectExtents(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		opts    BuildOptions
-		members []string
+		name string
+		opts BuildOptions
 	}{
-		{"indexed", BuildOptions{BlockRows: 128}, []string{MemberManifest, MemberMeta, memberIndex, memberData}},
-		{"one block", BuildOptions{}, []string{MemberManifest, MemberMeta, memberIndex, memberData}},
-		{"no indexes", BuildOptions{BlockRows: 128, NoIndexes: true}, []string{MemberManifest, MemberMeta, memberData}},
+		{"indexed", BuildOptions{BlockRows: 128}},
+		{"one block", BuildOptions{}},
+		{"no indexes", BuildOptions{BlockRows: 128, NoIndexes: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			built, err := Build(schema.RequestLogSchema(), makeRows(t, 3, 300, 8), tc.opts)
@@ -269,160 +267,152 @@ func TestPackIsValidTarWithCorrectExtents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, _, total := built.layout(); len(packed) != total {
-				t.Errorf("packed %d bytes, the layout computed beforehand said %d", len(packed), total)
-			}
-
-			// Walk the tar with the stdlib reader, recording where each
-			// member's payload lies in the object.
-			type span struct{ off, end int64 }
-			payload := map[string]span{}
-			var names []string
-			var man *Manifest
-			rd := bytes.NewReader(packed)
-			tr := tar.NewReader(rd)
-			for {
-				hdr, err := tr.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				off := int64(len(packed)) - int64(rd.Len())
-				data, err := io.ReadAll(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if hdr.Typeflag != tar.TypeReg || hdr.Size != int64(len(data)) {
-					t.Errorf("member %s: type %q, size %d, read %d bytes", hdr.Name, hdr.Typeflag, hdr.Size, len(data))
-				}
-				names = append(names, hdr.Name)
-				payload[hdr.Name] = span{off, off + hdr.Size}
-				if hdr.Name == MemberManifest {
-					if man, err = DecodeManifest(data); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if !slices.Equal(names, tc.members) {
-				t.Fatalf("tar members %v, want %v", names, tc.members)
-			}
-
-			// Every extent inside its member; each member tiled exactly.
-			next := map[string]int64{}
-			for name, sp := range payload {
-				next[name] = sp.off
-			}
-			sch := schema.RequestLogSchema()
-			wantParts := 1 + len(sch.Columns)*built.Meta.NumBlocks
-			if !tc.opts.NoIndexes {
-				wantParts += len(sch.Columns) // RequestLogSchema indexes every column
-			}
-			if got := len(man.Names()); got != wantParts {
-				t.Errorf("manifest has %d parts, want %d", got, wantParts)
-			}
-			for _, name := range man.Names() {
-				member := name
-				if i := strings.IndexByte(name, '/'); i >= 0 {
-					member = name[:i]
-				}
-				sp, ok := payload[member]
-				if !ok {
-					t.Fatalf("part %s belongs to member %s, which the tar lacks", name, member)
-				}
-				ext, _ := man.Lookup(name)
-				if ext.Offset != next[member] {
-					t.Errorf("part %s at %d, previous part of %s ended at %d", name, ext.Offset, member, next[member])
-				}
-				if ext.Size < 0 || ext.Offset < sp.off || ext.Offset+ext.Size > sp.end {
-					t.Errorf("part %s [%d, %d) outside member %s [%d, %d)", name, ext.Offset, ext.Offset+ext.Size, member, sp.off, sp.end)
-				}
-				next[member] = ext.Offset + ext.Size
-			}
-			for name, sp := range payload {
-				if name != MemberManifest && next[name] != sp.end {
-					t.Errorf("parts of member %s end at %d, its payload at %d", name, next[name], sp.end)
-				}
-			}
-
-			// The reader sees through the extents what the builder made.
 			r, err := OpenReader(BytesFetcher(packed))
 			if err != nil {
 				t.Fatal(err)
 			}
+			m := r.Manifest
+			var manLen int
+			for _, ext := range append(append(slices.Clone(m.Data), m.Index...), m.Meta) {
+				if ext != (Extent{}) {
+					manLen += 3 // kind, column and block fit one varint byte each here
+					manLen += bitutil.UvarintLen(uint64(ext.Size))
+				}
+			}
+			if want := len(built.meta) + len(built.index) + len(built.data) + manLen + trailerSize; len(packed) != want {
+				t.Errorf("packed %d bytes; meta %d + index %d + data %d + manifest %d + trailer %d = %d",
+					len(packed), len(built.meta), len(built.index), len(built.data), manLen, trailerSize, want)
+			}
+
+			// Walk the parts in object order: each starts where the one
+			// before it ended.
+			sch := schema.RequestLogSchema()
+			var next int64
+			tile := func(what string, ext Extent) {
+				t.Helper()
+				if ext.Offset != next || ext.Size <= 0 {
+					t.Errorf("%s at [%d, +%d), the part before it ended at %d", what, ext.Offset, ext.Size, next)
+				}
+				next = ext.Offset + ext.Size
+			}
 			for ci := range sch.Columns {
 				for bi := 0; bi < built.Meta.NumBlocks; bi++ {
-					raw, err := r.ReadMember(DataMember(ci, bi))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(raw, built.DataPart(ci, bi)) {
-						t.Errorf("data/%d/%d read through the manifest differs from the built part", ci, bi)
+					tile(fmt.Sprintf("block %d of column %d", bi, ci), m.DataExtent(ci, bi))
+				}
+			}
+			if next != int64(len(built.data)) {
+				t.Errorf("column blocks end at %d, data is %d bytes", next, len(built.data))
+			}
+			for ci := range sch.Columns {
+				if ext := m.IndexExtent(ci); tc.opts.NoIndexes != (ext == Extent{}) {
+					t.Errorf("column %d: index extent %+v with NoIndexes %v", ci, ext, tc.opts.NoIndexes)
+				} else if !tc.opts.NoIndexes {
+					tile(fmt.Sprintf("index of column %d", ci), ext) // RequestLogSchema indexes every column
+				}
+			}
+			tile("meta", m.Meta)
+			if end := int64(len(packed) - trailerSize - manLen); next != end {
+				t.Errorf("parts end at %d, the manifest starts at %d", next, end)
+			}
+			if !hasTrailer(packed) {
+				t.Error("the object does not end in the trailer magic")
+			}
+			if got, err := parseTrailer(packed, int64(len(packed))); err != nil || got != int64(manLen) {
+				t.Errorf("trailer states a manifest of %d bytes (%v), want %d", got, err, manLen)
+			}
+
+			for ci := range sch.Columns {
+				for bi := 0; bi < built.Meta.NumBlocks; bi++ {
+					ext := m.DataExtent(ci, bi)
+					if !bytes.Equal(packed[ext.Offset:ext.Offset+ext.Size], built.DataPart(ci, bi)) {
+						t.Errorf("block %d of column %d read through the manifest differs from the built part", bi, ci)
 					}
 				}
+			}
+			if ext := m.Meta; !bytes.Equal(packed[ext.Offset:ext.Offset+ext.Size], built.meta) {
+				t.Error("meta read through the manifest differs from the built one")
 			}
 		})
 	}
 }
 
-// TestTarHeaderMatchesArchiveTar pins the hand-written header to the
-// bytes archive/tar's writer emits for the same member.
-func TestTarHeaderMatchesArchiveTar(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		size int
-	}{{MemberManifest, 0}, {MemberMeta, 322}, {memberIndex, 1 << 20}, {memberData, maxTarMember}} {
-		var buf bytes.Buffer
-		tw := tar.NewWriter(&buf)
-		if err := tw.WriteHeader(&tar.Header{
-			Name: tc.name, Mode: 0o644, Size: int64(tc.size), ModTime: time.Unix(0, 0), Format: tar.FormatUSTAR,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, tarBlock)
-		putTarHeader(got, tc.name, tc.size)
-		if want := buf.Bytes()[:tarBlock]; !bytes.Equal(got, want) {
-			t.Errorf("%s/%d:\n got %q\nwant %q", tc.name, tc.size, got, want)
-		}
-	}
-}
-
+// TestManifestRoundTrip decodes the manifest records the packer writes
+// back into the parts' positions, and holds an absent part to the zero
+// Extent.
 func TestManifestRoundTrip(t *testing.T) {
-	m := NewManifest()
-	m.Add("meta", Extent{Offset: 512, Size: 99})
-	m.Add("data/0/0", Extent{Offset: 1024, Size: 4096})
-	m.Add("meta", Extent{Offset: 512, Size: 100}) // overwrite keeps order
-	raw := m.Encode()
-	if want := 4 + manifestEntrySize(len("meta")) + manifestEntrySize(len("data/0/0")); len(raw) != want {
-		t.Errorf("encoded %d bytes, entry sizes add up to %d", len(raw), want)
+	var raw []byte
+	raw = appendRecord(raw, kindData, 0, 0, 10)
+	raw = appendRecord(raw, kindData, 0, 1, 300)
+	raw = appendRecord(raw, kindData, 1, 0, 5)
+	raw = appendRecord(raw, kindData, 1, 1, 7)
+	raw = appendRecord(raw, kindIndex, 1, 0, 20)
+	raw = appendRecord(raw, kindMeta, 0, 0, 99)
+	if want := 5*4 + 1 + 4; len(raw) != want {
+		t.Errorf("encoded %d bytes, want %d (one size of two varint bytes)", len(raw), want)
 	}
-	got, err := DecodeManifest(raw)
+	m, err := decodeManifest(raw, 10+300+5+7+20+99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := got.Names()
-	if len(names) != 2 || names[0] != "meta" || names[1] != "data/0/0" {
-		t.Errorf("Names = %v", names)
-	}
-	if e, _ := got.Lookup("meta"); e.Size != 100 {
-		t.Errorf("meta extent = %+v", e)
-	}
-	if _, ok := got.Lookup("missing"); ok {
-		t.Error("missing member should not resolve")
+	for _, tc := range []struct {
+		got, want Extent
+	}{
+		{m.DataExtent(0, 0), Extent{0, 10}},
+		{m.DataExtent(0, 1), Extent{10, 300}},
+		{m.DataExtent(1, 0), Extent{310, 5}},
+		{m.DataExtent(1, 1), Extent{315, 7}},
+		{m.IndexExtent(1), Extent{322, 20}},
+		{m.Meta, Extent{342, 99}},
+		{m.IndexExtent(0), Extent{}},
+		{m.IndexExtent(2), Extent{}},
+		{m.DataExtent(2, 0), Extent{}},
+		{m.DataExtent(0, 2), Extent{}},
+		{m.DataExtent(-1, 0), Extent{}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("extent %+v, want %+v", tc.got, tc.want)
+		}
 	}
 }
 
+// TestManifestDecodeErrors: a manifest that does not tile the parts
+// exactly, or names a part twice, or leaves a hole in the block grid, is
+// rejected, as is every truncation of a valid one.
 func TestManifestDecodeErrors(t *testing.T) {
-	if _, err := DecodeManifest(nil); err == nil {
-		t.Error("nil manifest should error")
+	rec := func(recs ...[4]int) []byte {
+		var raw []byte
+		for _, r := range recs {
+			raw = appendRecord(raw, r[0], r[1], r[2], r[3])
+		}
+		return raw
 	}
-	m := NewManifest()
-	m.Add("x", Extent{1, 2})
-	raw := m.Encode()
-	for cut := 4; cut < len(raw); cut++ {
-		if _, err := DecodeManifest(raw[:cut]); err == nil {
+	valid := rec([4]int{kindData, 0, 0, 10}, [4]int{kindIndex, 0, 0, 5}, [4]int{kindMeta, 0, 0, 3})
+	if _, err := decodeManifest(valid, 18); err != nil {
+		t.Fatalf("valid manifest: %v", err)
+	}
+	for cut := 1; cut < len(valid); cut++ {
+		if _, err := decodeManifest(valid[:cut], 18); err == nil {
 			t.Errorf("truncation to %d should error", cut)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		raw      []byte
+		partsEnd int64
+	}{
+		{"gap before the manifest", valid, 19},
+		{"parts past the manifest", valid, 17},
+		{"no meta", rec([4]int{kindData, 0, 0, 10}), 10},
+		{"two metas", rec([4]int{kindMeta, 0, 0, 1}, [4]int{kindMeta, 0, 0, 1}), 2},
+		{"duplicate block", rec([4]int{kindData, 0, 0, 1}, [4]int{kindData, 0, 0, 1}, [4]int{kindMeta, 0, 0, 1}), 3},
+		{"hole in the grid", rec([4]int{kindData, 0, 0, 1}, [4]int{kindData, 1, 1, 1}, [4]int{kindMeta, 0, 0, 1}), 3},
+		{"index beyond the columns", rec([4]int{kindData, 0, 0, 1}, [4]int{kindIndex, 1, 0, 1}, [4]int{kindMeta, 0, 0, 1}), 3},
+		{"empty part", rec([4]int{kindData, 0, 0, 0}, [4]int{kindMeta, 0, 0, 1}), 1},
+		{"unknown kind", rec([4]int{7, 0, 0, 1}, [4]int{kindMeta, 0, 0, 1}), 2},
+		{"column beyond 32 bits", rec([4]int{kindData, 1 << 40, 0, 1}, [4]int{kindMeta, 0, 0, 1}), 2},
+	} {
+		if _, err := decodeManifest(tc.raw, tc.partsEnd); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }
@@ -583,26 +573,91 @@ func BenchmarkOpenReader(b *testing.B) {
 	}
 }
 
-// TestMemberNames pins the manifest names — old objects carry them
-// spelled by fmt — and their cost: every manifest lookup on the query
-// path builds one, so a name is one allocation, the string itself.
+// TestMemberNames pins the names legacy manifests address parts by —
+// old objects carry them spelled by fmt — to the positions the legacy
+// decoder maps them to, and its cost: parsing a name allocates nothing.
 func TestMemberNames(t *testing.T) {
 	for _, col := range []int{0, 7, 10, 123456} {
-		if got, want := IndexMember(col), fmt.Sprintf("index/%d", col); got != want {
-			t.Errorf("IndexMember(%d) = %q, want %q", col, got, want)
+		if kind, c, _, ok := parseLegacyName(fmt.Sprintf("index/%d", col)); !ok || kind != kindIndex || c != col {
+			t.Errorf("index/%d parsed as kind %d column %d (%v)", col, kind, c, ok)
 		}
 		for _, blk := range []int{0, 9, 10, 4095} {
-			if got, want := DataMember(col, blk), fmt.Sprintf("data/%d/%d", col, blk); got != want {
-				t.Errorf("DataMember(%d, %d) = %q, want %q", col, blk, got, want)
+			if kind, c, b, ok := parseLegacyName(fmt.Sprintf("data/%d/%d", col, blk)); !ok || kind != kindData || c != col || b != blk {
+				t.Errorf("data/%d/%d parsed as kind %d column %d block %d (%v)", col, blk, kind, c, b, ok)
 			}
 		}
 	}
-	var sink string
-	if n := testing.AllocsPerRun(100, func() { sink = IndexMember(6) }); n > 1 {
-		t.Errorf("IndexMember allocates %.0f times", n)
+	if kind, _, _, ok := parseLegacyName("meta"); !ok || kind != kindMeta {
+		t.Errorf("meta parsed as kind %d (%v)", kind, ok)
 	}
-	if n := testing.AllocsPerRun(100, func() { sink = DataMember(6, 12) }); n > 1 {
-		t.Errorf("DataMember allocates %.0f times", n)
+	for _, bad := range []string{"", "manifest", "index/", "index/x", "index/-1", "data/1", "data/1/", "data//2", "data/1/2/3", "data/1234567890/0"} {
+		if _, _, _, ok := parseLegacyName(bad); ok {
+			t.Errorf("%q parsed as a part name", bad)
+		}
 	}
-	_ = sink
+	if n := testing.AllocsPerRun(100, func() { parseLegacyName("data/6/12") }); n != 0 {
+		t.Errorf("parseLegacyName allocates %.0f times", n)
+	}
+}
+
+// countingFetcher counts the fetches made through it.
+type countingFetcher struct {
+	Fetcher
+	fetches int
+}
+
+func (c *countingFetcher) Fetch(off, size int64) ([]byte, error) {
+	c.fetches++
+	return c.Fetcher.Fetch(off, size)
+}
+
+// TestOpenFetches pins what an open costs in fetches: one for an object
+// whose manifest and meta lie in its last TailSize bytes, small or
+// large; two when the meta outgrows the tail; and at most two for a
+// legacy tar, whose manifest is found through the header at offset 0.
+func TestOpenFetches(t *testing.T) {
+	pack := func(n, blockRows int) []byte {
+		t.Helper()
+		built, err := Build(schema.RequestLogSchema(), makeRows(t, 1, n, 21), BuildOptions{BlockRows: blockRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, err := built.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return packed
+	}
+	fixture := func(name string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, tc := range []struct {
+		name    string
+		object  []byte
+		fetches int
+	}{
+		{"small", pack(40, 0), 1},
+		{"larger than the tail", pack(4000, 0), 1},
+		{"meta larger than the tail", pack(4000, 16), 2},
+		{"one member per part", fixture("parent_layout.tar"), 2},
+		{"legacy index", fixture("legacy_index.tar"), 1},
+		{"four members", fixture("four_member.tar"), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &countingFetcher{Fetcher: BytesFetcher(tc.object)}
+			r, err := OpenReader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d-byte object, %d-byte meta", len(tc.object), r.Manifest.Meta.Size)
+			if f.fetches != tc.fetches {
+				t.Errorf("open of a %d-byte object made %d fetches, want %d", len(tc.object), f.fetches, tc.fetches)
+			}
+		})
+	}
 }

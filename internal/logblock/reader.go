@@ -2,8 +2,6 @@ package logblock
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -18,6 +16,8 @@ import (
 type Fetcher interface {
 	// Fetch returns exactly size bytes starting at off.
 	Fetch(off, size int64) ([]byte, error)
+	// Size returns the object's size in bytes.
+	Size() (int64, error)
 }
 
 // BytesFetcher adapts an in-memory object to the Fetcher interface.
@@ -33,33 +33,16 @@ func (b BytesFetcher) Fetch(off, size int64) ([]byte, error) {
 	return out, nil
 }
 
-// parseTarSize extracts the payload size from a 512-byte tar header
-// (octal field at bytes 124..136).
-func parseTarSize(hdr []byte) (int64, error) {
-	if len(hdr) < 512 {
-		return 0, fmt.Errorf("logblock: tar header truncated: %d bytes", len(hdr))
-	}
-	field := strings.TrimRight(strings.TrimSpace(string(hdr[124:136])), "\x00")
-	field = strings.TrimSpace(field)
-	if field == "" {
-		return 0, fmt.Errorf("logblock: empty tar size field")
-	}
-	v, err := strconv.ParseInt(field, 8, 64)
-	if err != nil {
-		return 0, fmt.Errorf("logblock: tar size field %q: %w", field, err)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("logblock: negative tar size %d", v)
-	}
-	return v, nil
-}
+// Size implements Fetcher.
+func (b BytesFetcher) Size() (int64, error) { return int64(len(b)), nil }
 
-// Reader provides lazy member access over a packed LogBlock. Opening a
-// reader fetches only the manifest and the meta member; indexes and data
-// blocks are ranged on demand. Parsed index segments are memoized on
-// the reader (the paper's object memory cache: "metadata files, index
-// files, and hot data files" are repeatedly accessed during queries, so
-// decoded forms are kept, not just raw blocks).
+// Reader provides lazy part access over a packed LogBlock. Opening a
+// reader fetches only the object's tail (trailer, manifest and meta);
+// indexes and data blocks are ranged on demand. Parsed index segments
+// are memoized on the reader (the paper's object memory cache:
+// "metadata files, index files, and hot data files" are repeatedly
+// accessed during queries, so decoded forms are kept, not just raw
+// blocks).
 type Reader struct {
 	fetch    Fetcher
 	Manifest *Manifest
@@ -143,51 +126,132 @@ func (r *Reader) SetVectorCache(c VectorCache, object string) {
 // indexes are loaded, so long-lived holders should re-poll.
 func (r *Reader) RetainedBytes() int64 { return r.shared.retained.Load() }
 
-// OpenReader reads the manifest (via the leading tar header) and the
-// meta member.
+// OpenReader reads the object's last min(size, TailSize) bytes and
+// decodes the manifest and the meta from them; a block whose manifest
+// and meta outgrow that tail costs one more fetch. An object whose tail
+// is not a trailer is a legacy tar, whose manifest is found through the
+// tar header at offset 0: one more fetch when the object is larger than
+// TailSize.
 func OpenReader(f Fetcher) (*Reader, error) {
-	hdr, err := f.Fetch(0, tarBlock)
+	size, err := f.Size()
 	if err != nil {
-		return nil, fmt.Errorf("logblock: read manifest header: %w", err)
+		return nil, fmt.Errorf("logblock: object size: %w", err)
 	}
-	msize, err := parseTarSize(hdr)
+	if size <= 0 {
+		return nil, fmt.Errorf("logblock: empty object")
+	}
+	o := &opener{f: f, size: size}
+	n := min(size, TailSize)
+	tail, err := o.read(size-n, n)
+	if err != nil {
+		return nil, fmt.Errorf("logblock: read tail: %w", err)
+	}
+	var man *Manifest
+	if hasTrailer(tail) {
+		man, err = o.footerManifest(tail)
+	} else {
+		man, err = o.tarManifest()
+	}
 	if err != nil {
 		return nil, err
 	}
-	raw, err := f.Fetch(tarBlock, msize)
+	metaRaw, err := o.read(man.Meta.Offset, man.Meta.Size)
 	if err != nil {
-		return nil, fmt.Errorf("logblock: read manifest: %w", err)
+		return nil, fmt.Errorf("logblock: read meta: %w", err)
 	}
-	man, err := DecodeManifest(raw)
-	if err != nil {
-		return nil, err
-	}
-	r := &Reader{fetch: f, Manifest: man, shared: &readerShared{}}
-	metaRaw, err := r.ReadMember(MemberMeta)
+	meta, err := DecodeMeta(metaRaw)
 	if err != nil {
 		return nil, err
 	}
-	if r.Meta, err = DecodeMeta(metaRaw); err != nil {
-		return nil, err
+	if man.NumBlocks != meta.NumBlocks || len(man.Data) != len(meta.Columns)*meta.NumBlocks {
+		return nil, fmt.Errorf("logblock: manifest has %d data parts in blocks of %d, meta %d columns of %d blocks",
+			len(man.Data), man.NumBlocks, len(meta.Columns), meta.NumBlocks)
 	}
+	r := &Reader{fetch: f, Manifest: man, Meta: meta, shared: &readerShared{}}
 	const readerOverhead = 512 // structs, maps, slice headers
-	r.shared.retained.Store(msize + int64(len(metaRaw)) + readerOverhead)
+	r.shared.retained.Store(man.retainedBytes() + int64(len(metaRaw)) + readerOverhead)
 	return r, nil
 }
 
-// ReadMember fetches a member's raw bytes by name.
-func (r *Reader) ReadMember(name string) ([]byte, error) {
-	ext, ok := r.Manifest.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("logblock: member %q not in manifest", name)
-	}
-	return r.fetch.Fetch(ext.Offset, ext.Size)
+// opener reads the ranges an open needs, answering each from a range it
+// has already fetched when it can.
+type opener struct {
+	f       Fetcher
+	size    int64
+	fetched []span
 }
 
-// HasIndex reports whether column col has a serialized index member.
+type span struct {
+	off  int64
+	data []byte
+}
+
+func (o *opener) read(off, n int64) ([]byte, error) {
+	if off < 0 || n < 0 || off > o.size || n > o.size-off {
+		return nil, fmt.Errorf("logblock: range [%d, +%d) outside an object of %d bytes", off, n, o.size)
+	}
+	for _, s := range o.fetched {
+		if off >= s.off && off+n <= s.off+int64(len(s.data)) {
+			return s.data[off-s.off : off-s.off+n], nil
+		}
+	}
+	data, err := o.f.Fetch(off, n)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) != n {
+		return nil, fmt.Errorf("logblock: fetched %d bytes at %d, want %d", len(data), off, n)
+	}
+	o.fetched = append(o.fetched, span{off, data})
+	return data, nil
+}
+
+// footerManifest decodes the manifest the trailer at the end of tail
+// points to.
+func (o *opener) footerManifest(tail []byte) (*Manifest, error) {
+	manLen, err := parseTrailer(tail, o.size)
+	if err != nil {
+		return nil, err
+	}
+	manOff := o.size - trailerSize - manLen
+	raw, err := o.read(manOff, manLen)
+	if err != nil {
+		return nil, fmt.Errorf("logblock: read manifest: %w", err)
+	}
+	return decodeManifest(raw, manOff)
+}
+
+// tarManifest decodes the manifest of a legacy tar, the payload of its
+// first member. It reads the object's head in one piece, which in every
+// tar this package wrote holds the manifest and the meta.
+func (o *opener) tarManifest() (*Manifest, error) {
+	head, err := o.read(0, min(o.size, TailSize))
+	if err != nil {
+		return nil, fmt.Errorf("logblock: read manifest header: %w", err)
+	}
+	msize, err := parseTarSize(head)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := o.read(tarBlock, msize)
+	if err != nil {
+		return nil, fmt.Errorf("logblock: read manifest: %w", err)
+	}
+	return decodeLegacyManifest(raw, o.size)
+}
+
+// HasIndex reports whether column col has a serialized index part.
 func (r *Reader) HasIndex(col int) bool {
-	_, ok := r.Manifest.Lookup(IndexMember(col))
-	return ok
+	return r.Manifest.IndexExtent(col) != Extent{}
+}
+
+// readIndex fetches column col's serialized index.
+func (r *Reader) readIndex(col int) ([]byte, error) {
+	ext := r.Manifest.IndexExtent(col)
+	if ext == (Extent{}) {
+		return nil, fmt.Errorf("logblock: no index of column %d in the manifest", col)
+	}
+	return r.fetch.Fetch(ext.Offset, ext.Size)
 }
 
 // IndexLoaded reports whether column col's parsed index is already
@@ -212,7 +276,7 @@ func (r *Reader) InvertedIndex(col int) (*inverted.Index, error) {
 		return ix, nil
 	}
 	r.shared.mu.Unlock()
-	raw, err := r.ReadMember(IndexMember(col))
+	raw, err := r.readIndex(col)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +313,7 @@ func (r *Reader) BKDIndex(col int) (*bkd.Tree, error) {
 		return t, nil
 	}
 	r.shared.mu.Unlock()
-	raw, err := r.ReadMember(IndexMember(col))
+	raw, err := r.readIndex(col)
 	if err != nil {
 		return nil, err
 	}
@@ -278,14 +342,18 @@ func (r *Reader) BKDIndex(col int) (*bkd.Tree, error) {
 // is attached. The returned vector is shared and must not be mutated.
 func (r *Reader) BlockVector(col, bi int) (*Vector, error) {
 	var key string
-	// A block out of range has no key; ReadMember reports it missing.
+	// A block out of range has no key; its extent is the zero one.
 	if nb := r.Meta.NumBlocks; r.vecCache != nil && uint(col) < uint(len(r.Meta.Columns)) && uint(bi) < uint(nb) {
 		key = r.vecKeys[col*nb+bi]
 		if v, ok := r.vecCache.Get(key); ok {
 			return v.(*Vector), nil
 		}
 	}
-	raw, err := r.ReadMember(DataMember(col, bi))
+	ext := r.Manifest.DataExtent(col, bi)
+	if ext == (Extent{}) {
+		return nil, fmt.Errorf("logblock: no block %d of column %d in the manifest", bi, col)
+	}
+	raw, err := r.fetch.Fetch(ext.Offset, ext.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +377,7 @@ func (r *Reader) VectorCached(col, bi int) bool {
 }
 
 // AllRows materializes the entire LogBlock, column block by column
-// block (each data member fetched exactly once). Used by compaction
+// block (each data part fetched exactly once). Used by compaction
 // and backfill jobs that rewrite whole blocks.
 func (r *Reader) AllRows() ([]schema.Row, error) {
 	m := r.Meta

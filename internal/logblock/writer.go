@@ -3,6 +3,7 @@ package logblock
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -35,10 +36,9 @@ type BuildOptions struct {
 }
 
 // Built is an in-memory LogBlock ready to pack: the decoded meta plus
-// the payloads of the meta, index and data members. parts lists the
-// manifest-addressed pieces of index and data in member order (every
-// column's index, then every column's blocks), which is also the order
-// they lie in.
+// the encoded meta, the indexes and the column blocks, each run back to
+// back. parts lists the pieces of data and index in the order they lie
+// in (every column's blocks, then every column's index).
 type Built struct {
 	Meta  *Meta
 	meta  []byte
@@ -47,27 +47,20 @@ type Built struct {
 	parts []part
 }
 
-// part is one index (blk < 0) or column block inside its member.
+// part is one column block or index (blk < 0).
 type part struct {
 	col, blk int
 	size     int
 }
 
-func (p part) appendName(dst []byte) []byte {
-	if p.blk < 0 {
-		return appendIndexName(dst, p.col)
-	}
-	return appendDataName(dst, p.col, p.blk)
-}
-
 // DataPart returns the encoded column block blk of column col (the
-// bytes a reader gets for DataMember(col, blk)), or nil if there is no
-// such block.
+// bytes a reader gets for the manifest's DataExtent(col, blk)), or nil
+// if there is no such block.
 func (b *Built) DataPart(col, blk int) []byte {
 	off := 0
 	for _, p := range b.parts {
 		if p.blk < 0 {
-			continue
+			break
 		}
 		if p.col == col && p.blk == blk {
 			return b.data[off : off+p.size]
@@ -84,8 +77,8 @@ type buildScratch struct {
 	inv *inverted.Builder
 	bkd *bkd.Builder
 
-	// index and data accumulate the two members; Build copies them out
-	// at their final size.
+	// index and data accumulate the two runs of parts; Build copies
+	// them out at their final size.
 	index []byte
 	data  []byte
 
@@ -187,9 +180,9 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 			}
 		}
 	}
-	// Index parts first, then the data parts column by column.
-	parts := make([]part, nIndexes+ncols*numBlocks)
-	indexParts, dataParts := parts[:0], parts[nIndexes:nIndexes]
+	// The data parts column by column, then the index parts.
+	parts := make([]part, ncols*numBlocks+nIndexes)
+	dataParts, indexParts := parts[:0], parts[ncols*numBlocks:ncols*numBlocks]
 
 	// Every row is valid, so a block's validity prefix depends only on
 	// its row count: one for full blocks, one for the last.
@@ -298,103 +291,36 @@ func validityPrefix(n int) []byte {
 	return bitutil.AppendLenBytes(nil, valid.Bytes())
 }
 
-const tarBlock = 512
-
-func pad512(n int) int { return (n + tarBlock - 1) / tarBlock * tarBlock }
-
-// maxTarMember is the largest payload a USTAR header's 11-digit octal
-// size field can state.
-const maxTarMember = 1<<33 - 1
-
-// putTarHeader writes into h, 512 zero bytes, the USTAR header
-// archive/tar writes for a regular file with mode 0644, no owner and
-// the epoch as its modification time.
-func putTarHeader(h []byte, name string, size int) {
-	octal := func(field []byte, v int) { // zero-padded, NUL-terminated
-		for i := len(field) - 2; i >= 0; i-- {
-			field[i] = '0' + byte(v&7)
-			v >>= 3
-		}
-	}
-	copy(h[0:100], name)
-	octal(h[100:108], 0o644)
-	octal(h[108:116], 0) // uid
-	octal(h[116:124], 0) // gid
-	octal(h[124:136], size)
-	octal(h[136:148], 0) // mtime
-	h[156] = '0'         // regular file
-	copy(h[257:265], "ustar\x0000")
-	octal(h[329:337], 0) // devmajor
-	octal(h[337:345], 0) // devminor
-	// The checksum is the byte sum of the header with its own field
-	// read as spaces, stored as six octal digits, NUL, space.
-	sum := 8 * int(' ')
-	for _, c := range h[:tarBlock] {
-		sum += int(c)
-	}
-	octal(h[148:155], sum)
-	h[155] = ' '
-}
-
-// layout returns the manifest's encoded size and the offset each
-// member's payload starts at; total is the size of the packed object.
-// A block without indexes has no index member (indexOff is then the
-// data member's offset, with nothing in between).
-func (b *Built) layout() (manSize, metaOff, indexOff, dataOff, total int) {
-	var name [48]byte
-	manSize = 4 + manifestEntrySize(len(MemberMeta))
-	for _, p := range b.parts {
-		manSize += manifestEntrySize(len(p.appendName(name[:0])))
-	}
-	metaOff = tarBlock + pad512(manSize) + tarBlock
-	indexOff = metaOff + pad512(len(b.meta)) + tarBlock
-	dataOff = indexOff
-	if len(b.index) > 0 {
-		dataOff += pad512(len(b.index)) + tarBlock
-	}
-	// A tar ends with two zero blocks.
-	total = dataOff + pad512(len(b.data)) + 2*tarBlock
-	return
-}
-
-// Pack assembles the tar object in one exactly-sized buffer: the
-// manifest, then the meta, index and data members. The manifest's
-// extents are absolute byte ranges into the returned buffer, one per
-// part, enabling ranged reads from object storage.
+// Pack assembles the object in one exactly-sized buffer: the data,
+// index and meta parts back to back, then the manifest, one record per
+// part in that order, then the trailer. A part's offset is the sum of
+// the sizes before it, so the manifest states sizes only.
 func (b *Built) Pack() ([]byte, error) {
-	manSize, metaOff, indexOff, dataOff, total := b.layout()
-	if max(manSize, len(b.meta), len(b.index), len(b.data)) > maxTarMember {
-		return nil, fmt.Errorf("logblock: member too large for a tar header")
-	}
-	out := make([]byte, total)
-
-	putTarHeader(out, MemberManifest, manSize)
-	man := out[tarBlock : tarBlock : tarBlock+manSize]
-	man = append(man, 0, 0, 0, 0)
-	bitutil.PutUint32(man, uint32(1+len(b.parts)))
-	man = appendManifestEntry(man, []byte(MemberMeta), Extent{Offset: int64(metaOff), Size: int64(len(b.meta))})
-	var name [48]byte
-	indexEnd, dataEnd := indexOff, dataOff
+	manLen := recordSize(kindMeta, 0, 0, len(b.meta))
 	for _, p := range b.parts {
-		end := &dataEnd
-		if p.blk < 0 {
-			end = &indexEnd
-		}
-		man = appendManifestEntry(man, p.appendName(name[:0]), Extent{Offset: int64(*end), Size: int64(p.size)})
-		*end += p.size
+		manLen += recordSize(p.record())
 	}
-	if len(man) != manSize || indexEnd != indexOff+len(b.index) || dataEnd != dataOff+len(b.data) {
-		return nil, fmt.Errorf("logblock: internal error: parts do not add up to their members (manifest %d of %d bytes, index %d of %d, data %d of %d)",
-			len(man), manSize, indexEnd-indexOff, len(b.index), dataEnd-dataOff, len(b.data))
+	if uint64(manLen) > math.MaxUint32 {
+		return nil, fmt.Errorf("logblock: manifest of %d bytes too large for the trailer", manLen)
 	}
+	parts := len(b.data) + len(b.index) + len(b.meta)
+	out := make([]byte, 0, parts+manLen+trailerSize)
+	out = append(append(append(out, b.data...), b.index...), b.meta...)
+	for _, p := range b.parts {
+		kind, col, blk, size := p.record()
+		out = appendRecord(out, kind, col, blk, size)
+	}
+	out = appendRecord(out, kindMeta, 0, 0, len(b.meta))
+	if len(out) != parts+manLen {
+		return nil, fmt.Errorf("logblock: internal error: manifest of %d bytes, sized at %d", len(out)-parts, manLen)
+	}
+	return appendTrailer(out, manLen), nil
+}
 
-	putTarHeader(out[metaOff-tarBlock:], MemberMeta, len(b.meta))
-	copy(out[metaOff:], b.meta)
-	if len(b.index) > 0 {
-		putTarHeader(out[indexOff-tarBlock:], memberIndex, len(b.index))
-		copy(out[indexOff:], b.index)
+// record returns p's manifest record.
+func (p part) record() (kind, col, blk, size int) {
+	if p.blk < 0 {
+		return kindIndex, p.col, 0, p.size
 	}
-	putTarHeader(out[dataOff-tarBlock:], memberData, len(b.data))
-	copy(out[dataOff:], b.data)
-	return out, nil
+	return kindData, p.col, p.blk, p.size
 }

@@ -266,4 +266,10 @@ func TestObjectFetcher(t *testing.T) {
 	if _, err := f.Fetch(8, 10); err == nil {
 		t.Error("out-of-range fetch should error")
 	}
+	if size, err := f.Size(); err != nil || size != 10 {
+		t.Errorf("Size = %d, %v; want 10", size, err)
+	}
+	if _, err := (ObjectFetcher{Store: mem, Key: "missing"}).Size(); err == nil {
+		t.Error("Size of a missing object should error")
+	}
 }

@@ -134,3 +134,9 @@ type ObjectFetcher struct {
 func (f ObjectFetcher) Fetch(off, size int64) ([]byte, error) {
 	return f.Store.GetRange(f.Key, off, size)
 }
+
+// Size returns the object's size, from one Head.
+func (f ObjectFetcher) Size() (int64, error) {
+	info, err := f.Store.Head(f.Key)
+	return info.Size, err
+}

@@ -29,11 +29,11 @@ type CachedFetcher struct {
 	Cache     *cache.BlockCache // nil disables caching
 	BlockSize int64             // 0 = DefaultBlockSize
 	Pool      *Service          // nil = serial block loading
-	// Size is the object's size when the caller knows it — the catalog
-	// records it for every LogBlock, and keys are content-addressed, so
-	// it cannot go stale. 0 = unknown: the first block that misses the
-	// cache asks the store, once.
-	Size int64
+	// ObjectSize is the object's size when the caller knows it — the
+	// catalog records it for every LogBlock, and keys are
+	// content-addressed, so it cannot go stale. 0 = unknown: the first
+	// Size call or block that misses the cache asks the store, once.
+	ObjectSize int64
 
 	szMu   sync.Mutex
 	size   int64
@@ -52,21 +52,26 @@ type call struct {
 // knownSize returns the object's size if it was given or already
 // resolved, without touching the store.
 func (f *CachedFetcher) knownSize() (int64, bool) {
-	if f.Size > 0 {
-		return f.Size, true
+	if f.ObjectSize > 0 {
+		return f.ObjectSize, true
 	}
 	f.szMu.Lock()
 	defer f.szMu.Unlock()
 	return f.size, f.sizeOk
 }
 
-// objectSize returns the object's total size. Only a fetcher built
-// without Size asks the store — the one Head left on the read path —
+// Size implements logblock.Fetcher: the object's total size.
+func (f *CachedFetcher) Size() (int64, error) {
+	return f.SizeCtx(context.Background())
+}
+
+// SizeCtx returns the object's total size. Only a fetcher built
+// without ObjectSize asks the store — the one Head left on the read path —
 // memoizing only success: a canceled or failed probe must not poison
 // the fetcher for every later query (the size is a property of the
 // object, the failure a property of one call). Concurrent first probes
 // may race and issue duplicate Heads; both store the same answer.
-func (f *CachedFetcher) objectSize(ctx context.Context) (int64, error) {
+func (f *CachedFetcher) SizeCtx(ctx context.Context) (int64, error) {
 	if sz, ok := f.knownSize(); ok {
 		return sz, nil
 	}
@@ -149,7 +154,7 @@ func (f *CachedFetcher) loadBlock(ctx context.Context, bi int64) ([]byte, error)
 }
 
 func (f *CachedFetcher) fetchBlock(ctx context.Context, bi int64) ([]byte, error) {
-	total, err := f.objectSize(ctx)
+	total, err := f.SizeCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +208,7 @@ func (f *CachedFetcher) span(ctx context.Context, off, size int64) (first, last 
 		if bi*bs >= off+size {
 			return first, bi - 1, nil
 		}
-		if total, err = f.objectSize(ctx); err != nil {
+		if total, err = f.SizeCtx(ctx); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -20,18 +20,22 @@ func countedFetcher(t *testing.T, n int, size int64, pool *Service) ([]byte, *os
 	}
 	counting := oss.NewCountingStore(mem, nil)
 	return data, counting.Stats(), &CachedFetcher{
-		Store: counting, Key: "obj", Cache: bc, BlockSize: 1024, Pool: pool, Size: size,
+		Store: counting, Key: "obj", Cache: bc, BlockSize: 1024, Pool: pool, ObjectSize: size,
 	}
 }
 
-// TestSizedFetcherIssuesNoHead: a fetcher given the object's size reads
-// the whole object in ⌈size/block⌉ ranged gets and never asks the store
-// how big the object is — serially and through the pool.
+// TestSizedFetcherIssuesNoHead: a fetcher given the object's size
+// reports it and reads the whole object in ⌈size/block⌉ ranged gets,
+// never asking the store how big the object is — serially and through
+// the pool.
 func TestSizedFetcherIssuesNoHead(t *testing.T) {
 	pool := NewService(4, 8)
 	defer pool.Close()
 	for _, p := range []*Service{nil, pool} {
 		data, stats, f := countedFetcher(t, 10_000, 10_000, p)
+		if size, err := f.Size(); err != nil || size != 10_000 {
+			t.Fatalf("pool=%v: Size = %d, %v", p != nil, size, err)
+		}
 		got, err := f.Fetch(0, 10_000)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("pool=%v: whole-object fetch: %v", p != nil, err)
@@ -43,8 +47,9 @@ func TestSizedFetcherIssuesNoHead(t *testing.T) {
 }
 
 // TestUnsizedFetcherHeadsOnceAndOnlyOnMiss: without a size the fetcher
-// asks the store exactly once however many blocks it loads, and a
-// second fetcher over an already cached object does not ask at all.
+// asks the store exactly once however many blocks it loads and however
+// often Size is called, and a second fetcher over an already cached
+// object does not ask at all.
 func TestUnsizedFetcherHeadsOnceAndOnlyOnMiss(t *testing.T) {
 	pool := NewService(4, 8)
 	defer pool.Close()
@@ -54,6 +59,9 @@ func TestUnsizedFetcherHeadsOnceAndOnlyOnMiss(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data[r[0]:r[0]+r[1]]) {
 			t.Fatalf("Fetch(%d, %d): %v", r[0], r[1], err)
 		}
+	}
+	if size, err := f.Size(); err != nil || size != 10_000 {
+		t.Fatalf("Size = %d, %v", size, err)
 	}
 	if h := stats.Heads.Value(); h != 1 {
 		t.Errorf("%d heads for one size-unknown fetcher, want 1", h)
@@ -174,7 +182,7 @@ func TestWarmStopsOnCancel(t *testing.T) {
 	}
 	store := &stallStore{Store: mem, arrived: make(chan struct{})}
 	pool := NewService(2, 1)
-	f := &CachedFetcher{Store: store, Key: "obj", Cache: bc, BlockSize: 1024, Pool: pool, Size: 16 * 1024}
+	f := &CachedFetcher{Store: store, Key: "obj", Cache: bc, BlockSize: 1024, Pool: pool, ObjectSize: 16 * 1024}
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -220,7 +228,7 @@ func TestAdmitReadsBackWithoutStore(t *testing.T) {
 			t.Fatalf("n=%d: block 0 cached %v, shares the object's array %v", n, ok, ok && &first[0] == &data[0])
 		}
 		for _, size := range []int64{0, int64(n)} {
-			f := &CachedFetcher{Store: admit.Store, Key: "obj", Cache: admit.Cache, BlockSize: 1024, Size: size}
+			f := &CachedFetcher{Store: admit.Store, Key: "obj", Cache: admit.Cache, BlockSize: 1024, ObjectSize: size}
 			for _, r := range [][2]int64{{0, int64(n)}, {0, 1}, {int64(n) - 1, 1}, {int64(n) / 3, int64(n) / 2}} {
 				got, err := f.Fetch(r[0], r[1])
 				if err != nil || !bytes.Equal(got, data[r[0]:r[0]+r[1]]) {

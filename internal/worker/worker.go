@@ -983,12 +983,12 @@ func (w *Worker) HandoffStats() (localBlocks, localBytes, peerBlocks, peerBytes,
 func (w *Worker) fetcherFor(path string) *prefetch.CachedFetcher {
 	info, _ := w.catalog.Lookup(path)
 	return &prefetch.CachedFetcher{
-		Store:     w.store,
-		Key:       path,
-		Cache:     w.blockCache,
-		BlockSize: w.cfg.BlockSize,
-		Pool:      w.pool,
-		Size:      info.Bytes,
+		Store:      w.store,
+		Key:        path,
+		Cache:      w.blockCache,
+		BlockSize:  w.cfg.BlockSize,
+		Pool:       w.pool,
+		ObjectSize: info.Bytes,
 	}
 }
 
@@ -1005,6 +1005,11 @@ type ctxFetcher struct {
 // Fetch implements logblock.Fetcher.
 func (c ctxFetcher) Fetch(off, size int64) ([]byte, error) {
 	return c.base.FetchCtx(c.ctx, off, size)
+}
+
+// Size implements logblock.Fetcher.
+func (c ctxFetcher) Size() (int64, error) {
+	return c.base.SizeCtx(c.ctx)
 }
 
 // bindCtx returns a view of r whose byte source is bounded by ctx. A
@@ -1136,11 +1141,11 @@ func (w *Worker) QueryBlocksCtx(ctx context.Context, paths []string, q *query.Qu
 }
 
 // queryOneBlock runs q over one LogBlock. With a prefetch pool its
-// dependent storage round trips are one per level, however many members
-// a level needs: opening the reader (manifest and meta), then the
-// indexes the predicates probe, then the data blocks of the matched
-// rows' projected columns. Each level's members are known only once the
-// level before it has been read. Without a pool every read loads its
+// dependent storage round trips are one per level, however many parts
+// a level needs: opening the reader (the object's tail: trailer,
+// manifest and meta), then the indexes the predicates probe, then the
+// data blocks of the matched rows' projected columns. Each level's
+// parts are known only once the level before it has been read. Without a pool every read loads its
 // own cache blocks, one by one.
 func (w *Worker) queryOneBlock(ctx context.Context, path string, q *query.Query, opts query.ExecOptions, res *query.Result) error {
 	r, err := w.openReaderCtx(ctx, path)
@@ -1188,27 +1193,28 @@ func (w *Worker) queryOneBlock(ctx context.Context, path string, q *query.Query,
 	return nil
 }
 
-// indexMembers names the index members matching by plan will read and
-// the reader has not parsed yet.
-func indexMembers(r *logblock.Reader, plan *query.BlockPlan) []string {
+// indexMembers returns the extents of the indexes matching by plan will
+// read and the reader has not parsed yet.
+func indexMembers(r *logblock.Reader, plan *query.BlockPlan) []logblock.Extent {
 	var buf [8]int
-	var names []string
+	var exts []logblock.Extent
 	for _, ci := range plan.IndexColumns(buf[:0]) {
 		if !r.IndexLoaded(ci) {
-			names = append(names, logblock.IndexMember(ci))
+			exts = append(exts, r.Manifest.IndexExtent(ci))
 		}
 	}
-	return names
+	return exts
 }
 
-// dataMembers names the data members materializing the columns cols of
-// the matched rows will read and the decoded-vector cache does not
-// hold. A vector evicted after this check is read on demand.
-func dataMembers(r *logblock.Reader, matched *bitutil.Bitset, cols []int) []string {
+// dataMembers returns the extents of the column blocks materializing
+// the columns cols of the matched rows will read and the decoded-vector
+// cache does not hold. A vector evicted after this check is read on
+// demand.
+func dataMembers(r *logblock.Reader, matched *bitutil.Bitset, cols []int) []logblock.Extent {
 	if len(cols) == 0 {
 		return nil
 	}
-	var names []string
+	var exts []logblock.Extent
 	for bi := 0; bi < r.Meta.NumBlocks; bi++ {
 		start, end := r.Meta.BlockRowRange(bi)
 		if !matched.AnyInRange(start, end) {
@@ -1216,25 +1222,24 @@ func dataMembers(r *logblock.Reader, matched *bitutil.Bitset, cols []int) []stri
 		}
 		for _, ci := range cols {
 			if !r.VectorCached(ci, bi) {
-				names = append(names, logblock.DataMember(ci, bi))
+				exts = append(exts, r.Manifest.DataExtent(ci, bi))
 			}
 		}
 	}
-	return names
+	return exts
 }
 
-// prefetchMembers brings the cache blocks under the named members of r
-// into the block cache in one parallel wave.
-func prefetchMembers(ctx context.Context, r *logblock.Reader, names []string) error {
+// prefetchMembers brings the cache blocks under the given parts of r
+// into the block cache in one parallel wave. A part the object does not
+// have (the zero extent) covers no block; reading it reports it.
+func prefetchMembers(ctx context.Context, r *logblock.Reader, exts []logblock.Extent) error {
 	f := baseFetcher(r)
-	if f == nil || len(names) == 0 {
+	if f == nil || len(exts) == 0 {
 		return nil
 	}
-	ranges := make([]prefetch.Range, 0, len(names))
-	for _, name := range names {
-		if ext, ok := r.Manifest.Lookup(name); ok {
-			ranges = append(ranges, prefetch.Range{Off: ext.Offset, Size: ext.Size})
-		}
+	ranges := make([]prefetch.Range, len(exts))
+	for i, ext := range exts {
+		ranges[i] = prefetch.Range{Off: ext.Offset, Size: ext.Size}
 	}
 	return f.Warm(ctx, ranges)
 }
