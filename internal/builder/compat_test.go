@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"logstore/internal/builder"
+	"logstore/internal/index/inverted"
 	"logstore/internal/logblock"
 	"logstore/internal/meta"
 	"logstore/internal/oss"
@@ -37,34 +38,40 @@ func tarMembers(t *testing.T, packed []byte) []string {
 }
 
 // TestParentLayoutBlockQueriesAndCompacts is the backward-compatibility
-// gate of the LogBlock format, run over two objects under
+// gate of the LogBlock format, run over three objects under
 // internal/logblock/testdata that hold the same 12 rows of tenant 9 in
 // two column blocks; objects like them are what a cluster upgraded in
 // place finds on OSS. parent_layout.tar was packed by the last commit
 // that gave every part a tar member of its own (23 members);
 // legacy_index.tar by the last one that wrote the legacy index
-// encoding (four members). Each must open, answer indexed and scanning
-// queries exactly as the same rows packed now do, and merge with a
-// block of the current format under CompactTenant.
+// encoding (four members); compact_index.lgb by the last one whose
+// inverted indexes held whole values beside tokens (no tar: the footer
+// layout). Each must open, answer indexed and scanning queries exactly
+// as the same rows packed now do, and merge with a block of the
+// current format under CompactTenant.
 func TestParentLayoutBlockQueriesAndCompacts(t *testing.T) {
 	for _, fx := range []struct {
 		file    string
-		members int
+		members int // tar members, 0 for the footer layout
+		format  logblock.IndexFormat
 	}{
-		{"parent_layout.tar", 23},
-		{"legacy_index.tar", 4},
+		{"parent_layout.tar", 23, logblock.IndexFormatLegacy},
+		{"legacy_index.tar", 4, logblock.IndexFormatLegacy},
+		{"compact_index.lgb", 0, logblock.IndexFormatCompact},
 	} {
-		t.Run(fx.file, func(t *testing.T) { checkLegacyObject(t, fx.file, fx.members) })
+		t.Run(fx.file, func(t *testing.T) { checkLegacyObject(t, fx.file, fx.members, fx.format) })
 	}
 }
 
-func checkLegacyObject(t *testing.T, file string, members int) {
+func checkLegacyObject(t *testing.T, file string, members int, format logblock.IndexFormat) {
 	old, err := os.ReadFile("../logblock/testdata/" + file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tarMembers(t, old)); n != members {
-		t.Fatalf("fixture has %d tar members, want %d", n, members)
+	if members > 0 {
+		if n := len(tarMembers(t, old)); n != members {
+			t.Fatalf("fixture has %d tar members, want %d", n, members)
+		}
 	}
 	r, err := logblock.OpenReader(logblock.BytesFetcher(old))
 	if err != nil {
@@ -79,8 +86,8 @@ func checkLegacyObject(t *testing.T, file string, members int) {
 		t.Fatalf("fixture: %d rows, tenant %d, %d blocks", len(oldRows), r.Meta.Tenant, r.Meta.NumBlocks)
 	}
 	for ci, cm := range r.Meta.Columns {
-		if cm.IndexFormat != logblock.IndexFormatLegacy {
-			t.Fatalf("fixture column %d has index format %d; it should be the legacy one", ci, cm.IndexFormat)
+		if cm.Index != schema.IndexNone && cm.IndexFormat != format {
+			t.Fatalf("fixture column %d has index format %d, want %d", ci, cm.IndexFormat, format)
 		}
 	}
 	// The same rows packed now, for the answers to agree with.
@@ -104,10 +111,11 @@ func checkLegacyObject(t *testing.T, file string, members int) {
 	ipCol, logCol, failCol, latCol, tsCol := sch.ColumnIndex("ip"), sch.ColumnIndex("log"),
 		sch.ColumnIndex("fail"), sch.ColumnIndex("latency"), sch.TimeIdx()
 	ip, lat, ts := oldRows[0][ipCol].S, oldRows[3][latCol].I, oldRows[5][tsCol].I
-	for _, tc := range []struct {
+	type check struct {
 		where string
 		keep  func(schema.Row) bool
-	}{
+	}
+	checks := []check{
 		{fmt.Sprintf("ip = '%s'", ip), func(row schema.Row) bool { return row[ipCol].S == ip }},
 		{"log MATCH 'served'", func(row schema.Row) bool {
 			return strings.Contains(strings.ToLower(row[logCol].S), "served")
@@ -120,7 +128,27 @@ func checkLegacyObject(t *testing.T, file string, members int) {
 		{fmt.Sprintf("ts >= %d AND ts <= %d", ts, ts+3), func(row schema.Row) bool {
 			return row[tsCol].I >= ts && row[tsCol].I <= ts+3
 		}},
-	} {
+	}
+	// Equality with every value of every string column, upper-cased
+	// too, and with each of its tokens: through the index the fixture
+	// answers from whole-value terms or tokens, the rows packed now
+	// from tokens alone, and both must find exactly the equal rows.
+	equalities := len(checks)
+	for ci, col := range sch.Columns {
+		if col.Type != schema.String {
+			continue
+		}
+		for _, row := range oldRows {
+			v := row[ci].S
+			for _, lit := range append([]string{v, strings.ToUpper(v)}, inverted.Tokenize(v)...) {
+				checks = append(checks, check{
+					fmt.Sprintf("%s = '%s'", col.Name, strings.ReplaceAll(lit, "'", "''")),
+					func(row schema.Row) bool { return row[ci].S == lit },
+				})
+			}
+		}
+	}
+	for i, tc := range checks {
 		q, err := query.Parse("SELECT * FROM request_log WHERE tenant_id = 9 AND ts >= 0 AND ts <= 99999 AND " + tc.where)
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +159,7 @@ func checkLegacyObject(t *testing.T, file string, members int) {
 				want++
 			}
 		}
-		if want == 0 {
+		if want == 0 && i < equalities {
 			t.Fatalf("%s matches no fixture row; the test would prove nothing", tc.where)
 		}
 		for _, skipping := range []bool{true, false} {
@@ -152,7 +180,7 @@ func checkLegacyObject(t *testing.T, file string, members int) {
 				t.Errorf("%s (skipping=%v): fixture answers %v (%+v), rows packed now %v (%+v)",
 					tc.where, skipping, got, stats, fresh, nowStats)
 			}
-			if skipping && stats.IndexLookups == 0 {
+			if skipping && stats.IndexLookups == 0 && (i < equalities || stats.BlocksSkippedBySMA == 0) {
 				t.Errorf("%s: the indexed run probed no index", tc.where)
 			}
 			if !skipping && (stats.IndexLookups != 0 || stats.ColumnBlocksScanned == 0) {
@@ -214,8 +242,11 @@ func checkLegacyObject(t *testing.T, file string, members int) {
 		t.Errorf("merged object of %d bytes holds %d bytes of parts; want the footer layout", len(packed), parts)
 	}
 	for ci, cm := range mr.Meta.Columns {
-		if cm.Index != schema.IndexNone && cm.IndexFormat != logblock.IndexFormatCompact {
-			t.Errorf("merged column %d has index format %d, want the compact one", ci, cm.IndexFormat)
+		if want := map[schema.IndexKind]logblock.IndexFormat{
+			schema.IndexInverted: logblock.IndexFormatTokens,
+			schema.IndexBKD:      logblock.IndexFormatCompact,
+		}[cm.Index]; cm.Index != schema.IndexNone && cm.IndexFormat != want {
+			t.Errorf("merged column %d has index format %d, want %d", ci, cm.IndexFormat, want)
 		}
 	}
 	got, err := mr.AllRows()

@@ -23,8 +23,10 @@ type drainedKey struct {
 // and sizes — for a fixed set of appends. The blocks are the ones the
 // boxed-row drain (a row store holding []schema.Row, before segments
 // kept their rows encoded) gave; their keys and sizes are those of the
-// footer layout, which dropped the tar framing and so moved every key
-// once, as the compact index encoding did before it. A segment
+// footer layout with token-only inverted indexes, no BKD tree on the
+// one-tenant column and string blocks at DEFLATE's default level, which
+// moved every key once, as the footer layout and the compact index
+// encoding did before it. A segment
 // re-drained across an upgrade that keeps the object format must
 // deduplicate against what the old build committed, so neither the
 // grouping by tenant, nor the order within a tenant's run (arrival
@@ -85,18 +87,18 @@ func TestDrainKeysGolden(t *testing.T) {
 }
 
 var goldenDrainKeys = []drainedKey{
-	{"request_log/tenant-0/logblock-0000000000001000-63925625abc9c098.tar", 1155},
-	{"request_log/tenant-0/logblock-0000000000001000-dc71a39dee57ca19.tar", 1301},
-	{"request_log/tenant-0/logblock-0000000000001007-86d443eadbb551a5.tar", 1181},
-	{"request_log/tenant-0/logblock-0000000000001012-7df2956437864030.tar", 995},
-	{"request_log/tenant-1/logblock-0000000000001000-709294e9c527e7a6.tar", 1164},
-	{"request_log/tenant-1/logblock-0000000000001000-d63bf782f19fff1e.tar", 1200},
-	{"request_log/tenant-1/logblock-0000000000001007-8c82a29185e9821d.tar", 797},
-	{"request_log/tenant-1/logblock-0000000000001008-0761d0e396228aa9.tar", 1080},
-	{"request_log/tenant-2/logblock-0000000000001000-7d995d879ceffbf5.tar", 1133},
-	{"request_log/tenant-2/logblock-0000000000001001-1d0bcc6d699c2688.tar", 1315},
-	{"request_log/tenant-2/logblock-0000000000001009-f8721e10864edb55.tar", 956},
-	{"request_log/tenant-2/logblock-0000000000001010-5858c676c86d5036.tar", 1162},
-	{"request_log/tenant-3/logblock-0000000000001001-6095f24380f9552f.tar", 1154},
-	{"request_log/tenant-3/logblock-0000000000001006-ad4479ef8349707f.tar", 1164},
+	{"request_log/tenant-0/logblock-0000000000001000-7a68f9a2103a3ddc.tar", 1078},
+	{"request_log/tenant-0/logblock-0000000000001000-7b3464a3fc713dc9.tar", 937},
+	{"request_log/tenant-0/logblock-0000000000001007-a6e2595140facb94.tar", 984},
+	{"request_log/tenant-0/logblock-0000000000001012-640677ad37a52573.tar", 872},
+	{"request_log/tenant-1/logblock-0000000000001000-ba29b0d1e874bff5.tar", 986},
+	{"request_log/tenant-1/logblock-0000000000001000-cf8167fcd990d008.tar", 988},
+	{"request_log/tenant-1/logblock-0000000000001007-ddd05668f079cd78.tar", 722},
+	{"request_log/tenant-1/logblock-0000000000001008-e17be7c7bdca8871.tar", 926},
+	{"request_log/tenant-2/logblock-0000000000001000-0cda41a77047fb18.tar", 927},
+	{"request_log/tenant-2/logblock-0000000000001001-bc1b4cd7cc0e7591.tar", 1086},
+	{"request_log/tenant-2/logblock-0000000000001009-6f1fa5935879edcf.tar", 821},
+	{"request_log/tenant-2/logblock-0000000000001010-5646c97609809713.tar", 987},
+	{"request_log/tenant-3/logblock-0000000000001001-19e668a4bce9d04e.tar", 978},
+	{"request_log/tenant-3/logblock-0000000000001006-ce3c6fd59baf38f7.tar", 986},
 }

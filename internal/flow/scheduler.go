@@ -56,6 +56,7 @@ type Scheduler struct {
 
 	mu        sync.Mutex
 	topo      *Topology
+	ring      *ConsistentHash // topo's shards; rebuilt only by SetTopology
 	table     RouteTable
 	listeners []func(RouteTable)
 }
@@ -66,8 +67,10 @@ func NewScheduler(topo *Topology, tenants []TenantID, algo Algorithm, cfg Balanc
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	rt := InitialRouteTable(tenants, topo.Shards())
-	return &Scheduler{cfg: cfg, algo: algo, topo: topo.Clone(), table: rt}, nil
+	s := &Scheduler{cfg: cfg, algo: algo, topo: topo.Clone(), table: make(RouteTable, len(tenants))}
+	s.ring = NewConsistentHash(s.topo.Shards(), 0)
+	s.ensureLocked(tenants)
+	return s, nil
 }
 
 // Subscribe registers a routing-table listener (a broker's router); it
@@ -101,6 +104,7 @@ func (s *Scheduler) SetTopology(topo *Topology) error {
 	}
 	s.mu.Lock()
 	s.topo = topo.Clone()
+	s.ring = NewConsistentHash(s.topo.Shards(), 0)
 	s.mu.Unlock()
 	return nil
 }
@@ -126,18 +130,13 @@ func (s *Scheduler) EnsureTenants(ts []TenantID) {
 	s.ensureLocked(ts)
 }
 
-// ensureLocked inserts missing routes; the hash ring is built at most
-// once per call, and not at all on the (hot) all-known path.
+// ensureLocked inserts missing routes, each on its home shard of the
+// scheduler's ring.
 func (s *Scheduler) ensureLocked(ts []TenantID) {
-	var ch *ConsistentHash
 	for _, t := range ts {
-		if _, ok := s.table[t]; ok {
-			continue
+		if _, ok := s.table[t]; !ok {
+			s.table[t] = map[ShardID]float64{s.ring.Owner(t): 1.0}
 		}
-		if ch == nil {
-			ch = NewConsistentHash(s.topo.Shards(), 0)
-		}
-		s.table[t] = map[ShardID]float64{ch.Owner(t): 1.0}
 	}
 }
 

@@ -177,6 +177,59 @@ func TestSchedulerSetTopology(t *testing.T) {
 	}
 }
 
+// TestSchedulerEnsureTenantsReusesRing: tenants added after
+// construction, and after a topology change, land where
+// InitialRouteTable places them, and adding them costs the same
+// allocations on a 4-shard ring as on a 64-shard one — the ring is
+// built per topology, not per call.
+func TestSchedulerEnsureTenantsReusesRing(t *testing.T) {
+	tenants := make([]TenantID, 200)
+	for i := range tenants {
+		tenants[i] = TenantID(1000 + i)
+	}
+	s, err := NewScheduler(testTopology(2, 2, 100, 300), tenants[:50], AlgorithmNone, DefaultBalancerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.EnsureTenants(tenants[50:100])
+	bigger := testTopology(4, 3, 100, 300)
+	if err := s.SetTopology(bigger); err != nil {
+		t.Fatal(err)
+	}
+	s.EnsureTenants(tenants[100:])
+	got := s.Table()
+	small := InitialRouteTable(tenants[:100], testTopology(2, 2, 100, 300).Shards())
+	large := InitialRouteTable(tenants[100:], bigger.Shards())
+	for i, tn := range tenants {
+		want := small[tn]
+		if i >= 100 {
+			want = large[tn]
+		}
+		if !reflect.DeepEqual(got[tn], want) {
+			t.Fatalf("tenant %d routed %v, InitialRouteTable says %v", tn, got[tn], want)
+		}
+	}
+
+	allocs := func(workers int) float64 {
+		s, err := NewScheduler(testTopology(workers, 4, 100, 300), nil, AlgorithmNone, DefaultBalancerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := TenantID(0)
+		batch := make([]TenantID, 8)
+		return testing.AllocsPerRun(50, func() {
+			for i := range batch {
+				batch[i] = next
+				next++
+			}
+			s.EnsureTenants(batch)
+		})
+	}
+	if a, b := allocs(1), allocs(16); b > a {
+		t.Errorf("adding 8 tenants: %.0f allocs on a 4-shard ring, %.0f on a 64-shard one", a, b)
+	}
+}
+
 func TestRouterWeightedRouting(t *testing.T) {
 	r := NewRouter([]ShardID{0, 1, 2, 3}, 1)
 	r.Update(RouteTable{5: {1: 0.3, 2: 0.7}})

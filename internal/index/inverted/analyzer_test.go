@@ -11,15 +11,29 @@ import (
 	"logstore/internal/bitutil"
 )
 
-// referenceTerms is the analyzer's definition, spelled with the two
-// functions the query side calls: the lower-cased value as a keyword
-// term plus its tokens, empty terms dropped.
+// referenceTerms is the analyzer's definition: the distinct tokens the
+// query side's Tokenize gives for value.
 func referenceTerms(value string) []string {
+	set := map[string]bool{}
+	for _, tok := range Tokenize(value) {
+		set[tok] = true
+	}
+	return sortedKeys(set)
+}
+
+// wholeValueTerms is what the builder indexed before it indexed tokens
+// only, and what the objects written then hold: the lower-cased value
+// as a keyword term as well as its tokens.
+func wholeValueTerms(value string) []string {
 	set := map[string]bool{strings.ToLower(value): true}
 	for _, tok := range Tokenize(value) {
 		set[tok] = true
 	}
 	delete(set, "")
+	return sortedKeys(set)
+}
+
+func sortedKeys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))
 	for t := range set {
 		out = append(out, t)
@@ -47,10 +61,15 @@ func builderTerms(t testing.TB, value string) []string {
 	return out
 }
 
+// checkAnalyzer holds the builder's single-pass analyzer to Tokenize,
+// and Tokenize's ASCII fast path to the unicode analyzer it skips.
 func checkAnalyzer(t testing.TB, value string) {
 	t.Helper()
 	if got, want := builderTerms(t, value), referenceTerms(value); !slices.Equal(got, want) {
-		t.Fatalf("value %q: builder terms %q, ToLower ∪ Tokenize gives %q", value, got, want)
+		t.Fatalf("value %q: builder terms %q, Tokenize gives %q", value, got, want)
+	}
+	if got, want := Tokenize(value), tokenizeUnicode(value); !slices.Equal(got, want) {
+		t.Fatalf("value %q: Tokenize gives %q, the unicode analyzer %q", value, got, want)
 	}
 }
 
@@ -103,12 +122,19 @@ func FuzzAnalyzerEquivalence(f *testing.F) {
 // referenceBuild is the legacy index encoder, as it was before the
 // builder kept postings as one pair list and before the dictionary was
 // front-coded: a posting slice per term, sorted terms, entries after
-// the offset table. OpenLegacy reads what it writes, and an index the
-// builder writes must answer every lookup as this one does.
+// the offset table, over the analyzer's terms. OpenLegacy reads what
+// it writes, and an index the builder writes must answer every lookup
+// as this one does.
 func referenceBuild(values []string) []byte {
+	return legacyBuild(values, referenceTerms)
+}
+
+// legacyBuild is referenceBuild with the terms of a value as a
+// parameter.
+func legacyBuild(values []string, analyze func(string) []string) []byte {
 	postings := make(map[string][]uint32)
 	for row, v := range values {
-		for _, term := range referenceTerms(v) {
+		for _, term := range analyze(v) {
 			postings[term] = append(postings[term], uint32(row))
 		}
 	}

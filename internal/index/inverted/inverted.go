@@ -3,9 +3,14 @@
 // support two types of indexes: the inverted index and BKD tree index,
 // corresponding to string type and numerical type respectively").
 //
-// Each row value is indexed twice: once as the raw value (a keyword
-// term, serving equality predicates like ip = '192.168.0.1') and once
-// tokenized (serving full-text MATCH queries over message columns). The
+// Each row value is indexed once, as its tokens (Tokenize). A MATCH
+// query looks its terms and prefixes up directly. A string equality
+// such as ip = '192.168.0.1' looks up its literal's tokens and takes
+// the rows of the rarest (LookupRarest): every row holding the value
+// holds all of its tokens, so that is a candidate set, and the planner
+// checks each candidate against the stored value. Objects written
+// before this also hold each whole lower-cased value as a term; the
+// same lookups answer them, since they hold the tokens too. The
 // serialized form is a front-coded term dictionary in byte order whose
 // posting lists are delta varints or row bitsets, designed for lookups
 // directly on the encoded bytes — a binary search over restart points,
@@ -26,16 +31,58 @@ import (
 )
 
 // Tokenize splits text into lowercase alphanumeric terms. It is the
-// analyzer applied to every indexed string value.
-func Tokenize(text string) []string {
+// analyzer applied to every indexed string value and to every literal
+// the index is probed with.
+func Tokenize(text string) []string { return AppendTokens(nil, text) }
+
+// AppendTokens appends Tokenize(text) to dst. ASCII text is lower-cased
+// in one copy (none when it has no upper case), its terms are
+// substrings of that, and dst grows at most once.
+func AppendTokens(dst []string, text string) []string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return append(dst, tokenizeUnicode(text)...)
+		}
+	}
+	// ASCII: lower-casing is bytewise and keeps every separator a
+	// separator, so the terms are the letter/digit runs of lower.
+	lower := strings.ToLower(text)
+	n := 0
+	for i, j := asciiRun(lower, 0); i < j; i, j = asciiRun(lower, j) {
+		n++
+	}
+	dst = slices.Grow(dst, n)
+	for i, j := asciiRun(lower, 0); i < j; i, j = asciiRun(lower, j) {
+		dst = append(dst, lower[i:j])
+	}
+	return dst
+}
+
+// tokenizeUnicode is Tokenize for text with non-ASCII bytes, where case
+// mapping and letter classes need the unicode tables (and invalid UTF-8
+// needs strings.ToLower's replacement rule).
+func tokenizeUnicode(text string) []string {
 	fields := strings.FieldsFunc(text, func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
-	out := fields[:0]
-	for _, f := range fields {
-		out = append(out, strings.ToLower(f))
+	for i, f := range fields {
+		fields[i] = strings.ToLower(f)
 	}
-	return out
+	return fields
+}
+
+// asciiRun returns the bounds of the first run of lower-case ASCII
+// letters and digits in s at or after from; i == j when there is none.
+func asciiRun[S string | []byte](s S, from int) (i, j int) {
+	i = from
+	for i < len(s) && !asciiAlnum(s[i]) {
+		i++
+	}
+	j = i
+	for j < len(s) && asciiAlnum(s[j]) {
+		j++
+	}
+	return i, j
 }
 
 // Builder accumulates term → row-id postings while a LogBlock column is
@@ -84,10 +131,10 @@ func (b *Builder) Reset() {
 	b.pairs = b.pairs[:0]
 }
 
-// Add indexes one row's value: the raw value as a keyword term plus its
-// analyzed tokens — exactly ToLower(value) and Tokenize(value), which
-// is what the query side looks up. Rows must be added in ascending
-// row-id order.
+// Add indexes one row's value under its tokens — exactly
+// Tokenize(value), which is what the query side looks up. A value with
+// no tokens is not indexed. Rows must be added in ascending row-id
+// order.
 func (b *Builder) Add(rowID uint32, value string) {
 	low := b.lower[:0]
 	for i := 0; i < len(value); i++ {
@@ -103,20 +150,8 @@ func (b *Builder) Add(rowID uint32, value string) {
 		low = append(low, c)
 	}
 	b.lower = low
-	// ASCII: lower-casing is bytewise and keeps every separator a
-	// separator, so the tokens are the letter/digit runs of low.
-	b.addTerm(low, rowID)
-	for i := 0; i < len(low); {
-		if !asciiAlnum(low[i]) {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(low) && asciiAlnum(low[j]) {
-			j++
-		}
+	for i, j := asciiRun(low, 0); i < j; i, j = asciiRun(low, j) {
 		b.addTerm(low[i:j], rowID)
-		i = j
 	}
 }
 
@@ -149,23 +184,16 @@ func asciiAlnum(c byte) bool {
 	return 'a' <= c && c <= 'z' || '0' <= c && c <= '9'
 }
 
-// addUnicode is Add for values with non-ASCII bytes, where case mapping
-// and letter classes need the unicode tables (and invalid UTF-8 needs
-// strings.ToLower's replacement rule): it defers to the analyzer
-// functions themselves.
+// addUnicode is Add for values with non-ASCII bytes: it defers to the
+// analyzer itself.
 func (b *Builder) addUnicode(rowID uint32, value string) {
-	b.lower = append(b.lower[:0], strings.ToLower(value)...)
-	b.addTerm(b.lower, rowID)
-	for _, tok := range Tokenize(value) {
+	for _, tok := range tokenizeUnicode(value) {
 		b.lower = append(b.lower[:0], tok...)
 		b.addTerm(b.lower, rowID)
 	}
 }
 
 func (b *Builder) addTerm(term []byte, rowID uint32) {
-	if len(term) == 0 {
-		return
-	}
 	id, ok := b.ids[string(term)] // no allocation: map lookup by converted key
 	if !ok {
 		id = uint32(len(b.terms))
@@ -397,6 +425,15 @@ func (p postings) count() (int, error) {
 	}
 }
 
+// size returns how large p is, in encoded bytes, or for a legacy list
+// in row ids: a measure to compare the lists of one index by.
+func (p postings) size() (int, error) {
+	if p.counted {
+		return p.count()
+	}
+	return len(p.data), nil
+}
+
 // orInto sets the rows of p in bs; rows at or beyond bs.Len() are
 // ignored, as Bitset.Set ignores them.
 func (p postings) orInto(bs *bitutil.Bitset) error {
@@ -612,8 +649,10 @@ func (ix *Index) findLegacy(term string) (postings, bool, error) {
 	return postings{counted: true, data: ix.entries[off:]}, true, nil
 }
 
-// Lookup returns the sorted row ids whose value contains term (or whose
-// raw value equals it). A missing term yields an empty, non-nil slice.
+// Lookup returns the sorted row ids whose value contains term as a
+// token (or, in an index written before tokens alone were indexed,
+// whose whole value equals it). A missing term yields an empty,
+// non-nil slice.
 func (ix *Index) Lookup(term string) ([]uint32, error) {
 	p, ok, err := ix.find(strings.ToLower(term))
 	if err != nil {
@@ -730,4 +769,34 @@ func (ix *Index) LookupAll(terms []string, rowCount int) (*bitutil.Bitset, error
 		acc.And(next)
 	}
 	return acc, nil
+}
+
+// LookupRarest sets in bs the rows of the rarest of terms, which the
+// caller has analyzed: a superset of the rows holding every one of
+// them, and so the candidate rows of a string equality whose literal
+// analyzes to terms. Each term is found first, and a term the
+// dictionary lacks leaves bs as it was; of the rest, only the posting
+// list with the fewest encoded bytes is decoded. No terms set every
+// row.
+func (ix *Index) LookupRarest(bs *bitutil.Bitset, terms []string) error {
+	if len(terms) == 0 {
+		bs.SetAll()
+		return nil
+	}
+	var rarest postings
+	least := 0
+	for i, t := range terms {
+		p, ok, err := ix.find(t)
+		if err != nil || !ok {
+			return err
+		}
+		size, err := p.size()
+		if err != nil {
+			return err
+		}
+		if i == 0 || size < least {
+			rarest, least = p, size
+		}
+	}
+	return rarest.orInto(bs)
 }

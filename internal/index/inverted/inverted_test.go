@@ -70,15 +70,23 @@ func TestLookupToken(t *testing.T) {
 	}
 }
 
+// TestLookupRawValue: a whole value is not a term; its rows are found
+// through its tokens, the rarest of which gives the candidates.
 func TestLookupRawValue(t *testing.T) {
-	ix, _ := buildSample(t)
-	// Raw keyword term: the full IP, not just its tokens.
+	ix, vals := buildSample(t)
 	ids, err := ix.Lookup("192.168.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ids, []uint32{2, 5}) {
-		t.Errorf("raw ip -> %v, want [2 5]", ids)
+	if len(ids) != 0 {
+		t.Errorf("raw ip is a term with rows %v", ids)
+	}
+	bs := bitutil.NewBitset(len(vals))
+	if err := ix.LookupRarest(bs, Tokenize("192.168.0.1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := bs.Slice(); !reflect.DeepEqual(got, []int{2, 5}) {
+		t.Errorf("raw ip's rarest token -> %v, want [2 5]", got)
 	}
 }
 

@@ -25,8 +25,8 @@ func TestDictEncodingChosenForLowCardinality(t *testing.T) {
 		}
 	}
 	sch := schema.RequestLogSchema()
-	scratch := buildScratchPool.Get().(*buildScratch)
-	defer buildScratchPool.Put(scratch)
+	scratch := getScratch()
+	defer putScratch(scratch)
 	enc, _ := scratch.encodeStringBlock(rows, sch.ColumnIndex("fail"), 0, sma.New(schema.String), nil)
 	if enc != encodingDict {
 		t.Error("low-cardinality column should dictionary-encode")
@@ -94,8 +94,8 @@ func TestDictEncodingShrinksLowCardinalityColumns(t *testing.T) {
 	}
 	sch := schema.RequestLogSchema()
 	ipCol := sch.ColumnIndex("ip")
-	scratch := buildScratchPool.Get().(*buildScratch)
-	defer buildScratchPool.Put(scratch)
+	scratch := getScratch()
+	defer putScratch(scratch)
 	enc, payload := scratch.encodeStringBlock(rows, ipCol, 0, sma.New(schema.String), nil)
 	if enc != encodingDict {
 		t.Fatal("ip column with 8 distinct values should dict-encode")

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"logstore/internal/bitutil"
+	"logstore/internal/compress"
 	"logstore/internal/index/inverted"
 	"logstore/internal/schema"
 )
@@ -101,14 +102,15 @@ func partHashes(t *testing.T, rows []schema.Row, opts BuildOptions) []partHash {
 }
 
 // TestPartsGolden pins every manifest-addressed part of two fixed-seed
-// blocks. The data parts are the bytes the four-member packer's parent
-// commit (a575349, one tar member per part) produced for the same rows:
-// the packer may change the framing around the parts, never a data
-// part. The meta and index parts are those of the compact index
-// encoding (IndexFormatCompact); TestParentLayoutFixture holds them to
-// the legacy ones by their answers. The builder's object keys are
-// content hashes, so a silent change here would also re-key every
-// re-drained segment.
+// blocks. The LZ4 data parts (the int columns) are the bytes the
+// four-member packer's parent commit (a575349, one tar member per part)
+// produced for the same rows; the DEFLATE ones (the string columns)
+// are those of DEFLATE's default level. The meta and index parts are
+// those of token-only inverted indexes (IndexFormatTokens) and compact
+// BKD trees, with none on the one-tenant column;
+// TestParentLayoutFixture and TestTarLayoutFixture hold them to earlier
+// ones by their answers. The builder's object keys are content hashes,
+// so a silent change here would also re-key every re-drained segment.
 func TestPartsGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -148,72 +150,152 @@ func TestPartsGolden(t *testing.T) {
 // BlockRows 8 packed by earlier commits — testdata/parent_layout.tar,
 // with one tar member per part, and testdata/legacy_index.tar, with
 // four members and the legacy index encoding — and checks them against
-// the same rows packed now: the same manifest names; behind them the
-// same data parts byte for byte; the same meta but for the index
-// format; and indexes that answer every lookup alike.
+// the same rows packed now: the same manifest names but for the tenant
+// column's index, which a LogBlock no longer writes; behind them the
+// same data parts (DEFLATE ones may differ in bytes, with the level,
+// but not in rows); the same meta but for the index formats and the
+// tenant column's index; and indexes that answer every equality and
+// MATCH alike.
 func TestParentLayoutFixture(t *testing.T) {
 	rows := goldenRows(12, 17)
 	newReader := buildAndOpen(t, rows, BuildOptions{BlockRows: 8})
 	for _, file := range []string{"parent_layout.tar", "legacy_index.tar"} {
 		t.Run(file, func(t *testing.T) {
-			old, err := os.ReadFile("testdata/" + file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oldReader, err := OpenReader(BytesFetcher(old))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts, oldParts := namedParts(newReader), namedParts(oldReader)
-			if !slices.EqualFunc(oldParts, parts, func(a, b namedPart) bool { return a.name == b.name }) {
-				t.Fatalf("manifest names differ:\n parent %v\n now    %v", oldParts, parts)
-			}
-			for i, p := range parts {
-				if !strings.HasPrefix(p.name, "data/") {
-					continue
-				}
-				was, err := oldReader.fetch.Fetch(oldParts[i].ext.Offset, oldParts[i].ext.Size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				is, err := newReader.fetch.Fetch(p.ext.Offset, p.ext.Size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(was, is) {
-					t.Errorf("part %s: %d bytes in the parent's object, %d now, or different content", p.name, len(was), len(is))
+			oldReader := openFixture(t, file)
+			for ci := range oldReader.Meta.Columns {
+				if f := oldReader.Meta.Columns[ci].IndexFormat; f != IndexFormatLegacy {
+					t.Fatalf("column %d of the parent's object has index format %d", ci, f)
 				}
 			}
-			// The meta differs only in the index format of each indexed
-			// column.
-			m := *oldReader.Meta
-			m.Columns = slices.Clone(m.Columns)
-			for ci := range m.Columns {
-				if m.Columns[ci].IndexFormat != IndexFormatLegacy {
-					t.Fatalf("column %d of the parent's object has index format %d", ci, m.Columns[ci].IndexFormat)
-				}
-				if m.Columns[ci].Index != schema.IndexNone {
-					m.Columns[ci].IndexFormat = IndexFormatCompact
-				}
-			}
-			if !bytes.Equal(m.Encode(), newReader.Meta.Encode()) {
-				t.Error("meta differs from the parent's by more than the index format")
-			}
-			assertIndexesAgree(t, newReader, oldReader, rows)
+			assertSameButIndexes(t, oldReader, newReader, rows)
 		})
 	}
 }
 
+func openFixture(t *testing.T, file string) *Reader {
+	t.Helper()
+	old, err := os.ReadFile("testdata/" + file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(BytesFetcher(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// assertSameButIndexes checks that an object written before inverted
+// indexes held tokens only differs from one of the same rows written
+// now in its indexes alone: the same manifest names but for the tenant
+// column's index; the same data parts byte for byte but for DEFLATE
+// ones, whose bytes follow the compression level, and the same rows
+// from them all; the same meta but for the index formats and the
+// tenant column's index kind; and indexes that answer alike.
+func assertSameButIndexes(t *testing.T, oldReader, newReader *Reader, rows []schema.Row) {
+	t.Helper()
+	tenant := newReader.Meta.Schema.TenantIdx()
+	tenantIndex := fmt.Sprintf("index/%d", tenant)
+	parts, oldParts := namedParts(newReader), namedParts(oldReader)
+	oldParts = slices.DeleteFunc(oldParts, func(p namedPart) bool { return p.name == tenantIndex })
+	if !slices.EqualFunc(oldParts, parts, func(a, b namedPart) bool { return a.name == b.name }) {
+		t.Fatalf("manifest names differ but for %s:\n parent %v\n now    %v", tenantIndex, oldParts, parts)
+	}
+	for i, p := range parts {
+		if !strings.HasPrefix(p.name, "data/") {
+			continue
+		}
+		was, err := oldReader.fetch.Fetch(oldParts[i].ext.Offset, oldParts[i].ext.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		is, err := newReader.fetch.Fetch(p.ext.Offset, p.ext.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(was, is) && partCodec(t, is) != compress.Zstd {
+			t.Errorf("part %s: %d bytes in the parent's object, %d now, or different content", p.name, len(was), len(is))
+		}
+	}
+	for i := 0; i < newReader.Meta.RowCount; i++ {
+		was, err := oldReader.ReadRow(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		is, err := newReader.ReadRow(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(was, is) {
+			t.Errorf("row %d: %v in the parent's object, %v now", i, was, is)
+		}
+	}
+	m := *oldReader.Meta
+	m.Columns = slices.Clone(m.Columns)
+	m.Columns[tenant].Index, m.Columns[tenant].IndexFormat = schema.IndexNone, IndexFormatLegacy
+	for ci := range m.Columns {
+		switch m.Columns[ci].Index {
+		case schema.IndexInverted:
+			m.Columns[ci].IndexFormat = IndexFormatTokens
+		case schema.IndexBKD:
+			m.Columns[ci].IndexFormat = IndexFormatCompact
+		}
+	}
+	if !bytes.Equal(m.Encode(), newReader.Meta.Encode()) {
+		t.Error("meta differs from the parent's by more than the index formats and the tenant column's index")
+	}
+	assertIndexesAgree(t, newReader, oldReader, rows)
+}
+
+// partCodec returns the codec of a data part: the byte after its
+// validity bitset and encoding.
+func partCodec(t *testing.T, part []byte) compress.Codec {
+	t.Helper()
+	_, n, err := bitutil.LenBytes(part)
+	if err != nil || n+1 >= len(part) {
+		t.Fatalf("data part of %d bytes has no header: %v", len(part), err)
+	}
+	return compress.Codec(part[n+1])
+}
+
+// equalRows returns the rows of column ci equal to lit, as the query
+// planner finds them: the rows of lit's rarest token in ix, verified
+// against the stored values.
+func equalRows(t *testing.T, ix *inverted.Index, rows []schema.Row, ci int, lit string) []int {
+	t.Helper()
+	bs := bitutil.NewBitset(len(rows))
+	if err := ix.LookupRarest(bs, inverted.Tokenize(lit)); err != nil {
+		t.Fatal(err)
+	}
+	var out []int
+	bs.ForEach(func(i int) bool {
+		if rows[i][ci].S == lit {
+			out = append(out, i)
+		}
+		return true
+	})
+	return out
+}
+
 // assertIndexesAgree checks that two readers over the same rows answer
-// every index lookup alike: for an inverted index, Lookup,
-// LookupBitset, LookupPrefix and LookupAll of every value, token and
-// their prefixes; for a BKD tree, every range between two of the
-// column's values, their neighbours and the ends of the domain.
+// every index lookup alike: for an inverted index, an equality with
+// every value, upper-cased value, token and half value (rarest token,
+// then verify) and a MATCH of each (LookupAll of its tokens,
+// LookupPrefix of every token's prefixes); for a BKD tree that both
+// have, every range between two of the column's values, their
+// neighbours and the ends of the domain.
 func assertIndexesAgree(t *testing.T, got, want *Reader, rows []schema.Row) {
 	t.Helper()
 	n := got.Meta.RowCount
-	for ci, col := range got.Meta.Schema.Columns {
-		switch col.Index {
+	stored := make([]schema.Row, n) // rows in row-id (time) order
+	for i := range stored {
+		var err error
+		if stored[i], err = got.ReadRow(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ci, cm := range got.Meta.Columns {
+		switch cm.Index {
 		case schema.IndexInverted:
 			gi, err := got.InvertedIndex(ci)
 			if err != nil {
@@ -223,31 +305,35 @@ func assertIndexesAgree(t *testing.T, got, want *Reader, rows []schema.Row) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probes := []string{"", "zzz"}
+			probes := []string{"", "zzz", "--"}
 			for _, r := range rows {
 				v := r[ci].S
-				probes = append(probes, v, v[:len(v)/2])
-				for _, tok := range inverted.Tokenize(v) {
-					probes = append(probes, tok, tok[:1])
-				}
+				probes = append(probes, v, strings.ToUpper(v), v[:len(v)/2])
+				probes = append(probes, inverted.Tokenize(v)...)
 			}
 			for _, p := range probes {
-				g, gerr := gi.Lookup(p)
-				w, werr := wi.Lookup(p)
-				if gerr != nil || werr != nil || !slices.Equal(g, w) {
-					t.Fatalf("column %d Lookup(%q) = %v, %v; legacy %v, %v", ci, p, g, gerr, w, werr)
+				var oracle []int
+				for i, r := range stored {
+					if r[ci].S == p {
+						oracle = append(oracle, i)
+					}
 				}
-				for name, lookup := range map[string]func(*inverted.Index) (*bitutil.Bitset, error){
-					"LookupBitset": func(ix *inverted.Index) (*bitutil.Bitset, error) { return ix.LookupBitset(p, n) },
-					"LookupPrefix": func(ix *inverted.Index) (*bitutil.Bitset, error) { return ix.LookupPrefix(p, n) },
-					"LookupAll": func(ix *inverted.Index) (*bitutil.Bitset, error) {
-						return ix.LookupAll(inverted.Tokenize(p), n)
-					},
-				} {
-					g, gerr := lookup(gi)
-					w, werr := lookup(wi)
-					if gerr != nil || werr != nil || !slices.Equal(g.Slice(), w.Slice()) {
-						t.Fatalf("column %d %s(%q) = %v, %v; legacy %v, %v", ci, name, p, g, gerr, w, werr)
+				if g, w := equalRows(t, gi, stored, ci, p), equalRows(t, wi, stored, ci, p); !slices.Equal(g, w) || !slices.Equal(g, oracle) {
+					t.Fatalf("column %d = %q: rows %v; legacy %v; scan %v", ci, p, g, w, oracle)
+				}
+				terms := inverted.Tokenize(p)
+				g, gerr := gi.LookupAll(terms, n)
+				w, werr := wi.LookupAll(terms, n)
+				if gerr != nil || werr != nil || !slices.Equal(g.Slice(), w.Slice()) {
+					t.Fatalf("column %d MATCH %q = %v, %v; legacy %v, %v", ci, terms, g, gerr, w, werr)
+				}
+				for _, term := range terms {
+					for k := 1; k <= len(term); k++ {
+						g, gerr := gi.LookupPrefix(term[:k], n)
+						w, werr := wi.LookupPrefix(term[:k], n)
+						if gerr != nil || werr != nil || !slices.Equal(g.Slice(), w.Slice()) {
+							t.Fatalf("column %d MATCH %s* = %v, %v; legacy %v, %v", ci, term[:k], g, gerr, w, werr)
+						}
 					}
 				}
 			}
@@ -280,32 +366,30 @@ func assertIndexesAgree(t *testing.T, got, want *Reader, rows []schema.Row) {
 }
 
 var golden40 = []partHash{
-	{"meta", 322, 0x1fea5ac20e0b2ccf},
-	{"index/0", 49, 0xccf415cb785cd7a4},
+	{"meta", 322, 0xeddbc04fdc0eba9d},
 	{"index/1", 52, 0xdd090f182f585028},
-	{"index/2", 267, 0x6b1be4fc8ea8fbff},
-	{"index/3", 108, 0xa5b0f6da57960759},
+	{"index/2", 141, 0xe18ab9a201559abe},
+	{"index/3", 57, 0x0a9d694d320c2249},
 	{"index/4", 91, 0x07dedc8b388d30a1},
 	{"index/5", 27, 0xbbb2c5774a1d1f08},
-	{"index/6", 1197, 0xa4ebeb331c841d87},
+	{"index/6", 430, 0x2142d8b0fe9f5b50},
 	{"data/0/0", 26, 0x0b66aed9cd029156},
 	{"data/1/0", 102, 0x0a54f27009783159},
 	{"data/2/0", 113, 0x0cca433bc614ed19},
 	{"data/3/0", 79, 0x1a52a790831b1d35},
 	{"data/4/0", 100, 0x039ed8b4e9c82aca},
-	{"data/5/0", 45, 0xd50b87d0687ec2cd},
-	{"data/6/0", 324, 0x94a660a03a6e4da0},
+	{"data/5/0", 48, 0x523c2570a311083d},
+	{"data/6/0", 328, 0xa8a674046d888661},
 }
 
 var golden400 = []partHash{
-	{"meta", 744, 0xd0c521a22bea3b25},
-	{"index/0", 411, 0x0e55e807dca00f14},
+	{"meta", 744, 0xc7ee33311ebb5b8b},
 	{"index/1", 414, 0x90a24a511f5d2aa1},
-	{"index/2", 1165, 0x8d9a4647eaa9b602},
-	{"index/3", 468, 0x783a5a0f2c1ed5bf},
+	{"index/2", 652, 0x42c43802cd118548},
+	{"index/3", 282, 0x5786c981892652a8},
 	{"index/4", 1084, 0xbf7b4b810b19bbb4},
 	{"index/5", 106, 0x3e9e835dbf194ac9},
-	{"index/6", 10760, 0x74d25854b4cc7163},
+	{"index/6", 3228, 0x011d424aa03f51c0},
 	{"data/0/0", 35, 0xde4b948df630dfca},
 	{"data/0/1", 35, 0xde4b948df630dfca},
 	{"data/0/2", 35, 0xde4b948df630dfca},
@@ -330,10 +414,10 @@ var golden400 = []partHash{
 	{"data/5/1", 72, 0xd4cc7446709db223},
 	{"data/5/2", 70, 0xbd384b1c30fe9c63},
 	{"data/5/3", 44, 0x3d235177a7369470},
-	{"data/6/0", 705, 0x5d2ff89366e1e01c},
-	{"data/6/1", 713, 0x64d5392a5d109bba},
-	{"data/6/2", 709, 0x74cea6c4edf82a17},
-	{"data/6/3", 224, 0x443fe63c22f4da63},
+	{"data/6/0", 721, 0x78d1dd9a828a9cb4},
+	{"data/6/1", 731, 0x25d6db23765f7c87},
+	{"data/6/2", 732, 0xc945b6abb5f9242e},
+	{"data/6/3", 226, 0xb2172a163132174c},
 }
 
 // TestBuildConcurrentDeterministic builds different blocks from several
@@ -382,34 +466,32 @@ func TestBuildConcurrentDeterministic(t *testing.T) {
 
 // TestTarLayoutFixture reads testdata/four_member.tar, goldenRows(12,
 // 17) at BlockRows 8 packed by the last commit that wrote a tar (four
-// members, the compact index encoding), and checks that its parts are
-// byte for byte the parts of the same rows packed now: the format
-// change moved the framing, not a byte of any part.
+// members, the compact index encoding with whole-value terms), and
+// checks it against the same rows packed now: the format change moved
+// the framing, not a byte of any LZ4 data part nor a row of the
+// others, and the token-only indexes answer as the compact ones did.
 func TestTarLayoutFixture(t *testing.T) {
-	old, err := os.ReadFile("testdata/four_member.tar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldReader, err := OpenReader(BytesFetcher(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newReader := buildAndOpen(t, goldenRows(12, 17), BuildOptions{BlockRows: 8})
-	parts, oldParts := namedParts(newReader), namedParts(oldReader)
-	if len(parts) != len(oldParts) {
-		t.Fatalf("%d parts in the tar, %d now", len(oldParts), len(parts))
-	}
-	for i, p := range parts {
-		was, err := oldReader.fetch.Fetch(oldParts[i].ext.Offset, oldParts[i].ext.Size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		is, err := newReader.fetch.Fetch(p.ext.Offset, p.ext.Size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oldParts[i].name != p.name || !bytes.Equal(was, is) {
-			t.Errorf("part %d: %s of %d bytes in the tar, %s of %d now, or different content", i, oldParts[i].name, len(was), p.name, len(is))
+	rows := goldenRows(12, 17)
+	oldReader := openFixture(t, "four_member.tar")
+	for ci, cm := range oldReader.Meta.Columns {
+		if cm.Index != schema.IndexNone && cm.IndexFormat != IndexFormatCompact {
+			t.Fatalf("column %d of the tar has index format %d", ci, cm.IndexFormat)
 		}
 	}
+	assertSameButIndexes(t, oldReader, buildAndOpen(t, rows, BuildOptions{BlockRows: 8}), rows)
+}
+
+// TestCompactIndexFixture reads testdata/compact_index.lgb,
+// goldenRows(12, 17) at BlockRows 8 packed by the last commit whose
+// inverted indexes held whole values beside tokens (the footer layout,
+// IndexFormatCompact), and holds it to the same rows packed now.
+func TestCompactIndexFixture(t *testing.T) {
+	rows := goldenRows(12, 17)
+	oldReader := openFixture(t, "compact_index.lgb")
+	for ci, cm := range oldReader.Meta.Columns {
+		if cm.Index != schema.IndexNone && cm.IndexFormat != IndexFormatCompact {
+			t.Fatalf("column %d of the fixture has index format %d", ci, cm.IndexFormat)
+		}
+	}
+	assertSameButIndexes(t, oldReader, buildAndOpen(t, rows, BuildOptions{BlockRows: 8}), rows)
 }

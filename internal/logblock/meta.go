@@ -37,11 +37,19 @@ const (
 	// with its delta-varint postings, behind an offset per term; a BKD
 	// tree with a row id per entry.
 	IndexFormatLegacy IndexFormat = 0
-	// IndexFormatCompact is what Build writes: a front-coded term
-	// dictionary whose postings are deltas or a row bitset, whichever
-	// is smaller, and BKD trees that store no row id when each is its
-	// position.
+	// IndexFormatCompact is the encoding Build writes for BKD trees,
+	// and wrote for inverted indexes before IndexFormatTokens: a
+	// front-coded term dictionary whose postings are deltas or a row
+	// bitset, whichever is smaller, and BKD trees that store no row id
+	// when each is its position. Its inverted indexes hold each whole
+	// lower-cased value as a term beside the value's tokens.
 	IndexFormatCompact IndexFormat = 1
+	// IndexFormatTokens is what Build writes for inverted indexes: the
+	// compact encoding over each value's tokens alone. Its number keeps
+	// a reader from before it, which knows only the first two, from
+	// opening an object whose equality lookups would find no
+	// whole-value terms.
+	IndexFormatTokens IndexFormat = 2
 )
 
 // Meta is the decoded "meta" member of a LogBlock: schema, geometry,
@@ -158,8 +166,8 @@ func DecodeMeta(data []byte) (*Meta, error) {
 		}
 		cm := ColumnMeta{SMA: colSMA, Index: schema.IndexKind(data[off] & 0x0f), IndexFormat: IndexFormat(data[off] >> 4)}
 		off++
-		if cm.IndexFormat > IndexFormatCompact {
-			return nil, fmt.Errorf("logblock: column %d index format %d unknown", ci, cm.IndexFormat)
+		if cm.IndexFormat > IndexFormatTokens || cm.IndexFormat == IndexFormatTokens && cm.Index != schema.IndexInverted {
+			return nil, fmt.Errorf("logblock: column %d index format %d unknown for index kind %d", ci, cm.IndexFormat, cm.Index)
 		}
 		cm.Blocks = make([]BlockHeader, m.NumBlocks)
 		for bi := 0; bi < m.NumBlocks; bi++ {

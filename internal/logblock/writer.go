@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"logstore/internal/bitutil"
 	"logstore/internal/compress"
@@ -71,8 +70,9 @@ func (b *Built) DataPart(col, blk int) []byte {
 }
 
 // buildScratch is the working memory of one Build call, recycled
-// across calls: the index builders and the encode buffers every column
-// block passes through. Nothing in a Built points into it.
+// across calls through freeScratch: the index builders and the encode
+// buffers every column block passes through. Nothing in a Built points
+// into it.
 type buildScratch struct {
 	inv *inverted.Builder
 	bkd *bkd.Builder
@@ -97,13 +97,39 @@ type buildScratch struct {
 // inverted index; encodeStringBlock is the one Build uses.
 type stringBlockFunc func(s *buildScratch, rows []schema.Row, ci, first int, st *sma.SMA, inv *inverted.Builder) (byte, []byte)
 
-var buildScratchPool = sync.Pool{New: func() any {
-	return &buildScratch{
-		inv:  inverted.NewBuilder(),
-		bkd:  bkd.NewBuilder(0),
-		dict: make(map[string]int),
+// freeScratch holds idle buildScratch for the next Build calls. It is a
+// bounded free list rather than a sync.Pool because a collection
+// empties a pool, and a Build after one would grow every index builder
+// and encode buffer again. Its bound is above the Builds a process runs
+// at once at the default cluster size: one per shard draining, 12.
+var freeScratch = make(chan *buildScratch, 16)
+
+// maxFreeScratchBytes bounds the encode buffers a free scratch keeps,
+// so that one very large LogBlock does not pin its working memory.
+const maxFreeScratchBytes = 4 << 20
+
+func getScratch() *buildScratch {
+	select {
+	case s := <-freeScratch:
+		return s
+	default:
+		return &buildScratch{
+			inv:  inverted.NewBuilder(),
+			bkd:  bkd.NewBuilder(0),
+			dict: make(map[string]int),
+		}
 	}
-}}
+}
+
+func putScratch(s *buildScratch) {
+	if cap(s.index)+cap(s.data) > maxFreeScratchBytes {
+		return
+	}
+	select {
+	case freeScratch <- s:
+	default:
+	}
+}
 
 // Build converts rows (one tenant's slice of the row store) into a
 // LogBlock. Rows are sorted by the schema's time column (stably, and
@@ -172,17 +198,10 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 	// One allocation each for every SMA and block header of the block.
 	smas := make([]sma.SMA, ncols*(1+numBlocks))
 	headers := make([]BlockHeader, ncols*numBlocks)
-	nIndexes := 0
-	if !opts.NoIndexes {
-		for _, col := range sch.Columns {
-			if col.Index != schema.IndexNone {
-				nIndexes++
-			}
-		}
-	}
-	// The data parts column by column, then the index parts.
-	parts := make([]part, ncols*numBlocks+nIndexes)
-	dataParts, indexParts := parts[:0], parts[ncols*numBlocks:ncols*numBlocks]
+	// The data parts column by column, then the index parts: at most
+	// one a column, trimmed once the columns are built.
+	parts := make([]part, ncols*numBlocks, ncols*numBlocks+ncols)
+	dataParts, indexParts := parts[:0], parts[ncols*numBlocks:]
 
 	// Every row is valid, so a block's validity prefix depends only on
 	// its row count: one for full blocks, one for the last.
@@ -192,8 +211,8 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 		fullValid = validityPrefix(opts.BlockRows)
 	}
 
-	s := buildScratchPool.Get().(*buildScratch)
-	defer buildScratchPool.Put(s)
+	s := getScratch()
+	defer putScratch(s)
 	s.index, s.data = s.index[:0], s.data[:0]
 	for ci, col := range sch.Columns {
 		colSMAs := smas[ci*(1+numBlocks) : (ci+1)*(1+numBlocks)]
@@ -207,9 +226,6 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 		}
 		if opts.NoIndexes {
 			cm.Index = schema.IndexNone
-		}
-		if cm.Index != schema.IndexNone {
-			cm.IndexFormat = IndexFormatCompact
 		}
 		switch cm.Index {
 		case schema.IndexInverted:
@@ -262,11 +278,19 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 			dataParts = append(dataParts, part{col: ci, blk: bi, size: len(s.data) - partStart})
 		}
 
+		// A BKD tree over one value is never probed: the column SMA
+		// refutes or implies every interval on the column before the
+		// index level is reached. The tenant column is always so.
+		if cm.Index == schema.IndexBKD && cm.SMA.MinI == cm.SMA.MaxI {
+			cm.Index = schema.IndexNone
+		}
 		partStart := len(s.index)
 		switch cm.Index {
 		case schema.IndexInverted:
+			cm.IndexFormat = IndexFormatTokens
 			s.index = s.inv.AppendTo(s.index)
 		case schema.IndexBKD:
+			cm.IndexFormat = IndexFormatCompact
 			s.index = s.bkd.AppendTo(s.index)
 		}
 		if cm.Index != schema.IndexNone {
@@ -274,6 +298,7 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 		}
 		m.Columns[ci] = cm
 	}
+	parts = parts[:ncols*numBlocks+len(indexParts)]
 	return &Built{
 		Meta:  m,
 		meta:  m.Encode(),

@@ -22,8 +22,12 @@ type Pred struct {
 	Col   string
 	Op    sma.Op
 	Val   schema.Value
-	Match bool     // true: full-text match; Op/Val unused
-	Terms []string // analyzed MATCH terms (exact)
+	Match bool // true: full-text match; Op/Val unused
+	// Terms are the analyzed MATCH terms (exact), or for a string
+	// equality its literal's tokens, inverted.Tokenize(Val.S): the
+	// terms its index probe looks up. The parser sets them; an equality
+	// without them probes no row out, and is only verified.
+	Terms []string
 	// Prefixes are MATCH terms written with a trailing '*' (Lucene-style
 	// prefix queries): each must prefix-match some token of the value.
 	Prefixes []string

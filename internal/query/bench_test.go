@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"logstore/internal/bitutil"
+	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
 	"logstore/internal/schema"
@@ -100,7 +101,7 @@ func BenchmarkScanInt64Pred(b *testing.B) {
 // dictionary-encoded api column.
 func BenchmarkScanStringEq(b *testing.B) {
 	r := benchReader(b)
-	q := benchQuery(Pred{Col: "api", Op: sma.EQ, Val: schema.StringValue("/v1/put")})
+	q := benchQuery(Pred{Col: "api", Op: sma.EQ, Val: schema.StringValue("/v1/put"), Terms: inverted.Tokenize("/v1/put")})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var stats ExecStats
@@ -120,7 +121,7 @@ func BenchmarkScanConjunction(b *testing.B) {
 	r := benchReader(b)
 	q := benchQuery(
 		Pred{Col: "latency", Op: sma.GE, Val: schema.IntValue(900)},
-		Pred{Col: "api", Op: sma.EQ, Val: schema.StringValue("/v1/put")},
+		Pred{Col: "api", Op: sma.EQ, Val: schema.StringValue("/v1/put"), Terms: inverted.Tokenize("/v1/put")},
 	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"logstore/internal/bitutil"
+	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
 	"logstore/internal/schema"
@@ -313,8 +314,14 @@ func (p *BlockPlan) IndexColumns(dst []int) []int {
 // probesIndex: one BKD range per interval, one inverted lookup per
 // string equality or MATCH.
 func (p *BlockPlan) indexLookup(r *logblock.Reader, f *filter, stats *ExecStats) error {
+	p.probe.Reset(r.Meta.RowCount)
 	if f.pred != nil {
-		bs, err := invertedLookup(r, f, stats)
+		ix, err := r.InvertedIndex(f.col)
+		if err != nil {
+			return err
+		}
+		stats.IndexLookups++
+		bs, err := invertedLookup(ix, f.pred, &p.probe)
 		if err != nil {
 			return err
 		}
@@ -326,7 +333,6 @@ func (p *BlockPlan) indexLookup(r *logblock.Reader, f *filter, stats *ExecStats)
 		return err
 	}
 	stats.IndexLookups++
-	p.probe.Reset(r.Meta.RowCount)
 	leaves, err := tree.RangeInto(&p.probe, f.lo, f.hi)
 	stats.IndexLeavesScanned += leaves
 	if err != nil {
@@ -336,20 +342,16 @@ func (p *BlockPlan) indexLookup(r *logblock.Reader, f *filter, stats *ExecStats)
 	return nil
 }
 
-// invertedLookup resolves a string equality or MATCH through its
-// column's inverted index.
-func invertedLookup(r *logblock.Reader, f *filter, stats *ExecStats) (*bitutil.Bitset, error) {
-	m := r.Meta
-	ix, err := r.InvertedIndex(f.col)
-	if err != nil {
-		return nil, err
-	}
-	stats.IndexLookups++
-	p := f.pred
+// invertedLookup returns the rows an inverted index gives for a string
+// equality or MATCH. An equality takes the rows of its rarest token
+// into probe, empty and sized to the LogBlock: a candidate set, which
+// Match verifies against the stored values. Every index format holds
+// the tokens, whatever else it holds.
+func invertedLookup(ix *inverted.Index, p *Pred, probe *bitutil.Bitset) (*bitutil.Bitset, error) {
 	if !p.Match {
-		return ix.LookupBitset(p.Val.S, m.RowCount)
+		return probe, ix.LookupRarest(probe, p.Terms)
 	}
-	bs, err := ix.LookupAll(p.Terms, m.RowCount)
+	bs, err := ix.LookupAll(p.Terms, probe.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +359,7 @@ func invertedLookup(r *logblock.Reader, f *filter, stats *ExecStats) (*bitutil.B
 		if !bs.Any() {
 			break
 		}
-		pbs, err := ix.LookupPrefix(prefix, m.RowCount)
+		pbs, err := ix.LookupPrefix(prefix, probe.Len())
 		if err != nil {
 			return nil, err
 		}

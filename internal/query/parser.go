@@ -281,9 +281,14 @@ func (p *parser) parseQuery() (*Query, error) {
 	if err := p.expectIdent("select"); err != nil {
 		return nil, err
 	}
-	if err := p.parseSelectList(q); err != nil {
+	// The selected columns, then each predicate's terms, gather on the
+	// stack; the query gets them out of one slice at the end.
+	var strBuf [8]string
+	strs, err := p.parseSelectList(q, strBuf[:0])
+	if err != nil {
 		return nil, err
 	}
+	nsel := len(strs)
 	if err := p.expectIdent("from"); err != nil {
 		return nil, err
 	}
@@ -293,20 +298,36 @@ func (p *parser) parseQuery() (*Query, error) {
 	}
 	q.Table = tbl.text
 
+	var endBuf [8]int
+	ends := endBuf[:0] // where each predicate's terms end in strs
 	if p.accept(tokIdent, "where") {
 		var buf [8]Pred
 		preds := buf[:0] // the query keeps a copy of the exact size
 		for {
-			pred, err := p.parsePred()
-			if err != nil {
+			var pred Pred
+			if pred, strs, err = p.parsePred(strs); err != nil {
 				return nil, err
 			}
 			preds = append(preds, pred)
+			ends = append(ends, len(strs))
 			if !p.accept(tokIdent, "and") {
 				break
 			}
 		}
 		q.Preds = append([]Pred(nil), preds...)
+	}
+	if len(strs) > 0 {
+		all := append([]string(nil), strs...)
+		if nsel > 0 {
+			q.Select = all[:nsel:nsel]
+		}
+		lo := nsel
+		for i, end := range ends {
+			if end > lo {
+				q.Preds[i].Terms = all[lo:end:end]
+			}
+			lo = end
+		}
 	}
 	if p.accept(tokIdent, "group") {
 		if err := p.expectIdent("by"); err != nil {
@@ -360,34 +381,36 @@ func (p *parser) parseQuery() (*Query, error) {
 	return q, nil
 }
 
-func (p *parser) parseSelectList(q *Query) error {
+// parseSelectList sets q's projection flags and appends the columns it
+// selects to cols.
+func (p *parser) parseSelectList(q *Query, cols []string) ([]string, error) {
 	if p.accept(tokSymbol, "*") {
 		q.Star = true
-		return nil
+		return cols, nil
 	}
 	if p.accept(tokIdent, "count") {
 		if !p.accept(tokSymbol, "(") || !p.accept(tokSymbol, "*") || !p.accept(tokSymbol, ")") {
-			return fmt.Errorf("expected COUNT(*)")
+			return cols, fmt.Errorf("expected COUNT(*)")
 		}
 		q.CountStar = true
-		return nil
+		return cols, nil
 	}
 	for {
 		t := p.next()
 		if t.kind != tokIdent {
-			return fmt.Errorf("expected column name, got %q", t.raw)
+			return cols, fmt.Errorf("expected column name, got %q", t.raw)
 		}
 		// The BI form "SELECT key, COUNT(*) ... GROUP BY key".
 		if t.text == "count" && p.accept(tokSymbol, "(") {
 			if !p.accept(tokSymbol, "*") || !p.accept(tokSymbol, ")") {
-				return fmt.Errorf("expected COUNT(*)")
+				return cols, fmt.Errorf("expected COUNT(*)")
 			}
 			q.CountStar = true
 		} else {
-			q.Select = append(q.Select, t.text)
+			cols = append(cols, t.text)
 		}
 		if !p.accept(tokSymbol, ",") {
-			return nil
+			return cols, nil
 		}
 	}
 }
@@ -429,19 +452,23 @@ func compareOp(sym string) (sma.Op, bool) {
 	return 0, false
 }
 
-func (p *parser) parsePred() (Pred, error) {
+// parsePred parses one conjunct. It appends the predicate's terms to
+// terms — a MATCH's analyzed words, or a string equality literal's
+// tokens — and leaves setting Pred.Terms to the caller.
+func (p *parser) parsePred(terms []string) (Pred, []string, error) {
 	col := p.next()
 	if col.kind != tokIdent {
-		return Pred{}, fmt.Errorf("expected column name, got %q", col.raw)
+		return Pred{}, terms, fmt.Errorf("expected column name, got %q", col.raw)
 	}
 	if p.accept(tokIdent, "match") {
 		lit := p.next()
 		if lit.kind != tokString {
-			return Pred{}, fmt.Errorf("MATCH needs a string literal, got %q", lit.raw)
+			return Pred{}, terms, fmt.Errorf("MATCH needs a string literal, got %q", lit.raw)
 		}
 		// A word with a trailing '*' is a prefix query; everything else
 		// analyzes into exact terms.
-		var terms, prefixes []string
+		var prefixes []string
+		from := len(terms)
 		for _, word := range strings.Fields(lit.text) {
 			if strings.HasSuffix(word, "*") && len(word) > 1 {
 				toks := inverted.Tokenize(strings.TrimSuffix(word, "*"))
@@ -453,29 +480,32 @@ func (p *parser) parsePred() (Pred, error) {
 				}
 				continue
 			}
-			terms = append(terms, inverted.Tokenize(word)...)
+			terms = inverted.AppendTokens(terms, word)
 		}
-		if len(terms) == 0 && len(prefixes) == 0 {
-			return Pred{}, fmt.Errorf("MATCH text %q has no terms", lit.text)
+		if len(terms) == from && len(prefixes) == 0 {
+			return Pred{}, terms, fmt.Errorf("MATCH text %q has no terms", lit.text)
 		}
-		return Pred{Col: col.text, Match: true, Terms: terms, Prefixes: prefixes}, nil
+		return Pred{Col: col.text, Match: true, Prefixes: prefixes}, terms, nil
 	}
 	opTok := p.next()
 	op, ok := compareOp(opTok.text)
 	if opTok.kind != tokSymbol || !ok {
-		return Pred{}, fmt.Errorf("expected comparison operator, got %q", opTok.raw)
+		return Pred{}, terms, fmt.Errorf("expected comparison operator, got %q", opTok.raw)
 	}
 	lit := p.next()
 	switch lit.kind {
 	case tokString:
-		return Pred{Col: col.text, Op: op, Val: schema.StringValue(lit.text)}, nil
+		if op == sma.EQ {
+			terms = inverted.AppendTokens(terms, lit.text)
+		}
+		return Pred{Col: col.text, Op: op, Val: schema.StringValue(lit.text)}, terms, nil
 	case tokNumber:
 		v, err := parseInt64(lit.text)
 		if err != nil {
-			return Pred{}, fmt.Errorf("bad number %q", lit.raw)
+			return Pred{}, terms, fmt.Errorf("bad number %q", lit.raw)
 		}
-		return Pred{Col: col.text, Op: op, Val: schema.IntValue(v)}, nil
+		return Pred{Col: col.text, Op: op, Val: schema.IntValue(v)}, terms, nil
 	default:
-		return Pred{}, fmt.Errorf("expected literal, got %q", lit.raw)
+		return Pred{}, terms, fmt.Errorf("expected literal, got %q", lit.raw)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"logstore/internal/bitutil"
+	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
 	"logstore/internal/logblock"
 	"logstore/internal/schema"
@@ -229,7 +230,12 @@ func refMatchBlock(d *propData, q *Query, opts ExecOptions, stats *ExecStats) (*
 			acc.And(bs)
 		case kind == schema.IndexInverted && (p.Match || (p.Op == sma.EQ && p.Val.Kind == schema.String)):
 			// The inverted index has its own reference tests; probe it.
-			bs, err := invertedLookup(r, &filter{col: f.col, pred: &p}, stats)
+			ix, err := r.InvertedIndex(f.col)
+			if err != nil {
+				return nil, err
+			}
+			stats.IndexLookups++
+			bs, err := invertedLookup(ix, &p, bitutil.NewBitset(m.RowCount))
 			if err != nil {
 				return nil, err
 			}
@@ -338,7 +344,8 @@ func randomPreds(rng *rand.Rand, nrows int) []Pred {
 		return []Pred{{Col: "code", Op: op(), Val: schema.IntValue(int64(1000 + rng.Intn(100)))}}
 	case 2: // string comparison
 		vals := []string{"get user", "put object", "delete bucket", "zzz missing"}
-		return []Pred{{Col: "api", Op: op(), Val: schema.StringValue(vals[rng.Intn(len(vals))])}}
+		lit := vals[rng.Intn(len(vals))]
+		return []Pred{{Col: "api", Op: op(), Val: schema.StringValue(lit), Terms: inverted.Tokenize(lit)}}
 	case 3: // kind mismatch: never matches, never folds
 		if rng.Intn(2) == 0 {
 			return []Pred{{Col: "api", Op: op(), Val: schema.IntValue(3)}}

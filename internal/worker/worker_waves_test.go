@@ -170,9 +170,9 @@ func TestColdQueryRoundTripDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	// The tenant and ts indexes store no row ids, so it takes 12000 rows
-	// for the ts index to span a cache block of its own.
-	blocks := archiveTenant(t, w, catalog, 12000, 31)
+	// The ts index stores no row ids, so it takes 16000 rows for it to
+	// span a cache block its neighbours do not share.
+	blocks := archiveTenant(t, w, catalog, 16000, 31)
 	if len(blocks) != 1 {
 		t.Fatalf("fixture: %d LogBlocks, want 1", len(blocks))
 	}
