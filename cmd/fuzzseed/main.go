@@ -189,9 +189,9 @@ func run(root string) error {
 	// internal/index/bkd: multi-leaf trees and truncated copies, each
 	// with range bounds that cut through the leaves — one that stores its
 	// row ids, and an identity tree (a sorted column) that stores none.
-	// seed-tree and seed-truncated in this directory are the legacy
-	// encoding, which no code writes any more; they are kept as checked
-	// in, since OpenLegacy must go on reading such trees.
+	// seed-tree and seed-truncated in this directory are the encoding
+	// before the row-id flag, which no code writes or reads any more;
+	// they are kept as checked in, as input Open must refuse or survive.
 	bkdDir := filepath.Join(root, "internal/index/bkd/testdata/fuzz/FuzzBKDOpen")
 	rowsTree := bkd.NewBuilder(8)
 	identityTree := bkd.NewBuilder(8)
@@ -211,8 +211,9 @@ func run(root string) error {
 	// internal/index/inverted: a front-coded dictionary of more than one
 	// restart interval, with a term in every row (bitset postings) and
 	// terms in one (delta postings), and a truncated copy. seed-dict and
-	// seed-truncated in this directory are the legacy encoding, kept as
-	// checked in for OpenLegacy.
+	// seed-truncated in this directory are the encoding before the
+	// front-coded one, kept as checked in, as input Open must refuse or
+	// survive.
 	ib := inverted.NewBuilder()
 	for i := 0; i < 40; i++ {
 		ib.Add(uint32(i), fmt.Sprintf("GET /api/v%d/query %d served", i%3, 200+i))
@@ -264,10 +265,10 @@ func run(root string) error {
 	// seed-packed-four-members and seed-truncated-four-members in the
 	// four-member tar with the legacy index encoding, and
 	// seed-packed-compact-index and seed-truncated-compact-index in the
-	// four-member tar with the current one. No code writes a tar any
-	// more, so they are kept as checked in — readers must go on opening
-	// such objects — and the footer layout gets seeds of its own: the
-	// object, and the ways its trailer and manifest can lie. The
+	// four-member tar with the compact one. No code writes a tar any
+	// more, so they are kept as checked in — OpenReader must refuse them
+	// with ErrLegacyLayout — and the footer layout gets seeds of its own:
+	// the object, and the ways its trailer and manifest can lie. The
 	// trailer is the last 10 bytes: the manifest's length (u32), the
 	// format version (u16) and a magic.
 	const trailerSize = 10
@@ -291,6 +292,22 @@ func run(root string) error {
 			return fmt.Errorf("logblock seed %s: open returned %v", name, err)
 		}
 		if err := writeSeed(openDir, name, obj); err != nil {
+			return err
+		}
+	}
+	// internal/tarblock: the tars of older releases checked in beside
+	// the logblock tests, whole and torn in half, for the decoder the
+	// one-time rewrite reads them with.
+	tarDir := filepath.Join(root, "internal/tarblock/testdata/fuzz/FuzzOpen")
+	for _, name := range []string{"parent_layout", "legacy_index", "four_member"} {
+		obj, err := os.ReadFile(filepath.Join(root, "internal/logblock/testdata", name+".tar"))
+		if err != nil {
+			return err
+		}
+		if err := writeSeed(tarDir, "seed-"+name, obj); err != nil {
+			return err
+		}
+		if err := writeSeed(tarDir, "seed-"+name+"-torn", obj[:len(obj)/2]); err != nil {
 			return err
 		}
 	}

@@ -1,12 +1,15 @@
 package builder
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"logstore/internal/logblock"
 	"logstore/internal/meta"
+	"logstore/internal/oss"
 	"logstore/internal/schema"
+	"logstore/internal/tarblock"
 )
 
 // DefaultCompactTargetRows bounds a merged LogBlock's rows when the
@@ -40,6 +43,30 @@ func (b *Builder) CompactTenant(tenant int64, targetRows int) (int, error) {
 		merged += len(group)
 	}
 	return merged, nil
+}
+
+// RewriteLegacy packs again, in the current layout, each of the
+// tenant's LogBlocks that an older release wrote: those OpenReader
+// refuses with logblock.ErrLegacyLayout, which it finds from each
+// object's tail. Each is rewritten alone, from its rows, and committed
+// as a compaction commits a merged block. It returns the number of
+// blocks rewritten.
+func (b *Builder) RewriteLegacy(tenant int64) (int, error) {
+	rewritten := 0
+	for _, blk := range b.catalog.Blocks(tenant) {
+		_, err := logblock.OpenReader(oss.ObjectFetcher{Store: b.store, Key: blk.Path})
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, logblock.ErrLegacyLayout) {
+			return rewritten, fmt.Errorf("builder: rewrite: open %s: %w", blk.Path, err)
+		}
+		if err := b.mergeGroup(tenant, []meta.BlockInfo{blk}); err != nil {
+			return rewritten, fmt.Errorf("builder: rewrite %s: %w", blk.Path, err)
+		}
+		rewritten++
+	}
+	return rewritten, nil
 }
 
 // planGroups partitions the tenant's time-ordered blocks into adjacent
@@ -113,13 +140,17 @@ func (b *Builder) mergeGroup(tenant int64, group []meta.BlockInfo) error {
 	return nil
 }
 
-// readBlockRows materializes every row of one archived LogBlock.
+// readBlockRows materializes every row of one archived LogBlock, of
+// the current layout or of an older release's.
 func (b *Builder) readBlockRows(path string) ([]schema.Row, error) {
 	data, err := b.store.Get(path)
 	if err != nil {
 		return nil, err
 	}
 	r, err := logblock.OpenReader(logblock.BytesFetcher(data))
+	if errors.Is(err, logblock.ErrLegacyLayout) {
+		r, err = tarblock.Open(data)
+	}
 	if err != nil {
 		return nil, err
 	}

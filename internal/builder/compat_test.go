@@ -3,6 +3,7 @@ package builder_test
 import (
 	"archive/tar"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"logstore/internal/oss"
 	"logstore/internal/query"
 	"logstore/internal/schema"
+	"logstore/internal/tarblock"
 )
 
 // tarMembers lists the member names of a packed LogBlock.
@@ -46,9 +48,12 @@ func tarMembers(t *testing.T, packed []byte) []string {
 // legacy_index.tar by the last one that wrote the legacy index
 // encoding (four members); compact_index.lgb by the last one whose
 // inverted indexes held whole values beside tokens (no tar: the footer
-// layout). Each must open, answer indexed and scanning queries exactly
-// as the same rows packed now do, and merge with a block of the
-// current format under CompactTenant.
+// layout). compact_index.lgb must open as it is; a tar must be refused
+// with ErrLegacyLayout until RewriteLegacy has packed it again, after
+// which the catalog holds footer objects only and a second rewrite
+// finds nothing. Each must then answer indexed and scanning queries
+// exactly as the same rows packed now do, and merge with a block of
+// the current format under CompactTenant.
 func TestParentLayoutBlockQueriesAndCompacts(t *testing.T) {
 	for _, fx := range []struct {
 		file    string
@@ -73,22 +78,34 @@ func checkLegacyObject(t *testing.T, file string, members int, format logblock.I
 			t.Fatalf("fixture has %d tar members, want %d", n, members)
 		}
 	}
-	r, err := logblock.OpenReader(logblock.BytesFetcher(old))
+	src, err := logblock.OpenReader(logblock.BytesFetcher(old))
+	if members > 0 {
+		if !errors.Is(err, logblock.ErrLegacyLayout) {
+			t.Fatalf("OpenReader on a tar: %v, want ErrLegacyLayout", err)
+		}
+		src, err = tarblock.Open(old)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldRows, err := r.AllRows()
+	oldRows, err := src.AllRows()
 	if err != nil {
 		t.Fatal(err)
 	}
 	const tenant = 9
-	if len(oldRows) != 12 || r.Meta.Tenant != tenant || r.Meta.NumBlocks != 2 {
-		t.Fatalf("fixture: %d rows, tenant %d, %d blocks", len(oldRows), r.Meta.Tenant, r.Meta.NumBlocks)
+	if len(oldRows) != 12 || src.Meta.Tenant != tenant || src.Meta.NumBlocks != 2 {
+		t.Fatalf("fixture: %d rows, tenant %d, %d blocks", len(oldRows), src.Meta.Tenant, src.Meta.NumBlocks)
 	}
-	for ci, cm := range r.Meta.Columns {
+	for ci, cm := range src.Meta.Columns {
 		if cm.Index != schema.IndexNone && cm.IndexFormat != format {
 			t.Fatalf("fixture column %d has index format %d, want %d", ci, cm.IndexFormat, format)
 		}
+	}
+	// The object the queries run over: the fixture itself, or what the
+	// rewrite made of a tar.
+	r := src
+	if members > 0 {
+		r = rewriteLegacy(t, old, src.Meta, oldRows)
 	}
 	// The same rows packed now, for the answers to agree with.
 	built, err := logblock.Build(r.Meta.Schema, oldRows, logblock.BuildOptions{BlockRows: r.Meta.BlockRows})
@@ -199,7 +216,7 @@ func checkLegacyObject(t *testing.T, file string, members int, format logblock.I
 		t.Fatal(err)
 	}
 	if err := catalog.Register(meta.BlockInfo{
-		Tenant: tenant, Path: oldKey, MinTS: r.Meta.MinTS, MaxTS: r.Meta.MaxTS,
+		Tenant: tenant, Path: oldKey, MinTS: src.Meta.MinTS, MaxTS: src.Meta.MaxTS,
 		Rows: int64(len(oldRows)), Bytes: int64(len(old)),
 	}); err != nil {
 		t.Fatal(err)
@@ -265,4 +282,53 @@ func checkLegacyObject(t *testing.T, file string, members int, format logblock.I
 			}
 		}
 	}
+}
+
+// rewriteLegacy registers obj, a tar of the fixture's rows, as an
+// upgraded cluster's catalog would hold it, runs RewriteLegacy twice,
+// and returns a reader over the one object the catalog then holds: a
+// footer object of the same rows, which the second run leaves alone.
+func rewriteLegacy(t *testing.T, obj []byte, m *logblock.Meta, rows []schema.Row) *logblock.Reader {
+	t.Helper()
+	mem := oss.NewMemStore()
+	b, catalog := newBuilder(t, builder.Config{}, mem)
+	key := meta.TenantPrefix(b.Table(), m.Tenant) + "logblock-legacy.tar"
+	if err := mem.Put(key, obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := catalog.Register(meta.BlockInfo{
+		Tenant: m.Tenant, Path: key, MinTS: m.MinTS, MaxTS: m.MaxTS,
+		Rows: int64(len(rows)), Bytes: int64(len(obj)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := b.RewriteLegacy(m.Tenant); err != nil || n != 1 {
+		t.Fatalf("RewriteLegacy rewrote %d blocks, %v; want 1", n, err)
+	}
+	blocks := catalog.Blocks(m.Tenant)
+	if len(blocks) != 1 || blocks[0].Path == key || blocks[0].Rows != int64(len(rows)) {
+		t.Fatalf("catalog after the rewrite: %+v", blocks)
+	}
+	if _, err := mem.Get(key); !errors.Is(err, oss.ErrNotFound) {
+		t.Errorf("the tar is still stored after its rewrite: %v", err)
+	}
+	packed, err := mem.Get(blocks[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := logblock.OpenReader(logblock.BytesFetcher(packed))
+	if err != nil {
+		t.Fatalf("the rewritten object does not open: %v", err)
+	}
+	got, err := r.AllRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(rows) {
+		t.Fatalf("the rewritten object holds %v, the tar %v", got, rows)
+	}
+	if n, err := b.RewriteLegacy(m.Tenant); err != nil || n != 0 {
+		t.Fatalf("a second RewriteLegacy rewrote %d blocks, %v; want 0", n, err)
+	}
+	return r
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"logstore/internal/logblock"
 )
 
 // tinyScale keeps experiment smoke tests fast.
@@ -150,19 +152,48 @@ func TestFig14Shapes(t *testing.T) {
 	}
 }
 
+// fig15Scale is tinyScale with fewer tenants and more rows, so that
+// every LogBlock of the three tenants Figure 15 queries is larger than
+// the tail an open reads: only then does skipping a column block save
+// a fetch, and the comparison of wall times measure skipping rather
+// than noise.
+func fig15Scale() Scale {
+	s := tinyScale()
+	s.Tenants, s.Rows = 10, 48_000
+	return s
+}
+
 func TestFig15Shape(t *testing.T) {
-	tb, err := Fig15(tinyScale())
+	s := fig15Scale()
+	ds, err := buildQueryDataset(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range ds.topOrder[:s.QueryTenants] {
+		for _, b := range ds.catalog.Blocks(tenant) {
+			if b.Bytes <= logblock.TailSize {
+				t.Fatalf("tenant %d's LogBlock %s is %d bytes, within one open's tail read", tenant, b.Path, b.Bytes)
+			}
+		}
+	}
+	tb, err := Fig15(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	// Aggregate: with-skipping must beat without-skipping overall.
-	var with, without float64
+	// Aggregate: with-skipping must decode fewer column blocks and beat
+	// without-skipping overall.
+	var with, without, scanned, scannedWithout float64
 	for _, r := range tb.Rows {
 		with += r[2]
 		without += r[3]
+		scanned += r[8]
+		scannedWithout += r[9]
+	}
+	if scanned >= scannedWithout {
+		t.Errorf("data skipping decoded no fewer column blocks: %v with, %v without", scanned, scannedWithout)
 	}
 	if with >= without {
 		t.Errorf("data skipping did not help: with=%vms without=%vms", with, without)

@@ -165,14 +165,7 @@ type Tree struct {
 // varints, values out of order within or across leaves, leaves that do
 // not follow one another, routing keys that disagree with their leaf,
 // and row ids beyond 32 bits.
-func Open(raw []byte) (*Tree, error) { return open(raw, false) }
-
-// OpenLegacy decodes a tree in the encoding before identity trees
-// dropped their row ids: the same as AppendTo's, with no rowIDs byte
-// and the row ids of every leaf stored.
-func OpenLegacy(raw []byte) (*Tree, error) { return open(raw, true) }
-
-func open(raw []byte, legacy bool) (*Tree, error) {
+func Open(raw []byte) (*Tree, error) {
 	off := 0
 	_, n, err := bitutil.Uvarint(raw[off:]) // leafSize: informational
 	if err != nil {
@@ -189,14 +182,11 @@ func open(raw []byte, legacy bool) (*Tree, error) {
 		return nil, fmt.Errorf("bkd: leaf count: %w", err)
 	}
 	off += n
-	storesRows := true
-	if !legacy {
-		if off >= len(raw) || raw[off] > 1 {
-			return nil, fmt.Errorf("bkd: row-id flag missing or not 0 or 1")
-		}
-		storesRows = raw[off] == 1
-		off++
+	if off >= len(raw) || raw[off] > 1 {
+		return nil, fmt.Errorf("bkd: row-id flag missing or not 0 or 1")
 	}
+	storesRows := raw[off] == 1
+	off++
 	if nLeaves > entries+1 {
 		return nil, fmt.Errorf("bkd: implausible leaf count %d for %d entries", nLeaves, entries)
 	}

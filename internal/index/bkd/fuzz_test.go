@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// FuzzBKDOpen feeds arbitrary bytes to Open and OpenLegacy and runs
-// range queries — the fuzzed bounds among them — over whatever parses:
-// corrupt input must error (or produce a tree whose queries error),
-// never panic or allocate unbounded memory. The same bytes, read as (row, value)
+// FuzzBKDOpen feeds arbitrary bytes to Open and runs range queries —
+// the fuzzed bounds among them — over whatever parses: corrupt input
+// must error (or produce a tree whose queries error), never panic or
+// allocate unbounded memory. The same bytes, read as (row, value)
 // pairs, also go through the builder, where Range must equal a naive
-// filter over the pairs and equal the legacy encoding's answer. The
-// checked-in seed-tree and seed-truncated entries are the legacy
-// encoding; the seed-identity and seed-rows ones the current one.
+// filter over the pairs, in rows and in leaves. The checked-in
+// seed-identity and seed-rows entries are what AppendTo writes;
+// seed-tree and seed-truncated are the encoding before the row-id
+// flag, which Open must refuse or survive.
 func FuzzBKDOpen(f *testing.F) {
 	b := NewBuilder(4)
 	for i := 0; i < 40; i++ {
@@ -37,25 +38,24 @@ func FuzzBKDOpen(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int64) {
 		builderMade(t, data, lo, hi)
-		for _, open := range []func([]byte) (*Tree, error){Open, OpenLegacy} {
-			tr, err := open(data)
-			if err != nil {
-				continue
-			}
-			if bs, _, err := tr.Range(math.MinInt64, math.MaxInt64, 1024); err == nil {
-				if got := bs.Count(); got > 1024 {
-					t.Fatalf("range produced %d rows in a 1024-bit set", got)
-				}
-			}
-			_, _, _ = tr.Range(lo, hi, 256)
-			_, _, _ = tr.Range(hi, lo, 256) // one of the two is inverted or a point
+		tr, err := Open(data)
+		if err != nil {
+			return
 		}
+		if bs, _, err := tr.Range(math.MinInt64, math.MaxInt64, 1024); err == nil {
+			if got := bs.Count(); got > 1024 {
+				t.Fatalf("range produced %d rows in a 1024-bit set", got)
+			}
+		}
+		_, _, _ = tr.Range(lo, hi, 256)
+		_, _, _ = tr.Range(hi, lo, 256) // one of the two is inverted or a point
 	})
 }
 
 // builderMade indexes one (row, value) pair per input byte — values
 // spread over the whole domain so that deltas wrap, with runs of
-// duplicates — and checks Range(lo, hi) against the pairs.
+// duplicates — and checks Range(lo, hi), its rows and the leaves it
+// reports, against the pairs.
 func builderMade(t *testing.T, data []byte, lo, hi int64) {
 	if len(data) == 0 {
 		return
@@ -70,10 +70,6 @@ func builderMade(t *testing.T, data []byte, lo, hi int64) {
 	if err != nil {
 		t.Fatalf("builder-made tree does not open: %v", err)
 	}
-	old, err := OpenLegacy(legacyBuild(b.leafSize, vals))
-	if err != nil {
-		t.Fatalf("legacy tree does not open: %v", err)
-	}
 	bs, leaves, err := tr.Range(lo, hi, len(vals))
 	if err != nil {
 		t.Fatalf("Range(%d, %d) on a builder-made tree: %v", lo, hi, err)
@@ -81,13 +77,7 @@ func builderMade(t *testing.T, data []byte, lo, hi int64) {
 	if leaves > tr.Leaves() {
 		t.Fatalf("Range read %d of %d leaves", leaves, tr.Leaves())
 	}
-	for i, v := range vals {
-		if want := lo <= v && v <= hi; bs.Test(i) != want {
-			t.Fatalf("Range(%d, %d): row %d (value %d) in result = %v, want %v", lo, hi, i, v, bs.Test(i), want)
-		}
-	}
-	was, wasLeaves, err := old.Range(lo, hi, len(vals))
-	if err != nil || wasLeaves != leaves || !slices.Equal(was.Slice(), bs.Slice()) {
-		t.Fatalf("Range(%d, %d): legacy tree %v in %d leaves (%v), current %v in %d", lo, hi, was.Slice(), wasLeaves, err, bs.Slice(), leaves)
+	if rows, wantLeaves := filterRange(vals, b.leafSize, lo, hi); !slices.Equal(bs.Slice(), rows) || leaves != wantLeaves {
+		t.Fatalf("Range(%d, %d) = %v in %d leaves; filter %v in %d", lo, hi, bs.Slice(), leaves, rows, wantLeaves)
 	}
 }

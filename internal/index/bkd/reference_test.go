@@ -23,8 +23,8 @@ type refTree struct {
 
 // legacyBuild is the builder's AppendTo as it was before identity trees
 // dropped their row ids: the same sort, leaves and routing level, no
-// row-id flag, and every leaf's row ids stored. OpenLegacy reads what
-// it writes, and so does the leaf walk.
+// row-id flag, and every leaf's row ids stored. The leaf walk reads
+// what it writes.
 func legacyBuild(leafSize int, vals []int64) []byte {
 	type pair struct {
 		val int64
@@ -159,8 +159,8 @@ func (t *refTree) scanLeaf(li int, lo, hi int64, bs *bitutil.Bitset) error {
 }
 
 // TestRangeMatchesLeafWalk checks the decoded tree against the leaf walk
-// over the legacy encoding of the same column, and the legacy tree
-// OpenLegacy decodes against both, on random trees: small leaves, runs of duplicates that
+// over the legacy encoding of the same column, on random trees: small
+// leaves, runs of duplicates that
 // straddle leaf edges, values at both ends of the domain (so deltas
 // wrap), and bounds that are open, at the extremes, or inverted. The
 // row-id sets and the leaves-read counts must be identical. Every third
@@ -203,14 +203,9 @@ func TestRangeMatchesLeafWalk(t *testing.T) {
 		if ordered && (!tree.identity || tree.rows != nil) {
 			t.Fatalf("trial %d: values %v in row order make no identity tree", trial, vals)
 		}
-		legacy := legacyBuild(b.leafSize, vals)
-		ref, err := openRef(legacy)
+		ref, err := openRef(legacyBuild(b.leafSize, vals))
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
-		}
-		old, err := OpenLegacy(legacy)
-		if err != nil {
-			t.Fatalf("trial %d: legacy: %v", trial, err)
 		}
 		for probe := 0; probe < 30; probe++ {
 			lo, hi := value(domain+2), value(domain+2)
@@ -228,10 +223,6 @@ func TestRangeMatchesLeafWalk(t *testing.T) {
 			if !slices.Equal(got.Slice(), want.Slice()) || gotLeaves != wantLeaves {
 				t.Fatalf("trial %d, values %v: Range(%d, %d) = %v in %d leaves, leaf walk %v in %d",
 					trial, vals, lo, hi, got.Slice(), gotLeaves, want.Slice(), wantLeaves)
-			}
-			if was, wasLeaves, err := old.Range(lo, hi, n); err != nil || !slices.Equal(was.Slice(), want.Slice()) || wasLeaves != wantLeaves {
-				t.Fatalf("trial %d, values %v: legacy Range(%d, %d) = %v in %d leaves (%v), leaf walk %v in %d",
-					trial, vals, lo, hi, was.Slice(), wasLeaves, err, want.Slice(), wantLeaves)
 			}
 			if short := n / 2; ordered && got.Any() && got.Slice()[got.Count()-1] >= short {
 				_, _, err := tree.Range(lo, hi, short)

@@ -119,44 +119,76 @@ func FuzzAnalyzerEquivalence(f *testing.F) {
 	})
 }
 
-// referenceBuild is the legacy index encoder, as it was before the
-// builder kept postings as one pair list and before the dictionary was
-// front-coded: a posting slice per term, sorted terms, entries after
-// the offset table, over the analyzer's terms. OpenLegacy reads what
-// it writes, and an index the builder writes must answer every lookup
-// as this one does.
-func referenceBuild(values []string) []byte {
-	return legacyBuild(values, referenceTerms)
+// refIndex is the reference an index is held to: each term's rows in
+// ascending order.
+type refIndex map[string][]uint32
+
+// referenceIndex indexes values, one row each, under their analyzer
+// terms. An index the builder writes must answer every lookup as it
+// does.
+func referenceIndex(values []string) refIndex {
+	ref := refIndex{}
+	for row, v := range values {
+		for _, term := range referenceTerms(v) {
+			ref[term] = append(ref[term], uint32(row))
+		}
+	}
+	return ref
 }
 
-// legacyBuild is referenceBuild with the terms of a value as a
-// parameter.
-func legacyBuild(values []string, analyze func(string) []string) []byte {
-	postings := make(map[string][]uint32)
+// lookup is Lookup: the rows of the lower-cased term.
+func (r refIndex) lookup(term string) []uint32 {
+	if ids := r[strings.ToLower(term)]; ids != nil {
+		return ids
+	}
+	return []uint32{}
+}
+
+// bitset sets ids in a bitset of rows bits.
+func bitset(ids []uint32, rows int) *bitutil.Bitset {
+	bs := bitutil.NewBitset(rows)
+	for _, id := range ids {
+		bs.Set(int(id))
+	}
+	return bs
+}
+
+// lookupPrefix is LookupPrefix: the rows of every term with the
+// lower-cased prefix, none for an empty one.
+func (r refIndex) lookupPrefix(prefix string, rows int) *bitutil.Bitset {
+	prefix = strings.ToLower(prefix)
+	bs := bitutil.NewBitset(rows)
+	for term, ids := range r {
+		if prefix != "" && strings.HasPrefix(term, prefix) {
+			bs.Or(bitset(ids, rows))
+		}
+	}
+	return bs
+}
+
+// lookupAll is LookupAll: the rows holding every term, every row for
+// no terms.
+func (r refIndex) lookupAll(terms []string, rows int) *bitutil.Bitset {
+	bs := bitutil.NewBitset(rows)
+	bs.SetAll()
+	for _, term := range terms {
+		bs.And(bitset(r.lookup(term), rows))
+	}
+	return bs
+}
+
+// buildTerms indexes each value, one row each, under the terms analyze
+// gives it, with the builder's dictionary and posting encodings.
+// buildTerms(values, wholeValueTerms) is an index of the kind written
+// before the builder indexed tokens only.
+func buildTerms(values []string, analyze func(string) []string) []byte {
+	b := NewBuilder()
 	for row, v := range values {
 		for _, term := range analyze(v) {
-			postings[term] = append(postings[term], uint32(row))
+			b.addTerm([]byte(term), uint32(row))
 		}
 	}
-	terms := make([]string, 0, len(postings))
-	for t := range postings {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	out := make([]byte, 4+4*len(terms))
-	bitutil.PutUint32(out, uint32(len(terms)))
-	var entries []byte
-	for i, t := range terms {
-		bitutil.PutUint32(out[4+4*i:], uint32(len(entries)))
-		entries = bitutil.AppendLenString(entries, t)
-		entries = bitutil.AppendUvarint(entries, uint64(len(postings[t])))
-		prev := uint32(0)
-		for _, id := range postings[t] {
-			entries = bitutil.AppendUvarint(entries, uint64(id-prev))
-			prev = id
-		}
-	}
-	return append(out, entries...)
+	return b.Build()
 }
 
 func TestBuilderMatchesReferenceEncoding(t *testing.T) {
@@ -187,9 +219,9 @@ func TestBuilderMatchesReferenceEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		ref, err := OpenLegacy(referenceBuild(values))
-		if err != nil {
-			t.Fatalf("round %d: reference: %v", round, err)
+		ref := referenceIndex(values)
+		if ix.TermCount() != len(ref) {
+			t.Fatalf("round %d: %d terms, reference %d", round, ix.TermCount(), len(ref))
 		}
 		for _, probe := range append(words, values...) {
 			assertSameLookups(t, ix, ref, probe, len(values))

@@ -8,9 +8,9 @@ import (
 	"logstore/internal/bitutil"
 )
 
-// TestOpenCorrupt covers the framing checks in Open and OpenLegacy:
-// anything whose term count or offset table cannot physically exist
-// must be rejected.
+// TestOpenCorrupt covers the framing checks in Open: anything whose
+// term count or restart table cannot physically exist must be
+// rejected.
 func TestOpenCorrupt(t *testing.T) {
 	cases := []struct {
 		name string
@@ -28,9 +28,6 @@ func TestOpenCorrupt(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Open(tc.data); err == nil {
 				t.Fatal("Open accepted corrupt input")
-			}
-			if _, err := OpenLegacy(tc.data); err == nil {
-				t.Fatal("OpenLegacy accepted corrupt input")
 			}
 		})
 	}
@@ -65,59 +62,9 @@ func entry(shared int, suffix string, kind int, post []byte) []byte {
 	return append(out, post...)
 }
 
-// TestLookupCorrupt opens indexes whose framing is fine but whose
-// dictionary entries lie, and checks the lookup paths surface errors.
-func TestLookupCorrupt(t *testing.T) {
-	// One term whose offset points past the entries region.
-	badOffset := make([]byte, 8)
-	bitutil.PutUint32(badOffset[0:4], 1)
-	bitutil.PutUint32(badOffset[4:8], 500)
-	ix, err := OpenLegacy(badOffset)
-	if err != nil {
-		t.Fatalf("framing is valid: %v", err)
-	}
-	if _, err := ix.Lookup("x"); err == nil {
-		t.Fatal("Lookup accepted an entry offset beyond the entries region")
-	}
-	if _, err := ix.LookupPrefix("x", 8); err == nil {
-		t.Fatal("LookupPrefix accepted an entry offset beyond the entries region")
-	}
-
-	// One term whose posting count exceeds the remaining bytes.
-	var entries []byte
-	entries = bitutil.AppendLenString(entries, "a")
-	entries = bitutil.AppendUvarint(entries, 1<<40)
-	huge := make([]byte, 8)
-	bitutil.PutUint32(huge[0:4], 1)
-	bitutil.PutUint32(huge[4:8], 0)
-	huge = append(huge, entries...)
-	ix, err = OpenLegacy(huge)
-	if err != nil {
-		t.Fatalf("framing is valid: %v", err)
-	}
-	if _, err := ix.Lookup("a"); err == nil {
-		t.Fatal("Lookup accepted an implausible posting count")
-	}
-
-	// A term whose length prefix runs past the input.
-	var torn []byte
-	torn = bitutil.AppendUvarint(torn, 1000) // length 1000, no bytes behind it
-	tornIdx := make([]byte, 8)
-	bitutil.PutUint32(tornIdx[0:4], 1)
-	bitutil.PutUint32(tornIdx[4:8], 0)
-	tornIdx = append(tornIdx, torn...)
-	ix, err = OpenLegacy(tornIdx)
-	if err != nil {
-		t.Fatalf("framing is valid: %v", err)
-	}
-	if _, err := ix.Lookup("a"); err == nil {
-		t.Fatal("Lookup accepted an oversized term length field")
-	}
-}
-
-// TestFrontCodedLookupCorrupt does the same for the front-coded
-// encoding: each damaged dictionary must fail the lookups that reach
-// the damage, never answer from it.
+// TestFrontCodedLookupCorrupt opens indexes whose framing is fine but
+// whose dictionary entries lie: each damaged dictionary must fail the
+// lookups that reach the damage, never answer from it.
 func TestFrontCodedLookupCorrupt(t *testing.T) {
 	ab := entry(0, "ab", postDeltas, []byte{0})
 	cases := []struct {

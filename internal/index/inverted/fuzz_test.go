@@ -6,20 +6,21 @@ import (
 	"testing"
 )
 
-// FuzzInvertedOpen feeds arbitrary bytes to Open and to OpenLegacy and
-// runs the lookup surface over whatever parses: corrupt dictionaries
-// must surface as errors, never as panics or runaway allocations. The
-// checked-in seed-dict and seed-truncated entries are the legacy
-// encoding; the seed-front-coded ones are what AppendTo writes now.
-// The same bytes, cut into values, also go through the builder and
-// the legacy reference encoder, whose indexes must answer alike.
+// FuzzInvertedOpen feeds arbitrary bytes to Open and runs the lookup
+// surface over whatever parses: corrupt dictionaries must surface as
+// errors, never as panics or runaway allocations. The checked-in
+// seed-front-coded entries are what AppendTo writes; seed-dict and
+// seed-truncated are the encoding before it, which Open must refuse or
+// survive. The same bytes, cut into values, also go through the
+// builder, whose index must answer as the reference map of each term's
+// rows does.
 func FuzzInvertedOpen(f *testing.F) {
 	b := NewBuilder()
 	b.Add(0, "alpha beta")
 	b.Add(1, "beta gamma delta")
 	b.Add(2, "alpha")
 	f.Add(b.Build())
-	f.Add(referenceBuild([]string{"alpha beta", "beta gamma delta", "alpha"}))
+	f.Add([]byte("alpha beta\x00beta gamma delta\x00alpha")) // the same rows, as builderMade cuts them
 	f.Add(NewBuilder().Build())
 	f.Add([]byte{})
 	// Term count far beyond the offset table actually present.
@@ -27,28 +28,26 @@ func FuzzInvertedOpen(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		builderMade(t, data)
-		for _, open := range []func([]byte) (*Index, error){Open, OpenLegacy} {
-			ix, err := open(data)
-			if err != nil {
-				continue
-			}
-			_, _ = ix.Lookup("alpha")
-			_, _ = ix.Lookup("")
-			_, _ = ix.LookupPrefix("a", 64)
-			_, _ = ix.LookupAll([]string{"alpha", "beta"}, 64)
-			if bs, err := ix.LookupBitset("beta", 64); err == nil && bs.Len() != 64 {
-				t.Fatalf("LookupBitset returned %d bits, want 64", bs.Len())
-			}
-			// Every term sorts at or after "\x00" and has "" as prefix
-			// only vacuously: walk the whole dictionary once.
-			_, _ = ix.LookupPrefix("\x00", 64)
+		ix, err := Open(data)
+		if err != nil {
+			return
 		}
+		_, _ = ix.Lookup("alpha")
+		_, _ = ix.Lookup("")
+		_, _ = ix.LookupPrefix("a", 64)
+		_, _ = ix.LookupAll([]string{"alpha", "beta"}, 64)
+		if bs, err := ix.LookupBitset("beta", 64); err == nil && bs.Len() != 64 {
+			t.Fatalf("LookupBitset returned %d bits, want 64", bs.Len())
+		}
+		// Every term sorts at or after "\x00" and has "" as prefix
+		// only vacuously: walk the whole dictionary once.
+		_, _ = ix.LookupPrefix("\x00", 64)
 	})
 }
 
 // builderMade cuts data at every 0x00 byte into values, one row each,
-// indexes them with the builder and with the legacy reference encoder,
-// and checks that the two indexes answer every lookup alike.
+// indexes them with the builder, and checks that the index answers
+// every lookup as the reference does.
 func builderMade(t *testing.T, data []byte) {
 	if len(data) > 4096 {
 		return
@@ -62,12 +61,9 @@ func builderMade(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("builder-made index does not open: %v", err)
 	}
-	want, err := OpenLegacy(referenceBuild(values))
-	if err != nil {
-		t.Fatalf("reference index does not open: %v", err)
-	}
-	if got.TermCount() != want.TermCount() {
-		t.Fatalf("%d terms, reference %d", got.TermCount(), want.TermCount())
+	want := referenceIndex(values)
+	if got.TermCount() != len(want) {
+		t.Fatalf("%d terms, reference %d", got.TermCount(), len(want))
 	}
 	probes := append([]string{"", "a", "\xff"}, values...)
 	for _, v := range values {
@@ -78,31 +74,29 @@ func builderMade(t *testing.T, data []byte) {
 	}
 }
 
-// assertSameLookups checks that two indexes over the same rows answer
-// Lookup, LookupBitset, LookupPrefix and LookupAll alike for probe.
-func assertSameLookups(t *testing.T, got, want *Index, probe string, rows int) {
+// assertSameLookups checks that an index answers Lookup, LookupBitset,
+// LookupPrefix and LookupAll for probe as the reference over the same
+// rows does.
+func assertSameLookups(t *testing.T, got *Index, want refIndex, probe string, rows int) {
 	t.Helper()
-	g, gerr := got.Lookup(probe)
-	w, werr := want.Lookup(probe)
-	if gerr != nil || werr != nil || !slices.Equal(g, w) {
-		t.Fatalf("Lookup(%q) = %v, %v; reference %v, %v", probe, g, gerr, w, werr)
+	g, err := got.Lookup(probe)
+	if w := want.lookup(probe); err != nil || !slices.Equal(g, w) {
+		t.Fatalf("Lookup(%q) = %v, %v; reference %v", probe, g, err, w)
 	}
-	gb, gerr := got.LookupBitset(probe, rows)
-	wb, werr := want.LookupBitset(probe, rows)
-	if gerr != nil || werr != nil || !slices.Equal(gb.Slice(), wb.Slice()) {
-		t.Fatalf("LookupBitset(%q) = %v, %v; reference %v, %v", probe, gb, gerr, wb, werr)
+	gb, err := got.LookupBitset(probe, rows)
+	if w := bitset(want.lookup(probe), rows); err != nil || !slices.Equal(gb.Slice(), w.Slice()) {
+		t.Fatalf("LookupBitset(%q) = %v, %v; reference %v", probe, gb, err, w)
 	}
 	for _, n := range []int{len(probe), len(probe) / 2, 1} {
-		gp, gerr := got.LookupPrefix(probe[:min(n, len(probe))], rows)
-		wp, werr := want.LookupPrefix(probe[:min(n, len(probe))], rows)
-		if gerr != nil || werr != nil || !slices.Equal(gp.Slice(), wp.Slice()) {
-			t.Fatalf("LookupPrefix(%q) = %v, %v; reference %v, %v", probe[:min(n, len(probe))], gp, gerr, wp, werr)
+		prefix := probe[:min(n, len(probe))]
+		gp, err := got.LookupPrefix(prefix, rows)
+		if w := want.lookupPrefix(prefix, rows); err != nil || !slices.Equal(gp.Slice(), w.Slice()) {
+			t.Fatalf("LookupPrefix(%q) = %v, %v; reference %v", prefix, gp, err, w)
 		}
 	}
 	terms := Tokenize(probe)
-	ga, gerr := got.LookupAll(terms, rows)
-	wa, werr := want.LookupAll(terms, rows)
-	if gerr != nil || werr != nil || !slices.Equal(ga.Slice(), wa.Slice()) {
-		t.Fatalf("LookupAll(%q) = %v, %v; reference %v, %v", terms, ga, gerr, wa, werr)
+	ga, err := got.LookupAll(terms, rows)
+	if w := want.lookupAll(terms, rows); err != nil || !slices.Equal(ga.Slice(), w.Slice()) {
+		t.Fatalf("LookupAll(%q) = %v, %v; reference %v", terms, ga, err, w)
 	}
 }

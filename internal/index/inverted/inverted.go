@@ -20,7 +20,6 @@ package inverted
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -322,15 +321,12 @@ func appendPostings(dst []byte, ids []uint32) []byte {
 	return dst
 }
 
-// Index provides lookups over a serialized inverted index without
-// deserializing the dictionary. It reads both encodings: the
-// front-coded one AppendTo writes (Open) and the one before it
-// (OpenLegacy), an offset per term to a whole term and its
-// count-prefixed delta list.
+// Index provides lookups over a serialized inverted index, in the
+// front-coded encoding AppendTo writes, without deserializing the
+// dictionary.
 type Index struct {
 	n       int
-	legacy  bool
-	table   []byte // restart offsets, or with legacy one offset per term
+	table   []byte // restart offsets
 	entries []byte
 }
 
@@ -352,34 +348,14 @@ func Open(raw []byte) (*Index, error) {
 	return &Index{n: int(n), table: raw[k:table], entries: raw[table:]}, nil
 }
 
-// OpenLegacy validates the framing of an index in the encoding before
-// the front-coded one and returns a reader over it:
-//
-//	u32 termCount
-//	u32 × termCount entry offsets (into the entries region)
-//	entries: len-prefixed term, uvarint postingCount, delta-uvarint ids
-func OpenLegacy(raw []byte) (*Index, error) {
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("inverted: index truncated: %d bytes", len(raw))
-	}
-	n := int(bitutil.Uint32(raw[0:4]))
-	hdr := 4 + 4*n
-	if n < 0 || len(raw) < hdr {
-		return nil, fmt.Errorf("inverted: offset table truncated: %d terms, %d bytes", n, len(raw))
-	}
-	return &Index{n: n, legacy: true, table: raw[4:hdr], entries: raw[hdr:]}, nil
-}
-
 // TermCount returns the number of distinct terms.
 func (ix *Index) TermCount() int { return ix.n }
 
 // postings is one term's posting list as stored: kind postDeltas or
-// postBitset over exactly its bytes, or with counted a legacy list —
-// a uvarint count, then that many deltas — at the head of data.
+// postBitset over exactly its bytes.
 type postings struct {
-	kind    byte
-	counted bool
-	data    []byte
+	kind byte
+	data []byte
 }
 
 // appendIDs appends the row ids of p to ids.
@@ -397,41 +373,20 @@ func (p postings) appendIDs(ids []uint32) ([]uint32, error) {
 }
 
 // count returns how many row ids p holds, for sizing a result.
-func (p postings) count() (int, error) {
-	switch {
-	case p.counted:
-		count, _, err := bitutil.Uvarint(p.data)
-		if err != nil {
-			return 0, fmt.Errorf("inverted: posting count: %w", err)
-		}
-		if count > uint64(len(p.data)) {
-			return 0, fmt.Errorf("inverted: implausible posting count %d", count)
-		}
-		return int(count), nil
-	case p.kind == postBitset:
-		c := 0
+func (p postings) count() int {
+	c := 0
+	if p.kind == postBitset {
 		for _, x := range p.data {
 			c += bits.OnesCount8(x)
 		}
-		return c, nil
-	default: // one uvarint ends at each byte below 0x80
-		c := 0
-		for _, x := range p.data {
-			if x < 0x80 {
-				c++
-			}
+		return c
+	}
+	for _, x := range p.data { // one uvarint ends at each byte below 0x80
+		if x < 0x80 {
+			c++
 		}
-		return c, nil
 	}
-}
-
-// size returns how large p is, in encoded bytes, or for a legacy list
-// in row ids: a measure to compare the lists of one index by.
-func (p postings) size() (int, error) {
-	if p.counted {
-		return p.count()
-	}
-	return len(p.data), nil
+	return c
 }
 
 // orInto sets the rows of p in bs; rows at or beyond bs.Len() are
@@ -446,19 +401,8 @@ func (p postings) orInto(bs *bitutil.Bitset) error {
 
 // forEachDelta decodes a delta list, calling fn with each row id.
 func (p postings) forEachDelta(fn func(uint32)) error {
-	data, count := p.data, uint64(math.MaxUint64)
-	if p.counted {
-		c, n, err := bitutil.Uvarint(data)
-		if err != nil {
-			return fmt.Errorf("inverted: posting count: %w", err)
-		}
-		if c > uint64(len(data)) {
-			return fmt.Errorf("inverted: implausible posting count %d", c)
-		}
-		data, count = data[n:], c
-	}
-	cur := uint32(0)
-	for i := uint64(0); i < count && (p.counted || len(data) > 0); i++ {
+	data, cur := p.data, uint32(0)
+	for i := 0; len(data) > 0; i++ {
 		d, n, err := bitutil.Uvarint(data)
 		if err != nil {
 			return fmt.Errorf("inverted: posting %d: %w", i, err)
@@ -473,9 +417,6 @@ func (p postings) forEachDelta(fn func(uint32)) error {
 // find returns the postings of term, which the caller has lower-cased;
 // ok is false when the dictionary does not hold it.
 func (ix *Index) find(term string) (p postings, ok bool, err error) {
-	if ix.legacy {
-		return ix.findLegacy(term)
-	}
 	r, err := ix.restartAtOrBefore(term)
 	if err != nil || r < 0 {
 		return postings{}, false, err
@@ -604,51 +545,6 @@ func (c *cursor) next(target string) error {
 	return nil
 }
 
-// legacyEntryAt decodes the term at dictionary position i of a legacy
-// index, returning the term and the offset of its posting list within
-// the entries region.
-func (ix *Index) legacyEntryAt(i int) ([]byte, int, error) {
-	off := int(bitutil.Uint32(ix.table[4*i:]))
-	if off > len(ix.entries) {
-		return nil, 0, fmt.Errorf("inverted: entry %d offset %d out of range", i, off)
-	}
-	term, n, err := bitutil.LenBytes(ix.entries[off:])
-	if err != nil {
-		return nil, 0, fmt.Errorf("inverted: entry %d term: %w", i, err)
-	}
-	return term, off + n, nil
-}
-
-// legacySearch returns the position of the first term >= target in a
-// legacy index, and that term's posting offset when it equals target.
-func (ix *Index) legacySearch(target string) (int, int, bool, error) {
-	lo, hi := 0, ix.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		t, postOff, err := ix.legacyEntryAt(mid)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		switch {
-		case string(t) == target:
-			return mid, postOff, true, nil
-		case string(t) < target:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return lo, 0, false, nil
-}
-
-func (ix *Index) findLegacy(term string) (postings, bool, error) {
-	_, off, ok, err := ix.legacySearch(term)
-	if err != nil || !ok {
-		return postings{}, false, err
-	}
-	return postings{counted: true, data: ix.entries[off:]}, true, nil
-}
-
 // Lookup returns the sorted row ids whose value contains term as a
 // token (or, in an index written before tokens alone were indexed,
 // whose whole value equals it). A missing term yields an empty,
@@ -661,11 +557,7 @@ func (ix *Index) Lookup(term string) ([]uint32, error) {
 	if !ok {
 		return []uint32{}, nil
 	}
-	count, err := p.count()
-	if err != nil {
-		return nil, err
-	}
-	return p.appendIDs(make([]uint32, 0, count))
+	return p.appendIDs(make([]uint32, 0, p.count()))
 }
 
 // LookupPrefix returns the rows of every term with the given prefix
@@ -676,9 +568,6 @@ func (ix *Index) LookupPrefix(prefix string, rowCount int) (*bitutil.Bitset, err
 	bs := bitutil.NewBitset(rowCount)
 	if prefix == "" {
 		return bs, nil
-	}
-	if ix.legacy {
-		return bs, ix.legacyPrefixInto(bs, prefix)
 	}
 	if ix.n == 0 {
 		return bs, nil
@@ -701,26 +590,6 @@ func (ix *Index) LookupPrefix(prefix string, rowCount int) (*bitutil.Bitset, err
 		}
 	}
 	return bs, nil
-}
-
-func (ix *Index) legacyPrefixInto(bs *bitutil.Bitset, prefix string) error {
-	i, _, _, err := ix.legacySearch(prefix)
-	if err != nil {
-		return err
-	}
-	for ; i < ix.n; i++ {
-		t, postOff, err := ix.legacyEntryAt(i)
-		if err != nil {
-			return err
-		}
-		if !strings.HasPrefix(string(t), prefix) {
-			break
-		}
-		if err := (postings{counted: true, data: ix.entries[postOff:]}).orInto(bs); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LookupBitset returns the matching rows as a bitset sized to rowCount.
@@ -790,12 +659,8 @@ func (ix *Index) LookupRarest(bs *bitutil.Bitset, terms []string) error {
 		if err != nil || !ok {
 			return err
 		}
-		size, err := p.size()
-		if err != nil {
-			return err
-		}
-		if i == 0 || size < least {
-			rarest, least = p, size
+		if i == 0 || len(p.data) < least {
+			rarest, least = p, len(p.data)
 		}
 	}
 	return rarest.orInto(bs)

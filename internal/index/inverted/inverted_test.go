@@ -371,16 +371,6 @@ func TestLookupPrefix(t *testing.T) {
 // dictTerms decodes every term of the dictionary, in order.
 func dictTerms(ix *Index) ([]string, error) {
 	var terms []string
-	if ix.legacy {
-		for i := 0; i < ix.n; i++ {
-			term, _, err := ix.legacyEntryAt(i)
-			if err != nil {
-				return nil, err
-			}
-			terms = append(terms, string(term))
-		}
-		return terms, nil
-	}
 	prev := ""
 	for off := 0; len(terms) < ix.n; {
 		shared, n, err := bitutil.Uvarint(ix.entries[off:])

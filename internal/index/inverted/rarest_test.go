@@ -23,8 +23,8 @@ func rarestProbes(values []string) []string {
 }
 
 // TestLookupRarest holds LookupRarest, over the builder's index and
-// over an index of the layout written before it that also holds whole
-// values, to its definition: every row when the literal has no tokens,
+// over one that also holds whole values, as indexes written before
+// tokens alone were indexed do, to its definition: every row when the literal has no tokens,
 // no row when a token is missing, else the rows of one of its tokens —
 // which must include each row holding all of them, so that verifying
 // the candidates against the stored values finds exactly the rows
@@ -41,7 +41,7 @@ func TestLookupRarest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wholeValues, err := OpenLegacy(legacyBuild(values, wholeValueTerms))
+	wholeValues, err := Open(buildTerms(values, wholeValueTerms))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestLookupRarest(t *testing.T) {
 			got := bs.Slice()
 			if len(terms) == 0 {
 				if len(got) != n {
-					t.Fatalf("no terms (%q, legacy %v): %d rows, want all %d", probe, ix.legacy, len(got), n)
+					t.Fatalf("no terms (%q, whole values %v): %d rows, want all %d", probe, ix == wholeValues, len(got), n)
 				}
 				continue
 			}
@@ -71,16 +71,16 @@ func TestLookupRarest(t *testing.T) {
 				ids, _ := tokensOnly.Lookup(term)
 				return slices.Equal(toInts(ids), got)
 			}) {
-				t.Fatalf("%q (legacy %v): rows %v are no term's", probe, ix.legacy, got)
+				t.Fatalf("%q (whole values %v): rows %v are no term's", probe, ix == wholeValues, got)
 			}
 			for _, row := range want {
 				if !bs.Test(row) {
-					t.Fatalf("%q (legacy %v): row %d holds every term but is not a candidate", probe, ix.legacy, row)
+					t.Fatalf("%q (whole values %v): row %d holds every term but is not a candidate", probe, ix == wholeValues, row)
 				}
 			}
 			for row, v := range values {
 				if v == probe && !bs.Test(row) {
-					t.Fatalf("%q (legacy %v): equal row %d is not a candidate", probe, ix.legacy, row)
+					t.Fatalf("%q (whole values %v): equal row %d is not a candidate", probe, ix == wholeValues, row)
 				}
 			}
 		}
@@ -92,7 +92,7 @@ func TestLookupRarest(t *testing.T) {
 					t.Fatal(err)
 				}
 			}); allocs != 0 {
-				t.Errorf("LookupRarest(%q) (legacy %v) allocates %.0f times", terms, ix.legacy, allocs)
+				t.Errorf("LookupRarest(%q) (whole values %v) allocates %.0f times", terms, ix == wholeValues, allocs)
 			}
 		}
 	}
@@ -121,7 +121,7 @@ func TestMatchWithoutWholeValueTerms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wholeValues, err := OpenLegacy(legacyBuild(values, wholeValueTerms))
+		wholeValues, err := Open(buildTerms(values, wholeValueTerms))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,9 +46,9 @@ func repack(t *testing.T, packed []byte, edit func([]record)) []byte {
 	return appendTrailer(out, len(out)-manOff)
 }
 
-// TestOpenReaderCorrupt damages a valid packed LogBlock, and a legacy
-// tar one, in the ways a torn upload or bit rot would and checks
-// OpenReader rejects each one.
+// TestOpenReaderCorrupt damages a valid packed LogBlock, and a tar one
+// of an older release, which it refuses whole, in the ways a torn
+// upload or bit rot would and checks OpenReader rejects each one.
 func TestOpenReaderCorrupt(t *testing.T) {
 	packed := packedFixture(t)
 	magicAt := bytes.Index(packed, []byte(Magic))
@@ -69,7 +69,7 @@ func TestOpenReaderCorrupt(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"truncated tar header", legacy[:100]},
-		{"truncated manifest", legacy[:tarBlock+4]},
+		{"truncated manifest", legacy[:512+4]}, // a tar header, then the manifest's first bytes
 		{"truncated before meta", packed[:magicAt]},
 		{"bad meta magic", func() []byte {
 			p := bytes.Clone(packed)

@@ -29,9 +29,9 @@
 // through the trailer, and holds it positionally: the meta extent,
 // Index[col] and Data[col*NumBlocks+blk].
 //
-// Objects written before this layout are tars whose manifest names its
-// parts ("meta", "index/<col>", "data/<col>/<blk>"); legacy.go maps them
-// into the same positions, so they open and read unchanged.
+// Objects written before this layout are tars; OpenReader refuses them
+// with ErrLegacyLayout, and package tarblock reads them for their
+// one-time rewrite.
 package logblock
 
 import (
@@ -49,7 +49,8 @@ const DefaultBlockRows = 4096
 
 // The trailer closes every packed object: the manifest's length as a
 // little-endian u32, the format version as a u16, then trailerMagic. A
-// legacy tar ends in zero blocks, so the magic tells the two apart.
+// tar of an older release ends in zero blocks, so the magic tells the
+// two apart.
 const (
 	trailerMagic  = "LGBF"
 	formatVersion = 1

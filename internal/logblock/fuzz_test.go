@@ -1,6 +1,7 @@
 package logblock
 
 import (
+	"errors"
 	"math"
 	"os"
 	"testing"
@@ -23,18 +24,19 @@ func fuzzPacked(f *testing.F) []byte {
 }
 
 // FuzzOpenReader treats the input as a complete packed LogBlock object:
-// data, index and meta parts, manifest and trailer, or a legacy tar.
-// Whatever OpenReader accepts must then survive the whole read surface —
-// part fetches, index opens and lookups in the encoding the meta names,
-// block decodes — returning errors for damage, never panicking.
+// data, index and meta parts, manifest and trailer. Whatever OpenReader
+// accepts must then survive the whole read surface — part fetches,
+// index opens and lookups, block decodes — returning errors for damage,
+// never panicking; and an object that does not end in the trailer, as
+// the tars of older releases do not, is refused with ErrLegacyLayout.
 func FuzzOpenReader(f *testing.F) {
 	packed := fuzzPacked(f)
 	f.Add(packed)
 	f.Add(packed[:len(packed)-2]) // trailer torn off
-	// Objects of the one-member-per-part layout and of the legacy index
+	// Tars of the one-member-per-part layout and of the legacy index
 	// encoding; the checked-in seed-packed and seed-truncated corpus
 	// entries are the first, the *-four-members ones the second, and the
-	// *-compact-index ones four-member tars with the current index
+	// *-compact-index ones four-member tars with the compact index
 	// encoding.
 	for _, file := range []string{"parent_layout.tar", "legacy_index.tar"} {
 		old, err := os.ReadFile("testdata/" + file)
@@ -52,6 +54,9 @@ func FuzzOpenReader(f *testing.F) {
 			return
 		}
 		r, err := OpenReader(BytesFetcher(data))
+		if len(data) > 0 && !hasTrailer(data) && !errors.Is(err, ErrLegacyLayout) {
+			t.Fatalf("an object with no trailer opened with %v, want ErrLegacyLayout", err)
+		}
 		if err != nil {
 			return
 		}

@@ -146,32 +146,6 @@ func TestPartsGolden(t *testing.T) {
 	}
 }
 
-// TestParentLayoutFixture reads two objects of goldenRows(12, 17) at
-// BlockRows 8 packed by earlier commits — testdata/parent_layout.tar,
-// with one tar member per part, and testdata/legacy_index.tar, with
-// four members and the legacy index encoding — and checks them against
-// the same rows packed now: the same manifest names but for the tenant
-// column's index, which a LogBlock no longer writes; behind them the
-// same data parts (DEFLATE ones may differ in bytes, with the level,
-// but not in rows); the same meta but for the index formats and the
-// tenant column's index; and indexes that answer every equality and
-// MATCH alike.
-func TestParentLayoutFixture(t *testing.T) {
-	rows := goldenRows(12, 17)
-	newReader := buildAndOpen(t, rows, BuildOptions{BlockRows: 8})
-	for _, file := range []string{"parent_layout.tar", "legacy_index.tar"} {
-		t.Run(file, func(t *testing.T) {
-			oldReader := openFixture(t, file)
-			for ci := range oldReader.Meta.Columns {
-				if f := oldReader.Meta.Columns[ci].IndexFormat; f != IndexFormatLegacy {
-					t.Fatalf("column %d of the parent's object has index format %d", ci, f)
-				}
-			}
-			assertSameButIndexes(t, oldReader, newReader, rows)
-		})
-	}
-}
-
 func openFixture(t *testing.T, file string) *Reader {
 	t.Helper()
 	old, err := os.ReadFile("testdata/" + file)
@@ -187,12 +161,22 @@ func openFixture(t *testing.T, file string) *Reader {
 
 // assertSameButIndexes checks that an object written before inverted
 // indexes held tokens only differs from one of the same rows written
-// now in its indexes alone: the same manifest names but for the tenant
-// column's index; the same data parts byte for byte but for DEFLATE
-// ones, whose bytes follow the compression level, and the same rows
-// from them all; the same meta but for the index formats and the
-// tenant column's index kind; and indexes that answer alike.
+// now in its indexes alone (assertSameParts), and that the indexes
+// answer alike.
 func assertSameButIndexes(t *testing.T, oldReader, newReader *Reader, rows []schema.Row) {
+	t.Helper()
+	assertSameParts(t, oldReader, newReader)
+	assertIndexesAgree(t, newReader, oldReader, rows)
+}
+
+// assertSameParts checks that an object written by an older release
+// holds what one of the same rows written now does, but for its
+// indexes: the same manifest names but for the tenant column's index;
+// the same data parts byte for byte but for DEFLATE ones, whose bytes
+// follow the compression level, and the same rows from them all; the
+// same meta but for the index formats and the tenant column's index
+// kind.
+func assertSameParts(t *testing.T, oldReader, newReader *Reader) {
 	t.Helper()
 	tenant := newReader.Meta.Schema.TenantIdx()
 	tenantIndex := fmt.Sprintf("index/%d", tenant)
@@ -244,7 +228,6 @@ func assertSameButIndexes(t *testing.T, oldReader, newReader *Reader, rows []sch
 	if !bytes.Equal(m.Encode(), newReader.Meta.Encode()) {
 		t.Error("meta differs from the parent's by more than the index formats and the tenant column's index")
 	}
-	assertIndexesAgree(t, newReader, oldReader, rows)
 }
 
 // partCodec returns the codec of a data part: the byte after its
@@ -462,23 +445,6 @@ func TestBuildConcurrentDeterministic(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestTarLayoutFixture reads testdata/four_member.tar, goldenRows(12,
-// 17) at BlockRows 8 packed by the last commit that wrote a tar (four
-// members, the compact index encoding with whole-value terms), and
-// checks it against the same rows packed now: the format change moved
-// the framing, not a byte of any LZ4 data part nor a row of the
-// others, and the token-only indexes answer as the compact ones did.
-func TestTarLayoutFixture(t *testing.T) {
-	rows := goldenRows(12, 17)
-	oldReader := openFixture(t, "four_member.tar")
-	for ci, cm := range oldReader.Meta.Columns {
-		if cm.Index != schema.IndexNone && cm.IndexFormat != IndexFormatCompact {
-			t.Fatalf("column %d of the tar has index format %d", ci, cm.IndexFormat)
-		}
-	}
-	assertSameButIndexes(t, oldReader, buildAndOpen(t, rows, BuildOptions{BlockRows: 8}), rows)
 }
 
 // TestCompactIndexFixture reads testdata/compact_index.lgb,

@@ -2,6 +2,7 @@ package logblock
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -578,33 +579,6 @@ func BenchmarkOpenReader(b *testing.B) {
 	}
 }
 
-// TestMemberNames pins the names legacy manifests address parts by —
-// old objects carry them spelled by fmt — to the positions the legacy
-// decoder maps them to, and its cost: parsing a name allocates nothing.
-func TestMemberNames(t *testing.T) {
-	for _, col := range []int{0, 7, 10, 123456} {
-		if kind, c, _, ok := parseLegacyName(fmt.Sprintf("index/%d", col)); !ok || kind != kindIndex || c != col {
-			t.Errorf("index/%d parsed as kind %d column %d (%v)", col, kind, c, ok)
-		}
-		for _, blk := range []int{0, 9, 10, 4095} {
-			if kind, c, b, ok := parseLegacyName(fmt.Sprintf("data/%d/%d", col, blk)); !ok || kind != kindData || c != col || b != blk {
-				t.Errorf("data/%d/%d parsed as kind %d column %d block %d (%v)", col, blk, kind, c, b, ok)
-			}
-		}
-	}
-	if kind, _, _, ok := parseLegacyName("meta"); !ok || kind != kindMeta {
-		t.Errorf("meta parsed as kind %d (%v)", kind, ok)
-	}
-	for _, bad := range []string{"", "manifest", "index/", "index/x", "index/-1", "data/1", "data/1/", "data//2", "data/1/2/3", "data/1234567890/0"} {
-		if _, _, _, ok := parseLegacyName(bad); ok {
-			t.Errorf("%q parsed as a part name", bad)
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { parseLegacyName("data/6/12") }); n != 0 {
-		t.Errorf("parseLegacyName allocates %.0f times", n)
-	}
-}
-
 // countingFetcher counts the fetches made through it.
 type countingFetcher struct {
 	Fetcher
@@ -618,8 +592,9 @@ func (c *countingFetcher) Fetch(off, size int64) ([]byte, error) {
 
 // TestOpenFetches pins what an open costs in fetches: one for an object
 // whose manifest and meta lie in its last TailSize bytes, small or
-// large; two when the meta outgrows the tail; and at most two for a
-// legacy tar, whose manifest is found through the header at offset 0.
+// large; two when the meta outgrows the tail; and one for a tar of an
+// older release, whose tail shows it is no footer object, and which it
+// refuses with ErrLegacyLayout.
 func TestOpenFetches(t *testing.T) {
 	pack := func(n, blockRows int) []byte {
 		t.Helper()
@@ -645,21 +620,28 @@ func TestOpenFetches(t *testing.T) {
 		name    string
 		object  []byte
 		fetches int
+		tar     bool
 	}{
-		{"small", pack(40, 0), 1},
-		{"larger than the tail", pack(4000, 0), 1},
-		{"meta larger than the tail", pack(4000, 16), 2},
-		{"one member per part", fixture("parent_layout.tar"), 2},
-		{"legacy index", fixture("legacy_index.tar"), 1},
-		{"four members", fixture("four_member.tar"), 1},
+		{"small", pack(40, 0), 1, false},
+		{"larger than the tail", pack(4000, 0), 1, false},
+		{"meta larger than the tail", pack(4000, 16), 2, false},
+		{"one member per part", fixture("parent_layout.tar"), 1, true},
+		{"legacy index", fixture("legacy_index.tar"), 1, true},
+		{"four members", fixture("four_member.tar"), 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := &countingFetcher{Fetcher: BytesFetcher(tc.object)}
 			r, err := OpenReader(f)
-			if err != nil {
+			switch {
+			case tc.tar:
+				if !errors.Is(err, ErrLegacyLayout) {
+					t.Fatalf("tar opened with %v, want ErrLegacyLayout", err)
+				}
+			case err != nil:
 				t.Fatal(err)
+			default:
+				t.Logf("%d-byte object, %d-byte meta", len(tc.object), r.Manifest.Meta.Size)
 			}
-			t.Logf("%d-byte object, %d-byte meta", len(tc.object), r.Manifest.Meta.Size)
 			if f.fetches != tc.fetches {
 				t.Errorf("open of a %d-byte object made %d fetches, want %d", len(tc.object), f.fetches, tc.fetches)
 			}
@@ -687,5 +669,37 @@ func TestBuildScratchSurvivesGC(t *testing.T) {
 	})
 	if afterGC > steady {
 		t.Errorf("Build allocates %.0f times after a GC, %.0f in a steady stream", afterGC, steady)
+	}
+}
+
+// TestConstantColumnFeedsNoTree: a BKD column that holds one value gets
+// no tree, and Build learns so before its rows reach the BKD builder,
+// which holds no entry afterwards.
+func TestConstantColumnFeedsNoTree(t *testing.T) {
+	sch := schema.RequestLogSchema()
+	rows := makeRows(t, 1, 300, 4)
+	for _, r := range rows {
+		for ci, col := range sch.Columns {
+			if col.Index == schema.IndexBKD {
+				r[ci] = schema.IntValue(1234) // tenant, ts and latency alike
+			}
+		}
+	}
+	for len(freeScratch) > 0 {
+		<-freeScratch
+	}
+	s := getScratch() // a fresh one, which Build takes from the free list
+	putScratch(s)
+	built, err := Build(sch, rows, BuildOptions{BlockRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.bkd.Len(); n != 0 {
+		t.Errorf("the BKD builder holds %d entries after a block of constant columns", n)
+	}
+	for ci, cm := range built.Meta.Columns {
+		if sch.Columns[ci].Index == schema.IndexBKD && cm.Index != schema.IndexNone {
+			t.Errorf("constant column %d has index kind %d", ci, cm.Index)
+		}
 	}
 }

@@ -33,9 +33,11 @@ type IndexFormat uint8
 
 const (
 	// IndexFormatLegacy is the encoding of objects written before the
-	// compact one: an inverted index's dictionary as whole terms, each
-	// with its delta-varint postings, behind an offset per term; a BKD
-	// tree with a row id per entry.
+	// compact one, all of them tars: an inverted index's dictionary as
+	// whole terms, each with its delta-varint postings, behind an offset
+	// per term; a BKD tree with a row id per entry. A Reader refuses to
+	// load such an index (ErrLegacyLayout); a rewrite reads only the
+	// object's meta and data.
 	IndexFormatLegacy IndexFormat = 0
 	// IndexFormatCompact is the encoding Build writes for BKD trees,
 	// and wrote for inverted indexes before IndexFormatTokens: a

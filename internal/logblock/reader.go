@@ -1,6 +1,7 @@
 package logblock
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -126,13 +127,49 @@ func (r *Reader) SetVectorCache(c VectorCache, object string) {
 // indexes are loaded, so long-lived holders should re-poll.
 func (r *Reader) RetainedBytes() int64 { return r.shared.retained.Load() }
 
+// ErrLegacyLayout is the error of an object written by an older
+// release: a tar, whose parts this package no longer finds, or an index
+// in an encoding it no longer reads. Such objects are rewritten once,
+// by Cluster.RewriteLegacy, and then serve as any other.
+var ErrLegacyLayout = errors.New("logblock: object in the layout of an older release; rewrite it with Cluster.RewriteLegacy")
+
 // OpenReader reads the object's last min(size, TailSize) bytes and
 // decodes the manifest and the meta from them; a block whose manifest
 // and meta outgrow that tail costs one more fetch. An object whose tail
-// is not a trailer is a legacy tar, whose manifest is found through the
-// tar header at offset 0: one more fetch when the object is larger than
-// TailSize.
+// is not a trailer is refused with ErrLegacyLayout.
 func OpenReader(f Fetcher) (*Reader, error) {
+	o, err := newOpener(f)
+	if err != nil {
+		return nil, err
+	}
+	n := min(o.size, TailSize)
+	tail, err := o.read(o.size-n, n)
+	if err != nil {
+		return nil, fmt.Errorf("logblock: read tail: %w", err)
+	}
+	if !hasTrailer(tail) {
+		return nil, ErrLegacyLayout
+	}
+	man, err := o.footerManifest(tail)
+	if err != nil {
+		return nil, err
+	}
+	return o.open(man)
+}
+
+// OpenManifest opens the object f whose manifest the caller has decoded
+// from a layout OpenReader refuses, so that a rewrite can read its
+// rows. The reader refuses to load an index in an encoding before the
+// compact one (IndexFormatLegacy) with ErrLegacyLayout.
+func OpenManifest(f Fetcher, man *Manifest) (*Reader, error) {
+	o, err := newOpener(f)
+	if err != nil {
+		return nil, err
+	}
+	return o.open(man)
+}
+
+func newOpener(f Fetcher) (*opener, error) {
 	size, err := f.Size()
 	if err != nil {
 		return nil, fmt.Errorf("logblock: object size: %w", err)
@@ -140,21 +177,12 @@ func OpenReader(f Fetcher) (*Reader, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("logblock: empty object")
 	}
-	o := &opener{f: f, size: size}
-	n := min(size, TailSize)
-	tail, err := o.read(size-n, n)
-	if err != nil {
-		return nil, fmt.Errorf("logblock: read tail: %w", err)
-	}
-	var man *Manifest
-	if hasTrailer(tail) {
-		man, err = o.footerManifest(tail)
-	} else {
-		man, err = o.tarManifest()
-	}
-	if err != nil {
-		return nil, err
-	}
+	return &opener{f: f, size: size}, nil
+}
+
+// open reads and decodes the meta man locates and returns the reader
+// over both.
+func (o *opener) open(man *Manifest) (*Reader, error) {
 	metaRaw, err := o.read(man.Meta.Offset, man.Meta.Size)
 	if err != nil {
 		return nil, fmt.Errorf("logblock: read meta: %w", err)
@@ -167,7 +195,7 @@ func OpenReader(f Fetcher) (*Reader, error) {
 		return nil, fmt.Errorf("logblock: manifest has %d data parts in blocks of %d, meta %d columns of %d blocks",
 			len(man.Data), man.NumBlocks, len(meta.Columns), meta.NumBlocks)
 	}
-	r := &Reader{fetch: f, Manifest: man, Meta: meta, shared: &readerShared{}}
+	r := &Reader{fetch: o.f, Manifest: man, Meta: meta, shared: &readerShared{}}
 	const readerOverhead = 512 // structs, maps, slice headers
 	r.shared.retained.Store(man.retainedBytes() + int64(len(metaRaw)) + readerOverhead)
 	return r, nil
@@ -221,32 +249,17 @@ func (o *opener) footerManifest(tail []byte) (*Manifest, error) {
 	return decodeManifest(raw, manOff)
 }
 
-// tarManifest decodes the manifest of a legacy tar, the payload of its
-// first member. It reads the object's head in one piece, which in every
-// tar this package wrote holds the manifest and the meta.
-func (o *opener) tarManifest() (*Manifest, error) {
-	head, err := o.read(0, min(o.size, TailSize))
-	if err != nil {
-		return nil, fmt.Errorf("logblock: read manifest header: %w", err)
-	}
-	msize, err := parseTarSize(head)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := o.read(tarBlock, msize)
-	if err != nil {
-		return nil, fmt.Errorf("logblock: read manifest: %w", err)
-	}
-	return decodeLegacyManifest(raw, o.size)
-}
-
 // HasIndex reports whether column col has a serialized index part.
 func (r *Reader) HasIndex(col int) bool {
 	return r.Manifest.IndexExtent(col) != Extent{}
 }
 
-// readIndex fetches column col's serialized index.
+// readIndex fetches column col's serialized index, which must be in an
+// encoding the index packages read.
 func (r *Reader) readIndex(col int) ([]byte, error) {
+	if r.Meta.Columns[col].IndexFormat == IndexFormatLegacy {
+		return nil, ErrLegacyLayout
+	}
 	ext := r.Manifest.IndexExtent(col)
 	if ext == (Extent{}) {
 		return nil, fmt.Errorf("logblock: no index of column %d in the manifest", col)
@@ -280,11 +293,7 @@ func (r *Reader) InvertedIndex(col int) (*inverted.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	open := inverted.Open
-	if r.Meta.Columns[col].IndexFormat == IndexFormatLegacy {
-		open = inverted.OpenLegacy
-	}
-	ix, err := open(raw)
+	ix, err := inverted.Open(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -317,11 +326,7 @@ func (r *Reader) BKDIndex(col int) (*bkd.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	open := bkd.Open
-	if r.Meta.Columns[col].IndexFormat == IndexFormatLegacy {
-		open = bkd.OpenLegacy
-	}
-	t, err := open(raw)
+	t, err := bkd.Open(raw)
 	if err != nil {
 		return nil, err
 	}

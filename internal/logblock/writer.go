@@ -231,7 +231,14 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 		case schema.IndexInverted:
 			s.inv.Reset()
 		case schema.IndexBKD:
-			s.bkd.Reset(opts.BKDLeafSize)
+			// A BKD tree over one value is never probed: the column SMA
+			// refutes or implies every interval on the column before the
+			// index level is reached. The tenant column is always so.
+			if constantInt(sorted, ci) {
+				cm.Index = schema.IndexNone
+			} else {
+				s.bkd.Reset(opts.BKDLeafSize)
+			}
 		}
 
 		for bi := 0; bi < numBlocks; bi++ {
@@ -278,12 +285,6 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 			dataParts = append(dataParts, part{col: ci, blk: bi, size: len(s.data) - partStart})
 		}
 
-		// A BKD tree over one value is never probed: the column SMA
-		// refutes or implies every interval on the column before the
-		// index level is reached. The tenant column is always so.
-		if cm.Index == schema.IndexBKD && cm.SMA.MinI == cm.SMA.MaxI {
-			cm.Index = schema.IndexNone
-		}
 		partStart := len(s.index)
 		switch cm.Index {
 		case schema.IndexInverted:
@@ -306,6 +307,17 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 		data:  append([]byte(nil), s.data...),
 		parts: parts,
 	}, nil
+}
+
+// constantInt reports whether int column ci holds one value in every
+// row, stopping at the first that differs.
+func constantInt(rows []schema.Row, ci int) bool {
+	for _, r := range rows[1:] {
+		if r[ci].I != rows[0][ci].I {
+			return false
+		}
+	}
+	return true
 }
 
 // validityPrefix is the head of a data part whose n rows are all

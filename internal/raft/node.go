@@ -221,6 +221,12 @@ func NewNode(cfg Config) (*Node, error) {
 	n.commitIndex = n.base
 	n.applied.Store(n.base)
 	n.resetElectionTimer()
+	if len(cfg.Peers) == 1 {
+		// A node that is its whole peer set has nobody to hear from: it
+		// leads from the start, and commits the log it recovered, so a
+		// proposal made as soon as it returns finds a leader.
+		n.startElection()
+	}
 	n.updateStatus()
 
 	n.applyWG.Add(1)
@@ -439,9 +445,7 @@ func (n *Node) tick() {
 			n.broadcastAppend()
 		}
 	default:
-		// A node that is its whole peer set has nobody to hear from: it
-		// elects itself at once instead of waiting out a timeout.
-		if n.elapsed >= n.electionLimit || len(n.cfg.Peers) == 1 {
+		if n.elapsed >= n.electionLimit {
 			n.startElection()
 		}
 	}

@@ -533,39 +533,28 @@ func (w *Worker) AppendTrustedCtx(ctx context.Context, shardID flow.ShardID, row
 type PendingAppend struct {
 	err error // the outcome, when sh is nil
 
-	// Otherwise the unit is data, one group proposal bound for sh's raft
-	// node: in flight as prop, or, when proposed is false, not sent yet
-	// because the node had not elected itself at enqueue.
-	w        *Worker
-	sh       *Shard
-	data     []byte
-	prop     raft.Pending
-	proposed bool
+	// Otherwise the unit is one group proposal in flight on sh's raft
+	// node.
+	w    *Worker
+	sh   *Shard
+	prop raft.Pending
 }
 
 // Wait blocks until the unit has committed or failed and returns that
-// outcome. If the node had not elected itself at enqueue, Wait proposes
-// the bytes once it has (proposeGroup). It takes no context: an
-// in-flight proposal is not abandoned mid-commit — a commit outcome
-// must stay unambiguous — and proposeGroup's deadline bounds how long
-// that takes. Wait then waits, for at most 5 s more, until the node has
-// applied the commit index it reads after the ack: that index covers
-// this unit's entry (and may cover later ones), so an ack means the
-// rows are visible. A stop before the apply leaves the unit committed
-// in the log the shard restarts on, and a slow apply past the bound
-// leaves it committed too: both still ack.
+// outcome; a node stopped under it by the worker going down fails it
+// with ErrWorkerDown. It
+// takes no context: an in-flight proposal is not abandoned mid-commit —
+// a commit outcome must stay unambiguous. Wait then waits, for at most
+// 5 s more, until the node has applied the commit index it reads after
+// the ack: that index covers this unit's entry (and may cover later
+// ones), so an ack means the rows are visible. A stop before the apply
+// leaves the unit committed in the log the shard restarts on, and a
+// slow apply past the bound leaves it committed too: both still ack.
 func (p PendingAppend) Wait() error {
 	if p.sh == nil {
 		return p.err
 	}
-	err := raft.ErrNotLeader // nothing sent yet: as if its leader had stepped down
-	if p.proposed {
-		err = p.prop.Wait()
-	}
-	if errors.Is(err, raft.ErrNotLeader) || errors.Is(err, raft.ErrStopped) {
-		err = p.w.proposeGroup(p.sh, p.data)
-	}
-	if err != nil {
+	if err := p.w.stopped(p.prop.Wait()); err != nil {
 		return err
 	}
 	p.sh.waitApplied()
@@ -596,9 +585,8 @@ func (p PendingAppend) Wait() error {
 // It never blocks and fails fast, before any raft work, on a dead ctx,
 // a down worker, an overloaded shipper — and a full sync_queue: that
 // refusal, raft.ErrBackpressure, is the paper's BFC reaching the client,
-// and nothing of the unit is retained. A node that has not elected
-// itself yet (the first tick after AddShard) is not an error; Wait
-// proposes the unit once it has.
+// and nothing of the unit is retained. A shard's node is its whole peer
+// set and leads from AddShard on, so the unit is proposed at once.
 func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batches [][]schema.Row) PendingAppend {
 	if err := ctx.Err(); err != nil {
 		return PendingAppend{err: err}
@@ -616,17 +604,23 @@ func (w *Worker) EnqueueAppend(ctx context.Context, shardID flow.ShardID, batche
 		// new appends instead of growing local-only acked state.
 		return PendingAppend{err: raft.ErrBackpressure}
 	}
-	p := PendingAppend{w: w, sh: sh, data: encodeUnit(batches)}
-	if sh.node.IsLeader() {
-		p.prop, err = sh.node.ProposeAsync(p.data)
-		if err != nil {
-			return PendingAppend{err: err}
-		}
-		p.proposed = true
+	prop, err := sh.node.ProposeAsync(encodeUnit(batches))
+	if err != nil {
+		return PendingAppend{err: w.stopped(err)}
 	}
 	sh.units.Add(1)
 	sh.subs.Add(int64(len(batches)))
-	return p
+	return PendingAppend{w: w, sh: sh, prop: prop}
+}
+
+// stopped maps raft.ErrStopped, the error of a node stopped under a
+// proposal, to ErrWorkerDown when the worker is down, so that callers
+// fail over as from a worker found down at enqueue.
+func (w *Worker) stopped(err error) error {
+	if errors.Is(err, raft.ErrStopped) && w.down.Load() {
+		return ErrWorkerDown
+	}
+	return err
 }
 
 // SlowShardApply injects (or clears, d = 0) a delay before every
@@ -664,30 +658,6 @@ func (w *Worker) MemoryFootprint() int64 {
 	total += w.blockCache.MemoryUsed()
 	total += w.objectCache.Used()
 	return total
-}
-
-// proposeGroup drives one group proposal through the shard's node,
-// retrying briefly until it has elected itself.
-func (w *Worker) proposeGroup(sh *Shard, data []byte) error {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if w.down.Load() {
-			return ErrWorkerDown
-		}
-		if sh.node.IsLeader() {
-			err := sh.node.Propose(data)
-			if err == nil || errors.Is(err, raft.ErrBackpressure) {
-				return err
-			}
-			// ErrNotLeader: the node had not finished its election.
-			// ErrStopped: the worker is stopping; the next round sees
-			// it down.
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("worker %d shard %d: no raft leader", w.cfg.ID, sh.ID)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // ApplyCounters aggregates the shards' apply-path counters.
@@ -1372,6 +1342,15 @@ func (w *Worker) CompactTenant(tenant int64, targetRows int) (int, error) {
 	w.archiveMu.Lock()
 	defer w.archiveMu.Unlock()
 	return w.bld.CompactTenant(tenant, targetRows)
+}
+
+// RewriteLegacy packs again the tenant's LogBlocks that an older
+// release wrote (see builder.RewriteLegacy), serialized with archiving
+// as CompactTenant is.
+func (w *Worker) RewriteLegacy(tenant int64) (int, error) {
+	w.archiveMu.Lock()
+	defer w.archiveMu.Unlock()
+	return w.bld.RewriteLegacy(tenant)
 }
 
 // CacheStats exposes block-cache hit rates for experiments.

@@ -322,10 +322,10 @@ func TestWorkerLeaderKillFailover(t *testing.T) {
 	}
 }
 
-// TestAppendBeforeElection: a shard's node elects itself on its first
-// tick, so an append enqueued right after AddShard finds no leader. Its
-// Wait proposes the unit once the node leads, and every such unit lands
-// exactly once.
+// TestAppendBeforeElection: a shard's node leads from AddShard on, so
+// units enqueued right after it, with the first raft tick a second
+// away, are proposed at once and ack without waiting for a tick, and
+// every such unit lands exactly once.
 func TestAppendBeforeElection(t *testing.T) {
 	w, err := New(Config{
 		ID: 1, ArchiveInterval: time.Hour,
@@ -340,18 +340,18 @@ func TestAppendBeforeElection(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Theta: 0, Seed: 13, StartMS: 0})
+	start := time.Now()
 	var early []PendingAppend
 	for i := 0; i < 3; i++ {
-		p := w.EnqueueAppend(context.Background(), 0, [][]schema.Row{gen.Batch(40)})
-		if p.proposed {
-			t.Fatalf("unit %d found the node leading a second after AddShard", i)
-		}
-		early = append(early, p)
+		early = append(early, w.EnqueueAppend(context.Background(), 0, [][]schema.Row{gen.Batch(40)}))
 	}
 	for i, p := range early {
 		if err := p.Wait(); err != nil {
-			t.Fatalf("unit %d enqueued before the election: %v", i, err)
+			t.Fatalf("unit %d enqueued right after AddShard: %v", i, err)
 		}
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("the units enqueued right after AddShard acked after %v, not before the first tick", took)
 	}
 	if err := w.Append(0, gen.Batch(40)); err != nil {
 		t.Fatal(err)

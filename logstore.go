@@ -737,6 +737,23 @@ func (c *Cluster) WaitForArchive(timeout time.Duration) int64 {
 // background housekeeping that keeps high-frequency archiving from
 // littering object storage with tiny objects.
 func (c *Cluster) CompactNow(targetRows int) (int, error) {
+	return c.eachTenant(func(w *worker.Worker, tenant int64) (int, error) {
+		return w.CompactTenant(tenant, targetRows)
+	})
+}
+
+// RewriteLegacy packs again, in the current layout, every LogBlock that
+// an older release wrote: the objects the query path refuses with
+// logblock.ErrLegacyLayout. Run it once after upgrading a cluster in
+// place; it returns the number of blocks rewritten, and a second run
+// rewrites none.
+func (c *Cluster) RewriteLegacy() (int, error) {
+	return c.eachTenant((*worker.Worker).RewriteLegacy)
+}
+
+// eachTenant runs a catalog-wide housekeeping task on every tenant
+// through one worker, summing what it reports.
+func (c *Cluster) eachTenant(task func(w *worker.Worker, tenant int64) (int, error)) (int, error) {
 	c.mu.RLock()
 	var w *worker.Worker
 	for _, cand := range c.workers {
@@ -749,7 +766,7 @@ func (c *Cluster) CompactNow(targetRows int) (int, error) {
 	}
 	total := 0
 	for _, tenant := range c.catalog.Tenants() {
-		n, err := w.CompactTenant(tenant, targetRows)
+		n, err := task(w, tenant)
 		total += n
 		if err != nil {
 			return total, err
