@@ -22,6 +22,7 @@ import (
 	"slices"
 	"time"
 
+	"logstore/internal/bitutil"
 	"logstore/internal/index/bkd"
 	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
@@ -81,6 +82,34 @@ func seedRows(n int) []schema.Row {
 		}
 	}
 	return rows
+}
+
+// packBlock builds rows into a LogBlock and packs it.
+func packBlock(rows []schema.Row, opts logblock.BuildOptions) ([]byte, error) {
+	built, err := logblock.Build(schema.RequestLogSchema(), rows, opts)
+	if err != nil {
+		return nil, err
+	}
+	return built.Pack()
+}
+
+// raiseBlockCount returns a copy of obj, a packed LogBlock of one
+// column block, whose meta states two blocks while it still elides the
+// block headers.
+func raiseBlockCount(obj []byte) ([]byte, error) {
+	r, err := logblock.OpenReader(logblock.BytesFetcher(obj))
+	if err != nil {
+		return nil, err
+	}
+	m := r.Meta
+	at := int(r.Manifest.Meta.Offset) + len(logblock.Magic) + len(m.Schema.Marshal()) +
+		bitutil.UvarintLen(uint64(m.RowCount)) + 1 + bitutil.UvarintLen(uint64(m.BlockRows))
+	if m.NumBlocks != 1 || obj[at] != 1 {
+		return nil, fmt.Errorf("block count %d, byte %d at its offset", m.NumBlocks, obj[at])
+	}
+	out := slices.Clone(obj)
+	out[at] = 2
+	return out, nil
 }
 
 // shippedObjects runs a shipper for one shard over a snapshot of two
@@ -185,6 +214,15 @@ func run(root string) error {
 			return err
 		}
 	}
+	// String bounds as a LogBlock meta stores them: cut to
+	// sma.BoundLen bytes, the max incremented past a 0xFF byte.
+	cut := sma.New(schema.String)
+	cut.AddString("request served code=200 attempt=1")
+	cut.AddString("request served \xff\xffattempt=9")
+	cut.Truncate()
+	if err := writeSeed(smaDir, "seed-string-truncated-bounds", cut.AppendTo(nil)); err != nil {
+		return err
+	}
 
 	// internal/index/bkd: multi-leaf trees and truncated copies, each
 	// with range bounds that cut through the leaves — one that stores its
@@ -280,15 +318,36 @@ func run(root string) error {
 	// manifest.
 	sizesPastTrailer := slices.Clone(packed)
 	sizesPastTrailer[trailerAt-1]++
+	// Three metas of the current encoding: a LogBlock of one column
+	// block, whose meta elides the block headers; one with indexes
+	// (MinIndexedRows rows) in four blocks, whose log column bounds
+	// are cut; and the first with its block count raised to 2, which
+	// the elision forbids.
+	single, err := packBlock(seedRows(40), logblock.BuildOptions{})
+	if err != nil {
+		return err
+	}
+	indexed, err := packBlock(seedRows(logblock.MinIndexedRows), logblock.BuildOptions{BlockRows: logblock.MinIndexedRows / 4})
+	if err != nil {
+		return err
+	}
+	elidedTwoBlocks, err := raiseBlockCount(single)
+	if err != nil {
+		return err
+	}
+	opens := map[string]bool{"seed-footer": true, "seed-footer-single-block": true, "seed-footer-indexed": true}
 	openDir := filepath.Join(root, "internal/logblock/testdata/fuzz/FuzzOpenReader")
 	for name, obj := range map[string][]byte{
 		"seed-footer":                    packed,
 		"seed-footer-truncated-trailer":  packed[:len(packed)-2],
 		"seed-footer-manifest-too-long":  manifestTooLong,
 		"seed-footer-sizes-past-trailer": sizesPastTrailer,
+		"seed-footer-single-block":       single,
+		"seed-footer-indexed":            indexed,
+		"seed-footer-elided-two-blocks":  elidedTwoBlocks,
 	} {
 		_, err := logblock.OpenReader(logblock.BytesFetcher(obj))
-		if (name == "seed-footer") != (err == nil) {
+		if opens[name] != (err == nil) {
 			return fmt.Errorf("logblock seed %s: open returned %v", name, err)
 		}
 		if err := writeSeed(openDir, name, obj); err != nil {

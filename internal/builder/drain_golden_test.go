@@ -23,12 +23,13 @@ type drainedKey struct {
 // and sizes — for a fixed set of appends. The blocks are the ones the
 // boxed-row drain (a row store holding []schema.Row, before segments
 // kept their rows encoded) gave; their keys and sizes are those of the
-// footer layout with token-only inverted indexes, no BKD tree on the
-// one-tenant column and string blocks at DEFLATE's default level, which
-// moved every key once, as the footer layout and the compact index
-// encoding did before it. A segment
-// re-drained across an upgrade that keeps the object format must
-// deduplicate against what the old build committed, so neither the
+// footer layout with string blocks at DEFLATE's default level and, as
+// every block is below logblock.MinIndexedRows, no indexes; each is one
+// column block, so its meta holds no block headers, and string bounds
+// are cut to 16 bytes. Index admission moved every key once, as the
+// footer layout and the compact index encoding did before it. A
+// segment re-drained across an upgrade that keeps the object format
+// must deduplicate against what the old build committed, so neither the
 // grouping by tenant, nor the order within a tenant's run (arrival
 // order, stably sorted by time), nor where a run is chunked may move.
 // The appends cover four tenants, timestamps out of order with ties,
@@ -87,18 +88,18 @@ func TestDrainKeysGolden(t *testing.T) {
 }
 
 var goldenDrainKeys = []drainedKey{
-	{"request_log/tenant-0/logblock-0000000000001000-7a68f9a2103a3ddc.tar", 1078},
-	{"request_log/tenant-0/logblock-0000000000001000-7b3464a3fc713dc9.tar", 937},
-	{"request_log/tenant-0/logblock-0000000000001007-a6e2595140facb94.tar", 984},
-	{"request_log/tenant-0/logblock-0000000000001012-640677ad37a52573.tar", 872},
-	{"request_log/tenant-1/logblock-0000000000001000-ba29b0d1e874bff5.tar", 986},
-	{"request_log/tenant-1/logblock-0000000000001000-cf8167fcd990d008.tar", 988},
-	{"request_log/tenant-1/logblock-0000000000001007-ddd05668f079cd78.tar", 722},
-	{"request_log/tenant-1/logblock-0000000000001008-e17be7c7bdca8871.tar", 926},
-	{"request_log/tenant-2/logblock-0000000000001000-0cda41a77047fb18.tar", 927},
-	{"request_log/tenant-2/logblock-0000000000001001-bc1b4cd7cc0e7591.tar", 1086},
-	{"request_log/tenant-2/logblock-0000000000001009-6f1fa5935879edcf.tar", 821},
-	{"request_log/tenant-2/logblock-0000000000001010-5646c97609809713.tar", 987},
-	{"request_log/tenant-3/logblock-0000000000001001-19e668a4bce9d04e.tar", 978},
-	{"request_log/tenant-3/logblock-0000000000001006-ce3c6fd59baf38f7.tar", 986},
+	{"request_log/tenant-0/logblock-0000000000001000-b80619baefd567d9.tar", 558},
+	{"request_log/tenant-0/logblock-0000000000001000-c9cc06b2780bd397.tar", 615},
+	{"request_log/tenant-0/logblock-0000000000001007-7a6d3b1671f156a2.tar", 576},
+	{"request_log/tenant-0/logblock-0000000000001012-3ec02754eec21011.tar", 510},
+	{"request_log/tenant-1/logblock-0000000000001000-9893dfaae52e48d4.tar", 580},
+	{"request_log/tenant-1/logblock-0000000000001000-dd1d77415e6d65b1.tar", 582},
+	{"request_log/tenant-1/logblock-0000000000001007-4aa124ef4833fc63.tar", 451},
+	{"request_log/tenant-1/logblock-0000000000001008-1c86b55975b443d7.tar", 551},
+	{"request_log/tenant-2/logblock-0000000000001000-97759093b8caf9d7.tar", 558},
+	{"request_log/tenant-2/logblock-0000000000001001-3db7661f1242ad65.tar", 612},
+	{"request_log/tenant-2/logblock-0000000000001009-ee18add44c719f4c.tar", 496},
+	{"request_log/tenant-2/logblock-0000000000001010-00f2c32283f094c5.tar", 564},
+	{"request_log/tenant-3/logblock-0000000000001001-2f19df5cb3e5ac48.tar", 578},
+	{"request_log/tenant-3/logblock-0000000000001006-3b4c40c1be116564.tar", 581},
 }

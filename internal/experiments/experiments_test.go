@@ -154,9 +154,9 @@ func TestFig14Shapes(t *testing.T) {
 
 // fig15Scale is tinyScale with fewer tenants and more rows, so that
 // every LogBlock of the three tenants Figure 15 queries is larger than
-// the tail an open reads: only then does skipping a column block save
-// a fetch, and the comparison of wall times measure skipping rather
-// than noise.
+// the tail an open reads, and has indexes: only then does skipping a
+// column block save a fetch, and the comparison of wall times measure
+// skipping rather than noise.
 func fig15Scale() Scale {
 	s := tinyScale()
 	s.Tenants, s.Rows = 10, 48_000
@@ -173,6 +173,9 @@ func TestFig15Shape(t *testing.T) {
 		for _, b := range ds.catalog.Blocks(tenant) {
 			if b.Bytes <= logblock.TailSize {
 				t.Fatalf("tenant %d's LogBlock %s is %d bytes, within one open's tail read", tenant, b.Path, b.Bytes)
+			}
+			if b.Rows < logblock.MinIndexedRows {
+				t.Fatalf("tenant %d's LogBlock %s has %d rows, too few for indexes", tenant, b.Path, b.Rows)
 			}
 		}
 	}

@@ -99,6 +99,36 @@ func (s *SMA) Merge(o *SMA) {
 	s.Count += o.Count
 }
 
+// BoundLen is the longest string bound Truncate keeps. Whole-value
+// bounds of a log message column are two messages, written again for
+// every column block; 16 bytes keep whole the short values (addresses,
+// API paths, flags) that equality and range predicates name.
+const BoundLen = 16
+
+// Truncate cuts a string SMA's bounds to at most BoundLen bytes while
+// keeping them bounds, as Parquet's column-index statistics do: the min
+// becomes its prefix, and the max its prefix with the last byte below
+// 0xFF incremented and the bytes after it dropped. A max whose prefix
+// is all 0xFF has no shorter upper bound and is kept whole. A bound
+// that was cut never equals the other one, so NE is still refuted only
+// when every row equals the value.
+func (s *SMA) Truncate() {
+	if s.Kind != schema.String {
+		return
+	}
+	if len(s.MinS) > BoundLen {
+		s.MinS = s.MinS[:BoundLen]
+	}
+	if len(s.MaxS) > BoundLen {
+		for i := BoundLen - 1; i >= 0; i-- {
+			if c := s.MaxS[i]; c != 0xFF {
+				s.MaxS = s.MaxS[:i] + string([]byte{c + 1})
+				return
+			}
+		}
+	}
+}
+
 // Op is a comparison operator a predicate applies to a column.
 type Op uint8
 

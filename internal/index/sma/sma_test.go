@@ -2,6 +2,8 @@ package sma
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -302,5 +304,120 @@ func TestRangeAnswersBothWays(t *testing.T) {
 	empty := New(schema.Int64)
 	if empty.MayMatchRange(0, 10) || empty.AllMatchRange(0, 10, 0) {
 		t.Error("an empty SMA matched")
+	}
+}
+
+func TestTruncate(t *testing.T) {
+	long := "0123456789abcdef" // exactly BoundLen bytes
+	for _, tc := range []struct {
+		name     string
+		vals     []string
+		min, max string
+	}{
+		{"short values stay whole", []string{"192.168.0.7", "10.0.0.1"}, "10.0.0.1", "192.168.0.7"},
+		{"a value of exactly BoundLen bytes", []string{long}, long, long},
+		{"one byte past the cut", []string{long + "X", long + "Y"}, long, "0123456789abcdeg"},
+		{"0xFF at the cut carries", []string{"!", "0123456789abcde\xffzz"}, "!", "0123456789abcdf"},
+		{"0xFF bytes before the cut carry", []string{"!", "012345678901\xff\xff\xff\xff!"}, "!", "012345678902"},
+		{"a max of all 0xFF stays whole", []string{"a", strings.Repeat("\xff", 20)}, "a", strings.Repeat("\xff", 20)},
+		{"a long min is cut, a short max kept", []string{"request served code=200", "z"}, "request served c", "z"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(schema.String)
+			for _, v := range tc.vals {
+				s.AddString(v)
+			}
+			s.Truncate()
+			if s.MinS != tc.min || s.MaxS != tc.max || s.Count != int64(len(tc.vals)) {
+				t.Fatalf("truncated to [%q, %q] of %d, want [%q, %q]", s.MinS, s.MaxS, s.Count, tc.min, tc.max)
+			}
+		})
+	}
+	i := New(schema.Int64)
+	i.AddInt(-3)
+	i.AddInt(1 << 40)
+	before := *i
+	if i.Truncate(); *i != before {
+		t.Fatalf("an int SMA changed: %+v", i)
+	}
+}
+
+// TestTruncatedMayMatch: bounds cut by Truncate still skip what lies
+// outside them, and never refute a predicate some row satisfies; NE is
+// refuted only when every row equals the value.
+func TestTruncatedMayMatch(t *testing.T) {
+	s := New(schema.String)
+	s.AddString("apple pie with cream")
+	s.AddString("banana bread, warm, sliced")
+	s.Truncate()
+	for _, tc := range []struct {
+		op   Op
+		v    string
+		want bool
+	}{
+		{EQ, "aardvark", false},
+		{EQ, "zebra", false},
+		{EQ, "apple pie with cream", true},
+		{EQ, "banana bread, warm, sliced", true},
+		{EQ, "apple pie with cr", true}, // between the cut bounds: kept
+		{LT, "apple", false},
+		{LT, "apple pie with cream", true}, // the cut min is below it
+		{GE, "c", false},
+		{GE, "banana bread, warm, sliced", true},
+		{GE, "banana bread, wz", false},
+		{GE, "banana bread, warm, sliced!", true}, // below the incremented max
+		{NE, "apple pie with cream", true},
+	} {
+		if got := s.MayMatch(tc.op, schema.StringValue(tc.v)); got != tc.want {
+			t.Errorf("MayMatch(%s %q) over [%q, %q] = %v, want %v", tc.op, tc.v, s.MinS, s.MaxS, got, tc.want)
+		}
+	}
+
+	// Every row equal: NE is refuted for a value that keeps its bytes,
+	// and never for one that was cut, whose bounds differ.
+	for _, v := range []string{"0123456789abcdef", "0123456789abcdefghij", strings.Repeat("\xff", 18)} {
+		s := New(schema.String)
+		s.AddString(v)
+		s.AddString(v)
+		s.Truncate()
+		if refuted, whole := !s.MayMatch(NE, schema.StringValue(v)), len(v) <= BoundLen; refuted != whole {
+			t.Errorf("every row %q: NE refuted %v, want %v", v, refuted, whole)
+		}
+	}
+
+	// No false skips over random values near the cut, 0xFF bytes
+	// included.
+	rng := rand.New(rand.NewSource(16))
+	alphabet := []byte{'a', 'b', 0xfe, 0xff}
+	randValue := func() string {
+		b := make([]byte, rng.Intn(2*BoundLen))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for trial := 0; trial < 3000; trial++ {
+		vals := make([]string, 1+rng.Intn(4))
+		s := New(schema.String)
+		for i := range vals {
+			vals[i] = randValue()
+			s.AddString(vals[i])
+		}
+		s.Truncate()
+		probe := randValue()
+		if rng.Intn(3) == 0 {
+			probe = vals[rng.Intn(len(vals))]
+		}
+		for _, op := range []Op{EQ, NE, LT, LE, GT, GE} {
+			some := false
+			for _, v := range vals {
+				some = some || map[Op]bool{EQ: v == probe, NE: v != probe, LT: v < probe,
+					LE: v <= probe, GT: v > probe, GE: v >= probe}[op]
+			}
+			if some && !s.MayMatch(op, schema.StringValue(probe)) {
+				t.Fatalf("values %q truncated to [%q, %q]: %s %q refuted, yet a row satisfies it",
+					vals, s.MinS, s.MaxS, op, probe)
+			}
+		}
 	}
 }

@@ -159,6 +159,30 @@ func TestDecodeMetaCorrupt(t *testing.T) {
 			t.Fatal("accepted a block claiming more rows than the block size")
 		}
 	})
+	t.Run("elided headers in more than one block", func(t *testing.T) {
+		one, err := Build(schema.RequestLogSchema(), makeRows(t, 1, 40, 3), BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The one-block meta, its block count raised to 2.
+		p := one.Meta.Encode()
+		at := blockCountOffset(one.Meta)
+		if one.Meta.NumBlocks != 1 || p[at] != 1 {
+			t.Fatalf("meta of %d blocks, byte %d at the block count", one.Meta.NumBlocks, p[at])
+		}
+		p[at] = 2
+		if _, err := DecodeMeta(p); err == nil {
+			t.Fatal("accepted a meta that elides the headers of two blocks")
+		}
+		packed, err := one.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := bytes.Replace(packed, one.Meta.Encode(), p, 1)
+		if _, err := OpenReader(BytesFetcher(obj)); err == nil {
+			t.Fatal("opened an object whose meta elides the headers of two blocks")
+		}
+	})
 	t.Run("zero-block meta", func(t *testing.T) {
 		// A meta with no blocks is structurally valid (an empty
 		// LogBlock cannot be built, but the decoder's contract is

@@ -19,7 +19,9 @@
 //
 //	data      every column block, column-major
 //	index     every indexed column's serialized index, in column order
-//	meta      parts 1, 2 and 4 of the structure above
+//	          (none below MinIndexedRows rows)
+//	meta      parts 1, 2 and 4 of the structure above (no part 4 when
+//	          the LogBlock is one column block)
 //	manifest  one record per part, in the order above
 //	trailer   manifest length, format version, magic
 //

@@ -9,10 +9,11 @@ import (
 	"logstore/internal/schema"
 )
 
-// fuzzPacked builds one small valid packed LogBlock for seeding.
-func fuzzPacked(f *testing.F) []byte {
+// fuzzPacked builds one small valid packed LogBlock of n rows in
+// blocks of n/3 for seeding: below MinIndexedRows it has no indexes.
+func fuzzPacked(f *testing.F, n int) []byte {
 	f.Helper()
-	built, err := Build(schema.RequestLogSchema(), makeRows(f, 1, 48, 7), BuildOptions{BlockRows: 16})
+	built, err := Build(schema.RequestLogSchema(), makeRows(f, 1, n, 7), BuildOptions{BlockRows: n / 3})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -30,9 +31,10 @@ func fuzzPacked(f *testing.F) []byte {
 // never panicking; and an object that does not end in the trailer, as
 // the tars of older releases do not, is refused with ErrLegacyLayout.
 func FuzzOpenReader(f *testing.F) {
-	packed := fuzzPacked(f)
+	packed := fuzzPacked(f, 48)
 	f.Add(packed)
 	f.Add(packed[:len(packed)-2]) // trailer torn off
+	f.Add(fuzzPacked(f, MinIndexedRows))
 	// Tars of the one-member-per-part layout and of the legacy index
 	// encoding; the checked-in seed-packed and seed-truncated corpus
 	// entries are the first, the *-four-members ones the second, and the

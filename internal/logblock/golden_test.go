@@ -15,6 +15,7 @@ import (
 	"logstore/internal/bitutil"
 	"logstore/internal/compress"
 	"logstore/internal/index/inverted"
+	"logstore/internal/index/sma"
 	"logstore/internal/schema"
 )
 
@@ -87,7 +88,11 @@ func namedParts(r *Reader) []namedPart {
 
 func partHashes(t *testing.T, rows []schema.Row, opts BuildOptions) []partHash {
 	t.Helper()
-	r := buildAndOpen(t, rows, opts)
+	built, err := Build(schema.RequestLogSchema(), rows, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := packAndOpen(t, built)
 	var out []partHash
 	for _, p := range namedParts(r) {
 		raw, err := r.fetch.Fetch(p.ext.Offset, p.ext.Size)
@@ -105,9 +110,12 @@ func partHashes(t *testing.T, rows []schema.Row, opts BuildOptions) []partHash {
 // blocks. The LZ4 data parts (the int columns) are the bytes the
 // four-member packer's parent commit (a575349, one tar member per part)
 // produced for the same rows; the DEFLATE ones (the string columns)
-// are those of DEFLATE's default level. The meta and index parts are
-// those of token-only inverted indexes (IndexFormatTokens) and compact
-// BKD trees, with none on the one-tenant column;
+// are those of DEFLATE's default level. The index parts are those of
+// token-only inverted indexes (IndexFormatTokens) and compact BKD
+// trees, with none on the one-tenant column, and the 40-row block,
+// below MinIndexedRows, has none at all; the metas cut string bounds to
+// sma.BoundLen bytes, and the 40-row block's, one column block, holds
+// no block headers;
 // TestParentLayoutFixture and TestTarLayoutFixture hold them to earlier
 // ones by their answers. The builder's object keys are content hashes,
 // so a silent change here would also re-key every re-drained segment.
@@ -174,8 +182,8 @@ func assertSameButIndexes(t *testing.T, oldReader, newReader *Reader, rows []sch
 // indexes: the same manifest names but for the tenant column's index;
 // the same data parts byte for byte but for DEFLATE ones, whose bytes
 // follow the compression level, and the same rows from them all; the
-// same meta but for the index formats and the tenant column's index
-// kind.
+// same meta but for the index formats, the tenant column's index kind,
+// and string bounds, which a meta now cuts to sma.BoundLen bytes.
 func assertSameParts(t *testing.T, oldReader, newReader *Reader) {
 	t.Helper()
 	tenant := newReader.Meta.Schema.TenantIdx()
@@ -218,16 +226,30 @@ func assertSameParts(t *testing.T, oldReader, newReader *Reader) {
 	m.Columns = slices.Clone(m.Columns)
 	m.Columns[tenant].Index, m.Columns[tenant].IndexFormat = schema.IndexNone, IndexFormatLegacy
 	for ci := range m.Columns {
-		switch m.Columns[ci].Index {
+		cm := &m.Columns[ci]
+		switch cm.Index {
 		case schema.IndexInverted:
-			m.Columns[ci].IndexFormat = IndexFormatTokens
+			cm.IndexFormat = IndexFormatTokens
 		case schema.IndexBKD:
-			m.Columns[ci].IndexFormat = IndexFormatCompact
+			cm.IndexFormat = IndexFormatCompact
+		}
+		cm.SMA = truncated(cm.SMA)
+		cm.Blocks = slices.Clone(cm.Blocks)
+		for bi := range cm.Blocks {
+			cm.Blocks[bi].SMA = truncated(cm.Blocks[bi].SMA)
 		}
 	}
 	if !bytes.Equal(m.Encode(), newReader.Meta.Encode()) {
 		t.Error("meta differs from the parent's by more than the index formats and the tenant column's index")
 	}
+}
+
+// truncated returns a copy of s with its string bounds cut as Build
+// cuts them.
+func truncated(s *sma.SMA) *sma.SMA {
+	c := *s
+	c.Truncate()
+	return &c
 }
 
 // partCodec returns the codec of a data part: the byte after its
@@ -349,13 +371,7 @@ func assertIndexesAgree(t *testing.T, got, want *Reader, rows []schema.Row) {
 }
 
 var golden40 = []partHash{
-	{"meta", 322, 0xeddbc04fdc0eba9d},
-	{"index/1", 52, 0xdd090f182f585028},
-	{"index/2", 141, 0xe18ab9a201559abe},
-	{"index/3", 57, 0x0a9d694d320c2249},
-	{"index/4", 91, 0x07dedc8b388d30a1},
-	{"index/5", 27, 0xbbb2c5774a1d1f08},
-	{"index/6", 430, 0x2142d8b0fe9f5b50},
+	{"meta", 204, 0xd1221edde23bd50b},
 	{"data/0/0", 26, 0x0b66aed9cd029156},
 	{"data/1/0", 102, 0x0a54f27009783159},
 	{"data/2/0", 113, 0x0cca433bc614ed19},
@@ -366,7 +382,7 @@ var golden40 = []partHash{
 }
 
 var golden400 = []partHash{
-	{"meta", 744, 0xc7ee33311ebb5b8b},
+	{"meta", 698, 0xbee6a6cebc16564c},
 	{"index/1", 414, 0x90a24a511f5d2aa1},
 	{"index/2", 652, 0x42c43802cd118548},
 	{"index/3", 282, 0x5786c981892652a8},

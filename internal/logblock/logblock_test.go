@@ -38,12 +38,27 @@ func makeRows(t testing.TB, tenant int64, n int, seed int64) []schema.Row {
 	return rows
 }
 
+// buildIndexed is Build without index admission: a LogBlock with every
+// index its schema names, however few its rows. The tests of the index
+// encodings, and of objects written before admission, hold indexes of
+// blocks that Build would leave without.
+func buildIndexed(sch *schema.Schema, rows []schema.Row, opts BuildOptions) (*Built, error) {
+	return build(sch, rows, opts, (*buildScratch).encodeStringBlock)
+}
+
+// buildAndOpen packs rows with buildIndexed and opens the object.
 func buildAndOpen(t testing.TB, rows []schema.Row, opts BuildOptions) *Reader {
 	t.Helper()
-	built, err := Build(schema.RequestLogSchema(), rows, opts)
+	built, err := buildIndexed(schema.RequestLogSchema(), rows, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return packAndOpen(t, built)
+}
+
+// packAndOpen packs built and opens the object.
+func packAndOpen(t testing.TB, built *Built) *Reader {
+	t.Helper()
 	packed, err := built.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -455,6 +470,109 @@ func TestMetaRoundTripAndErrors(t *testing.T) {
 	for cut := len(Magic); cut < len(raw); cut += 11 {
 		if _, err := DecodeMeta(raw[:cut]); err == nil {
 			t.Errorf("truncation to %d should error", cut)
+		}
+	}
+}
+
+// blockCountOffset returns where m's encoding holds its block count.
+func blockCountOffset(m *Meta) int {
+	return len(Magic) + len(m.Schema.Marshal()) + bitutil.UvarintLen(uint64(m.RowCount)) + 1 +
+		bitutil.UvarintLen(uint64(m.BlockRows))
+}
+
+// columnBytes returns the index byte of every column in enc, the
+// encoding of m, whose columns hold no block headers.
+func columnBytes(t *testing.T, m *Meta, enc []byte) []byte {
+	t.Helper()
+	off := blockCountOffset(m) + bitutil.UvarintLen(uint64(m.NumBlocks)) +
+		bitutil.VarintLen(m.Tenant) + bitutil.VarintLen(m.MinTS) + bitutil.VarintLen(m.MaxTS)
+	var out []byte
+	for _, cm := range m.Columns {
+		off += len(cm.SMA.AppendTo(nil))
+		out = append(out, enc[off])
+		off++
+	}
+	if off != len(enc) {
+		t.Fatalf("columns end at %d of a %d-byte meta", off, len(enc))
+	}
+	return out
+}
+
+// TestSingleBlockMetaElidesHeaders: a LogBlock of one column block
+// stores no block header; every column's index byte says so with a bit
+// that makes its format nibble one no format has, which a reader from
+// before refuses (it knows formats up to IndexFormatTokens), and the
+// decoded header is the LogBlock's row count and the column's SMA. A
+// LogBlock of more blocks keeps its headers and leaves the bit clear.
+func TestSingleBlockMetaElidesHeaders(t *testing.T) {
+	sch := schema.RequestLogSchema()
+	for _, n := range []int{1, MinIndexedRows - 1, MinIndexedRows} {
+		built, err := Build(sch, makeRows(t, 3, n, 2), BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := built.Meta
+		enc := m.Encode()
+		for ci, b := range columnBytes(t, m, enc) {
+			if b&headersElided == 0 || IndexFormat(b>>4) <= IndexFormatTokens {
+				t.Errorf("%d rows, column %d: index byte %#x, want the elision bit and a format nibble above %d",
+					n, ci, b, IndexFormatTokens)
+			}
+		}
+		got, err := DecodeMeta(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, cm := range got.Columns {
+			if cm.IndexFormat != m.Columns[ci].IndexFormat || cm.Index != m.Columns[ci].Index {
+				t.Errorf("%d rows, column %d: index %d format %d, built %d format %d",
+					n, ci, cm.Index, cm.IndexFormat, m.Columns[ci].Index, m.Columns[ci].IndexFormat)
+			}
+			if len(cm.Blocks) != 1 || cm.Blocks[0].RowCount != n || *cm.Blocks[0].SMA != *m.Columns[ci].SMA ||
+				*m.Columns[ci].Blocks[0].SMA != *m.Columns[ci].SMA {
+				t.Errorf("%d rows, column %d: block headers %+v, want one of %d rows with the column SMA", n, ci, cm.Blocks, n)
+			}
+		}
+		if !bytes.Equal(got.Encode(), enc) {
+			t.Errorf("%d rows: the decoded meta encodes to other bytes", n)
+		}
+	}
+	built, err := Build(sch, makeRows(t, 3, 300, 2), BuildOptions{BlockRows: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeMeta(built.Meta.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, cm := range got.Columns {
+		if len(cm.Blocks) != 3 || cm.Blocks[2].RowCount != 300-256 {
+			t.Errorf("column %d of a 3-block meta: %d block headers", ci, len(cm.Blocks))
+		}
+	}
+}
+
+// TestIndexAdmission: Build writes no index for a LogBlock of fewer
+// than MinIndexedRows rows, and every index the schema names (but the
+// constant tenant column's) from MinIndexedRows on.
+func TestIndexAdmission(t *testing.T) {
+	sch := schema.RequestLogSchema()
+	for _, n := range []int{1, MinIndexedRows - 1, MinIndexedRows, 4 * MinIndexedRows} {
+		built, err := Build(sch, makeRows(t, 3, n, 8), BuildOptions{BlockRows: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := packAndOpen(t, built)
+		indexed := n >= MinIndexedRows
+		for ci, col := range sch.Columns {
+			want := indexed && col.Index != schema.IndexNone && ci != sch.TenantIdx()
+			if r.HasIndex(ci) != want || (r.Meta.Columns[ci].Index == col.Index) != want {
+				t.Errorf("%d rows, column %s: index part %v, kind %d; want an index: %v",
+					n, col.Name, r.HasIndex(ci), r.Meta.Columns[ci].Index, want)
+			}
+		}
+		if !indexed && len(built.index) != 0 {
+			t.Errorf("%d rows: %d index bytes", n, len(built.index))
 		}
 	}
 }

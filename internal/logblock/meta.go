@@ -18,6 +18,8 @@ type BlockHeader struct {
 
 // ColumnMeta describes one column: its whole-column SMA, index kind
 // and encoding, and per-block headers (paper Figure 4, parts 2 and 4).
+// The header of a LogBlock's only column block is not stored: a decoded
+// meta holds it as the LogBlock's row count and the column's SMA.
 type ColumnMeta struct {
 	SMA         *sma.SMA
 	Index       schema.IndexKind
@@ -26,9 +28,9 @@ type ColumnMeta struct {
 }
 
 // IndexFormat is the encoding of a column's serialized index. The meta
-// stores it in the high nibble of the column's index byte, beside the
-// index kind in the low one, so a meta written before there was a
-// second encoding reads as IndexFormatLegacy.
+// stores it in bits 4–6 of the column's index byte, beside the index
+// kind in the low nibble, so a meta written before there was a second
+// encoding reads as IndexFormatLegacy.
 type IndexFormat uint8
 
 const (
@@ -53,6 +55,13 @@ const (
 	// whole-value terms.
 	IndexFormatTokens IndexFormat = 2
 )
+
+// headersElided is the bit of a column's index byte that says the meta
+// holds no block header for the column: the LogBlock is one column
+// block, whose row count and SMA are the LogBlock's and the column's.
+// It lies in the format nibble, above every format there is, so a
+// reader from before it refuses the meta instead of misreading it.
+const headersElided = 0x80
 
 // Meta is the decoded "meta" member of a LogBlock: schema, geometry,
 // codec, and all column/block statistics. It is everything the planner
@@ -84,9 +93,15 @@ func (m *Meta) Encode() []byte {
 	out = bitutil.AppendVarint(out, m.Tenant)
 	out = bitutil.AppendVarint(out, m.MinTS)
 	out = bitutil.AppendVarint(out, m.MaxTS)
+	elide := m.NumBlocks == 1
 	for _, cm := range m.Columns {
 		out = cm.SMA.AppendTo(out)
-		out = append(out, byte(cm.IndexFormat)<<4|byte(cm.Index))
+		kind := byte(cm.IndexFormat)<<4 | byte(cm.Index)
+		if elide {
+			out = append(out, kind|headersElided)
+			continue
+		}
+		out = append(out, kind)
 		for _, bh := range cm.Blocks {
 			out = bitutil.AppendUvarint(out, uint64(bh.RowCount))
 			out = bh.SMA.AppendTo(out)
@@ -166,10 +181,19 @@ func DecodeMeta(data []byte) (*Meta, error) {
 		if off >= len(data) {
 			return nil, fmt.Errorf("logblock: column %d index kind truncated", ci)
 		}
-		cm := ColumnMeta{SMA: colSMA, Index: schema.IndexKind(data[off] & 0x0f), IndexFormat: IndexFormat(data[off] >> 4)}
+		kind := data[off]
+		cm := ColumnMeta{SMA: colSMA, Index: schema.IndexKind(kind & 0x0f), IndexFormat: IndexFormat((kind &^ headersElided) >> 4)}
 		off++
 		if cm.IndexFormat > IndexFormatTokens || cm.IndexFormat == IndexFormatTokens && cm.Index != schema.IndexInverted {
 			return nil, fmt.Errorf("logblock: column %d index format %d unknown for index kind %d", ci, cm.IndexFormat, cm.Index)
+		}
+		if kind&headersElided != 0 {
+			if m.NumBlocks != 1 || m.RowCount > m.BlockRows {
+				return nil, fmt.Errorf("logblock: column %d elides the block headers of %d rows in %d blocks of %d", ci, m.RowCount, m.NumBlocks, m.BlockRows)
+			}
+			cm.Blocks = []BlockHeader{{RowCount: m.RowCount, SMA: colSMA}}
+			m.Columns[ci] = cm
+			continue
 		}
 		cm.Blocks = make([]BlockHeader, m.NumBlocks)
 		for bi := 0; bi < m.NumBlocks; bi++ {

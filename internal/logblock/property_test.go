@@ -107,13 +107,14 @@ func stableSortByTS(rows []schema.Row, tsIdx int) {
 }
 
 // TestPropertyIndexConsistency: for any batch, the inverted index and
-// BKD tree agree with brute force on random probes.
+// BKD tree agree with brute force on random probes. The batches are
+// below MinIndexedRows, so they are built with buildIndexed.
 func TestPropertyIndexConsistency(t *testing.T) {
 	sch := schema.RequestLogSchema()
 	latIdx := sch.ColumnIndex("latency")
 	failIdx := sch.ColumnIndex("fail")
 	f := func(in randomRows) bool {
-		built, err := Build(sch, in.Rows, BuildOptions{BlockRows: 64})
+		built, err := buildIndexed(sch, in.Rows, BuildOptions{BlockRows: 64})
 		if err != nil {
 			return false
 		}

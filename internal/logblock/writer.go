@@ -131,14 +131,29 @@ func putScratch(s *buildScratch) {
 	}
 }
 
+// MinIndexedRows is the fewest rows a LogBlock needs for Build to write
+// its indexes. Below it every column is IndexNone, as a constant numeric
+// column is at any size, and a query scans what the SMAs leave. In
+// BenchmarkIndexAdmission (EXPERIMENTS.md, "After: index admission") a
+// warm query of such a block is no faster with its indexes, and a cold
+// one, which reads the whole object, gains less CPU from them than
+// their bytes, about as many again as the rest of the object, take to
+// fetch. The rule looks at the row count alone, so Build stays
+// deterministic.
+const MinIndexedRows = 256
+
 // Build converts rows (one tenant's slice of the row store) into a
 // LogBlock. Rows are sorted by the schema's time column (stably, and
 // not at all when they already are in time order); they must all carry
 // the same tenant id, since a LogBlock belongs to exactly one tenant
-// (paper §3.1). Build is deterministic — the same rows and options
-// give the same bytes — which the builder's content-addressed object
-// keys rely on.
+// (paper §3.1). A LogBlock of fewer than MinIndexedRows rows has no
+// indexes. Build is deterministic — the same rows and options give the
+// same bytes — which the builder's content-addressed object keys rely
+// on.
 func Build(sch *schema.Schema, rows []schema.Row, opts BuildOptions) (*Built, error) {
+	if len(rows) < MinIndexedRows {
+		opts.NoIndexes = true
+	}
 	return build(sch, rows, opts, (*buildScratch).encodeStringBlock)
 }
 
@@ -268,6 +283,7 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 				encoding, payload = stringBlock(s, sorted[start:end], ci, start, bh.SMA, inv)
 			}
 			cm.SMA.Merge(bh.SMA)
+			bh.SMA.Truncate()
 			cm.Blocks[bi] = bh
 
 			partStart := len(s.data)
@@ -284,6 +300,8 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 			s.data = comp
 			dataParts = append(dataParts, part{col: ci, blk: bi, size: len(s.data) - partStart})
 		}
+
+		cm.SMA.Truncate()
 
 		partStart := len(s.index)
 		switch cm.Index {

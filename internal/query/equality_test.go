@@ -58,6 +58,7 @@ func TestStringEqualityMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireIndexed(t, r)
 	for ci, col := range sch.Columns {
 		if col.Type != schema.String {
 			continue
@@ -97,6 +98,7 @@ func TestStringEqualityMatchesOracle(t *testing.T) {
 // by the column SMA alone — no index lookup, no column block scanned.
 func TestTenantPredicateReadsNoIndex(t *testing.T) {
 	r, _ := buildBlock(t, 3000, 512)
+	requireIndexed(t, r)
 	tenant := r.Meta.Schema.TenantIdx()
 	if cm := r.Meta.Columns[tenant]; cm.Index != schema.IndexNone || r.Manifest.IndexExtent(tenant) != (logblock.Extent{}) {
 		t.Fatalf("tenant column: index kind %d, extent %+v", cm.Index, r.Manifest.IndexExtent(tenant))

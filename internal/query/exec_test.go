@@ -45,6 +45,15 @@ func buildBlock(t testing.TB, n int, blockRows int) (*logblock.Reader, []schema.
 	return r, rows
 }
 
+// requireIndexed fails the test unless r has rows enough for Build to
+// have given it indexes: the test counts their use.
+func requireIndexed(t testing.TB, r *logblock.Reader) {
+	t.Helper()
+	if r.Meta.RowCount < logblock.MinIndexedRows {
+		t.Fatalf("a LogBlock of %d rows has no indexes (MinIndexedRows %d)", r.Meta.RowCount, logblock.MinIndexedRows)
+	}
+}
+
 // bruteForce returns the row ids matching the query by full evaluation.
 func bruteForce(q *Query, sch *schema.Schema, rows []schema.Row) []int {
 	var out []int
@@ -103,6 +112,7 @@ func TestMatchBlockAgainstBruteForce(t *testing.T) {
 
 func TestDataSkippingDoesLessWork(t *testing.T) {
 	r, _ := buildBlock(t, 5000, 256)
+	requireIndexed(t, r)
 	q, err := Parse("SELECT log FROM request_log WHERE tenant_id = 42 AND ts >= 1100 AND ts <= 1200 AND latency >= 400")
 	if err != nil {
 		t.Fatal(err)

@@ -274,9 +274,11 @@ type propData struct {
 }
 
 // randomDataset builds a random schema + rows + reader. One trial in
-// four, the code column's SMAs claim one row fewer than the column
-// holds — what a column with an invalid row looks like to the planner —
-// so nothing on that column may be implied.
+// five has logblock.MinIndexedRows rows or one fewer, the sizes either
+// side of index admission. One trial in four, the code column's SMAs
+// claim fewer rows than the column holds — what a column with an
+// invalid row looks like to the planner — so nothing on that column
+// may be implied.
 func randomDataset(t *testing.T, rng *rand.Rand) *propData {
 	t.Helper()
 	intIndexes := []schema.IndexKind{schema.IndexNone, schema.IndexBKD}
@@ -294,7 +296,11 @@ func randomDataset(t *testing.T, rng *rand.Rand) *propData {
 		TimeCol:   "ts",
 	}
 	vocab := []string{"get user", "put object", "delete bucket", "list keys", "auth denied", "timeout waiting upstream"}
-	rows := make([]schema.Row, 1+rng.Intn(500))
+	n := 1 + rng.Intn(500)
+	if rng.Intn(5) == 0 { // either side of index admission
+		n = logblock.MinIndexedRows - rng.Intn(2)
+	}
+	rows := make([]schema.Row, n)
 	for i := range rows {
 		rows[i] = schema.Row{
 			schema.IntValue(7),        // builders pack one tenant per LogBlock
@@ -393,9 +399,16 @@ func bitsetsEqual(a, b *bitutil.Bitset) bool {
 func TestMatchBlockPropertyVsScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var total ExecStats
+	var unindexed, indexed int // trials on either side of index admission
 	for trial := 0; trial < 400; trial++ {
 		d := randomDataset(t, rng)
 		r, rows := d.r, d.rows
+		switch len(rows) {
+		case logblock.MinIndexedRows - 1:
+			unindexed++
+		case logblock.MinIndexedRows:
+			indexed++
+		}
 		q := &Query{Table: "prop", Star: true}
 		for n := rng.Intn(4); n > 0; n-- {
 			q.Preds = append(q.Preds, randomPreds(rng, len(rows))...)
@@ -447,12 +460,16 @@ func TestMatchBlockPropertyVsScalarReference(t *testing.T) {
 		total.ColumnBlocksScanned == 0 || total.RowsMatched == 0 {
 		t.Fatalf("a skipping level was never exercised: %+v", total)
 	}
+	if unindexed == 0 || indexed == 0 {
+		t.Fatalf("%d trials of MinIndexedRows-1 rows and %d of MinIndexedRows, want both", unindexed, indexed)
+	}
 }
 
 // TestImpliedNeedsFullSMA pins the condition under which an SMA may
 // answer "every row": it must have summarized every row.
 func TestImpliedNeedsFullSMA(t *testing.T) {
 	r, rows := buildBlock(t, 300, 64)
+	requireIndexed(t, r)
 	q, err := Parse("SELECT log FROM request_log WHERE tenant_id = 42 AND latency >= 0")
 	if err != nil {
 		t.Fatal(err)

@@ -158,6 +158,9 @@ type Worker struct {
 
 	mu     sync.RWMutex
 	shards map[flow.ShardID]*Shard
+	// adding holds, for each shard AddShard is building outside mu, a
+	// channel it closes when done.
+	adding map[flow.ShardID]chan struct{}
 
 	blockCache  *cache.BlockCache
 	objectCache *cache.ObjectCache
@@ -233,6 +236,7 @@ func New(cfg Config, sch *schema.Schema, store oss.Store, catalog *meta.Manager)
 		store:       rs,
 		catalog:     catalog,
 		shards:      make(map[flow.ShardID]*Shard),
+		adding:      make(map[flow.ShardID]chan struct{}),
 		blockCache:  bc,
 		objectCache: cache.NewObjectCache(objectCacheBytes),
 		archiveStop: make(chan struct{}),
@@ -262,29 +266,72 @@ func (w *Worker) Capacity() float64 { return w.cfg.CapacityPerSec }
 // are already archived to OSS) with its duplicate-suppression set
 // preloaded from the replayed log, so batches retried across the
 // restart still apply exactly once.
+//
+// The shard is built outside the worker lock — its WAL opened and
+// replayed, its one-node group elected, which with a DataDir writes and
+// syncs a first entry — so that shards added at once build side by side
+// and no append or query waits for them. An AddShard of an id already
+// being added waits for that one.
 func (w *Worker) AddShard(id flow.ShardID) error {
-	w.mu.RLock()
-	_, exists := w.shards[id]
-	w.mu.RUnlock()
-	if exists {
-		return nil
+	w.mu.Lock()
+	for {
+		if _, ok := w.shards[id]; ok {
+			w.mu.Unlock()
+			return nil
+		}
+		busy, ok := w.adding[id]
+		if !ok {
+			break
+		}
+		w.mu.Unlock()
+		<-busy
+		w.mu.Lock()
 	}
-	// Disk-loss hydration happens before the worker lock: it reads OSS
-	// (latest shipped snapshot + chunk suffix) and rewrites the shard's
-	// WAL directory, after which the normal recovery path below replays
-	// it exactly as if the disk had survived.
-	hydratedIDs, hydrated, err := w.maybeHydrateShard(id)
+	done := make(chan struct{})
+	w.adding[id] = done
+	w.mu.Unlock()
+	defer func() {
+		w.mu.Lock()
+		delete(w.adding, id)
+		w.mu.Unlock()
+		close(done)
+	}()
+
+	sh, hydrated, err := w.buildShard(id)
 	if err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.shards[id]; ok {
-		return nil
+	if w.down.Load() {
+		// The worker stopped while the shard was built: shutdown has
+		// stopped the shards it found, and this one is not among them.
+		sh.stop(false)
+		return ErrWorkerDown
+	}
+	if hydrated {
+		w.hydrations.Add(1)
+	}
+	w.shards[id] = sh
+	return nil
+}
+
+// buildShard makes shard id ready to serve: its row store, its WAL
+// recovered (from the shipped log on OSS first if the disk was lost)
+// and its one-node raft group elected. It reports whether the WAL was
+// hydrated from OSS.
+func (w *Worker) buildShard(id flow.ShardID) (*Shard, bool, error) {
+	// Disk-loss hydration reads OSS (latest shipped snapshot + chunk
+	// suffix) and rewrites the shard's WAL directory, after which the
+	// normal recovery path below replays it exactly as if the disk had
+	// survived.
+	hydratedIDs, hydrated, err := w.maybeHydrateShard(id)
+	if err != nil {
+		return nil, false, err
 	}
 	rs, err := rowstore.New(w.sch, w.cfg.RowStore)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	sh := &Shard{ID: id, rs: rs, sch: w.sch, seen: newDedupSet(1 << 16)}
 	// Storage is opened before the state machine so the recovered
@@ -294,7 +341,7 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 	if w.cfg.DataDir != "" {
 		sh.wal, err = raft.OpenWALStorage(w.walDir(id), wal.Options{})
 		if err != nil {
-			return fmt.Errorf("worker %d shard %d: open WAL: %w", w.cfg.ID, id, err)
+			return nil, false, fmt.Errorf("worker %d shard %d: open WAL: %w", w.cfg.ID, id, err)
 		}
 		storage = sh.wal
 		mark := sh.wal.AppliedMark()
@@ -359,13 +406,28 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 		if sh.wal != nil {
 			_ = sh.wal.Close()
 		}
-		return err
+		return nil, false, err
 	}
-	if hydrated {
-		w.hydrations.Add(1)
+	return sh, hydrated, nil
+}
+
+// stop stops a built shard: its shipper first, so that a graceful stop
+// can still read the WAL for the final snapshot, then its raft group,
+// WAL and row store.
+func (sh *Shard) stop(graceful bool) {
+	if sh.shipper != nil {
+		// Graceful close flushes the remaining backlog to OSS; a crash
+		// abandons it (the exposure window a recovery must tolerate).
+		sh.shipper.Stop(graceful)
 	}
-	w.shards[id] = sh
-	return nil
+	// Stopping the node fails what is still in flight with ErrStopped;
+	// callers in PendingAppend.Wait then find the worker down and
+	// return ErrWorkerDown.
+	sh.node.Stop()
+	if sh.wal != nil {
+		_ = sh.wal.Close()
+	}
+	sh.rs.Close()
 }
 
 // walDir is the shard's raft WAL directory under DataDir.
@@ -1407,21 +1469,7 @@ func (w *Worker) shutdown(graceful bool) {
 		<-w.archiveDone
 		w.mu.Lock()
 		for _, sh := range w.shards {
-			if sh.shipper != nil {
-				// Graceful close flushes the remaining backlog to OSS;
-				// a crash abandons it (the exposure window a recovery
-				// must tolerate). Stopped before the node so the final
-				// snapshot can still read the WAL.
-				sh.shipper.Stop(graceful)
-			}
-			// Stopping the node fails what is still in flight with
-			// ErrStopped; callers in PendingAppend.Wait then find the
-			// worker down and return ErrWorkerDown.
-			sh.node.Stop()
-			if sh.wal != nil {
-				_ = sh.wal.Close()
-			}
-			sh.rs.Close()
+			sh.stop(graceful)
 		}
 		w.mu.Unlock()
 		if w.pool != nil {

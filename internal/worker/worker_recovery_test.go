@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"logstore/internal/builder"
+	"logstore/internal/flow"
 	"logstore/internal/meta"
 	"logstore/internal/oss"
 	"logstore/internal/query"
@@ -448,5 +449,79 @@ func TestDrainWaitsForShipper(t *testing.T) {
 	}
 	if archived != 100 || w.ResidentRows() != 0 {
 		t.Fatalf("after the release: %d rows archived, %d resident; want 100 and 0", archived, w.ResidentRows())
+	}
+}
+
+// TestAddShardConcurrent: shards of one durable worker added at once,
+// an id among them by several callers, are each built once from their
+// WAL directory and serve; after a restart on the same directory they
+// and the archive hold every acked row once. An AddShard racing the worker's Close does not
+// leave a running shard behind it.
+func TestAddShardConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	store, catalog := oss.NewMemStore(), meta.NewManager()
+	w := newDurableWorker(t, dir, store, catalog, time.Hour)
+	var wg sync.WaitGroup
+	errs := make(chan error, 12)
+	for i := 0; i < 12; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- w.AddShard(flow.ShardID(i % 4))
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.Shards(); len(got) != 4 {
+		t.Fatalf("worker hosts shards %v, want 4", got)
+	}
+	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 1, Seed: 5, StartMS: 100})
+	for sid := flow.ShardID(0); sid < 4; sid++ {
+		if err := w.Append(sid, g.Batch(10)); err != nil {
+			t.Fatalf("shard %d: %v", sid, err)
+		}
+	}
+	w.Close()
+
+	again := newDurableWorker(t, dir, store, catalog, time.Hour)
+	defer again.Close()
+	for sid := flow.ShardID(0); sid < 4; sid++ {
+		if err := again.AddShard(sid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := query.Parse("SELECT COUNT(*) FROM request_log WHERE tenant_id = 0 AND ts >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for sid := flow.ShardID(0); sid < 4; sid++ {
+		res, err := again.QueryRealtimeCtx(context.Background(), sid, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += res.Count
+	}
+	for _, b := range catalog.Blocks(0) {
+		total += b.Rows
+	}
+	if total != 40 {
+		t.Fatalf("%d rows after the restart, resident and archived; want 40", total)
+	}
+
+	closing := newDurableWorker(t, t.TempDir(), store, meta.NewManager(), time.Hour)
+	added := make(chan error, 1)
+	go func() { added <- closing.AddShard(0) }()
+	closing.Close()
+	if err := <-added; err != nil && !errors.Is(err, ErrWorkerDown) {
+		t.Fatalf("AddShard beside Close: %v", err)
+	}
+	if closing.Alive() {
+		t.Fatal("the worker is alive after Close")
 	}
 }

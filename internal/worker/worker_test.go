@@ -130,7 +130,7 @@ func TestBackgroundArchiveAndBlockQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := workload.NewGenerator(workload.GeneratorConfig{Tenants: 4, Theta: 0, Seed: 4, StartMS: 1000})
-	if err := w.Append(0, g.Batch(500)); err != nil {
+	if err := w.Append(0, g.Batch(8*logblock.MinIndexedRows)); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the archive loop to drain everything to OSS.
@@ -148,6 +148,9 @@ func TestBackgroundArchiveAndBlockQuery(t *testing.T) {
 	paths := make([]string, len(blocks))
 	for i, b := range blocks {
 		paths[i] = b.Path
+		if b.Rows < logblock.MinIndexedRows {
+			t.Fatalf("LogBlock %s has %d rows, too few for indexes", b.Path, b.Rows)
+		}
 	}
 	q, err := query.Parse("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
 	if err != nil {

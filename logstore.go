@@ -429,13 +429,16 @@ func (c *Cluster) addWorkerLocked() (*worker.Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	for s := 0; s < c.cfg.ShardsPerWorker; s++ {
-		sid := c.nextShard
+	sids := make([]flow.ShardID, c.cfg.ShardsPerWorker)
+	for s := range sids {
+		sids[s] = c.nextShard
 		c.nextShard++
-		if err := w.AddShard(sid); err != nil {
-			w.Close()
-			return nil, err
-		}
+	}
+	if err := addShards(w, sids); err != nil {
+		w.Close()
+		return nil, err
+	}
+	for _, sid := range sids {
 		c.shardOwner[sid] = id
 	}
 	c.workers[id] = w
@@ -443,6 +446,26 @@ func (c *Cluster) addWorkerLocked() (*worker.Worker, error) {
 	slices.Sort(ids)
 	c.workerIDs = ids
 	return w, nil
+}
+
+// addShards adds the shards sids to w all at once. Each recovers and
+// elects its own one-node group, and with a DataDir writes and syncs a
+// first entry, so added one after another their start-up times would
+// add up. It returns every shard's error, joined.
+func addShards(w *worker.Worker, sids []flow.ShardID) error {
+	errs := make([]error, len(sids))
+	var wg sync.WaitGroup
+	for i, sid := range sids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.AddShard(sid); err != nil {
+				errs[i] = fmt.Errorf("shard %d: %w", sid, err)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // newWorkerLocked builds a worker node with the cluster's configuration.
@@ -990,12 +1013,10 @@ func (c *Cluster) RecoverWorker(id flow.WorkerID) error {
 			sids = append(sids, sid)
 		}
 	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-	for _, sid := range sids {
-		if err := w.AddShard(sid); err != nil {
-			w.Close()
-			return fmt.Errorf("logstore: recover worker %d shard %d: %w", id, sid, err)
-		}
+	slices.Sort(sids)
+	if err := addShards(w, sids); err != nil {
+		w.Close()
+		return fmt.Errorf("logstore: recover worker %d: %w", id, err)
 	}
 	c.workers[id] = w
 	c.health.Beat(id) // don't wait a heartbeat round to route to it

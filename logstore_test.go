@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"logstore/internal/flow"
+	"logstore/internal/logblock"
 	"logstore/internal/oss"
 	"logstore/internal/worker"
 	"logstore/internal/workload"
@@ -431,14 +432,29 @@ func TestConfigVariants(t *testing.T) {
 	cfg.PrefetchThreads = -1
 	cfg.CacheDir = t.TempDir()
 	c := openCluster(t, cfg)
-	if err := c.Append(Row{IntValue(1), IntValue(50), StringValue("2.2.2.2"),
-		StringValue("/v"), IntValue(9), StringValue("false"), StringValue("plain scan me")}); err != nil {
+	// Rows enough for the LogBlock to have indexes, so that a MATCH
+	// would probe one if skipping were on.
+	rows := make([]Row, logblock.MinIndexedRows)
+	for i := range rows {
+		msg := "plain row"
+		if i == 7 {
+			msg = "plain scan me"
+		}
+		rows[i] = Row{IntValue(1), IntValue(int64(50 + i)), StringValue("2.2.2.2"),
+			StringValue("/v"), IntValue(9), StringValue("false"), StringValue(msg)}
+	}
+	if err := c.Append(rows...); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query("SELECT log FROM request_log WHERE tenant_id = 1 AND ts >= 0 AND ts <= 1000")
+	for _, b := range c.TenantBlocks(1) {
+		if b.Rows < logblock.MinIndexedRows {
+			t.Fatalf("LogBlock %s has %d rows, too few for indexes", b.Path, b.Rows)
+		}
+	}
+	res, err := c.Query("SELECT log FROM request_log WHERE tenant_id = 1 AND ts >= 0 AND ts <= 1000 AND log MATCH 'scan'")
 	if err != nil {
 		t.Fatal(err)
 	}
