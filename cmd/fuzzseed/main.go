@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -22,7 +23,6 @@ import (
 	"slices"
 	"time"
 
-	"logstore/internal/bitutil"
 	"logstore/internal/index/bkd"
 	"logstore/internal/index/inverted"
 	"logstore/internal/index/sma"
@@ -95,21 +95,27 @@ func packBlock(rows []schema.Row, opts logblock.BuildOptions) ([]byte, error) {
 
 // raiseBlockCount returns a copy of obj, a packed LogBlock of one
 // column block, whose meta states two blocks while it still elides the
-// block headers.
+// block headers: the meta re-encoded as one of two blocks, and its first
+// byte that differs put in place of the one-block meta's.
 func raiseBlockCount(obj []byte) ([]byte, error) {
 	r, err := logblock.OpenReader(logblock.BytesFetcher(obj))
 	if err != nil {
 		return nil, err
 	}
-	m := r.Meta
-	at := int(r.Manifest.Meta.Offset) + len(logblock.Magic) + len(m.Schema.Marshal()) +
-		bitutil.UvarintLen(uint64(m.RowCount)) + 1 + bitutil.UvarintLen(uint64(m.BlockRows))
-	if m.NumBlocks != 1 || obj[at] != 1 {
-		return nil, fmt.Errorf("block count %d, byte %d at its offset", m.NumBlocks, obj[at])
+	one := r.Meta.Encode()
+	if r.Meta.NumBlocks != 1 || !bytes.Contains(obj, one) {
+		return nil, fmt.Errorf("a meta of %d blocks that the object does not hold as it encodes", r.Meta.NumBlocks)
 	}
-	out := slices.Clone(obj)
-	out[at] = 2
-	return out, nil
+	m := *r.Meta
+	m.NumBlocks = 2
+	two := m.Encode()
+	at := 0
+	for one[at] == two[at] {
+		at++
+	}
+	raised := slices.Clone(one)
+	raised[at] = two[at]
+	return bytes.Replace(obj, one, raised, 1), nil
 }
 
 // shippedObjects runs a shipper for one shard over a snapshot of two

@@ -53,10 +53,12 @@ func tarMembers(t *testing.T, packed []byte) []string {
 // which the catalog holds footer objects only and a second rewrite
 // finds nothing. Each must then answer indexed and scanning queries
 // exactly as the same rows packed now do, and merge with a block of
-// the current format under CompactTenant. compact_index.lgb's indexed
-// run must probe its indexes; a rewritten tar, like the rows packed
-// now, is below logblock.MinIndexedRows, has none, and its runs must
-// match theirs stat for stat.
+// the current format under CompactTenant. The rows packed now are
+// below logblock.MinIndexedRows and have no indexes, and so has a
+// rewritten tar: its runs must match theirs stat for stat.
+// compact_index.lgb keeps its indexes, and its indexed runs must probe
+// them; internal/logblock's TestCompactIndexFixtureQueries holds them
+// stat for stat to the same rows packed now with every index.
 func TestParentLayoutBlockQueriesAndCompacts(t *testing.T) {
 	for _, fx := range []struct {
 		file    string
@@ -119,9 +121,8 @@ func checkLegacyObject(t *testing.T, file string, members int, format logblock.I
 	if indexed != (members == 0) {
 		t.Fatalf("the object queried (a tar: %v) has indexes: %v", members > 0, indexed)
 	}
-	// The same rows packed now, for the answers to agree with. They are
-	// below logblock.MinIndexedRows too, so the stats of a run agree
-	// only with an object that has no indexes either.
+	// The same rows packed now, for the answers to agree with, and the
+	// stats of an object without indexes.
 	built, err := logblock.Build(r.Meta.Schema, oldRows, logblock.BuildOptions{BlockRows: r.Meta.BlockRows})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package logblock
 import (
 	"bytes"
 	"os"
+	"slices"
 	"testing"
 
 	"logstore/internal/bitutil"
@@ -164,13 +165,10 @@ func TestDecodeMetaCorrupt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The one-block meta, its block count raised to 2.
-		p := one.Meta.Encode()
-		at := blockCountOffset(one.Meta)
-		if one.Meta.NumBlocks != 1 || p[at] != 1 {
-			t.Fatalf("meta of %d blocks, byte %d at the block count", one.Meta.NumBlocks, p[at])
+		if one.Meta.NumBlocks != 1 {
+			t.Fatalf("meta of %d blocks, want 1", one.Meta.NumBlocks)
 		}
-		p[at] = 2
+		p := withBlockCount(one.Meta, 2)
 		if _, err := DecodeMeta(p); err == nil {
 			t.Fatal("accepted a meta that elides the headers of two blocks")
 		}
@@ -181,6 +179,26 @@ func TestDecodeMetaCorrupt(t *testing.T) {
 		obj := bytes.Replace(packed, one.Meta.Encode(), p, 1)
 		if _, err := OpenReader(BytesFetcher(obj)); err == nil {
 			t.Fatal("opened an object whose meta elides the headers of two blocks")
+		}
+	})
+	t.Run("columns disagree on eliding the headers", func(t *testing.T) {
+		one, err := Build(schema.RequestLogSchema(), makeRows(t, 1, 40, 3), BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := one.Meta
+		enc := m.Encode()
+		// Column ci stores its one header and clears the bit; the
+		// others elide theirs. Each column reads well on its own.
+		for ci := 0; ci < 2; ci++ {
+			at := columnByteAt(m, ci) + 1
+			mixed := append(slices.Clone(enc[:at]), bitutil.AppendUvarint(nil, uint64(m.RowCount))...)
+			mixed = appendBounded(mixed, m.Columns[ci].SMA)
+			mixed = append(mixed, enc[at:]...)
+			mixed[at-1] &^= headersElided
+			if _, err := DecodeMeta(mixed); err == nil {
+				t.Errorf("accepted a meta whose column %d alone stores its block header", ci)
+			}
 		}
 	})
 	t.Run("zero-block meta", func(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"logstore/internal/bitutil"
 	"logstore/internal/compress"
 	"logstore/internal/index/inverted"
-	"logstore/internal/index/sma"
 	"logstore/internal/schema"
 )
 
@@ -182,8 +181,8 @@ func assertSameButIndexes(t *testing.T, oldReader, newReader *Reader, rows []sch
 // indexes: the same manifest names but for the tenant column's index;
 // the same data parts byte for byte but for DEFLATE ones, whose bytes
 // follow the compression level, and the same rows from them all; the
-// same meta but for the index formats, the tenant column's index kind,
-// and string bounds, which a meta now cuts to sma.BoundLen bytes.
+// same meta but for the index formats and the tenant column's index
+// kind.
 func assertSameParts(t *testing.T, oldReader, newReader *Reader) {
 	t.Helper()
 	tenant := newReader.Meta.Schema.TenantIdx()
@@ -226,30 +225,16 @@ func assertSameParts(t *testing.T, oldReader, newReader *Reader) {
 	m.Columns = slices.Clone(m.Columns)
 	m.Columns[tenant].Index, m.Columns[tenant].IndexFormat = schema.IndexNone, IndexFormatLegacy
 	for ci := range m.Columns {
-		cm := &m.Columns[ci]
-		switch cm.Index {
+		switch m.Columns[ci].Index {
 		case schema.IndexInverted:
-			cm.IndexFormat = IndexFormatTokens
+			m.Columns[ci].IndexFormat = IndexFormatTokens
 		case schema.IndexBKD:
-			cm.IndexFormat = IndexFormatCompact
-		}
-		cm.SMA = truncated(cm.SMA)
-		cm.Blocks = slices.Clone(cm.Blocks)
-		for bi := range cm.Blocks {
-			cm.Blocks[bi].SMA = truncated(cm.Blocks[bi].SMA)
+			m.Columns[ci].IndexFormat = IndexFormatCompact
 		}
 	}
 	if !bytes.Equal(m.Encode(), newReader.Meta.Encode()) {
 		t.Error("meta differs from the parent's by more than the index formats and the tenant column's index")
 	}
-}
-
-// truncated returns a copy of s with its string bounds cut as Build
-// cuts them.
-func truncated(s *sma.SMA) *sma.SMA {
-	c := *s
-	c.Truncate()
-	return &c
 }
 
 // partCodec returns the codec of a data part: the byte after its

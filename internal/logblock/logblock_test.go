@@ -474,28 +474,29 @@ func TestMetaRoundTripAndErrors(t *testing.T) {
 	}
 }
 
-// blockCountOffset returns where m's encoding holds its block count.
-func blockCountOffset(m *Meta) int {
-	return len(Magic) + len(m.Schema.Marshal()) + bitutil.UvarintLen(uint64(m.RowCount)) + 1 +
-		bitutil.UvarintLen(uint64(m.BlockRows))
+// columnByteAt returns where the encoding of m, a meta of one column
+// block, holds column ci's index byte: the last byte of the encoding of
+// m cut after that column.
+func columnByteAt(m *Meta, ci int) int {
+	c := *m
+	c.Columns = m.Columns[:ci+1]
+	return len(c.Encode()) - 1
 }
 
-// columnBytes returns the index byte of every column in enc, the
-// encoding of m, whose columns hold no block headers.
-func columnBytes(t *testing.T, m *Meta, enc []byte) []byte {
-	t.Helper()
-	off := blockCountOffset(m) + bitutil.UvarintLen(uint64(m.NumBlocks)) +
-		bitutil.VarintLen(m.Tenant) + bitutil.VarintLen(m.MinTS) + bitutil.VarintLen(m.MaxTS)
-	var out []byte
-	for _, cm := range m.Columns {
-		off += len(cm.SMA.AppendTo(nil))
-		out = append(out, enc[off])
-		off++
+// withBlockCount returns the encoding of m, a meta of one column block,
+// with the block count of one of n blocks in its place: the first byte
+// at which the two encodings differ.
+func withBlockCount(m *Meta, n int) []byte {
+	enc := m.Encode()
+	c := *m
+	c.NumBlocks = n
+	other := c.Encode()
+	at := 0
+	for enc[at] == other[at] {
+		at++
 	}
-	if off != len(enc) {
-		t.Fatalf("columns end at %d of a %d-byte meta", off, len(enc))
-	}
-	return out
+	enc[at] = other[at]
+	return enc
 }
 
 // TestSingleBlockMetaElidesHeaders: a LogBlock of one column block
@@ -513,8 +514,11 @@ func TestSingleBlockMetaElidesHeaders(t *testing.T) {
 		}
 		m := built.Meta
 		enc := m.Encode()
-		for ci, b := range columnBytes(t, m, enc) {
-			if b&headersElided == 0 || IndexFormat(b>>4) <= IndexFormatTokens {
+		if end := columnByteAt(m, len(m.Columns)-1); end != len(enc)-1 {
+			t.Fatalf("%d rows: the columns end at %d of a %d-byte meta", n, end, len(enc))
+		}
+		for ci := range m.Columns {
+			if b := enc[columnByteAt(m, ci)]; b&headersElided == 0 || IndexFormat(b>>4) <= IndexFormatTokens {
 				t.Errorf("%d rows, column %d: index byte %#x, want the elision bit and a format nibble above %d",
 					n, ci, b, IndexFormatTokens)
 			}
@@ -528,7 +532,11 @@ func TestSingleBlockMetaElidesHeaders(t *testing.T) {
 				t.Errorf("%d rows, column %d: index %d format %d, built %d format %d",
 					n, ci, cm.Index, cm.IndexFormat, m.Columns[ci].Index, m.Columns[ci].IndexFormat)
 			}
-			if len(cm.Blocks) != 1 || cm.Blocks[0].RowCount != n || *cm.Blocks[0].SMA != *m.Columns[ci].SMA ||
+			// The built header is the column SMA, and the decoded one is
+			// the decoded column SMA: the built one with its bounds cut.
+			stored := *m.Columns[ci].SMA
+			stored.Truncate()
+			if len(cm.Blocks) != 1 || cm.Blocks[0].RowCount != n || cm.Blocks[0].SMA != cm.SMA || *cm.SMA != stored ||
 				*m.Columns[ci].Blocks[0].SMA != *m.Columns[ci].SMA {
 				t.Errorf("%d rows, column %d: block headers %+v, want one of %d rows with the column SMA", n, ci, cm.Blocks, n)
 			}

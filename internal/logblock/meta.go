@@ -57,10 +57,11 @@ const (
 )
 
 // headersElided is the bit of a column's index byte that says the meta
-// holds no block header for the column: the LogBlock is one column
-// block, whose row count and SMA are the LogBlock's and the column's.
-// It lies in the format nibble, above every format there is, so a
-// reader from before it refuses the meta instead of misreading it.
+// holds no block headers: the LogBlock is one column block, whose row
+// count and SMAs are the LogBlock's and the columns'. Every column of
+// the meta sets it or none does. It lies in the format nibble, above
+// every format there is, so a reader from before it refuses the meta
+// instead of misreading it.
 const headersElided = 0x80
 
 // Meta is the decoded "meta" member of a LogBlock: schema, geometry,
@@ -95,7 +96,7 @@ func (m *Meta) Encode() []byte {
 	out = bitutil.AppendVarint(out, m.MaxTS)
 	elide := m.NumBlocks == 1
 	for _, cm := range m.Columns {
-		out = cm.SMA.AppendTo(out)
+		out = appendBounded(out, cm.SMA)
 		kind := byte(cm.IndexFormat)<<4 | byte(cm.Index)
 		if elide {
 			out = append(out, kind|headersElided)
@@ -104,10 +105,19 @@ func (m *Meta) Encode() []byte {
 		out = append(out, kind)
 		for _, bh := range cm.Blocks {
 			out = bitutil.AppendUvarint(out, uint64(bh.RowCount))
-			out = bh.SMA.AppendTo(out)
+			out = appendBounded(out, bh.SMA)
 		}
 	}
 	return out
+}
+
+// appendBounded appends s as a meta stores it: with its string bounds
+// cut to sma.BoundLen bytes (sma.Truncate), which a bound already that
+// short, as every decoded one is, keeps as it is.
+func appendBounded(out []byte, s *sma.SMA) []byte {
+	c := *s
+	c.Truncate()
+	return c.AppendTo(out)
 }
 
 // DecodeMeta parses a meta member.
@@ -172,6 +182,7 @@ func DecodeMeta(data []byte) (*Meta, error) {
 		return nil, fmt.Errorf("logblock: block count %d exceeds %d remaining meta bytes", m.NumBlocks, len(data)-off)
 	}
 	m.Columns = make([]ColumnMeta, len(sch.Columns))
+	elided := false
 	for ci := range sch.Columns {
 		colSMA, n, err := sma.Decode(data[off:])
 		if err != nil {
@@ -187,10 +198,17 @@ func DecodeMeta(data []byte) (*Meta, error) {
 		if cm.IndexFormat > IndexFormatTokens || cm.IndexFormat == IndexFormatTokens && cm.Index != schema.IndexInverted {
 			return nil, fmt.Errorf("logblock: column %d index format %d unknown for index kind %d", ci, cm.IndexFormat, cm.Index)
 		}
-		if kind&headersElided != 0 {
-			if m.NumBlocks != 1 || m.RowCount > m.BlockRows {
-				return nil, fmt.Errorf("logblock: column %d elides the block headers of %d rows in %d blocks of %d", ci, m.RowCount, m.NumBlocks, m.BlockRows)
+		// The first column says whether the meta elides its block
+		// headers, and every other one must say the same.
+		if ci == 0 {
+			elided = kind&headersElided != 0
+			if elided && (m.NumBlocks != 1 || m.RowCount > m.BlockRows) {
+				return nil, fmt.Errorf("logblock: meta elides the block headers of %d rows in %d blocks of %d", m.RowCount, m.NumBlocks, m.BlockRows)
 			}
+		} else if (kind&headersElided != 0) != elided {
+			return nil, fmt.Errorf("logblock: column %d and column 0 disagree on eliding the block headers", ci)
+		}
+		if elided {
 			cm.Blocks = []BlockHeader{{RowCount: m.RowCount, SMA: colSMA}}
 			m.Columns[ci] = cm
 			continue

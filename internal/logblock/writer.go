@@ -283,7 +283,6 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 				encoding, payload = stringBlock(s, sorted[start:end], ci, start, bh.SMA, inv)
 			}
 			cm.SMA.Merge(bh.SMA)
-			bh.SMA.Truncate()
 			cm.Blocks[bi] = bh
 
 			partStart := len(s.data)
@@ -300,8 +299,6 @@ func build(sch *schema.Schema, rows []schema.Row, opts BuildOptions, stringBlock
 			s.data = comp
 			dataParts = append(dataParts, part{col: ci, blk: bi, size: len(s.data) - partStart})
 		}
-
-		cm.SMA.Truncate()
 
 		partStart := len(s.index)
 		switch cm.Index {
