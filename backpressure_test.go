@@ -39,7 +39,6 @@ func TestBackpressureSurfacesToClient(t *testing.T) {
 	c, err := logstore.Open(logstore.Config{
 		Workers: 1, ShardsPerWorker: 1,
 		RaftQueueItems:  2,
-		RaftTick:        2 * time.Millisecond,
 		ArchiveInterval: time.Hour,
 	})
 	if err != nil {

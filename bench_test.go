@@ -225,7 +225,6 @@ func BenchmarkAppendGroupCommit(b *testing.B) {
 		ShardsPerWorker: 1,
 		ArchiveInterval: time.Hour,
 		MaxSegmentRows:  1 << 20,
-		RaftTick:        time.Millisecond,
 		DataDir:         b.TempDir(), // raft WALs on disk: real Sync() per group
 	})
 	if err != nil {

@@ -22,8 +22,8 @@
 //
 //	benchdiff -mode soak -base BENCH_soak_short.json -new /tmp/soak.json
 //
-// Soak runs are noisier than micro-benchmarks (zipfian load, raft
-// elections, wall-clock pacing), so the soak gate defaults to a wider
+// Soak runs are noisier than micro-benchmarks (zipfian load,
+// scheduling, wall-clock pacing), so the soak gate defaults to a wider
 // -max-regress; tune per call site rather than loosening the micro
 // gate.
 package main

@@ -155,24 +155,15 @@ func shippedObjects() (map[string][]byte, error) {
 	return objs, nil
 }
 
-// walStorageRecords runs write against a WALStorage in a temporary
-// directory and returns the records it left in the log, each framed
-// with a uvarint length.
-func walStorageRecords(write func(*raft.WALStorage) error) ([]byte, error) {
+// walRecords runs write against an empty WAL directory and returns the
+// records it left in the log, each framed with a uvarint length.
+func walRecords(write func(dir string) error) ([]byte, error) {
 	dir, err := os.MkdirTemp("", "fuzzseed-wal")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	s, err := raft.OpenWALStorage(dir, wal.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := write(s); err != nil {
-		_ = s.Close()
-		return nil, err
-	}
-	if err := s.Close(); err != nil {
+	if err := write(dir); err != nil {
 		return nil, err
 	}
 	l, err := wal.Open(dir, wal.Options{})
@@ -526,24 +517,51 @@ func run(root string) error {
 			return err
 		}
 	}
-	// internal/raft: WAL records as a WALStorage writes them, read back
-	// from its log and framed with a uvarint length each — a log with a
-	// conflict replaced and a checkpoint, one with a gap in its entries,
-	// and a torn copy.
-	walRecs, err := walStorageRecords(func(s *raft.WALStorage) error {
-		s.SetState(2, 1)
-		s.Append([]raft.Entry{{Term: 1, Index: 1, Data: []byte("a")}, {Term: 1, Index: 2, Data: []byte("b")}, {Term: 1, Index: 3}})
-		s.TruncateFrom(3)
-		s.Append([]raft.Entry{{Term: 2, Index: 3, Data: []byte("c")}, {Term: 2, Index: 4, Data: []byte("d")}})
-		return s.Checkpoint(2)
+	// internal/raft: WAL records read back from a log and framed with a
+	// uvarint length each — a log with a conflict replaced and a
+	// checkpoint, as the node that ran elections wrote it (its 'S'
+	// records carry vote+1, and only it wrote 'T'), one with a gap in
+	// its entries as a WALStorage writes it, and a torn copy.
+	walRecs, err := walRecords(func(dir string) error {
+		l, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			return err
+		}
+		record := func(tag byte, fields ...uint64) []byte {
+			out := []byte{tag}
+			for _, v := range fields {
+				out = binary.AppendUvarint(out, v)
+			}
+			return out
+		}
+		entry := func(e raft.Entry) []byte { return e.AppendTo([]byte{'E'}) }
+		_, err = l.AppendBatch([][]byte{
+			record('S', 2, 2), // term 2, voted for node 1
+			entry(raft.Entry{Term: 1, Index: 1, Data: []byte("a")}),
+			entry(raft.Entry{Term: 1, Index: 2, Data: []byte("b")}),
+			entry(raft.Entry{Term: 1, Index: 3}),
+			record('T', 3),
+			entry(raft.Entry{Term: 2, Index: 3, Data: []byte("c")}),
+			entry(raft.Entry{Term: 2, Index: 4, Data: []byte("d")}),
+			record('A', 2, 1), // Checkpoint(2): the mark, then the state again
+			record('S', 2, 2),
+		})
+		if cerr := l.Close(); err == nil {
+			err = cerr
+		}
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	gapRecs, err := walStorageRecords(func(s *raft.WALStorage) error {
+	gapRecs, err := walRecords(func(dir string) error {
+		s, err := raft.OpenWALStorage(dir, wal.Options{})
+		if err != nil {
+			return err
+		}
 		s.Append([]raft.Entry{{Term: 1, Index: 1}, {Term: 1, Index: 2}})
 		s.Append([]raft.Entry{{Term: 1, Index: 4}, {Term: 1, Index: 5}})
-		return nil
+		return s.Close()
 	})
 	if err != nil {
 		return err

@@ -86,7 +86,6 @@ func main() {
 		Workers:         *workers,
 		ShardsPerWorker: *shards,
 		ArchiveInterval: 250 * time.Millisecond,
-		RaftTick:        2 * time.Millisecond,
 	}
 	var shipDir string
 	if *ship || *durable {

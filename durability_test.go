@@ -78,7 +78,7 @@ func TestClusterRestartRecoversData(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	// Allow raft groups to elect and (possibly) replay any tail.
+	// Poll until the restarted cluster answers with the rows it had.
 	deadline = time.Now().Add(5 * time.Second)
 	var got int64 = -1
 	for time.Now().Before(deadline) {

@@ -40,12 +40,12 @@ func (p *countingPool) count(id flow.WorkerID) int {
 	return p.lookups[id]
 }
 
-// newRaftWorker builds a worker on a fast raft tick, hosting shards.
+// newRaftWorker builds a worker hosting shards.
 func newRaftWorker(t *testing.T, id flow.WorkerID, shards ...flow.ShardID) *worker.Worker {
 	t.Helper()
 	sch := schema.RequestLogSchema()
 	w, err := worker.New(worker.Config{
-		ID: id, ArchiveInterval: time.Hour, RaftTick: 2 * time.Millisecond,
+		ID: id, ArchiveInterval: time.Hour,
 		Builder: builder.Config{Table: sch.Name},
 	}, sch, oss.NewMemStore(), meta.NewManager())
 	if err != nil {

@@ -110,7 +110,6 @@ func fuzzCluster(tb testing.TB) *logstore.Cluster {
 		Workers:         1,
 		ShardsPerWorker: 2,
 		ArchiveInterval: time.Hour,
-		RaftTick:        time.Millisecond,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -72,7 +72,7 @@ func FuzzWALStorageReplay(f *testing.F) {
 	f.Add(frame(entry(1, 3), record(walTagApplied, 1, 1), entry(1, 2), entry(1, 5))) // a hole at the mark
 	f.Add(frame([]byte{walTagEntry, 0x80}, record(walTagState, 1)))                  // a torn entry
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &WALStorage{vote: None}
+		s := &WALStorage{}
 		for seq := uint64(1); len(data) > 0; seq++ {
 			n, k := binary.Uvarint(data)
 			if k <= 0 || n > uint64(len(data)-k) {

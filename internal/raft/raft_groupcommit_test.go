@@ -21,8 +21,15 @@ type countingSyncStorage struct {
 	entries atomic.Int64
 }
 
+// syncCost is what each Sync takes, as a device flush does. Group
+// commit amortizes a flush that takes time: proposals arriving during
+// one are drained by the next. A Sync that returned at once would let
+// the log keep up with the writers one proposal at a time.
+const syncCost = 200 * time.Microsecond
+
 func (c *countingSyncStorage) Sync() error {
 	c.syncs.Add(1)
+	time.Sleep(syncCost)
 	return nil
 }
 
@@ -33,55 +40,20 @@ func (c *countingSyncStorage) Append(entries []Entry) {
 }
 
 // TestGroupCommitAmortizesSyncs is the group-commit acceptance gate:
-// with >= 8 concurrent proposers the leader must issue strictly fewer
+// with >= 8 concurrent proposers the node must issue strictly fewer
 // Sync calls than it acks proposals (amortized < 1 fsync per ack), and
-// every proposal must still commit and apply exactly once, in order.
+// every proposal must still commit and apply exactly once.
 func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	const (
 		writers    = 8
 		perWriter  = 50
 		totalProps = writers * perWriter
 	)
-	c := &cluster{
-		t:     t,
-		net:   NewLocalNetwork(1),
-		nodes: make(map[NodeID]*Node),
-		sms:   make(map[NodeID]*recordingSM),
-		store: make(map[NodeID]*MemoryStorage),
-	}
-	counters := make(map[NodeID]*countingSyncStorage)
-	for i := 0; i < 3; i++ {
-		c.peers = append(c.peers, NodeID(i))
-	}
-	for _, id := range c.peers {
-		sm := &recordingSM{}
-		c.sms[id] = sm
-		cs := &countingSyncStorage{Storage: NewMemoryStorage()}
-		counters[id] = cs
-		node, err := NewNode(Config{
-			ID:            id,
-			Peers:         c.peers,
-			Transport:     c.net.Transport(id),
-			SM:            sm,
-			Storage:       cs,
-			TickInterval:  2 * time.Millisecond,
-			ElectionTicks: 10,
-			Seed:          int64(id) + 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.nodes[id] = node
-		c.net.Register(node)
-	}
-	t.Cleanup(c.stopAll)
-
-	leader := c.waitLeader()
-	lid := leader.Status().ID
-
-	// Snapshot the election-time counts so the measurement covers only
-	// the proposal traffic.
-	baseSyncs := counters[lid].syncs.Load()
+	sm := &recordingSM{}
+	cs := &countingSyncStorage{Storage: NewMemoryStorage()}
+	n := newNode(t, Config{SM: sm, Storage: cs})
+	// The open's flush is not proposal traffic.
+	baseSyncs := cs.syncs.Load()
 
 	var wg sync.WaitGroup
 	var acked atomic.Int64
@@ -93,13 +65,13 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				data := []byte(fmt.Sprintf("w%d-%d", w, i))
 				for {
-					err := leader.Propose(data)
+					err := n.Propose(data)
 					if err == nil {
 						acked.Add(1)
 						break
 					}
-					if err == ErrNotLeader || err == ErrStopped {
-						t.Errorf("leadership moved during steady-state test: %v", err)
+					if !errors.Is(err, ErrBackpressure) {
+						t.Errorf("propose: %v", err)
 						return
 					}
 					time.Sleep(time.Millisecond) // backpressure: retry
@@ -112,34 +84,21 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	if got := acked.Load(); got != totalProps {
 		t.Fatalf("acked %d proposals, want %d", got, totalProps)
 	}
-	leaderSyncs := counters[lid].syncs.Load() - baseSyncs
-	if leaderSyncs == 0 {
-		t.Fatal("leader never synced its storage: group commit must still flush before quorum")
+	syncs := cs.syncs.Load() - baseSyncs
+	if syncs == 0 {
+		t.Fatal("the node never synced its storage: group commit must still flush before commit")
 	}
-	if leaderSyncs >= totalProps {
-		t.Fatalf("leader issued %d syncs for %d acked proposals: group commit must amortize to < 1 sync/ack",
-			leaderSyncs, totalProps)
+	if syncs >= totalProps {
+		t.Fatalf("the node issued %d syncs for %d acked proposals: group commit must amortize to < 1 sync/ack",
+			syncs, totalProps)
 	}
-	t.Logf("leader: %d syncs for %d acked proposals (%.3f syncs/ack)",
-		leaderSyncs, totalProps, float64(leaderSyncs)/float64(totalProps))
-
-	// Followers batch too: each AppendEntries run is one storage append
-	// and one Sync, so their sync counts stay below the proposal count.
-	for id, cs := range counters {
-		if id == lid {
-			continue
-		}
-		if s := cs.syncs.Load(); s >= totalProps {
-			t.Errorf("follower %d issued %d syncs for %d proposals", id, s, totalProps)
-		}
-	}
+	t.Logf("%d syncs for %d acked proposals (%.3f syncs/ack)", syncs, totalProps, float64(syncs)/float64(totalProps))
 
 	// The group drain must not merge proposals into one entry: every
-	// proposal applies individually, exactly once, in proposal order
-	// per writer.
-	waitApplied(t, c.sms[lid], totalProps)
+	// proposal applies individually, exactly once.
+	waitFor(t, "every proposal applied", func() bool { return sm.count() >= totalProps })
 	seen := make(map[string]int)
-	for _, e := range c.sms[lid].entries() {
+	for _, e := range sm.entries() {
 		seen[string(e.Data)]++
 	}
 	if len(seen) != totalProps {
@@ -153,78 +112,47 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 
 	// And the storage-level grouping: strictly fewer Append calls than
 	// entries written means multi-entry runs actually happened.
-	la, le := counters[lid].appends.Load(), counters[lid].entries.Load()
+	la, le := cs.appends.Load(), cs.entries.Load()
 	if la >= le {
-		t.Errorf("leader storage: %d Append calls for %d entries — no grouping observed", la, le)
+		t.Errorf("storage: %d Append calls for %d entries — no grouping observed", la, le)
 	}
-	t.Logf("leader storage: %d Append calls for %d entries", la, le)
+	t.Logf("storage: %d Append calls for %d entries", la, le)
 }
 
-func waitApplied(t *testing.T, sm *recordingSM, want int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		// The no-op leadership entry is skipped on apply, so the count
-		// converges to exactly the proposal total.
-		if sm.count() >= want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("applied %d entries, want %d", sm.count(), want)
-}
-
-// TestAppliedIndexCoversCommit pins the flush-barrier invariant: every
-// replica's applied index converges to its CommitIndex, with leadership
-// no-ops (empty Data, never handed to the SM) covered too. A commit ack
-// fires before the state machine sees the entry, so "committed but not
-// yet applied" is a real window — FlushShard barriers on exactly this
-// pair, and a skipped no-op index would park that barrier forever
-// behind any fresh leader's term-opening entry.
+// TestAppliedIndexCoversCommit pins the flush-barrier invariant: the
+// applied index converges to Committed. A commit ack fires before the
+// state machine sees the entry, so "committed but not yet applied" is a
+// real window — FlushShard and every append's ack barrier on exactly
+// this pair.
 func TestAppliedIndexCoversCommit(t *testing.T) {
-	c := newCluster(t, 3)
-	defer c.stopAll()
-	c.waitLeader()
+	n := newNode(t, Config{SM: &recordingSM{}})
 	for i := 0; i < 20; i++ {
-		c.propose(fmt.Sprintf("entry-%d", i))
+		if err := n.Propose([]byte(fmt.Sprintf("entry-%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// 20 proposals + the leader's no-op: commit reaches at least 21 on
-	// the leader immediately, on followers via subsequent traffic.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		lagging := ""
-		for id, n := range c.nodes {
-			st := n.Status()
-			if st.CommitIndex < 21 || n.applied.Load() < st.CommitIndex {
-				lagging = fmt.Sprintf("node %d: commit=%d applied=%d", id, st.CommitIndex, n.applied.Load())
-			}
-		}
-		if lagging == "" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("applied index never met commit index: %s", lagging)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if got := n.Committed(); got != 20 {
+		t.Fatalf("commit index %d after 20 acked proposals", got)
 	}
+	waitFor(t, "applied index meets the commit index", func() bool { return n.applied.Load() == n.Committed() })
 }
 
 // TestWaitApplied: WaitApplied returns once the node has applied the
 // index, reports an ended context, and fails with ErrStopped once the
 // node stops rather than waiting for an apply that cannot come.
 func TestWaitApplied(t *testing.T) {
-	c := newCluster(t, 1)
-	n := c.waitLeader()
+	sm := &recordingSM{}
+	n := newNode(t, Config{SM: sm})
 	if err := n.Propose([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.WaitApplied(context.Background(), n.Status().CommitIndex); err != nil {
+	if err := n.WaitApplied(context.Background(), n.Committed()); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.sms[0].count(); got != 1 {
+	if got := sm.count(); got != 1 {
 		t.Fatalf("applied %d entries after WaitApplied, want 1", got)
 	}
-	beyond := n.Status().CommitIndex + 1
+	beyond := n.Committed() + 1
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if err := n.WaitApplied(ctx, beyond); !errors.Is(err, context.DeadlineExceeded) {
@@ -236,91 +164,46 @@ func TestWaitApplied(t *testing.T) {
 	}
 }
 
-// failingSyncStorage is a Storage whose every Sync fails: a disk that
-// takes writes and then cannot flush them.
-type failingSyncStorage struct {
+// flakySyncStorage is a Storage whose Sync fails while failing is set:
+// a disk that takes writes and then cannot flush them.
+type flakySyncStorage struct {
 	Storage
+	failing atomic.Bool
 }
 
 var errSyncFailed = errors.New("injected fsync failure")
 
-func (failingSyncStorage) Sync() error { return errSyncFailed }
+func (s *flakySyncStorage) Sync() error {
+	if s.failing.Load() {
+		return errSyncFailed
+	}
+	return nil
+}
 
-// TestFailedSyncIsNeverAcked: an entry whose Sync failed does not count
-// toward quorum on the node that failed it. A one-node group's leader
-// fails the proposal with the Sync error and commits nothing; in a
-// three-node group whose two followers cannot flush, the healthy
-// leader commits nothing either, because no follower answers Success.
+// TestFailedSyncIsNeverAcked: a run whose Sync failed fails its
+// proposals with the Sync error and commits nothing, and so does every
+// later run until a flush succeeds. The flush that succeeds commits the
+// failed runs' entries with its own: they were in the log all along.
 func TestFailedSyncIsNeverAcked(t *testing.T) {
-	t.Run("leader", func(t *testing.T) {
-		sm := &recordingSM{}
-		node, err := NewNode(Config{
-			ID: 0, Peers: []NodeID{0}, Transport: NewLocalNetwork(1).Transport(0),
-			SM: sm, Storage: failingSyncStorage{NewMemoryStorage()},
-			TickInterval: 2 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
+	sm := &recordingSM{}
+	st := &flakySyncStorage{Storage: NewMemoryStorage()}
+	n := newNode(t, Config{SM: sm, Storage: st})
+	st.failing.Store(true)
+	for i := 0; i < 3; i++ {
+		if err := n.Propose([]byte(fmt.Sprintf("lost-%d", i))); !errors.Is(err, errSyncFailed) {
+			t.Fatalf("Propose %d after a failed Sync = %v, want %v", i, err, errSyncFailed)
 		}
-		defer node.Stop()
-		waitFor(t, "self-election", node.IsLeader)
-		if err := node.Propose([]byte("x")); !errors.Is(err, errSyncFailed) {
-			t.Fatalf("Propose after a failed Sync = %v, want %v", err, errSyncFailed)
-		}
-		time.Sleep(20 * time.Millisecond)
-		if st := node.Status(); st.CommitIndex != 0 || sm.count() != 0 {
-			t.Fatalf("commit index %d, %d applied: an unflushed entry committed", st.CommitIndex, sm.count())
-		}
-	})
-	t.Run("followers", func(t *testing.T) {
-		net := NewLocalNetwork(1)
-		peers := []NodeID{0, 1, 2}
-		var nodes []*Node
-		for _, id := range peers {
-			var st Storage = NewMemoryStorage()
-			if id != 0 {
-				st = failingSyncStorage{st}
-			}
-			n, err := NewNode(Config{
-				ID: id, Peers: peers, Transport: net.Transport(id), SM: &recordingSM{},
-				Storage: st, TickInterval: 2 * time.Millisecond, ElectionTicks: 10,
-				// Node 0 times out first and so is the healthy leader.
-				Seed: int64(id) * 1000,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			net.Register(n)
-			nodes = append(nodes, n)
-			defer n.Stop()
-		}
-		var leader *Node
-		waitFor(t, "a leader", func() bool {
-			for _, n := range nodes {
-				if n.IsLeader() {
-					leader = n
-					return true
-				}
-			}
-			return false
-		})
-		p, err := leader.ProposeAsync([]byte("x"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- p.Wait() }()
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Fatal("proposal acked with no follower able to flush it")
-			}
-		case <-time.After(100 * time.Millisecond):
-		}
-		for _, n := range nodes {
-			if ci := n.Status().CommitIndex; ci != 0 {
-				t.Fatalf("node %d commit index %d: an unflushed entry committed", n.Status().ID, ci)
-			}
-		}
-	})
+	}
+	time.Sleep(20 * time.Millisecond)
+	if ci := n.Committed(); ci != 0 || sm.count() != 0 {
+		t.Fatalf("commit index %d, %d applied: an unflushed entry committed", ci, sm.count())
+	}
+	st.failing.Store(false)
+	if err := n.Propose([]byte("flushed")); err != nil {
+		t.Fatal(err)
+	}
+	if ci := n.Committed(); ci != 4 {
+		t.Fatalf("commit index %d after the flush, want 4", ci)
+	}
+	waitFor(t, "the four entries applied", func() bool { return sm.count() == 4 })
 }

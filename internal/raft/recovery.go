@@ -7,17 +7,14 @@ import (
 	"logstore/internal/wal"
 )
 
-// WriteRecoveryWAL materializes a raft WAL in an empty directory from
-// externally recovered state — the disk-loss hydration path, where a
-// worker rebuilds a shard from the shipped log in OSS instead of local
-// segments. It writes the same record sequence a live node would have
-// left behind (state, applied mark, entries), so the subsequent
+// WriteRecoveryWAL materializes a shard's WAL in an empty directory
+// from externally recovered state — the disk-loss hydration path, where
+// a worker rebuilds a shard from the shipped log in OSS instead of
+// local segments. It writes the same record sequence a live node would
+// have left behind (state, applied mark, entries), so the subsequent
 // OpenWALStorage replay — including the applied-mark rebase — runs
 // unchanged.
-//
-// vote is typically None: hydration rebuilds every replica of the
-// shard from the same shipped state, so no prior ballot can conflict.
-func WriteRecoveryWAL(dir string, opts wal.Options, term uint64, vote NodeID, applied, appliedTerm uint64, entries []Entry) (err error) {
+func WriteRecoveryWAL(dir string, opts wal.Options, term, applied, appliedTerm uint64, entries []Entry) (err error) {
 	l, err := wal.Open(dir, opts)
 	if err != nil {
 		return err
@@ -32,10 +29,7 @@ func WriteRecoveryWAL(dir string, opts wal.Options, term uint64, vote NodeID, ap
 	}
 
 	recs := make([][]byte, 0, len(entries)+2)
-	state := []byte{walTagState}
-	state = bitutil.AppendUvarint(state, term)
-	state = bitutil.AppendUvarint(state, uint64(int64(vote)+1))
-	recs = append(recs, state)
+	recs = append(recs, stateRecord(term))
 	if applied > 0 {
 		mark := []byte{walTagApplied}
 		mark = bitutil.AppendUvarint(mark, applied)

@@ -2,97 +2,62 @@ package raft
 
 import "sync"
 
-// Storage persists a node's durable raft state: the log plus the
-// (term, vote) pair. The node writes through on every mutation and
-// reads it all back at construction, so a node restarted on the same
-// Storage resumes safely.
+// Storage persists a node's log and its term. The node writes through
+// on every append and reads it all back at construction, so a node
+// restarted on the same Storage resumes where it stopped.
 type Storage interface {
-	// InitialState returns the persisted term and vote.
-	InitialState() (term uint64, vote NodeID)
-	// SetState persists term and vote.
-	SetState(term uint64, vote NodeID)
+	// Term returns the persisted term.
+	Term() uint64
+	// SetTerm persists term.
+	SetTerm(term uint64)
 	// Base returns the log's compaction point: the index and term of
 	// the last entry dropped by compaction (0, 0 when the log is
 	// complete from index 1). Entries returns only entries above it.
 	Base() (index, term uint64)
-	// SetBase advances the compaction point (a follower adopting a
-	// leader's base after fast-forward). Entries at or below it are
-	// discarded; the caller has already truncated conflicting suffixes.
-	SetBase(index, term uint64)
 	// Entries returns the persisted log above Base, in index order.
 	Entries() []Entry
 	// Append appends entries (contiguous with the existing log).
 	Append(entries []Entry)
-	// TruncateFrom discards all entries with Index >= index.
-	TruncateFrom(index uint64)
 }
 
 // Syncer is optionally implemented by Storage backends whose writes
 // buffer in the OS (WALStorage). The node calls Sync once per
 // group-committed run of entries — after appending the whole run,
-// before counting it replicated — so N concurrent proposals cost one
-// fsync, not N. Storages without a Syncer (MemoryStorage) are treated
-// as always-durable.
+// before committing it — so N concurrent proposals cost one fsync, not
+// N. Storages without a Syncer (MemoryStorage) are treated as
+// always-durable.
 type Syncer interface {
 	Sync() error
 }
 
-// MemoryStorage is the default Storage: everything in RAM. A WAL-backed
-// implementation can replace it where durability across process death
-// is needed; within the in-process simulation, node "crashes" keep the
-// MemoryStorage object alive to model stable storage.
+// MemoryStorage is the default Storage: everything in RAM. Within the
+// in-process simulation, a node "crash" keeps the MemoryStorage object
+// alive to model stable storage.
 type MemoryStorage struct {
-	mu       sync.Mutex
-	term     uint64
-	vote     NodeID
-	base     uint64
-	baseTerm uint64
-	entries  []Entry
+	mu      sync.Mutex
+	term    uint64
+	entries []Entry
 }
 
 // NewMemoryStorage returns empty storage.
-func NewMemoryStorage() *MemoryStorage {
-	return &MemoryStorage{vote: None}
-}
+func NewMemoryStorage() *MemoryStorage { return &MemoryStorage{} }
 
-// InitialState implements Storage.
-func (s *MemoryStorage) InitialState() (uint64, NodeID) {
+// Term implements Storage.
+func (s *MemoryStorage) Term() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.term, s.vote
+	return s.term
 }
 
-// SetState implements Storage.
-func (s *MemoryStorage) SetState(term uint64, vote NodeID) {
+// SetTerm implements Storage.
+func (s *MemoryStorage) SetTerm(term uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.term = term
-	s.vote = vote
 }
 
-// Base implements Storage.
-func (s *MemoryStorage) Base() (uint64, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.base, s.baseTerm
-}
-
-// SetBase implements Storage.
-func (s *MemoryStorage) SetBase(index, term uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if index <= s.base {
-		return
-	}
-	s.base = index
-	s.baseTerm = term
-	for i := len(s.entries); i > 0; i-- {
-		if s.entries[i-1].Index <= index {
-			s.entries = append([]Entry(nil), s.entries[i:]...)
-			return
-		}
-	}
-}
+// Base implements Storage: a memory log is never compacted.
+func (s *MemoryStorage) Base() (uint64, uint64) { return 0, 0 }
 
 // Entries implements Storage.
 func (s *MemoryStorage) Entries() []Entry {
@@ -108,16 +73,4 @@ func (s *MemoryStorage) Append(entries []Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = append(s.entries, entries...)
-}
-
-// TruncateFrom implements Storage.
-func (s *MemoryStorage) TruncateFrom(index uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, e := range s.entries {
-		if e.Index >= index {
-			s.entries = s.entries[:i]
-			return
-		}
-	}
 }

@@ -1,12 +1,15 @@
-// Package raft implements the replication protocol of LogStore's local
-// write phase (paper §2: "synchronize WAL between three replicas using
-// Raft", §4.2: "we integrate BFC into the Raft protocol"). It is a
-// self-contained Raft (Ongaro & Ousterhout) with leader election, log
-// replication with follower repair, and commit safety, extended with
-// the paper's two backpressure points: a bounded sync_queue in front of
-// log replication and a bounded apply_queue in front of the state
-// machine, so that a hot tenant saturating one Raft group sheds load at
-// the client instead of exhausting node memory.
+// Package raft is a shard's log, the local write phase of LogStore
+// (paper §4.2): proposals enter a bounded sync_queue, the log appends
+// everything queued as one run to its storage (the WAL) and makes it
+// durable with one Sync — group commit — and committed entries enter a
+// bounded apply_queue in front of the state machine. The two queues are
+// the paper's backpressure points (BFC): a hot tenant saturating one
+// shard sheds load at the client instead of exhausting node memory.
+//
+// Every shard is one node, so the log runs no consensus: no elections,
+// no followers, no messages. The package keeps its name, its WAL record
+// format and its entry encoding, which shipped chunks and existing data
+// directories use.
 package raft
 
 import (
@@ -15,37 +18,7 @@ import (
 	"logstore/internal/bitutil"
 )
 
-// NodeID identifies a raft peer within one group.
-type NodeID int
-
-// None is the null node id (no leader / no vote).
-const None NodeID = -1
-
-// StateType is the node's role.
-type StateType uint8
-
-// Raft roles.
-const (
-	StateFollower StateType = iota
-	StateCandidate
-	StateLeader
-)
-
-// String returns the role name.
-func (s StateType) String() string {
-	switch s {
-	case StateFollower:
-		return "follower"
-	case StateCandidate:
-		return "candidate"
-	case StateLeader:
-		return "leader"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
-}
-
-// Entry is one replicated log record.
+// Entry is one log record.
 type Entry struct {
 	Term  uint64
 	Index uint64
@@ -98,70 +71,6 @@ func minimalUvarint(b []byte) (uint64, int, error) {
 		return 0, 0, fmt.Errorf("overlong uvarint (%d bytes for %d)", n, v)
 	}
 	return v, n, err
-}
-
-// MessageType enumerates raft RPCs (as one-way messages).
-type MessageType uint8
-
-// Message kinds.
-const (
-	MsgVoteRequest MessageType = iota
-	MsgVoteResponse
-	MsgAppendRequest
-	MsgAppendResponse
-)
-
-// String returns the message kind name.
-func (t MessageType) String() string {
-	switch t {
-	case MsgVoteRequest:
-		return "VoteRequest"
-	case MsgVoteResponse:
-		return "VoteResponse"
-	case MsgAppendRequest:
-		return "AppendRequest"
-	case MsgAppendResponse:
-		return "AppendResponse"
-	default:
-		return fmt.Sprintf("msg(%d)", uint8(t))
-	}
-}
-
-// Message is a raft RPC. Fields are a union across message types.
-type Message struct {
-	Type MessageType
-	From NodeID
-	To   NodeID
-	Term uint64
-
-	// Vote request/response.
-	LastLogIndex uint64
-	LastLogTerm  uint64
-	VoteGranted  bool
-
-	// Append request.
-	PrevLogIndex uint64
-	PrevLogTerm  uint64
-	Entries      []Entry
-	LeaderCommit uint64
-	// Snapshot marks an append anchored at the leader's compaction
-	// point: a follower that cannot log-match at PrevLogIndex must
-	// adopt (PrevLogIndex, PrevLogTerm) as its new base instead of
-	// rejecting — the entries behind it were archived and are no longer
-	// replayable (snapshot-by-reference; the data lives in OSS).
-	Snapshot bool
-
-	// Append response.
-	Success    bool
-	MatchIndex uint64
-	// RejectHint accelerates follower repair: the follower's last index.
-	RejectHint uint64
-}
-
-// Transport delivers messages between peers of a group. Send must not
-// block indefinitely; lossy delivery is allowed (raft tolerates it).
-type Transport interface {
-	Send(msg Message)
 }
 
 // StateMachine consumes committed entries in log order.

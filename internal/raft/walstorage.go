@@ -8,32 +8,31 @@ import (
 	"logstore/internal/wal"
 )
 
-// WALStorage persists raft state in a segmented write-ahead log on
-// disk, making a shard's replica durable across process restarts —
-// this is the paper's arrangement where "the WAL is synchronized
-// between three replicas using Raft": the raft log IS the WAL.
+// WALStorage persists a shard's log in a segmented write-ahead log on
+// disk, making the shard durable across process restarts: the log IS
+// the WAL.
 //
 // Record encoding (one WAL record per mutation):
 //
-//	'S' term vote+1        — SetState
+//	'S' term 0             — SetTerm (older logs hold a vote+1 there)
 //	'E' entry              — Append (one record per entry)
-//	'T' index              — TruncateFrom
+//	'T' index              — drop entries ≥ index (written by older
+//	                         code only, when a follower repaired its log)
+//	'A' index term         — Checkpoint's applied mark
 //
-// Open replays the WAL to rebuild the logical state; Compact rewrites
-// nothing (WAL truncation is segment-granular and driven by the
-// checkpoint task via DropThrough).
+// Open replays the WAL to rebuild the logical state. WAL truncation is
+// segment-granular and driven by the checkpoint task (Checkpoint).
 type WALStorage struct {
 	mu   sync.Mutex
 	log  *wal.Log
 	term uint64
-	vote NodeID
 	// entries is the live raft log (the WAL is the durable copy);
 	// seqs[i] is the WAL sequence number of entries[i]'s record, used
 	// by Checkpoint to recycle old segments safely.
 	entries  []Entry
 	seqs     []uint64
 	applied  uint64 // highest durable applied-mark
-	markTerm uint64 // raft term of the entry at the applied mark
+	markTerm uint64 // term of the entry at the applied mark
 	// base/baseTerm is the compaction point exposed to the node: after
 	// a restart from a checkpointed WAL the live log resumes at
 	// applied+1 and everything at or below `base` is only reachable
@@ -57,10 +56,17 @@ const (
 	// archived elsewhere: segment truncation is best-effort (whole
 	// segments only), so the marker is what guarantees restart-replay
 	// idempotence — state machines skip entries at or below it. The
-	// record carries the entry's term too, so a restarted node can
-	// resume log-matching at the compaction point.
+	// record carries the entry's term too, the term of the base.
 	walTagApplied = 'A'
 )
+
+// stateRecord encodes an 'S' record. Its second field held a vote when
+// the log ran elections; it is written as 0 and read past.
+func stateRecord(term uint64) []byte {
+	rec := []byte{walTagState}
+	rec = bitutil.AppendUvarint(rec, term)
+	return bitutil.AppendUvarint(rec, 0)
+}
 
 // OpenWALStorage opens (or creates) durable raft storage in dir.
 func OpenWALStorage(dir string, opts wal.Options) (*WALStorage, error) {
@@ -68,7 +74,7 @@ func OpenWALStorage(dir string, opts wal.Options) (*WALStorage, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &WALStorage{log: l, vote: None}
+	s := &WALStorage{log: l}
 	if err := l.Replay(s.replayRecord); err != nil {
 		_ = l.Close() // surfacing the replay failure; close is best-effort
 		return nil, err
@@ -90,12 +96,10 @@ func (s *WALStorage) replayRecord(seq uint64, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("raft: WAL state term: %w", err)
 		}
-		votePlus, _, err := bitutil.Uvarint(payload[1+n:])
-		if err != nil {
+		if _, _, err := bitutil.Uvarint(payload[1+n:]); err != nil {
 			return fmt.Errorf("raft: WAL state vote: %w", err)
 		}
 		s.term = term
-		s.vote = NodeID(int64(votePlus) - 1)
 	case walTagEntry:
 		e, _, err := DecodeEntry(payload[1:])
 		if err != nil {
@@ -145,7 +149,7 @@ func (s *WALStorage) replayRecord(seq uint64, payload []byte) error {
 // ever happened): entries after a gap in it, or all of them when
 // there is a hole at the mark (left by segment recycling), would sit
 // at slice positions that disagree with their indexes, so they are
-// dropped and the leader re-replicates them.
+// dropped.
 func (s *WALStorage) normalizeReplay() {
 	cut := 0
 	for cut < len(s.entries) && s.entries[cut].Index <= s.applied {
@@ -179,23 +183,19 @@ func (s *WALStorage) truncateMem(index uint64) {
 	}
 }
 
-// InitialState implements Storage.
-func (s *WALStorage) InitialState() (uint64, NodeID) {
+// Term implements Storage.
+func (s *WALStorage) Term() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.term, s.vote
+	return s.term
 }
 
-// SetState implements Storage.
-func (s *WALStorage) SetState(term uint64, vote NodeID) {
+// SetTerm implements Storage.
+func (s *WALStorage) SetTerm(term uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.term = term
-	s.vote = vote
-	rec := []byte{walTagState}
-	rec = bitutil.AppendUvarint(rec, term)
-	rec = bitutil.AppendUvarint(rec, uint64(int64(vote)+1))
-	_, err := s.log.Append(rec)
+	_, err := s.log.Append(stateRecord(term))
 	s.keepErr(err)
 }
 
@@ -250,20 +250,9 @@ func (s *WALStorage) Append(entries []Entry) {
 	}
 }
 
-// TruncateFrom implements Storage.
-func (s *WALStorage) TruncateFrom(index uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := []byte{walTagTruncate}
-	rec = bitutil.AppendUvarint(rec, index)
-	_, err := s.log.Append(rec)
-	s.keepErr(err)
-	s.truncateMem(index)
-}
-
-// Sync flushes the WAL to stable storage (call after quorum-critical
-// writes when Options.SyncEveryAppend is off). Once a write or a flush
-// has failed, every Sync returns that first error.
+// Sync flushes the WAL to stable storage; the node calls it before it
+// commits appended entries. Once a write or a flush has failed, every
+// Sync returns that first error.
 func (s *WALStorage) Sync() error {
 	s.mu.Lock()
 	err := s.err
@@ -280,18 +269,14 @@ func (s *WALStorage) Sync() error {
 	return nil
 }
 
-// Checkpoint recycles WAL segments whose raft entries are all ≤
+// Checkpoint recycles WAL segments whose entries are all ≤
 // appliedIndex (already applied and durable elsewhere, e.g. archived
 // to object storage). Entries above appliedIndex — and the durable
-// term/vote — survive: the current state record is re-appended to the
+// term — survive: the current state record is re-appended to the
 // active segment first, and truncation never touches a segment holding
 // a retained entry's sequence. Mirrors the controller's periodic
-// checkpointing task (paper §3).
-//
-// NOTE: entries ≤ appliedIndex are dropped from the WAL but retained
-// in memory, so a restarted node re-fetches old entries from the
-// leader if a lagging peer needs them — the standard post-compaction
-// behaviour.
+// checkpointing task (paper §3). Entries ≤ appliedIndex stay in
+// memory until the storage is reopened.
 func (s *WALStorage) Checkpoint(appliedIndex uint64) error {
 	s.mu.Lock()
 	// Durable applied mark first: restart replay skips entries ≤ it.
@@ -309,10 +294,7 @@ func (s *WALStorage) Checkpoint(appliedIndex uint64) error {
 	}
 	// Durable state must outlive the truncated prefix: rewrite it into
 	// the active segment.
-	rec := []byte{walTagState}
-	rec = bitutil.AppendUvarint(rec, s.term)
-	rec = bitutil.AppendUvarint(rec, uint64(int64(s.vote)+1))
-	if _, err := s.log.Append(rec); err != nil {
+	if _, err := s.log.Append(stateRecord(s.term)); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -328,7 +310,7 @@ func (s *WALStorage) Checkpoint(appliedIndex uint64) error {
 	return s.log.TruncateFront(keep)
 }
 
-// termOfLocked resolves the raft term of the entry at index, consulting
+// termOfLocked resolves the term of the entry at index, consulting
 // the live log, the replayed prefix, and the current base.
 func (s *WALStorage) termOfLocked(index uint64) uint64 {
 	if index == s.base {
@@ -361,39 +343,6 @@ func (s *WALStorage) Base() (uint64, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.base, s.baseTerm
-}
-
-// SetBase implements Storage: a follower adopting the leader's
-// compaction point after a fast-forward. Durability reuses the
-// applied-mark record — on the next restart normalizeReplay rebuilds
-// the same base from it. The node has already truncated any
-// conflicting live entries.
-func (s *WALStorage) SetBase(index, term uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if index <= s.base {
-		return
-	}
-	rec := []byte{walTagApplied}
-	rec = bitutil.AppendUvarint(rec, index)
-	rec = bitutil.AppendUvarint(rec, term)
-	_, err := s.log.Append(rec)
-	s.keepErr(err)
-	if index >= s.applied {
-		s.applied = index
-		s.markTerm = term
-	}
-	s.base = index
-	s.baseTerm = term
-	cut := 0
-	for cut < len(s.entries) && s.entries[cut].Index <= index {
-		cut++
-	}
-	if cut > 0 {
-		s.prefix = append(s.prefix, s.entries[:cut]...)
-		s.entries = append([]Entry(nil), s.entries[cut:]...)
-		s.seqs = append([]uint64(nil), s.seqs[cut:]...)
-	}
 }
 
 // ReplayedPrefix returns the replayed entries at or below the base (the

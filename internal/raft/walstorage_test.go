@@ -1,9 +1,9 @@
 package raft
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
-	"time"
 
 	"logstore/internal/wal"
 )
@@ -17,21 +17,56 @@ func openWS(t *testing.T, dir string) *WALStorage {
 	return s
 }
 
+// appendRaw appends WAL records to the log in dir as they are given:
+// the way to write what only older code wrote.
+func appendRaw(t *testing.T, dir string, recs ...[]byte) {
+	t.Helper()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// record encodes a WAL record of tag with uvarint fields.
+func record(tag byte, fields ...uint64) []byte {
+	out := []byte{tag}
+	for _, v := range fields {
+		out = binary.AppendUvarint(out, v)
+	}
+	return out
+}
+
 func TestWALStorageStateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openWS(t, dir)
-	if term, vote := s.InitialState(); term != 0 || vote != None {
-		t.Fatalf("fresh state = %d, %d", term, vote)
+	if term := s.Term(); term != 0 {
+		t.Fatalf("fresh term = %d", term)
 	}
-	s.SetState(5, 2)
-	s.SetState(7, None) // None must survive the +1 encoding
+	s.SetTerm(5)
+	s.SetTerm(7)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openWS(t, dir)
-	defer s2.Close()
-	if term, vote := s2.InitialState(); term != 7 || vote != None {
-		t.Fatalf("recovered state = %d, %d", term, vote)
+	if term := s2.Term(); term != 7 {
+		t.Fatalf("recovered term = %d", term)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A state record of the node that ran elections carries a vote
+	// after the term: it replays to its term.
+	appendRaw(t, dir, record(walTagState, 9, 2))
+	s3 := openWS(t, dir)
+	defer s3.Close()
+	if term := s3.Term(); term != 9 {
+		t.Fatalf("term after an older state record = %d, want 9", term)
 	}
 }
 
@@ -43,7 +78,7 @@ func TestWALStorageEntriesSurviveRestart(t *testing.T) {
 		ents = append(ents, Entry{Term: 1, Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))})
 	}
 	s.Append(ents)
-	s.SetState(3, 1)
+	s.SetTerm(3)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +96,9 @@ func TestWALStorageEntriesSurviveRestart(t *testing.T) {
 	}
 }
 
+// TestWALStorageTruncateSurvivesRestart: a truncation record, which
+// only the node that repaired a follower's log wrote, still drops the
+// entries at and above its index on replay.
 func TestWALStorageTruncateSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := openWS(t, dir)
@@ -69,7 +107,12 @@ func TestWALStorageTruncateSurvivesRestart(t *testing.T) {
 		{Term: 1, Index: 2, Data: []byte("b")},
 		{Term: 1, Index: 3, Data: []byte("c")},
 	})
-	s.TruncateFrom(2)
+	s.Close()
+	appendRaw(t, dir, record(walTagTruncate, 2))
+	s = openWS(t, dir)
+	if got := s.Entries(); len(got) != 1 {
+		t.Fatalf("%d entries survive a truncation at 2", len(got))
+	}
 	// Conflicting entries replaced at the same indexes.
 	s.Append([]Entry{
 		{Term: 2, Index: 2, Data: []byte("b2")},
@@ -95,7 +138,7 @@ func TestWALStorageCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetState(4, 0)
+	s.SetTerm(4)
 	for i := 1; i <= 100; i++ {
 		s.Append([]Entry{{Term: 4, Index: uint64(i), Data: []byte(fmt.Sprintf("entry-%03d", i))}})
 	}
@@ -109,15 +152,15 @@ func TestWALStorageCheckpoint(t *testing.T) {
 	s.Close()
 
 	// After restart the log is rebased at the applied mark: the live
-	// log resumes at 91 above base (90, term 4), term/vote survive, and
+	// log resumes at 91 above base (90, term 4), the term survives, and
 	// the compacted prefix stays readable for dedup preloading. (The
 	// old behaviour — discarding the whole log — made a restarted
 	// group restart indexing at 1 underneath the durable applied mark,
 	// silently dropping freshly acked rows.)
 	s2 := openWS(t, dir)
 	defer s2.Close()
-	if term, vote := s2.InitialState(); term != 4 || vote != 0 {
-		t.Fatalf("state after checkpoint restart = %d, %d", term, vote)
+	if term := s2.Term(); term != 4 {
+		t.Fatalf("term after checkpoint restart = %d", term)
 	}
 	if base, baseTerm := s2.Base(); base != 90 || baseTerm != 4 {
 		t.Fatalf("base after checkpoint restart = (%d, %d), want (90, 4)", base, baseTerm)
@@ -154,98 +197,6 @@ func TestWALStorageCheckpointKeepsTail(t *testing.T) {
 	}
 }
 
-func TestRaftClusterOnWALStorage(t *testing.T) {
-	// A 3-node group running on durable storage: commit entries, crash
-	// a follower process (close its storage), restart it from disk,
-	// and confirm it catches up.
-	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	net := NewLocalNetwork(3)
-	peers := []NodeID{0, 1, 2}
-	sms := make([]*recordingSM, 3)
-	nodes := make([]*Node, 3)
-	stores := make([]*WALStorage, 3)
-
-	start := func(i int) {
-		ws, err := OpenWALStorage(dirs[i], wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i] = ws
-		if sms[i] == nil {
-			sms[i] = &recordingSM{}
-		}
-		n, err := NewNode(Config{
-			ID: NodeID(i), Peers: peers, Transport: net.Transport(NodeID(i)),
-			SM: sms[i], Storage: ws,
-			TickInterval: 2 * time.Millisecond, Seed: int64(i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = n
-		net.Register(n)
-	}
-	for i := range peers {
-		start(i)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-
-	var leader *Node
-	waitFor(t, "leader", func() bool {
-		for _, n := range nodes {
-			if n.IsLeader() {
-				leader = n
-				return true
-			}
-		}
-		return false
-	})
-	for i := 0; i < 10; i++ {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if err := leader.Propose([]byte(fmt.Sprintf("wal-%d", i))); err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("propose timeout")
-			}
-			for _, n := range nodes {
-				if n.IsLeader() {
-					leader = n
-				}
-			}
-		}
-	}
-
-	// Crash a follower: stop node, close storage, reopen from disk.
-	victim := -1
-	for i, n := range nodes {
-		if !n.IsLeader() {
-			victim = i
-			break
-		}
-	}
-	nodes[victim].Stop()
-	stores[victim].Close()
-	sms[victim] = &recordingSM{}
-	start(victim)
-
-	waitFor(t, "restarted follower catches up", func() bool {
-		return sms[victim].count() >= 10
-	})
-	// Its durable log holds all entries.
-	if got := len(stores[victim].Entries()); got < 10 {
-		t.Fatalf("durable log has %d entries", got)
-	}
-}
-
 func TestWALStorageAppliedMark(t *testing.T) {
 	dir := t.TempDir()
 	s := openWS(t, dir)
@@ -277,25 +228,20 @@ func TestWALStorageAppliedMark(t *testing.T) {
 	}
 }
 
-// TestOneNodeRestartAppliesRecoveredLog: a one-node group restarted from
-// its WAL commits and applies the entries it recovered with no new
-// proposal. It is its own quorum, so no append response will ever come
-// to advance the commit; electing itself has to.
+// TestOneNodeRestartAppliesRecoveredLog: a node restarted from its WAL
+// commits and applies the entries it recovered with no new proposal,
+// before NewNode returns.
 func TestOneNodeRestartAppliesRecoveredLog(t *testing.T) {
 	dir := t.TempDir()
 	start := func(sm *recordingSM) (*Node, *WALStorage) {
 		ws := openWS(t, dir)
-		n, err := NewNode(Config{
-			ID: 0, Peers: []NodeID{0}, Transport: NewLocalNetwork(1).Transport(0),
-			SM: sm, Storage: ws, TickInterval: 2 * time.Millisecond, Seed: 1,
-		})
+		n, err := NewNode(Config{SM: sm, Storage: ws})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return n, ws
 	}
 	n, ws := start(&recordingSM{})
-	waitFor(t, "leader", n.IsLeader)
 	for i := 0; i < 3; i++ {
 		if err := n.Propose([]byte(fmt.Sprintf("e%d", i))); err != nil {
 			t.Fatal(err)
@@ -308,19 +254,75 @@ func TestOneNodeRestartAppliesRecoveredLog(t *testing.T) {
 	n, ws = start(sm)
 	defer ws.Close()
 	defer n.Stop()
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for sm.count() < 3 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
 	if got := sm.count(); got != 3 {
-		t.Fatalf("restarted one-node group applied %d of 3 recovered entries", got)
+		t.Fatalf("restarted node applied %d of 3 recovered entries", got)
+	}
+	if got := n.Committed(); got != 3 {
+		t.Fatalf("restarted node's commit index %d, want 3", got)
+	}
+}
+
+// TestCheckpointedRestartAcceptsNewAppends is the regression test for
+// the compaction data-loss bug: a log restarted from a checkpointed WAL
+// used to rebuild an empty log starting at index 1, so every new
+// proposal landed at an index at or below the durable applied mark and
+// was silently skipped by the state machine. With base-index support,
+// the restarted log resumes above the mark.
+func TestCheckpointedRestartAcceptsNewAppends(t *testing.T) {
+	dir := t.TempDir()
+	open := func(sm *recordingSM) (*Node, *WALStorage) {
+		ws, err := OpenWALStorage(dir, wal.Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := NewNode(Config{SM: sm, Storage: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, ws
+	}
+	sm := &recordingSM{}
+	n, ws := open(sm)
+	for i := 0; i < 30; i++ {
+		if err := n.Propose([]byte(fmt.Sprintf("pad-entry-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "all applied before checkpoint", func() bool { return sm.count() == 30 })
+	// Checkpoint at the applied horizon, as the worker's drain does
+	// after archiving.
+	applied := sm.entries()
+	mark := applied[len(applied)-1].Index
+	if err := ws.Checkpoint(mark); err != nil {
+		t.Fatal(err)
+	}
+	n.Stop()
+	ws.Close()
+
+	// Restart from the compacted WAL with a fresh state machine that
+	// skips nothing: the log itself must hand it only new data.
+	sm2 := &recordingSM{}
+	n2, ws2 := open(sm2)
+	defer ws2.Close()
+	defer n2.Stop()
+	for i := 0; i < 5; i++ {
+		if err := n2.Propose([]byte(fmt.Sprintf("post-restart-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "post-restart entries applied", func() bool { return sm2.count() == 5 })
+	// The new entries must live above the durable applied mark — that
+	// is exactly what the old code violated.
+	for _, e := range sm2.entries() {
+		if e.Index <= mark {
+			t.Fatalf("applied new entry at index %d <= applied mark %d", e.Index, mark)
+		}
 	}
 }
 
 // TestWALStorageReplayDropsGap: a WAL whose entry records skip an index
 // replays to the contiguous run before the gap, with or without an
-// applied mark, so a slice position always agrees with its index. The
-// entries after the gap are the leader's to re-replicate.
+// applied mark, so a slice position always agrees with its index.
 func TestWALStorageReplayDropsGap(t *testing.T) {
 	entries := func(indexes ...uint64) []Entry {
 		var out []Entry

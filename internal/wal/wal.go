@@ -30,9 +30,8 @@ type Options struct {
 	// SegmentBytes rotates segments when they exceed this size
 	// (0 = 64 MiB).
 	SegmentBytes int64
-	// SyncEveryAppend fsyncs after every append. The paper's write path
-	// acks after quorum WAL persistence; in the simulation fsync is
-	// usually disabled for speed and enabled in durability tests.
+	// SyncEveryAppend fsyncs after every append. The shard log instead
+	// calls Sync once per group-committed run, before it acks.
 	SyncEveryAppend bool
 }
 

@@ -1,5 +1,5 @@
 // Package worker implements LogStore's execution layer (paper §3): a
-// worker node hosts a set of shards, each a one-node raft log in front
+// worker node hosts a set of shards, each a group-committed log in front
 // of a write-optimized row store (two-phase write, phase one), runs the
 // data builder that archives sealed segments to object storage as
 // LogBlocks (phase two), and executes sub-queries — over its shards'
@@ -61,8 +61,6 @@ type Config struct {
 	RowStore rowstore.Options
 	// Builder configures LogBlock construction.
 	Builder builder.Config
-	// RaftTick accelerates raft timing in tests (0 = 10ms).
-	RaftTick time.Duration
 	// DataDir, when set, makes every shard's raft log durable on disk
 	// (WAL-backed storage under DataDir/shard-N/replica-0, the layout of
 	// replicated builds, so their data directories still recover); empty
@@ -91,9 +89,9 @@ type Config struct {
 // worker or retry after recovery.
 var ErrWorkerDown = errors.New("worker: node is down")
 
-// Shard is one table shard hosted by a worker: a one-node raft group
-// whose state machine is the shard's row store. The node is the only
-// copy of the shard's log; durability beyond the process comes from
+// Shard is one table shard hosted by a worker: a log (raft.Node) whose
+// state machine is the shard's row store. The node is the only copy of
+// the shard's log; durability beyond the process comes from
 // the WAL under DataDir and from WAL shipping (DESIGN.md, "One node per
 // shard").
 type Shard struct {
@@ -174,7 +172,7 @@ type Worker struct {
 	archiveDone chan struct{}
 	stopOnce    sync.Once
 	// down flips when the worker crashes or closes; entry points fail
-	// fast with ErrWorkerDown instead of hanging on stopped raft groups.
+	// fast with ErrWorkerDown instead of hanging on stopped shard logs.
 	down atomic.Bool
 	// crashed marks an ungraceful stop: the final archive drain is
 	// skipped, abandoning in-memory rows exactly as SIGKILL would.
@@ -268,10 +266,11 @@ func (w *Worker) Capacity() float64 { return w.cfg.CapacityPerSec }
 // restart still apply exactly once.
 //
 // The shard is built outside the worker lock — its WAL opened and
-// replayed, its one-node group elected, which with a DataDir writes and
-// syncs a first entry — so that shards added at once build side by side
-// and no append or query waits for them. An AddShard of an id already
-// being added waits for that one.
+// replayed, and the entries above the applied mark applied to its row
+// store, so a query made once AddShard returns sees every acked row —
+// so that shards added at once build side by side and no append or
+// query waits for them. An AddShard of an id already being added waits
+// for that one.
 func (w *Worker) AddShard(id flow.ShardID) error {
 	w.mu.Lock()
 	for {
@@ -318,7 +317,7 @@ func (w *Worker) AddShard(id flow.ShardID) error {
 
 // buildShard makes shard id ready to serve: its row store, its WAL
 // recovered (from the shipped log on OSS first if the disk was lost)
-// and its one-node raft group elected. It reports whether the WAL was
+// and its log opened. It reports whether the WAL was
 // hydrated from OSS.
 func (w *Worker) buildShard(id flow.ShardID) (*Shard, bool, error) {
 	// Disk-loss hydration reads OSS (latest shipped snapshot + chunk
@@ -381,22 +380,17 @@ func (w *Worker) buildShard(id flow.ShardID) (*Shard, bool, error) {
 		sh.shipper = ship.New(*w.cfg.WALShip, int64(id), bootTip+1, w.shipSource(sh))
 	}
 	// The node offers its committed entries to the shard's shipper
-	// before the proposer is acked and before it applies them. It is its
-	// whole peer set, so its transport never carries a message.
+	// before the proposer is acked and before it applies them. It
+	// applies the entries it recovered above the mark before it returns.
 	var hook func([]raft.Entry)
 	if sh.shipper != nil {
 		hook = sh.shipper.Offer
 	}
 	sh.node, err = raft.NewNode(raft.Config{
-		ID:              0,
-		Peers:           []raft.NodeID{0},
-		Transport:       raft.NewLocalNetwork(int64(id)).Transport(0),
 		SM:              raft.StateMachineFunc(sh.apply),
 		Storage:         storage,
-		TickInterval:    w.cfg.RaftTick,
 		SyncQueueItems:  w.cfg.RaftQueueItems,
 		ApplyQueueItems: w.cfg.RaftQueueItems,
-		Seed:            int64(id) * 101,
 		CommitHook:      hook,
 	})
 	if err != nil {
@@ -412,8 +406,8 @@ func (w *Worker) buildShard(id flow.ShardID) (*Shard, bool, error) {
 }
 
 // stop stops a built shard: its shipper first, so that a graceful stop
-// can still read the WAL for the final snapshot, then its raft group,
-// WAL and row store.
+// can still read the WAL for the final snapshot, then its log, WAL and
+// row store.
 func (sh *Shard) stop(graceful bool) {
 	if sh.shipper != nil {
 		// Graceful close flushes the remaining backlog to OSS; a crash
@@ -460,10 +454,7 @@ func (w *Worker) maybeHydrateShard(id flow.ShardID) ([]uint64, bool, error) {
 	if !ok {
 		return nil, false, nil // nothing ever shipped: genuinely fresh shard
 	}
-	// Vote is None: the disk is gone, so no prior ballot survives to
-	// conflict with a fresh election.
-	if err := raft.WriteRecoveryWAL(dir, wal.Options{}, st.Term, raft.None,
-		st.Applied, st.AppliedTerm, st.Entries); err != nil {
+	if err := raft.WriteRecoveryWAL(dir, wal.Options{}, st.Term, st.Applied, st.AppliedTerm, st.Entries); err != nil {
 		return nil, false, fmt.Errorf("worker %d shard %d: recovery WAL: %w", w.cfg.ID, id, err)
 	}
 	return st.DedupIDs, true, nil
@@ -479,10 +470,9 @@ func (w *Worker) shipSource(sh *Shard) ship.Source {
 	return func() (ship.State, error) {
 		sh.applyMu.Lock()
 		defer sh.applyMu.Unlock()
-		term, _ := ws.InitialState()
 		base, baseTerm := ws.Base()
 		return ship.State{
-			Term:        term,
+			Term:        ws.Term(),
 			Applied:     base,
 			AppliedTerm: baseTerm,
 			DedupIDs:    sh.seen.SnapshotBelow(base),
@@ -711,8 +701,8 @@ func (w *Worker) MemoryFootprint() int64 {
 	}
 	w.mu.RUnlock()
 	for _, sh := range shards {
-		st := sh.node.Status()
-		total += st.SyncQueue.Bytes + st.ApplyQueue.Bytes
+		syncBytes, applyBytes := sh.node.QueueBytes()
+		total += syncBytes + applyBytes
 		if sh.shipper != nil {
 			total += sh.shipper.Stats().UnshippedBytes
 		}
@@ -1374,7 +1364,7 @@ func (w *Worker) drainShardLocked(sh *Shard, window int) error {
 func (sh *Shard) waitApplied() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_ = sh.node.WaitApplied(ctx, sh.node.Status().CommitIndex)
+	_ = sh.node.WaitApplied(ctx, sh.node.Committed())
 }
 
 // FlushShard force-archives one shard's resident rows, with up to

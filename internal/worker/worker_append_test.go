@@ -22,14 +22,11 @@ import (
 )
 
 // newMemWorker builds a worker with in-memory raft logs; cfg carries
-// what a test wants different (a raft tick, queue bounds).
+// what a test wants different (queue bounds).
 func newMemWorker(t *testing.T, cfg Config) *Worker {
 	t.Helper()
 	cfg.ID = 1
 	cfg.ArchiveInterval = time.Hour // keep every row resident for the comparison
-	if cfg.RaftTick == 0 {
-		cfg.RaftTick = 2 * time.Millisecond
-	}
 	cfg.Builder = builder.Config{Table: "request_log"}
 	w, err := New(cfg, schema.RequestLogSchema(), oss.NewMemStore(), meta.NewManager())
 	if err != nil {
@@ -238,7 +235,6 @@ func TestUnitIsOneRaftEntry(t *testing.T) {
 	w := newMemWorker(t, Config{})
 	sh, _ := w.shard(0)
 	sch := schema.RequestLogSchema()
-	leader := sh.node
 	var total int64
 	for i, shape := range []struct{ tenants, rows int }{{1, 1}, {9, 90}, {50, 400}, {3, 12000}} {
 		gen := workload.NewGenerator(workload.GeneratorConfig{
@@ -248,15 +244,15 @@ func TestUnitIsOneRaftEntry(t *testing.T) {
 		if len(unit) != shape.tenants {
 			t.Fatalf("unit %d has %d subs, want %d; pick another seed", i, len(unit), shape.tenants)
 		}
-		before := leader.Status()
+		before := sh.node.Committed()
 		if err := w.EnqueueAppend(context.Background(), 0, unit).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		after := leader.Status()
+		after := sh.node.Committed()
 		size := len(encodeUnit(unit))
-		if after.Term != before.Term || after.LastIndex != before.LastIndex+1 {
-			t.Fatalf("unit %d (%d subs, %d bytes): log went %d → %d (term %d → %d), want one entry",
-				i, len(unit), size, before.LastIndex, after.LastIndex, before.Term, after.Term)
+		if after != before+1 {
+			t.Fatalf("unit %d (%d subs, %d bytes): log went %d → %d, want one entry",
+				i, len(unit), size, before, after)
 		}
 		if shape.rows == 12000 && size <= 1<<20 {
 			t.Fatalf("the large unit is only %d bytes", size)
@@ -449,7 +445,7 @@ func TestCrashFailsWaiters(t *testing.T) {
 	sch := schema.RequestLogSchema()
 	gen := workload.NewGenerator(workload.GeneratorConfig{Tenants: 4, Theta: 0, Seed: 9, StartMS: 1000})
 	if err := w.AppendTrustedCtx(context.Background(), 0, gen.Batch(10)); err != nil {
-		t.Fatal(err) // the node has elected itself
+		t.Fatal(err)
 	}
 	// The first apply below sleeps this long; everything up to the crash
 	// happens well inside it.
@@ -481,12 +477,12 @@ func TestCrashFailsWaiters(t *testing.T) {
 	base := sh.applied.Load()
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
 		fill()
-		st := sh.node.Status()
-		if st.CommitIndex >= base+4 && st.SyncQueue.Len == 2 {
+		committed, sq := sh.node.Committed(), sh.node.SyncQueue()
+		if committed >= base+4 && sq.Len == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("the pipeline never filled: %d units accepted, node %+v", waiters, st)
+			t.Fatalf("the pipeline never filled: %d units accepted, commit %d, sync_queue %+v", waiters, committed, sq)
 		}
 	}
 	const parked = 2

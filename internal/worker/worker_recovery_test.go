@@ -28,7 +28,6 @@ func newDurableWorker(t *testing.T, dataDir string, store oss.Store, catalog *me
 	w, err := New(Config{
 		ID:              1,
 		ArchiveInterval: archiveEvery,
-		RaftTick:        2 * time.Millisecond,
 		DataDir:         dataDir,
 		Builder:         builder.Config{Table: "request_log"},
 	}, schema.RequestLogSchema(), store, catalog)
@@ -157,8 +156,7 @@ func TestRetriedBatchAppliesOnce(t *testing.T) {
 	catalog := meta.NewManager()
 	w, err := New(Config{
 		ID: 1, ArchiveInterval: time.Hour,
-		RaftTick: 2 * time.Millisecond,
-		Builder:  builder.Config{Table: "request_log"},
+		Builder: builder.Config{Table: "request_log"},
 	}, schema.RequestLogSchema(), store, catalog)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +261,7 @@ func TestWorkerLeaderKillFailover(t *testing.T) {
 			}
 			open := func() *Worker {
 				w, err := New(Config{
-					ID: 1, ArchiveInterval: time.Hour, RaftTick: 2 * time.Millisecond,
+					ID: 1, ArchiveInterval: time.Hour,
 					DataDir: dir, WALShip: walShip,
 					Builder: builder.Config{Table: "request_log"},
 				}, schema.RequestLogSchema(), store, catalog)
@@ -323,15 +321,13 @@ func TestWorkerLeaderKillFailover(t *testing.T) {
 	}
 }
 
-// TestAppendBeforeElection: a shard's node leads from AddShard on, so
-// units enqueued right after it, with the first raft tick a second
-// away, are proposed at once and ack without waiting for a tick, and
-// every such unit lands exactly once.
-func TestAppendBeforeElection(t *testing.T) {
+// TestAppendRightAfterAddShard: a shard's log takes proposals from
+// AddShard on, so units enqueued right after it ack at once — well
+// within a second — and every such unit lands exactly once.
+func TestAppendRightAfterAddShard(t *testing.T) {
 	w, err := New(Config{
 		ID: 1, ArchiveInterval: time.Hour,
-		RaftTick: time.Second, // the first tick is far off
-		Builder:  builder.Config{Table: "request_log"},
+		Builder: builder.Config{Table: "request_log"},
 	}, schema.RequestLogSchema(), oss.NewMemStore(), meta.NewManager())
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +348,7 @@ func TestAppendBeforeElection(t *testing.T) {
 		}
 	}
 	if took := time.Since(start); took >= time.Second {
-		t.Fatalf("the units enqueued right after AddShard acked after %v, not before the first tick", took)
+		t.Fatalf("the units enqueued right after AddShard acked after %v", took)
 	}
 	if err := w.Append(0, gen.Batch(40)); err != nil {
 		t.Fatal(err)
@@ -401,7 +397,7 @@ func TestDrainWaitsForShipper(t *testing.T) {
 	shipStore := oss.WithDefaultRetry(held)
 	catalog := meta.NewManager()
 	w, err := New(Config{
-		ID: 1, ArchiveInterval: time.Hour, RaftTick: 2 * time.Millisecond,
+		ID: 1, ArchiveInterval: time.Hour,
 		DataDir: t.TempDir(),
 		WALShip: &ship.Options{Store: shipStore, Registry: ship.NewRegistry(shipStore)},
 		Builder: builder.Config{Table: "request_log"},

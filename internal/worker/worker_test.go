@@ -24,7 +24,6 @@ func newWorker(t *testing.T) (*Worker, *meta.Manager, *oss.MemStore) {
 		ID:              1,
 		CapacityPerSec:  100000,
 		ArchiveInterval: 50 * time.Millisecond,
-		RaftTick:        2 * time.Millisecond,
 		Builder:         builder.Config{Table: "request_log"},
 	}, schema.RequestLogSchema(), store, catalog)
 	if err != nil {

@@ -101,7 +101,7 @@ func StringValue(s string) Value { return schema.StringValue(s) }
 func RequestLogSchema() *Schema { return schema.RequestLogSchema() }
 
 // Config configures an embedded cluster. The zero value is a sensible
-// small deployment: 3 workers × 4 shards (one raft node each), max-flow
+// small deployment: 3 workers × 4 shards (one log each), max-flow
 // scheduling, in-memory object storage.
 type Config struct {
 	// Schema is the log table (nil = RequestLogSchema).
@@ -150,8 +150,6 @@ type Config struct {
 	CacheDir string
 	// CacheDiskBytes sizes the SSD level (0 with CacheDir set = 1 GiB).
 	CacheDiskBytes int64
-	// RaftTick accelerates raft timing (0 = 10 ms).
-	RaftTick time.Duration
 	// DataDir, when set, puts every shard's raft log on disk
 	// (WAL-backed) under DataDir/worker-N/, surviving process restarts.
 	DataDir string
@@ -448,9 +446,9 @@ func (c *Cluster) addWorkerLocked() (*worker.Worker, error) {
 	return w, nil
 }
 
-// addShards adds the shards sids to w all at once. Each recovers and
-// elects its own one-node group, and with a DataDir writes and syncs a
-// first entry, so added one after another their start-up times would
+// addShards adds the shards sids to w all at once. Each opens its log,
+// and with a DataDir replays its WAL, syncs its term and applies what
+// it recovered, so added one after another their start-up times would
 // add up. It returns every shard's error, joined.
 func addShards(w *worker.Worker, sids []flow.ShardID) error {
 	errs := make([]error, len(sids))
@@ -511,7 +509,6 @@ func (c *Cluster) newWorkerLocked(id flow.WorkerID) (*worker.Worker, error) {
 		// faster tenant scans) without touching the append path.
 		RowStore:       rowstore.Options{MaxSegmentRows: c.cfg.MaxSegmentRows, TenantIndex: true},
 		Builder:        builder.Config{Table: c.sch.Name},
-		RaftTick:       c.cfg.RaftTick,
 		DataDir:        dataDir,
 		RaftQueueItems: c.cfg.RaftQueueItems,
 		WALShip:        walShip,

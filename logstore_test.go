@@ -24,7 +24,6 @@ func fastConfig() Config {
 		ShardsPerWorker: 2,
 		ArchiveInterval: 50 * time.Millisecond,
 		MaxSegmentRows:  500,
-		RaftTick:        2 * time.Millisecond,
 	}
 }
 
