@@ -184,26 +184,29 @@ func (s *flakySyncStorage) Sync() error {
 // proposals with the Sync error and commits nothing, and so does every
 // later run until a flush succeeds. The flush that succeeds commits the
 // failed runs' entries with its own: they were in the log all along.
+// The one-node log is the leader case; followers no longer exist.
 func TestFailedSyncIsNeverAcked(t *testing.T) {
-	sm := &recordingSM{}
-	st := &flakySyncStorage{Storage: NewMemoryStorage()}
-	n := newNode(t, Config{SM: sm, Storage: st})
-	st.failing.Store(true)
-	for i := 0; i < 3; i++ {
-		if err := n.Propose([]byte(fmt.Sprintf("lost-%d", i))); !errors.Is(err, errSyncFailed) {
-			t.Fatalf("Propose %d after a failed Sync = %v, want %v", i, err, errSyncFailed)
+	t.Run("leader", func(t *testing.T) {
+		sm := &recordingSM{}
+		st := &flakySyncStorage{Storage: NewMemoryStorage()}
+		n := newNode(t, Config{SM: sm, Storage: st})
+		st.failing.Store(true)
+		for i := 0; i < 3; i++ {
+			if err := n.Propose([]byte(fmt.Sprintf("lost-%d", i))); !errors.Is(err, errSyncFailed) {
+				t.Fatalf("Propose %d after a failed Sync = %v, want %v", i, err, errSyncFailed)
+			}
 		}
-	}
-	time.Sleep(20 * time.Millisecond)
-	if ci := n.Committed(); ci != 0 || sm.count() != 0 {
-		t.Fatalf("commit index %d, %d applied: an unflushed entry committed", ci, sm.count())
-	}
-	st.failing.Store(false)
-	if err := n.Propose([]byte("flushed")); err != nil {
-		t.Fatal(err)
-	}
-	if ci := n.Committed(); ci != 4 {
-		t.Fatalf("commit index %d after the flush, want 4", ci)
-	}
-	waitFor(t, "the four entries applied", func() bool { return sm.count() == 4 })
+		time.Sleep(20 * time.Millisecond)
+		if ci := n.Committed(); ci != 0 || sm.count() != 0 {
+			t.Fatalf("commit index %d, %d applied: an unflushed entry committed", ci, sm.count())
+		}
+		st.failing.Store(false)
+		if err := n.Propose([]byte("flushed")); err != nil {
+			t.Fatal(err)
+		}
+		if ci := n.Committed(); ci != 4 {
+			t.Fatalf("commit index %d after the flush, want 4", ci)
+		}
+		waitFor(t, "the four entries applied", func() bool { return sm.count() == 4 })
+	})
 }
