@@ -276,10 +276,9 @@ func (b *Broker) AppendContext(ctx context.Context, rows []schema.Row) error {
 // says dead, the pool no longer has it, or the write came back
 // ErrWorkerDown) is re-routed in the next round, its tenants only, a
 // beat later, until the cluster swaps in the recovered worker — whose
-// shard nodes elect themselves — or the retry window closes; reroutes
-// counts those extra rounds. A shard node's first election is waited
-// out below the broker (the worker's propose retries until the node
-// leads). Any other error ends the call after its round.
+// shard logs take appends as soon as they are built — or the retry
+// window closes; reroutes counts those extra rounds. Any other error
+// ends the call after its round.
 func (b *Broker) appendSubs(ctx context.Context, s *appendScratch, subs []tenantSub) error {
 	// The deadline is read lazily so the success path (every append,
 	// under load) never touches the clock.
@@ -374,8 +373,7 @@ func (b *Broker) enqueueUnit(ctx context.Context, s *appendScratch, subs []tenan
 	case !ok:
 		u.err, u.retry = fmt.Errorf("broker: worker %d not found", wid), true
 	case b.cfg.Health != nil && b.cfg.Health.State(wid) == flow.WorkerDead:
-		// Known-dead: don't burn the window inside a 5s worker-side
-		// leader wait; re-check after a beat.
+		// Known-dead: send nothing; re-check after a beat.
 		u.err, u.retry = fmt.Errorf("broker: worker %d is down", wid), true
 	default:
 		batches := s.batches[:0]

@@ -44,8 +44,8 @@ func FuzzDecodeEntry(f *testing.F) {
 // OpenWALStorage reads them back from the log — and checks what a
 // replay that succeeds leaves behind: the live log is a contiguous run
 // from base+1 (a slice position agrees with its index), each entry has
-// its WAL sequence number, the base is the applied mark, and the
-// replayed prefix lies at or below it.
+// its WAL sequence number, and the replayed prefix lies at or below
+// the base.
 func FuzzWALStorageReplay(f *testing.F) {
 	record := func(tag byte, fields ...uint64) []byte {
 		out := []byte{tag}
@@ -84,8 +84,8 @@ func FuzzWALStorageReplay(f *testing.F) {
 			data = data[k+int(n):]
 		}
 		s.normalizeReplay()
-		if s.base != s.applied || len(s.seqs) != len(s.entries) {
-			t.Fatalf("base %d, applied mark %d; %d entries with %d sequence numbers", s.base, s.applied, len(s.entries), len(s.seqs))
+		if len(s.seqs) != len(s.entries) {
+			t.Fatalf("%d entries with %d sequence numbers", len(s.entries), len(s.seqs))
 		}
 		for i, e := range s.entries {
 			if e.Index != s.base+1+uint64(i) {
@@ -96,9 +96,6 @@ func FuzzWALStorageReplay(f *testing.F) {
 			if e.Index > s.base {
 				t.Fatalf("replayed prefix holds index %d above base %d", e.Index, s.base)
 			}
-		}
-		if len(s.entries) > 0 && s.termOfLocked(s.entries[len(s.entries)-1].Index) != s.entries[len(s.entries)-1].Term {
-			t.Fatal("termOf disagrees with the last live entry")
 		}
 	})
 }

@@ -20,7 +20,7 @@ var (
 // Config configures a node.
 type Config struct {
 	SM      StateMachine
-	Storage Storage // nil = fresh MemoryStorage
+	Storage Storage // nil = persist nothing: the log lives until commit
 
 	// BFC limits (paper §4.2): sync_queue bounds pending proposals,
 	// apply_queue bounds committed-but-unapplied entries. Zero values
@@ -77,8 +77,8 @@ type Node struct {
 	// taken yet. While it is non-empty the sync_queue is not drained,
 	// so it fills and rejects new proposals upstream (BFC).
 	stalledApply []Entry
-	// syncer is the Storage's optional durability hook (nil when the
-	// Storage needs no explicit flush).
+	// syncer is the Storage's optional durability hook (nil when there
+	// is no Storage or it needs no explicit flush).
 	syncer Syncer
 	// drainBuf is the reusable scratch for draining the sync_queue.
 	drainBuf []any
@@ -101,7 +101,8 @@ type Node struct {
 // NewNode opens the log on cfg.Storage and starts it. It takes the
 // stored term, bumps it and persists it; the entries recovered above
 // the storage's base commit with that flush and are applied before
-// NewNode returns, so a read made at once sees them.
+// NewNode returns, so a read made at once sees them. Without a Storage
+// the log starts empty in term 1 and keeps no entry past its commit.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.SyncQueueItems <= 0 {
 		cfg.SyncQueueItems = 4096
@@ -115,9 +116,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.ApplyQueueBytes <= 0 {
 		cfg.ApplyQueueBytes = 64 << 20
 	}
-	if cfg.Storage == nil {
-		cfg.Storage = NewMemoryStorage()
-	}
 	n := &Node{
 		cfg:    cfg,
 		syncQ:  backpressure.NewQueue("sync_queue", cfg.SyncQueueItems, cfg.SyncQueueBytes),
@@ -126,16 +124,17 @@ func NewNode(cfg Config) (*Node, error) {
 		stopc:  make(chan struct{}),
 		donec:  make(chan struct{}),
 	}
-	n.syncer, _ = cfg.Storage.(Syncer)
-	base, _ := cfg.Storage.Base()
-	n.last = base
-	n.committed.Store(base)
-	n.applied.Store(base)
-	n.term = cfg.Storage.Term() + 1
-	cfg.Storage.SetTerm(n.term)
-	n.uncommitted = cfg.Storage.Entries()
-	if len(n.uncommitted) > 0 {
-		n.last = n.uncommitted[len(n.uncommitted)-1].Index
+	n.term = 1
+	if cfg.Storage != nil {
+		n.syncer, _ = cfg.Storage.(Syncer)
+		n.last, _, n.uncommitted = cfg.Storage.Log()
+		n.committed.Store(n.last)
+		n.applied.Store(n.last)
+		if k := len(n.uncommitted); k > 0 {
+			n.last = n.uncommitted[k-1].Index
+		}
+		n.term = cfg.Storage.Term() + 1
+		cfg.Storage.SetTerm(n.term)
 	}
 	// One flush makes the new term durable and commits the recovered
 	// tail; a failed one leaves the tail for the first run that flushes.
@@ -270,7 +269,9 @@ func (n *Node) drainProposals() {
 		entries[i] = Entry{Term: n.term, Index: n.last + 1 + uint64(i), Data: v.(*proposal).data}
 	}
 	n.last += uint64(len(entries))
-	n.cfg.Storage.Append(entries)
+	if n.cfg.Storage != nil {
+		n.cfg.Storage.Append(entries)
+	}
 	if len(n.uncommitted) == 0 {
 		n.uncommitted = entries // no failed run ahead of this one: no copy
 	} else {

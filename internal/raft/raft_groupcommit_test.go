@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// countingSyncStorage wraps a Storage with a Sync counter, standing in
-// for a WAL whose fsyncs we want to audit. It also counts how many
+// countingSyncStorage wraps a WALStorage with a Sync counter that
+// stands in for the WAL's own fsync, so the test audits the flushes. It also counts how many
 // Append calls and how many total entries the node wrote, proving that
 // a group drain produces one storage append for the whole run.
 type countingSyncStorage struct {
@@ -50,7 +50,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 		totalProps = writers * perWriter
 	)
 	sm := &recordingSM{}
-	cs := &countingSyncStorage{Storage: NewMemoryStorage()}
+	cs := &countingSyncStorage{Storage: tempWS(t)}
 	n := newNode(t, Config{SM: sm, Storage: cs})
 	// The open's flush is not proposal traffic.
 	baseSyncs := cs.syncs.Load()
@@ -164,8 +164,8 @@ func TestWaitApplied(t *testing.T) {
 	}
 }
 
-// flakySyncStorage is a Storage whose Sync fails while failing is set:
-// a disk that takes writes and then cannot flush them.
+// flakySyncStorage is a WALStorage whose Sync fails while failing is
+// set: a disk that takes writes and then cannot flush them.
 type flakySyncStorage struct {
 	Storage
 	failing atomic.Bool
@@ -188,7 +188,7 @@ func (s *flakySyncStorage) Sync() error {
 func TestFailedSyncIsNeverAcked(t *testing.T) {
 	t.Run("leader", func(t *testing.T) {
 		sm := &recordingSM{}
-		st := &flakySyncStorage{Storage: NewMemoryStorage()}
+		st := &flakySyncStorage{Storage: tempWS(t)}
 		n := newNode(t, Config{SM: sm, Storage: st})
 		st.failing.Store(true)
 		for i := 0; i < 3; i++ {

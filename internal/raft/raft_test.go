@@ -78,11 +78,12 @@ func TestProposeCommitApply(t *testing.T) {
 	}
 }
 
-// TestRestartFromStorage: a node restarted on the storage of a stopped
-// one resumes its log — the entries it held apply again to a fresh
-// state machine, and new ones follow them.
+// TestRestartFromStorage: a node restarted on the reopened WAL of a
+// stopped one resumes its log — the entries it held apply again to a
+// fresh state machine, and new ones follow them in the next term.
 func TestRestartFromStorage(t *testing.T) {
-	st := NewMemoryStorage()
+	dir := t.TempDir()
+	st := openWS(t, dir)
 	n, err := NewNode(Config{SM: &recordingSM{}, Storage: st})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +94,12 @@ func TestRestartFromStorage(t *testing.T) {
 		}
 	}
 	n.Stop()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
+	st = openWS(t, dir)
+	defer st.Close()
 	sm := &recordingSM{}
 	n = newNode(t, Config{SM: sm, Storage: st})
 	if got := sm.count(); got != 10 {
@@ -113,7 +119,7 @@ func TestRestartFromStorage(t *testing.T) {
 	if term := st.Term(); term != 2 {
 		t.Fatalf("stored term %d after two opens, want 2", term)
 	}
-	if got := st.Entries(); len(got) != 15 || got[14].Term != 2 || got[9].Term != 1 {
+	if _, _, got := st.Log(); len(got) != 15 || got[14].Term != 2 || got[9].Term != 1 {
 		t.Fatalf("stored log: %d entries, want 15 in terms 1 then 2", len(got))
 	}
 }
@@ -219,24 +225,5 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		if _, _, err := DecodeEntry(raw[:cut]); err == nil {
 			t.Fatalf("truncation to %d accepted", cut)
 		}
-	}
-}
-
-func TestMemoryStorage(t *testing.T) {
-	s := NewMemoryStorage()
-	if term := s.Term(); term != 0 {
-		t.Fatalf("initial term = %d", term)
-	}
-	s.SetTerm(3)
-	if term := s.Term(); term != 3 {
-		t.Fatalf("term = %d", term)
-	}
-	s.Append([]Entry{{Term: 1, Index: 1}, {Term: 1, Index: 2}})
-	s.Append([]Entry{{Term: 2, Index: 3}})
-	if got := s.Entries(); len(got) != 3 || got[2].Index != 3 {
-		t.Fatalf("entries = %+v", got)
-	}
-	if base, term := s.Base(); base != 0 || term != 0 {
-		t.Fatalf("base = (%d, %d)", base, term)
 	}
 }

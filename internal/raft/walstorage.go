@@ -2,6 +2,7 @@ package raft
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"logstore/internal/bitutil"
@@ -26,21 +27,21 @@ type WALStorage struct {
 	mu   sync.Mutex
 	log  *wal.Log
 	term uint64
-	// entries is the live raft log (the WAL is the durable copy);
-	// seqs[i] is the WAL sequence number of entries[i]'s record, used
-	// by Checkpoint to recycle old segments safely.
-	entries  []Entry
-	seqs     []uint64
-	applied  uint64 // highest durable applied-mark
-	markTerm uint64 // term of the entry at the applied mark
-	// base/baseTerm is the compaction point exposed to the node: after
-	// a restart from a checkpointed WAL the live log resumes at
-	// applied+1 and everything at or below `base` is only reachable
-	// through the archive. prefix retains replayed entries ≤ base so
-	// the worker can preload its duplicate-suppression set.
+	// base/baseTerm is the highest durable applied mark and the term
+	// of the entry at it. Entries at or below base were applied AND
+	// archived elsewhere before a checkpoint, so the log has forgotten
+	// them: they are only reachable through the archive.
 	base     uint64
 	baseTerm uint64
-	prefix   []Entry
+	// entries is the live log above base (the WAL is the durable copy);
+	// seqs[i] is the WAL sequence number of entries[i]'s record, used
+	// by Checkpoint to recycle old segments safely.
+	entries []Entry
+	seqs    []uint64
+	// prefix holds the replayed entries at or below base, until the
+	// first Checkpoint: the worker preloads its duplicate-suppression
+	// set from them.
+	prefix []Entry
 	// err is the first failed write or flush. The Storage mutators
 	// cannot return it, so every later Sync does: a record that never
 	// reached the log must not be reported durable by a flush after it.
@@ -127,9 +128,9 @@ func (s *WALStorage) replayRecord(seq uint64, payload []byte) error {
 				return fmt.Errorf("raft: WAL applied mark term: %w", err)
 			}
 		}
-		if idx >= s.applied {
-			s.applied = idx
-			s.markTerm = term
+		if idx >= s.base {
+			s.base = idx
+			s.baseTerm = term
 		}
 	default:
 		return fmt.Errorf("raft: unknown WAL tag %q", payload[0])
@@ -140,32 +141,29 @@ func (s *WALStorage) replayRecord(seq uint64, payload []byte) error {
 // normalizeReplay rebases the replayed log at the applied mark. Entries
 // at or below the mark were applied AND archived before the last
 // checkpoint (that is what authorized writing the mark), so they move
-// to the read-only prefix; the live log resumes at mark+1 with
-// base = mark. A restarted node then reports the correct last index —
-// new entries continue from mark+1 rather than colliding with the
-// skip-below-the-mark apply rule, which used to silently drop freshly
-// acked rows after a checkpointed restart. The live log is the
-// contiguous run of entries from mark+1 (from 1 when no checkpoint
-// ever happened): entries after a gap in it, or all of them when
-// there is a hole at the mark (left by segment recycling), would sit
-// at slice positions that disagree with their indexes, so they are
-// dropped.
+// to the read-only prefix; the live log resumes at mark+1. A restarted
+// node then reports the correct last index — new entries continue from
+// mark+1 rather than colliding with the skip-below-the-mark apply rule,
+// which used to silently drop freshly acked rows after a checkpointed
+// restart. The live log is the contiguous run of entries from mark+1
+// (from 1 when no checkpoint ever happened): entries after a gap in it,
+// or all of them when there is a hole at the mark (left by segment
+// recycling), would sit at slice positions that disagree with their
+// indexes, so they are dropped.
 func (s *WALStorage) normalizeReplay() {
 	cut := 0
-	for cut < len(s.entries) && s.entries[cut].Index <= s.applied {
+	for cut < len(s.entries) && s.entries[cut].Index <= s.base {
 		cut++
 	}
-	if s.applied > 0 {
+	if s.base > 0 {
 		s.prefix = append([]Entry(nil), s.entries[:cut]...)
 	}
 	run := 0
-	for cut+run < len(s.entries) && s.entries[cut+run].Index == s.applied+1+uint64(run) {
+	for cut+run < len(s.entries) && s.entries[cut+run].Index == s.base+1+uint64(run) {
 		run++
 	}
 	s.entries = append([]Entry(nil), s.entries[cut:cut+run]...)
 	s.seqs = append([]uint64(nil), s.seqs[cut:cut+run]...)
-	s.base = s.applied
-	s.baseTerm = s.markTerm
 	if s.baseTerm == 0 && len(s.prefix) > 0 && s.prefix[len(s.prefix)-1].Index == s.base {
 		// Mark written before terms rode along: recover it from the
 		// replayed entry itself.
@@ -206,13 +204,14 @@ func (s *WALStorage) keepErr(err error) {
 	}
 }
 
-// Entries implements Storage.
-func (s *WALStorage) Entries() []Entry {
+// Log implements Storage. A generation roll ships what it returns, so
+// the three come from one read: a Checkpoint between separate reads of
+// the base and of the entries would leave a hole between them, and
+// hydration drops every entry after a hole.
+func (s *WALStorage) Log() (base, baseTerm uint64, entries []Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Entry, len(s.entries))
-	copy(out, s.entries)
-	return out
+	return s.base, s.baseTerm, append([]Entry(nil), s.entries...)
 }
 
 // Append implements Storage. A multi-entry run (a group commit) becomes
@@ -269,86 +268,59 @@ func (s *WALStorage) Sync() error {
 	return nil
 }
 
-// Checkpoint recycles WAL segments whose entries are all ≤
-// appliedIndex (already applied and durable elsewhere, e.g. archived
-// to object storage). Entries above appliedIndex — and the durable
-// term — survive: the current state record is re-appended to the
-// active segment first, and truncation never touches a segment holding
-// a retained entry's sequence. Mirrors the controller's periodic
-// checkpointing task (paper §3). Entries ≤ appliedIndex stay in
-// memory until the storage is reopened.
-func (s *WALStorage) Checkpoint(appliedIndex uint64) error {
+// Checkpoint makes mark the log's base: entries at or below it are
+// applied and durable elsewhere (archived to object storage), so the
+// log forgets them — the paper's checkpointing task (§3). In order, it
+// writes the applied mark and the current term (whose record may sit in
+// a segment about to go) into the active segment, flushes them, drops
+// the entries at or below the mark and the replayed prefix from memory,
+// and recycles every segment that holds only records before the first
+// retained entry. The flush comes before any segment is removed: were
+// the removals to outlive a lost mark, replay would find a hole at the
+// older mark and drop every acked entry above it. A mark at or below
+// the base changes nothing.
+func (s *WALStorage) Checkpoint(mark uint64) error {
 	s.mu.Lock()
-	// Durable applied mark first: restart replay skips entries ≤ it.
-	if appliedIndex > s.applied {
-		term := s.termOfLocked(appliedIndex)
-		mark := []byte{walTagApplied}
-		mark = bitutil.AppendUvarint(mark, appliedIndex)
-		mark = bitutil.AppendUvarint(mark, term)
-		if _, err := s.log.Append(mark); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.applied = appliedIndex
-		s.markTerm = term
+	defer s.mu.Unlock()
+	if mark <= s.base {
+		return nil
 	}
-	// Durable state must outlive the truncated prefix: rewrite it into
-	// the active segment.
-	if _, err := s.log.Append(stateRecord(s.term)); err != nil {
-		s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
+	cut := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Index > mark })
+	var term uint64
+	if cut > 0 && s.entries[cut-1].Index == mark {
+		term = s.entries[cut-1].Term
+	}
+	rec := []byte{walTagApplied}
+	rec = bitutil.AppendUvarint(rec, mark)
+	rec = bitutil.AppendUvarint(rec, term)
+	if _, err := s.log.AppendBatch([][]byte{rec, stateRecord(s.term)}); err != nil {
+		s.keepErr(err)
 		return err
 	}
-	// Keep every WAL record from the first retained entry onward.
-	keep := s.log.NextSeq()
-	for i, e := range s.entries {
-		if e.Index > appliedIndex {
-			keep = s.seqs[i]
-			break
-		}
+	if err := s.log.Sync(); err != nil {
+		s.keepErr(err)
+		return err
 	}
-	s.mu.Unlock()
+	s.base, s.baseTerm = mark, term
+	clear(s.entries[:cut]) // the backing array must not keep their Data alive
+	s.entries = s.entries[cut:]
+	s.seqs = s.seqs[cut:]
+	s.prefix = nil
+	keep := s.log.NextSeq()
+	if len(s.seqs) > 0 {
+		keep = s.seqs[0]
+	}
 	return s.log.TruncateFront(keep)
 }
 
-// termOfLocked resolves the term of the entry at index, consulting
-// the live log, the replayed prefix, and the current base.
-func (s *WALStorage) termOfLocked(index uint64) uint64 {
-	if index == s.base {
-		return s.baseTerm
-	}
-	for i := len(s.entries); i > 0; i-- {
-		if e := s.entries[i-1]; e.Index == index {
-			return e.Term
-		}
-	}
-	for i := len(s.prefix); i > 0; i-- {
-		if e := s.prefix[i-1]; e.Index == index {
-			return e.Term
-		}
-	}
-	return 0
-}
-
-// AppliedMark returns the highest durable applied mark: entries at or
-// below it were applied AND their effects archived before the last
-// checkpoint, so a restarted state machine must skip them.
-func (s *WALStorage) AppliedMark() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied
-}
-
-// Base implements Storage.
-func (s *WALStorage) Base() (uint64, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.base, s.baseTerm
-}
-
-// ReplayedPrefix returns the replayed entries at or below the base (the
-// compacted prefix still physically present in the WAL). The worker
-// preloads its duplicate-suppression set from them so a batch retried
-// across a restart is not applied twice.
+// ReplayedPrefix returns the entries at or below the base that Open
+// replayed (a compacted prefix still physically present in the WAL),
+// until the first Checkpoint drops them. The worker preloads its
+// duplicate-suppression set from them so a batch retried across a
+// restart is not applied twice.
 func (s *WALStorage) ReplayedPrefix() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()

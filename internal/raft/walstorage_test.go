@@ -17,6 +17,21 @@ func openWS(t *testing.T, dir string) *WALStorage {
 	return s
 }
 
+// tempWS opens a WALStorage in a fresh directory, closed when the test
+// ends.
+func tempWS(t *testing.T) *WALStorage {
+	t.Helper()
+	s := openWS(t, t.TempDir())
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// live returns the storage's entries above its base.
+func live(s *WALStorage) []Entry {
+	_, _, entries := s.Log()
+	return entries
+}
+
 // appendRaw appends WAL records to the log in dir as they are given:
 // the way to write what only older code wrote.
 func appendRaw(t *testing.T, dir string, recs ...[]byte) {
@@ -85,7 +100,7 @@ func TestWALStorageEntriesSurviveRestart(t *testing.T) {
 
 	s2 := openWS(t, dir)
 	defer s2.Close()
-	got := s2.Entries()
+	got := live(s2)
 	if len(got) != 50 {
 		t.Fatalf("recovered %d entries", len(got))
 	}
@@ -110,7 +125,7 @@ func TestWALStorageTruncateSurvivesRestart(t *testing.T) {
 	s.Close()
 	appendRaw(t, dir, record(walTagTruncate, 2))
 	s = openWS(t, dir)
-	if got := s.Entries(); len(got) != 1 {
+	if got := live(s); len(got) != 1 {
 		t.Fatalf("%d entries survive a truncation at 2", len(got))
 	}
 	// Conflicting entries replaced at the same indexes.
@@ -122,7 +137,7 @@ func TestWALStorageTruncateSurvivesRestart(t *testing.T) {
 
 	s2 := openWS(t, dir)
 	defer s2.Close()
-	got := s2.Entries()
+	got := live(s2)
 	if len(got) != 3 {
 		t.Fatalf("entries = %d", len(got))
 	}
@@ -145,9 +160,9 @@ func TestWALStorageCheckpoint(t *testing.T) {
 	if err := s.Checkpoint(90); err != nil {
 		t.Fatal(err)
 	}
-	// In-memory view unchanged.
-	if got := len(s.Entries()); got != 100 {
-		t.Fatalf("in-memory entries = %d", got)
+	// The log forgets what the mark covers at once, not at a reopen.
+	if base, baseTerm, got := s.Log(); base != 90 || baseTerm != 4 || len(got) != 10 || got[0].Index != 91 {
+		t.Fatalf("in memory after Checkpoint(90): base (%d, %d), %d entries", base, baseTerm, len(got))
 	}
 	s.Close()
 
@@ -162,10 +177,10 @@ func TestWALStorageCheckpoint(t *testing.T) {
 	if term := s2.Term(); term != 4 {
 		t.Fatalf("term after checkpoint restart = %d", term)
 	}
-	if base, baseTerm := s2.Base(); base != 90 || baseTerm != 4 {
+	if base, baseTerm, _ := s2.Log(); base != 90 || baseTerm != 4 {
 		t.Fatalf("base after checkpoint restart = (%d, %d), want (90, 4)", base, baseTerm)
 	}
-	got := s2.Entries()
+	got := live(s2)
 	if len(got) != 10 || got[0].Index != 91 || got[9].Index != 100 {
 		t.Fatalf("live log after restart = %d entries (first %v)", len(got), got)
 	}
@@ -174,6 +189,55 @@ func TestWALStorageCheckpoint(t *testing.T) {
 			t.Fatalf("prefix holds live entry %d", e.Index)
 		}
 	}
+}
+
+// TestWALStorageCheckpointForgetsArchived: Checkpoint(m) on a
+// reopened log cuts its memory at m — the live entries are exactly
+// those above m, the base is (m, term of m) and the replayed prefix is
+// gone — and a reopen comes back to the same log.
+func TestWALStorageCheckpointForgetsArchived(t *testing.T) {
+	dir := t.TempDir()
+	s := openWS(t, dir)
+	for i := 1; i <= 30; i++ {
+		s.Append([]Entry{{Term: 1 + uint64(i)/20, Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))}})
+	}
+	if err := s.Checkpoint(10); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s = openWS(t, dir)
+	if got := len(s.ReplayedPrefix()); got != 10 {
+		t.Fatalf("reopened log replayed %d entries at or below the mark, want 10", got)
+	}
+	for i := 31; i <= 40; i++ {
+		s.Append([]Entry{{Term: 3, Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))}})
+	}
+	if err := s.Checkpoint(25); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, s *WALStorage) {
+		t.Helper()
+		base, baseTerm, entries := s.Log()
+		if base != 25 || baseTerm != 2 {
+			t.Fatalf("%s: base (%d, %d), want (25, 2)", what, base, baseTerm)
+		}
+		if len(entries) != 15 {
+			t.Fatalf("%s: %d live entries, want 15 (26..40)", what, len(entries))
+		}
+		for i, e := range entries {
+			if e.Index != 26+uint64(i) || string(e.Data) != fmt.Sprintf("e%d", e.Index) {
+				t.Fatalf("%s: live entry %d = (%d, %q)", what, i, e.Index, e.Data)
+			}
+		}
+	}
+	check("after Checkpoint(25)", s)
+	if got := len(s.ReplayedPrefix()); got != 0 {
+		t.Fatalf("%d replayed entries kept past the checkpoint", got)
+	}
+	s.Close()
+	s = openWS(t, dir)
+	defer s.Close()
+	check("reopened", s)
 }
 
 func TestWALStorageCheckpointKeepsTail(t *testing.T) {
@@ -192,7 +256,7 @@ func TestWALStorageCheckpointKeepsTail(t *testing.T) {
 	s.Close()
 	s2 := openWS(t, dir)
 	defer s2.Close()
-	if got := len(s2.Entries()); got != 20 {
+	if got := len(live(s2)); got != 20 {
 		t.Fatalf("checkpoint(0) lost entries: %d remain", got)
 	}
 }
@@ -200,7 +264,7 @@ func TestWALStorageCheckpointKeepsTail(t *testing.T) {
 func TestWALStorageAppliedMark(t *testing.T) {
 	dir := t.TempDir()
 	s := openWS(t, dir)
-	if got := s.AppliedMark(); got != 0 {
+	if got, _, _ := s.Log(); got != 0 {
 		t.Fatalf("fresh mark = %d", got)
 	}
 	for i := 1; i <= 10; i++ {
@@ -209,21 +273,21 @@ func TestWALStorageAppliedMark(t *testing.T) {
 	if err := s.Checkpoint(7); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AppliedMark(); got != 7 {
+	if got, _, _ := s.Log(); got != 7 {
 		t.Fatalf("mark after checkpoint = %d", got)
 	}
 	// Lower checkpoint never regresses the mark.
 	if err := s.Checkpoint(3); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AppliedMark(); got != 7 {
+	if got, _, _ := s.Log(); got != 7 {
 		t.Fatalf("mark regressed to %d", got)
 	}
 	s.Close()
 	// Mark survives restart.
 	s2 := openWS(t, dir)
 	defer s2.Close()
-	if got := s2.AppliedMark(); got != 7 {
+	if got, _, _ := s2.Log(); got != 7 {
 		t.Fatalf("recovered mark = %d", got)
 	}
 }
@@ -357,13 +421,13 @@ func TestWALStorageReplayDropsGap(t *testing.T) {
 			s2 := openWS(t, dir)
 			defer s2.Close()
 			var got []uint64
-			for _, e := range s2.Entries() {
+			for _, e := range live(s2) {
 				got = append(got, e.Index)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Fatalf("replayed entries %v, want %v", got, tc.want)
 			}
-			if base, _ := s2.Base(); base != tc.mark {
+			if base, _, _ := s2.Log(); base != tc.mark {
 				t.Fatalf("base %d, want %d", base, tc.mark)
 			}
 		})

@@ -333,51 +333,45 @@ func (w *Worker) buildShard(id flow.ShardID) (*Shard, bool, error) {
 		return nil, false, err
 	}
 	sh := &Shard{ID: id, rs: rs, sch: w.sch, seen: newDedupSet(1 << 16)}
+	// A hydrated shard's checkpointed prefix is not replayable from
+	// the recovery WAL — its dedup ids traveled in the snapshot.
+	for _, bid := range hydratedIDs {
+		sh.seen.Add(bid, 0)
+	}
 	// Storage is opened before the state machine so the recovered
 	// applied-mark can gate replay (idempotence across restarts: entries
-	// ≤ mark were already archived to OSS).
-	var storage raft.Storage = raft.NewMemoryStorage()
+	// ≤ mark were already archived to OSS). Without a DataDir the log
+	// persists nothing.
+	var storage raft.Storage
 	if w.cfg.DataDir != "" {
 		sh.wal, err = raft.OpenWALStorage(w.walDir(id), wal.Options{})
 		if err != nil {
 			return nil, false, fmt.Errorf("worker %d shard %d: open WAL: %w", w.cfg.ID, id, err)
 		}
 		storage = sh.wal
-		mark := sh.wal.AppliedMark()
+		mark, _, live := sh.wal.Log()
 		sh.applied.Store(mark)
 		// Preload dedup with every replayed batch at or below the mark:
 		// those batches are durable in the archive, so a client retry
 		// arriving after recovery must be a no-op. Entries above the
 		// mark are NOT preloaded — they replay through the state machine
 		// and register there.
-		preload := func(bid uint64, _ []byte) error {
-			sh.seen.Add(bid, 0)
-			return nil
-		}
 		for _, e := range sh.wal.ReplayedPrefix() {
-			_ = ForEachSub(e.Data, preload)
+			_ = ForEachSub(e.Data, func(bid uint64, _ []byte) error {
+				sh.seen.Add(bid, 0)
+				return nil
+			})
 		}
-		for _, e := range sh.wal.Entries() {
-			if e.Index > mark {
-				break
+		if w.cfg.WALShip != nil {
+			// The shipper expects the commit stream to resume just
+			// above the recovered log tip; everything at or below it
+			// is covered by the first generation's snapshot.
+			bootTip := mark
+			if len(live) > 0 {
+				bootTip = live[len(live)-1].Index
 			}
-			_ = ForEachSub(e.Data, preload)
+			sh.shipper = ship.New(*w.cfg.WALShip, int64(id), bootTip+1, w.shipSource(sh))
 		}
-	}
-	// A hydrated shard's checkpointed prefix is not replayable from
-	// the recovery WAL — its dedup ids traveled in the snapshot.
-	for _, bid := range hydratedIDs {
-		sh.seen.Add(bid, 0)
-	}
-	if w.cfg.WALShip != nil && sh.wal != nil {
-		// The shipper expects the commit stream to resume just above
-		// the recovered log tip; everything at or below it is covered
-		// by the first generation's snapshot.
-		bootTip, _ := sh.wal.Base()
-		if entries := sh.wal.Entries(); len(entries) > 0 {
-			bootTip = entries[len(entries)-1].Index
-		}
-		sh.shipper = ship.New(*w.cfg.WALShip, int64(id), bootTip+1, w.shipSource(sh))
 	}
 	// The node offers its committed entries to the shard's shipper
 	// before the proposer is acked and before it applies them. It
@@ -461,22 +455,23 @@ func (w *Worker) maybeHydrateShard(id flow.ShardID) ([]uint64, bool, error) {
 }
 
 // shipSource snapshots the shard's logical state for a generation
-// roll: the WAL base (= archive checkpoint), the live entries above
-// it, and the dedup ids at or below it — all under the apply lock, so
-// the cut is consistent with the archived row set. Shipping requires
-// DataDir, so the WAL exists.
+// roll: the WAL base (= archive checkpoint mark), the live entries
+// above it, read together, and the dedup ids at or below the mark —
+// under the apply lock, so the cut is consistent with the archived row
+// set. Nothing at or below the mark ships again: its rows are in
+// LogBlocks. Shipping requires DataDir, so the WAL exists.
 func (w *Worker) shipSource(sh *Shard) ship.Source {
 	ws := sh.wal
 	return func() (ship.State, error) {
 		sh.applyMu.Lock()
 		defer sh.applyMu.Unlock()
-		base, baseTerm := ws.Base()
+		base, baseTerm, entries := ws.Log()
 		return ship.State{
 			Term:        ws.Term(),
 			Applied:     base,
 			AppliedTerm: baseTerm,
 			DedupIDs:    sh.seen.SnapshotBelow(base),
-			Entries:     ws.Entries(),
+			Entries:     entries,
 		}, nil
 	}
 }
