@@ -119,40 +119,42 @@ func raiseBlockCount(obj []byte) ([]byte, error) {
 }
 
 // shippedObjects runs a shipper for one shard over a snapshot of two
-// entries, offers it three more, and returns what it wrote to the store,
-// keyed by object name within the generation.
-func shippedObjects() (map[string][]byte, error) {
+// entries above an archive mark, offers it three more and a later mark,
+// and returns the store it shipped to and what it wrote there, keyed by
+// object name within the generation.
+func shippedObjects() (*oss.RetryingStore, map[string][]byte, error) {
 	entries := func(first, last uint64) []raft.Entry {
 		var out []raft.Entry
 		for i := first; i <= last; i++ {
-			out = append(out, raft.Entry{Term: 2, Index: i, Data: rowstore.EncodeBatch(nil, seedRows(1+int(i)%2))})
+			out = append(out, raft.Entry{Index: i, Data: rowstore.EncodeBatch(nil, seedRows(1+int(i)%2))})
 		}
 		return out
 	}
 	store := oss.WithDefaultRetry(oss.NewMemStore())
-	source := func() (ship.State, error) {
-		return ship.State{Term: 2, Applied: 2, AppliedTerm: 2, DedupIDs: []uint64{7, 9}, Entries: entries(3, 4)}, nil
+	source := func() ([]byte, uint64, uint64, error) {
+		return raft.AppendSnapshot(nil, 2, []uint64{7, 9}, entries(3, 4)), 2, 4, nil
 	}
 	sh := ship.New(ship.Options{Store: store, Registry: ship.NewRegistry(store)}, 1, 5, source)
 	sh.Offer(entries(5, 7))
-	err := sh.Barrier()
-	sh.Stop(false)
-	if err != nil {
-		return nil, err
+	if err := sh.Barrier(); err != nil {
+		sh.Stop(false)
+		return nil, nil, err
 	}
+	sh.NoteArchived(6)
+	sh.Stop(true) // the final flush ships the mark in a chunk of its own
 	infos, err := store.List("wal/1/")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	objs := map[string][]byte{}
 	for _, info := range infos {
 		data, err := store.Get(info.Key)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		objs[path.Base(info.Key)] = data
 	}
-	return objs, nil
+	return store, objs, nil
 }
 
 // walRecords runs write against an empty WAL directory and returns the
@@ -435,36 +437,20 @@ func run(root string) error {
 			return err
 		}
 	}
-	// internal/ship: the objects a shipper writes for one shard — a
-	// snapshot, a chunk and its commit record, read back from the store —
-	// and the ways each can lie.
-	objs, err := shippedObjects()
+	// internal/ship: the commit record a shipper writes for a chunk, read
+	// back from the store, and a torn copy.
+	shipStore, objs, err := shippedObjects()
 	if err != nil {
 		return err
 	}
-	snap, chunk, commit := objs["snap"], objs["chunk-00000000"], objs["commit-00000000"]
-	if snap == nil || chunk == nil || commit == nil {
+	commit := objs["commit-00000000"]
+	if objs["snap"] == nil || objs["chunk-00000000"] == nil || commit == nil {
 		return fmt.Errorf("shipper wrote %d objects, want a snapshot, a chunk and a commit", len(objs))
 	}
-	magic := func(obj []byte) []byte { return append([]byte(nil), obj[:8]...) }
-	// A snapshot whose CRC holds but whose entry count does not.
-	manySnap := binary.AppendUvarint(magic(snap), 2) // term
-	manySnap = binary.AppendUvarint(manySnap, 4)     // applied
-	manySnap = binary.AppendUvarint(manySnap, 2)     // applied term
-	manySnap = binary.AppendUvarint(manySnap, 0)     // dedup ids
-	manySnap = binary.AppendUvarint(manySnap, 1<<22) // entries
-	manySnap = binary.LittleEndian.AppendUint32(manySnap, crc32.Checksum(manySnap, castagnoli))
 	shipDir := filepath.Join(root, "internal/ship/testdata/fuzz/FuzzShipDecode")
 	for name, data := range map[string][]byte{
-		"seed-snap":               snap,
-		"seed-snap-truncated":     snap[:len(snap)-5],
-		"seed-snap-many-entries":  manySnap,
-		"seed-chunk":              chunk,
-		"seed-chunk-truncated":    chunk[:len(chunk)-3],
-		"seed-chunk-many-entries": binary.AppendUvarint(magic(chunk), 1<<22),                       // 4M entries in no bytes
-		"seed-chunk-long-data":    append(binary.AppendUvarint(magic(chunk), 1), 1, 1, 0xff, 0x0f), // data far beyond the input
-		"seed-commit":             commit,
-		"seed-commit-truncated":   commit[:len(commit)/2],
+		"seed-commit":           commit,
+		"seed-commit-truncated": commit[:len(commit)/2],
 	} {
 		if err := writeSeed(shipDir, name, data); err != nil {
 			return err
@@ -504,12 +490,14 @@ func run(root string) error {
 		}
 	}
 	// internal/raft: one WAL entry as AppendTo writes it, one with no
-	// data, and the ways the framing can lie.
-	entry := raft.Entry{Term: 3, Index: 17, Data: []byte("a proposal's bytes")}.AppendTo(nil)
+	// data, one as older logs wrote it, with its term, and the ways the
+	// framing can lie.
+	entry := raft.Entry{Index: 17, Data: []byte("a proposal's bytes")}.AppendTo(nil)
 	entryDir := filepath.Join(root, "internal/raft/testdata/fuzz/FuzzDecodeEntry")
 	for name, data := range map[string][]byte{
 		"seed-entry":            entry,
-		"seed-empty-data":       raft.Entry{Term: 1, Index: 1}.AppendTo(nil),
+		"seed-empty-data":       raft.Entry{Index: 1}.AppendTo(nil),
+		"seed-termed":           append([]byte{3}, entry[1:]...),
 		"seed-truncated-varint": {0x83, 0x80},                 // a term whose varint never ends
 		"seed-long-data":        {3, 17, 0xff, 0xff, 0x0f, 1}, // data far beyond the input
 	} {
@@ -534,16 +522,19 @@ func run(root string) error {
 			}
 			return out
 		}
-		entry := func(e raft.Entry) []byte { return e.AppendTo([]byte{'E'}) }
+		// entry is an 'E' record as that node wrote it, with its term.
+		entry := func(term uint64, e raft.Entry) []byte {
+			return append(binary.AppendUvarint([]byte{'E'}, term), e.AppendTo(nil)[1:]...)
+		}
 		_, err = l.AppendBatch([][]byte{
 			record('S', 2, 2), // term 2, voted for node 1
-			entry(raft.Entry{Term: 1, Index: 1, Data: []byte("a")}),
-			entry(raft.Entry{Term: 1, Index: 2, Data: []byte("b")}),
-			entry(raft.Entry{Term: 1, Index: 3}),
+			entry(1, raft.Entry{Index: 1, Data: []byte("a")}),
+			entry(1, raft.Entry{Index: 2, Data: []byte("b")}),
+			entry(1, raft.Entry{Index: 3}),
 			record('T', 3),
-			entry(raft.Entry{Term: 2, Index: 3, Data: []byte("c")}),
-			entry(raft.Entry{Term: 2, Index: 4, Data: []byte("d")}),
-			record('A', 2, 1), // Checkpoint(2): the mark, then the state again
+			entry(2, raft.Entry{Index: 3, Data: []byte("c")}),
+			entry(2, raft.Entry{Index: 4, Data: []byte("d")}),
+			record('A', 2, 1), // Checkpoint(2): the mark and its term, then the state again
 			record('S', 2, 2),
 		})
 		if cerr := l.Close(); err == nil {
@@ -559,18 +550,60 @@ func run(root string) error {
 		if err != nil {
 			return err
 		}
-		s.Append([]raft.Entry{{Term: 1, Index: 1}, {Term: 1, Index: 2}})
-		s.Append([]raft.Entry{{Term: 1, Index: 4}, {Term: 1, Index: 5}})
+		s.Append([]raft.Entry{{Index: 1}, {Index: 2}})
+		s.Append([]raft.Entry{{Index: 4}, {Index: 5}})
 		return s.Close()
 	})
 	if err != nil {
 		return err
 	}
+	// A log whose first checkpoint unlinked a segment — the one of the
+	// large entry 1 — so its record carries the ids, and whose second
+	// did not.
+	checkpointRecs, err := walRecords(func(dir string) error {
+		s, err := raft.OpenWALStorage(dir, wal.Options{SegmentBytes: 64})
+		if err != nil {
+			return err
+		}
+		s.Append([]raft.Entry{{Index: 1, Data: bytes.Repeat([]byte("a"), 60)}})
+		s.Append([]raft.Entry{{Index: 2, Data: []byte("b")}})
+		if err := s.Checkpoint(1, func() []uint64 { return []uint64{7, 9} }); err != nil {
+			return err
+		}
+		s.Append([]raft.Entry{{Index: 3, Data: []byte("c")}})
+		if err := s.Checkpoint(3, nil); err != nil {
+			return err
+		}
+		return s.Close()
+	})
+	if err != nil {
+		return err
+	}
+	// The log a hydration writes back from the objects the shipper
+	// shipped above.
+	hydratedRecs, err := walRecords(func(dir string) error {
+		_, ok, torn, err := ship.Hydrate(shipStore, ship.NewRegistry(shipStore), 1, dir)
+		if err == nil && (!ok || torn) {
+			err = fmt.Errorf("hydrate: ok %v, torn %v", ok, torn)
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	// A checkpoint record of mark 2 whose id count, 1M, is far beyond
+	// its bytes, framed as walRecords frames a record.
+	overflow := binary.AppendUvarint([]byte{'A', 2, 0}, 1<<20)
+	overflow = append(binary.AppendUvarint(nil, uint64(len(overflow))), overflow...)
 	replayDir := filepath.Join(root, "internal/raft/testdata/fuzz/FuzzWALStorageReplay")
 	for name, data := range map[string][]byte{
-		"seed-log":       walRecs,
-		"seed-gap":       gapRecs,
-		"seed-truncated": walRecs[:len(walRecs)-3],
+		"seed-log":         walRecs,
+		"seed-gap":         gapRecs,
+		"seed-truncated":   walRecs[:len(walRecs)-3],
+		"seed-checkpoints": checkpointRecs,
+		"seed-hydrated":    hydratedRecs,
+		// A checkpoint record whose id count is far beyond its bytes.
+		"seed-ids-overflow": binary.AppendUvarint(nil, 5), /* record length */
 	} {
 		if err := writeSeed(replayDir, name, data); err != nil {
 			return err

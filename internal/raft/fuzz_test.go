@@ -6,16 +6,19 @@ import (
 	"testing"
 )
 
-// FuzzDecodeEntry: DecodeEntry, the decoder of every raft WAL record and
-// shipped chunk entry, errors on any input it cannot take and never
-// panics. An entry it accepts re-encodes, through AppendTo, to the very
-// bytes it was read from, and its Data does not alias the input.
+// FuzzDecodeEntry: DecodeEntry, the decoder of every entry record a
+// WAL segment or a shipped object holds, errors on any input it cannot
+// take and never panics. An entry it accepts re-encodes, through
+// AppendTo, to the bytes it was read from with their term — which an
+// older log wrote first, and AppendTo writes as 0 — replaced by 0, and
+// its Data does not alias the input.
 func FuzzDecodeEntry(f *testing.F) {
-	f.Add(Entry{Term: 3, Index: 17, Data: []byte("proposal")}.AppendTo(nil))
-	f.Add(Entry{Term: 1, Index: 1}.AppendTo(nil))
+	f.Add(Entry{Index: 17, Data: []byte("proposal")}.AppendTo(nil))
+	f.Add(Entry{Index: 1}.AppendTo(nil))
 	f.Add([]byte{0x80})                   // a truncated varint
 	f.Add([]byte{1, 1, 0xff, 0x0f, 1, 2}) // a data length past the input
 	f.Add([]byte{0x81, 0x00, 1, 0})       // an overlong term
+	f.Add([]byte{0x83, 0x01, 17, 1, 'x'}) // a legacy entry of term 131
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, n, err := DecodeEntry(data)
 		if err != nil {
@@ -24,7 +27,8 @@ func FuzzDecodeEntry(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("DecodeEntry took %d of %d bytes", n, len(data))
 		}
-		if got := e.AppendTo(nil); !bytes.Equal(got, data[:n]) {
+		_, termLen := binary.Uvarint(data)
+		if got, want := e.AppendTo(nil), append([]byte{0}, data[termLen:n]...); !bytes.Equal(got, want) {
 			t.Fatalf("entry %+v re-encodes to %x, read from %x", e, got, data[:n])
 		}
 		if len(e.Data) > 0 {
@@ -41,11 +45,12 @@ func FuzzDecodeEntry(f *testing.F) {
 
 // FuzzWALStorageReplay replays arbitrary WAL records — the input is a
 // sequence of uvarint-length-prefixed record payloads, as
-// OpenWALStorage reads them back from the log — and checks what a
-// replay that succeeds leaves behind: the live log is a contiguous run
-// from base+1 (a slice position agrees with its index), each entry has
-// its WAL sequence number, and the replayed prefix lies at or below
-// the base.
+// OpenWALStorage reads them back from a log, a restarted one or one
+// hydrated from shipped objects alike — and checks what a replay that
+// succeeds leaves behind: the live log is a contiguous run from base+1
+// (a slice position agrees with its index), each entry has its WAL
+// sequence number, the replayed prefix lies at or below the base, and
+// the checkpoint ids take 8 input bytes each.
 func FuzzWALStorageReplay(f *testing.F) {
 	record := func(tag byte, fields ...uint64) []byte {
 		out := []byte{tag}
@@ -62,8 +67,10 @@ func FuzzWALStorageReplay(f *testing.F) {
 		}
 		return out
 	}
+	// entry is an entry record as older logs wrote it, with its term.
 	entry := func(term, index uint64) []byte {
-		return append([]byte{walTagEntry}, Entry{Term: term, Index: index, Data: []byte("x")}.AppendTo(nil)...)
+		rec := binary.AppendUvarint([]byte{walTagEntry}, term)
+		return append(rec, Entry{Index: index, Data: []byte("x")}.AppendTo(nil)[1:]...)
 	}
 	f.Add(frame(record(walTagState, 2, 2), entry(1, 1), entry(1, 2), entry(2, 3)))
 	f.Add(frame(entry(1, 1), entry(1, 2), entry(1, 4)))                              // a gap below a zero mark
@@ -71,8 +78,11 @@ func FuzzWALStorageReplay(f *testing.F) {
 	f.Add(frame(entry(1, 1), entry(1, 2), record(walTagTruncate, 2), entry(2, 2)))   // a conflict replaced
 	f.Add(frame(entry(1, 3), record(walTagApplied, 1, 1), entry(1, 2), entry(1, 5))) // a hole at the mark
 	f.Add(frame([]byte{walTagEntry, 0x80}, record(walTagState, 1)))                  // a torn entry
+	f.Add(frame(checkpointRecord(2, []uint64{7, 9}), entryRecord(Entry{Index: 3})))  // a shipped snapshot
+	f.Add(frame(record(walTagApplied, 2, 0, 1<<20)))                                 // 1M ids in no bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &WALStorage{}
+		size := len(data)
 		for seq := uint64(1); len(data) > 0; seq++ {
 			n, k := binary.Uvarint(data)
 			if k <= 0 || n > uint64(len(data)-k) {
@@ -96,6 +106,9 @@ func FuzzWALStorageReplay(f *testing.F) {
 			if e.Index > s.base {
 				t.Fatalf("replayed prefix holds index %d above base %d", e.Index, s.base)
 			}
+		}
+		if 8*len(s.ids) > size {
+			t.Fatalf("%d checkpoint ids out of %d input bytes", len(s.ids), size)
 		}
 	})
 }

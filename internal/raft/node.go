@@ -68,7 +68,6 @@ type Node struct {
 	applyWG sync.WaitGroup
 
 	// Log state (the log goroutine's alone once NewNode returns).
-	term uint64 // this incarnation's term: the stored one, bumped at open
 	last uint64 // the highest index appended
 	// uncommitted holds appended entries whose Sync failed: the next
 	// run that flushes commits them together with its own.
@@ -98,11 +97,12 @@ type Node struct {
 	appliedCh atomic.Pointer[chan struct{}]
 }
 
-// NewNode opens the log on cfg.Storage and starts it. It takes the
-// stored term, bumps it and persists it; the entries recovered above
-// the storage's base commit with that flush and are applied before
-// NewNode returns, so a read made at once sees them. Without a Storage
-// the log starts empty in term 1 and keeps no entry past its commit.
+// NewNode opens the log on cfg.Storage and starts it. The entries
+// recovered above the storage's base are flushed — a replay may have
+// read records the page cache still held unsynced — then committed and
+// applied before NewNode returns, so a read made at once sees them.
+// Without a Storage the log starts empty and keeps no entry past its
+// commit.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.SyncQueueItems <= 0 {
 		cfg.SyncQueueItems = 4096
@@ -124,21 +124,18 @@ func NewNode(cfg Config) (*Node, error) {
 		stopc:  make(chan struct{}),
 		donec:  make(chan struct{}),
 	}
-	n.term = 1
 	if cfg.Storage != nil {
 		n.syncer, _ = cfg.Storage.(Syncer)
-		n.last, _, n.uncommitted = cfg.Storage.Log()
+		n.last, n.uncommitted = cfg.Storage.Log()
 		n.committed.Store(n.last)
 		n.applied.Store(n.last)
 		if k := len(n.uncommitted); k > 0 {
 			n.last = n.uncommitted[k-1].Index
 		}
-		n.term = cfg.Storage.Term() + 1
-		cfg.Storage.SetTerm(n.term)
 	}
-	// One flush makes the new term durable and commits the recovered
-	// tail; a failed one leaves the tail for the first run that flushes.
-	if n.sync() == nil && len(n.uncommitted) > 0 {
+	// One flush commits the recovered tail; a failed one leaves the
+	// tail for the first run that flushes.
+	if len(n.uncommitted) > 0 && n.sync() == nil {
 		tail := n.commitUncommitted()
 		for _, e := range tail {
 			if len(e.Data) > 0 && cfg.SM != nil {
@@ -266,7 +263,7 @@ func (n *Node) drainProposals() {
 	}
 	entries := make([]Entry, len(buf))
 	for i, v := range buf {
-		entries[i] = Entry{Term: n.term, Index: n.last + 1 + uint64(i), Data: v.(*proposal).data}
+		entries[i] = Entry{Index: n.last + 1 + uint64(i), Data: v.(*proposal).data}
 	}
 	n.last += uint64(len(entries))
 	if n.cfg.Storage != nil {

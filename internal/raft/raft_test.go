@@ -116,11 +116,8 @@ func TestRestartFromStorage(t *testing.T) {
 			t.Fatalf("applied entry %d = (%d, %q)", i, e.Index, e.Data)
 		}
 	}
-	if term := st.Term(); term != 2 {
-		t.Fatalf("stored term %d after two opens, want 2", term)
-	}
-	if _, _, got := st.Log(); len(got) != 15 || got[14].Term != 2 || got[9].Term != 1 {
-		t.Fatalf("stored log: %d entries, want 15 in terms 1 then 2", len(got))
+	if _, got := st.Log(); len(got) != 15 || got[14].Index != 15 {
+		t.Fatalf("stored log: %d entries, want 15", len(got))
 	}
 }
 
@@ -212,14 +209,18 @@ func TestParkedProposalsCommitOnApply(t *testing.T) {
 }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
-	e := Entry{Term: 7, Index: 99, Data: []byte("payload")}
+	e := Entry{Index: 99, Data: []byte("payload")}
 	raw := e.AppendTo(nil)
-	got, n, err := DecodeEntry(raw)
-	if err != nil || n != len(raw) {
-		t.Fatalf("decode: %v (%d bytes)", err, n)
-	}
-	if got.Term != 7 || got.Index != 99 || string(got.Data) != "payload" {
-		t.Fatalf("round trip = %+v", got)
+	// An older log wrote the entry's term where AppendTo writes 0.
+	termed := append([]byte{7}, raw[1:]...)
+	for _, in := range [][]byte{raw, termed} {
+		got, n, err := DecodeEntry(in)
+		if err != nil || n != len(in) {
+			t.Fatalf("decode %x: %v (%d bytes)", in, err, n)
+		}
+		if got.Index != 99 || string(got.Data) != "payload" {
+			t.Fatalf("round trip of %x = %+v", in, got)
+		}
 	}
 	for cut := 0; cut < len(raw); cut++ {
 		if _, _, err := DecodeEntry(raw[:cut]); err == nil {

@@ -1,18 +1,14 @@
 package raft
 
-// Storage persists a node's log and its term. The node writes through
-// on every append and reads it all back at construction, so a node
-// restarted on the same Storage resumes where it stopped.
+// Storage persists a node's log. The node writes through on every
+// append and reads it all back at construction, so a node restarted on
+// the same Storage resumes where it stopped.
 type Storage interface {
-	// Term returns the persisted term.
-	Term() uint64
-	// SetTerm persists term.
-	SetTerm(term uint64)
 	// Log returns, in one consistent read, the log's compaction point
-	// — the index and term of the last entry dropped by compaction
-	// (0, 0 when the log is complete from index 1) — and the persisted
-	// entries above it, in index order.
-	Log() (base, baseTerm uint64, entries []Entry)
+	// — the index of the last entry dropped by compaction (0 when the
+	// log is complete from index 1) — and the persisted entries above
+	// it, in index order.
+	Log() (base uint64, entries []Entry)
 	// Append appends entries (contiguous with the existing log).
 	Append(entries []Entry)
 }

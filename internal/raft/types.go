@@ -7,9 +7,11 @@
 // shard sheds load at the client instead of exhausting node memory.
 //
 // Every shard is one node, so the log runs no consensus: no elections,
-// no followers, no messages. The package keeps its name, its WAL record
-// format and its entry encoding, which shipped chunks and existing data
-// directories use.
+// no followers, no messages, and no terms. The package keeps its name
+// and the WAL records older data directories hold. A shard's log has
+// one durable shape wherever it lies: WAL frames of a checkpoint record
+// and entry records, in a segment on disk or in an object shipped to
+// OSS (walstorage.go).
 package raft
 
 import (
@@ -20,32 +22,29 @@ import (
 
 // Entry is one log record.
 type Entry struct {
-	Term  uint64
 	Index uint64
 	Data  []byte
 }
 
-// AppendTo serializes the entry for WAL persistence.
+// AppendTo serializes the entry for WAL persistence: a zero where older
+// logs wrote the entry's term, the index, then the length-prefixed data.
 func (e Entry) AppendTo(dst []byte) []byte {
-	dst = bitutil.AppendUvarint(dst, e.Term)
+	dst = append(dst, 0)
 	dst = bitutil.AppendUvarint(dst, e.Index)
 	return bitutil.AppendLenBytes(dst, e.Data)
 }
 
 // DecodeEntry reverses AppendTo, returning the entry and the bytes it
-// took. It accepts exactly what AppendTo writes: a varint in more bytes
-// than it needs is an error, so re-encoding an entry gives back the
-// bytes it came from. Data is a copy.
+// took; the term an older log wrote first is read past. It accepts only
+// minimal varints, so re-encoding an entry gives back the bytes it came
+// from, with that term as 0. Data is a copy.
 func DecodeEntry(data []byte) (Entry, int, error) {
 	var e Entry
-	var off int
-	v, n, err := minimalUvarint(data)
+	_, off, err := minimalUvarint(data)
 	if err != nil {
 		return e, 0, fmt.Errorf("raft: entry term: %w", err)
 	}
-	e.Term = v
-	off += n
-	v, n, err = minimalUvarint(data[off:])
+	v, n, err := minimalUvarint(data[off:])
 	if err != nil {
 		return e, 0, fmt.Errorf("raft: entry index: %w", err)
 	}

@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,32 +16,45 @@ import (
 //
 // Record encoding (one WAL record per mutation):
 //
-//	'S' term 0             — SetTerm (older logs hold a vote+1 there)
-//	'E' entry              — Append (one record per entry)
-//	'T' index              — drop entries ≥ index (written by older
-//	                         code only, when a follower repaired its log)
-//	'A' index term         — Checkpoint's applied mark
+//	'E' entry              — Append (one record per entry; Entry.AppendTo)
+//	'A' mark 0 [n id*n]    — Checkpoint: entries ≤ mark are archived.
+//	                         The 0 is where older logs wrote the term of
+//	                         the entry at the mark. The optional list is
+//	                         the batch ids applied at or below the mark
+//	                         (uvarint n, then n 8-byte little-endian ids),
+//	                         written when the checkpoint unlinks segments
+//
+// and, written only by older code, read past or applied at replay:
+//
+//	'S' term vote          — the node's term (and once its vote)
+//	'T' index              — drop entries ≥ index (a follower's repair)
+//
+// A shipped generation of the shard (internal/ship) is the same records
+// in the same frames: a snapshot is a checkpoint record carrying ids,
+// then the entries above its mark (AppendSnapshot); a chunk is entries,
+// and a checkpoint record when the archive mark moved. Hydration writes
+// them back as a segment and Open replays it as it replays a restart.
 //
 // Open replays the WAL to rebuild the logical state. WAL truncation is
 // segment-granular and driven by the checkpoint task (Checkpoint).
 type WALStorage struct {
-	mu   sync.Mutex
-	log  *wal.Log
-	term uint64
-	// base/baseTerm is the highest durable applied mark and the term
-	// of the entry at it. Entries at or below base were applied AND
-	// archived elsewhere before a checkpoint, so the log has forgotten
-	// them: they are only reachable through the archive.
-	base     uint64
-	baseTerm uint64
+	mu  sync.Mutex
+	log *wal.Log
+	// base is the highest durable checkpoint mark. Entries at or below
+	// base were applied AND archived elsewhere before a checkpoint, so
+	// the log has forgotten them: they are only reachable through the
+	// archive.
+	base uint64
 	// entries is the live log above base (the WAL is the durable copy);
 	// seqs[i] is the WAL sequence number of entries[i]'s record, used
 	// by Checkpoint to recycle old segments safely.
 	entries []Entry
 	seqs    []uint64
-	// prefix holds the replayed entries at or below base, until the
-	// first Checkpoint: the worker preloads its duplicate-suppression
-	// set from them.
+	// ids and prefix are what Open learned of the archived batches —
+	// the ids of the last checkpoint record that carried them, and the
+	// replayed entries at or below base — kept until the first
+	// Checkpoint (Archived).
+	ids    []uint64
 	prefix []Entry
 	// err is the first failed write or flush. The Storage mutators
 	// cannot return it, so every later Sync does: a record that never
@@ -56,17 +70,55 @@ const (
 	// walTagApplied marks entries ≤ index as durably applied AND
 	// archived elsewhere: segment truncation is best-effort (whole
 	// segments only), so the marker is what guarantees restart-replay
-	// idempotence — state machines skip entries at or below it. The
-	// record carries the entry's term too, the term of the base.
+	// idempotence — state machines skip entries at or below it.
 	walTagApplied = 'A'
 )
 
-// stateRecord encodes an 'S' record. Its second field held a vote when
-// the log ran elections; it is written as 0 and read past.
-func stateRecord(term uint64) []byte {
-	rec := []byte{walTagState}
-	rec = bitutil.AppendUvarint(rec, term)
-	return bitutil.AppendUvarint(rec, 0)
+// entryRecord encodes an 'E' record.
+func entryRecord(e Entry) []byte {
+	return e.AppendTo([]byte{walTagEntry})
+}
+
+// checkpointRecord encodes an 'A' record of mark. It carries ids when
+// they are not nil, an empty list included.
+func checkpointRecord(mark uint64, ids []uint64) []byte {
+	rec := []byte{walTagApplied}
+	rec = bitutil.AppendUvarint(rec, mark)
+	rec = append(rec, 0)
+	if ids == nil {
+		return rec
+	}
+	rec = bitutil.AppendUvarint(rec, uint64(len(ids)))
+	for _, id := range ids {
+		rec = binary.LittleEndian.AppendUint64(rec, id)
+	}
+	return rec
+}
+
+// AppendSnapshot appends to dst the WAL frames of a log cut at base: a
+// checkpoint record of base carrying ids, the batch ids applied at or
+// below it, then the records of entries, the log above it. A shipped
+// snapshot is this run of frames.
+func AppendSnapshot(dst []byte, base uint64, ids []uint64, entries []Entry) []byte {
+	if ids == nil {
+		ids = []uint64{}
+	}
+	dst = wal.AppendFrame(dst, checkpointRecord(base, ids))
+	return AppendEntries(dst, entries)
+}
+
+// AppendEntries appends to dst the WAL frames of entries' records.
+func AppendEntries(dst []byte, entries []Entry) []byte {
+	for _, e := range entries {
+		dst = wal.AppendFrame(dst, entryRecord(e))
+	}
+	return dst
+}
+
+// AppendMark appends to dst the WAL frame of a checkpoint record of mark
+// that carries no ids: a shipped chunk's news that the archive moved.
+func AppendMark(dst []byte, mark uint64) []byte {
+	return wal.AppendFrame(dst, checkpointRecord(mark, nil))
 }
 
 // OpenWALStorage opens (or creates) durable raft storage in dir.
@@ -93,14 +145,13 @@ func (s *WALStorage) replayRecord(seq uint64, payload []byte) error {
 	}
 	switch payload[0] {
 	case walTagState:
-		term, n, err := bitutil.Uvarint(payload[1:])
+		_, n, err := bitutil.Uvarint(payload[1:])
 		if err != nil {
 			return fmt.Errorf("raft: WAL state term: %w", err)
 		}
 		if _, _, err := bitutil.Uvarint(payload[1+n:]); err != nil {
 			return fmt.Errorf("raft: WAL state vote: %w", err)
 		}
-		s.term = term
 	case walTagEntry:
 		e, _, err := DecodeEntry(payload[1:])
 		if err != nil {
@@ -115,25 +166,43 @@ func (s *WALStorage) replayRecord(seq uint64, payload []byte) error {
 		}
 		s.truncateMem(idx)
 	case walTagApplied:
-		idx, n, err := bitutil.Uvarint(payload[1:])
-		if err != nil {
-			return fmt.Errorf("raft: WAL applied mark: %w", err)
-		}
-		// The term rides along since this record doubles as the
-		// compaction point; tolerate its absence (older records).
-		term := uint64(0)
-		if len(payload) > 1+n {
-			term, _, err = bitutil.Uvarint(payload[1+n:])
-			if err != nil {
-				return fmt.Errorf("raft: WAL applied mark term: %w", err)
-			}
-		}
-		if idx >= s.base {
-			s.base = idx
-			s.baseTerm = term
-		}
+		return s.replayCheckpoint(payload[1:])
 	default:
 		return fmt.Errorf("raft: unknown WAL tag %q", payload[0])
+	}
+	return nil
+}
+
+// replayCheckpoint applies the body of an 'A' record: the mark, then —
+// each optional, as older logs wrote none of them or the first alone —
+// the term field and the id list. An id count the bytes behind it cannot
+// hold is an error, caught before anything is sized from it.
+func (s *WALStorage) replayCheckpoint(rec []byte) error {
+	mark, n, err := bitutil.Uvarint(rec)
+	if err != nil {
+		return fmt.Errorf("raft: WAL applied mark: %w", err)
+	}
+	if rec = rec[n:]; len(rec) > 0 {
+		if _, n, err = bitutil.Uvarint(rec); err != nil {
+			return fmt.Errorf("raft: WAL applied mark term: %w", err)
+		}
+		rec = rec[n:]
+	}
+	if len(rec) > 0 {
+		count, n, err := bitutil.Uvarint(rec)
+		if err != nil {
+			return fmt.Errorf("raft: WAL checkpoint id count: %w", err)
+		}
+		if rec = rec[n:]; count != uint64(len(rec))/8 || len(rec)%8 != 0 {
+			return fmt.Errorf("raft: WAL checkpoint holds %d ids in %d bytes", count, len(rec))
+		}
+		s.ids = make([]uint64, count)
+		for i := range s.ids {
+			s.ids[i] = binary.LittleEndian.Uint64(rec[8*i:])
+		}
+	}
+	if mark > s.base {
+		s.base = mark
 	}
 	return nil
 }
@@ -164,11 +233,6 @@ func (s *WALStorage) normalizeReplay() {
 	}
 	s.entries = append([]Entry(nil), s.entries[cut:cut+run]...)
 	s.seqs = append([]uint64(nil), s.seqs[cut:cut+run]...)
-	if s.baseTerm == 0 && len(s.prefix) > 0 && s.prefix[len(s.prefix)-1].Index == s.base {
-		// Mark written before terms rode along: recover it from the
-		// replayed entry itself.
-		s.baseTerm = s.prefix[len(s.prefix)-1].Term
-	}
 }
 
 func (s *WALStorage) truncateMem(index uint64) {
@@ -181,22 +245,6 @@ func (s *WALStorage) truncateMem(index uint64) {
 	}
 }
 
-// Term implements Storage.
-func (s *WALStorage) Term() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.term
-}
-
-// SetTerm implements Storage.
-func (s *WALStorage) SetTerm(term uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.term = term
-	_, err := s.log.Append(stateRecord(term))
-	s.keepErr(err)
-}
-
 // keepErr records err as the storage's first failure. Caller holds mu.
 func (s *WALStorage) keepErr(err error) {
 	if s.err == nil {
@@ -205,13 +253,13 @@ func (s *WALStorage) keepErr(err error) {
 }
 
 // Log implements Storage. A generation roll ships what it returns, so
-// the three come from one read: a Checkpoint between separate reads of
-// the base and of the entries would leave a hole between them, and
-// hydration drops every entry after a hole.
-func (s *WALStorage) Log() (base, baseTerm uint64, entries []Entry) {
+// both come from one read: a Checkpoint between separate reads of the
+// base and of the entries would leave a hole between them, and replay
+// drops every entry after a hole.
+func (s *WALStorage) Log() (base uint64, entries []Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.base, s.baseTerm, append([]Entry(nil), s.entries...)
+	return s.base, append([]Entry(nil), s.entries...)
 }
 
 // Append implements Storage. A multi-entry run (a group commit) becomes
@@ -224,8 +272,7 @@ func (s *WALStorage) Append(entries []Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(entries) == 1 {
-		rec := append([]byte{walTagEntry}, entries[0].AppendTo(nil)...)
-		seq, err := s.log.Append(rec)
+		seq, err := s.log.Append(entryRecord(entries[0]))
 		if err != nil {
 			s.keepErr(err) // in-memory state still serves the node
 			return
@@ -236,7 +283,7 @@ func (s *WALStorage) Append(entries []Entry) {
 	}
 	recs := make([][]byte, len(entries))
 	for i, e := range entries {
-		recs[i] = append([]byte{walTagEntry}, e.AppendTo(nil)...)
+		recs[i] = entryRecord(e)
 	}
 	first, err := s.log.AppendBatch(recs)
 	if err != nil {
@@ -271,15 +318,21 @@ func (s *WALStorage) Sync() error {
 // Checkpoint makes mark the log's base: entries at or below it are
 // applied and durable elsewhere (archived to object storage), so the
 // log forgets them — the paper's checkpointing task (§3). In order, it
-// writes the applied mark and the current term (whose record may sit in
-// a segment about to go) into the active segment, flushes them, drops
-// the entries at or below the mark and the replayed prefix from memory,
-// and recycles every segment that holds only records before the first
-// retained entry. The flush comes before any segment is removed: were
-// the removals to outlive a lost mark, replay would find a hole at the
-// older mark and drop every acked entry above it. A mark at or below
-// the base changes nothing.
-func (s *WALStorage) Checkpoint(mark uint64) error {
+// writes a checkpoint record of the mark into the active segment and
+// flushes it, drops the entries at or below the mark and what Open
+// learned of the archived batches from memory, and recycles every
+// segment that holds only records before the first retained entry.
+//
+// When that recycling is going to unlink a segment, the record carries
+// ids() — the batch ids applied at or below the mark — since the
+// unlinked entries can no longer name their batches at a replay. The
+// list is bounded by the caller's dedup window, and is written once per
+// unlinking checkpoint, not once per drain. The flush comes before any
+// segment is removed: were the removals to outlive a lost record,
+// replay would find a hole at the older mark and drop every acked entry
+// above it, and would have lost the ids. A mark at or below the base
+// changes nothing.
+func (s *WALStorage) Checkpoint(mark uint64, ids func() []uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if mark <= s.base {
@@ -289,14 +342,27 @@ func (s *WALStorage) Checkpoint(mark uint64) error {
 		return s.err
 	}
 	cut := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Index > mark })
-	var term uint64
-	if cut > 0 && s.entries[cut-1].Index == mark {
-		term = s.entries[cut-1].Term
+	keep := s.log.NextSeq()
+	if cut < len(s.seqs) {
+		keep = s.seqs[cut]
 	}
-	rec := []byte{walTagApplied}
-	rec = bitutil.AppendUvarint(rec, mark)
-	rec = bitutil.AppendUvarint(rec, term)
-	if _, err := s.log.AppendBatch([][]byte{rec, stateRecord(s.term)}); err != nil {
+	// Decided before the record is written: were the write to rotate
+	// the active segment, that segment would become removable too, but
+	// is left for the next checkpoint, which writes the ids.
+	unlink, err := s.log.Truncates(keep)
+	if err != nil {
+		return err
+	}
+	var carried []uint64
+	if unlink {
+		if ids != nil {
+			carried = ids()
+		}
+		if carried == nil {
+			carried = []uint64{}
+		}
+	}
+	if _, err := s.log.Append(checkpointRecord(mark, carried)); err != nil {
 		s.keepErr(err)
 		return err
 	}
@@ -304,29 +370,27 @@ func (s *WALStorage) Checkpoint(mark uint64) error {
 		s.keepErr(err)
 		return err
 	}
-	s.base, s.baseTerm = mark, term
+	s.base = mark
 	clear(s.entries[:cut]) // the backing array must not keep their Data alive
 	s.entries = s.entries[cut:]
 	s.seqs = s.seqs[cut:]
-	s.prefix = nil
-	keep := s.log.NextSeq()
-	if len(s.seqs) > 0 {
-		keep = s.seqs[0]
+	s.ids, s.prefix = nil, nil
+	if !unlink {
+		return nil
 	}
 	return s.log.TruncateFront(keep)
 }
 
-// ReplayedPrefix returns the entries at or below the base that Open
-// replayed (a compacted prefix still physically present in the WAL),
-// until the first Checkpoint drops them. The worker preloads its
-// duplicate-suppression set from them so a batch retried across a
-// restart is not applied twice.
-func (s *WALStorage) ReplayedPrefix() []Entry {
+// Archived returns what Open learned of the batches the archive holds:
+// the ids of the last checkpoint record that carried them, and the
+// replayed entries at or below the base (a prefix still physically in
+// the WAL), until the first Checkpoint forgets both. A restarted shard
+// and a hydrated one alike preload their duplicate-suppression set from
+// the two, so a batch retried across the recovery is not applied twice.
+func (s *WALStorage) Archived() (ids []uint64, prefix []Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Entry, len(s.prefix))
-	copy(out, s.prefix)
-	return out
+	return append([]uint64(nil), s.ids...), append([]Entry(nil), s.prefix...)
 }
 
 // Close closes the underlying WAL.

@@ -28,7 +28,7 @@ func tempWS(t *testing.T) *WALStorage {
 
 // live returns the storage's entries above its base.
 func live(s *WALStorage) []Entry {
-	_, _, entries := s.Log()
+	_, entries := s.Log()
 	return entries
 }
 
@@ -57,31 +57,46 @@ func record(tag byte, fields ...uint64) []byte {
 	return out
 }
 
+// TestWALStorageStateRoundTrip: the state records older logs hold —
+// a term, or a term and a vote — replay to nothing and leave the
+// entries around them in place, and the log writes none of its own.
 func TestWALStorageStateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
+	appendRaw(t, dir,
+		record(walTagState, 1, 0),
+		entryRecord(Entry{Index: 1, Data: []byte("a")}),
+		record(walTagState, 9, 2),
+		append([]byte{walTagEntry}, 3, 2, 1, 'b'), // an entry of term 3
+	)
 	s := openWS(t, dir)
-	if term := s.Term(); term != 0 {
-		t.Fatalf("fresh term = %d", term)
+	got := live(s)
+	if len(got) != 2 || string(got[0].Data) != "a" || got[1].Index != 2 || string(got[1].Data) != "b" {
+		t.Fatalf("replayed %+v around two state records, want entries 1 and 2", got)
 	}
-	s.SetTerm(5)
-	s.SetTerm(7)
+	s.Append([]Entry{{Index: 3, Data: []byte("c")}})
+	if err := s.Checkpoint(2, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openWS(t, dir)
-	if term := s2.Term(); term != 7 {
-		t.Fatalf("recovered term = %d", term)
-	}
-	if err := s2.Close(); err != nil {
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A state record of the node that ran elections carries a vote
-	// after the term: it replays to its term.
-	appendRaw(t, dir, record(walTagState, 9, 2))
-	s3 := openWS(t, dir)
-	defer s3.Close()
-	if term := s3.Term(); term != 9 {
-		t.Fatalf("term after an older state record = %d, want 9", term)
+	defer l.Close()
+	var tags []byte
+	if err := l.Replay(func(_ uint64, rec []byte) error {
+		tags = append(tags, rec[0])
+		if rec[0] == walTagEntry && rec[1] != 0 && len(tags) > 4 {
+			t.Errorf("entry record %x written with a term", rec)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if string(tags) != "SESEEA" {
+		t.Fatalf("log holds records %q, want the four old ones, then E and A", tags)
 	}
 }
 
@@ -90,10 +105,9 @@ func TestWALStorageEntriesSurviveRestart(t *testing.T) {
 	s := openWS(t, dir)
 	var ents []Entry
 	for i := 1; i <= 50; i++ {
-		ents = append(ents, Entry{Term: 1, Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))})
+		ents = append(ents, Entry{Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))})
 	}
 	s.Append(ents)
-	s.SetTerm(3)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +132,9 @@ func TestWALStorageTruncateSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := openWS(t, dir)
 	s.Append([]Entry{
-		{Term: 1, Index: 1, Data: []byte("a")},
-		{Term: 1, Index: 2, Data: []byte("b")},
-		{Term: 1, Index: 3, Data: []byte("c")},
+		{Index: 1, Data: []byte("a")},
+		{Index: 2, Data: []byte("b")},
+		{Index: 3, Data: []byte("c")},
 	})
 	s.Close()
 	appendRaw(t, dir, record(walTagTruncate, 2))
@@ -130,8 +144,8 @@ func TestWALStorageTruncateSurvivesRestart(t *testing.T) {
 	}
 	// Conflicting entries replaced at the same indexes.
 	s.Append([]Entry{
-		{Term: 2, Index: 2, Data: []byte("b2")},
-		{Term: 2, Index: 3, Data: []byte("c2")},
+		{Index: 2, Data: []byte("b2")},
+		{Index: 3, Data: []byte("c2")},
 	})
 	s.Close()
 
@@ -141,7 +155,7 @@ func TestWALStorageTruncateSurvivesRestart(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("entries = %d", len(got))
 	}
-	if got[1].Term != 2 || string(got[1].Data) != "b2" {
+	if string(got[1].Data) != "b2" || string(got[2].Data) != "c2" {
 		t.Fatalf("entry 2 = %+v", got[1])
 	}
 }
@@ -153,38 +167,39 @@ func TestWALStorageCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetTerm(4)
 	for i := 1; i <= 100; i++ {
-		s.Append([]Entry{{Term: 4, Index: uint64(i), Data: []byte(fmt.Sprintf("entry-%03d", i))}})
+		s.Append([]Entry{{Index: uint64(i), Data: []byte(fmt.Sprintf("entry-%03d", i))}})
 	}
-	if err := s.Checkpoint(90); err != nil {
+	// The checkpoint unlinks segments, so its record carries the ids.
+	if err := s.Checkpoint(90, func() []uint64 { return []uint64{7, 9} }); err != nil {
 		t.Fatal(err)
 	}
 	// The log forgets what the mark covers at once, not at a reopen.
-	if base, baseTerm, got := s.Log(); base != 90 || baseTerm != 4 || len(got) != 10 || got[0].Index != 91 {
-		t.Fatalf("in memory after Checkpoint(90): base (%d, %d), %d entries", base, baseTerm, len(got))
+	if base, got := s.Log(); base != 90 || len(got) != 10 || got[0].Index != 91 {
+		t.Fatalf("in memory after Checkpoint(90): base %d, %d entries", base, len(got))
 	}
 	s.Close()
 
 	// After restart the log is rebased at the applied mark: the live
-	// log resumes at 91 above base (90, term 4), the term survives, and
-	// the compacted prefix stays readable for dedup preloading. (The
+	// log resumes at 91 above base 90, and the checkpoint's ids and the
+	// compacted prefix stay readable for dedup preloading. (The
 	// old behaviour — discarding the whole log — made a restarted
 	// group restart indexing at 1 underneath the durable applied mark,
 	// silently dropping freshly acked rows.)
 	s2 := openWS(t, dir)
 	defer s2.Close()
-	if term := s2.Term(); term != 4 {
-		t.Fatalf("term after checkpoint restart = %d", term)
-	}
-	if base, baseTerm, _ := s2.Log(); base != 90 || baseTerm != 4 {
-		t.Fatalf("base after checkpoint restart = (%d, %d), want (90, 4)", base, baseTerm)
+	if base, _ := s2.Log(); base != 90 {
+		t.Fatalf("base after checkpoint restart = %d, want 90", base)
 	}
 	got := live(s2)
 	if len(got) != 10 || got[0].Index != 91 || got[9].Index != 100 {
 		t.Fatalf("live log after restart = %d entries (first %v)", len(got), got)
 	}
-	for _, e := range s2.ReplayedPrefix() {
+	ids, prefix := s2.Archived()
+	if len(ids) != 2 || ids[0] != 7 || ids[1] != 9 {
+		t.Fatalf("checkpoint ids after restart = %v, want [7 9]", ids)
+	}
+	for _, e := range prefix {
 		if e.Index > 90 {
 			t.Fatalf("prefix holds live entry %d", e.Index)
 		}
@@ -193,33 +208,33 @@ func TestWALStorageCheckpoint(t *testing.T) {
 
 // TestWALStorageCheckpointForgetsArchived: Checkpoint(m) on a
 // reopened log cuts its memory at m — the live entries are exactly
-// those above m, the base is (m, term of m) and the replayed prefix is
-// gone — and a reopen comes back to the same log.
+// those above m, the base is m and the replayed prefix is gone — and a
+// reopen comes back to the same log.
 func TestWALStorageCheckpointForgetsArchived(t *testing.T) {
 	dir := t.TempDir()
 	s := openWS(t, dir)
 	for i := 1; i <= 30; i++ {
-		s.Append([]Entry{{Term: 1 + uint64(i)/20, Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))}})
+		s.Append([]Entry{{Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))}})
 	}
-	if err := s.Checkpoint(10); err != nil {
+	if err := s.Checkpoint(10, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s = openWS(t, dir)
-	if got := len(s.ReplayedPrefix()); got != 10 {
-		t.Fatalf("reopened log replayed %d entries at or below the mark, want 10", got)
+	if _, prefix := s.Archived(); len(prefix) != 10 {
+		t.Fatalf("reopened log replayed %d entries at or below the mark, want 10", len(prefix))
 	}
 	for i := 31; i <= 40; i++ {
-		s.Append([]Entry{{Term: 3, Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))}})
+		s.Append([]Entry{{Index: uint64(i), Data: []byte(fmt.Sprintf("e%d", i))}})
 	}
-	if err := s.Checkpoint(25); err != nil {
+	if err := s.Checkpoint(25, nil); err != nil {
 		t.Fatal(err)
 	}
 	check := func(what string, s *WALStorage) {
 		t.Helper()
-		base, baseTerm, entries := s.Log()
-		if base != 25 || baseTerm != 2 {
-			t.Fatalf("%s: base (%d, %d), want (25, 2)", what, base, baseTerm)
+		base, entries := s.Log()
+		if base != 25 {
+			t.Fatalf("%s: base %d, want 25", what, base)
 		}
 		if len(entries) != 15 {
 			t.Fatalf("%s: %d live entries, want 15 (26..40)", what, len(entries))
@@ -231,8 +246,8 @@ func TestWALStorageCheckpointForgetsArchived(t *testing.T) {
 		}
 	}
 	check("after Checkpoint(25)", s)
-	if got := len(s.ReplayedPrefix()); got != 0 {
-		t.Fatalf("%d replayed entries kept past the checkpoint", got)
+	if _, prefix := s.Archived(); len(prefix) != 0 {
+		t.Fatalf("%d replayed entries kept past the checkpoint", len(prefix))
 	}
 	s.Close()
 	s = openWS(t, dir)
@@ -247,10 +262,10 @@ func TestWALStorageCheckpointKeepsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 20; i++ {
-		s.Append([]Entry{{Term: 1, Index: uint64(i), Data: []byte("padpadpadpad")}})
+		s.Append([]Entry{{Index: uint64(i), Data: []byte("padpadpadpad")}})
 	}
 	// Nothing applied: checkpoint must not drop any entry's segment.
-	if err := s.Checkpoint(0); err != nil {
+	if err := s.Checkpoint(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -264,30 +279,30 @@ func TestWALStorageCheckpointKeepsTail(t *testing.T) {
 func TestWALStorageAppliedMark(t *testing.T) {
 	dir := t.TempDir()
 	s := openWS(t, dir)
-	if got, _, _ := s.Log(); got != 0 {
+	if got, _ := s.Log(); got != 0 {
 		t.Fatalf("fresh mark = %d", got)
 	}
 	for i := 1; i <= 10; i++ {
-		s.Append([]Entry{{Term: 1, Index: uint64(i), Data: []byte("d")}})
+		s.Append([]Entry{{Index: uint64(i), Data: []byte("d")}})
 	}
-	if err := s.Checkpoint(7); err != nil {
+	if err := s.Checkpoint(7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := s.Log(); got != 7 {
+	if got, _ := s.Log(); got != 7 {
 		t.Fatalf("mark after checkpoint = %d", got)
 	}
 	// Lower checkpoint never regresses the mark.
-	if err := s.Checkpoint(3); err != nil {
+	if err := s.Checkpoint(3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := s.Log(); got != 7 {
+	if got, _ := s.Log(); got != 7 {
 		t.Fatalf("mark regressed to %d", got)
 	}
 	s.Close()
 	// Mark survives restart.
 	s2 := openWS(t, dir)
 	defer s2.Close()
-	if got, _, _ := s2.Log(); got != 7 {
+	if got, _ := s2.Log(); got != 7 {
 		t.Fatalf("recovered mark = %d", got)
 	}
 }
@@ -357,7 +372,7 @@ func TestCheckpointedRestartAcceptsNewAppends(t *testing.T) {
 	// after archiving.
 	applied := sm.entries()
 	mark := applied[len(applied)-1].Index
-	if err := ws.Checkpoint(mark); err != nil {
+	if err := ws.Checkpoint(mark, nil); err != nil {
 		t.Fatal(err)
 	}
 	n.Stop()
@@ -391,7 +406,7 @@ func TestWALStorageReplayDropsGap(t *testing.T) {
 	entries := func(indexes ...uint64) []Entry {
 		var out []Entry
 		for _, i := range indexes {
-			out = append(out, Entry{Term: 1, Index: i, Data: []byte(fmt.Sprintf("e%d", i))})
+			out = append(out, Entry{Index: i, Data: []byte(fmt.Sprintf("e%d", i))})
 		}
 		return out
 	}
@@ -411,7 +426,7 @@ func TestWALStorageReplayDropsGap(t *testing.T) {
 			s := openWS(t, dir)
 			s.Append(entries(tc.appended...))
 			if tc.mark > 0 {
-				if err := s.Checkpoint(tc.mark); err != nil {
+				if err := s.Checkpoint(tc.mark, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -427,7 +442,7 @@ func TestWALStorageReplayDropsGap(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Fatalf("replayed entries %v, want %v", got, tc.want)
 			}
-			if base, _, _ := s2.Log(); base != tc.mark {
+			if base, _ := s2.Log(); base != tc.mark {
 				t.Fatalf("base %d, want %d", base, tc.mark)
 			}
 		})

@@ -63,8 +63,7 @@ func GenPrefix(shard int64, gen uint64) string {
 func shardPrefix(shard int64) string { return fmt.Sprintf("wal/%d/", shard) }
 
 // load consults CURRENT once per shard so a registry rebuilt over an
-// existing store (cluster reopen) resumes above prior generations. The
-// OSS read happens outside the registry lock.
+// existing store (cluster reopen) resumes above prior generations.
 func (r *Registry) load(shard int64) error {
 	r.mu.Lock()
 	done := r.loaded[shard]
@@ -72,31 +71,37 @@ func (r *Registry) load(shard int64) error {
 	if done {
 		return nil
 	}
+	_, err := r.read(shard)
+	return err
+}
+
+// read GETs the CURRENT object of shard, outside the registry lock, and
+// takes it into the registry's view: registered and the next generation
+// handed out never fall. It returns the highest registered generation.
+func (r *Registry) read(shard int64) (uint64, error) {
 	var cur uint64
 	data, err := r.store.Get(currentKey(shard))
 	switch {
 	case errors.Is(err, oss.ErrNotFound):
 		// No generation ever registered.
 	case err != nil:
-		return err
+		return 0, err
 	default:
 		cur, err = strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
 		if err != nil {
-			return fmt.Errorf("ship: corrupt %s: %w", currentKey(shard), err)
+			return 0, fmt.Errorf("ship: corrupt %s: %w", currentKey(shard), err)
 		}
 	}
 	r.mu.Lock()
-	if !r.loaded[shard] {
-		r.loaded[shard] = true
-		if cur > r.registered[shard] {
-			r.registered[shard] = cur
-		}
-		if cur >= r.next[shard] {
-			r.next[shard] = cur + 1
-		}
+	defer r.mu.Unlock()
+	r.loaded[shard] = true
+	if cur > r.registered[shard] {
+		r.registered[shard] = cur
 	}
-	r.mu.Unlock()
-	return nil
+	if cur >= r.next[shard] {
+		r.next[shard] = cur + 1
+	}
+	return r.registered[shard], nil
 }
 
 // Acquire reserves the next generation number for shard. The number is
@@ -154,16 +159,12 @@ func (r *Registry) Registered(shard int64) uint64 {
 	return r.registered[shard]
 }
 
-// CurrentGen resolves the current generation for shard, consulting the
-// CURRENT object when this registry has not seen the shard yet
-// (hydration after a full restart). 0 means no generation exists.
+// CurrentGen resolves the current generation for shard by reading the
+// CURRENT object, so that it sees a generation another registry over
+// the same store registered since (hydration after a full restart, or
+// beside an owner that still rolls). 0 means no generation exists.
 func (r *Registry) CurrentGen(shard int64) (uint64, error) {
-	if err := r.load(shard); err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.registered[shard], nil
+	return r.read(shard)
 }
 
 // Sweep deletes every object of shard generations below keep — the
