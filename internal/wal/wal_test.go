@@ -352,3 +352,51 @@ func TestTruncatedMidRecordRecovery(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteSegment: a run of whole frames becomes a log's first segment
+// and replays; a run that ends inside a frame and a dir that holds a log
+// are refused, and neither refusal leaves a file behind. A temporary
+// file a crashed write left is no log, and the next write replaces it.
+func TestWriteSegment(t *testing.T) {
+	var data []byte
+	for i := 0; i < 3; i++ {
+		data = AppendFrame(data, []byte(fmt.Sprintf("record-%d", i)))
+	}
+	dir := filepath.Join(t.TempDir(), "log")
+	if empty, err := Empty(dir); err != nil || !empty {
+		t.Fatalf("Empty on a missing dir = %v, %v", empty, err)
+	}
+	if err := WriteSegment(dir, data[:len(data)-1]); err == nil {
+		t.Fatal("a run torn inside its last frame was written")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)+".tmp"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if empty, err := Empty(dir); err != nil || !empty {
+		t.Fatalf("Empty beside a leftover temporary file = %v, %v", empty, err)
+	}
+	if err := WriteSegment(dir, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSegment(dir, data); err == nil {
+		t.Fatal("a second segment written over a log")
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0].Name() != segName(1) {
+		t.Fatalf("dir holds %v, want only %s", names, segName(1))
+	}
+	l := openLog(t, dir, Options{})
+	defer l.Close()
+	if got := replayAll(t, l); len(got) != 3 || got[3] != "record-2" {
+		t.Fatalf("replayed %v", got)
+	}
+	if empty, err := Empty(dir); err != nil || empty {
+		t.Fatalf("Empty on a written log = %v, %v", empty, err)
+	}
+}
